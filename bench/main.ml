@@ -972,9 +972,9 @@ let perf_table () =
   Fmt.pr "%-12s %-12s %-12s %-14.0f %-10.2f@." "vm-sim" "vm" "bytecode" vm_per_s
     vm_ratio;
   (* -- vm DPOR: reduced exploration of the same protocol, interpreter
-     engine ([Dpor] on the journaled backend + incremental keys) vs the
-     bytecode engine ([Vmexplore]: arena states, batched expansion,
-     keys read off the slice).  The check always passes so both arms
+     state (heap configurations on the journaled backend + incremental
+     keys) vs the vm state (arena slots, batched expansion, keys read
+     off the slice), both through the one exploration core.  The check always passes so both arms
      sweep the full reduced space; completion is excluded as above. *)
   let vm_dpor_depth = if !perf_smoke then 10 else 13 in
   let vm_dpor_interp () =

@@ -99,7 +99,7 @@ let parse_sched spec ~n =
 (* exploration spec: engine:DEPTH *)
 let explore_specs = [ "naive:DEPTH"; "dpor:DEPTH"; "dpor-nocache:DEPTH" ]
 
-let parse_explore spec ~jobs =
+let parse_explore spec ~jobs ~n =
   let engine_of = function
     | "naive" -> Some Spec.Modelcheck.Naive
     | "dpor" -> Some (Spec.Modelcheck.Dpor { cache = true; jobs })
@@ -109,6 +109,10 @@ let parse_explore spec ~jobs =
   match String.split_on_char ':' spec with
   | [ name; d ] -> (
     match (engine_of name, int_of_string_opt d) with
+    | Some (Spec.Modelcheck.Dpor _), Some _ when n > Spec.Explore.max_procs ->
+      Error
+        (Fmt.str "--explore %S: -n %d exceeds the DPOR limit of %d processes" spec n
+           Spec.Explore.max_procs)
     | Some engine, Some depth when depth >= 0 -> Ok (engine, depth)
     | Some _, _ -> Error (Fmt.str "--explore %S: depth %S is not a non-negative integer" spec d)
     | None, _ ->
@@ -206,7 +210,7 @@ let run backend algo n m k impl sched_spec rounds trace diagram stats trace_out
   let inputs = Shm.Exec.repeated_inputs ~rounds input_fn in
   match explore with
   | Some spec -> (
-    match parse_explore spec ~jobs with
+    match parse_explore spec ~jobs ~n with
     | Error e ->
       Fmt.epr "%s@." e;
       exit 2
@@ -299,7 +303,7 @@ let trace_main backend algo n m k impl sched_spec rounds registers explore jobs
     Obs.Trace.with_attached tr (fun () ->
         match explore with
         | Some spec -> (
-          match parse_explore spec ~jobs with
+          match parse_explore spec ~jobs ~n with
           | Error e ->
             Fmt.epr "%s@." e;
             exit 2

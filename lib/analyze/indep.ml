@@ -1,6 +1,6 @@
 (* Conditional independence of shared-memory steps.
 
-   [Spec.Dpor]'s baseline relation is footprint disjointness: two
+   [Spec.Explore]'s baseline relation is footprint disjointness: two
    poised steps of different processes commute when neither writes a
    register the other touches.  This module refines it with
    Katz–Peled-style *conditional* independence — pairs that commute in

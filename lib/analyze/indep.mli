@@ -1,7 +1,7 @@
 (** Conditional independence of shared-memory steps, and the [flow/*]
     lint rules.
 
-    Refines {!Spec.Dpor}'s footprint-disjointness relation with pairs
+    Refines {!Spec.Explore}'s footprint-disjointness relation with pairs
     that commute {e in the current state} although their footprints
     collide: same-register writes of equal values, and no-op writes
     (re-storing the value the register already holds) against reads or

@@ -23,7 +23,7 @@
       memory.
     - {!Indep} — exploring with the dataflow engine's
       conditional-independence refinement ([Analyze.Indep.refinement]
-      threaded through [Spec.Dpor]'s [?static_indep]) reaches the same
+      threaded through [Spec.Modelcheck.run]'s [?static_indep]) reaches the same
       verdict kind as the dynamic-footprint baseline, and never
       explores {e more} states.
     - {!Optim} — simulation equivalence of [Analyze.Optim]: running

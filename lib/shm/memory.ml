@@ -27,7 +27,7 @@
      the version and the array is replayed onto the array (applying the
      undo log), reversing each entry so the previously-current versions
      remain readable.  The depth-first push/pop cycle of the explorers
-     (Spec.Dpor, Spec.Modelcheck.exhaustive, Spec.Stress replay, the
+     (Spec.Explore, Spec.Modelcheck.exhaustive, Spec.Stress replay, the
      Theorem 2 clone-and-replay) touches versions in stack order, so
      rerooting costs amortized O(1) per step: a checkpoint is just the
      [t] value in hand, and rolling back to it is the reroot its next
@@ -37,7 +37,7 @@
      rerooting mutates shared cells.  A config that crosses domains
      (work stealing) must either be rebuilt by schedule replay or
      detached with [unshare], which copies the current contents into a
-     fresh single-version family.  Spec.Dpor does exactly that; see
+     fresh single-version family.  Spec.Explore does exactly that; see
      docs/PERFORMANCE.md for the ownership argument.
 
    Bookkeeping (written set, step counters) lives in the immutable

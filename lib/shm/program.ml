@@ -62,7 +62,7 @@ let poised_op = function Op (o, _) -> Some o | Stop | Yield _ | Await _ -> None
    it would read and write.  Yield and Await steps (and halted
    processes) touch no shared memory: their footprint is empty, which
    makes them independent of every other process's steps.  The
-   exploration engine (Spec.Dpor) uses footprints to decide, without
+   exploration core (Spec.Explore) uses footprints to decide, without
    executing anything, whether two enabled steps commute. *)
 
 type footprint = { reads : int list; writes : int list }

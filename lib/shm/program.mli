@@ -48,7 +48,7 @@ val poised_op : t -> op option
 (** {1 Step footprints}
 
     The registers the poised step would read and write, decidable
-    without executing it.  {!Spec.Dpor} builds its independence
+    without executing it.  {!Spec.Explore} builds its independence
     relation on footprints: two steps of different processes commute
     iff neither writes a register the other touches. *)
 

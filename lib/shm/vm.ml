@@ -35,7 +35,7 @@
    - A configuration is a slice of one flat int array.  [state_words]
      gives the slice size; [init]/[step] address fields at fixed
      offsets.  Exploration engines keep thousands of configurations in
-     one arena array and snapshot with [Array.blit] ([Spec.Vmexplore]).
+     one arena array and snapshot with [Array.blit] ([Spec.Modelcheck]).
 
    - The state key (the DPOR cache key) is maintained incrementally
      inside [step], so [key] is four loads.  The step language has no
@@ -478,7 +478,7 @@ let[@inline] advance_fast e st base pid i =
 
 (* The footprint of the step [pid] would take next, as (reads_off,
    reads_len, write_reg): (-1,0,-1) for local steps (invoke, decide).
-   Mirrors [Config.footprint] for compiled protocols; Vmexplore's
+   Mirrors [Config.footprint] for compiled protocols; the vm DPOR
    independence test works on these triples without allocating. *)
 let poised_footprint e st base pid =
   let ip = st.!(base + e.o_ip + pid) in

@@ -27,7 +27,7 @@
     interpreter's key: states reached by equivalent interleavings
     collide by construction, which is exactly the pruning the cache
     wants.  {!key} is four loads and DPOR over vm states
-    ([Spec.Vmexplore]) never hashes a full configuration. *)
+    ([Spec.Modelcheck.run_vm]) never hashes a full configuration. *)
 
 (** {1 The first-order protocol language} *)
 

@@ -1,11 +1,11 @@
 (** The common counterexample type of the exploration stack.
 
     Every engine that can exhibit a safety violation — {!Modelcheck}
-    (naive exhaustive), {!Dpor}, and {!Stress} — reports it as this one
-    type, so the shrinker ({!Shrink}) and the CLI reproduce and
-    minimize violations from any source the same way.  Processes are
-    deterministic, so the pid schedule alone pins down the whole
-    execution. *)
+    (naive exhaustive and the {!Explore} core) and {!Stress} — reports
+    it as this one type, so the shrinker ({!Shrink}) and the CLI
+    reproduce and minimize violations from any source the same way.
+    Processes are deterministic, so the pid schedule alone pins down
+    the whole execution. *)
 
 type t = {
   schedule : int list;  (** pids, in step order *)

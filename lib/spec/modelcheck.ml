@@ -1,5 +1,6 @@
 (* Bounded model checking of the simulated system: one front door over
-   two engines.
+   the naive reference engine and the exploration core (Spec.Explore),
+   the latter instantiated over two state representations.
 
    Because configurations are pure values and processes are
    deterministic, the only nondeterminism is the schedule; exploring all
@@ -9,30 +10,24 @@
    and the property is evaluated there — so the check covers "all
    executions that diverge in their first [depth] steps".
 
-   Two engines implement that contract:
-
-   - [Naive] (also available directly as [exhaustive]): literal
-     enumeration of every schedule — n^depth nodes, the reference
-     semantics, and the engine whose counterexamples are
-     lexicographically first;
-   - [Dpor] (Spec.Dpor): partial-order reduction + state caching +
-     optional parallel domains — orders of magnitude fewer nodes, same
-     class coverage (see docs/EXPLORATION.md for the bounded-depth
-     caveat).
-
-   For small n the naive engine is a proof (up to the depth bound)
-   rather than a sample, and it finds minimal counterexample schedules,
-   reported as the list of pids stepped. *)
+   - [Naive] ([exhaustive]): literal enumeration of every schedule —
+     n^depth nodes, the reference semantics, and the engine whose
+     counterexamples are lexicographically first;
+   - [Dpor]: the exploration core — partial-order reduction + state
+     caching + optional parallel domains, orders of magnitude fewer
+     nodes, same class coverage (docs/EXPLORATION.md), over heap
+     configurations ([run]) or bytecode-vm arena slots ([run_vm]). *)
 
 open Shm
 
-type stats = {
-  explored : int;        (* interior nodes visited *)
-  leaves : int;          (* frontier configurations checked *)
+type stats = Explore.stats = {
+  explored : int;
+  leaves : int;
   max_depth : int;
-  cache_hits : int;      (* Dpor only: nodes short-circuited by the cache *)
-  pruned : int;          (* Dpor only: branches pruned by sleep sets *)
-  steals : int;          (* Dpor only: work-stealing migrations *)
+  cache_hits : int;
+  pruned : int;
+  refined : int;
+  steals : int;
 }
 
 type outcome =
@@ -59,8 +54,7 @@ let counterex_of = function
   | Counterexample { schedule; error; config; _ } ->
     Some { Counterex.schedule; error; config }
 
-(* Drive [config] to quiescence deterministically (solo bursts). *)
-let complete ~inputs ~max_steps config = Counterex.complete ~inputs ~max_steps config
+let stats_of = function Ok_bounded s -> s | Counterexample { stats; _ } -> stats
 
 (* [exhaustive ~depth ~inputs ~check config] explores every schedule of
    length ≤ depth, completes each frontier, and applies [check].  Stops
@@ -71,7 +65,7 @@ let exhaustive ~depth ~inputs ?(completion_steps = 50_000) ~check config =
   let exception Found of int list * string * Config.t in
   let check_leaf schedule config =
     incr leaves;
-    let final = complete ~inputs ~max_steps:completion_steps config in
+    let final = Counterex.complete ~inputs ~max_steps:completion_steps config in
     match check final with
     | Ok () -> ()
     | Error e -> raise (Found (List.rev schedule, e, final))
@@ -87,27 +81,266 @@ let exhaustive ~depth ~inputs ?(completion_steps = 50_000) ~check config =
     | [] -> check_leaf schedule config
     | _ when d >= depth -> check_leaf schedule config
     | _ ->
-      runnable
-      |> List.iter (fun pid ->
-             let config' =
-               match Config.proc config pid with
-               | Program.Await _ ->
-                 let inst = Config.instance config pid + 1 in
-                 fst (Config.invoke config pid (Option.get (inputs ~pid ~instance:inst)))
-               | Program.Stop -> config
-               | Program.Op _ | Program.Yield _ -> fst (Config.step config pid)
-             in
-             go config' (d + 1) (pid :: schedule))
+      List.iter
+        (fun pid -> go (Counterex.step_pid ~inputs config pid) (d + 1) (pid :: schedule))
+        runnable
   in
   let stats () =
     { explored = !explored; leaves = !leaves; max_depth = !deepest;
-      cache_hits = 0; pruned = 0; steals = 0 }
+      cache_hits = 0; pruned = 0; refined = 0; steals = 0 }
   in
   try
     go config 0 [];
     Ok_bounded (stats ())
   with Found (schedule, error, config) ->
     Counterexample { schedule; error; config; stats = stats () }
+
+(* A violating schedule, re-executed by the interpreter from [config]
+   and completed: the reported artifact is engine-neutral. *)
+let counterexample ~inputs ~completion_steps config schedule error =
+  let stepped = List.fold_left (Counterex.step_pid ~inputs) config schedule in
+  { Counterex.schedule; error;
+    config = Counterex.complete ~inputs ~max_steps:completion_steps stepped }
+
+(* ---- heap configurations, keyed by Statehash ---- *)
+
+module Interp_state = struct
+  type env = {
+    config : Config.t;
+    inputs : pid:int -> instance:int -> Value.t option;
+    has_input : int -> int -> bool;
+    completion_steps : int;
+    check : Config.t -> (unit, string) result;
+    full_key : bool;
+    (* conditional-independence refinement: may the poised ops of two
+       processes be swapped in the state whose memory is [mem] without
+       changing the resulting configuration? *)
+    static_indep : (mem:Memory.t -> Program.op -> Program.op -> bool) option;
+  }
+
+  (* [root] is this domain's own copy of the initial configuration: a
+     journaled configuration may only be read by the domain that owns
+     its version family *)
+  type dom = { env : env; root : Config.t }
+
+  (* the Statehash observation hashes are immutable and shared freely *)
+  type t = { config : Config.t; hash : Statehash.t }
+
+  (* the incremental key, or the full MD5 digest (the audited reference
+     path, also the perf benchmark's old-cost arm) *)
+  type key = Inc of Statehash.key | Full of Digest.t
+
+  let batch = 1
+  let n (env : env) = Config.n env.config
+  let portable (env : env) = Memory.backend (Config.mem env.config) <> Memory.Journaled
+
+  let dom (env : env) ~copy =
+    { env; root = (if copy then Config.unshare env.config else env.config) }
+
+  let root d = { config = d.root; hash = Statehash.create ~audit:d.env.full_key d.root }
+  let runnable d t pid = Config.runnable t.config ~has_input:d.env.has_input pid
+  let poised_local _ t pid = Program.footprint_is_local (Config.footprint t.config pid)
+
+  let commutes d t q p =
+    let c = t.config in
+    if Program.independent (Config.footprint c q) (Config.footprint c p) then
+      Explore.Independent
+    else
+      (* footprints collide, but the two poised ops may still commute to
+         the identical state in the current memory (equal-value writes, a
+         no-op write against a read) — sound for sleep sets, which need
+         commutation only at this node, never for ample sets *)
+      match d.env.static_indep with
+      | None -> Explore.Conflict
+      | Some refine -> (
+        match (Program.poised_op (Config.proc c q), Program.poised_op (Config.proc c p)) with
+        | Some oq, Some op when refine ~mem:(Config.mem c) oq op -> Explore.Refined
+        | _ -> Explore.Conflict)
+
+  let child d ~prof t pid =
+    let t0 = Explore.start prof in
+    let config, ev =
+      match Config.proc t.config pid with
+      | Program.Await _ ->
+        let instance = Config.instance t.config pid + 1 in
+        Config.invoke t.config pid (Option.get (d.env.inputs ~pid ~instance))
+      | Program.Stop -> assert false (* not runnable *)
+      | Program.Op _ | Program.Yield _ -> Config.step t.config pid
+    in
+    let t0 = Explore.lap prof Obs.Prof.Interp t0 in
+    let hash = Statehash.record t.hash ~before:t.config config ev in
+    ignore (Explore.lap prof Obs.Prof.Hash t0);
+    { config; hash }
+
+  let key d t =
+    if d.env.full_key then Full (Statehash.full_key t.hash t.config)
+    else Inc (Statehash.key t.hash)
+
+  let release _ _ = ()
+
+  let replay d t sched =
+    let step = Counterex.step_pid ~inputs:d.env.inputs in
+    { t with config = List.fold_left step d.root (List.rev sched) }
+
+  let leaf d t =
+    let { inputs; completion_steps; check; _ } = d.env in
+    check (Counterex.complete ~inputs ~max_steps:completion_steps t.config)
+
+  let counterexample (env : env) =
+    counterexample ~inputs:env.inputs ~completion_steps:env.completion_steps env.config
+
+  let sample tr _ t =
+    Obs.Trace.counter tr ~track:Obs.Coverage.track_covered
+      (float_of_int (Obs.Coverage.num_covered t.config));
+    Obs.Trace.counter tr ~track:Obs.Coverage.track_written
+      (float_of_int (Obs.Coverage.num_written t.config))
+end
+
+module Interp = Explore.Make (Interp_state)
+
+(* ---- bytecode-vm arena slots, keyed by Vm.key ---- *)
+
+module Vm_state = struct
+  type env = {
+    e : Vm.env;
+    proto : Vm.proto;
+    inputs : pid:int -> instance:int -> Value.t option;
+    completion_steps : int;
+    check :
+      inputs:(int * int * Value.t) list ->
+      outputs:(int * int * Value.t) list ->
+      (unit, string) result;
+  }
+
+  (* A domain's arena: slots of [words] ints, bump-allocated with a free
+     list; doubling keeps slot ids stable.  Children of a batch are
+     allocated consecutively, so the next pass walks contiguous memory.
+     [scratch] holds one completion slice, reused per leaf. *)
+  type dom = {
+    env : env;
+    words : int;
+    mutable buf : int array;
+    mutable top : int;
+    mutable free : int list;
+    scratch : int array;
+  }
+
+  type t = int
+  type key = Vm.key
+
+  let batch = 8
+  let n env = env.proto.Vm.n
+  let portable _ = false
+
+  let dom env ~copy:_ =
+    let words = Vm.state_words env.e in
+    { env; words; buf = Array.make (max 1 (words * 256)) 0; top = 0; free = [];
+      scratch = Array.make words 0 }
+
+  let alloc d =
+    match d.free with
+    | s :: tl ->
+      d.free <- tl;
+      s
+    | [] ->
+      let s = d.top in
+      if (s + 1) * d.words > Array.length d.buf then begin
+        let buf = Array.make (2 * Array.length d.buf) 0 in
+        Array.blit d.buf 0 buf 0 (s * d.words);
+        d.buf <- buf
+      end;
+      d.top <- s + 1;
+      s
+
+  let root d =
+    let s = alloc d in
+    Vm.init d.env.e d.buf (s * d.words);
+    s
+
+  let runnable d s pid = Vm.runnable d.env.e d.buf (s * d.words) pid
+  let poised_local d s pid = Vm.poised_local d.env.e d.buf (s * d.words) pid
+
+  (* footprint triples (reads_off, reads_len, write_reg), -1 for none:
+     independent iff neither writes a register the other touches *)
+  let commutes d s q p =
+    let touches (ro, rl, w) r = (r >= ro && r < ro + rl) || r = w in
+    let ((_, _, qw) as fq) = Vm.poised_footprint d.env.e d.buf (s * d.words) q
+    and ((_, _, pw) as fp) = Vm.poised_footprint d.env.e d.buf (s * d.words) p in
+    if (qw = -1 || not (touches fp qw)) && (pw = -1 || not (touches fq pw)) then
+      Explore.Independent
+    else Explore.Conflict
+
+  let child d ~prof s pid =
+    let t0 = Explore.start prof in
+    let c = alloc d in
+    (* [alloc] may have replaced [d.buf]; address it afresh *)
+    Array.blit d.buf (s * d.words) d.buf (c * d.words) d.words;
+    let t0 = Explore.lap prof Obs.Prof.Vm_batch t0 in
+    Vm.step d.env.e d.buf (c * d.words) pid;
+    ignore (Explore.lap prof Obs.Prof.Vm_step t0);
+    c
+
+  let key d s = Vm.key d.env.e d.buf (s * d.words)
+  let release d s = d.free <- s :: d.free
+
+  let replay d _ sched =
+    let s = root d in
+    List.iter (fun pid -> Vm.step d.env.e d.buf (s * d.words) pid) (List.rev sched);
+    s
+
+  (* [Counterex.complete]'s rule (quantum round-robin, q = 2000) with a
+     constant name — [Schedule.quantum_round_robin]'s name is formatted
+     per construction, too costly for a per-leaf object. *)
+  let completion_sched n =
+    let quantum = 2000 in
+    let cursor = ref 0 and left = ref quantum in
+    let next ~step:_ ~runnable =
+      if !left = 0 then begin
+        cursor := (!cursor + 1) mod n;
+        left := quantum
+      end;
+      let tried = ref 0 and found = ref (-1) in
+      while !found < 0 && !tried < n do
+        if runnable !cursor then begin
+          decr left;
+          found := !cursor
+        end
+        else begin
+          cursor := (!cursor + 1) mod n;
+          left := quantum;
+          incr tried
+        end
+      done;
+      if !found < 0 then None else Some !found
+    in
+    { Schedule.name = "completion"; next }
+
+  let leaf d s =
+    let env = d.env in
+    (* with no completion budget the frontier state is final as-is *)
+    let st, b =
+      if env.completion_steps = 0 then (d.buf, s * d.words)
+      else begin
+        Array.blit d.buf (s * d.words) d.scratch 0 d.words;
+        ignore
+          (Vm.drive env.e d.scratch 0 ~sched:(completion_sched (n env))
+             ~max_steps:env.completion_steps);
+        (d.scratch, 0)
+      end
+    in
+    let fin = Vm.snapshot env.e st b in
+    env.check ~inputs:fin.Vm.inputs ~outputs:fin.Vm.outputs
+
+  (* replayed through the interpreter: the reported artifact is
+     engine-neutral and independently re-executes the vm's claim *)
+  let counterexample env =
+    counterexample ~inputs:env.inputs ~completion_steps:env.completion_steps
+      (Vm.config env.proto)
+
+  let sample _ _ _ = ()
+end
+
+module Vm_explore = Explore.Make (Vm_state)
 
 (* ---- engine dispatch ---- *)
 
@@ -120,86 +353,35 @@ let engine_name = function
       (if cache then "+cache" else "")
       (if jobs > 1 then Fmt.str " (%d domains)" jobs else "")
 
-(* Export an outcome's counters into a metrics registry, same names as
-   Dpor.explore uses (so --stats output is uniform across engines). *)
-let export_metrics m (stats : stats) =
-  let bump name v = Obs.Metrics.Counter.incr ~by:v (Obs.Metrics.counter m name) in
-  bump "explore.nodes" stats.explored;
-  bump "explore.leaves" stats.leaves;
-  bump "explore.cache_hits" stats.cache_hits;
-  bump "explore.sleep_pruned" stats.pruned
+let of_explore = function
+  | stats, None -> Ok_bounded stats
+  | stats, Some { Counterex.schedule; error; config } ->
+    Counterexample { schedule; error; config; stats }
 
-let stats_of = function Ok_bounded s -> s | Counterexample { stats; _ } -> stats
-
-let run ~engine ~depth ?key ~inputs ?completion_steps ?static_indep ?metrics
-    ?prof ?series ~check config =
+let run ~engine ~depth ?(key = `Incremental) ~inputs ?(completion_steps = 50_000)
+    ?static_indep ?metrics ?prof ?series ~check config =
   match engine with
   | Naive ->
-    let out = exhaustive ~depth ~inputs ?completion_steps ~check config in
-    Option.iter (fun m -> export_metrics m (stats_of out)) metrics;
+    let out = exhaustive ~depth ~inputs ~completion_steps ~check config in
+    Option.iter (fun m -> Explore.export_metrics m ~domains:1 (stats_of out)) metrics;
     out
-  | Dpor { cache; jobs } -> (
-    let to_stats (s : Dpor.stats) =
-      {
-        explored = s.Dpor.explored;
-        leaves = s.Dpor.leaves;
-        max_depth = s.Dpor.max_depth;
-        cache_hits = s.Dpor.cache_hits;
-        pruned = s.Dpor.sleep_pruned;
-        steals = s.Dpor.steals;
-      }
-    in
-    match
-      Dpor.explore ~depth ~cache ~jobs ?key ?completion_steps ?static_indep
-        ?metrics ?prof ?series ~inputs ~check config
-    with
-    | Dpor.Complete s -> Ok_bounded (to_stats s)
-    | Dpor.Violation (ce, s) ->
-      Counterexample
-        {
-          schedule = ce.Counterex.schedule;
-          error = ce.Counterex.error;
-          config = ce.Counterex.config;
-          stats = to_stats s;
-        })
+  | Dpor { cache; jobs } ->
+    let has_input pid inst = Option.is_some (inputs ~pid ~instance:inst) in
+    of_explore
+      (Interp.explore ~depth ~cache ~jobs ?metrics ?prof ?series
+         { config; inputs; has_input; completion_steps; check; full_key = key = `Full;
+           static_indep })
 
-(* ---- the same front door over the bytecode engine ---- *)
-
-(* [run_vm] is [run] for first-order protocols executed by [Shm.Vm]:
-   [Naive] maps to Vmexplore with the reduction off (literal schedule
-   enumeration, the reference), [Dpor {cache; jobs}] to the reduced
-   engine.  The check is applied to decoded i/o records
-   (Properties.check_safety_io fits directly); outcomes and metric
-   names match [run], so callers switch engines without reshaping
-   results. *)
-let run_vm ~engine ~depth ?batch ?rounds ?completion_steps ?metrics ?prof
-    ?series ~inputs ~check p =
-  let to_stats (s : Vmexplore.stats) =
-    {
-      explored = s.Vmexplore.explored;
-      leaves = s.Vmexplore.leaves;
-      max_depth = s.Vmexplore.max_depth;
-      cache_hits = s.Vmexplore.cache_hits;
-      pruned = s.Vmexplore.sleep_pruned;
-      steals = 0;  (* the vm engine splits statically: no stealing *)
-    }
-  in
-  let outcome =
-    match engine with
-    | Naive ->
-      Vmexplore.explore ~depth ~reduce:false ~cache:false ~jobs:1 ?batch
-        ?rounds ?completion_steps ?metrics ?prof ?series ~inputs ~check p
-    | Dpor { cache; jobs } ->
-      Vmexplore.explore ~depth ~reduce:true ~cache ~jobs ?batch ?rounds
-        ?completion_steps ?metrics ?prof ?series ~inputs ~check p
-  in
-  match outcome with
-  | Vmexplore.Complete s -> Ok_bounded (to_stats s)
-  | Vmexplore.Violation (ce, s) ->
-    Counterexample
-      {
-        schedule = ce.Counterex.schedule;
-        error = ce.Counterex.error;
-        config = ce.Counterex.config;
-        stats = to_stats s;
-      }
+(* [run] for first-order protocols executed by [Shm.Vm]; the check sees
+   decoded i/o records (Properties.check_safety_io fits directly). *)
+let run_vm ~engine ~depth ?(completion_steps = 50_000) ?metrics ?prof ?series ~inputs
+    ~check p =
+  match engine with
+  | Naive ->
+    let check c = check ~inputs:(Config.inputs c) ~outputs:(Config.outputs c) in
+    run ~engine ~depth ~inputs ~completion_steps ?metrics ~check (Vm.config p)
+  | Dpor { cache; jobs } ->
+    let e = Vm.env (Vm.compile p) ~inputs in
+    of_explore
+      (Vm_explore.explore ~depth ~cache ~jobs ?metrics ?prof ?series
+         { e; proto = p; inputs; completion_steps; check })

@@ -1,4 +1,5 @@
-(** Bounded model checking: one front door over two engines.
+(** Bounded model checking: one front door over the naive reference
+    engine and the exploration core.
 
     Configurations are pure values and processes deterministic, so the
     only nondeterminism is the schedule; exploring all schedules up to
@@ -7,17 +8,19 @@
     and the property evaluated there — a proof (up to the bound) rather
     than a sample, with minimal counterexample schedules.
 
-    {!exhaustive} is the reference engine (literal enumeration);
-    {!run} additionally dispatches to the reduced engine {!Dpor}
-    (partial-order reduction + state caching + parallel domains). *)
+    {!exhaustive} is the reference engine (literal enumeration); {!run}
+    and {!run_vm} additionally dispatch to {!Explore} (partial-order
+    reduction + state caching + parallel domains), instantiated over
+    heap configurations and over bytecode-vm arena slots. *)
 
-type stats = {
-  explored : int;    (** interior nodes visited *)
+type stats = Explore.stats = {
+  explored : int;    (** nodes visited (interior + frontier) *)
   leaves : int;      (** frontier configurations checked *)
   max_depth : int;
-  cache_hits : int;  (** [Dpor] engine only; 0 for [Naive] *)
-  pruned : int;      (** [Dpor] engine only; 0 for [Naive] *)
-  steals : int;      (** [Dpor] engine only; 0 for [Naive] *)
+  cache_hits : int;  (** [Dpor] only; 0 for [Naive] *)
+  pruned : int;      (** sleep-set prunes; [Dpor] only *)
+  refined : int;     (** sleep retentions owed to [?static_indep] alone *)
+  steals : int;      (** work-stealing migrations; [Dpor] only *)
 }
 
 type outcome =
@@ -34,14 +37,6 @@ val pp_outcome : Format.formatter -> outcome -> unit
 (** The counterexample (if any) as the stack's common currency, ready
     for {!Counterex.replay} and {!Shrink.minimize}. *)
 val counterex_of : outcome -> Counterex.t option
-
-(** Drive a configuration to quiescence deterministically
-    (= {!Counterex.complete}). *)
-val complete :
-  inputs:(pid:int -> instance:int -> Shm.Value.t option) ->
-  max_steps:int ->
-  Shm.Config.t ->
-  Shm.Config.t
 
 (** [exhaustive ~depth ~inputs ~check config] explores every schedule
     of length ≤ depth, completes each frontier (budget
@@ -60,8 +55,8 @@ val exhaustive :
 type engine =
   | Naive  (** literal enumeration — the reference semantics *)
   | Dpor of { cache : bool; jobs : int }
-      (** partial-order reduction, optional state caching, [jobs]
-          domains (see {!Dpor.explore}) *)
+      (** the exploration core, optional state caching, [jobs]
+          domains *)
 
 val engine_name : engine -> string
 
@@ -69,18 +64,24 @@ val stats_of : outcome -> stats
 
 (** [run ~engine …] checks with the chosen engine; same contract and
     outcome type as {!exhaustive}.  When [metrics] is given, the final
-    counters are exported into it under [explore.*] names (both
-    engines).  [key] selects the {!Dpor} cache-key flavour (default
-    [`Incremental]; ignored by [Naive]).  [static_indep] threads the
-    conditional-independence refinement through to {!Dpor.explore}
-    (ignored by [Naive], whose enumeration is the reference
-    semantics).  [prof] and [series] thread through to {!Dpor.explore}
-    (phase breakdown and exploration time series; ignored by
-    [Naive]). *)
+    counters are exported into it ({!Explore.export_metrics}, both
+    engines).  The remaining options apply to [Dpor] only: [key]
+    selects the state-cache key (default [`Incremental]; [`Full] is the
+    full MD5 digest of the canonical form, the audited reference path —
+    both induce the same partition up to hash collision);
+    [static_indep] refines sleep sets with a conditional independence
+    relation — [refine ~mem a b] must hold only when executing poised
+    ops [a] and [b] of two processes in either order from memory [mem]
+    yields the identical configuration ([Analyze.Indep.refinement]
+    derives one; it never widens ample sets); [prof] and [series]
+    receive the phase breakdown and exploration time series.
+
+    Raises [Invalid_argument] for [Dpor] on more than
+    {!Explore.max_procs} processes. *)
 val run :
   engine:engine ->
   depth:int ->
-  ?key:Dpor.key_mode ->
+  ?key:[ `Incremental | `Full ] ->
   inputs:(pid:int -> instance:int -> Shm.Value.t option) ->
   ?completion_steps:int ->
   ?static_indep:(mem:Shm.Memory.t -> Shm.Program.op -> Shm.Program.op -> bool) ->
@@ -91,21 +92,17 @@ val run :
   Shm.Config.t ->
   outcome
 
-(** [run_vm ~engine …] is {!run} over the bytecode engine
-    ({!Shm.Vm} / {!Vmexplore}) for first-order protocols: [Naive]
-    enumerates every schedule with the reduction off, [Dpor] applies
-    the reduction ([cache], [jobs] as for the interpreter engine; the
-    vm splits work statically, so [stats.steals] is always 0).
-    [check] sees the decoded i/o records —
-    {!Properties.check_safety_io} fits directly.  [batch] is the
-    frontier batch size (default 8), [rounds] the invocations per
-    process (default 1).  Metric names match {!run}, plus
-    [explore.batches] and [explore.arena_hwm_words]. *)
+(** [run_vm ~engine …] is {!run} for first-order protocols: [Naive] is
+    {!exhaustive} on [Shm.Vm.config p]; [Dpor] runs the exploration
+    core over compiled {!Shm.Vm} states — a child is one arena blit plus
+    one in-place step, the key is read off the slice, and frontier
+    batches of 8 keep successor slices contiguous.  [check] sees the
+    decoded i/o records ({!Properties.check_safety_io} fits directly).
+    Violations are re-executed by the interpreter before being
+    reported.  Raises [Invalid_argument] if [p] fails to compile. *)
 val run_vm :
   engine:engine ->
   depth:int ->
-  ?batch:int ->
-  ?rounds:int ->
   ?completion_steps:int ->
   ?metrics:Obs.Metrics.t ->
   ?prof:Obs.Prof.t ->

@@ -1,6 +1,7 @@
-(* Tests for exploration engine v2: DPOR vs naive agreement, state-hash
+(* Tests for the exploration core: DPOR vs naive agreement, state-hash
    collision freedom, counterexample shrinking, parallel-domain
-   agreement, and the stress harness's replayable schedules. *)
+   agreement and failure, pinned state counts, and the stress harness's
+   replayable schedules. *)
 
 open Helpers
 open Agreement
@@ -327,6 +328,72 @@ let backends_and_key_modes_agree () =
                                    jobs)
                                 expect_ok (is_ok out)))))
 
+(* A check that raises on a worker domain must surface its exception
+   once every domain has joined, not leave the other workers waiting on
+   a node that will never finish. *)
+let worker_exception_surfaces () =
+  let exception Boom in
+  List.iter
+    (fun jobs ->
+      let calls = Atomic.make 0 in
+      let check c =
+        if Atomic.fetch_and_add calls 1 = 50 then raise Boom else check_safety ~k:1 c
+      in
+      let p = Params.make ~n:3 ~m:1 ~k:1 in
+      match
+        Spec.Modelcheck.run
+          ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs })
+          ~depth:10 ~inputs:(inputs_for 3) ~check (Instances.oneshot p)
+      with
+      | _ -> Alcotest.failf "jobs=%d: the check's exception was swallowed" jobs
+      | exception Boom -> ())
+    [ 1; 4 ]
+
+(* ---- pinned state counts ---- *)
+
+(* The 62-register collect protocol of the E20 vm benchmarks. *)
+let collect62 : Shm.Vm.proto =
+  let open Shm.Vm in
+  {
+    registers = 62;
+    n = 4;
+    steps =
+      [
+        Write (0, Input);
+        Loop (12, [ Scan (0, 62); Scan (0, 62); Scan (0, 62); Write (1, Last) ]);
+        Decide Last;
+      ];
+  }
+
+(* (explored, leaves, max_depth, cache_hits, pruned) of three
+   single-domain runs.  Exploration order decides every cache hit, so
+   any change to the order shows up here. *)
+let pinned_state_counts () =
+  let counts name expected outcome =
+    Alcotest.(check bool) (name ^ ": ok") true (is_ok outcome);
+    let s = Spec.Modelcheck.stats_of outcome in
+    Alcotest.(check (list int)) name expected
+      [ s.explored; s.leaves; s.max_depth; s.cache_hits; s.pruned ]
+  in
+  let engine = Spec.Modelcheck.Dpor { cache = true; jobs = 1 } in
+  (* Figure 3 at n=4, m=1, k=2, depth 8: the dpor-fig3 smoke size *)
+  counts "fig3 n=4 k=2 depth 8" [ 273; 156; 8; 40; 24 ]
+    (Spec.Modelcheck.run ~engine ~depth:8
+       ~inputs:
+         (Shm.Exec.repeated_inputs ~rounds:1 (fun pid instance ->
+              vi ((100 * instance) + pid)))
+       ~check:(check_safety ~k:2)
+       (Instances.oneshot (Params.make ~n:4 ~m:1 ~k:2)));
+  let inputs ~pid ~instance = if instance = 1 then Some (vi (pid + 1)) else None in
+  counts "collect62 interpreter depth 10" [ 2521; 1464; 10; 316; 432 ]
+    (Spec.Modelcheck.run ~engine ~depth:10 ~completion_steps:0 ~inputs
+       ~check:(fun _ -> Ok ())
+       (Shm.Vm.config ~backend:Shm.Memory.Journaled collect62));
+  counts "collect62 vm depth 10" [ 2119; 910; 10; 588; 354 ]
+    (Spec.Modelcheck.run_vm ~engine ~depth:10 ~completion_steps:0 ~inputs
+       ~check:(fun ~inputs:_ ~outputs:_ -> Ok ())
+       collect62)
+
 (* ---- stress: replayable witness schedules ---- *)
 
 (* A Broken verdict now carries the pid schedule; replaying it from a
@@ -378,5 +445,7 @@ let suite =
       shrinker_reaches_empty;
     slow_test "jobs=1 and jobs=4 agree on outcomes" jobs_agree;
     slow_test "backends and key modes agree on verdicts" backends_and_key_modes_agree;
+    slow_test "an exception on a worker domain surfaces" worker_exception_surfaces;
+    test "state counts are pinned" pinned_state_counts;
     slow_test "stress witness schedule replays and shrinks" stress_schedule_replays_and_shrinks;
   ]

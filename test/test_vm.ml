@@ -302,7 +302,8 @@ let test_key_converges seed =
 (* Counterexample schedules may legitimately differ (the engines cache
    and reduce differently), but the verdict — safe up to the bound, or
    some violation exists — is a property of the protocol and must
-   match.  Small sizes keep the exhaustive cost of 40 protocols low. *)
+   match, on one domain and with work stealing over four.  Small sizes
+   keep the exhaustive cost of 40 protocols low. *)
 let small_sizes =
   { G.max_registers = 3; max_procs = 3; max_steps = 3; max_loop = 2; max_sched = 8 }
 
@@ -318,8 +319,9 @@ let verdict_property =
           ~check:(Spec.Properties.check_safety ~k:1)
           (G.config p)
       in
-      let vm =
-        Spec.Modelcheck.run_vm ~engine ~depth:5 ~inputs:G.inputs
+      let vm jobs =
+        Spec.Modelcheck.run_vm ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs })
+          ~depth:5 ~inputs:G.inputs
           ~check:(Spec.Properties.check_safety_io ~k:1)
           p
       in
@@ -327,12 +329,13 @@ let verdict_property =
         | Spec.Modelcheck.Ok_bounded _ -> false
         | Spec.Modelcheck.Counterexample _ -> true
       in
-      if violated interp = violated vm then true
+      let show o = if violated o then "violation" else "safe" in
+      let vm1 = vm 1 and vm4 = vm 4 in
+      if violated interp = violated vm1 && violated vm1 = violated vm4 then true
       else
-        QCheck.Test.fail_reportf "verdicts differ on %s: interpreter %s, vm %s"
-          (G.to_string p)
-          (if violated interp then "violation" else "safe")
-          (if violated vm then "violation" else "safe"))
+        QCheck.Test.fail_reportf
+          "verdicts differ on %s: interpreter %s, vm %s, vm on 4 domains %s"
+          (G.to_string p) (show interp) (show vm1) (show vm4))
 
 (* ------------------------------------------------------------------ *)
 
