@@ -1372,8 +1372,8 @@ let bechamel_benches () =
 
 (* ------------------------------------------------------------------ *)
 (* E17: the serving layer (lib/service).  Three sections, one schema:
-   - service-scaling: closed-loop throughput/latency over a
-     domains × shards grid (the scaling curve);
+   - service-scaling: closed-loop throughput/latency over 1, 2, 4 and
+     8 shards, all pumped by the calling domain (the scaling curve);
    - service-throughput: same-binary batched (batch_max 16) vs
      reference (batch_max 1) arms on one shard — the floor-gated
      machine-independent ratio;
@@ -1392,16 +1392,14 @@ let service_table () =
   let theta = 0.9 in
   let seed = 0x5e17 in
   let rows = ref [] in
-  let loadrun ~domains ~shards ~batch_max ~window ~app ~history =
+  let loadrun ~shards ~batch_max ~window ~app ~history =
     let server =
-      Service.Server.create ~batch_max ~window ~app ~history ~seed ~shards
-        ~domains params
+      Service.Server.create ~batch_max ~window ~app ~history ~shards params
     in
     let report =
       Service.Loadgen.run server
         { Service.Loadgen.clients; ops_per_client = ops; keys; theta; seed }
     in
-    Service.Server.stop server;
     (server, report)
   in
   let totals server =
@@ -1410,24 +1408,17 @@ let service_table () =
         (slots + s.Service.Shard.slots, cmds + s.Service.Shard.committed))
       (0, 0) (Service.Server.stats server)
   in
-  (* scaling curve: domains × shards *)
-  let grid =
-    if !perf_smoke then [ (1, 1); (1, 4); (2, 4); (4, 8) ]
-    else
-      List.concat_map
-        (fun domains -> List.map (fun shards -> (domains, shards)) [ 1; 2; 4; 8 ])
-        [ 1; 2; 4 ]
-  in
-  Fmt.pr "%-8s %-8s %-14s %-12s %-12s %-8s@." "domains" "shards" "cmds/s" "p50 us"
-    "p99 us" "slots";
+  (* scaling curve over shards *)
+  Fmt.pr "%-8s %-14s %-12s %-12s %-8s@." "shards" "cmds/s" "p50 us" "p99 us"
+    "slots";
   List.iter
-    (fun (domains, shards) ->
+    (fun shards ->
       let server, report =
-        loadrun ~domains ~shards ~batch_max:16 ~window:64 ~app:Service.App.counter
+        loadrun ~shards ~batch_max:16 ~window:64 ~app:Service.App.counter
           ~history:false
       in
       let slots, cmds = totals server in
-      Fmt.pr "%-8d %-8d %-14.0f %-12.1f %-12.1f %-8d@." domains shards
+      Fmt.pr "%-8d %-14.0f %-12.1f %-12.1f %-8d@." shards
         report.Service.Loadgen.throughput_cps
         (report.Service.Loadgen.p50_ns /. 1e3)
         (report.Service.Loadgen.p99_ns /. 1e3)
@@ -1436,7 +1427,6 @@ let service_table () =
         Obs.Json.Obj
           [
             ("bench", Obs.Json.String "service-scaling");
-            ("domains", Obs.Json.Int domains);
             ("shards", Obs.Json.Int shards);
             ("clients", Obs.Json.Int clients);
             ("commands", Obs.Json.Int cmds);
@@ -1451,15 +1441,15 @@ let service_table () =
             ("registers", Obs.Json.Int (Service.Server.registers_used server));
           ]
         :: !rows)
-    grid;
-  (* batched vs reference: the same binary, one shard, one domain; the
-     floor gates the machine-independent ratio *)
+    [ 1; 2; 4; 8 ];
+  (* batched vs reference: the same binary, one shard; the floor gates
+     the machine-independent ratio *)
   let _, ref_report =
-    loadrun ~domains:1 ~shards:1 ~batch_max:1 ~window:64 ~app:Service.App.counter
+    loadrun ~shards:1 ~batch_max:1 ~window:64 ~app:Service.App.counter
       ~history:false
   in
   let _, batched_report =
-    loadrun ~domains:1 ~shards:1 ~batch_max:16 ~window:64
+    loadrun ~shards:1 ~batch_max:16 ~window:64
       ~app:Service.App.counter ~history:false
   in
   let ratio =
@@ -1485,7 +1475,7 @@ let service_table () =
   let shards = 4 in
   let server =
     Service.Server.create ~batch_max:4 ~window:16 ~app:Service.App.register
-      ~history:true ~seed ~shards ~domains:0 params
+      ~history:true ~shards params
   in
   let rng = Shm.Rng.create seed in
   let rounds = if !perf_smoke then 16 else 48 in

@@ -1032,37 +1032,39 @@ let conform_cmd =
 (* ------------------------------------------------------------------ *)
 (* The `serve` subcommand: sharded batched serving layer (lib/service). *)
 
-let serve backend shards domains clients ops keys theta seed app_name batch
-    window n m k trace_out stats =
+let serve backend shards clients ops keys theta seed app_name batch window n
+    m k trace_out stats =
   set_memory_backend backend;
+  let usage_error msg =
+    Fmt.epr "%s@." msg;
+    exit 2
+  in
   let app =
     match Service.App.by_name app_name with
     | Some app -> app
     | None ->
-      Fmt.epr "unknown app %S; valid: %s@." app_name
-        (String.concat " | "
-           (List.map (fun a -> a.Service.App.name) Service.App.all));
-      exit 2
+      usage_error
+        (Fmt.str "unknown app %S; valid: %s" app_name
+           (String.concat " | "
+              (List.map (fun a -> a.Service.App.name) Service.App.all)))
   in
   let params =
-    try Agreement.Params.make ~n ~m ~k
-    with Invalid_argument msg ->
-      Fmt.epr "%s@." msg;
-      exit 2
+    try Agreement.Params.make ~n ~m ~k with Invalid_argument msg -> usage_error msg
   in
-  let server =
-    Service.Server.create ~batch_max:batch ~window ~app ~seed ~shards ~domains
-      params
-  in
+  if shards <= 0 then usage_error "--shards must be positive";
+  if batch <= 0 then usage_error "--batch must be positive";
+  if window < batch then
+    usage_error (Fmt.str "--window (%d) must be at least --batch (%d)" window batch);
+  if clients <= 0 then usage_error "--clients must be positive";
+  if ops < 0 then usage_error "--ops must be non-negative";
+  let server = Service.Server.create ~batch_max:batch ~window ~app ~shards params in
   let cfg =
     { Service.Loadgen.clients; ops_per_client = ops; keys; theta; seed }
   in
-  Fmt.pr "serve: %d shards x %s, %d domains (%s), app %s, %d clients x %d ops, \
-          zipf theta %.2f, seed %d@."
+  Fmt.pr "serve: %d shards x %s, app %s, %d clients x %d ops, zipf theta %.2f, \
+          seed %d@."
     shards
     (Agreement.Params.to_string params)
-    domains
-    (if domains = 0 then "caller-pumped" else "pool")
     app.Service.App.name clients ops theta seed;
   let tr = Option.map (fun _ -> Obs.Trace.create ()) trace_out in
   let report =
@@ -1110,12 +1112,6 @@ let serve backend shards domains clients ops keys theta seed app_name batch
 let serve_cmd =
   let shards =
     Arg.(value & opt int 4 & info [ "shards" ] ~doc:"Independent agreement shards.")
-  in
-  let domains =
-    Arg.(
-      value & opt int 2
-      & info [ "domains" ]
-          ~doc:"Worker domains stepping the shards; 0 = deterministic caller-pumped mode.")
   in
   let clients =
     Arg.(value & opt int 32 & info [ "clients" ] ~doc:"Closed-loop clients.")
@@ -1168,7 +1164,7 @@ let serve_cmd =
           conformance verdict (validity + k-agreement + linearizability) at the \
           end.  Exits 1 if any shard fails its verdict.")
     Term.(
-      const serve $ memory_backend_arg $ shards $ domains $ clients $ ops $ keys
+      const serve $ memory_backend_arg $ shards $ clients $ ops $ keys
       $ theta $ seed $ app_arg $ batch $ window $ n $ m $ k $ trace_out $ stats)
 
 (* ------------------------------------------------------------------ *)

@@ -1,17 +1,12 @@
 (* Closed-loop load generation with Zipfian key skew.
 
-   One driver thread simulates [clients] independent clients, each with
-   a fixed key (drawn once from the Zipf distribution — hot keys make
-   hot shards) and a private command stream.  Closed loop: a client has
-   at most one command in flight and submits its next the moment the
-   previous one completes.  Everything is derived from one seed, so a
-   run is replayable: same seed, same keys, same commands, and — in
-   pump mode (domains = 0) — the same committed logs.
-
-   Completions arrive from worker domains via the server's on_complete
-   hook; the hook only enqueues the client index under the driver's
-   lock, and the driver does all accounting (latency histogram,
-   resubmission), so no metric is ever touched concurrently. *)
+   One driver simulates [clients] independent clients, each with a fixed
+   key (drawn once from the Zipf distribution — hot keys make hot
+   shards) and a private command stream.  Closed loop: a client has at
+   most one command in flight and submits its next the moment the
+   previous one completes.  Everything is derived from one seed, and the
+   driver pumps the server itself, so a run is replayable: same seed,
+   same keys, same commands, same committed logs. *)
 
 open Shm
 
@@ -83,7 +78,6 @@ let run ?command server cfg =
   let command =
     match command with Some c -> c | None -> default_command server
   in
-  let pump_mode = Server.domains server = 0 in
   let total = cfg.clients * cfg.ops_per_client in
   let latencies = Obs.Metrics.Histogram.create () in
   let master = Rng.create cfg.seed in
@@ -91,74 +85,43 @@ let run ?command server cfg =
   let keys = Array.init cfg.clients (fun _ -> Value.int (Zipf.sample zipf)) in
   let rngs = Array.init cfg.clients (fun _ -> Rng.split master) in
   let done_ops = Array.make cfg.clients 0 in
-  let pending = Array.make cfg.clients None in
   let completed = ref 0 in
   let stalls = ref 0 in
-  let ready = Queue.create () in
   let parked = Queue.create () in
-  let mutex = Mutex.create () in
-  let nonempty = Condition.create () in
-  Server.set_on_complete server (fun ticket ->
-      Mutex.lock mutex;
-      Queue.push ticket.Session.tag ready;
-      Condition.signal nonempty;
-      Mutex.unlock mutex);
   (* The command for op [i] is drawn exactly once — a backpressure
      retry re-submits the same stored command, so the per-client
      command stream is a pure function of the seed. *)
   let submit_next client =
     let op = done_ops.(client) in
     let cmd = command rngs.(client) ~client ~op in
-    match Server.try_submit server ~key:keys.(client) ~tag:client cmd with
-    | Some ticket -> pending.(client) <- Some ticket
-    | None ->
+    if Server.try_submit server ~key:keys.(client) ~tag:client cmd = None then begin
       incr stalls;
       Queue.push (client, cmd) parked
+    end
+  in
+  let complete (ticket : Session.ticket) =
+    let client = ticket.Session.tag in
+    Option.iter (Obs.Metrics.Histogram.observe latencies) (Session.latency_ns ticket);
+    done_ops.(client) <- done_ops.(client) + 1;
+    incr completed;
+    if done_ops.(client) < cfg.ops_per_client then submit_next client
   in
   let start_ns = Conform.Clock.now_ns () in
   if cfg.ops_per_client > 0 then begin
-    Server.start server;
     for client = 0 to cfg.clients - 1 do
       submit_next client
     done;
     while !completed < total do
-      (* reap completions *)
-      Mutex.lock mutex;
-      let batch = Queue.create () in
-      Queue.transfer ready batch;
-      Mutex.unlock mutex;
-      if Queue.is_empty batch then begin
-        if pump_mode then ignore (Server.pump server)
-        else begin
-          Mutex.lock mutex;
-          while Queue.is_empty ready do
-            Condition.wait nonempty mutex
-          done;
-          Mutex.unlock mutex
-        end
-      end
-      else
-        Queue.iter
-          (fun client ->
-            (match pending.(client) with
-            | Some ticket -> (
-                match Session.latency_ns ticket with
-                | Some ns -> Obs.Metrics.Histogram.observe latencies ns
-                | None -> ())
-            | None -> ());
-            pending.(client) <- None;
-            done_ops.(client) <- done_ops.(client) + 1;
-            incr completed;
-            if done_ops.(client) < cfg.ops_per_client then submit_next client)
-          batch;
-      (* retry clients parked on backpressure (windows may have freed) *)
-      let n_parked = Queue.length parked in
-      for _ = 1 to n_parked do
+      let resolved = Server.pump server in
+      (* Clients parked on backpressure retry before the resolved ones
+         resubmit.  Only the pump frees window room, so one retry pass
+         per pump admits every parked client that can get in. *)
+      for _ = 1 to Queue.length parked do
         let client, cmd = Queue.pop parked in
-        match Server.try_submit server ~key:keys.(client) ~tag:client cmd with
-        | Some ticket -> pending.(client) <- Some ticket
-        | None -> Queue.push (client, cmd) parked
-      done
+        if Server.try_submit server ~key:keys.(client) ~tag:client cmd = None then
+          Queue.push (client, cmd) parked
+      done;
+      List.iter complete resolved
     done
   end;
   let wall_ns = max 1 (Conform.Clock.now_ns () - start_ns) in

@@ -4,9 +4,9 @@
     each client has a fixed key drawn once from a Zipf distribution
     (hot keys make hot shards), keeps exactly one command in flight,
     and submits its next command the moment the previous one commits.
-    Everything derives from the seed, so runs are replayable — in pump
-    mode (a [domains = 0] server) byte-for-byte, including every
-    shard's committed log. *)
+    Everything derives from the seed and the driver pumps the server
+    itself, so runs replay byte for byte, including every shard's
+    committed log. *)
 
 (** Zipf(θ) over [0..keys-1]: weight of key i ∝ 1/(i+1)^θ; θ = 0 is
     uniform. *)
@@ -49,10 +49,13 @@ val counter_workload : Shm.Rng.t -> client:int -> op:int -> Shm.Value.t
 val register_workload :
   ?read_pct:int -> unit -> Shm.Rng.t -> client:int -> op:int -> Shm.Value.t
 
-(** [run server cfg] starts the server (if it has domains), drives the
-    closed loop to completion, and reports.  With a [domains = 0]
-    server the driver pumps shards itself.  [command] overrides the
-    app-matched default workload. *)
+(** [run server cfg] drives the closed loop to completion on the calling
+    domain and reports.  Each round pumps every shard once, retries
+    clients parked on backpressure, then resubmits for the clients
+    whose commands committed (in shard order, then batch order).
+    [command] overrides the
+    app-matched default workload.  Raises [Invalid_argument] if
+    [clients <= 0] or [ops_per_client < 0]. *)
 val run :
   ?command:(Shm.Rng.t -> client:int -> op:int -> Shm.Value.t) ->
   Server.t ->

@@ -1,132 +1,41 @@
 (* The serving facade: route, admit, decide, reply.
 
-   A server owns [shards] independent repeated-agreement shards and an
-   optional pool of worker domains that steps them (shard i belongs to
-   worker i mod domains).  With domains = 0 no pool exists and the
-   caller drives progress with [pump] — the fully deterministic mode
-   (single domain, no scheduling noise) that seeded replay tests use. *)
-
-open Shm
+   A server owns [shards] independent repeated-agreement shards; the
+   caller drives progress with [pump] on its own domain, so a seeded run
+   has no scheduling noise and replays byte for byte. *)
 
 type t = {
   params : Agreement.Params.t;
   app : App.t;
   shards : Shard.t array;
-  domains : int;
-  seed : int;
-  uid : int Atomic.t;
-  on_complete : (Session.ticket -> unit) option Atomic.t;
-  mutable pool : Pool.t option;
 }
 
 let create ?(batch_max = 16) ?(window = 64) ?impl ?max_steps_per_slot ?quantum
-    ?patience ?(history = true) ?(app = App.register) ?(seed = 0) ~shards
-    ~domains (params : Agreement.Params.t) =
+    ?(history = true) ?(app = App.register) ?seed:_ ?(domains = 0) ~shards
+    (params : Agreement.Params.t) =
   if shards <= 0 then invalid_arg "Server.create: shards must be positive";
-  if domains < 0 then invalid_arg "Server.create: domains must be >= 0";
-  let rng = Rng.create seed in
+  if domains <> 0 then invalid_arg "Server.create: domains must be 0";
   let shards =
     Array.init shards (fun id ->
-        (* per-shard quantum rotation seedable later; today the seed
-           only decorrelates ids, slot schedules are solo-burst *)
-        ignore (Rng.int rng 1_000_000);
-        Shard.create ?impl ?max_steps_per_slot ?quantum ?patience ~history ~id
-          ~batch_max ~window params ~app ())
+        Shard.create ?impl ?max_steps_per_slot ?quantum ~history ~id ~batch_max
+          ~window params ~app ())
   in
-  {
-    params;
-    app;
-    shards;
-    domains;
-    seed;
-    uid = Atomic.make 0;
-    on_complete = Atomic.make None;
-    pool = None;
-  }
+  { params; app; shards }
 
-let params t = t.params
-let app t = t.app
 let app_name t = t.app.App.name
-let shard_count t = Array.length t.shards
-let domains t = t.domains
-let seed t = t.seed
-let set_on_complete t f = Atomic.set t.on_complete (Some f)
 
 let route t key = Sharding.shard_of_key ~shards:(Array.length t.shards) key
 
-let make_ticket t ~tag ~shard cmd =
-  Session.make_ticket
-    ~uid:(Atomic.fetch_and_add t.uid 1)
-    ~tag ~shard ~cmd ~submit_ns:(Conform.Clock.now_ns ())
-
 let try_submit t ~key ?(tag = -1) cmd =
   let shard = route t key in
-  let ticket = make_ticket t ~tag ~shard cmd in
+  let ticket =
+    Session.make_ticket ~tag ~shard ~cmd ~submit_ns:(Conform.Clock.now_ns ())
+  in
   if Shard.try_admit t.shards.(shard) ticket then Some ticket else None
 
-let submit t ~key ?(tag = -1) cmd =
-  let shard = route t key in
-  let ticket = make_ticket t ~tag ~shard cmd in
-  Shard.admit t.shards.(shard) ticket;
-  ticket
+let pump t = List.concat_map Shard.run_slot (Array.to_list t.shards)
 
-let await t (ticket : Session.ticket) = Shard.await t.shards.(ticket.Session.shard) ticket
-
-let connect t ~key ~tag =
-  {
-    Session.tag;
-    key;
-    submit = (fun cmd -> submit t ~key ~tag cmd);
-    try_submit = (fun cmd -> try_submit t ~key ~tag cmd);
-    await = (fun ticket -> await t ticket);
-  }
-
-(* --- progress --- *)
-
-let complete t tickets =
-  match Atomic.get t.on_complete with
-  | None -> ()
-  | Some f -> List.iter f tickets
-
-let step_shard ?force t shard =
-  match Shard.run_slot ?force shard with
-  | None -> false
-  | Some tickets ->
-    complete t tickets;
-    true
-
-(* pump forces: the caller is the only engine, so group-commit skips
-   would just respin the pump loop without fattening any batch *)
-let pump t =
-  Array.fold_left
-    (fun progress shard -> step_shard ~force:true t shard || progress)
-    false t.shards
-
-let start t =
-  if t.domains > 0 && t.pool = None then
-    t.pool <-
-      Some
-        (Pool.spawn ~domains:t.domains ~work:(fun ~worker ->
-             let progress = ref false in
-             Array.iteri
-               (fun i shard ->
-                 if i mod t.domains = worker then
-                   if step_shard t shard then progress := true)
-               t.shards;
-             !progress))
-
-let drain t =
-  match t.pool with
-  | Some _ -> Array.iter Shard.wait_idle t.shards
-  | None -> while pump t do () done
-
-let stop t =
-  drain t;
-  match t.pool with
-  | None -> ()
-  | Some pool ->
-    Pool.stop pool;
-    t.pool <- None
+let drain t = while pump t <> [] do () done
 
 (* --- control and inspection --- *)
 

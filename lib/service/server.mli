@@ -1,51 +1,42 @@
 (** The serving facade: route, admit, decide, reply.
 
     A server owns [shards] independent repeated-agreement instance
-    spaces and (optionally) a pool of worker domains stepping them.
-    Clients submit [(key, command)] pairs; the key routes to a shard
-    ({!Sharding}), the command joins that shard's next batch, one
+    spaces.  Clients submit [(key, command)] pairs; the key routes to a
+    shard ({!Sharding}), the command joins that shard's next batch, one
     agreement slot decides the batch, and the ticket resolves with the
     application's reply.  Total shared-memory cost:
     [shards × min(n+2m−k, n)] registers, independent of how many
     commands are ever served.
 
-    Two progress modes: [domains > 0] spawns a {!Pool} on {!start}
-    (shard [i] stepped by worker [i mod domains]); [domains = 0] means
-    the caller drives progress with {!pump} — single-domain and fully
-    deterministic, the mode seeded replay uses. *)
+    The caller drives progress with {!pump} on its own domain, so a
+    seeded run is fully deterministic. *)
 
 type t
 
-(** [create ~shards ~domains params] builds a stopped server.
-    Defaults: batches of ≤ 16 commands per slot, a 64-command
-    in-flight window per shard, the register app, history recording
-    on, seed 0.  [patience] is per-shard group commit — see
-    {!Shard.create}. *)
+(** [create ~shards params] builds an idle server.  Defaults: batches
+    of ≤ 16 commands per slot, a 64-command in-flight window per
+    shard, the register app, history recording on.  Raises
+    [Invalid_argument] if [shards <= 0], [batch_max <= 0] or
+    [window < batch_max].
+
+    [seed] has no effect, and [domains] must be [0] (anything else
+    raises [Invalid_argument]); both remain only for callers written
+    against the earlier worker-pool API. *)
 val create :
   ?batch_max:int ->
   ?window:int ->
   ?impl:Agreement.Instances.impl ->
   ?max_steps_per_slot:int ->
   ?quantum:int ->
-  ?patience:int ->
   ?history:bool ->
   ?app:App.t ->
   ?seed:int ->
+  ?domains:int ->
   shards:int ->
-  domains:int ->
   Agreement.Params.t ->
   t
 
-val params : t -> Agreement.Params.t
-val app : t -> App.t
 val app_name : t -> string
-val shard_count : t -> int
-val domains : t -> int
-val seed : t -> int
-
-(** Completion hook, called (from the stepping domain) once per ticket
-    after its slot commits.  Set it before {!start}. *)
-val set_on_complete : t -> (Session.ticket -> unit) -> unit
 
 (** The shard a key routes to. *)
 val route : t -> Shm.Value.t -> int
@@ -54,28 +45,13 @@ val route : t -> Shm.Value.t -> int
     full (backpressure). *)
 val try_submit : t -> key:Shm.Value.t -> ?tag:int -> Shm.Value.t -> Session.ticket option
 
-(** Submit, blocking while the target shard's window is full. *)
-val submit : t -> key:Shm.Value.t -> ?tag:int -> Shm.Value.t -> Session.ticket
+(** Decide one slot on every shard with queued commands; returns the
+    tickets resolved, in shard order then batch order ([[]] when
+    nothing was queued). *)
+val pump : t -> Session.ticket list
 
-(** Block until the ticket's slot commits; returns the reply. *)
-val await : t -> Session.ticket -> Shm.Value.t
-
-(** A bound session: submit/await closures fixed to one key and tag. *)
-val connect : t -> key:Shm.Value.t -> tag:int -> Session.t
-
-(** Spawn the worker pool (no-op when [domains = 0] or already
-    started). *)
-val start : t -> unit
-
-(** Step every shard once on the calling domain; [true] if any slot
-    was decided.  Only meaningful with [domains = 0]. *)
-val pump : t -> bool
-
-(** Block until no commands are in flight anywhere. *)
+(** {!pump} until no shard decides anything. *)
 val drain : t -> unit
-
-(** {!drain}, then stop and join the pool. *)
-val stop : t -> unit
 
 (** Fail-stop replica [pid] of one shard from its next slot on;
     [false] if it was already dead or the last one standing. *)
@@ -92,6 +68,5 @@ val registers_used : t -> int
 (** Grade every shard with the conformance oracles: validity +
     k-agreement of the layer below always; register linearizability of
     the recorded command history when the app is the register.
-    [max_ops] (default 400) caps the per-shard Wing–Gong search.  Call
-    only on a stopped (or never-started) server. *)
+    [max_ops] (default 400) caps the per-shard Wing–Gong search. *)
 val verdict : ?max_ops:int -> t -> (unit, string list) result

@@ -1,11 +1,6 @@
-(* Client sessions and tickets.
-
-   A ticket is the async handle for one submitted command.  Its state
-   field is mutable but owned by the shard it was routed to: every
-   write (and every await-read) happens under that shard's mutex, and
-   completion callbacks run after the state is published, so readers on
-   other domains are synchronized through the same lock or through the
-   callback queue's lock. *)
+(* Tickets: the async handle for one submitted command.  Its state
+   starts [Pending] and is written once, by the shard it was routed to,
+   when the slot deciding its batch commits or fails. *)
 
 open Shm
 
@@ -15,7 +10,6 @@ type state =
   | Failed of string
 
 type ticket = {
-  uid : int;
   tag : int;
   shard : int;
   cmd : Value.t;
@@ -23,24 +17,10 @@ type ticket = {
   mutable state : state;
 }
 
-type t = {
-  tag : int;
-  key : Value.t;
-  submit : Value.t -> ticket;
-  try_submit : Value.t -> ticket option;
-  await : ticket -> Value.t;
-}
-
-let make_ticket ~uid ~tag ~shard ~cmd ~submit_ns =
-  { uid; tag; shard; cmd; submit_ns; state = Pending }
-
-let is_done ticket = match ticket.state with Done _ -> true | _ -> false
-
-let reply ticket = match ticket.state with Done d -> Some d.reply | _ -> None
+let make_ticket ~tag ~shard ~cmd ~submit_ns =
+  { tag; shard; cmd; submit_ns; state = Pending }
 
 let latency_ns ticket =
   match ticket.state with
   | Done d -> Some (d.finish_ns - ticket.submit_ns)
   | _ -> None
-
-let slot ticket = match ticket.state with Done d -> Some d.slot | _ -> None

@@ -1,10 +1,9 @@
-(** Client sessions and tickets — the async submission surface.
+(** Tickets — the async submission surface.
 
     Submitting a command yields a {!ticket} immediately; the command
     commits later, when its shard's next agreement slot decides a batch
-    containing it.  A {!t} is a connected session: a key (fixing the
-    shard), a client tag, and the submit/await closures bound to one
-    server ({!Server.connect}). *)
+    containing it.  {!Server.pump} returns the tickets each round
+    resolved. *)
 
 type state =
   | Pending  (** submitted, not yet decided *)
@@ -13,32 +12,14 @@ type state =
   | Failed of string  (** the shard could not commit it (stuck slot) *)
 
 type ticket = {
-  uid : int;           (** unique per server *)
   tag : int;           (** caller's correlation id (e.g. client index) *)
   shard : int;         (** shard the command was routed to *)
   cmd : Shm.Value.t;
   submit_ns : int;     (** monotonic ns at submission *)
-  mutable state : state;
-      (** owned by shard [shard]: written, and safely read, only under
-          that shard's lock or from its completion callback *)
+  mutable state : state;  (** written by shard [shard] when its slot decides *)
 }
 
-type t = {
-  tag : int;
-  key : Shm.Value.t;
-  submit : Shm.Value.t -> ticket;             (** blocks on backpressure *)
-  try_submit : Shm.Value.t -> ticket option;  (** [None] when the window is full *)
-  await : ticket -> Shm.Value.t;              (** blocks until committed *)
-}
-
-val make_ticket :
-  uid:int -> tag:int -> shard:int -> cmd:Shm.Value.t -> submit_ns:int -> ticket
-
-val is_done : ticket -> bool
-val reply : ticket -> Shm.Value.t option
+val make_ticket : tag:int -> shard:int -> cmd:Shm.Value.t -> submit_ns:int -> ticket
 
 (** Submission-to-commit latency, once done. *)
 val latency_ns : ticket -> int option
-
-(** The slot that committed the ticket, once done. *)
-val slot : ticket -> int option

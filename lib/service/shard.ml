@@ -1,17 +1,14 @@
 (* One shard: a bounded command queue in front of one repeated-agreement
    instance space (Rsm.Stepper).
 
-   Concurrency protocol.  All mutable fields are guarded by [mutex],
-   with two exceptions: [stepper] and [adopted] are touched only by the
-   single worker that owns the shard (shards are statically partitioned
-   over the pool's domains and never migrate), and Obs metrics are
-   updated only by that worker too.  Submitters and awaiters block on
-   [changed], which is broadcast after every commit.
+   Single domain.  The caller that owns the server admits commands and
+   steps every shard itself ([Server.pump]), so no field needs a lock
+   and [stats] reads the stepper directly.
 
    Backpressure.  [window] bounds in-flight commands (admitted, not yet
-   committed): [try_admit] refuses above it, [admit] blocks.  Since a
-   slot commits at most [batch_max] commands, the window also bounds
-   how far a client can run ahead of the decided log.
+   committed): [try_admit] refuses above it.  Since a slot commits at
+   most [batch_max] commands, the window also bounds how far a client
+   can run ahead of the decided log.
 
    Space.  The stepper's register footprint is min(n+2m−k, n) and does
    not grow with slots — the shard serves forever in constant shared
@@ -33,27 +30,16 @@ type stats = {
 
 type t = {
   id : int;
-  params : Agreement.Params.t;
   app : App.t;
   batch_max : int;
   window : int;
   quantum : int;
-  patience : int;
-  mutable skips : int;  (* consecutive thin-batch skips (worker-owned) *)
-  mutex : Mutex.t;
-  changed : Condition.t;
   queue : Session.ticket Queue.t;
   mutable in_flight : int;
   mutable stepper : Rsm.Stepper.t;
-  mutable adopted : bool;  (* journaled memory detached onto the worker *)
   mutable alive : int list;
   mutable app_state : Value.t;
   mutable committed : int;
-  (* mirrors of worker-owned stepper counters, published under [mutex]
-     so [stats] never touches the stepper from another domain *)
-  mutable slots : int;
-  mutable steps_total : int;
-  mutable registers : int;
   mutable stuck : bool;
   mutable log_rev : Value.t list;
   record_history : bool;
@@ -67,33 +53,24 @@ type t = {
 }
 
 let create ?impl ?(max_steps_per_slot = 2_000_000) ?(quantum = 800)
-    ?(patience = 8) ?(history = true) ~id ~batch_max ~window
-    (params : Agreement.Params.t) ~app () =
+    ?(history = true) ~id ~batch_max ~window (params : Agreement.Params.t)
+    ~app () =
   if batch_max <= 0 then invalid_arg "Shard.create: batch_max must be positive";
   if window < batch_max then
     invalid_arg "Shard.create: window must be at least batch_max";
   let metrics = Obs.Metrics.create () in
   {
     id;
-    params;
     app;
     batch_max;
     window;
     quantum;
-    patience;
-    skips = 0;
-    mutex = Mutex.create ();
-    changed = Condition.create ();
     queue = Queue.create ();
     in_flight = 0;
     stepper = Rsm.Stepper.create ?impl ~max_steps_per_slot params;
-    adopted = false;
     alive = List.init params.Agreement.Params.n Fun.id;
     app_state = app.App.init;
     committed = 0;
-    slots = 0;
-    steps_total = 0;
-    registers = 0;
     stuck = false;
     log_rev = [];
     record_history = history;
@@ -107,79 +84,22 @@ let create ?impl ?(max_steps_per_slot = 2_000_000) ?(quantum = 800)
   }
 
 let id t = t.id
-let params t = t.params
 let metrics t = t.metrics
 
-(* --- submission side (any domain) --- *)
-
 let try_admit t ticket =
-  Mutex.lock t.mutex;
   let ok = (not t.stuck) && t.in_flight < t.window in
   if ok then begin
     t.in_flight <- t.in_flight + 1;
     Queue.push ticket t.queue
   end;
-  Mutex.unlock t.mutex;
   ok
 
-let admit t ticket =
-  Mutex.lock t.mutex;
-  while t.in_flight >= t.window && not t.stuck do
-    Condition.wait t.changed t.mutex
-  done;
-  if t.stuck then begin
-    Mutex.unlock t.mutex;
-    failwith (Printf.sprintf "service: shard %d is stuck" t.id)
-  end;
-  t.in_flight <- t.in_flight + 1;
-  Queue.push ticket t.queue;
-  Mutex.unlock t.mutex
-
-let await t (ticket : Session.ticket) =
-  Mutex.lock t.mutex;
-  let rec loop () =
-    match ticket.Session.state with
-    | Session.Done d ->
-      Mutex.unlock t.mutex;
-      d.reply
-    | Session.Failed msg ->
-      Mutex.unlock t.mutex;
-      failwith ("service: " ^ msg)
-    | Session.Pending ->
-      Condition.wait t.changed t.mutex;
-      loop ()
-  in
-  loop ()
-
-let pending t =
-  Mutex.lock t.mutex;
-  let p = t.in_flight in
-  Mutex.unlock t.mutex;
-  p
-
-let wait_idle t =
-  Mutex.lock t.mutex;
-  while t.in_flight > 0 && not t.stuck do
-    Condition.wait t.changed t.mutex
-  done;
-  Mutex.unlock t.mutex
-
-(* --- control plane --- *)
+let pending t = t.in_flight
 
 let crash_replica t pid =
-  Mutex.lock t.mutex;
   let crashed = List.mem pid t.alive && List.length t.alive > 1 in
   if crashed then t.alive <- List.filter (fun p -> p <> pid) t.alive;
-  Mutex.unlock t.mutex;
   crashed
-
-let alive t =
-  Mutex.lock t.mutex;
-  let a = t.alive in
-  Mutex.unlock t.mutex;
-  a
-
-(* --- worker side (single owning domain) --- *)
 
 (* Deterministic per-slot schedule: solo bursts over the live pids,
    rotated by slot number so successive slots favor different leaders.
@@ -195,48 +115,53 @@ let slot_sched t ~alive ~slot =
   Schedule.alternating ~burst:t.quantum groups
 
 let fail_tickets t tickets msg =
-  Mutex.lock t.mutex;
   t.stuck <- true;
-  t.slots <- Rsm.Stepper.slot t.stepper;
-  t.steps_total <- Rsm.Stepper.steps t.stepper;
   List.iter
     (fun (tk : Session.ticket) -> tk.Session.state <- Session.Failed msg)
     tickets;
-  t.in_flight <- t.in_flight - List.length tickets;
-  Condition.broadcast t.changed;
-  Mutex.unlock t.mutex
+  t.in_flight <- t.in_flight - List.length tickets
 
-let run_slot ?(force = false) t =
-  if not t.adopted then begin
-    t.stepper <- Rsm.Stepper.unshare t.stepper;
-    t.adopted <- true
-  end;
-  Mutex.lock t.mutex;
-  let queued = Queue.length t.queue in
-  if queued = 0 || t.stuck then begin
-    Mutex.unlock t.mutex;
-    None
-  end
-  else if (not force) && queued < t.batch_max && t.skips < t.patience then begin
-    (* group commit: an agreement slot is the expensive unit, so let a
-       thin batch fatten for a few worker passes before deciding *)
-    t.skips <- t.skips + 1;
-    Mutex.unlock t.mutex;
-    None
-  end
+let commit t tickets cmds ~slot_steps =
+  let slot = Rsm.Stepper.slot t.stepper in
+  let state', replies = Batch.apply_all t.app t.app_state cmds in
+  let finish_ns = Conform.Clock.now_ns () in
+  let n = List.length cmds in
+  t.app_state <- state';
+  t.committed <- t.committed + n;
+  List.iter2
+    (fun (tk : Session.ticket) reply ->
+      tk.Session.state <- Session.Done { reply; slot; finish_ns };
+      if t.record_history then
+        t.history_rev <-
+          {
+            Conform.Rsm_history.cmd = tk.Session.cmd;
+            reply;
+            start = tk.Session.submit_ns;
+            finish = finish_ns;
+          }
+          :: t.history_rev)
+    tickets replies;
+  t.in_flight <- t.in_flight - n;
+  t.log_rev <- List.rev_append cmds t.log_rev;
+  Obs.Metrics.Counter.add t.m_slots 1;
+  Obs.Metrics.Counter.add t.m_commands n;
+  Obs.Metrics.Counter.add t.m_steps slot_steps;
+  Obs.Metrics.Histogram.observe t.m_batch n;
+  Obs.Metrics.Gauge.set t.m_in_flight (float_of_int t.in_flight)
+
+let run_slot t =
+  if Queue.is_empty t.queue || t.stuck then []
   else begin
-    t.skips <- 0;
     let batch_n = min t.batch_max (Queue.length t.queue) in
     let tickets = List.init batch_n (fun _ -> Queue.pop t.queue) in
-    let alive = t.alive in
-    Mutex.unlock t.mutex;
     let cmds = List.map (fun (tk : Session.ticket) -> tk.Session.cmd) tickets in
     let proposal = Batch.encode cmds in
+    let alive = t.alive in
     let sched = slot_sched t ~alive ~slot:(Rsm.Stepper.slot t.stepper) in
     let proposals pid = if List.mem pid alive then Some proposal else None in
-    let tr = Obs.Trace.attached () in
+    let steps_before = Rsm.Stepper.steps t.stepper in
     let span =
-      match tr with
+      match Obs.Trace.attached () with
       | None -> None
       | Some tr ->
         Some
@@ -251,97 +176,44 @@ let run_slot ?(force = false) t =
               "service.slot" )
     in
     let outcome = Rsm.Stepper.step_slot ~sched t.stepper ~proposals in
+    t.stepper <- outcome.Rsm.Stepper.stepper;
+    let slot_steps = Rsm.Stepper.steps t.stepper - steps_before in
     (match span with
     | None -> ()
     | Some (tr, ctx) ->
-      Obs.Trace.end_span tr
-        ~args:
-          [
-            ( "steps",
-              Obs.Json.Int
-                (Rsm.Stepper.steps outcome.Rsm.Stepper.stepper
-                - Rsm.Stepper.steps t.stepper) );
-          ]
-        ctx);
-    let slot_steps =
-      Rsm.Stepper.steps outcome.Rsm.Stepper.stepper - Rsm.Stepper.steps t.stepper
-    in
-    t.stepper <- outcome.Rsm.Stepper.stepper;
-    if not outcome.Rsm.Stepper.quiescent then begin
-      fail_tickets t tickets
-        (Printf.sprintf "shard %d: slot %d exhausted its step budget" t.id
-           (Rsm.Stepper.slot t.stepper));
-      Some tickets
-    end
-    else begin
-      (* All live replicas proposed the same batch, so by validity every
-         decision is that batch; take the first and decode defensively. *)
-      let decided =
-        match outcome.Rsm.Stepper.decisions with
-        | (_, v) :: _ -> Batch.decode v
-        | [] -> None
-      in
-      match decided with
-      | Some committed_cmds
-        when List.length committed_cmds = List.length tickets ->
-        let slot_no = Rsm.Stepper.slot t.stepper in
-        let state', replies = Batch.apply_all t.app t.app_state committed_cmds in
-        let finish_ns = Conform.Clock.now_ns () in
-        Mutex.lock t.mutex;
-        t.app_state <- state';
-        t.committed <- t.committed + List.length committed_cmds;
-        t.slots <- slot_no;
-        t.steps_total <- Rsm.Stepper.steps t.stepper;
-        t.registers <- Rsm.Stepper.registers_used t.stepper;
-        List.iter2
-          (fun (tk : Session.ticket) reply ->
-            tk.Session.state <- Session.Done { reply; slot = slot_no; finish_ns };
-            if t.record_history then
-              t.history_rev <-
-                {
-                  Conform.Rsm_history.cmd = tk.Session.cmd;
-                  reply;
-                  start = tk.Session.submit_ns;
-                  finish = finish_ns;
-                }
-                :: t.history_rev)
-          tickets replies;
-        t.in_flight <- t.in_flight - List.length tickets;
-        t.log_rev <- List.rev_append committed_cmds t.log_rev;
-        let in_flight_now = t.in_flight in
-        Condition.broadcast t.changed;
-        Mutex.unlock t.mutex;
-        Obs.Metrics.Counter.add t.m_slots 1;
-        Obs.Metrics.Counter.add t.m_commands (List.length committed_cmds);
-        Obs.Metrics.Counter.add t.m_steps slot_steps;
-        Obs.Metrics.Histogram.observe t.m_batch (List.length committed_cmds);
-        Obs.Metrics.Gauge.set t.m_in_flight (float_of_int in_flight_now);
-        Some tickets
-      | _ ->
-        fail_tickets t tickets
-          (Printf.sprintf "shard %d: slot decided a non-batch value" t.id);
-        Some tickets
-    end
+      Obs.Trace.end_span tr ~args:[ ("steps", Obs.Json.Int slot_steps) ] ctx);
+    (if not outcome.Rsm.Stepper.quiescent then
+       fail_tickets t tickets
+         (Printf.sprintf "shard %d: slot %d exhausted its step budget" t.id
+            (Rsm.Stepper.slot t.stepper))
+     else
+       (* All live replicas proposed the same batch, so by validity every
+          decision is that batch; take the first and decode defensively. *)
+       let decided =
+         match outcome.Rsm.Stepper.decisions with
+         | (_, v) :: _ -> Batch.decode v
+         | [] -> None
+       in
+       match decided with
+       | Some committed when List.length committed = batch_n ->
+         commit t tickets committed ~slot_steps
+       | _ ->
+         fail_tickets t tickets
+           (Printf.sprintf "shard %d: slot decided a non-batch value" t.id));
+    tickets
   end
 
-(* --- inspection (quiesced or lock-protected reads) --- *)
-
 let stats t =
-  Mutex.lock t.mutex;
-  let s =
-    {
-      shard = t.id;
-      slots = t.slots;
-      committed = t.committed;
-      steps = t.steps_total;
-      registers = t.registers;
-      alive = List.length t.alive;
-      pending = t.in_flight;
-      stuck = t.stuck;
-    }
-  in
-  Mutex.unlock t.mutex;
-  s
+  {
+    shard = t.id;
+    slots = Rsm.Stepper.slot t.stepper;
+    committed = t.committed;
+    steps = Rsm.Stepper.steps t.stepper;
+    registers = Rsm.Stepper.registers_used t.stepper;
+    alive = List.length t.alive;
+    pending = t.in_flight;
+    stuck = t.stuck;
+  }
 
 let config t = Rsm.Stepper.config t.stepper
 let app_state t = t.app_state

@@ -5,15 +5,11 @@
     packs them into one {!Batch} proposal, decides one agreement slot
     with every live replica proposing that batch, applies the committed
     commands to the application state, and resolves their tickets.
-    [window] bounds in-flight commands: {!try_admit} refuses above it
-    ({!admit} blocks) — the shard's backpressure.
+    [window] bounds in-flight commands: {!try_admit} refuses above it —
+    the shard's backpressure.
 
-    Threading: submission, await, and control calls are safe from any
-    domain; {!run_slot} must only ever be called by the shard's single
-    owning worker (shards are statically partitioned over the pool and
-    never migrate).  {!config}, {!log}, {!history}, and {!app_state}
-    read worker-owned state and are only safe once the shard is idle
-    and the pool stopped (the verdict path). *)
+    A shard lives on one domain: the caller admits commands and steps
+    it (through {!Server.pump}), and every call below runs there. *)
 
 type t
 
@@ -30,18 +26,12 @@ type stats = {
 
 (** [create ~id ~batch_max ~window params ~app ()] builds an idle
     shard.  Defaults: space-optimal snapshot choice, 2M steps per
-    slot, 800-step solo bursts, patience 8, history recording on.
-    [patience] is the group-commit knob: a worker pass that finds
-    fewer than [batch_max] queued commands skips the slot up to
-    [patience] consecutive times before deciding the thin batch
-    anyway, letting batches fatten instead of burning one agreement
-    slot per command.  Raises [Invalid_argument] if [batch_max <= 0]
-    or [window < batch_max]. *)
+    slot, 800-step solo bursts, history recording on.  Raises
+    [Invalid_argument] if [batch_max <= 0] or [window < batch_max]. *)
 val create :
   ?impl:Agreement.Instances.impl ->
   ?max_steps_per_slot:int ->
   ?quantum:int ->
-  ?patience:int ->
   ?history:bool ->
   id:int ->
   batch_max:int ->
@@ -52,47 +42,30 @@ val create :
   t
 
 val id : t -> int
-val params : t -> Agreement.Params.t
 
 (** The shard's metric registry ([service.slots], [service.commands],
     [service.steps], [service.batch_size], [service.in_flight]). *)
 val metrics : t -> Obs.Metrics.t
 
-(** Admit a ticket unless the in-flight window is full. *)
+(** Admit a ticket unless the in-flight window is full or the shard is
+    stuck. *)
 val try_admit : t -> Session.ticket -> bool
-
-(** Admit, blocking while the window is full. *)
-val admit : t -> Session.ticket -> unit
-
-(** Block until the ticket commits; returns the reply.  Raises
-    [Failure] if the shard got stuck.  Needs a running pool (or
-    interleaved {!run_slot} calls) to make progress. *)
-val await : t -> Session.ticket -> Shm.Value.t
 
 (** In-flight commands right now. *)
 val pending : t -> int
-
-(** Block until no commands are in flight. *)
-val wait_idle : t -> unit
 
 (** Fail-stop a replica from the next slot on: it no longer proposes
     and is never scheduled again.  Refuses (returns [false]) to crash
     the last live replica. *)
 val crash_replica : t -> int -> bool
 
-val alive : t -> int list
-
-(** Decide one slot (worker only).  [None] if the queue was empty, or
-    if the batch was thin and patience has not run out yet (group
-    commit); otherwise the tickets resolved by this slot, in batch
-    order.  [force] decides whatever is queued immediately, ignoring
-    patience — the deterministic [pump] path uses it. *)
-val run_slot : ?force:bool -> t -> Session.ticket list option
+(** Decide one slot over whatever is queued (up to [batch_max]
+    commands) and return the tickets it resolved, in batch order; [[]]
+    if the queue was empty or the shard is stuck. *)
+val run_slot : t -> Session.ticket list
 
 val stats : t -> stats
 val is_stuck : t -> bool
-
-(** {2 Quiesced inspection — stop the pool first} *)
 
 (** The underlying configuration, for
     {!Conform.Rsm_history.check_agreement}. *)

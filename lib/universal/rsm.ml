@@ -115,7 +115,6 @@ module Stepper = struct
   let steps t = t.steps
   let params t = t.params
   let registers_used t = Memory.num_written (Config.mem t.config)
-  let unshare t = { t with config = Config.unshare t.config }
 
   let step_slot ?sched t ~proposals =
     let n = t.params.Agreement.Params.n in

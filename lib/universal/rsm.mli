@@ -85,11 +85,6 @@ module Stepper : sig
       stays ≤ min(n+2m−k, n) no matter how many slots have run. *)
   val registers_used : t -> int
 
-  (** Detach the stepper's journaled memory from its creating domain
-      (see {!Shm.Config.unshare}); call once when handing a stepper to
-      a worker domain. *)
-  val unshare : t -> t
-
   (** [step_slot t ~proposals] runs one more agreement instance.
       [proposals pid] is the value pid proposes for this slot, or
       [None] to sit the slot out (a crashed or idle replica — pair

@@ -1,9 +1,8 @@
 (* The serving layer (lib/service): routing, batching, backpressure,
    load generation, chaos verdicts, and seeded replay.
 
-   Most tests use pump mode (domains = 0): the test drives every slot
-   itself on one domain, so runs are fully deterministic.  One smoke
-   test spins a real 2-domain pool. *)
+   The test drives every slot itself ([Server.pump]) on one domain, so
+   runs are fully deterministic. *)
 
 open Shm
 open Helpers
@@ -60,7 +59,7 @@ let test_batch_equals_slot_at_a_time () =
   let run ~batch_max =
     let server =
       Service.Server.create ~batch_max ~window:32 ~app:Service.App.counter
-        ~shards:1 ~domains:0 params
+        ~shards:1 params
     in
     let cmds = List.init 24 (fun i -> Universal.Machines.add (i + 1)) in
     let _tickets = submit_all server ~key:(vi 7) cmds in
@@ -98,7 +97,7 @@ let test_batch_equals_replicate () =
   Alcotest.(check bool) "replicate quiesced" true run.Universal.Rsm.quiescent;
   let server =
     Service.Server.create ~batch_max:10 ~window:16 ~app:Service.App.counter
-      ~shards:1 ~domains:0 params
+      ~shards:1 params
   in
   let _ = submit_all server ~key:(vi 0) (Array.to_list cmds) in
   Service.Server.drain server;
@@ -115,7 +114,7 @@ let test_batch_equals_replicate () =
 let test_backpressure_window () =
   let server =
     Service.Server.create ~batch_max:4 ~window:8 ~app:Service.App.counter
-      ~shards:1 ~domains:0 params
+      ~shards:1 params
   in
   let key = vi 1 in
   let cmd = Universal.Machines.add 1 in
@@ -167,7 +166,7 @@ let test_crash_chaos_verdict seed =
   let shards = 2 in
   let server =
     Service.Server.create ~batch_max:4 ~window:16 ~app:Service.App.register
-      ~seed ~shards ~domains:0 params
+      ~shards params
   in
   let rng = Rng.create seed in
   let submit_round round =
@@ -215,7 +214,7 @@ let test_seeded_replay seed =
   let run () =
     let server =
       Service.Server.create ~batch_max:8 ~window:32 ~app:Service.App.register
-        ~seed ~shards:3 ~domains:0 params
+        ~shards:3 params
     in
     let report =
       Service.Loadgen.run server
@@ -241,23 +240,36 @@ let test_seeded_replay seed =
     logs_a logs_b;
   List.iter2 (check_value "same state") states_a states_b
 
-(* --- multicore pool smoke --- *)
+(* --- backpressure retry --- *)
 
-let test_pool_smoke seed =
-  let server =
-    Service.Server.create ~batch_max:8 ~window:32 ~app:Service.App.register
-      ~seed ~shards:4 ~domains:2 params
+(* Sixteen clients on one shard with a window of four: most first
+   submissions are refused, so the run goes through Loadgen's parked
+   retry loop, and must still commit every op, replay identically and
+   pass the verdict. *)
+let test_backpressure_retry seed =
+  let clients = 16 and ops = 3 in
+  let run () =
+    let server =
+      Service.Server.create ~batch_max:4 ~window:4 ~app:Service.App.register
+        ~shards:1 params
+    in
+    let report =
+      Service.Loadgen.run server
+        { Service.Loadgen.clients; ops_per_client = ops; keys = 64; theta = 0.8; seed }
+    in
+    (server, report)
   in
-  let report =
-    Service.Loadgen.run server
-      { Service.Loadgen.clients = 16; ops_per_client = 4; keys = 64;
-        theta = 0.8; seed }
-  in
-  Service.Server.stop server;
-  Alcotest.(check int) "all ops committed" (16 * 4) report.Service.Loadgen.ops;
-  Alcotest.(check bool) "made progress" true
-    (report.Service.Loadgen.throughput_cps > 0.0);
-  match Service.Server.verdict server with
+  let server_a, report_a = run () in
+  let server_b, report_b = run () in
+  Alcotest.(check int) "all ops committed" (clients * ops) report_a.Service.Loadgen.ops;
+  Alcotest.(check bool) "clients were parked" true (report_a.Service.Loadgen.stalls > 0);
+  Alcotest.(check int) "same stalls" report_a.Service.Loadgen.stalls
+    report_b.Service.Loadgen.stalls;
+  let log server = Service.Shard.log (Service.Server.shard server 0) in
+  Alcotest.(check int) "same log length" (List.length (log server_a))
+    (List.length (log server_b));
+  List.iter2 (check_value "same log") (log server_a) (log server_b);
+  match Service.Server.verdict server_a with
   | Ok () -> ()
   | Error errs -> Alcotest.failf "verdict: %s" (String.concat "; " errs)
 
@@ -318,7 +330,7 @@ let suite =
     seeded_test "zipf skew + determinism" test_zipf_skew;
     seeded_test "crash chaos passes conform verdict" test_crash_chaos_verdict;
     seeded_test "seeded load runs replay identically" test_seeded_replay;
-    seeded_test "2-domain pool serves and verifies" test_pool_smoke;
+    seeded_test "backpressure retry commits and replays" test_backpressure_retry;
     test "rsm history adapter grades registers" test_rsm_history_adapter;
     test "service history entries keep schema discipline" test_history_schema_discipline;
   ]
