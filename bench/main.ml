@@ -2,22 +2,14 @@
 
    The paper's results are Figure 1 (the bounds table) and the claims
    around it; each experiment below corresponds to a row of the
-   per-experiment index in DESIGN.md (E1–E12) and prints the paper's
-   expected numbers next to measured ones.  Bechamel microbenchmarks
-   (B1–B7) measure per-propose latency of every algorithm/snapshot
-   combination.
+   per-experiment index in DESIGN.md and EXPERIMENTS.md (E1–E20) and
+   prints the paper's expected numbers next to measured ones.  Bechamel
+   microbenchmarks (B1–B7) measure per-propose latency of every
+   algorithm/snapshot combination.
 
-   Usage:
-     main.exe                 run every table, series and microbench
-     main.exe table <id>      one table: fig1-upper fig1-lower
-                              fig1-anon-upper fig1-anon-nonblocking
-                              fig1-anon-lower anon-frontier
-                              conjecture-probe baseline
-                              consensus-exact snapshot-ablation
-                              explore conform analyze
-     main.exe series <id>     one series: progress-vs-m steps-vs-n
-                              diversity-vs-workload
-     main.exe bechamel        microbenchmarks only *)
+   Every table and series is one row of [experiments] at the bottom:
+   its id, its row producer, and the floors `check` gates it on.  Run
+   main.exe with no valid command for the usage line and the ids. *)
 
 open Agreement
 open Lowerbound
@@ -26,14 +18,13 @@ let section title = Fmt.pr "@.=== %s ===@." title
 
 let check_mark ok = if ok then "ok" else "MISMATCH"
 
-let perf_smoke = ref false
-
 (* ------------------------------------------------------------------ *)
-(* Bench history: every table run appends one JSONL entry (schema
-   version, git rev, rows) to BENCH_history.jsonl, the repo's perf
-   trajectory.  `diff` compares the last two runs of an experiment;
-   `check` re-runs the perf table and gates it against the committed
-   floors entry (machine-independent speedup ratios). *)
+(* Bench history: every experiment run that produces rows appends one
+   JSONL entry (schema version, git rev, rows) to BENCH_history.jsonl,
+   the repo's perf trajectory.  `diff` compares the last two runs of an
+   experiment; `check` re-runs the gated experiments and gates their
+   rows against the committed floors entries (machine-independent
+   ratios and verdicts). *)
 
 let history_path = "BENCH_history.jsonl"
 
@@ -50,69 +41,72 @@ let git_rev () =
       match Unix.close_process_in ic with Unix.WEXITED 0 -> line | _ -> "unknown"
     with _ -> "unknown")
 
-(* The rows of the most recent write_bench, so `check` can gate the run
-   it just performed without re-reading files. *)
-let last_bench : (string * Obs.Json.t list) option ref = ref None
+(* [f ()] and its wall-clock time in seconds. *)
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
 
-(* Machine-readable output: every table that prints paper-vs-measured
-   numbers also writes BENCH_<id>.json next to it (schema in DESIGN.md
-   §Observability), so results diff across PRs and CI archives them —
-   and appends the same rows to the history. *)
-let write_bench ~experiment ~file rows =
-  Obs.Bench_out.write ~experiment ~path:file rows;
-  last_bench := Some (experiment, rows);
-  Obs.History.append ~path:history_path
-    (Obs.History.make ~ts:(Unix.time ()) ~rev:(git_rev ()) ~smoke:!perf_smoke
-       ~experiment rows);
-  Fmt.pr "wrote %s (%d rows; history: %s)@." file (List.length rows) history_path
+(* Linearizability-checker throughput from a conform run's metrics:
+   (ops, checker ns, ops graded per second of checker time — the
+   checker sees every completed op of every history). *)
+let checker_throughput metrics =
+  let counter name = Obs.Metrics.Counter.value (Obs.Metrics.counter metrics name) in
+  let ops = counter "conform.ops" and check_ns = counter "conform.check_ns" in
+  (ops, check_ns,
+   if check_ns = 0 then 0. else float_of_int ops /. (float_of_int check_ns /. 1e9))
 
 let point_fields ~n ~m ~k =
   [ ("n", Obs.Json.Int n); ("m", Obs.Json.Int m); ("k", Obs.Json.Int k) ]
 
 (* ------------------------------------------------------------------ *)
-(* E1: Figure 1, repeated non-anonymous upper bound min(n+2m−k, n).   *)
+(* E1 and E3: registers written against a Figure 1 upper bound, over
+   the (4 <= n <= max_n, 1 <= m <= k < n) grid.  [run p ~sink] executes
+   one point; [show] picks the rows to print.  Returns the rows and the
+   number of points over their bound. *)
+
+let bound_table ~max_n ~bound ~show run =
+  Fmt.pr "%-12s %-8s %-10s %-8s@." "(n,m,k)" "bound" "measured" "status";
+  let mismatches = ref 0 in
+  let rows =
+    Analyze.Registry.grid ~max_n
+    |> List.filter (fun (p : Params.t) -> p.n >= 4)
+    |> List.map (fun (p : Params.t) ->
+           let span = Obs.Span.create () in
+           let result = run p ~sink:(Obs.Span.sink span) in
+           let bound = bound p and measured = Runner.registers_used result in
+           let ok = measured <= bound in
+           if not ok then incr mismatches;
+           if show p ~bound ~measured then
+             Fmt.pr "%-12s %-8d %-10d %-8s@." (Params.to_string p) bound measured
+               (check_mark ok);
+           Obs.Json.Obj
+             (point_fields ~n:p.n ~m:p.m ~k:p.k
+             @ [
+                 ("bound", Obs.Json.Int bound);
+                 ("measured", Obs.Json.Int measured);
+                 ("ok", Obs.Json.Bool ok);
+                 ("steps", Obs.Json.Int result.Shm.Exec.steps);
+               ]
+             @ Obs.Bench_out.span_fields span))
+  in
+  (rows, !mismatches)
 
 let fig1_upper () =
   section "E1  Figure 1 upper bound (non-anonymous repeated): min(n+2m-k, n)";
-  Fmt.pr "%-12s %-8s %-10s %-8s@." "(n,m,k)" "bound" "measured" "status";
-  let mismatches = ref 0 in
-  let rows = ref [] in
-  for n = 4 to 9 do
-    for k = 1 to n - 1 do
-      for m = 1 to k do
-        let p = Params.make ~n ~m ~k in
-        let bound = Params.registers_upper p in
+  let rows, mismatches =
+    bound_table ~max_n:9 ~bound:Params.registers_upper
+      ~show:(fun p ~bound ~measured -> p.k <= 3 || measured <> bound)
+      (fun p ~sink ->
         let impl =
-          if Params.r_oneshot p <= n then Instances.Atomic else Instances.Sw_based
+          if Params.r_oneshot p <= p.n then Instances.Atomic else Instances.Sw_based
         in
-        let span = Obs.Span.create () in
-        let result =
-          Runner.run_repeated ~impl ~rounds:2 ~sink:(Obs.Span.sink span)
-            ~sched:(Shm.Schedule.quantum_round_robin ~quantum:500 n)
-            ~max_steps:3_000_000 p
-        in
-        let measured = Runner.registers_used result in
-        let ok = measured <= bound in
-        if not ok then incr mismatches;
-        rows :=
-          Obs.Json.Obj
-            (point_fields ~n ~m ~k
-            @ [
-                ("bound", Obs.Json.Int bound);
-                ("measured", Obs.Json.Int measured);
-                ("ok", Obs.Json.Bool ok);
-                ("steps", Obs.Json.Int result.Shm.Exec.steps);
-              ]
-            @ Obs.Bench_out.span_fields span)
-          :: !rows;
-        if k <= 3 || measured <> bound then
-          Fmt.pr "%-12s %-8d %-10d %-8s@." (Params.to_string p) bound measured
-            (check_mark ok)
-      done
-    done
-  done;
-  Fmt.pr "(rows with k>3 and measured = bound elided) mismatches: %d@." !mismatches;
-  write_bench ~experiment:"fig1-upper" ~file:"BENCH_fig1.json" (List.rev !rows)
+        Runner.run_repeated ~impl ~rounds:2 ~sink
+          ~sched:(Shm.Schedule.quantum_round_robin ~quantum:500 p.n)
+          ~max_steps:3_000_000 p)
+  in
+  Fmt.pr "(rows with k>3 and measured = bound elided) mismatches: %d@." mismatches;
+  rows
 
 (* ------------------------------------------------------------------ *)
 (* E2: Theorem 2 adversary on starved and correct instances.           *)
@@ -142,38 +136,14 @@ let fig1_lower () =
 
 let fig1_anon_upper () =
   section "E3  Figure 1 anonymous upper bound: (m+1)(n-k)+m^2+1 registers";
-  Fmt.pr "%-12s %-8s %-10s %-8s@." "(n,m,k)" "bound" "measured" "status";
-  let rows = ref [] in
-  for n = 4 to 7 do
-    for k = 1 to n - 1 do
-      for m = 1 to k do
-        let p = Params.make ~n ~m ~k in
-        let bound = Params.r_anonymous p + 1 in
-        let span = Obs.Span.create () in
-        let result =
-          Runner.run_anonymous ~rounds:2 ~sink:(Obs.Span.sink span)
-            ~sched:(Shm.Schedule.quantum_round_robin ~quantum:800 n)
-            ~max_steps:4_000_000 p
-        in
-        let measured = Runner.registers_used result in
-        rows :=
-          Obs.Json.Obj
-            (point_fields ~n ~m ~k
-            @ [
-                ("bound", Obs.Json.Int bound);
-                ("measured", Obs.Json.Int measured);
-                ("ok", Obs.Json.Bool (measured <= bound));
-                ("steps", Obs.Json.Int result.Shm.Exec.steps);
-              ]
-            @ Obs.Bench_out.span_fields span)
-          :: !rows;
-        Fmt.pr "%-12s %-8d %-10d %-8s@." (Params.to_string p) bound measured
-          (check_mark (measured <= bound))
-      done
-    done
-  done;
-  write_bench ~experiment:"fig1-anon-upper" ~file:"BENCH_fig1_anon.json"
-    (List.rev !rows)
+  fst
+    (bound_table ~max_n:7
+       ~bound:(fun p -> Params.r_anonymous p + 1)
+       ~show:(fun _ ~bound:_ ~measured:_ -> true)
+       (fun p ~sink ->
+         Runner.run_anonymous ~rounds:2 ~sink
+           ~sched:(Shm.Schedule.quantum_round_robin ~quantum:800 p.n)
+           ~max_steps:4_000_000 p))
 
 (* E3b: the same algorithm over the honest *non-blocking* anonymous
    snapshot (what Theorem 11 actually has available [7]) — register
@@ -388,11 +358,11 @@ let explore_table () =
       let naive_explored = ref 0 in
       List.iter
         (fun (name, engine) ->
-          let t0 = Unix.gettimeofday () in
-          let outcome =
-            Spec.Modelcheck.run ~engine ~depth ~inputs ~check (Instances.oneshot ~r p)
+          let outcome, wall =
+            timed (fun () ->
+                Spec.Modelcheck.run ~engine ~depth ~inputs ~check (Instances.oneshot ~r p))
           in
-          let wall_ms = 1000. *. (Unix.gettimeofday () -. t0) in
+          let wall_ms = 1000. *. wall in
           let s = Spec.Modelcheck.stats_of outcome in
           let verdict, ce_len =
             match outcome with
@@ -428,7 +398,7 @@ let explore_table () =
             s.Spec.Modelcheck.cache_hits s.Spec.Modelcheck.pruned verdict wall_ms)
         engines)
     cases;
-  write_bench ~experiment:"explore" ~file:"BENCH_explore.json" (List.rev !rows)
+  List.rev !rows
 
 (* ------------------------------------------------------------------ *)
 (* E19: static conditional independence for DPOR — the dataflow        *)
@@ -449,13 +419,13 @@ let explore_table () =
 (* verdict identity — a refinement that changes any verdict is         *)
 (* unsound, not fast.                                                  *)
 
-let indep_table () =
+let indep_table ~smoke =
   section
     "E19 Static conditional independence (lib/analyze dataflow): dpor+cache \
      baseline vs dpor+cache with ?static_indep, on the E13 grid and on \
      redundancy-bearing first-order protocols";
   let oneshot_cases =
-    if !perf_smoke then
+    if smoke then
       [ ("correct", 3, 1, None, 8); ("starved-r3", 3, 1, Some 3, 10) ]
     else
       [
@@ -468,7 +438,7 @@ let indep_table () =
      with equal values — exactly what the WW-equal and no-op-write
      rules license the engine to commute. *)
   let proto_cases =
-    if !perf_smoke then
+    if smoke then
       [
         ("proto-const", "r3 n3 : W0<-7; L2[W1<-7; R0]; D last", 12);
         ("proto-noop", "r2 n3 : W0<-3; L3[W0<-3; R0]; D last", 12);
@@ -497,12 +467,12 @@ let indep_table () =
     List.iter
       (fun (arm, static_indep) ->
         let metrics = Obs.Metrics.create () in
-        let t0 = Unix.gettimeofday () in
-        let outcome =
-          Spec.Modelcheck.run ~engine ~depth ~inputs ~check ?static_indep
-            ~metrics (mk_config ())
+        let outcome, wall =
+          timed (fun () ->
+              Spec.Modelcheck.run ~engine ~depth ~inputs ~check ?static_indep ~metrics
+                (mk_config ()))
         in
-        let wall_ms = 1000. *. (Unix.gettimeofday () -. t0) in
+        let wall_ms = 1000. *. wall in
         let s = Spec.Modelcheck.stats_of outcome in
         let refined_count =
           Obs.Metrics.Counter.value (Obs.Metrics.counter metrics "explore.refined")
@@ -611,7 +581,7 @@ let indep_table () =
   Fmt.pr "total: base %d, refined %d, ratio %.3f, verdicts %s@." !total_base
     !total_refined ratio
     (if !verdicts_match then "identical" else "DIVERGED");
-  write_bench ~experiment:"indep" ~file:"BENCH_indep.json" (List.rev !rows)
+  List.rev !rows
 
 (* ------------------------------------------------------------------ *)
 (* E14: native conformance harness — linearizability-checker           *)
@@ -637,21 +607,16 @@ let conform_table () =
              iters = 150;
            }
          in
-         let t0 = Unix.gettimeofday () in
-         let outcome = Conform.Harness.run_snapshot ~metrics ~sut:Conform.Sut.real cfg in
-         let wall_ms = 1000. *. (Unix.gettimeofday () -. t0) in
+         let outcome, wall =
+           timed (fun () -> Conform.Harness.run_snapshot ~metrics ~sut:Conform.Sut.real cfg)
+         in
+         let wall_ms = 1000. *. wall in
          let counter name =
            Obs.Metrics.Counter.value (Obs.Metrics.counter metrics name)
          in
          let hist name = Obs.Metrics.histogram metrics name in
-         let ops = counter "conform.ops" in
-         let check_ns = counter "conform.check_ns" in
+         let ops, check_ns, check_ops_per_s = checker_throughput metrics in
          let violations = counter "conform.violations" in
-         (* checker throughput: operations graded per second of checker
-            time (the checker sees every completed op of every history) *)
-         let check_ops_per_s =
-           if check_ns = 0 then 0. else float_of_int ops /. (float_of_int check_ns /. 1e9)
-         in
          let upd = hist "conform.update_ns" and scn = hist "conform.scan_ns" in
          let ok = match outcome with Conform.Harness.Pass _ -> true | _ -> false in
          rows :=
@@ -687,7 +652,7 @@ let conform_table () =
            check_ops_per_s wall_ms;
          if not ok then
            Fmt.pr "  !! unexpected violation on the real implementation@.");
-  write_bench ~experiment:"conform" ~file:"BENCH_conform.json" (List.rev !rows)
+  List.rev !rows
 
 (* ------------------------------------------------------------------ *)
 (* E16: simulator hot-path performance — the journaled memory backend  *)
@@ -695,62 +660,69 @@ let conform_table () =
 (* reference, measured in the same run on the Figure 3 one-shot        *)
 (* (n=4, m=1, k=1).  Schema in EXPERIMENTS.md §E16.                    *)
 
+(* Interpreter stepping, exploration-style: every step also updates the
+   state hash and derives the node's cache key, exactly the per-node
+   work of the engines' DFS.  [full] keys by the audited MD5 digest
+   (the old hot path), otherwise by the incremental key.  Returns
+   (steps, wall seconds) over [iters] runs to quiescence. *)
+let interp_arm ~config ~inputs ~full ~iters =
+  let has_input pid inst = Option.is_some (inputs ~pid ~instance:inst) in
+  let steps = ref 0 and sink = ref 0 in
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to iters do
+    let config = ref (config ()) in
+    let n = Shm.Config.n !config in
+    let hash = ref (Spec.Statehash.create ~audit:full !config) in
+    let quiescent = ref false in
+    while not !quiescent do
+      let stepped = ref false in
+      for pid = 0 to n - 1 do
+        if Shm.Config.runnable !config ~has_input pid then (
+          let before = !config in
+          let config', ev =
+            match Shm.Config.proc before pid with
+            | Shm.Program.Await _ ->
+              let inst = Shm.Config.instance before pid + 1 in
+              Shm.Config.invoke before pid (Option.get (inputs ~pid ~instance:inst))
+            | Shm.Program.Stop -> assert false
+            | Shm.Program.Op _ | Shm.Program.Yield _ -> Shm.Config.step before pid
+          in
+          let hash' = Spec.Statehash.record !hash ~before config' ev in
+          (sink :=
+             !sink
+             +
+             if full then String.length (Spec.Statehash.full_key hash' config')
+             else Spec.Statehash.key_hash (Spec.Statehash.key hash'));
+          config := config';
+          hash := hash';
+          stepped := true;
+          incr steps)
+      done;
+      if not !stepped then quiescent := true
+    done
+  done;
+  ignore (Sys.opaque_identity !sink);
+  (!steps, Unix.gettimeofday () -. t0)
+
 (* --smoke (CI): same arms and schema, small iteration counts. *)
-let perf_table () =
+let perf_table ~smoke =
   section
     (Fmt.str "E16 Simulator hot path: journaled + incremental keys vs persistent + \
               full digests (Figure 3, n=4 m=1 k=1%s)"
-       (if !perf_smoke then ", smoke" else ""));
+       (if smoke then ", smoke" else ""));
   let p = Params.make ~n:4 ~m:1 ~k:1 in
   let n = p.Params.n in
   let inputs = Shm.Exec.oneshot_inputs (Array.init n (fun pid -> Shm.Value.int (pid + 1))) in
-  let has_input pid inst = Option.is_some (inputs ~pid ~instance:inst) in
   let rows = ref [] in
-  (* -- simulator stepping, exploration-style: every step also updates
-     the state hash and derives the node's cache key, exactly the
-     per-node work of the engines' DFS.  Reference arm = persistent
-     backend + audited MD5 digests + full-digest key (the old hot
-     path); new arm = journaled backend + incremental key. *)
-  let sim_arm ~backend ~full ~iters =
-    let steps = ref 0 and sink = ref 0 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      let config = ref (Instances.oneshot ~backend p) in
-      let hash = ref (Spec.Statehash.create ~audit:full !config) in
-      let quiescent = ref false in
-      while not !quiescent do
-        let stepped = ref false in
-        for pid = 0 to n - 1 do
-          if Shm.Config.runnable !config ~has_input pid then (
-            let before = !config in
-            let config', ev =
-              match Shm.Config.proc before pid with
-              | Shm.Program.Await _ ->
-                let inst = Shm.Config.instance before pid + 1 in
-                Shm.Config.invoke before pid (Option.get (inputs ~pid ~instance:inst))
-              | Shm.Program.Stop -> assert false
-              | Shm.Program.Op _ | Shm.Program.Yield _ -> Shm.Config.step before pid
-            in
-            let hash' = Spec.Statehash.record !hash ~before config' ev in
-            (sink :=
-               !sink
-               +
-               if full then String.length (Spec.Statehash.full_key hash' config')
-               else Spec.Statehash.key_hash (Spec.Statehash.key hash'));
-            config := config';
-            hash := hash';
-            stepped := true;
-            incr steps)
-        done;
-        if not !stepped then quiescent := true
-      done
-    done;
-    ignore (Sys.opaque_identity !sink);
-    (!steps, Unix.gettimeofday () -. t0)
-  in
-  let sim_iters = if !perf_smoke then 200 else 2_000 in
+  (* -- simulator stepping: reference arm = persistent backend + audited
+     MD5 digests + full-digest key (the old hot path); new arm =
+     journaled backend + incremental key. *)
+  let sim_iters = if smoke then 200 else 2_000 in
   let sim_row ~arm ~backend ~full =
-    let steps, wall = sim_arm ~backend ~full ~iters:sim_iters in
+    let steps, wall =
+      interp_arm ~config:(fun () -> Instances.oneshot ~backend p) ~inputs ~full
+        ~iters:sim_iters
+    in
     let per_s = float_of_int steps /. wall in
     (per_s,
      fun ratio ->
@@ -783,19 +755,17 @@ let perf_table () =
      frontier completion is excluded ([completion_steps:0]): that cost
      is plain simulator stepping, identical in both arms, and the
      sim-steps rows above already measure it end to end. *)
-  let dpor_depth = if !perf_smoke then 9 else 12 in
+  let dpor_depth = if smoke then 9 else 12 in
   let dpor_arm ~arm ~backend ~key =
-    let t0 = Unix.gettimeofday () in
-    let outcome =
-      Spec.Modelcheck.run
-        ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs = 1 })
-        ~depth:dpor_depth ~key ~completion_steps:0 ~inputs
-        ~check:(Spec.Properties.check_safety ~k:1)
-        (Instances.oneshot ~backend p)
+    let outcome, wall =
+      timed (fun () ->
+          Spec.Modelcheck.run
+            ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs = 1 })
+            ~depth:dpor_depth ~key ~completion_steps:0 ~inputs
+            ~check:(Spec.Properties.check_safety ~k:1)
+            (Instances.oneshot ~backend p))
     in
-    let wall = Unix.gettimeofday () -. t0 in
-    let s = Spec.Modelcheck.stats_of outcome in
-    let explored = s.Spec.Modelcheck.explored in
+    let explored = (Spec.Modelcheck.stats_of outcome).Spec.Modelcheck.explored in
     let per_s = float_of_int explored /. wall in
     (per_s,
      fun ratio ->
@@ -867,42 +837,7 @@ let perf_table () =
   let proto_inputs ~pid ~instance =
     if instance = 1 then Some (Shm.Value.int (pid + 1)) else None
   in
-  let proto_has_input pid inst = Option.is_some (proto_inputs ~pid ~instance:inst) in
-  let vm_iters = if !perf_smoke then 300 else 3_000 in
-  let proto_interp_arm ~iters =
-    let steps = ref 0 and sink = ref 0 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      let config = ref (Shm.Vm.config ~backend:Shm.Memory.Journaled proto) in
-      let hash = ref (Spec.Statehash.create ~audit:false !config) in
-      let quiescent = ref false in
-      while not !quiescent do
-        let stepped = ref false in
-        for pid = 0 to vn - 1 do
-          if Shm.Config.runnable !config ~has_input:proto_has_input pid then (
-            let before = !config in
-            let config', ev =
-              match Shm.Config.proc before pid with
-              | Shm.Program.Await _ ->
-                let inst = Shm.Config.instance before pid + 1 in
-                Shm.Config.invoke before pid
-                  (Option.get (proto_inputs ~pid ~instance:inst))
-              | Shm.Program.Stop -> assert false
-              | Shm.Program.Op _ | Shm.Program.Yield _ -> Shm.Config.step before pid
-            in
-            let hash' = Spec.Statehash.record !hash ~before config' ev in
-            sink := !sink + Spec.Statehash.key_hash (Spec.Statehash.key hash');
-            config := config';
-            hash := hash';
-            stepped := true;
-            incr steps)
-        done;
-        if not !stepped then quiescent := true
-      done
-    done;
-    ignore (Sys.opaque_identity !sink);
-    (!steps, Unix.gettimeofday () -. t0)
-  in
+  let vm_iters = if smoke then 300 else 3_000 in
   let proto_vm_arm ~iters =
     let e = Shm.Vm.env (Shm.Vm.compile proto) ~inputs:proto_inputs in
     let st = Shm.Vm.make_state e in
@@ -959,7 +894,10 @@ let perf_table () =
   in
   let vref_per_s, vref_row =
     vm_row ~bench:"vm-sim-steps" ~arm:"reference" ~engine:"interp" ~iters:vm_iters
-      (best_of proto_interp_arm)
+      (best_of
+         (interp_arm
+            ~config:(fun () -> Shm.Vm.config ~backend:Shm.Memory.Journaled proto)
+            ~inputs:proto_inputs ~full:false))
   in
   let vm_per_s, vm_arm_row =
     vm_row ~bench:"vm-sim-steps" ~arm:"vm" ~engine:"vm" ~iters:vm_iters
@@ -976,33 +914,23 @@ let perf_table () =
      keys) vs the vm state (arena slots, batched expansion, keys read
      off the slice), both through the one exploration core.  The check always passes so both arms
      sweep the full reduced space; completion is excluded as above. *)
-  let vm_dpor_depth = if !perf_smoke then 10 else 13 in
+  let vm_dpor_depth = if smoke then 10 else 13 in
   let vm_dpor_interp () =
-    let t0 = Unix.gettimeofday () in
-    let outcome =
-      Spec.Modelcheck.run
-        ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs = 1 })
-        ~depth:vm_dpor_depth ~key:`Incremental ~completion_steps:0
-        ~inputs:proto_inputs
-        ~check:(fun _ -> Ok ())
-        (Shm.Vm.config ~backend:Shm.Memory.Journaled proto)
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    ((Spec.Modelcheck.stats_of outcome).Spec.Modelcheck.explored, wall)
+    Spec.Modelcheck.run
+      ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs = 1 })
+      ~depth:vm_dpor_depth ~key:`Incremental ~completion_steps:0 ~inputs:proto_inputs
+      ~check:(fun _ -> Ok ())
+      (Shm.Vm.config ~backend:Shm.Memory.Journaled proto)
   in
   let vm_dpor_vm () =
-    let t0 = Unix.gettimeofday () in
-    let outcome =
-      Spec.Modelcheck.run_vm
-        ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs = 1 })
-        ~depth:vm_dpor_depth ~completion_steps:0 ~inputs:proto_inputs
-        ~check:(fun ~inputs:_ ~outputs:_ -> Ok ())
-        proto
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    ((Spec.Modelcheck.stats_of outcome).Spec.Modelcheck.explored, wall)
+    Spec.Modelcheck.run_vm
+      ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs = 1 })
+      ~depth:vm_dpor_depth ~completion_steps:0 ~inputs:proto_inputs
+      ~check:(fun ~inputs:_ ~outputs:_ -> Ok ())
+      proto
   in
-  let vm_dpor_row ~arm ~engine (explored, wall) =
+  let vm_dpor_row ~arm ~engine (outcome, wall) =
+    let explored = (Spec.Modelcheck.stats_of outcome).Spec.Modelcheck.explored in
     let per_s = float_of_int explored /. wall in
     (per_s,
      fun ratio ->
@@ -1020,9 +948,9 @@ let perf_table () =
          ])
   in
   let vdref_per_s, vdref_row =
-    vm_dpor_row ~arm:"reference" ~engine:"interp" (vm_dpor_interp ())
+    vm_dpor_row ~arm:"reference" ~engine:"interp" (timed vm_dpor_interp)
   in
-  let vdvm_per_s, vdvm_row = vm_dpor_row ~arm:"vm" ~engine:"vm" (vm_dpor_vm ()) in
+  let vdvm_per_s, vdvm_row = vm_dpor_row ~arm:"vm" ~engine:"vm" (timed vm_dpor_vm) in
   let vdpor_ratio = vdvm_per_s /. vdref_per_s in
   rows := vdvm_row vdpor_ratio :: vdref_row 1.0 :: !rows;
   Fmt.pr "%-12s %-12s %-12s %-14.0f %-10s@." "vm-dpor" "reference" "interp"
@@ -1039,7 +967,7 @@ let perf_table () =
       ops = 16;
       profile = Conform.Chaos.Calm;
       seed = 42;
-      iters = (if !perf_smoke then 20 else 150);
+      iters = (if smoke then 20 else 150);
     }
   in
   let lin_ok =
@@ -1047,13 +975,7 @@ let perf_table () =
     | Conform.Harness.Pass _ -> true
     | _ -> false
   in
-  let ops = Obs.Metrics.Counter.value (Obs.Metrics.counter metrics "conform.ops") in
-  let check_ns =
-    Obs.Metrics.Counter.value (Obs.Metrics.counter metrics "conform.check_ns")
-  in
-  let check_ops_per_s =
-    if check_ns = 0 then 0. else float_of_int ops /. (float_of_int check_ns /. 1e9)
-  in
+  let ops, check_ns, check_ops_per_s = checker_throughput metrics in
   rows :=
     Obs.Json.Obj
       [
@@ -1069,7 +991,7 @@ let perf_table () =
   Fmt.pr "%-12s %-12s %-12s %-14.0f %-10s@." "linearize" "checker" "-" check_ops_per_s
     "-";
   Fmt.pr "speedups: sim %.2fx, dpor %.2fx (targets: >=5x, >=3x)@." sim_ratio dpor_ratio;
-  write_bench ~experiment:"perf" ~file:"BENCH_perf.json" (List.rev !rows)
+  List.rev !rows
 
 (* ------------------------------------------------------------------ *)
 (* E5: DFGR'13 baseline comparison (Section 4.1).                      *)
@@ -1098,44 +1020,24 @@ let analyze_table () =
   section
     "E15 Static analyzer: abstract footprint <= paper bound, dynamic subset \
      of static (n <= 6), mutants rejected";
-  let t0 = Unix.gettimeofday () in
-  let rows = Analyze.Report.sweep ~max_n:6 () in
-  let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+  let rows, wall = timed (fun () -> Analyze.Report.sweep ~max_n:6 ()) in
   Fmt.pr "%a@." Analyze.Report.pp_header ();
   List.iter (fun r -> Fmt.pr "%a@." Analyze.Report.pp_row r) rows;
   let bad = Analyze.Report.violations rows in
   Fmt.pr "%d rows, %d violations, %.0f ms@." (List.length rows)
-    (List.length bad) wall_ms;
+    (List.length bad) (1000. *. wall);
   let p = Params.make ~n:4 ~m:1 ~k:2 in
-  let mutant_rows =
+  let verdicts =
     List.map
       (fun (mu : Analyze.Mutants.mutant) ->
         let rejected = Analyze.Mutants.rejected mu p in
         Fmt.pr "mutant %-20s at %s: %s@." mu.Analyze.Mutants.name
           (Params.to_string p)
           (if rejected then "rejected" else "ACCEPTED (analyzer failure)");
-        Obs.Json.Obj
-          [
-            ("kind", Obs.Json.String "mutant");
-            ("algo", Obs.Json.String mu.Analyze.Mutants.name);
-            ("n", Obs.Json.Int p.Params.n);
-            ("m", Obs.Json.Int p.Params.m);
-            ("k", Obs.Json.Int p.Params.k);
-            ("rejected", Obs.Json.Bool rejected);
-          ])
+        (mu, rejected))
       Analyze.Mutants.all
   in
-  let sweep_rows =
-    List.map
-      (fun r ->
-        match Analyze.Report.row_to_json r with
-        | Obs.Json.Obj fields ->
-          Obs.Json.Obj (("kind", Obs.Json.String "sweep") :: fields)
-        | j -> j)
-      rows
-  in
-  write_bench ~experiment:"analyze" ~file:"BENCH_analyze.json"
-    (sweep_rows @ mutant_rows)
+  Analyze.Report.bench_rows rows ~p verdicts
 
 (* ------------------------------------------------------------------ *)
 (* E6: repeated consensus needs exactly n registers (m = k = 1).       *)
@@ -1216,8 +1118,7 @@ let progress_vs_m () =
       :: !rows;
     Fmt.pr "%-4d %-14.1f %-14d %d/20@." m mean mx !decided
   done;
-  write_bench ~experiment:"progress-vs-m" ~file:"BENCH_progress_vs_m.json"
-    (List.rev !rows)
+  List.rev !rows
 
 (* Decision diversity vs input workload: how many distinct values an
    election actually commits, depending on the proposal pattern and the
@@ -1278,7 +1179,7 @@ let steps_vs_n () =
       :: !rows;
     Fmt.pr "%-4d %-12d %-12d@." n result.Shm.Exec.steps (Runner.registers_used result)
   done;
-  write_bench ~experiment:"steps-vs-n" ~file:"BENCH_steps_vs_n.json" (List.rev !rows)
+  List.rev !rows
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks (B1–B6).                                   *)
@@ -1286,49 +1187,15 @@ let steps_vs_n () =
 let bechamel_benches () =
   section "B1-B7  Bechamel microbenchmarks (time per fully solved instance)";
   let open Bechamel in
-  let bench_oneshot ~name ?impl p =
-    Test.make ~name
-      (Staged.stage (fun () ->
-           let n = p.Params.n in
-           ignore
-             (Runner.run_oneshot ?impl
-                ~sched:(Shm.Schedule.quantum_round_robin ~quantum:2000 n)
-                ~max_steps:4_000_000 p)))
-  in
-  let bench_repeated ~name p =
-    Test.make ~name
-      (Staged.stage (fun () ->
-           let n = p.Params.n in
-           ignore
-             (Runner.run_repeated ~rounds:3
-                ~sched:(Shm.Schedule.quantum_round_robin ~quantum:2000 n)
-                ~max_steps:4_000_000 p)))
-  in
-  let bench_anonymous ~name p =
-    Test.make ~name
-      (Staged.stage (fun () ->
-           let n = p.Params.n in
-           ignore
-             (Runner.run_anonymous ~rounds:2
-                ~sched:(Shm.Schedule.quantum_round_robin ~quantum:2000 n)
-                ~max_steps:4_000_000 p)))
-  in
-  let bench_baseline ~name p =
-    Test.make ~name
-      (Staged.stage (fun () ->
-           let n = p.Params.n in
-           ignore
-             (Runner.run_baseline
-                ~sched:(Shm.Schedule.quantum_round_robin ~quantum:2000 n)
-                ~max_steps:4_000_000 p)))
-  in
-  let bench_native ~name p =
-    Test.make ~name
-      (Staged.stage (fun () ->
-           let inputs =
-             Array.init p.Params.n (fun pid -> Shm.Value.int (pid + 1))
-           in
-           ignore (Native.Native_agreement.run_instance ~params:p inputs)))
+  (* one fully solved instance per run, under a fresh large-quantum
+     schedule *)
+  let bench ~name run p = Test.make ~name (Staged.stage (fun () -> ignore (run p))) in
+  let sched (p : Params.t) = Shm.Schedule.quantum_round_robin ~quantum:2000 p.n in
+  let max_steps = 4_000_000 in
+  let oneshot ?impl p = Runner.run_oneshot ?impl ~sched:(sched p) ~max_steps p in
+  let native (p : Params.t) =
+    Native.Native_agreement.run_instance ~params:p
+      (Array.init p.n (fun pid -> Shm.Value.int (pid + 1)))
   in
   let p512 = Params.make ~n:5 ~m:1 ~k:2 in
   let p523 = Params.make ~n:5 ~m:2 ~k:3 in
@@ -1336,17 +1203,23 @@ let bechamel_benches () =
   let tests =
     Test.make_grouped ~name:"set-agreement"
       [
-        bench_oneshot ~name:"B1 oneshot atomic n=5 m=1 k=2" p512;
-        bench_oneshot ~name:"B2 oneshot atomic n=5 m=2 k=3" p523;
-        bench_oneshot ~name:"B3 oneshot atomic n=8 m=1 k=3" p813;
-        bench_oneshot ~name:"B4 oneshot double-collect n=5 m=1 k=2"
-          ~impl:Instances.Double_collect p512;
-        bench_oneshot ~name:"B4b oneshot sw-snapshot n=5 m=1 k=2"
-          ~impl:Instances.Sw_based p512;
-        bench_repeated ~name:"B5 repeated (3 rounds) n=5 m=1 k=2" p512;
-        bench_anonymous ~name:"B6 anonymous (2 rounds) n=5 m=1 k=2" p512;
-        bench_baseline ~name:"B5b baseline DFGR13 n=5 m=1 k=2" p512;
-        bench_native ~name:"B7 native multicore (4 domains) n=4 m=2 k=2"
+        bench ~name:"B1 oneshot atomic n=5 m=1 k=2" oneshot p512;
+        bench ~name:"B2 oneshot atomic n=5 m=2 k=3" oneshot p523;
+        bench ~name:"B3 oneshot atomic n=8 m=1 k=3" oneshot p813;
+        bench ~name:"B4 oneshot double-collect n=5 m=1 k=2"
+          (oneshot ~impl:Instances.Double_collect) p512;
+        bench ~name:"B4b oneshot sw-snapshot n=5 m=1 k=2"
+          (oneshot ~impl:Instances.Sw_based) p512;
+        bench ~name:"B5 repeated (3 rounds) n=5 m=1 k=2"
+          (fun p -> Runner.run_repeated ~rounds:3 ~sched:(sched p) ~max_steps p)
+          p512;
+        bench ~name:"B6 anonymous (2 rounds) n=5 m=1 k=2"
+          (fun p -> Runner.run_anonymous ~rounds:2 ~sched:(sched p) ~max_steps p)
+          p512;
+        bench ~name:"B5b baseline DFGR13 n=5 m=1 k=2"
+          (fun p -> Runner.run_baseline ~sched:(sched p) ~max_steps p)
+          p512;
+        bench ~name:"B7 native multicore (4 domains) n=4 m=2 k=2" native
           (Params.make ~n:4 ~m:2 ~k:2);
       ]
   in
@@ -1381,13 +1254,13 @@ let bechamel_benches () =
      graded by the Conform linearizability/k-agreement oracles ("ok"
      is 1.0 or 0.0, and floor-gated to 1.0). *)
 
-let service_table () =
+let service_table ~smoke =
   section
     (Fmt.str "E17: set-agreement-as-a-service — sharded batched serving%s"
-       (if !perf_smoke then ", smoke" else ""));
+       (if smoke then ", smoke" else ""));
   let params = Agreement.Params.make ~n:4 ~m:1 ~k:1 in
-  let clients = if !perf_smoke then 48 else 192 in
-  let ops = if !perf_smoke then 4 else 12 in
+  let clients = if smoke then 48 else 192 in
+  let ops = if smoke then 4 else 12 in
   let keys = 1024 in
   let theta = 0.9 in
   let seed = 0x5e17 in
@@ -1478,7 +1351,7 @@ let service_table () =
       ~history:true ~shards params
   in
   let rng = Shm.Rng.create seed in
-  let rounds = if !perf_smoke then 16 else 48 in
+  let rounds = if smoke then 16 else 48 in
   for round = 1 to rounds do
     for client = 0 to 15 do
       let cmd =
@@ -1527,7 +1400,7 @@ let service_table () =
         ("ok", Obs.Json.Float (match verdict with Ok () -> 1.0 | Error _ -> 0.0));
       ]
     :: !rows;
-  write_bench ~experiment:"service" ~file:"BENCH_service.json" (List.rev !rows)
+  List.rev !rows
 
 (* ------------------------------------------------------------------ *)
 (* E18: coverage-guided fuzzing (lib/fuzz) — execs/s and the coverage
@@ -1536,23 +1409,21 @@ let service_table () =
    every mutant caught) and the deterministic coverage-bit count; the
    throughput column is informational.  Schema in EXPERIMENTS.md §E18. *)
 
-let fuzz_table () =
-  let budget = if !perf_smoke then 100 else 600 in
-  let mutant_budget = if !perf_smoke then 200 else 400 in
+let fuzz_table ~smoke =
+  let budget = if smoke then 100 else 600 in
+  let mutant_budget = if smoke then 200 else 400 in
   let seed = 0x5eed in
   section
     (Fmt.str
        "E18 Coverage-guided fuzzing (lib/fuzz): %d execs per oracle, seed %d%s"
        budget seed
-       (if !perf_smoke then ", smoke" else ""));
+       (if smoke then ", smoke" else ""));
   Fmt.pr "%-14s %-8s %-10s %-12s %-10s %-10s %-12s %-10s@." "oracle" "execs"
     "interest" "corpus" "cov bits" "diverge" "execs/s" "wall ms";
   let rows = ref [] in
   List.iter
     (fun oracle ->
-      let t0 = Unix.gettimeofday () in
-      let outcome = Fuzz.Driver.run ~oracle ~budget ~seed () in
-      let wall = Unix.gettimeofday () -. t0 in
+      let outcome, wall = timed (fun () -> Fuzz.Driver.run ~oracle ~budget ~seed ()) in
       let s = outcome.Fuzz.Driver.stats in
       let execs_per_s =
         if wall <= 0. then 0. else float_of_int s.Fuzz.Driver.execs /. wall
@@ -1592,9 +1463,9 @@ let fuzz_table () =
       | None -> ()
       | Some w -> Fmt.pr "  !! %a@." Fuzz.Driver.pp_witness w)
     Fuzz.Oracle.all;
-  let t0 = Unix.gettimeofday () in
-  let results = Fuzz.Oracle.mutant_sweep ~budget:mutant_budget ~seed:42 in
-  let wall = Unix.gettimeofday () -. t0 in
+  let results, wall =
+    timed (fun () -> Fuzz.Oracle.mutant_sweep ~budget:mutant_budget ~seed:42)
+  in
   let caught =
     List.length (List.filter (fun r -> r.Fuzz.Oracle.caught) results)
   in
@@ -1626,42 +1497,9 @@ let fuzz_table () =
       ]
     :: !rows;
   Fmt.pr "mutants: %d/%d caught in %.1f ms@." caught total (1000. *. wall);
-  write_bench ~experiment:"fuzz" ~file:"BENCH_fuzz.json" (List.rev !rows)
+  List.rev !rows
 
 (* ------------------------------------------------------------------ *)
-
-let tables =
-  [
-    ("fig1-upper", fig1_upper);
-    ("fig1-lower", fig1_lower);
-    ("fig1-anon-upper", fig1_anon_upper);
-    ("fig1-anon-nonblocking", fig1_anon_nonblocking);
-    ("fig1-anon-lower", fig1_anon_lower);
-    ("anon-frontier", anon_frontier);
-    ("conjecture-probe", conjecture_probe);
-    ("baseline", baseline_table);
-    ("consensus-exact", consensus_exact);
-    ("snapshot-ablation", snapshot_ablation);
-    ("explore", explore_table);
-    ("indep", indep_table);
-    ("conform", conform_table);
-    ("analyze", analyze_table);
-    ("perf", perf_table);
-    ("service", service_table);
-    ("fuzz", fuzz_table);
-  ]
-
-let series =
-  [
-    ("progress-vs-m", progress_vs_m);
-    ("steps-vs-n", steps_vs_n);
-    ("diversity-vs-workload", diversity_vs_workload);
-  ]
-
-let run_all () =
-  List.iter (fun (_, f) -> f ()) tables;
-  List.iter (fun (_, f) -> f ()) series;
-  bechamel_benches ()
 
 (* ------------------------------------------------------------------ *)
 (* History subcommands: diff, check, floors.                           *)
@@ -1747,8 +1585,6 @@ let service_floors =
     };
   ]
 
-(* Every floor-gated experiment: its committed floors and the table
-   that regenerates the gated rows. *)
 (* Floors for E18: verdict floors are exact (a clean campaign and a
    full mutant catch are both 1.0 by construction, on any machine);
    the coverage floor is a conservative bound on the deterministic
@@ -1795,48 +1631,96 @@ let indep_floors =
     };
   ]
 
-let gated_experiments =
+(* ------------------------------------------------------------------ *)
+(* The experiment table.  [run ~smoke] prints the experiment and returns
+   its rows (--smoke: CI-sized iteration counts, same arms and schema);
+   the driver writes them to [file] and appends them to the history. *)
+
+type experiment = {
+  id : string;  (* `table <id>` or `series <id>`; the history experiment *)
+  series : bool;
+  file : string option;  (* BENCH_*.json; None: a printed-only experiment *)
+  run : smoke:bool -> Obs.Json.t list;
+  floors : Obs.History.floor list;  (* what `check` gates the rows on *)
+}
+
+let experiments =
+  let table ?file ?(floors = []) ?(series = false) id run =
+    { id; series; file; run; floors }
+  in
+  let always f ~smoke:_ = f () in
+  let printed f ~smoke:_ =
+    f ();
+    []
+  in
   [
-    ("perf", (perf_floors, perf_table));
-    ("service", (service_floors, service_table));
-    ("fuzz", (fuzz_floors, fuzz_table));
-    ("indep", (indep_floors, indep_table));
+    table "fig1-upper" ~file:"BENCH_fig1.json" (always fig1_upper);
+    table "fig1-lower" (printed fig1_lower);
+    table "fig1-anon-upper" ~file:"BENCH_fig1_anon.json" (always fig1_anon_upper);
+    table "fig1-anon-nonblocking" (printed fig1_anon_nonblocking);
+    table "fig1-anon-lower" (printed fig1_anon_lower);
+    table "anon-frontier" (printed anon_frontier);
+    table "conjecture-probe" (printed conjecture_probe);
+    table "baseline" (printed baseline_table);
+    table "consensus-exact" (printed consensus_exact);
+    table "snapshot-ablation" (printed snapshot_ablation);
+    table "explore" ~file:"BENCH_explore.json" (always explore_table);
+    table "indep" ~file:"BENCH_indep.json" ~floors:indep_floors indep_table;
+    table "conform" ~file:"BENCH_conform.json" (always conform_table);
+    table "analyze" ~file:"BENCH_analyze.json" (always analyze_table);
+    table "perf" ~file:"BENCH_perf.json" ~floors:perf_floors perf_table;
+    table "service" ~file:"BENCH_service.json" ~floors:service_floors service_table;
+    table "fuzz" ~file:"BENCH_fuzz.json" ~floors:fuzz_floors fuzz_table;
+    table "progress-vs-m" ~series:true ~file:"BENCH_progress_vs_m.json"
+      (always progress_vs_m);
+    table "steps-vs-n" ~series:true ~file:"BENCH_steps_vs_n.json" (always steps_vs_n);
+    table "diversity-vs-workload" ~series:true (printed diversity_vs_workload);
   ]
+
+let ids ~series =
+  List.filter_map (fun e -> if e.series = series then Some e.id else None) experiments
+
+let run_experiment ~smoke e =
+  let rows = e.run ~smoke in
+  Option.iter
+    (fun file ->
+      Obs.Bench_out.write ~experiment:e.id ~path:file rows;
+      Obs.History.append ~path:history_path
+        (Obs.History.make ~ts:(Unix.time ()) ~rev:(git_rev ()) ~smoke ~experiment:e.id
+           rows);
+      Fmt.pr "wrote %s (%d rows; history: %s)@." file (List.length rows) history_path)
+    e.file;
+  rows
+
+let gated = List.filter (fun e -> e.floors <> []) experiments
 
 let floors_cmd () =
   List.iter
-    (fun (experiment, (floors, _)) ->
+    (fun e ->
       let entry =
         Obs.History.make ~ts:(Unix.time ()) ~rev:(git_rev ()) ~kind:"floors"
-          ~experiment
-          (List.map Obs.History.floor_row floors)
+          ~experiment:e.id
+          (List.map Obs.History.floor_row e.floors)
       in
       Obs.History.append ~path:history_path entry;
       Fmt.pr "appended floors entry to %s: %a@." history_path Obs.History.pp_entry
         entry)
-    gated_experiments
+    gated
 
-(* `check [--smoke] [--fault]`: run each gated table and gate its rows
-   against the committed floors.  Exit 1 on any violation.  --fault
-   synthetically regresses every gated metric (divides it by 100)
-   before checking — CI uses it to prove the gate actually fails. *)
-let check_experiment ~fault ~experiment ~run_table () =
+(* `check [--smoke] [--fault]`: run each gated experiment and gate its
+   rows against the committed floors.  Exit 1 on any violation.
+   --fault synthetically regresses every gated metric (divides it by
+   100) before checking — CI uses it to prove the gate actually fails. *)
+let check_experiment ~smoke ~fault e =
   let floors =
-    match Obs.History.latest_floors (load_history ()) ~experiment with
-    | Some e -> Obs.History.floors_of_entry e
+    match Obs.History.latest_floors (load_history ()) ~experiment:e.id with
+    | Some entry -> Obs.History.floors_of_entry entry
     | None ->
-      Fmt.epr "no committed floors entry for %S in %s (run `bench floors`)@."
-        experiment history_path;
+      Fmt.epr "no committed floors entry for %S in %s (run `bench floors`)@." e.id
+        history_path;
       exit 2
   in
-  run_table ();
-  let rows =
-    match !last_bench with
-    | Some (e, rows) when e = experiment -> rows
-    | _ ->
-      Fmt.epr "internal error: %s table did not record its rows@." experiment;
-      exit 2
-  in
+  let rows = run_experiment ~smoke e in
   let rows =
     if not fault then rows
     else
@@ -1862,13 +1746,8 @@ let check_experiment ~fault ~experiment ~run_table () =
   List.iter (fun v -> Fmt.pr "%a@." Obs.History.pp_verdict v) verdicts;
   verdicts
 
-let check_cmd ~fault () =
-  let verdicts =
-    List.concat_map
-      (fun (experiment, (_, run_table)) ->
-        check_experiment ~fault ~experiment ~run_table ())
-      gated_experiments
-  in
+let check_cmd ~smoke ~fault () =
+  let verdicts = List.concat_map (check_experiment ~smoke ~fault) gated in
   let bad = List.filter Obs.History.violated verdicts in
   if bad <> [] then begin
     Fmt.pr "bench check: FAIL (%d of %d floors violated)@." (List.length bad)
@@ -1878,46 +1757,37 @@ let check_cmd ~fault () =
   Fmt.pr "bench check: ok (%d floors)@." (List.length verdicts)
 
 let () =
-  (* --smoke anywhere on the line switches E16 to CI-sized iteration
-     counts (same arms, same schema); --fault makes `check` regress the
-     gated metrics synthetically. *)
-  let fault = ref false in
+  (* --smoke anywhere on the line switches to CI-sized iteration counts
+     (same arms, same schema); --fault makes `check` regress the gated
+     metrics synthetically. *)
+  let smoke = Array.mem "--smoke" Sys.argv and fault = Array.mem "--fault" Sys.argv in
   let argv =
-    Array.to_list Sys.argv
-    |> List.filter (fun a ->
-           if a = "--smoke" then (
-             perf_smoke := true;
-             false)
-           else if a = "--fault" then (
-             fault := true;
-             false)
-           else true)
+    List.filter (fun a -> a <> "--smoke" && a <> "--fault") (Array.to_list Sys.argv)
   in
   match argv with
-  | [ _ ] | [ _; "all" ] -> run_all ()
+  | [ _ ] | [ _; "all" ] ->
+    List.iter (fun e -> ignore (run_experiment ~smoke e)) experiments;
+    bechamel_benches ()
   | [ _; "bechamel" ] -> bechamel_benches ()
-  | [ _; "table"; id ] -> (
-    match List.assoc_opt id tables with
-    | Some f -> f ()
+  | [ _; ("table" | "series" as kind); id ] -> (
+    let series = kind = "series" in
+    match List.find_opt (fun e -> e.series = series && e.id = id) experiments with
+    | Some e -> ignore (run_experiment ~smoke e)
     | None ->
-      Fmt.epr "unknown table %S; available: %a@." id
+      Fmt.epr "unknown %s %S; available: %a@." kind id
         Fmt.(list ~sep:sp string)
-        (List.map fst tables);
-      exit 2)
-  | [ _; "series"; id ] -> (
-    match List.assoc_opt id series with
-    | Some f -> f ()
-    | None ->
-      Fmt.epr "unknown series %S; available: %a@." id
-        Fmt.(list ~sep:sp string)
-        (List.map fst series);
+        (ids ~series);
       exit 2)
   | [ _; "diff" ] -> diff_cmd "perf"
   | [ _; "diff"; experiment ] -> diff_cmd experiment
-  | [ _; "check" ] -> check_cmd ~fault:!fault ()
+  | [ _; "check" ] -> check_cmd ~smoke ~fault ()
   | [ _; "floors" ] -> floors_cmd ()
   | _ ->
     Fmt.epr
       "usage: main.exe [all | bechamel | table <id> | series <id> | diff \
-       [<experiment>] | check [--smoke] [--fault] | floors]@.";
+       [<experiment>] | check [--smoke] [--fault] | floors]@.tables: %a@.series: %a@."
+      Fmt.(list ~sep:sp string)
+      (ids ~series:false)
+      Fmt.(list ~sep:sp string)
+      (ids ~series:true);
     exit 2

@@ -1,0 +1,306 @@
+(* The command-line vocabulary shared by the executables in bin/: every
+   flag that more than one command takes is declared once, here, as
+   part of a group whose term returns a validated value.  An invalid
+   value is a usage error — one line on stderr and exit code 2, never
+   an uncaught exception.  Adding a flag to a command that takes a
+   group means adding it to the group. *)
+
+open Cmdliner
+
+let usage_error fmt =
+  Fmt.kstr
+    (fun msg ->
+      Fmt.epr "%s@." msg;
+      exit 2)
+    fmt
+
+(* A value named on the command line and looked up by [find]. *)
+let lookup what ~valid find name =
+  match find name with
+  | Some v -> v
+  | None -> usage_error "unknown %s %S; valid: %s" what name (String.concat " | " valid)
+
+(* ------------------------------------------------------------------ *)
+(* Files named on the command line: an unreadable or unwritable path
+   is a usage error naming the flag. *)
+
+let with_path flag f = try f () with Sys_error e -> usage_error "%s: %s" flag e
+
+let out_channel flag path = with_path flag (fun () -> open_out path)
+
+(* Fail before any work when an output file's directory is missing; a
+   write that still fails later goes through [with_path]. *)
+let check_output flag path =
+  let dir = Filename.dirname path in
+  if not (Sys.file_exists dir && Sys.is_directory dir) then
+    usage_error "%s: %s: No such file or directory" flag path
+
+let write_file flag path s =
+  with_path flag (fun () -> Out_channel.with_open_text path (fun oc -> output_string oc s))
+
+(* ------------------------------------------------------------------ *)
+(* n/m/k, with per-command defaults. *)
+
+let params ~n ~m ~k =
+  try Agreement.Params.make ~n ~m ~k with Invalid_argument msg -> usage_error "%s" msg
+
+(* The raw triple, for a command that validates it only in some modes
+   (conform's --domains is also the snapshot harness's domain count). *)
+let nmk_args ?(n_names = [ "n" ]) ?(n_doc = "Number of processes.") ?(scope = "")
+    ~n ~m ~k () =
+  let int names default doc = Arg.(value & opt int default & info names ~doc) in
+  Term.(
+    const (fun n m k -> (n, m, k))
+    $ int n_names n n_doc
+    $ int [ "m" ] m ("Obstruction bound" ^ scope ^ ".")
+    $ int [ "k" ] k ("Agreement bound" ^ scope ^ "."))
+
+let nmk ?n_doc ~n ~m ~k () =
+  Term.(const (fun (n, m, k) -> params ~n ~m ~k) $ nmk_args ?n_doc ~n ~m ~k ())
+
+(* ------------------------------------------------------------------ *)
+(* --memory-backend: applies process-wide, before any configuration is
+   built, so a command's term evaluates it first. *)
+
+let memory_backend =
+  let parse s =
+    match Shm.Memory.backend_of_string s with
+    | Some b -> Ok b
+    | None ->
+      Error
+        (`Msg
+          (Fmt.str "unknown memory backend %S (expected persistent|map|journal|journaled)"
+             s))
+  in
+  let backend = Arg.conv (parse, fun ppf b -> Fmt.string ppf (Shm.Memory.backend_name b)) in
+  Term.(
+    const (Option.iter Shm.Memory.set_default)
+    $ Arg.(
+        value
+        & opt (some backend) None
+        & info [ "memory-backend" ] ~docv:"BACKEND"
+            ~doc:
+              "Simulator register backend: $(b,journaled) (flat array + undo journal, \
+               the default) or $(b,persistent) (the reference persistent map).  The \
+               test suite pins the two observationally equivalent; switch to \
+               persistent when bisecting a suspected backend bug (see \
+               docs/PERFORMANCE.md)."))
+
+(* ------------------------------------------------------------------ *)
+(* The instance group: which algorithm, over which snapshot, at which
+   parameters and register budget, proposing which inputs. *)
+
+type algo = One_shot | Repeated | Anonymous | Baseline
+
+type instance = {
+  algo : algo;
+  impl : Agreement.Instances.impl;
+  params : Agreement.Params.t;
+  config : Shm.Config.t;
+  inputs : pid:int -> instance:int -> Shm.Value.t option;
+}
+
+let build_config ~algo ~impl ~registers params =
+  match algo with
+  | One_shot -> Agreement.Instances.oneshot ?r:registers ~impl params
+  | Repeated -> Agreement.Instances.repeated ?r:registers ~impl params
+  | Baseline ->
+    if registers <> None then
+      Fmt.epr "note: --registers is ignored for the baseline algorithm@.";
+    Agreement.Instances.baseline ~impl params
+  | Anonymous ->
+    Agreement.Instances.anonymous ?r:registers
+      ~anonymous_collect:(impl = Agreement.Instances.Double_collect)
+      params
+
+let instance =
+  let algo =
+    Arg.(
+      value
+      & opt
+          (enum
+             [ ("oneshot", One_shot); ("repeated", Repeated); ("anonymous", Anonymous);
+               ("baseline", Baseline) ])
+          One_shot
+      & info [ "algo"; "a" ] ~doc:"Algorithm to run.")
+  in
+  let impl =
+    Arg.(
+      value
+      & opt
+          (enum
+             [
+               ("atomic", Agreement.Instances.Atomic);
+               ("collect", Agreement.Instances.Double_collect);  (* register-level double collect *)
+               ("sw", Agreement.Instances.Sw_based);  (* n single-writer registers *)
+             ])
+          Agreement.Instances.Atomic
+      & info [ "impl" ] ~doc:"Snapshot implementation.")
+  in
+  let rounds =
+    Arg.(value & opt int 3 & info [ "rounds"; "r" ] ~doc:"Instances (repeated).")
+  in
+  let registers =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "registers" ] ~docv:"R"
+          ~doc:
+            "Override the register budget (components) of the instance.  Fewer than \
+             n+2m-k voids the correctness argument — that is the point: combine with \
+             --explore to exhibit violations of register-starved instances.")
+  in
+  let make () algo impl params rounds registers =
+    (match registers with
+    | Some r when r < 1 -> usage_error "--registers %d: need at least 1 register" r
+    | _ -> ());
+    let rounds = match algo with One_shot | Baseline -> 1 | Repeated | Anonymous -> rounds in
+    {
+      algo;
+      impl;
+      params;
+      config = build_config ~algo ~impl ~registers params;
+      inputs =
+        Shm.Exec.repeated_inputs ~rounds (fun pid instance ->
+            Shm.Value.int ((100 * instance) + pid));
+    }
+  in
+  Term.(
+    const make $ memory_backend $ algo $ impl $ nmk ~n:5 ~m:1 ~k:2 () $ rounds $ registers)
+
+(* ------------------------------------------------------------------ *)
+(* The schedule group: scheduler spec name[:arg[:arg]] and step budget. *)
+
+let sched_specs =
+  [ "round-robin"; "quantum[:Q]"; "random[:SEED]"; "solo:P"; "m-bounded:SEED[:M]" ]
+
+let parse_sched spec ~n =
+  let ( let* ) r f = Result.bind r f in
+  let int_arg what v =
+    match int_of_string_opt v with
+    | Some i -> Ok i
+    | None -> Error (Fmt.str "scheduler %S: %s %S is not an integer" spec what v)
+  in
+  let quantum q =
+    if q < 1 then Error (Fmt.str "scheduler %S: need quantum Q >= 1" spec)
+    else Ok (Shm.Schedule.quantum_round_robin ~quantum:q n)
+  in
+  match String.split_on_char ':' spec with
+  | [ "round-robin" ] -> Ok (Shm.Schedule.round_robin n)
+  | [ "quantum"; q ] ->
+    let* q = int_arg "quantum" q in
+    quantum q
+  | [ "quantum" ] -> quantum 300
+  | [ "random"; s ] ->
+    let* s = int_arg "seed" s in
+    Ok (Shm.Schedule.random ~seed:s n)
+  | [ "random" ] -> Ok (Shm.Schedule.random ~seed:0 n)
+  | [ "solo"; p ] ->
+    let* p = int_arg "pid" p in
+    if p < 0 || p >= n then Error (Fmt.str "scheduler %S: need 0 <= P < n (n = %d)" spec n)
+    else Ok (Shm.Schedule.solo p)
+  | [ "m-bounded"; s ] ->
+    let* s = int_arg "seed" s in
+    Ok (Shm.Schedule.m_bounded ~seed:s ~m:1 ~prefix:100 n)
+  | [ "m-bounded"; s; m ] ->
+    let* s = int_arg "seed" s in
+    let* m = int_arg "m" m in
+    if m < 1 || m > n then
+      Error (Fmt.str "scheduler %S: need 1 <= m <= n (n = %d)" spec n)
+    else Ok (Shm.Schedule.m_bounded ~seed:s ~m ~prefix:100 n)
+  | _ ->
+    Error
+      (Fmt.str "unknown scheduler %S; valid specs: %s" spec
+         (String.concat " | " sched_specs))
+
+let schedule =
+  Term.(
+    const (fun spec max_steps -> (spec, max_steps))
+    $ Arg.(
+        value & opt string "quantum:300"
+        & info [ "sched"; "s" ]
+            ~doc:
+              ("Scheduler (single-run mode): " ^ String.concat " | " sched_specs ^ "."))
+    $ Arg.(
+        value & opt int 500_000 & info [ "max-steps" ] ~doc:"Step budget (single run)."))
+
+(* ------------------------------------------------------------------ *)
+(* The explore group: exploration spec engine:DEPTH, worker domains,
+   and (where the command offers it) counterexample shrinking. *)
+
+type explore = { engine : Spec.Modelcheck.engine; depth : int }
+
+let explore_specs = [ "naive:DEPTH"; "dpor:DEPTH"; "dpor-nocache:DEPTH" ]
+
+let parse_explore spec ~jobs ~n =
+  let engine_of = function
+    | "naive" -> Some Spec.Modelcheck.Naive
+    | "dpor" -> Some (Spec.Modelcheck.Dpor { cache = true; jobs })
+    | "dpor-nocache" -> Some (Spec.Modelcheck.Dpor { cache = false; jobs })
+    | _ -> None
+  in
+  match String.split_on_char ':' spec with
+  | [ name; d ] -> (
+    match (engine_of name, int_of_string_opt d) with
+    | Some (Spec.Modelcheck.Dpor _), Some _ when n > Spec.Explore.max_procs ->
+      Error
+        (Fmt.str "--explore %S: -n %d exceeds the DPOR limit of %d processes" spec n
+           Spec.Explore.max_procs)
+    | Some engine, Some depth when depth >= 0 -> Ok { engine; depth }
+    | Some _, _ -> Error (Fmt.str "--explore %S: depth %S is not a non-negative integer" spec d)
+    | None, _ ->
+      Error
+        (Fmt.str "--explore %S: unknown engine %S; valid specs: %s" spec name
+           (String.concat " | " explore_specs)))
+  | _ ->
+    Error
+      (Fmt.str "--explore %S: expected engine:DEPTH; valid specs: %s" spec
+         (String.concat " | " explore_specs))
+
+let explore ~shrink =
+  Term.(
+    const (fun spec jobs shrink -> (spec, jobs, shrink))
+    $ Arg.(
+        value
+        & opt (some string) None
+        & info [ "explore" ] ~docv:"ENGINE:DEPTH"
+            ~doc:
+              ("Model-check over all schedules up to DEPTH instead of running one \
+                schedule: " ^ String.concat " | " explore_specs
+             ^ ".  Exits 1 on a violation."))
+    $ Arg.(
+        value & opt int 1
+        & info [ "jobs"; "j" ] ~doc:"Worker domains for --explore dpor (default 1).")
+    $
+    if shrink then
+      Arg.(
+        value & flag
+        & info [ "shrink" ]
+            ~doc:"Minimize the counterexample schedule found by --explore before printing.")
+    else const false)
+
+(* ------------------------------------------------------------------ *)
+(* One run of an instance: the three groups, validated against each
+   other (scheduler and explorer limits depend on n). *)
+
+type run = {
+  inst : instance;
+  sched : Shm.Schedule.t;
+  max_steps : int;
+  explore : explore option;
+  shrink : bool;
+}
+
+let run ~shrink =
+  let make inst (spec, max_steps) (explore, jobs, shrink) =
+    let n = inst.params.Agreement.Params.n in
+    let valid = function Ok v -> v | Error e -> usage_error "%s" e in
+    {
+      inst;
+      sched = valid (parse_sched spec ~n);
+      max_steps;
+      explore = Option.map (fun spec -> valid (parse_explore spec ~jobs ~n)) explore;
+      shrink;
+    }
+  in
+  Term.(const make $ instance $ schedule $ explore ~shrink)

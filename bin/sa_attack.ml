@@ -9,8 +9,7 @@
 open Cmdliner
 open Lowerbound
 
-let theorem2 n m k registers icap =
-  let p = Agreement.Params.make ~n ~m ~k in
+let theorem2 p registers icap =
   let registers =
     match registers with Some r -> r | None -> Agreement.Params.registers_lower p - 1
   in
@@ -36,7 +35,7 @@ let theorem2 n m k registers icap =
              g.Theorem2.pset
              Fmt.(list ~sep:comma int)
              g.Theorem2.aset);
-    (match Spec.Properties.check_safety ~k config with
+    (match Spec.Properties.check_safety ~k:p.Agreement.Params.k config with
     | Error e -> Fmt.pr "checker: %s@." e
     | Ok () -> Fmt.pr "checker: found nothing (unexpected)@.");
     0
@@ -50,7 +49,7 @@ let clones k registers slots =
     | Some s -> s
     | None -> c * (1 + (((registers * registers) - registers) / 2))
   in
-  let p = Agreement.Params.make ~n:slots ~m:1 ~k in
+  let p = Cli.params ~n:slots ~m:1 ~k in
   Fmt.pr
     "Section 5 clone construction: k=%d, %d registers, %d process slots (theorem \
      threshold %d)@."
@@ -66,16 +65,14 @@ let clones k registers slots =
   match outcome with Clones.Violation _ -> 0 | _ -> 1
 
 let theorem2_cmd =
-  let n = Arg.(value & opt int 5 & info [ "n" ] ~doc:"Processes.") in
-  let m = Arg.(value & opt int 1 & info [ "m" ] ~doc:"Obstruction bound.") in
-  let k = Arg.(value & opt int 2 & info [ "k" ] ~doc:"Agreement bound.") in
   let registers =
     Arg.(value & opt (some int) None & info [ "registers"; "r" ] ~doc:"Register budget.")
   in
   let icap = Arg.(value & opt int 4 & info [ "icap" ] ~doc:"Ordinary-instance cap.") in
   Cmd.v
     (Cmd.info "theorem2" ~doc:"Run the Figure 2 adversary against Figure 4")
-    Term.(const theorem2 $ n $ m $ k $ registers $ icap)
+    Term.(
+      const theorem2 $ Cli.nmk ~n_doc:"Processes." ~n:5 ~m:1 ~k:2 () $ registers $ icap)
 
 let clones_cmd =
   let k = Arg.(value & opt int 1 & info [ "k" ] ~doc:"Agreement bound.") in

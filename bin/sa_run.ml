@@ -17,148 +17,24 @@
 
 open Cmdliner
 
-type algo = One_shot | Repeated | Anonymous | Baseline
-
-let algo_conv =
-  Arg.enum
-    [ ("oneshot", One_shot); ("repeated", Repeated); ("anonymous", Anonymous);
-      ("baseline", Baseline) ]
-
-let impl_conv =
-  Arg.enum
-    [
-      ("atomic", `Atomic);
-      ("collect", `Collect);   (* register-level double collect *)
-      ("sw", `Sw);             (* n single-writer registers *)
-    ]
-
-let backend_conv =
-  let parse s =
-    match Shm.Memory.backend_of_string s with
-    | Some b -> Ok b
-    | None ->
-      Error
-        (`Msg
-          (Fmt.str "unknown memory backend %S (expected persistent|map|journal|journaled)"
-             s))
-  in
-  Arg.conv (parse, fun ppf b -> Fmt.string ppf (Shm.Memory.backend_name b))
-
-let memory_backend_arg =
-  Arg.(
-    value
-    & opt (some backend_conv) None
-    & info [ "memory-backend" ] ~docv:"BACKEND"
-        ~doc:
-          "Simulator register backend: $(b,journaled) (flat array + undo journal, the \
-           default) or $(b,persistent) (the reference persistent map).  The test \
-           suite pins the two observationally equivalent; switch to persistent when \
-           bisecting a suspected backend bug (see docs/PERFORMANCE.md).")
-
-(* Applies process-wide, before any configuration is built. *)
-let set_memory_backend = Option.iter Shm.Memory.set_default
-
-(* scheduler spec: name[:arg[:arg]] *)
-let sched_specs =
-  [ "round-robin"; "quantum[:Q]"; "random[:SEED]"; "solo:P"; "m-bounded:SEED[:M]" ]
-
-let parse_sched spec ~n =
-  let ( let* ) r f = Result.bind r f in
-  let int_arg what v =
-    match int_of_string_opt v with
-    | Some i -> Ok i
-    | None -> Error (Fmt.str "scheduler %S: %s %S is not an integer" spec what v)
-  in
-  match String.split_on_char ':' spec with
-  | [ "round-robin" ] -> Ok (Shm.Schedule.round_robin n)
-  | [ "quantum"; q ] ->
-    let* q = int_arg "quantum" q in
-    Ok (Shm.Schedule.quantum_round_robin ~quantum:q n)
-  | [ "quantum" ] -> Ok (Shm.Schedule.quantum_round_robin ~quantum:300 n)
-  | [ "random"; s ] ->
-    let* s = int_arg "seed" s in
-    Ok (Shm.Schedule.random ~seed:s n)
-  | [ "random" ] -> Ok (Shm.Schedule.random ~seed:0 n)
-  | [ "solo"; p ] ->
-    let* p = int_arg "pid" p in
-    Ok (Shm.Schedule.solo p)
-  | [ "m-bounded"; s ] ->
-    let* s = int_arg "seed" s in
-    Ok (Shm.Schedule.m_bounded ~seed:s ~m:1 ~prefix:100 n)
-  | [ "m-bounded"; s; m ] ->
-    let* s = int_arg "seed" s in
-    let* m = int_arg "m" m in
-    if m < 1 || m > n then
-      Error (Fmt.str "scheduler %S: need 1 <= m <= n (n = %d)" spec n)
-    else Ok (Shm.Schedule.m_bounded ~seed:s ~m ~prefix:100 n)
-  | _ ->
-    Error
-      (Fmt.str "unknown scheduler %S; valid specs: %s" spec
-         (String.concat " | " sched_specs))
-
-(* exploration spec: engine:DEPTH *)
-let explore_specs = [ "naive:DEPTH"; "dpor:DEPTH"; "dpor-nocache:DEPTH" ]
-
-let parse_explore spec ~jobs ~n =
-  let engine_of = function
-    | "naive" -> Some Spec.Modelcheck.Naive
-    | "dpor" -> Some (Spec.Modelcheck.Dpor { cache = true; jobs })
-    | "dpor-nocache" -> Some (Spec.Modelcheck.Dpor { cache = false; jobs })
-    | _ -> None
-  in
-  match String.split_on_char ':' spec with
-  | [ name; d ] -> (
-    match (engine_of name, int_of_string_opt d) with
-    | Some (Spec.Modelcheck.Dpor _), Some _ when n > Spec.Explore.max_procs ->
-      Error
-        (Fmt.str "--explore %S: -n %d exceeds the DPOR limit of %d processes" spec n
-           Spec.Explore.max_procs)
-    | Some engine, Some depth when depth >= 0 -> Ok (engine, depth)
-    | Some _, _ -> Error (Fmt.str "--explore %S: depth %S is not a non-negative integer" spec d)
-    | None, _ ->
-      Error
-        (Fmt.str "--explore %S: unknown engine %S; valid specs: %s" spec name
-           (String.concat " | " explore_specs)))
-  | _ ->
-    Error
-      (Fmt.str "--explore %S: expected engine:DEPTH; valid specs: %s" spec
-         (String.concat " | " explore_specs))
-
-(* Shared between the default command and `trace`: the flag-to-impl
-   mapping and instance construction. *)
-let impl_of = function
-  | `Atomic -> Agreement.Instances.Atomic
-  | `Collect -> Agreement.Instances.Double_collect
-  | `Sw -> Agreement.Instances.Sw_based
-
-let build_config ~algo ~impl ~registers params =
-  match algo with
-  | One_shot -> Agreement.Instances.oneshot ?r:registers ~impl params
-  | Repeated -> Agreement.Instances.repeated ?r:registers ~impl params
-  | Baseline ->
-    if registers <> None then
-      Fmt.epr "note: --registers is ignored for the baseline algorithm@.";
-    Agreement.Instances.baseline ~impl params
-  | Anonymous ->
-    Agreement.Instances.anonymous ?r:registers
-      ~anonymous_collect:(impl = Agreement.Instances.Double_collect)
-      params
-
 (* Model-check the configured instance over all schedules up to the
    depth bound, instead of running one schedule. *)
-let explore_main ~engine ~depth ~shrink ~stats ~k ~inputs config =
-  let check = Spec.Properties.check_safety ~k in
+let explore_run (r : Cli.run) (e : Cli.explore) ~metrics ?prof ?series () =
+  Spec.Modelcheck.run ~engine:e.engine ~depth:e.depth ~inputs:r.inst.inputs ~metrics
+    ?prof ?series
+    ~check:(Spec.Properties.check_safety ~k:r.inst.params.Agreement.Params.k)
+    r.inst.config
+
+let explore_main (r : Cli.run) (e : Cli.explore) ~stats =
   let metrics = Obs.Metrics.create () in
   (* profile only under --stats: phase attribution costs two clock
      reads per phase per node, which we don't charge to plain runs *)
   let prof = if stats then Some (Obs.Prof.create ()) else None in
   let t0 = Unix.gettimeofday () in
-  let outcome =
-    Spec.Modelcheck.run ~engine ~depth ~inputs ~metrics ?prof ~check config
-  in
+  let outcome = explore_run r e ~metrics ?prof () in
   let wall = Unix.gettimeofday () -. t0 in
   let s = Spec.Modelcheck.stats_of outcome in
-  Fmt.pr "engine: %s, depth bound: %d@." (Spec.Modelcheck.engine_name engine) depth;
+  Fmt.pr "engine: %s, depth bound: %d@." (Spec.Modelcheck.engine_name e.engine) e.depth;
   Fmt.pr
     "explored %d nodes (%d completions checked, %d cache hits, %d sleep-set pruned) in \
      %.3fs@."
@@ -171,10 +47,12 @@ let explore_main ~engine ~depth ~shrink ~stats ~k ~inputs config =
     Fmt.pr "verdict: VIOLATION — %s@." error;
     Fmt.pr "schedule (%d steps): [%s]@." (List.length schedule)
       (String.concat " " (List.map string_of_int schedule));
-    if shrink then begin
+    if r.shrink then begin
       let replay s =
-        (* fresh copy: Config.t is persistent, replay never mutates [config] *)
-        Spec.Counterex.replay ~completion_steps:50_000 ~inputs ~check config s
+        (* fresh copy: Config.t is persistent, replay never mutates the config *)
+        Spec.Counterex.replay ~completion_steps:50_000 ~inputs:r.inst.inputs
+          ~check:(Spec.Properties.check_safety ~k:r.inst.params.Agreement.Params.k)
+          r.inst.config s
       in
       match
         Option.bind (Spec.Modelcheck.counterex_of outcome) (fun ce ->
@@ -192,51 +70,28 @@ let explore_main ~engine ~depth ~shrink ~stats ~k ~inputs config =
   end;
   match outcome with Spec.Modelcheck.Ok_bounded _ -> () | _ -> exit 1
 
-let run backend algo n m k impl sched_spec rounds trace diagram stats trace_out
-    max_steps registers explore jobs shrink =
-  set_memory_backend backend;
-  let params = Agreement.Params.make ~n ~m ~k in
-  let sched =
-    match parse_sched sched_spec ~n with
-    | Ok s -> s
-    | Error e ->
-      Fmt.epr "%s@." e;
-      exit 2
-  in
-  let impl = impl_of impl in
-  let input_fn pid instance = Shm.Value.int ((100 * instance) + pid) in
-  let config = build_config ~algo ~impl ~registers params in
-  let rounds = match algo with One_shot | Baseline -> 1 | Repeated | Anonymous -> rounds in
-  let inputs = Shm.Exec.repeated_inputs ~rounds input_fn in
-  match explore with
-  | Some spec -> (
-    match parse_explore spec ~jobs ~n with
-    | Error e ->
-      Fmt.epr "%s@." e;
-      exit 2
-    | Ok (engine, depth) -> explore_main ~engine ~depth ~shrink ~stats ~k ~inputs config)
+let stopped_name = function
+  | Shm.Exec.All_quiescent -> "quiescent"
+  | Shm.Exec.Fuel_exhausted -> "fuel exhausted"
+
+let run (r : Cli.run) trace diagram stats trace_out =
+  match r.explore with
+  | Some e -> explore_main r e ~stats
   | None ->
+  let { Cli.config; params = { Agreement.Params.n; k; _ }; _ } = r.inst in
   (* Streaming observers: spans and stats always (they are O(1) and
      cheap), JSONL export when --trace-out was given. *)
-  let registers = Shm.Memory.size (Shm.Config.mem config) in
   let span = Obs.Span.create () in
-  let exec_stats = Obs.Stats.create ~n ~registers () in
-  let trace_chan =
-    Option.map
-      (fun path ->
-        try open_out path
-        with Sys_error e ->
-          Fmt.epr "--trace-out: %s@." e;
-          exit 2)
-      trace_out
-  in
+  let acc = Shm.Analysis.create ~n ~registers:(Shm.Memory.size (Shm.Config.mem config)) in
+  let trace_chan = Option.map (Cli.out_channel "--trace-out") trace_out in
   let sink =
     Obs.Sink.tee
-      (Obs.Span.sink span :: Obs.Stats.sink exec_stats
+      (Obs.Span.sink span :: Shm.Analysis.feed acc
       :: (match trace_chan with Some oc -> [ Obs.Jsonl.sink_to_channel oc ] | None -> []))
   in
   let result =
-    Shm.Exec.run ~record:(trace || diagram) ~sink ~sched ~inputs ~max_steps config
+    Shm.Exec.run ~record:(trace || diagram) ~sink ~sched:r.sched ~inputs:r.inst.inputs
+      ~max_steps:r.max_steps config
   in
   Option.iter close_out trace_chan;
   if trace then
@@ -247,13 +102,13 @@ let run backend algo n m k impl sched_spec rounds trace diagram stats trace_out
       (fun ppf -> Shm.Diagram.pp ~len:80 ~n ppf)
       result.Shm.Exec.trace;
   Fmt.pr "algorithm: %s over %s snapshot, scheduler: %s@."
-    (match algo with
-    | One_shot -> "one-shot (Fig. 3)"
-    | Repeated -> "repeated (Fig. 4)"
-    | Anonymous -> "anonymous (Fig. 5)"
-    | Baseline -> "DFGR'13 baseline")
-    (Agreement.Instances.impl_name impl)
-    (Shm.Schedule.name sched);
+    (match r.inst.algo with
+    | Cli.One_shot -> "one-shot (Fig. 3)"
+    | Cli.Repeated -> "repeated (Fig. 4)"
+    | Cli.Anonymous -> "anonymous (Fig. 5)"
+    | Cli.Baseline -> "DFGR'13 baseline")
+    (Agreement.Instances.impl_name r.inst.impl)
+    (Shm.Schedule.name r.sched);
   Spec.Properties.by_instance result.Shm.Exec.config
   |> List.iter (fun (inst, ins, outs) ->
          Fmt.pr "instance %d: in {%a} out {%a}@." inst
@@ -265,15 +120,12 @@ let run backend algo n m k impl sched_spec rounds trace diagram stats trace_out
   | Ok () -> Fmt.pr "safety: OK@."
   | Error e -> Fmt.pr "safety: VIOLATED — %s@." e);
   Fmt.pr "stopped: %s after %d steps; registers written: %d@."
-    (match result.Shm.Exec.stopped with
-    | Shm.Exec.All_quiescent -> "quiescent"
-    | Shm.Exec.Fuel_exhausted -> "fuel exhausted")
+    (stopped_name result.Shm.Exec.stopped)
     result.Shm.Exec.steps
     (Agreement.Runner.registers_used result);
-  if stats then begin
-    Fmt.pr "--- stats ---@.%a@." Obs.Stats.pp exec_stats;
-    Fmt.pr "%a@." Obs.Span.pp span
-  end;
+  if stats then
+    Fmt.pr "--- stats ---@.%a@.%a@." Shm.Analysis.pp (Shm.Analysis.snapshot acc)
+      Obs.Span.pp span;
   Option.iter (fun path -> Fmt.pr "trace written to %s (JSONL)@." path) trace_out
 
 (* ------------------------------------------------------------------ *)
@@ -285,78 +137,47 @@ let run backend algo n m k impl sched_spec rounds trace diagram stats trace_out
    records per-domain DPOR worker timelines, steal flows, and the
    exploration counter tracks. *)
 
-let trace_main backend algo n m k impl sched_spec rounds registers explore jobs
-    max_steps sets out jsonl_out stats =
-  set_memory_backend backend;
-  let params = Agreement.Params.make ~n ~m ~k in
-  let impl = impl_of impl in
-  let config = build_config ~algo ~impl ~registers params in
-  let rounds =
-    match algo with One_shot | Baseline -> 1 | Repeated | Anonymous -> rounds
-  in
-  let input_fn pid instance = Shm.Value.int ((100 * instance) + pid) in
-  let inputs = Shm.Exec.repeated_inputs ~rounds input_fn in
+let trace_main (r : Cli.run) sets out jsonl_out stats =
+  Cli.check_output "--out" out;
+  Option.iter (Cli.check_output "--jsonl") jsonl_out;
   let tr = Obs.Trace.create () in
   let prof = Obs.Prof.create () in
   let series = Obs.Prof.Series.create () in
   let code =
     Obs.Trace.with_attached tr (fun () ->
-        match explore with
-        | Some spec -> (
-          match parse_explore spec ~jobs ~n with
-          | Error e ->
-            Fmt.epr "%s@." e;
-            exit 2
-          | Ok (engine, depth) ->
-            let check = Spec.Properties.check_safety ~k in
-            let metrics = Obs.Metrics.create () in
-            let outcome =
-              Spec.Modelcheck.run ~engine ~depth ~inputs ~metrics ~prof ~series
-                ~check config
-            in
-            Fmt.pr "engine: %s, depth bound: %d — %a@."
-              (Spec.Modelcheck.engine_name engine)
-              depth Spec.Modelcheck.pp_outcome outcome;
-            (match outcome with Spec.Modelcheck.Ok_bounded _ -> 0 | _ -> 1))
+        match r.explore with
+        | Some e ->
+          let outcome = explore_run r e ~metrics:(Obs.Metrics.create ()) ~prof ~series () in
+          Fmt.pr "engine: %s, depth bound: %d — %a@."
+            (Spec.Modelcheck.engine_name e.engine)
+            e.depth Spec.Modelcheck.pp_outcome outcome;
+          (match outcome with Spec.Modelcheck.Ok_bounded _ -> 0 | _ -> 1)
         | None ->
-          let sched =
-            match parse_sched sched_spec ~n with
-            | Ok s -> s
-            | Error e ->
-              Fmt.epr "%s@." e;
-              exit 2
-          in
           (* the coverage probe sees the configuration after each event;
              [--cov-sets] additionally records the sets themselves *)
           let probe = Obs.Coverage.ambient_probe ~sets () in
           let root =
             Obs.Trace.begin_span tr ~cat:"exec"
-              ~args:[ ("sched", Obs.Json.String (Shm.Schedule.name sched)) ]
+              ~args:[ ("sched", Obs.Json.String (Shm.Schedule.name r.sched)) ]
               "run"
           in
-          let result = Shm.Exec.run ?probe ~sched ~inputs ~max_steps config in
+          let result =
+            Shm.Exec.run ?probe ~sched:r.sched ~inputs:r.inst.inputs
+              ~max_steps:r.max_steps r.inst.config
+          in
           Obs.Trace.end_span tr
             ~args:[ ("steps", Obs.Json.Int result.Shm.Exec.steps) ]
             root;
-          Fmt.pr "ran %d steps (%s); registers written: %d@."
-            result.Shm.Exec.steps
-            (match result.Shm.Exec.stopped with
-            | Shm.Exec.All_quiescent -> "quiescent"
-            | Shm.Exec.Fuel_exhausted -> "fuel exhausted")
+          Fmt.pr "ran %d steps (%s); registers written: %d@." result.Shm.Exec.steps
+            (stopped_name result.Shm.Exec.stopped)
             (Obs.Coverage.num_written result.Shm.Exec.config);
           0)
   in
-  (try Obs.Chrome_trace.save out tr
-   with Sys_error e ->
-     Fmt.epr "--out: %s@." e;
-     exit 2);
+  Cli.with_path "--out" (fun () -> Obs.Chrome_trace.save out tr);
   Fmt.pr "chrome trace written to %s (open in https://ui.perfetto.dev)@." out;
   Option.iter
     (fun path ->
-      (try Obs.Trace.save_jsonl path tr
-       with Sys_error e ->
-         Fmt.epr "--jsonl: %s@." e;
-         exit 2);
+      Cli.with_path "--jsonl" (fun () -> Obs.Trace.save_jsonl path tr);
       Fmt.pr "spans written to %s (JSONL)@." path)
     jsonl_out;
   if stats then begin
@@ -369,50 +190,6 @@ let trace_main backend algo n m k impl sched_spec rounds registers explore jobs
   exit code
 
 let trace_cmd =
-  let algo =
-    Arg.(value & opt algo_conv One_shot & info [ "algo"; "a" ] ~doc:"Algorithm to run.")
-  in
-  let n = Arg.(value & opt int 5 & info [ "n" ] ~doc:"Number of processes.") in
-  let m = Arg.(value & opt int 1 & info [ "m" ] ~doc:"Obstruction bound.") in
-  let k = Arg.(value & opt int 2 & info [ "k" ] ~doc:"Agreement bound.") in
-  let impl =
-    Arg.(value & opt impl_conv `Atomic & info [ "impl" ] ~doc:"Snapshot implementation.")
-  in
-  let sched =
-    Arg.(
-      value & opt string "quantum:300"
-      & info [ "sched"; "s" ]
-          ~doc:
-            "Scheduler (single-run mode): round-robin | quantum[:Q] | random[:SEED] | \
-             solo:P | m-bounded:SEED[:M].")
-  in
-  let rounds =
-    Arg.(value & opt int 3 & info [ "rounds"; "r" ] ~doc:"Instances (repeated).")
-  in
-  let registers =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "registers" ] ~docv:"R" ~doc:"Override the register budget.")
-  in
-  let explore =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "explore" ] ~docv:"ENGINE:DEPTH"
-          ~doc:
-            "Trace a model-checking exploration instead of a single run: naive:DEPTH | \
-             dpor:DEPTH | dpor-nocache:DEPTH.  With --jobs > 1 the trace shows \
-             per-domain worker timelines and steal flows.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~doc:"Worker domains for --explore dpor (default 1).")
-  in
-  let max_steps =
-    Arg.(value & opt int 500_000 & info [ "max-steps" ] ~doc:"Step budget (single run).")
-  in
   let sets =
     Arg.(
       value & flag
@@ -445,9 +222,7 @@ let trace_cmd =
          "Record a causal trace — spans, register-coverage timeline, per-domain DPOR \
           worker timelines with steal flows — and export Chrome trace-event JSON \
           loadable in Perfetto.")
-    Term.(
-      const trace_main $ memory_backend_arg $ algo $ n $ m $ k $ impl $ sched $ rounds
-      $ registers $ explore $ jobs $ max_steps $ sets $ out $ jsonl_out $ stats)
+    Term.(const trace_main $ Cli.run ~shrink:false $ sets $ out $ jsonl_out $ stats)
 
 (* ------------------------------------------------------------------ *)
 (* The `analyze` subcommand: static protocol analyzer (lib/analyze).   *)
@@ -464,8 +239,8 @@ let print_diags ~witness diags =
 
 let analyze_mutants ~witness ~params =
   Fmt.pr "--- mutants (must be rejected) ---@.";
-  List.fold_left
-    (fun ok (mu : Analyze.Mutants.mutant) ->
+  List.map
+    (fun (mu : Analyze.Mutants.mutant) ->
       let summary, diags = Analyze.Mutants.check mu params in
       let rejected = Analyze.Mutants.rejected mu params in
       let static = Analyze.Absint.IntSet.cardinal summary.Analyze.Absint.writes in
@@ -487,17 +262,12 @@ let analyze_mutants ~witness ~params =
          | Some _ -> Fmt.pr "  witness available (re-run with --witness)@."
          | None -> ());
       print_diags ~witness (Analyze.Lint.errors diags);
-      ok && rejected)
-    true Analyze.Mutants.all
+      (mu, rejected))
+    Analyze.Mutants.all
 
 (* The dataflow engine is versioned with the protocol grammar it
    consumes, so SARIF logs and corpus caches key on the same string. *)
 let analyzer_version = Fuzz.Gen.version
-
-let write_text path s =
-  let oc = open_out path in
-  output_string oc s;
-  close_out oc
 
 (* --protocol execution: run or model-check the protocol under the
    selected engine (free-monad interpreter or bytecode vm); both see
@@ -509,9 +279,7 @@ let run_protocol ~engine prog =
   Fmt.pr "@.run (%s engine): %d steps, %s; %d register(s) written {%a}@."
     (Agreement.Runner.engine_name engine)
     r.Agreement.Runner.steps
-    (match r.Agreement.Runner.stopped with
-    | Shm.Exec.All_quiescent -> "quiescent"
-    | Shm.Exec.Fuel_exhausted -> "fuel exhausted")
+    (stopped_name r.Agreement.Runner.stopped)
     (List.length r.Agreement.Runner.written)
     Fmt.(list ~sep:comma int)
     r.Agreement.Runner.written;
@@ -545,9 +313,7 @@ let analyze_protocol ~ir ~indep ~optimize ~witness ~sarif_path ~json_path
   let prog =
     match Analyze.Ir.parse s with
     | Ok p -> p
-    | Error msg ->
-      Fmt.epr "protocol parse error: %s@." msg;
-      exit 2
+    | Error msg -> Cli.usage_error "protocol parse error: %s" msg
   in
   let artifact = "protocol:" ^ Analyze.Ir.to_string prog in
   let d = Analyze.Dataflow.analyze prog in
@@ -570,56 +336,27 @@ let analyze_protocol ~ir ~indep ~optimize ~witness ~sarif_path ~json_path
   (match sarif_path with
   | None -> ()
   | Some path ->
-    write_text path
+    Cli.write_file "--sarif" path
       (Analyze.Sarif.to_string ~tool_version:analyzer_version
          (List.map (fun dg -> (artifact, dg)) flow_diags));
     Fmt.pr "wrote %s@." path);
   (match json_path with
   | None -> ()
   | Some path ->
-    let row =
-      Obs.Json.Obj
-        ([
-           ("kind", Obs.Json.String "protocol");
-           ("protocol", Obs.Json.String (Analyze.Ir.to_string prog));
-           ("registers", Obs.Json.Int prog.Analyze.Ir.registers);
-           ("n", Obs.Json.Int prog.Analyze.Ir.n);
-           ("widened", Obs.Json.Bool facts.Analyze.Indep.widened);
-           ( "const_regs",
-             Obs.Json.Arr
-               (List.map
-                  (fun (r, _) -> Obs.Json.Int r)
-                  facts.Analyze.Indep.const_regs) );
-           ( "dead_regs",
-             Obs.Json.Arr
-               (List.map (fun r -> Obs.Json.Int r) facts.Analyze.Indep.dead_regs)
-           );
-           ("flow_diags", Obs.Json.Int (List.length flow_diags));
-         ]
-        @
-        match opt with
-        | None -> []
-        | Some r ->
-          [
-            ("optimized", Obs.Json.String (Analyze.Ir.to_string r.Analyze.Optim.optimized));
-            ("folded", Obs.Json.Int r.Analyze.Optim.folded);
-            ("dropped", Obs.Json.Int r.Analyze.Optim.dropped);
-          ])
-    in
-    Obs.Bench_out.write ~experiment:"analyze-protocol" ~path [ row ];
+    Cli.with_path "--json" (fun () ->
+        Obs.Bench_out.write ~experiment:"analyze-protocol" ~path
+          [ Analyze.Report.protocol_row prog facts ~flow_diags:(List.length flow_diags) opt ]);
     Fmt.pr "wrote %s@." path);
   if run then run_protocol ~engine prog;
   Option.iter (fun depth -> explore_protocol ~engine ~depth prog) explore_depth
 
-let analyze backend algos all n m k max_n mutants json_path witness no_dynamic
-    protocol ir indep optimize sarif_path engine_s run explore_depth =
-  set_memory_backend backend;
+let analyze () algos all p max_n mutants json_path witness no_dynamic protocol ir
+    indep optimize sarif_path engine_s run explore_depth =
+  Option.iter (Cli.check_output "--json") json_path;
+  Option.iter (Cli.check_output "--sarif") sarif_path;
   let engine =
-    match Agreement.Runner.engine_of_string engine_s with
-    | Some e -> e
-    | None ->
-      Fmt.epr "unknown engine %S; valid: interp | vm@." engine_s;
-      exit 2
+    Cli.lookup "engine" Agreement.Runner.engine_of_string engine_s
+      ~valid:[ "interp"; "vm" ]
   in
   (match protocol with
   | Some s ->
@@ -627,48 +364,35 @@ let analyze backend algos all n m k max_n mutants json_path witness no_dynamic
       ~engine ~run ~explore_depth s;
     exit 0
   | None ->
-    if optimize then begin
-      Fmt.epr "--optimize rewrites first-order protocols; pass one with --protocol@.";
-      exit 2
-    end;
-    if run || explore_depth <> None then begin
-      Fmt.epr "--run/--explore-depth execute first-order protocols; pass one \
-               with --protocol@.";
-      exit 2
-    end);
-  let algos = match algos with [] -> None | l -> Some l in
-  (match algos with
-  | Some l ->
-    List.iter
-      (fun a ->
-        if Analyze.Registry.find a = None then begin
-          Fmt.epr "unknown algorithm %S; known: %s@." a
-            (String.concat " | " Analyze.Registry.names);
-          exit 2
-        end)
-      l
-  | None -> ());
+    if optimize then
+      Cli.usage_error "--optimize rewrites first-order protocols; pass one with --protocol";
+    if run || explore_depth <> None then
+      Cli.usage_error
+        "--run/--explore-depth execute first-order protocols; pass one with --protocol");
+  List.iter
+    (fun a -> ignore (Cli.lookup "algorithm" Analyze.Registry.find a ~valid:Analyze.Registry.names))
+    algos;
+  (* the registry entries of single-triple mode *)
+  let selected =
+    List.filter
+      (fun (e : Analyze.Registry.entry) ->
+        (algos = [] || List.mem e.name algos) && e.applicable p)
+      Analyze.Registry.all
+  in
   let dynamic = not no_dynamic in
   let rows =
-    if all then Analyze.Report.sweep ~dynamic ~max_n ?algos ()
-    else
-      let p = Agreement.Params.make ~n ~m ~k in
-      Analyze.Registry.all
-      |> List.filter (fun (e : Analyze.Registry.entry) ->
-             (match algos with None -> true | Some l -> List.mem e.name l)
-             && e.applicable p)
-      |> List.map (fun e -> Analyze.Report.row_for ~dynamic e p)
+    if all then
+      Analyze.Report.sweep ~dynamic ~max_n
+        ?algos:(if algos = [] then None else Some algos)
+        ()
+    else List.map (fun e -> Analyze.Report.row_for ~dynamic e p) selected
   in
   Fmt.pr "%a@." Analyze.Report.pp_header ();
   List.iter (fun r -> Fmt.pr "%a@." Analyze.Report.pp_row r) rows;
   (* with --witness in single-triple mode, show the discovered path to
      every register in each algorithm's static footprint *)
-  if witness && not all then begin
-    let p = Agreement.Params.make ~n ~m ~k in
-    Analyze.Registry.all
-    |> List.filter (fun (e : Analyze.Registry.entry) ->
-           (match algos with None -> true | Some l -> List.mem e.name l)
-           && e.applicable p)
+  if witness && not all then
+    selected
     |> List.iter (fun (e : Analyze.Registry.entry) ->
            let summary =
              Analyze.Absint.analyze ~rounds:e.Analyze.Registry.rounds
@@ -683,33 +407,22 @@ let analyze backend algos all n m k max_n mutants json_path witness no_dynamic
                    (Fmt.list ~sep:(Fmt.any "@.      ") Fmt.string)
                    w
                | None -> ())
-             summary.Analyze.Absint.writes)
-  end;
-  let selected p =
-    Analyze.Registry.all
-    |> List.filter (fun (e : Analyze.Registry.entry) ->
-           (match algos with None -> true | Some l -> List.mem e.name l)
-           && e.applicable p)
-  in
-  if ir && not all then begin
-    let p = Agreement.Params.make ~n ~m ~k in
-    selected p
+             summary.Analyze.Absint.writes);
+  if ir && not all then
+    selected
     |> List.iter (fun (e : Analyze.Registry.entry) ->
            let lowered =
              Analyze.Ir.lower ~rounds:e.Analyze.Registry.rounds
                (e.Analyze.Registry.config p)
            in
            Fmt.pr "@.%s lowered IR:@." e.Analyze.Registry.name;
-           Array.iter (fun l -> Fmt.pr "%a@." Analyze.Ir.pp_lowered l) lowered)
-  end;
-  if indep && not all then begin
-    let p = Agreement.Params.make ~n ~m ~k in
-    selected p
+           Array.iter (fun l -> Fmt.pr "%a@." Analyze.Ir.pp_lowered l) lowered);
+  if indep && not all then
+    selected
     |> List.iter (fun (e : Analyze.Registry.entry) ->
            Fmt.pr "@.%s independence facts: %a@." e.Analyze.Registry.name
              Analyze.Indep.pp_facts
-             (Analyze.Indep.of_config (e.Analyze.Registry.config p)))
-  end;
+             (Analyze.Indep.of_config (e.Analyze.Registry.config p)));
   (match sarif_path with
   | None -> ()
   | Some path ->
@@ -721,7 +434,7 @@ let analyze backend algos all n m k max_n mutants json_path witness no_dynamic
             r.Analyze.Report.diags)
         rows
     in
-    write_text path
+    Cli.write_file "--sarif" path
       (Analyze.Sarif.to_string ~tool_version:analyzer_version results);
     Fmt.pr "wrote %s (%d results)@." path (List.length results));
   let bad = Analyze.Report.violations rows in
@@ -735,42 +448,15 @@ let analyze backend algos all n m k max_n mutants json_path witness no_dynamic
         r.Analyze.Report.dynamic_within_static;
       print_diags ~witness (Analyze.Lint.errors r.Analyze.Report.diags))
     bad;
-  let mutants_ok =
-    if mutants then
-      analyze_mutants ~witness ~params:(Agreement.Params.make ~n ~m ~k)
-    else true
-  in
-  (match json_path with
-  | None -> ()
-  | Some path ->
-    let mutant_rows =
-      if mutants then
-        List.map
-          (fun (mu : Analyze.Mutants.mutant) ->
-            let p = Agreement.Params.make ~n ~m ~k in
-            Obs.Json.Obj
-              [
-                ("kind", Obs.Json.String "mutant");
-                ("algo", Obs.Json.String mu.Analyze.Mutants.name);
-                ("n", Obs.Json.Int p.Agreement.Params.n);
-                ("m", Obs.Json.Int p.Agreement.Params.m);
-                ("k", Obs.Json.Int p.Agreement.Params.k);
-                ("rejected", Obs.Json.Bool (Analyze.Mutants.rejected mu p));
-              ])
-          Analyze.Mutants.all
-      else []
-    in
-    let sweep_rows =
-      List.map
-        (fun r ->
-          match Analyze.Report.row_to_json r with
-          | Obs.Json.Obj fields ->
-            Obs.Json.Obj (("kind", Obs.Json.String "sweep") :: fields)
-          | j -> j)
-        rows
-    in
-    Obs.Bench_out.write ~experiment:"analyze" ~path (sweep_rows @ mutant_rows);
-    Fmt.pr "wrote %s@." path);
+  let verdicts = if mutants then analyze_mutants ~witness ~params:p else [] in
+  let mutants_ok = List.for_all snd verdicts in
+  Option.iter
+    (fun path ->
+      Cli.with_path "--json" (fun () ->
+          Obs.Bench_out.write ~experiment:"analyze" ~path
+            (Analyze.Report.bench_rows rows ~p verdicts));
+      Fmt.pr "wrote %s@." path)
+    json_path;
   Fmt.pr "@.%d rows, %d violations%s@." (List.length rows) (List.length bad)
     (if mutants then
        Fmt.str ", mutants %s" (if mutants_ok then "all rejected" else "NOT all rejected")
@@ -792,9 +478,6 @@ let analyze_cmd =
           ~doc:"Sweep the whole parameter grid (n <= $(b,--max-n), 1 <= m <= k \
                 < n) instead of one triple.")
   in
-  let n = Arg.(value & opt int 4 & info [ "n" ] ~doc:"Number of processes.") in
-  let m = Arg.(value & opt int 1 & info [ "m" ] ~doc:"Obstruction bound.") in
-  let k = Arg.(value & opt int 2 & info [ "k" ] ~doc:"Agreement bound.") in
   let max_n =
     Arg.(value & opt int 6 & info [ "max-n" ] ~doc:"Grid limit for --all.")
   in
@@ -904,22 +587,18 @@ let analyze_cmd =
           liveness, value sets) on a first-order protocol instead.  Exits 1 \
           on any violation.")
     Term.(
-      const analyze $ memory_backend_arg $ algos $ all $ n $ m $ k $ max_n $ mutants
+      const analyze $ Cli.memory_backend $ algos $ all $ Cli.nmk ~n:4 ~m:1 ~k:2 () $ max_n
+      $ mutants
       $ json_path $ witness $ no_dynamic $ protocol $ ir $ indep $ optimize
       $ sarif_path $ engine $ run $ explore_depth)
 
 (* ------------------------------------------------------------------ *)
 (* The `conform` subcommand: native conformance harness (lib/conform). *)
 
-let conform obj domains components ops chaos seed iters mutant m k stats =
+let conform obj (domains, m, k) components ops chaos seed iters mutant stats =
   let profile =
-    match Conform.Chaos.profile_of_string chaos with
-    | Some p -> p
-    | None ->
-      Fmt.epr "unknown chaos profile %S; valid: %s@." chaos
-        (String.concat " | "
-           (List.map Conform.Chaos.profile_name Conform.Chaos.all_profiles));
-      exit 2
+    Cli.lookup "chaos profile" Conform.Chaos.profile_of_string chaos
+      ~valid:(List.map Conform.Chaos.profile_name Conform.Chaos.all_profiles)
   in
   let metrics = Obs.Metrics.create () in
   let finish code =
@@ -931,13 +610,9 @@ let conform obj domains components ops chaos seed iters mutant m k stats =
     let sut =
       match mutant with
       | None -> Conform.Sut.real
-      | Some name -> (
-        match Conform.Sut.by_name name with
-        | Some s -> s
-        | None ->
-          Fmt.epr "unknown implementation %S; valid: %s@." name
-            (String.concat " | " (List.map (fun s -> s.Conform.Sut.name) Conform.Sut.all));
-          exit 2)
+      | Some name ->
+        Cli.lookup "implementation" Conform.Sut.by_name name
+          ~valid:(List.map (fun s -> s.Conform.Sut.name) Conform.Sut.all)
     in
     let cfg = { Conform.Harness.domains; components; ops; profile; seed; iters } in
     Fmt.pr "object: snapshot (%s), %d domains x %d ops, %d components, chaos %s, seed %d, \
@@ -962,11 +637,8 @@ let conform obj domains components ops chaos seed iters mutant m k stats =
         v.Conform.Harness.iter_seed;
       finish 1)
   | `Agreement -> (
-    if mutant <> None then begin
-      Fmt.epr "--mutant applies to --object snapshot only@.";
-      exit 2
-    end;
-    let params = Agreement.Params.make ~n:domains ~m ~k in
+    if mutant <> None then Cli.usage_error "--mutant applies to --object snapshot only";
+    let params = Cli.params ~n:domains ~m ~k in
     Fmt.pr "object: agreement (Fig. 3 native, %s), chaos %s, seed %d, %d instances@."
       (Agreement.Params.to_string params)
       (Conform.Chaos.profile_name profile)
@@ -985,9 +657,6 @@ let conform_cmd =
       value
       & opt (enum [ ("snapshot", `Snapshot); ("agreement", `Agreement) ]) `Snapshot
       & info [ "object" ] ~doc:"Object to audit: snapshot | agreement.")
-  in
-  let domains =
-    Arg.(value & opt int 4 & info [ "domains" ] ~doc:"OCaml domains (= processes).")
   in
   let components =
     Arg.(value & opt int 4 & info [ "components" ] ~doc:"Snapshot components.")
@@ -1014,8 +683,6 @@ let conform_cmd =
             "Audit a deliberately broken snapshot instead of the real one: \
              single-collect | torn-update.  The harness must reject it.")
   in
-  let m = Arg.(value & opt int 1 & info [ "m" ] ~doc:"Obstruction bound (agreement).") in
-  let k = Arg.(value & opt int 2 & info [ "k" ] ~doc:"Agreement bound (agreement).") in
   let stats =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print the conform.* metrics registry.")
   in
@@ -1026,37 +693,28 @@ let conform_cmd =
           linearizability (chaos injection, crash-pending completion), shrink failures \
           to 1-minimal witnesses")
     Term.(
-      const conform $ obj $ domains $ components $ ops $ chaos $ seed $ iters $ mutant
-      $ m $ k $ stats)
+      const conform $ obj
+      $ Cli.nmk_args ~n_names:[ "domains" ] ~n_doc:"OCaml domains (= processes)."
+          ~scope:" (agreement)" ~n:4 ~m:1 ~k:2 ()
+      $ components $ ops $ chaos $ seed $ iters $ mutant $ stats)
 
 (* ------------------------------------------------------------------ *)
 (* The `serve` subcommand: sharded batched serving layer (lib/service). *)
 
-let serve backend shards clients ops keys theta seed app_name batch window n
-    m k trace_out stats =
-  set_memory_backend backend;
-  let usage_error msg =
-    Fmt.epr "%s@." msg;
-    exit 2
-  in
+let serve () shards clients ops keys theta seed app_name batch window params
+    trace_out stats =
+  let { Agreement.Params.n; m; k } = params in
+  Option.iter (Cli.check_output "--trace-out") trace_out;
   let app =
-    match Service.App.by_name app_name with
-    | Some app -> app
-    | None ->
-      usage_error
-        (Fmt.str "unknown app %S; valid: %s" app_name
-           (String.concat " | "
-              (List.map (fun a -> a.Service.App.name) Service.App.all)))
+    Cli.lookup "app" Service.App.by_name app_name
+      ~valid:(List.map (fun a -> a.Service.App.name) Service.App.all)
   in
-  let params =
-    try Agreement.Params.make ~n ~m ~k with Invalid_argument msg -> usage_error msg
-  in
-  if shards <= 0 then usage_error "--shards must be positive";
-  if batch <= 0 then usage_error "--batch must be positive";
+  if shards <= 0 then Cli.usage_error "--shards must be positive";
+  if batch <= 0 then Cli.usage_error "--batch must be positive";
   if window < batch then
-    usage_error (Fmt.str "--window (%d) must be at least --batch (%d)" window batch);
-  if clients <= 0 then usage_error "--clients must be positive";
-  if ops < 0 then usage_error "--ops must be non-negative";
+    Cli.usage_error "--window (%d) must be at least --batch (%d)" window batch;
+  if clients <= 0 then Cli.usage_error "--clients must be positive";
+  if ops < 0 then Cli.usage_error "--ops must be non-negative";
   let server = Service.Server.create ~batch_max:batch ~window ~app ~shards params in
   let cfg =
     { Service.Loadgen.clients; ops_per_client = ops; keys; theta; seed }
@@ -1094,10 +752,7 @@ let serve backend shards clients ops keys theta seed app_name batch window n
       (Service.Server.stats server);
   (match (trace_out, tr) with
   | Some out, Some tr ->
-    (try Obs.Chrome_trace.save out tr
-     with Sys_error e ->
-       Fmt.epr "--trace-out: %s@." e;
-       exit 2);
+    Cli.with_path "--trace-out" (fun () -> Obs.Chrome_trace.save out tr);
     Fmt.pr "chrome trace written to %s (open in https://ui.perfetto.dev)@." out
   | _ -> ());
   match Service.Server.verdict server with
@@ -1141,9 +796,6 @@ let serve_cmd =
       value & opt int 64
       & info [ "window" ] ~doc:"Per-shard in-flight window (backpressure bound).")
   in
-  let n = Arg.(value & opt int 4 & info [ "n" ] ~doc:"Replicas per shard.") in
-  let m = Arg.(value & opt int 1 & info [ "m" ] ~doc:"Obstruction bound.") in
-  let k = Arg.(value & opt int 1 & info [ "k" ] ~doc:"Agreement bound.") in
   let trace_out =
     Arg.(
       value
@@ -1164,63 +816,28 @@ let serve_cmd =
           conformance verdict (validity + k-agreement + linearizability) at the \
           end.  Exits 1 if any shard fails its verdict.")
     Term.(
-      const serve $ memory_backend_arg $ shards $ clients $ ops $ keys
-      $ theta $ seed $ app_arg $ batch $ window $ n $ m $ k $ trace_out $ stats)
+      const serve $ Cli.memory_backend $ shards $ clients $ ops $ keys $ theta $ seed
+      $ app_arg $ batch $ window
+      $ Cli.nmk ~n_doc:"Replicas per shard." ~n:4 ~m:1 ~k:1 ()
+      $ trace_out $ stats)
 
 (* ------------------------------------------------------------------ *)
 (* The `fuzz` subcommand: coverage-guided differential fuzzing of the
    simulator stack (lib/fuzz). *)
 
-(* Corpus files are `credit | program | schedule` lines (see
-   --corpus-out); `#` lines and blanks are comments.  Malformed lines
-   are skipped with a warning rather than failing the campaign — a
-   stale cache from an older generator grammar should degrade, not
-   break, and CI keys the cache on Fuzz.Gen.version anyway. *)
-let read_corpus path =
-  let ic = open_in path in
-  let seeds = ref [] in
-  let lineno = ref 0 in
-  (try
-     while true do
-       let line = String.trim (input_line ic) in
-       incr lineno;
-       if line <> "" && line.[0] <> '#' then
-         match String.split_on_char '|' line with
-         | [ _credit; prog_s; sched_s ] -> (
-           match
-             ( Fuzz.Gen.parse (String.trim prog_s),
-               Fuzz.Gen.schedule_of_string (String.trim sched_s) )
-           with
-           | Ok p, Ok s -> seeds := (p, s) :: !seeds
-           | Error msg, _ | _, Error msg ->
-             Fmt.epr "%s:%d: skipping corpus line (%s)@." path !lineno msg)
-         | _ ->
-           Fmt.epr "%s:%d: skipping malformed corpus line@." path !lineno
-     done
-   with End_of_file -> close_in ic);
-  List.rev !seeds
-
-let fuzz_one ~budget ~seed ~corpus_in ~corpus_out oracle =
-  let replay =
-    match corpus_in with
-    | None -> []
-    | Some path ->
-      let seeds = read_corpus path in
-      Fmt.pr "replaying %d corpus seed(s) from %s@." (List.length seeds) path;
-      seeds
-  in
+let fuzz_one ~budget ~seed ~replay ~corpus_out oracle =
+  Option.iter
+    (fun (path, seeds) ->
+      Fmt.pr "replaying %d corpus seed(s) from %s@." (List.length seeds) path)
+    replay;
+  let replay = match replay with Some (_, seeds) -> seeds | None -> [] in
   let outcome = Fuzz.Driver.run ~replay ~oracle ~budget ~seed () in
   Fmt.pr "%a@." Fuzz.Driver.pp_stats outcome.Fuzz.Driver.stats;
   Option.iter
     (fun path ->
-      let oc = open_out path in
-      List.iter
-        (fun (e : Fuzz.Corpus.entry) ->
-          Printf.fprintf oc "%d | %s | %s\n" e.Fuzz.Corpus.credit
-            (Fuzz.Gen.to_string e.Fuzz.Corpus.program)
-            (Fuzz.Gen.schedule_to_string e.Fuzz.Corpus.schedule))
-        outcome.Fuzz.Driver.corpus;
-      close_out oc;
+      (match Fuzz.Corpus.save path outcome.Fuzz.Driver.corpus with
+      | Ok () -> ()
+      | Error e -> Cli.usage_error "--corpus-out: %s" e);
       Fmt.pr "corpus (%d entries) written to %s@."
         (List.length outcome.Fuzz.Driver.corpus)
         path)
@@ -1232,6 +849,15 @@ let fuzz_one ~budget ~seed ~corpus_in ~corpus_out oracle =
     false
 
 let fuzz oracle_s budget seed corpus_in corpus_out mutants =
+  Option.iter (Cli.check_output "--corpus-out") corpus_out;
+  let replay =
+    Option.map
+      (fun path ->
+        match Fuzz.Corpus.load path with
+        | Ok seeds -> (path, seeds)
+        | Error e -> Cli.usage_error "--corpus-in: %s" e)
+      corpus_in
+  in
   if mutants then begin
     let results = Fuzz.Oracle.mutant_sweep ~budget ~seed in
     let ok =
@@ -1248,16 +874,12 @@ let fuzz oracle_s budget seed corpus_in corpus_out mutants =
   let oracles =
     if String.lowercase_ascii oracle_s = "all" then Fuzz.Oracle.all
     else
-      match Fuzz.Oracle.of_string oracle_s with
-      | Some o -> [ o ]
-      | None ->
-        Fmt.epr "unknown oracle %S; valid: all %s@." oracle_s
-          (String.concat " " (List.map Fuzz.Oracle.name Fuzz.Oracle.all));
-        exit 2
+      [ Cli.lookup "oracle" Fuzz.Oracle.of_string oracle_s
+          ~valid:("all" :: List.map Fuzz.Oracle.name Fuzz.Oracle.all) ]
   in
   let ok =
     List.fold_left
-      (fun ok o -> fuzz_one ~budget ~seed ~corpus_in ~corpus_out o && ok)
+      (fun ok o -> fuzz_one ~budget ~seed ~replay ~corpus_out o && ok)
       true oracles
   in
   exit (if ok then 0 else 1)
@@ -1321,24 +943,6 @@ let fuzz_cmd =
     Term.(const fuzz $ oracle $ budget $ seed $ corpus_in $ corpus_out $ mutants)
 
 let cmd =
-  let algo =
-    Arg.(value & opt algo_conv One_shot & info [ "algo"; "a" ] ~doc:"Algorithm to run.")
-  in
-  let n = Arg.(value & opt int 5 & info [ "n" ] ~doc:"Number of processes.") in
-  let m = Arg.(value & opt int 1 & info [ "m" ] ~doc:"Obstruction bound.") in
-  let k = Arg.(value & opt int 2 & info [ "k" ] ~doc:"Agreement bound.") in
-  let impl =
-    Arg.(value & opt impl_conv `Atomic & info [ "impl" ] ~doc:"Snapshot implementation.")
-  in
-  let sched =
-    Arg.(
-      value & opt string "quantum:300"
-      & info [ "sched"; "s" ]
-          ~doc:
-            "Scheduler: round-robin | quantum[:Q] | random[:SEED] | solo:P | \
-             m-bounded:SEED[:M].")
-  in
-  let rounds = Arg.(value & opt int 3 & info [ "rounds"; "r" ] ~doc:"Instances (repeated).") in
   let trace = Arg.(value & flag & info [ "trace"; "t" ] ~doc:"Print the full trace.") in
   let diagram =
     Arg.(value & flag & info [ "diagram"; "d" ] ~doc:"Print a space-time diagram.")
@@ -1353,46 +957,8 @@ let cmd =
       & info [ "trace-out" ] ~docv:"FILE"
           ~doc:"Stream the event trace to $(docv) as JSONL, one event per line.")
   in
-  let max_steps =
-    Arg.(value & opt int 500_000 & info [ "max-steps" ] ~doc:"Step budget.")
-  in
-  let registers =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "registers" ] ~docv:"R"
-          ~doc:
-            "Override the register budget (components) of the instance.  Fewer than \
-             n+2m-k voids the correctness argument — that is the point: combine with \
-             --explore to exhibit violations of register-starved instances.")
-  in
-  let explore =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "explore" ] ~docv:"ENGINE:DEPTH"
-          ~doc:
-            "Model-check over all schedules up to DEPTH instead of running one \
-             schedule: naive:DEPTH | dpor:DEPTH | dpor-nocache:DEPTH.  Exits 1 on a \
-             violation.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~doc:"Worker domains for --explore dpor (default 1).")
-  in
-  let shrink =
-    Arg.(
-      value & flag
-      & info [ "shrink" ]
-          ~doc:"Minimize the counterexample schedule found by --explore before printing.")
-  in
   Cmd.group
-    ~default:
-      Term.(
-        const run $ memory_backend_arg $ algo $ n $ m $ k $ impl $ sched $ rounds
-        $ trace $ diagram $ stats $ trace_out $ max_steps $ registers $ explore $ jobs
-        $ shrink)
+    ~default:Term.(const run $ Cli.run ~shrink:true $ trace $ diagram $ stats $ trace_out)
     (Cmd.info "sa_run"
        ~doc:
          "Run m-obstruction-free k-set agreement in the simulator, or audit the native \

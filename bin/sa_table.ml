@@ -33,7 +33,7 @@ let print_table n =
     "anon rep. [lo,up]" "meas.rep" "meas.anon";
   for k = 1 to n - 1 do
     for m = 1 to k do
-      let p = Agreement.Params.make ~n ~m ~k in
+      let p = Cli.params ~n ~m ~k in
       let lo = Agreement.Params.registers_lower p in
       let up = Agreement.Params.registers_upper p in
       let alo = Agreement.Params.anon_lower_bound p in

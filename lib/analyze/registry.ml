@@ -89,27 +89,22 @@ let names = List.map (fun e -> e.name) all
 
 let find name = List.find_opt (fun e -> String.equal e.name name) all
 
+module Written = Set.Make (Int)
+
 let measure_dynamic e p =
   let config = e.config p in
-  let n = Shm.Config.n config in
-  let registers = Shm.Memory.size (Shm.Config.mem config) in
-  let stats = Obs.Stats.create ~n ~registers () in
   let inputs ~pid ~instance =
     if instance <= e.rounds then
       Some (Agreement.Runner.default_input ~pid ~instance)
     else None
   in
-  let _ =
-    Shm.Exec.run
-      ~sink:(Obs.Stats.sink stats)
-      ~max_steps:400_000
-      ~sched:(Shm.Schedule.round_robin n)
+  let result =
+    Shm.Exec.run ~max_steps:400_000
+      ~sched:(Shm.Schedule.round_robin (Shm.Config.n config))
       ~inputs config
   in
-  let a = Obs.Stats.to_analysis stats in
-  Array.to_seqi a.Shm.Analysis.writes_per_register
-  |> Seq.filter_map (fun (r, w) -> if w > 0 then Some r else None)
-  |> Absint.IntSet.of_seq
+  Shm.Memory.written_set (Shm.Config.mem result.Shm.Exec.config)
+  |> Written.to_seq |> Absint.IntSet.of_seq
 
 let grid ~max_n =
   let ps = ref [] in

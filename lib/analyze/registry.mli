@@ -26,8 +26,8 @@ val names : string list
 val find : string -> entry option
 
 (** Registers actually written by a concrete run of the entry under a
-    round-robin schedule with default inputs, observed through an
-    {!Obs.Stats} sink — the dynamic measure the static footprint must
+    round-robin schedule with default inputs (the written set of the
+    final memory) — the dynamic measure the static footprint must
     contain. *)
 val measure_dynamic : entry -> Agreement.Params.t -> Absint.IntSet.t
 

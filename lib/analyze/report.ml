@@ -81,34 +81,74 @@ let diag_to_json (d : Lint.diag) =
         Obs.Json.Arr (List.map (fun s -> Obs.Json.String s) d.witness) );
     ]
 
-let row_to_json r =
+let row_fields r =
   let { Agreement.Params.n; m; k } = r.params in
+  [
+    ("algo", Obs.Json.String r.algo);
+    ("n", Obs.Json.Int n);
+    ("m", Obs.Json.Int m);
+    ("k", Obs.Json.Int k);
+    ("registers", Obs.Json.Int r.registers);
+    ("bound", Obs.Json.Int r.bound);
+    ("bound_label", Obs.Json.String r.bound_label);
+    ("static_writes", Obs.Json.Int r.static_writes);
+    ("static_reads", Obs.Json.Int r.static_reads);
+    ("dynamic_writes", Obs.Json.Int r.dynamic_writes);
+    ("static_within_bound", Obs.Json.Bool r.static_within_bound);
+    ("dynamic_within_static", Obs.Json.Bool r.dynamic_within_static);
+    ("lint_errors", Obs.Json.Int r.lint_errors);
+    ("converged", Obs.Json.Bool r.converged);
+    ("widened", Obs.Json.Bool r.widened);
+    ("passes", Obs.Json.Int r.passes);
+    ("steps", Obs.Json.Int r.steps);
+    ("ok", Obs.Json.Bool r.ok);
+    ( "diags",
+      Obs.Json.Arr
+        (List.map diag_to_json
+           (List.filter (fun (d : Lint.diag) -> d.severity <> Lint.Info)
+              r.diags)) );
+  ]
+
+let row_to_json r = Obs.Json.Obj (row_fields r)
+
+let bench_rows rows ~p mutants =
+  let { Agreement.Params.n; m; k } = p in
+  List.map (fun r -> Obs.Json.Obj (("kind", Obs.Json.String "sweep") :: row_fields r)) rows
+  @ List.map
+      (fun ((mu : Mutants.mutant), rejected) ->
+        Obs.Json.Obj
+          [
+            ("kind", Obs.Json.String "mutant");
+            ("algo", Obs.Json.String mu.name);
+            ("n", Obs.Json.Int n);
+            ("m", Obs.Json.Int m);
+            ("k", Obs.Json.Int k);
+            ("rejected", Obs.Json.Bool rejected);
+          ])
+      mutants
+
+let protocol_row (prog : Ir.prog) (facts : Indep.facts) ~flow_diags opt =
+  let ints l = Obs.Json.Arr (List.map (fun r -> Obs.Json.Int r) l) in
   Obs.Json.Obj
-    [
-      ("algo", Obs.Json.String r.algo);
-      ("n", Obs.Json.Int n);
-      ("m", Obs.Json.Int m);
-      ("k", Obs.Json.Int k);
-      ("registers", Obs.Json.Int r.registers);
-      ("bound", Obs.Json.Int r.bound);
-      ("bound_label", Obs.Json.String r.bound_label);
-      ("static_writes", Obs.Json.Int r.static_writes);
-      ("static_reads", Obs.Json.Int r.static_reads);
-      ("dynamic_writes", Obs.Json.Int r.dynamic_writes);
-      ("static_within_bound", Obs.Json.Bool r.static_within_bound);
-      ("dynamic_within_static", Obs.Json.Bool r.dynamic_within_static);
-      ("lint_errors", Obs.Json.Int r.lint_errors);
-      ("converged", Obs.Json.Bool r.converged);
-      ("widened", Obs.Json.Bool r.widened);
-      ("passes", Obs.Json.Int r.passes);
-      ("steps", Obs.Json.Int r.steps);
-      ("ok", Obs.Json.Bool r.ok);
-      ( "diags",
-        Obs.Json.Arr
-          (List.map diag_to_json
-             (List.filter (fun (d : Lint.diag) -> d.severity <> Lint.Info)
-                r.diags)) );
-    ]
+    ([
+       ("kind", Obs.Json.String "protocol");
+       ("protocol", Obs.Json.String (Ir.to_string prog));
+       ("registers", Obs.Json.Int prog.registers);
+       ("n", Obs.Json.Int prog.n);
+       ("widened", Obs.Json.Bool facts.widened);
+       ("const_regs", ints (List.map fst facts.const_regs));
+       ("dead_regs", ints facts.dead_regs);
+       ("flow_diags", Obs.Json.Int flow_diags);
+     ]
+    @
+    match opt with
+    | None -> []
+    | Some (r : Optim.result) ->
+      [
+        ("optimized", Obs.Json.String (Ir.to_string r.optimized));
+        ("folded", Obs.Json.Int r.folded);
+        ("dropped", Obs.Json.Int r.dropped);
+      ])
 
 let pp_header ppf () =
   Fmt.pf ppf "%-10s %-12s %4s %6s %7s %7s %5s %s" "algo" "(n,m,k)" "regs"

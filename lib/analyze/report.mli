@@ -3,8 +3,8 @@
 
     One row per (algorithm, parameter triple): the allocated register
     count, the paper bound from {!Bounds.Formulas}, the static write
-    footprint from {!Absint}, the dynamically written registers from an
-    {!Obs.Stats}-observed concrete run, and the lint diagnostics.  The
+    footprint from {!Absint}, the registers a concrete run wrote
+    ({!Registry.measure_dynamic}), and the lint diagnostics.  The
     row is [ok] iff static ≤ bound, dynamic ⊆ static, and no lint
     error fired — three containments that must hold of every honest
     algorithm and that the seeded mutants ({!Mutants}) violate. *)
@@ -51,6 +51,20 @@ val violations : row list -> row list
 (** One row as a [BENCH_analyze.json] row object (diagnostics included
     as structured objects). *)
 val row_to_json : row -> Obs.Json.t
+
+(** The rows of a [BENCH_analyze.json] document, as both [sa_run analyze
+    --json] and [bench table analyze] write it: every sweep row tagged
+    ["kind": "sweep"], then one ["kind": "mutant"] row per
+    [(mutant, rejected)] verdict at [p]. *)
+val bench_rows :
+  row list -> p:Agreement.Params.t -> (Mutants.mutant * bool) list -> Obs.Json.t list
+
+(** The one row of an [analyze-protocol] document ([sa_run analyze
+    --protocol --json]): the protocol, its independence facts, the
+    number of flow diagnostics and, when it was optimized, the
+    rewrite. *)
+val protocol_row :
+  Ir.prog -> Indep.facts -> flow_diags:int -> Optim.result option -> Obs.Json.t
 
 val pp_header : Format.formatter -> unit -> unit
 val pp_row : Format.formatter -> row -> unit

@@ -154,3 +154,39 @@ let record t program schedule ~credit =
   end
 
 let _ = fresh (* selection goes through [next]; kept for symmetry *)
+
+(* ------------------------------------------------------------------ *)
+(* Corpus files: one `credit | program | schedule` line per entry. *)
+
+let save path entries =
+  try
+    Out_channel.with_open_text path (fun oc ->
+        List.iter
+          (fun e ->
+            Printf.fprintf oc "%d | %s | %s\n" e.credit (Gen.to_string e.program)
+              (Gen.schedule_to_string e.schedule))
+          entries);
+    Ok ()
+  with Sys_error e -> Error e
+
+let load ?(warn = prerr_endline) path =
+  match In_channel.with_open_text path In_channel.input_all with
+  | exception Sys_error e -> Error e
+  | text ->
+    let parse_line lineno line =
+      let skip why =
+        warn (Printf.sprintf "%s:%d: skipping %s" path lineno why);
+        None
+      in
+      match String.split_on_char '|' line with
+      | [ _credit; prog; sched ] -> (
+        match (Gen.parse (String.trim prog), Gen.schedule_of_string (String.trim sched)) with
+        | Ok p, Ok s -> Some (p, s)
+        | Error msg, _ | _, Error msg -> skip ("corpus line (" ^ msg ^ ")"))
+      | _ -> skip "malformed corpus line"
+    in
+    String.split_on_char '\n' text
+    |> List.mapi (fun i line -> (i + 1, String.trim line))
+    |> List.filter_map (fun (lineno, line) ->
+           if line = "" || line.[0] = '#' then None else parse_line lineno line)
+    |> Result.ok

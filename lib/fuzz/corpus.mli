@@ -36,6 +36,24 @@ val next : t -> Gen.program * Gen.schedule
     new bits are dropped. *)
 val record : t -> Gen.program -> Gen.schedule -> credit:int -> unit
 
+(** {1 Corpus files}
+
+    One [credit | program | schedule] line per entry, in the {!Gen}
+    text forms; [#] lines and blank lines are comments.  This is how a
+    campaign's corpus persists across runs ([sa_run fuzz --corpus-out],
+    [--corpus-in]). *)
+
+(** Write [entries] to [path]; [Error] carries the system message. *)
+val save : string -> entry list -> (unit, string) result
+
+(** Read the inputs of a corpus file.  A line that does not parse — a
+    stale cache from an older generator grammar, a torn last line — is
+    skipped and reported through [warn] (default: a line on stderr), so
+    a damaged corpus degrades a campaign instead of failing it.
+    [Error] only when the file cannot be read. *)
+val load :
+  ?warn:(string -> unit) -> string -> ((Gen.program * Gen.schedule) list, string) result
+
 (** {1 Mutation operators} (exposed for the closure tests) *)
 
 (** Splice: head of [a] + tail of [b]; registers is the max of the two

@@ -1,7 +1,6 @@
-(* Trace analysis: aggregate statistics over executions.
+(* Execution statistics: aggregates over one run.
 
-   Used by the bench harness (register heat maps, contention metrics)
-   and by tests that assert structural facts about executions — e.g.
+   Printed by `sa_run --stats` and used by tests that assert structural facts about executions — e.g.
    that a solo run touches every component, or that crash survivors
    account for all late steps.
 
@@ -16,6 +15,9 @@ type t = {
   reads_per_register : int array;  (* scans count one read per covered register *)
   invocations : int;
   outputs : int;
+  reads : int;
+  writes : int;
+  scans : int;
   total_steps : int;
 }
 
@@ -27,6 +29,9 @@ type acc = {
   reads : int array;
   mutable a_invocations : int;
   mutable a_outputs : int;
+  mutable a_reads : int;
+  mutable a_writes : int;
+  mutable a_scans : int;
   mutable a_total : int;
 }
 
@@ -41,6 +46,9 @@ let create ~n ~registers =
     reads = Array.make registers 0;
     a_invocations = 0;
     a_outputs = 0;
+    a_reads = 0;
+    a_writes = 0;
+    a_scans = 0;
     a_total = 0;
   }
 
@@ -52,10 +60,13 @@ let feed acc ev =
   | Event.Invoke _ -> acc.a_invocations <- acc.a_invocations + 1
   | Event.Output _ -> acc.a_outputs <- acc.a_outputs + 1
   | Event.Did_write { reg; _ } ->
+    acc.a_writes <- acc.a_writes + 1;
     if reg >= 0 && reg < acc.registers then acc.writes.(reg) <- acc.writes.(reg) + 1
   | Event.Did_read { reg; _ } ->
+    acc.a_reads <- acc.a_reads + 1;
     if reg >= 0 && reg < acc.registers then acc.reads.(reg) <- acc.reads.(reg) + 1
   | Event.Did_scan { off; len; _ } ->
+    acc.a_scans <- acc.a_scans + 1;
     for r = max 0 off to min (off + len) acc.registers - 1 do
       acc.reads.(r) <- acc.reads.(r) + 1
     done
@@ -67,6 +78,9 @@ let snapshot acc =
     reads_per_register = Array.copy acc.reads;
     invocations = acc.a_invocations;
     outputs = acc.a_outputs;
+    reads = acc.a_reads;
+    writes = acc.a_writes;
+    scans = acc.a_scans;
     total_steps = acc.a_total;
   }
 
@@ -96,9 +110,12 @@ let write_skew t =
     let mean = float_of_int total /. float_of_int (List.length written) in
     float_of_int (List.fold_left max 0 written) /. mean
 
-let pp ppf t =
-  Fmt.pf ppf "@[<v>steps/process: %a@,writes/register: %a@,invocations: %d, outputs: %d@]"
+let pp ppf (t : t) =
+  Fmt.pf ppf
+    "@[<v>steps/process: %a@,writes/register: %a@,invocations: %d, outputs: %d@,\
+     reads: %d, writes: %d, scans: %d@,total steps: %d, write skew: %.2f@]"
     Fmt.(array ~sep:(any " ") int)
     t.steps_per_process
     Fmt.(array ~sep:(any " ") int)
-    t.writes_per_register t.invocations t.outputs
+    t.writes_per_register t.invocations t.outputs t.reads t.writes t.scans
+    t.total_steps (write_skew t)

@@ -1,10 +1,11 @@
-(** Trace analysis: aggregate statistics over executions, for the bench
-    harness (register heat maps, contention metrics) and for tests
-    asserting structural facts about executions.
+(** Execution statistics: per-process steps, per-register reads and
+    writes, and event counts by kind — what [sa_run --stats] prints and
+    what tests assert structural facts with.
 
     Aggregation is streaming: an {!acc} folds events one at a time in
     O(n + registers) memory, so it can sit behind an [Exec.run ?sink]
-    observer on multi-million-step schedules. *)
+    observer on multi-million-step schedules, and {!of_trace} is the
+    same fold over a recorded trace. *)
 
 type t = {
   steps_per_process : int array;
@@ -12,7 +13,10 @@ type t = {
   reads_per_register : int array;  (** scans count one read per register *)
   invocations : int;
   outputs : int;
-  total_steps : int;
+  reads : int;  (** read events *)
+  writes : int;  (** write events *)
+  scans : int;  (** scan events *)
+  total_steps : int;  (** every event, i.e. scheduler decisions *)
 }
 
 (** {1 Streaming accumulation} *)

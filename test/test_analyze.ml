@@ -184,6 +184,44 @@ let registry_has_four_entries () =
       | None -> Alcotest.fail ("no bounds cell for " ^ name))
     Analyze.Registry.names
 
+(* Differential: the dynamic measure reads the written set off the
+   final memory; replaying the same run's events through the streaming
+   stats must name exactly the same registers. *)
+let measure_dynamic_matches_event_stream () =
+  List.iter
+    (fun (n, m, k) ->
+      let p = params ~n ~m ~k in
+      List.iter
+        (fun (e : Analyze.Registry.entry) ->
+          if e.applicable p then begin
+            let config = e.config p in
+            let inputs ~pid ~instance =
+              if instance <= e.rounds then
+                Some (Agreement.Runner.default_input ~pid ~instance)
+              else None
+            in
+            let res =
+              Shm.Exec.run ~record:true ~max_steps:400_000
+                ~sched:(Shm.Schedule.round_robin n) ~inputs config
+            in
+            let a =
+              Shm.Analysis.of_trace ~n
+                ~registers:(Shm.Memory.size (Shm.Config.mem config))
+                res.Shm.Exec.trace
+            in
+            let from_events =
+              Array.to_list a.Shm.Analysis.writes_per_register
+              |> List.mapi (fun r w -> if w > 0 then Some r else None)
+              |> List.filter_map Fun.id
+            in
+            Alcotest.(check (list int))
+              (Fmt.str "%s at %s" e.name (Agreement.Params.to_string p))
+              from_events
+              (Analyze.Absint.IntSet.elements (Analyze.Registry.measure_dynamic e p))
+          end)
+        Analyze.Registry.all)
+    [ (4, 1, 2); (5, 2, 3) ]
+
 let sweep_small_grid_green () =
   let rows = Analyze.Report.sweep ~max_n:4 () in
   Alcotest.(check bool) "grid non-trivial" true (List.length rows >= 20);
@@ -646,6 +684,8 @@ let suite =
     test "anonymity: Figure 3 is id-dependent (hence exempt)"
       anonymity_fig3_would_fail;
     test "registry: four entries, bounds bound" registry_has_four_entries;
+    test "registry: dynamic measure = written registers of the event stream"
+      measure_dynamic_matches_event_stream;
     test "sweep: small grid green" sweep_small_grid_green;
     test "sweep: three containments" sweep_checks_three_containments;
     test "mutant: oob write rejected with witness" mutant_oob_rejected_with_witness;

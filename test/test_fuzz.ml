@@ -114,6 +114,58 @@ let corpus_admission seed =
   | [ e ] -> Alcotest.(check int) "credit recorded" 3 e.Fuzz.Corpus.credit
   | es -> Alcotest.failf "expected 1 entry, got %d" (List.length es)
 
+(* ---- corpus files ---- *)
+
+let with_temp_file f =
+  let path = Filename.temp_file "sa_corpus" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let corpus_file_roundtrip seed =
+  let o = Fuzz.Driver.run ~oracle:Fuzz.Oracle.Backend ~budget:40 ~seed () in
+  let corpus = o.Fuzz.Driver.corpus in
+  Alcotest.(check bool) "campaign admitted inputs" true (corpus <> []);
+  with_temp_file (fun path ->
+      (match Fuzz.Corpus.save path corpus with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "save: %s" e);
+      match Fuzz.Corpus.load ~warn:(Alcotest.failf "unexpected warning: %s") path with
+      | Error e -> Alcotest.failf "load: %s" e
+      | Ok seeds ->
+        Alcotest.(check (list string)) "every entry back, in order"
+          (List.map
+             (fun (e : Fuzz.Corpus.entry) ->
+               render (e.Fuzz.Corpus.program, e.Fuzz.Corpus.schedule))
+             corpus)
+          (List.map render seeds))
+
+let corpus_file_errors () =
+  (match Fuzz.Corpus.load "/nonexistent/corpus.txt" with
+  | Ok _ -> Alcotest.fail "loaded a missing file"
+  | Error _ -> ());
+  (match Fuzz.Corpus.save "/nonexistent/corpus.txt" [] with
+  | Ok () -> Alcotest.fail "saved into a missing directory"
+  | Error _ -> ());
+  (* a comment, a malformed line, a line whose program does not parse,
+     one good entry, and a last line torn mid-write (no newline) *)
+  let good = "2 | r2 n2 : W0<-in; R0; D last | 0 1 0 1" in
+  with_temp_file (fun path ->
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc
+            ("# corpus\nnot a corpus line\n1 | r2 n2 : Q9 | 0 1\n" ^ good
+           ^ "\n3 | r2 n2 : W0<-in; R"));
+      let warnings = ref [] in
+      match Fuzz.Corpus.load ~warn:(fun w -> warnings := w :: !warnings) path with
+      | Error e -> Alcotest.failf "load: %s" e
+      | Ok seeds ->
+        Alcotest.(check (list string)) "only the good entry"
+          [ "r2 n2 : W0<-in; R0; D last | 0 1 0 1" ]
+          (List.map render seeds);
+        Alcotest.(check (list int)) "one warning per bad line, with its number"
+          [ 2; 3; 5 ]
+          (List.rev_map
+             (fun w -> Scanf.sscanf w "%s@:%d:" (fun _ line -> line))
+             !warnings))
+
 let mutation_closure seed =
   (* every operator output is as well-formed as a generated program:
      no out-of-bounds access, still compiles and runs *)
@@ -328,6 +380,10 @@ let suite =
     seeded_test "corpus: campaigns replay byte-for-byte from the seed"
       corpus_replay_determinism;
     seeded_test "corpus: only interesting inputs admitted" corpus_admission;
+    seeded_test "corpus: save/load round-trips a campaign's corpus"
+      corpus_file_roundtrip;
+    test "corpus: missing file is an error, bad lines are skipped"
+      corpus_file_errors;
     seeded_test "corpus: mutation operators preserve well-formedness"
       mutation_closure;
     seeded_test "coverage: signatures stable and non-empty"

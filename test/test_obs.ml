@@ -11,6 +11,9 @@ let analysis_eq a b =
   && a.Analysis.reads_per_register = b.Analysis.reads_per_register
   && a.Analysis.invocations = b.Analysis.invocations
   && a.Analysis.outputs = b.Analysis.outputs
+  && a.Analysis.reads = b.Analysis.reads
+  && a.Analysis.writes = b.Analysis.writes
+  && a.Analysis.scans = b.Analysis.scans
   && a.Analysis.total_steps = b.Analysis.total_steps
 
 (* ---- Analysis edge cases ---- *)
@@ -97,15 +100,20 @@ let sink_tee_and_filter () =
 
 let stats_sink_matches_analysis () =
   let n = 3 and ops = 4 in
-  let stats = Obs.Stats.create ~n ~registers:n () in
-  let res = run_counters ~record:true ~sink:(Obs.Stats.sink stats) ~n ~ops () in
-  let live = Obs.Stats.to_analysis stats in
+  let acc = Analysis.create ~n ~registers:n in
+  let res = run_counters ~record:true ~sink:(Analysis.feed acc) ~n ~ops () in
+  let live = Analysis.snapshot acc in
   let replayed = Analysis.of_trace ~n ~registers:n res.Exec.trace in
   Alcotest.(check bool) "streaming = batch" true (analysis_eq live replayed);
-  Alcotest.(check int) "decision counter = steps" res.Exec.steps
-    (Obs.Stats.total_steps stats);
-  Alcotest.(check bool) "heat covers every register" true
-    (Array.for_all (fun h -> h > 0) (Obs.Stats.register_heat stats))
+  Alcotest.(check int) "every event counted" res.Exec.steps live.Analysis.total_steps;
+  (* each process: invoke + ops*(read+write) + output *)
+  Alcotest.(check (list int)) "per-kind counts"
+    [ n; n * ops; n * ops; 0; n ]
+    [ live.Analysis.invocations; live.Analysis.reads; live.Analysis.writes;
+      live.Analysis.scans; live.Analysis.outputs ];
+  Alcotest.(check bool) "every register read and written" true
+    (Array.for_all (fun r -> r > 0) live.Analysis.reads_per_register
+    && Array.for_all (fun w -> w > 0) live.Analysis.writes_per_register)
 
 (* ---- Metrics ---- *)
 
@@ -286,10 +294,10 @@ let jsonl_file_roundtrip_analysis () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let oc = open_out path in
-      let stats = Obs.Stats.create ~n ~registers () in
+      let acc = Analysis.create ~n ~registers in
       let res =
         Agreement.Runner.run_oneshot ~record:true
-          ~sink:(Obs.Sink.tee [ Obs.Jsonl.sink_to_channel oc; Obs.Stats.sink stats ])
+          ~sink:(Obs.Sink.tee [ Obs.Jsonl.sink_to_channel oc; Analysis.feed acc ])
           ~sched:(Schedule.random ~seed:5 n) p
       in
       close_out oc;
@@ -298,7 +306,7 @@ let jsonl_file_roundtrip_analysis () =
       | Ok trace ->
         Alcotest.(check int) "every event exported" res.Exec.steps (List.length trace);
         Alcotest.(check bool) "identical trace" true (trace = res.Exec.trace);
-        let live = Obs.Stats.to_analysis stats in
+        let live = Analysis.snapshot acc in
         let reloaded = Analysis.of_trace ~n ~registers trace in
         Alcotest.(check bool) "aggregates reproduced" true (analysis_eq live reloaded);
         (* and the streaming fold agrees with the materializing reader *)

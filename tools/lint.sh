@@ -18,6 +18,12 @@
 #          see docs/PERFORMANCE.md)
 #        - lib/shm/value.ml — weak intern tables for hash-consing
 #          (physically mutable, observationally pure)
+#   5. Every lib/analyze and lib/spec interface opens with an odoc
+#      comment.
+#   6. Under bin/, only bin/cli.ml opens files (open_in, open_out) or
+#      builds parameters (Agreement.Params.make): it turns Sys_error
+#      and Invalid_argument into one-line usage errors (exit 2), so
+#      user input never surfaces as an uncaught exception.
 #
 # Exits non-zero listing every offender.
 
@@ -78,6 +84,12 @@ for mli in lib/analyze/*.mli lib/spec/*.mli; do
       ;;
   esac
 done
+
+# 6. command-line input goes through bin/cli.ml ---------------------
+if grep -En "open_in|open_out|Agreement\.Params\.make" bin/*.ml | grep -v "^bin/cli\.ml:"; then
+  echo "lint: under bin/, open files and build Params only through bin/cli.ml" >&2
+  fail=1
+fi
 
 if [ "$fail" -eq 0 ]; then
   echo "lint: ok"
