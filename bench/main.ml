@@ -59,6 +59,17 @@ let checker_throughput metrics =
 let point_fields ~n ~m ~k =
   [ ("n", Obs.Json.Int n); ("m", Obs.Json.Int m); ("k", Obs.Json.Int k) ]
 
+(* The latency columns [spans]/[span_p50]/[span_p99] of an accumulator
+   that timed every propose of the runs it observed. *)
+let span_fields acc =
+  let a = Shm.Analysis.snapshot acc in
+  let h = Obs.Metrics.Histogram.of_list a.latencies in
+  [
+    ("spans", Obs.Json.Int (List.length a.latencies));
+    ("span_p50", Obs.Json.Float (Obs.Metrics.Histogram.p50 h));
+    ("span_p99", Obs.Json.Float (Obs.Metrics.Histogram.p99 h));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* E1 and E3: registers written against a Figure 1 upper bound, over
    the (4 <= n <= max_n, 1 <= m <= k < n) grid.  [run p ~sink] executes
@@ -72,8 +83,8 @@ let bound_table ~max_n ~bound ~show run =
     Analyze.Registry.grid ~max_n
     |> List.filter (fun (p : Params.t) -> p.n >= 4)
     |> List.map (fun (p : Params.t) ->
-           let span = Obs.Span.create () in
-           let result = run p ~sink:(Obs.Span.sink span) in
+           let span = Shm.Analysis.create ~n:p.n ~registers:0 in
+           let result = run p ~sink:(Shm.Analysis.feed span) in
            let bound = bound p and measured = Runner.registers_used result in
            let ok = measured <= bound in
            if not ok then incr mismatches;
@@ -88,7 +99,7 @@ let bound_table ~max_n ~bound ~show run =
                  ("ok", Obs.Json.Bool ok);
                  ("steps", Obs.Json.Int result.Shm.Exec.steps);
                ]
-             @ Obs.Bench_out.span_fields span))
+             @ span_fields span))
   in
   (rows, !mismatches)
 
@@ -1092,12 +1103,12 @@ let progress_vs_m () =
   let rows = ref [] in
   for m = 1 to 4 do
     let p = Params.make ~n:8 ~m ~k:4 in
-    let span = Obs.Span.create () in
+    let span = Shm.Analysis.create ~n:p.n ~registers:0 in
     let steps = ref [] and decided = ref 0 in
     for seed = 0 to 19 do
       let sched = Shm.Schedule.m_bounded ~seed ~m ~prefix:60 8 in
       let result =
-        Runner.run_oneshot ~sched ~sink:(Obs.Span.sink span) ~max_steps:400_000 p
+        Runner.run_oneshot ~sched ~sink:(Shm.Analysis.feed span) ~max_steps:400_000 p
       in
       steps := result.Shm.Exec.steps :: !steps;
       if result.Shm.Exec.stopped = Shm.Exec.All_quiescent then incr decided
@@ -1114,7 +1125,7 @@ let progress_vs_m () =
             ("max_steps", Obs.Json.Int mx);
             ("decided", Obs.Json.Int !decided);
           ]
-        @ Obs.Bench_out.span_fields span)
+        @ span_fields span)
       :: !rows;
     Fmt.pr "%-4d %-14.1f %-14d %d/20@." m mean mx !decided
   done;
@@ -1162,9 +1173,9 @@ let steps_vs_n () =
   for n = 3 to 12 do
     let p = Params.make ~n ~m:1 ~k:1 in
     let impl = if Params.r_oneshot p <= n then Instances.Atomic else Instances.Sw_based in
-    let span = Obs.Span.create () in
+    let span = Shm.Analysis.create ~n:p.n ~registers:0 in
     let result =
-      Runner.run_oneshot ~impl ~sink:(Obs.Span.sink span)
+      Runner.run_oneshot ~impl ~sink:(Shm.Analysis.feed span)
         ~sched:(Shm.Schedule.quantum_round_robin ~quantum:1500 n)
         ~max_steps:6_000_000 p
     in
@@ -1175,7 +1186,7 @@ let steps_vs_n () =
             ("steps", Obs.Json.Int result.Shm.Exec.steps);
             ("registers", Obs.Json.Int (Runner.registers_used result));
           ]
-        @ Obs.Bench_out.span_fields span)
+        @ span_fields span)
       :: !rows;
     Fmt.pr "%-4d %-12d %-12d@." n result.Shm.Exec.steps (Runner.registers_used result)
   done;
@@ -1508,7 +1519,7 @@ let load_history () =
   match Obs.History.load history_path with
   | Ok entries -> entries
   | Error e ->
-    Fmt.epr "%s: %s@." history_path e;
+    Fmt.epr "%s@." e;
     exit 2
 
 (* `diff [experiment]`: metric drift between the last two recorded runs
@@ -1684,7 +1695,7 @@ let run_experiment ~smoke e =
   let rows = e.run ~smoke in
   Option.iter
     (fun file ->
-      Obs.Bench_out.write ~experiment:e.id ~path:file rows;
+      Obs.History.write_document ~experiment:e.id ~path:file rows;
       Obs.History.append ~path:history_path
         (Obs.History.make ~ts:(Unix.time ()) ~rev:(git_rev ()) ~smoke ~experiment:e.id
            rows);

@@ -79,15 +79,18 @@ let run (r : Cli.run) trace diagram stats trace_out =
   | Some e -> explore_main r e ~stats
   | None ->
   let { Cli.config; params = { Agreement.Params.n; k; _ }; _ } = r.inst in
-  (* Streaming observers: spans and stats always (they are O(1) and
-     cheap), JSONL export when --trace-out was given. *)
-  let span = Obs.Span.create () in
+  (* Streaming observers: stats always (O(1) and cheap), JSONL export
+     when --trace-out was given. *)
   let acc = Shm.Analysis.create ~n ~registers:(Shm.Memory.size (Shm.Config.mem config)) in
   let trace_chan = Option.map (Cli.out_channel "--trace-out") trace_out in
   let sink =
-    Obs.Sink.tee
-      (Obs.Span.sink span :: Shm.Analysis.feed acc
-      :: (match trace_chan with Some oc -> [ Obs.Jsonl.sink_to_channel oc ] | None -> []))
+    match trace_chan with
+    | None -> Shm.Analysis.feed acc
+    | Some oc ->
+      let write = Obs.Jsonl.sink_to_channel oc in
+      fun ev ->
+        Shm.Analysis.feed acc ev;
+        write ev
   in
   let result =
     Shm.Exec.run ~record:(trace || diagram) ~sink ~sched:r.sched ~inputs:r.inst.inputs
@@ -123,9 +126,12 @@ let run (r : Cli.run) trace diagram stats trace_out =
     (stopped_name result.Shm.Exec.stopped)
     result.Shm.Exec.steps
     (Agreement.Runner.registers_used result);
-  if stats then
-    Fmt.pr "--- stats ---@.%a@.%a@." Shm.Analysis.pp (Shm.Analysis.snapshot acc)
-      Obs.Span.pp span;
+  if stats then begin
+    let a = Shm.Analysis.snapshot acc in
+    Fmt.pr "--- stats ---@.%a@.spans: %d completed, %d open; latency %a@."
+      Shm.Analysis.pp a (List.length a.latencies) a.pending
+      Obs.Metrics.Histogram.pp (Obs.Metrics.Histogram.of_list a.latencies)
+  end;
   Option.iter (fun path -> Fmt.pr "trace written to %s (JSONL)@." path) trace_out
 
 (* ------------------------------------------------------------------ *)
@@ -344,7 +350,7 @@ let analyze_protocol ~ir ~indep ~optimize ~witness ~sarif_path ~json_path
   | None -> ()
   | Some path ->
     Cli.with_path "--json" (fun () ->
-        Obs.Bench_out.write ~experiment:"analyze-protocol" ~path
+        Obs.History.write_document ~experiment:"analyze-protocol" ~path
           [ Analyze.Report.protocol_row prog facts ~flow_diags:(List.length flow_diags) opt ]);
     Fmt.pr "wrote %s@." path);
   if run then run_protocol ~engine prog;
@@ -453,7 +459,7 @@ let analyze () algos all p max_n mutants json_path witness no_dynamic protocol i
   Option.iter
     (fun path ->
       Cli.with_path "--json" (fun () ->
-          Obs.Bench_out.write ~experiment:"analyze" ~path
+          Obs.History.write_document ~experiment:"analyze" ~path
             (Analyze.Report.bench_rows rows ~p verdicts));
       Fmt.pr "wrote %s@." path)
     json_path;

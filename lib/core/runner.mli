@@ -7,8 +7,8 @@ val default_input : pid:int -> instance:int -> Shm.Value.t
 
 (** Run the one-shot algorithm (Figure 3).  Defaults: atomic snapshot,
     round-robin schedule, inputs pid+1, 200k step budget.  [sink]
-    observes every event as it happens (see [Obs.Sink]); [record] keeps
-    the in-memory trace, as in {!Shm.Exec.run}. *)
+    observes every event as it happens and [record] keeps the in-memory
+    trace, both as in {!Shm.Exec.run}. *)
 val run_oneshot :
   ?record:bool ->
   ?impl:Instances.impl ->

@@ -9,12 +9,19 @@
    non-zero on regression.
 
    Two entry kinds share the line format:
-   - kind "run":    rows are measurement rows (Bench_out schema);
+   - kind "run":    rows are measurement rows, as in BENCH_<id>.json;
    - kind "floors": rows are floor specs — string-valued selector
      fields plus {"metric": <name>, "min": <float>} — the committed
      baseline `bench check` enforces.  Floors gate machine-independent
      metrics (same-binary speedup ratios), so the committed baseline
      holds across hardware.
+
+   A BENCH_<id>.json document is the {experiment, schema, rows} part of
+   an entry, pretty-printed: one decoder, [entry_of_json], reads both.
+   Row fields are experiment-specific; rows about a parameter point
+   carry "n"/"m"/"k", bound comparisons carry "bound"/"measured"/"ok",
+   and latency distributions carry the histogram object of
+   [Metrics.Histogram.to_json].
 
    This module stays subprocess- and unix-free: callers supply the
    timestamp and git revision. *)
@@ -49,13 +56,9 @@ let json_of_entry e =
 
 let entry_of_json j =
   let ( let* ) = Result.bind in
-  let* schema =
-    match Json.member "schema" j with
-    | Some (Json.Int v) -> Ok v
-    | _ -> Error "entry missing integer \"schema\""
-  in
-  (* the major-version gate of the satellite: refuse to misread a
-     future format rather than silently dropping fields *)
+  let* schema = Json.int_field "schema" j in
+  (* refuse to misread a future format rather than silently dropping
+     fields *)
   let* () =
     if schema > schema_version then
       Error
@@ -63,25 +66,21 @@ let entry_of_json j =
            schema_version)
     else Ok ()
   in
+  let* experiment = Json.string_field "experiment" j in
   let str k d = match Json.member k j with Some (Json.String s) -> s | _ -> d in
-  let ts =
-    match Json.member "ts" j with
-    | Some (Json.Float f) -> f
-    | Some (Json.Int i) -> float_of_int i
-    | _ -> 0.
-  in
+  let ts = Option.(value ~default:0. (bind (Json.member "ts" j) Json.to_float_opt)) in
   let smoke = match Json.member "smoke" j with Some (Json.Bool b) -> b | _ -> false in
   let* rows =
     match Json.member "rows" j with
     | Some (Json.Arr rows) -> Ok rows
-    | _ -> Error "entry missing \"rows\" array"
+    | _ -> Error "missing \"rows\" array"
   in
   Ok
     {
       schema;
       ts;
       rev = str "rev" "unknown";
-      experiment = str "experiment" "";
+      experiment;
       kind = str "kind" "run";
       smoke;
       rows;
@@ -96,24 +95,28 @@ let append ~path e =
       output_char oc '\n')
 
 let load path =
-  let ( let* ) = Result.bind in
-  try
-    In_channel.with_open_text path (fun ic ->
-        let rec go lineno acc =
-          match In_channel.input_line ic with
-          | None -> Ok (List.rev acc)
-          | Some "" -> go (lineno + 1) acc
-          | Some line ->
-            let parsed =
-              let* j = Json.of_string line in
-              entry_of_json j
-            in
-            (match parsed with
-            | Ok e -> go (lineno + 1) (e :: acc)
-            | Error e -> Error (Fmt.str "%s:%d: %s" path lineno e))
-        in
-        go 1 [])
-  with Sys_error e -> Error e
+  Json.fold_lines path ~init:[] ~f:(fun acc j ->
+      Result.map (fun e -> e :: acc) (entry_of_json j))
+  |> Result.map (fun (_, entries) -> List.rev entries)
+
+(* ---- BENCH_<id>.json documents ---- *)
+
+let document ~experiment rows =
+  Json.Obj
+    [
+      ("experiment", Json.String experiment);
+      ("schema", Json.Int schema_version);
+      ("rows", Json.Arr rows);
+    ]
+
+let write_document ~experiment ~path rows =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Json.to_pretty_string (document ~experiment rows));
+      output_char oc '\n')
+
+let read_document path =
+  Result.bind (Json.of_file path) (fun j ->
+      Result.map_error (Fmt.str "%s: %s" path) (entry_of_json j))
 
 (* ---- row keys and metrics (for diff) ---- *)
 
@@ -134,12 +137,7 @@ let row_key row =
 let metrics_of_row row =
   match row with
   | Json.Obj fields ->
-    List.filter_map
-      (fun (k, v) ->
-        match v with
-        | Json.Float f -> Some (k, f)
-        | Json.Int i -> Some (k, float_of_int i)
-        | _ -> None)
+    List.filter_map (fun (k, v) -> Json.to_float_opt v |> Option.map (fun f -> (k, f)))
       fields
   | _ -> []
 
@@ -196,12 +194,7 @@ let floor_of_row row =
     let metric =
       match Json.member "metric" row with Some (Json.String s) -> Some s | _ -> None
     in
-    let min =
-      match Json.member "min" row with
-      | Some (Json.Float f) -> Some f
-      | Some (Json.Int i) -> Some (float_of_int i)
-      | _ -> None
-    in
+    let min = Option.bind (Json.member "min" row) Json.to_float_opt in
     (match (metric, min) with
     | Some metric, Some min -> Some { selector; metric; min }
     | _ -> None)

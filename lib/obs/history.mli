@@ -34,23 +34,35 @@ val make :
 
 val json_of_entry : entry -> Json.t
 
-(** Rejects entries whose schema major exceeds {!schema_version}. *)
+(** Decodes a history line or a [BENCH_*.json] document (whose missing
+    fields take the {!make} defaults).  Rejects a schema major newer
+    than {!schema_version}. *)
 val entry_of_json : Json.t -> (entry, string) result
 
 (** Append one line, creating the file if needed. *)
 val append : path:string -> entry -> unit
 
-(** All entries, oldest first; fails on unparsable lines or a
-    too-new schema. *)
+(** All entries, oldest first.  Fails on an unparsable line or a
+    too-new schema, except that a torn final line (no trailing newline)
+    is skipped with a warning on stderr: see {!Json.fold_lines}. *)
 val load : string -> (entry list, string) result
 
+(** {1 Bench documents}
+
+    [BENCH_<id>.json]: one pretty-printed document per experiment,
+    [{"experiment": id, "schema": N, "rows": [...]}], so results diff
+    across PRs.  The format is documented in DESIGN.md §Observability. *)
+
+val document : experiment:string -> Json.t list -> Json.t
+
+(** Write {!document} to [path], with a trailing newline. *)
+val write_document : experiment:string -> path:string -> Json.t list -> unit
+
+(** Load a document; its [rev], [ts], [kind] and [smoke] are the
+    {!make} defaults. *)
+val read_document : string -> (entry, string) result
+
 (** {1 Diff} *)
-
-(** A row's identity: its string-valued fields, in field order. *)
-val row_key : Json.t -> string
-
-(** A row's numeric fields. *)
-val metrics_of_row : Json.t -> (string * float) list
 
 type delta = { d_key : string; d_metric : string; base : float; cur : float }
 

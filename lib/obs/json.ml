@@ -1,7 +1,8 @@
 (* Minimal JSON: exactly what the observability layer needs — compact
    one-line encoding for JSONL traces, pretty printing for BENCH_*.json
-   files, and a parser for reloading both.  No external dependency; the
-   opam file stays as it is. *)
+   files, a parser for reloading both, and the one file reader every
+   lib/obs loader goes through.  No external dependency; the opam file
+   stays as it is. *)
 
 type t =
   | Null
@@ -360,3 +361,86 @@ let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 let to_int_opt = function Int i -> Some i | _ -> None
 
 let to_string_opt = function String s -> Some s | _ -> None
+
+let to_float_opt = function Float f -> Some f | Int i -> Some (float_of_int i) | _ -> None
+
+let int_field k j =
+  match member k j with
+  | Some (Int i) -> Ok i
+  | _ -> Error (Fmt.str "missing integer field %S" k)
+
+let string_field k j =
+  match member k j with
+  | Some (String s) -> Ok s
+  | _ -> Error (Fmt.str "missing string field %S" k)
+
+(* ---- files ----
+
+   The only place lib/obs opens a file for reading (tools/lint.sh rule
+   7), so every loader gets the same failure policy: a missing or
+   unreadable file is an [Error] carrying the system message, and an
+   error inside the file names it as [path:line]. *)
+
+let with_file path f =
+  try In_channel.with_open_text path f with Sys_error e -> Error e
+
+let of_file path =
+  with_file path (fun ic ->
+      Result.map_error (Fmt.str "%s: %s" path) (of_string (In_channel.input_all ic)))
+
+type header = { format : string; schema : int; required : bool }
+
+let header_fields h = [ ("jsonl", String h.format); ("schema", Int h.schema) ]
+
+(* [Ok true]: a valid header, consume it; [Ok false]: no header here,
+   the line is data (a file written before the header existed). *)
+let check_header h j =
+  match (member "jsonl" j, member "schema" j) with
+  | Some (String f), Some (Int v) when f = h.format ->
+    if v > h.schema then
+      Error (Fmt.str "%s schema %d is newer than supported major %d" f v h.schema)
+    else Ok true
+  | Some (String f), _ when f = h.format -> Error "header missing integer \"schema\""
+  | Some (String f), _ -> Error (Fmt.str "not an %s file (format %S)" h.format f)
+  | Some _, _ -> Error "malformed header"
+  | None, _ when h.required -> Error (Fmt.str "not an %s file (missing header)" h.format)
+  | None, _ -> Ok false
+
+(* A final line with no trailing newline was cut off by an interrupted
+   append: if it does not parse, it is skipped with one warning, so one
+   torn write does not lock every later reader out of the file.  A bad
+   line anywhere else is an error.  [input_line] consumes a newline
+   unless it hit end of file, so the channel position tells the two
+   apart. *)
+let fold_lines ?(warn = prerr_endline) ?header path ~init ~f =
+  with_file path (fun ic ->
+      let fail lineno e = Error (Fmt.str "%s:%d: %s" path lineno e) in
+      let rec go lineno ~first hdr acc =
+        let before = In_channel.pos ic in
+        match In_channel.input_line ic with
+        | None -> (
+          match header with
+          | Some h when first && h.required ->
+            Error (Fmt.str "%s: empty %s file" path h.format)
+          | _ -> Ok (hdr, acc))
+        | Some line when String.trim line = "" -> go (lineno + 1) ~first hdr acc
+        | Some line -> (
+          match of_string line with
+          | Error e
+            when Int64.(to_int (sub (In_channel.pos ic) before)) = String.length line ->
+            warn (Fmt.str "%s:%d: skipping torn final line (%s)" path lineno e);
+            go (lineno + 1) ~first hdr acc
+          | Error e -> fail lineno e
+          | Ok j -> (
+            let is_header =
+              match header with Some h when first -> check_header h j | _ -> Ok false
+            in
+            match is_header with
+            | Error e -> fail lineno e
+            | Ok true -> go (lineno + 1) ~first:false (Some j) acc
+            | Ok false -> (
+              match f acc j with
+              | Ok acc -> go (lineno + 1) ~first:false hdr acc
+              | Error e -> fail lineno e)))
+      in
+      go 1 ~first:true None init)

@@ -1,6 +1,7 @@
 (** Minimal JSON for the observability layer: compact one-line encoding
-    for JSONL traces, pretty printing for [BENCH_*.json] files, and a
-    parser for reloading both.  No external dependency. *)
+    for JSONL traces, pretty printing for [BENCH_*.json] files, a parser
+    for reloading both, and the file reader behind every [lib/obs]
+    loader.  No external dependency. *)
 
 type t =
   | Null
@@ -34,3 +35,47 @@ val member : string -> t -> t option
 
 val to_int_opt : t -> int option
 val to_string_opt : t -> string option
+
+(** Both [Float] and [Int] read as a float. *)
+val to_float_opt : t -> float option
+
+(** [int_field k j] is the [Int] field [k] of [j], or an [Error] naming
+    it; likewise {!string_field}. *)
+val int_field : string -> t -> (int, string) result
+
+val string_field : string -> t -> (string, string) result
+
+(** {1 Files}
+
+    Both readers return [Error] — never raise — on a missing or
+    unreadable file (the system message) and on bad content
+    ([path: msg], or [path:line: msg] for a JSONL line). *)
+
+(** Parse a whole file as one JSON document. *)
+val of_file : string -> (t, string) result
+
+(** A JSONL header line [{"jsonl":format,"schema":N,...}]. *)
+type header = {
+  format : string;
+  schema : int;  (** newest major this reader understands *)
+  required : bool;  (** [false]: a headerless file is data from line 1 *)
+}
+
+(** The header's [jsonl] and [schema] fields, for writers. *)
+val header_fields : header -> (string * t) list
+
+(** [fold_lines ?header path ~init ~f] folds [f] over the JSON value of
+    every non-blank line of a JSONL file, streaming.  With [header], the
+    first non-blank line is checked against it: a newer schema major, a
+    different format name or (when [required]) a missing header is an
+    [Error]; a valid header is returned, not folded.  A final line with
+    no trailing newline that does not parse — a torn append — is
+    skipped and reported through [warn] (default: a line on stderr);
+    any other bad line is an [Error]. *)
+val fold_lines :
+  ?warn:(string -> unit) ->
+  ?header:header ->
+  string ->
+  init:'a ->
+  f:('a -> t -> ('a, string) result) ->
+  (t option * 'a, string) result

@@ -61,11 +61,7 @@ let json_of_event ev =
 
 let event_of_json j =
   let ( let* ) r f = Result.bind r f in
-  let int_field k =
-    match Json.member k j with
-    | Some (Json.Int i) -> Ok i
-    | _ -> Error (Fmt.str "missing integer field %S in %s" k (Json.to_string j))
-  in
+  let int_field k = Json.int_field k j in
   let value_field k =
     match Json.member k j with
     | Some v -> value_of_json v
@@ -116,82 +112,32 @@ let event_of_line line = Result.bind (Json.of_string line) event_of_json
 
 let schema_version = 1
 
-let header_json =
-  Json.Obj [ ("jsonl", Json.String "sa-events"); ("schema", Json.Int schema_version) ]
+let header = { Json.format = "sa-events"; schema = schema_version; required = false }
 
 let write_header oc =
-  output_string oc (Json.to_string header_json);
+  output_string oc (Json.to_string (Json.Obj (Json.header_fields header)));
   output_char oc '\n'
-
-(* [`Skip]: valid header, consume the line; [`Event]: not a header,
-   parse the line as an event (legacy file). *)
-let classify_first_line line =
-  match Json.of_string line with
-  | Ok j -> (
-    match Json.member "jsonl" j with
-    | Some (Json.String "sa-events") -> (
-      match Json.member "schema" j with
-      | Some (Json.Int v) when v > schema_version ->
-        Error (Fmt.str "event schema %d is newer than supported major %d" v schema_version)
-      | Some (Json.Int _) -> Ok `Skip
-      | _ -> Error "header missing integer \"schema\"")
-    | Some (Json.String other) ->
-      Error (Fmt.str "not an sa-events file (format %S)" other)
-    | Some _ -> Error "malformed header"
-    | None -> Ok `Event)
-  | Error _ -> Ok `Event
 
 (* ---- channels and files ---- *)
 
-let sink_to_channel oc : Sink.t =
+let write_event oc ev =
+  output_string oc (line_of_event ev);
+  output_char oc '\n'
+
+let sink_to_channel oc =
   write_header oc;
-  fun ev ->
-    output_string oc (line_of_event ev);
-    output_char oc '\n'
-
-let write_channel oc trace =
-  let sink ev =
-    output_string oc (line_of_event ev);
-    output_char oc '\n'
-  in
-  List.iter (Sink.emit sink) trace
-
-(* Streaming read: [emit] per event, header handled on the first
-   non-blank line. *)
-let fold_channel ic ~init ~f =
-  let rec go lineno ~first acc =
-    match In_channel.input_line ic with
-    | None -> Ok acc
-    | Some "" -> go (lineno + 1) ~first acc
-    | Some line when first -> (
-      match classify_first_line line with
-      | Error e -> Error (Fmt.str "line %d: %s" lineno e)
-      | Ok `Skip -> go (lineno + 1) ~first:false acc
-      | Ok `Event -> (
-        match event_of_line line with
-        | Ok ev -> go (lineno + 1) ~first:false (f acc ev)
-        | Error e -> Error (Fmt.str "line %d: %s" lineno e)))
-    | Some line -> (
-      match event_of_line line with
-      | Ok ev -> go (lineno + 1) ~first (f acc ev)
-      | Error e -> Error (Fmt.str "line %d: %s" lineno e))
-  in
-  go 1 ~first:true init
-
-let read_channel ic =
-  Result.map List.rev (fold_channel ic ~init:[] ~f:(fun acc ev -> ev :: acc))
+  write_event oc
 
 let save path trace =
   Out_channel.with_open_text path (fun oc ->
       write_header oc;
-      write_channel oc trace)
-
-let load path =
-  try In_channel.with_open_text path read_channel
-  with Sys_error e -> Error e
+      List.iter (write_event oc) trace)
 
 (* [fold_file] streams the file through [f] without materializing the
    event list — the offline counterpart of a live sink. *)
 let fold_file path ~init ~f =
-  try In_channel.with_open_text path (fun ic -> fold_channel ic ~init ~f)
-  with Sys_error e -> Error e
+  Json.fold_lines ~header path ~init ~f:(fun acc j ->
+      Result.map (f acc) (event_of_json j))
+  |> Result.map snd
+
+let load path = Result.map List.rev (fold_file path ~init:[] ~f:(fun acc ev -> ev :: acc))

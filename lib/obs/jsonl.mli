@@ -10,9 +10,6 @@ val json_of_value : Shm.Value.t -> Json.t
 (** Exact inverse of {!json_of_value}. *)
 val value_of_json : Json.t -> (Shm.Value.t, string) result
 
-val json_of_event : Shm.Event.t -> Json.t
-val event_of_json : Json.t -> (Shm.Event.t, string) result
-
 (** One compact line, no trailing newline. *)
 val line_of_event : Shm.Event.t -> string
 
@@ -23,21 +20,15 @@ val event_of_line : string -> (Shm.Event.t, string) result
     Files and streams open with a schema header line
     [{"jsonl":"sa-events","schema":N}].  Readers skip a valid header,
     reject one declaring a schema major newer than {!schema_version},
-    and tolerate headerless files written before the header existed. *)
+    and tolerate headerless files written before the header existed.
+    Reading follows {!Json.fold_lines}: blank lines are skipped and a
+    torn final line is dropped with a warning on stderr. *)
 
 val schema_version : int
 
-(** Write the header line (callers composing their own streams). *)
-val write_header : out_channel -> unit
-
-(** A sink writing one line per event as it happens — O(1) memory.
-    Writes the header immediately. *)
-val sink_to_channel : out_channel -> Sink.t
-
-val write_channel : out_channel -> Shm.Event.t list -> unit
-
-(** Reads to end of channel; blank lines are skipped. *)
-val read_channel : in_channel -> (Shm.Event.t list, string) result
+(** An [Exec.run ?sink] observer writing one line per event as it
+    happens — O(1) memory.  Writes the header immediately. *)
+val sink_to_channel : out_channel -> Shm.Event.t -> unit
 
 val save : string -> Shm.Event.t list -> unit
 val load : string -> (Shm.Event.t list, string) result

@@ -58,6 +58,11 @@ module Histogram = struct
     if v < t.min then t.min <- v;
     if v > t.max then t.max <- v
 
+  let of_list vs =
+    let t = create () in
+    List.iter (observe t) vs;
+    t
+
   let count t = t.count
   let sum t = t.sum
   let min_value t = if t.count = 0 then 0 else t.min

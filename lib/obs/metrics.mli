@@ -33,6 +33,10 @@ module Histogram : sig
   (** Record one (non-negative) observation. *)
   val observe : t -> int -> unit
 
+  (** A histogram of the given observations, e.g.
+      {!Shm.Analysis.t.latencies}. *)
+  val of_list : int list -> t
+
   val count : t -> int
   val sum : t -> int
   val min_value : t -> int

@@ -136,35 +136,32 @@ let begin_span t ?parent ?(cat = "") ?(args = []) name =
       o_args = args;
     }
   in
-  Mutex.lock t.mu;
-  Hashtbl.replace t.open_tbl id o;
-  Mutex.unlock t.mu;
+  Mutex.protect t.mu (fun () -> Hashtbl.replace t.open_tbl id o);
   { trace_id = t.trace_id; span_id = id }
 
 let end_span t ?(args = []) ctx =
   let finish = now_ns () in
   let close_dom = self_dom () in
-  Mutex.lock t.mu;
-  (match Hashtbl.find_opt t.open_tbl ctx.span_id with
-  | None -> ()  (* double close or foreign ctx: drop rather than corrupt *)
-  | Some o ->
-    Hashtbl.remove t.open_tbl ctx.span_id;
-    let s =
-      {
-        id = ctx.span_id;
-        parent = o.o_parent;
-        name = o.o_name;
-        cat = o.o_cat;
-        dom = o.o_dom;
-        close_dom;
-        start_ns = o.o_start_ns;
-        dur_ns = max 0 (finish - o.o_start_ns);
-        args = o.o_args @ args;
-      }
-    in
-    t.spans <- s :: t.spans;
-    t.span_count <- t.span_count + 1);
-  Mutex.unlock t.mu
+  Mutex.protect t.mu (fun () ->
+      match Hashtbl.find_opt t.open_tbl ctx.span_id with
+      | None -> ()  (* double close or foreign ctx: drop rather than corrupt *)
+      | Some o ->
+        Hashtbl.remove t.open_tbl ctx.span_id;
+        let s =
+          {
+            id = ctx.span_id;
+            parent = o.o_parent;
+            name = o.o_name;
+            cat = o.o_cat;
+            dom = o.o_dom;
+            close_dom;
+            start_ns = o.o_start_ns;
+            dur_ns = max 0 (finish - o.o_start_ns);
+            args = o.o_args @ args;
+          }
+        in
+        t.spans <- s :: t.spans;
+        t.span_count <- t.span_count + 1)
 
 let with_span t ?parent ?cat ?args name f =
   let ctx = begin_span t ?parent ?cat ?args name in
@@ -194,9 +191,7 @@ let instant t ?(cat = "") ?(args = []) ?flow ?dom name =
       i_args = args;
     }
   in
-  Mutex.lock t.mu;
-  t.instants <- i :: t.instants;
-  Mutex.unlock t.mu
+  Mutex.protect t.mu (fun () -> t.instants <- i :: t.instants)
 
 let counter t ?ts_ns ?dom ~track value =
   let s =
@@ -207,9 +202,7 @@ let counter t ?ts_ns ?dom ~track value =
       value;
     }
   in
-  Mutex.lock t.mu;
-  t.samples <- s :: t.samples;
-  Mutex.unlock t.mu
+  Mutex.protect t.mu (fun () -> t.samples <- s :: t.samples)
 
 (* ---- reading the collector ---- *)
 
@@ -222,35 +215,18 @@ let counter t ?ts_ns ?dom ~track value =
 let compare_span a b =
   match compare a.start_ns b.start_ns with 0 -> compare a.id b.id | c -> c
 
-let spans t =
-  Mutex.lock t.mu;
-  let l = t.spans in
-  Mutex.unlock t.mu;
-  List.sort compare_span l
+let read t f = Mutex.protect t.mu (fun () -> f t)
 
-let instants t =
-  Mutex.lock t.mu;
-  let l = t.instants in
-  Mutex.unlock t.mu;
-  List.sort (fun a b -> compare a.i_ts_ns b.i_ts_ns) l
+let spans t = List.sort compare_span (read t (fun t -> t.spans))
 
-let samples t =
-  Mutex.lock t.mu;
-  let l = t.samples in
-  Mutex.unlock t.mu;
-  List.sort (fun a b -> compare a.s_ts_ns b.s_ts_ns) l
+let compare_instant a b = compare a.i_ts_ns b.i_ts_ns
+let compare_sample a b = compare a.s_ts_ns b.s_ts_ns
+let instants t = List.sort compare_instant (read t (fun t -> t.instants))
+let samples t = List.sort compare_sample (read t (fun t -> t.samples))
 
-let span_count t =
-  Mutex.lock t.mu;
-  let n = t.span_count in
-  Mutex.unlock t.mu;
-  n
+let span_count t = read t (fun t -> t.span_count)
 
-let open_count t =
-  Mutex.lock t.mu;
-  let n = Hashtbl.length t.open_tbl in
-  Mutex.unlock t.mu;
-  n
+let open_count t = read t (fun t -> Hashtbl.length t.open_tbl)
 
 let find_span t name =
   List.find_opt (fun s -> s.name = name) (spans t)
@@ -259,18 +235,17 @@ let find_span t name =
 
 (* One header line then one record per span/instant/sample.  The header
    carries the format name and schema version; the reader rejects a
-   major it does not know (same discipline as Obs.Bench_out). *)
+   major it does not know (same discipline as the BENCH_*.json
+   documents of Obs.History). *)
 
 let schema_version = 1
 
+let jsonl_header = { Json.format = "sa-trace"; schema = schema_version; required = true }
+
 let header t =
   Json.Obj
-    [
-      ("jsonl", Json.String "sa-trace");
-      ("schema", Json.Int schema_version);
-      ("trace_id", Json.Int t.trace_id);
-      ("epoch_ns", Json.Int t.t0_ns);
-    ]
+    (Json.header_fields jsonl_header
+    @ [ ("trace_id", Json.Int t.trace_id); ("epoch_ns", Json.Int t.t0_ns) ])
 
 let json_of_span s =
   Json.Obj
@@ -327,16 +302,6 @@ let save_jsonl path t =
 
 (* -- reload -- *)
 
-let int_field j k =
-  match Json.member k j with
-  | Some (Json.Int i) -> Ok i
-  | _ -> Error (Fmt.str "missing integer field %S" k)
-
-let str_field j k =
-  match Json.member k j with
-  | Some (Json.String s) -> Ok s
-  | _ -> Error (Fmt.str "missing string field %S" k)
-
 let args_field j =
   match Json.member "args" j with
   | Some (Json.Obj kvs) -> Ok kvs
@@ -345,25 +310,25 @@ let args_field j =
 
 let span_of_json j =
   let ( let* ) = Result.bind in
-  let* id = int_field j "id" in
-  let* parent = int_field j "parent" in
-  let* name = str_field j "name" in
-  let* cat = str_field j "cat" in
-  let* dom = int_field j "dom" in
-  let* close_dom = int_field j "close_dom" in
-  let* start_ns = int_field j "start_ns" in
-  let* dur_ns = int_field j "dur_ns" in
+  let* id = Json.int_field "id" j in
+  let* parent = Json.int_field "parent" j in
+  let* name = Json.string_field "name" j in
+  let* cat = Json.string_field "cat" j in
+  let* dom = Json.int_field "dom" j in
+  let* close_dom = Json.int_field "close_dom" j in
+  let* start_ns = Json.int_field "start_ns" j in
+  let* dur_ns = Json.int_field "dur_ns" j in
   let* args = args_field j in
   Ok { id; parent; name; cat; dom; close_dom; start_ns; dur_ns; args }
 
 let instant_of_json j =
   let ( let* ) = Result.bind in
-  let* i_name = str_field j "name" in
-  let* i_cat = str_field j "cat" in
-  let* i_dom = int_field j "dom" in
-  let* i_ts_ns = int_field j "ts_ns" in
-  let* i_flow = int_field j "flow" in
-  let* dir = str_field j "dir" in
+  let* i_name = Json.string_field "name" j in
+  let* i_cat = Json.string_field "cat" j in
+  let* i_dom = Json.int_field "dom" j in
+  let* i_ts_ns = Json.int_field "ts_ns" j in
+  let* i_flow = Json.int_field "flow" j in
+  let* dir = Json.string_field "dir" j in
   let* i_dir =
     match dir with
     | "" -> Ok Flow_none
@@ -376,14 +341,12 @@ let instant_of_json j =
 
 let sample_of_json j =
   let ( let* ) = Result.bind in
-  let* track = str_field j "track" in
-  let* s_dom = int_field j "dom" in
-  let* s_ts_ns = int_field j "ts_ns" in
+  let* track = Json.string_field "track" j in
+  let* s_dom = Json.int_field "dom" j in
+  let* s_ts_ns = Json.int_field "ts_ns" j in
   let* value =
-    match Json.member "value" j with
-    | Some (Json.Float f) -> Ok f
-    | Some (Json.Int i) -> Ok (float_of_int i)
-    | _ -> Error "missing \"value\""
+    Option.to_result ~none:"missing \"value\""
+      (Option.bind (Json.member "value" j) Json.to_float_opt)
   in
   Ok { track; s_dom; s_ts_ns; value }
 
@@ -398,69 +361,29 @@ type reloaded = {
    reader ([schema_version]); missing header is an error too — every
    writer since the format existed emits one. *)
 let load_jsonl path =
-  let ( let* ) = Result.bind in
-  try
-    In_channel.with_open_text path (fun ic ->
-        let* hdr =
-          match In_channel.input_line ic with
-          | None -> Error "empty trace file"
-          | Some line -> Json.of_string line
-        in
-        let* () =
-          match (Json.member "jsonl" hdr, Json.member "schema" hdr) with
-          | Some (Json.String "sa-trace"), Some (Json.Int v) ->
-            if v > schema_version then
-              Error
-                (Fmt.str "trace schema %d is newer than supported major %d" v
-                   schema_version)
-            else Ok ()
-          | _ -> Error "not an sa-trace JSONL file (missing header)"
-        in
-        let r_trace_id =
-          match Json.member "trace_id" hdr with Some (Json.Int i) -> i | _ -> 0
-        in
-        let rec go lineno acc =
-          match In_channel.input_line ic with
-          | None -> Ok acc
-          | Some "" -> go (lineno + 1) acc
-          | Some line -> (
-            let* j = Json.of_string line in
-            let dec =
-              match Json.member "rec" j with
-              | Some (Json.String "span") ->
-                Result.map (fun s -> `Span s) (span_of_json j)
-              | Some (Json.String "instant") ->
-                Result.map (fun i -> `Instant i) (instant_of_json j)
-              | Some (Json.String "sample") ->
-                Result.map (fun s -> `Sample s) (sample_of_json j)
-              | _ -> Error "missing or unknown \"rec\" tag"
-            in
-            match dec with
-            | Ok r -> go (lineno + 1) (r :: acc)
-            | Error e -> Error (Fmt.str "line %d: %s" lineno e))
-        in
-        let* records = go 2 [] in
-        let split (sp, ins, sa) = function
-          | `Span s -> (s :: sp, ins, sa)
-          | `Instant i -> (sp, i :: ins, sa)
-          | `Sample s -> (sp, ins, s :: sa)
-        in
-        let sp, ins, sa = List.fold_left split ([], [], []) records in
-        Ok
-          {
-            r_trace_id;
-            r_spans = List.sort compare_span sp;
-            r_instants = List.sort (fun a b -> compare a.i_ts_ns b.i_ts_ns) ins;
-            r_samples = List.sort (fun a b -> compare a.s_ts_ns b.s_ts_ns) sa;
-          })
-  with Sys_error e -> Error e
-
-let pp_span ppf s =
-  Fmt.pf ppf "[%d<-%d] %s%s dom %d%s %d ns" s.id s.parent s.name
-    (if s.cat = "" then "" else Fmt.str " (%s)" s.cat)
-    s.dom
-    (if s.close_dom <> s.dom then Fmt.str "->%d" s.close_dom else "")
-    s.dur_ns
+  let record (sp, ins, sa) j =
+    match Json.member "rec" j with
+    | Some (Json.String "span") ->
+      Result.map (fun s -> (s :: sp, ins, sa)) (span_of_json j)
+    | Some (Json.String "instant") ->
+      Result.map (fun i -> (sp, i :: ins, sa)) (instant_of_json j)
+    | Some (Json.String "sample") ->
+      Result.map (fun s -> (sp, ins, s :: sa)) (sample_of_json j)
+    | _ -> Error "missing or unknown \"rec\" tag"
+  in
+  Json.fold_lines ~header:jsonl_header path ~init:([], [], []) ~f:record
+  |> Result.map (fun (hdr, (sp, ins, sa)) ->
+         let r_trace_id =
+           match Option.bind hdr (Json.member "trace_id") with
+           | Some (Json.Int i) -> i
+           | _ -> 0
+         in
+         {
+           r_trace_id;
+           r_spans = List.sort compare_span sp;
+           r_instants = List.sort compare_instant ins;
+           r_samples = List.sort compare_sample sa;
+         })
 
 let pp ppf t =
   Fmt.pf ppf "trace %d: %d spans (%d open), %d instants, %d samples" t.trace_id

@@ -141,12 +141,11 @@ val find_span : t -> string -> span option
 (** {1 JSONL export}
 
     Line 1 is a header [{"jsonl":"sa-trace","schema":N,...}]; the
-    reader rejects files whose schema major exceeds
-    {!schema_version}. *)
+    reader rejects files without one or whose schema major exceeds
+    {!schema_version}, and otherwise follows {!Json.fold_lines}. *)
 
 val schema_version : int
 
-val to_jsonl_channel : out_channel -> t -> unit
 val save_jsonl : string -> t -> unit
 
 type reloaded = {
@@ -158,5 +157,4 @@ type reloaded = {
 
 val load_jsonl : string -> (reloaded, string) result
 
-val pp_span : Format.formatter -> span -> unit
 val pp : Format.formatter -> t -> unit

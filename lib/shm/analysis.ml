@@ -4,6 +4,12 @@
    that a solo run touches every component, or that crash survivors
    account for all late steps.
 
+   The accumulator also times every propose: the latency of a propose
+   is the number of steps of the whole system from its Invoke to its
+   Output (the step clock is [total_steps]), so contention and
+   starvation show up directly, which per-process step totals cannot
+   express.  A process has at most one pending invocation.
+
    Aggregation is streaming: an [acc] folds events one at a time in
    O(n + registers) memory, so it can sit behind an [Exec.run ?sink]
    observer on multi-million-step schedules.  [of_trace] is the same
@@ -19,6 +25,8 @@ type t = {
   writes : int;
   scans : int;
   total_steps : int;
+  latencies : int list;  (* completed proposes, in completion order *)
+  pending : int;
 }
 
 type acc = {
@@ -33,6 +41,9 @@ type acc = {
   mutable a_writes : int;
   mutable a_scans : int;
   mutable a_total : int;
+  pending_step : int array;  (* step of the pending Invoke, or -1 *)
+  pending_instance : int array;
+  mutable a_latencies : int list;  (* reversed *)
 }
 
 let create ~n ~registers =
@@ -50,15 +61,31 @@ let create ~n ~registers =
     a_writes = 0;
     a_scans = 0;
     a_total = 0;
+    pending_step = Array.make n (-1);
+    pending_instance = Array.make n 0;
+    a_latencies = [];
   }
 
 let feed acc ev =
   acc.a_total <- acc.a_total + 1;
   let pid = Event.pid ev in
-  if pid >= 0 && pid < acc.n then acc.steps.(pid) <- acc.steps.(pid) + 1;
+  let tracked = pid >= 0 && pid < acc.n in
+  if tracked then acc.steps.(pid) <- acc.steps.(pid) + 1;
   match ev with
-  | Event.Invoke _ -> acc.a_invocations <- acc.a_invocations + 1
-  | Event.Output _ -> acc.a_outputs <- acc.a_outputs + 1
+  | Event.Invoke { instance; _ } ->
+    acc.a_invocations <- acc.a_invocations + 1;
+    if tracked then begin
+      acc.pending_step.(pid) <- acc.a_total - 1;
+      acc.pending_instance.(pid) <- instance
+    end
+  | Event.Output { instance; _ } ->
+    acc.a_outputs <- acc.a_outputs + 1;
+    (* an Output with no matching Invoke (a replayed suffix) is not timed *)
+    if tracked && acc.pending_step.(pid) >= 0 && acc.pending_instance.(pid) = instance
+    then begin
+      acc.a_latencies <- (acc.a_total - acc.pending_step.(pid)) :: acc.a_latencies;
+      acc.pending_step.(pid) <- -1
+    end
   | Event.Did_write { reg; _ } ->
     acc.a_writes <- acc.a_writes + 1;
     if reg >= 0 && reg < acc.registers then acc.writes.(reg) <- acc.writes.(reg) + 1
@@ -82,6 +109,8 @@ let snapshot acc =
     writes = acc.a_writes;
     scans = acc.a_scans;
     total_steps = acc.a_total;
+    latencies = List.rev acc.a_latencies;
+    pending = Array.fold_left (fun c s -> if s >= 0 then c + 1 else c) 0 acc.pending_step;
   }
 
 let of_trace ~n ~registers trace =

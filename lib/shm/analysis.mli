@@ -1,6 +1,7 @@
 (** Execution statistics: per-process steps, per-register reads and
-    writes, and event counts by kind — what [sa_run --stats] prints and
-    what tests assert structural facts with.
+    writes, event counts by kind, and the step latency of every propose
+    — what [sa_run --stats] prints and what tests assert structural
+    facts with.
 
     Aggregation is streaming: an {!acc} folds events one at a time in
     O(n + registers) memory, so it can sit behind an [Exec.run ?sink]
@@ -17,6 +18,10 @@ type t = {
   writes : int;  (** write events *)
   scans : int;  (** scan events *)
   total_steps : int;  (** every event, i.e. scheduler decisions *)
+  latencies : int list;
+      (** per completed propose, in completion order: the steps of the
+          whole system from its [Invoke] to its [Output] inclusive *)
+  pending : int;  (** invocations with no output yet *)
 }
 
 (** {1 Streaming accumulation} *)
@@ -26,7 +31,8 @@ type acc
 
 (** Raises [Invalid_argument] on negative [n] or [registers]; both may
     be 0 (events for out-of-range pids or registers still count toward
-    [total_steps] but are not attributed). *)
+    [total_steps] but are not attributed or timed).  A process has at
+    most one pending invocation: a second [Invoke] restarts its clock. *)
 val create : n:int -> registers:int -> acc
 
 (** Fold one event into the accumulator — usable directly as an

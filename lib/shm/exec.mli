@@ -19,8 +19,9 @@ type result = {
 (** [run ~sched ~inputs config] drives [config] until quiescence or
     [max_steps] (default 1,000,000).  With [record:true] the full event
     trace is kept.  [sink] is called on every event as it happens, so
-    observers run in O(1) memory however long the schedule ([Obs.Sink]
-    provides composable sinks: tee, filter, metrics, spans, JSONL).
+    observers run in O(1) memory however long the schedule (e.g.
+    {!Analysis.feed}, or [Obs.Jsonl.sink_to_channel]; several observers
+    compose as one closure calling each).
     [probe] additionally sees the step index and the configuration
     {e after} the event — the hook coverage timelines use
     ([Obs.Coverage.probe]); absent, it costs nothing per step. *)

@@ -1,6 +1,7 @@
 (* Tests for the observability layer (lib/obs) and the Analysis edge
    cases it subsumes: streaming sinks vs recorded traces, metrics
-   histograms, per-propose spans, and the JSONL export round-trip. *)
+   histograms, per-propose latencies, the JSONL export round-trip, and
+   the file readers' behaviour on damaged input. *)
 
 open Helpers
 open Shm
@@ -15,6 +16,8 @@ let analysis_eq a b =
   && a.Analysis.writes = b.Analysis.writes
   && a.Analysis.scans = b.Analysis.scans
   && a.Analysis.total_steps = b.Analysis.total_steps
+  && a.Analysis.latencies = b.Analysis.latencies
+  && a.Analysis.pending = b.Analysis.pending
 
 (* ---- Analysis edge cases ---- *)
 
@@ -76,27 +79,14 @@ let run_counters ?record ?sink ~n ~ops () =
     ~max_steps:100_000 config
 
 let sink_sees_recorded_trace () =
-  let recorder, events = Obs.Sink.recorder () in
-  let res = run_counters ~record:true ~sink:recorder ~n:3 ~ops:5 () in
-  Alcotest.(check int) "same length" (List.length res.Exec.trace)
-    (List.length (events ()));
-  Alcotest.(check bool) "same events in order" true
-    (List.for_all2 (fun a b -> a = b) res.Exec.trace (events ()))
-
-let sink_tee_and_filter () =
-  let c_all, n_all = Obs.Sink.counter () in
-  let c_p0, n_p0 = Obs.Sink.counter () in
-  let c_writes, n_writes = Obs.Sink.counter () in
-  let is_write = function Event.Did_write _ -> true | _ -> false in
-  let sink =
-    Obs.Sink.tee
-      [ c_all; Obs.Sink.on_pid 0 c_p0; Obs.Sink.filter is_write c_writes ]
+  let seen = ref [] in
+  let res =
+    run_counters ~record:true ~sink:(fun ev -> seen := ev :: !seen) ~n:3 ~ops:5 ()
   in
-  let res = run_counters ~sink ~n:2 ~ops:3 () in
-  Alcotest.(check int) "tee sees every step" res.Exec.steps (n_all ());
-  (* each process: invoke + 3*(read+write) + output = 8 steps, 3 writes *)
-  Alcotest.(check int) "pid filter" 8 (n_p0 ());
-  Alcotest.(check int) "event filter" 6 (n_writes ())
+  let events = List.rev !seen in
+  Alcotest.(check int) "same length" (List.length res.Exec.trace) (List.length events);
+  Alcotest.(check bool) "same events in order" true
+    (List.for_all2 (fun a b -> a = b) res.Exec.trace events)
 
 let stats_sink_matches_analysis () =
   let n = 3 and ops = 4 in
@@ -193,36 +183,39 @@ let registry_get_or_create () =
   Alcotest.check_raises "kind clash" (Invalid_argument "Metrics.gauge: \"steps\" is not a gauge")
     (fun () -> ignore (Obs.Metrics.gauge r "steps"))
 
-(* ---- Spans ---- *)
+(* ---- Propose latencies ---- *)
 
 let spans_track_proposes () =
   let n = 4 in
   let p = Agreement.Params.make ~n ~m:1 ~k:2 in
-  let span = Obs.Span.create () in
-  let res = Agreement.Runner.run_oneshot ~sink:(Obs.Span.sink span) p in
+  let acc = Analysis.create ~n ~registers:0 in
+  let res = Agreement.Runner.run_oneshot ~sink:(Analysis.feed acc) p in
+  let a = Analysis.snapshot acc in
   let outs = List.length (Config.outputs res.Exec.config) in
-  Alcotest.(check int) "one span per decided propose" outs
-    (Obs.Span.completed_count span);
-  Alcotest.(check int) "nothing left open" 0 (Obs.Span.open_count span);
+  Alcotest.(check int) "one latency per decided propose" outs
+    (List.length a.Analysis.latencies);
+  Alcotest.(check int) "nothing left open" 0 a.Analysis.pending;
   List.iter
-    (fun s ->
-      Alcotest.(check bool) "positive latency" true (Obs.Span.latency s > 0);
-      Alcotest.(check bool) "within run" true
-        (s.Obs.Span.start_step >= 0 && s.Obs.Span.end_step <= res.Exec.steps))
-    (Obs.Span.completed span);
-  Alcotest.(check bool) "p50 <= p99" true (Obs.Span.p50 span <= Obs.Span.p99 span)
+    (fun l ->
+      Alcotest.(check bool) "positive latency" true (l > 0);
+      Alcotest.(check bool) "within run" true (l <= res.Exec.steps))
+    a.Analysis.latencies;
+  let h = Obs.Metrics.Histogram.of_list a.Analysis.latencies in
+  Alcotest.(check bool) "p50 <= p99" true
+    (Obs.Metrics.Histogram.p50 h <= Obs.Metrics.Histogram.p99 h)
 
 let spans_leave_starved_open () =
   (* solo schedule: only p1 decides, the other invocations never start *)
   let n = 3 in
   let p = Agreement.Params.make ~n ~m:1 ~k:2 in
-  let span = Obs.Span.create () in
+  let acc = Analysis.create ~n ~registers:0 in
   let res =
-    Agreement.Runner.run_oneshot ~sched:(Schedule.solo 1) ~sink:(Obs.Span.sink span) p
+    Agreement.Runner.run_oneshot ~sched:(Schedule.solo 1) ~sink:(Analysis.feed acc) p
   in
   ignore res;
-  Alcotest.(check int) "one completed" 1 (Obs.Span.completed_count span);
-  Alcotest.(check int) "no phantom opens" 0 (Obs.Span.open_count span)
+  let a = Analysis.snapshot acc in
+  Alcotest.(check int) "one completed" 1 (List.length a.Analysis.latencies);
+  Alcotest.(check int) "no phantom opens" 0 a.Analysis.pending
 
 (* ---- Json / Jsonl ---- *)
 
@@ -297,7 +290,11 @@ let jsonl_file_roundtrip_analysis () =
       let acc = Analysis.create ~n ~registers in
       let res =
         Agreement.Runner.run_oneshot ~record:true
-          ~sink:(Obs.Sink.tee [ Obs.Jsonl.sink_to_channel oc; Analysis.feed acc ])
+          ~sink:
+            (let write = Obs.Jsonl.sink_to_channel oc in
+             fun ev ->
+               write ev;
+               Analysis.feed acc ev)
           ~sched:(Schedule.random ~seed:5 n) p
       in
       close_out oc;
@@ -356,14 +353,14 @@ let jsonl_10k_roundtrip () =
 
 let bench_out_format () =
   let doc =
-    Obs.Bench_out.document ~experiment:"probe"
+    Obs.History.document ~experiment:"probe"
       [ Obs.Json.Obj [ ("n", Obs.Json.Int 4); ("p50", Obs.Json.Float 12.5) ] ]
   in
   match Obs.Json.of_string (Obs.Json.to_pretty_string doc) with
   | Error e -> Alcotest.failf "pretty output unparseable: %s" e
   | Ok parsed ->
     Alcotest.(check bool) "pretty/compact agree" true (parsed = doc);
-    Alcotest.(check (option int)) "schema tagged" (Some Obs.Bench_out.schema_version)
+    Alcotest.(check (option int)) "schema tagged" (Some Obs.History.schema_version)
       (Option.bind (Obs.Json.member "schema" parsed) Obs.Json.to_int_opt)
 
 (* ---- JSON escaping: arbitrary byte strings round-trip ---- *)
@@ -418,15 +415,15 @@ let bench_out_reader () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Obs.Bench_out.write ~experiment:"probe" ~path rows;
-      (match Obs.Bench_out.read path with
+      Obs.History.write_document ~experiment:"probe" ~path rows;
+      (match Obs.History.read_document path with
       | Error e -> Alcotest.failf "read back: %s" e
       | Ok doc ->
-        Alcotest.(check string) "experiment" "probe" doc.Obs.Bench_out.experiment;
-        Alcotest.(check int) "schema" Obs.Bench_out.schema_version doc.Obs.Bench_out.schema;
-        Alcotest.(check bool) "rows" true (doc.Obs.Bench_out.rows = rows));
+        Alcotest.(check string) "experiment" "probe" doc.Obs.History.experiment;
+        Alcotest.(check int) "schema" Obs.History.schema_version doc.Obs.History.schema;
+        Alcotest.(check bool) "rows" true (doc.Obs.History.rows = rows));
       (* a newer major is rejected *)
-      let doc = Obs.Bench_out.document ~experiment:"probe" rows in
+      let doc = Obs.History.document ~experiment:"probe" rows in
       let bumped =
         match doc with
         | Obs.Json.Obj fields ->
@@ -436,7 +433,7 @@ let bench_out_reader () =
                fields)
         | j -> j
       in
-      match Obs.Bench_out.of_json bumped with
+      match Obs.History.entry_of_json bumped with
       | Ok _ -> Alcotest.fail "accepted schema 99"
       | Error e -> Alcotest.(check bool) "rejected with reason" true (e <> ""))
 
@@ -557,6 +554,211 @@ let history_floors_gate () =
   Alcotest.(check bool) "fail on missing row" true
     (List.exists Obs.History.violated (verdicts [ perf_row ~arm:"reference" ~ratio:1. ]))
 
+(* ---- the file readers on damaged input ---- *)
+
+(* One valid file per format, as bytes, with its reader mapped to "how
+   many records came back".  Every file is small: the cases below are
+   about the reading policy, not scale. *)
+type format = {
+  name : string;
+  contents : string;
+  load : string -> (int, string) result;
+}
+
+let with_temp f =
+  let path = Filename.temp_file "sa_reader" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () -> f path)
+
+let write_bytes path s = Out_channel.with_open_bin path (fun oc -> output_string oc s)
+let read_bytes path = In_channel.with_open_bin path In_channel.input_all
+
+let contents_of write =
+  with_temp (fun path ->
+      write path;
+      read_bytes path)
+
+let formats =
+  lazy
+    (let events =
+       [
+         Event.Invoke { pid = 0; instance = 1; input = vi 1 };
+         Event.Did_write { pid = 0; reg = 0; value = vi 1 };
+         Event.Output { pid = 0; instance = 1; value = vi 1 };
+       ]
+     in
+     let tr = Obs.Trace.create ~trace_id:7 () in
+     Obs.Trace.with_span tr "root" (fun _ ->
+         Obs.Trace.instant tr "mark";
+         Obs.Trace.counter tr ~track:"regs" 1.);
+     let rows = List.map (fun n -> Obs.Json.Obj [ ("n", Obs.Json.Int n) ]) [ 4; 5 ] in
+     [
+       {
+         name = "events";
+         contents = contents_of (fun path -> Obs.Jsonl.save path events);
+         load = (fun path -> Result.map List.length (Obs.Jsonl.load path));
+       };
+       {
+         name = "trace";
+         contents = contents_of (fun path -> Obs.Trace.save_jsonl path tr);
+         load =
+           (fun path ->
+             Result.map
+               (fun r ->
+                 List.length r.Obs.Trace.r_spans
+                 + List.length r.Obs.Trace.r_instants
+                 + List.length r.Obs.Trace.r_samples)
+               (Obs.Trace.load_jsonl path));
+       };
+       {
+         name = "history";
+         contents =
+           contents_of (fun path ->
+               Obs.History.append ~path (history_entry ~rev:"a" rows);
+               Obs.History.append ~path (history_entry ~rev:"b" rows));
+         load = (fun path -> Result.map List.length (Obs.History.load path));
+       };
+       {
+         name = "document";
+         contents =
+           contents_of (fun path ->
+               Obs.History.write_document ~experiment:"probe" ~path rows);
+         load =
+           (fun path ->
+             Result.map
+               (fun d -> List.length d.Obs.History.rows)
+               (Obs.History.read_document path));
+       };
+     ])
+
+let lines s = String.split_on_char '\n' s |> List.filter (( <> ) "")
+
+(* Run [load] on [contents] ([None]: no file at all); an exception is a
+   test failure, whatever the expected outcome. *)
+let load_bytes fmt contents =
+  with_temp (fun path ->
+      (match contents with None -> Sys.remove path | Some c -> write_bytes path c);
+      try fmt.load path
+      with exn -> Alcotest.failf "%s reader raised %s" fmt.name (Printexc.to_string exn))
+
+let schema_99 = function
+  | "events" -> "{\"jsonl\":\"sa-events\",\"schema\":99}\n"
+  | "trace" -> "{\"jsonl\":\"sa-trace\",\"schema\":99,\"trace_id\":1,\"epoch_ns\":0}\n"
+  | _ -> "{\"schema\":99,\"experiment\":\"perf\",\"rows\":[]}\n"
+
+(* Documented outcomes: [Some n] = Ok with n records, [None] = Error.
+   Columns: events, trace, history, document. *)
+let reader_cases =
+  let torn c =
+    let last = List.nth (lines c) (List.length (lines c) - 1) in
+    c ^ String.sub last 0 (String.length last / 2)
+  in
+  [
+    ("missing file", (fun _ -> None), [ None; None; None; None ]);
+    ("empty file", (fun _ -> Some ""), [ Some 0; None; Some 0; None ]);
+    ( "blank lines",
+      (fun f -> Some ("\n" ^ String.concat "\n\n" (lines f.contents) ^ "\n\n")),
+      [ Some 3; Some 3; Some 2; Some 2 ] );
+    ( "another format's header",
+      (fun f ->
+        let other = if f.name = "events" then "sa-trace" else "sa-events" in
+        Some (Fmt.str "{\"jsonl\":%S,\"schema\":1}\n%s" other f.contents)),
+      [ None; None; None; None ] );
+    ("schema 99", (fun f -> Some (schema_99 f.name)), [ None; None; None; None ]);
+    ( "torn final line",
+      (fun f ->
+        Some
+          (if f.name = "document" then
+             String.sub f.contents 0 (String.length f.contents / 2)
+           else torn f.contents)),
+      [ Some 3; Some 3; Some 2; None ] );
+    ( "garbage line in the middle",
+      (fun f ->
+        match lines f.contents with
+        | first :: rest -> Some (String.concat "\n" (first :: "garbage{" :: rest) ^ "\n")
+        | [] -> assert false),
+      [ None; None; None; None ] );
+  ]
+
+let readers_on_damaged_input () =
+  List.iter
+    (fun (case, contents, expected) ->
+      List.iter2
+        (fun fmt want ->
+          let label = Fmt.str "%s: %s" fmt.name case in
+          match (load_bytes fmt (contents fmt), want) with
+          | Ok n, Some m -> Alcotest.(check int) label m n
+          | Error e, None ->
+            Alcotest.(check bool) (label ^ " has a reason") true (e <> "")
+          | Ok n, None -> Alcotest.failf "%s: expected Error, got Ok (%d records)" label n
+          | Error e, Some _ -> Alcotest.failf "%s: expected Ok, got Error %s" label e)
+        (Lazy.force formats) expected)
+    reader_cases
+
+(* Truncating or flipping one byte of a valid file never makes a reader
+   raise.  A truncated JSONL file still loads (the cut line is torn)
+   unless the cut removes part of a required header; a truncated
+   document loads only if at most its trailing newline went. *)
+let readers_byte_mutations =
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| 0x5A5 |])
+    (QCheck.Test.make ~name:"readers: truncated or flipped files never raise" ~count:400
+       QCheck.(
+         quad (int_bound 3) bool (int_bound 10_000) (int_range 1 255))
+       (fun (which, truncate, at, mask) ->
+         let fmt = List.nth (Lazy.force formats) which in
+         let c = fmt.contents in
+         let at = at mod String.length c in
+         if truncate then
+           let result = load_bytes fmt (Some (String.sub c 0 at)) in
+           let header_len = String.index c '\n' in
+           let should_load =
+             match fmt.name with
+             | "trace" -> at >= header_len
+             | "document" -> at >= String.length c - 1
+             | _ -> true
+           in
+           Result.is_ok result = should_load
+         else
+           let b = Bytes.of_string c in
+           Bytes.set b at (Char.chr (Char.code c.[at] lxor mask));
+           ignore (load_bytes fmt (Some (Bytes.to_string b)));
+           true))
+
+(* An interrupted append leaves a final line with no newline: History
+   loads everything before it, warning once, so `bench check` and
+   `bench diff` keep working; a bad line anywhere else still fails. *)
+let history_torn_final_line () =
+  with_temp (fun path ->
+      Sys.remove path;
+      let entry rev = history_entry ~rev [ perf_row ~arm:"new" ~ratio:1. ] in
+      Obs.History.append ~path (entry "a");
+      Obs.History.append ~path (entry "b");
+      let whole = read_bytes path in
+      write_bytes path (whole ^ "{\"schema\":1,\"ts\":0,\"rev\":\"c\",\"exper");
+      (match Obs.History.load path with
+      | Ok entries ->
+        Alcotest.(check (list string)) "entries before the torn line" [ "a"; "b" ]
+          (List.map (fun e -> e.Obs.History.rev) entries)
+      | Error e -> Alcotest.failf "torn final line failed the load: %s" e);
+      let warnings = ref [] in
+      let folded =
+        Obs.Json.fold_lines ~warn:(fun w -> warnings := w :: !warnings) path ~init:0
+          ~f:(fun n _ -> Ok (n + 1))
+      in
+      Alcotest.(check bool) "two lines folded" true (Result.map snd folded = Ok 2);
+      Alcotest.(check int) "one warning" 1 (List.length !warnings);
+      Alcotest.(check bool) "warning names path:line" true
+        (String.starts_with ~prefix:(path ^ ":3:") (List.hd !warnings));
+      (* the same bytes followed by a newline are a bad line, not a torn one *)
+      write_bytes path (whole ^ "{\"schema\":1,\"ts\":0,\"rev\":\"c\",\"exper\n");
+      match Obs.History.load path with
+      | Ok _ -> Alcotest.fail "accepted a bad terminated line"
+      | Error e ->
+        Alcotest.(check bool) "error names path:line" true
+          (String.starts_with ~prefix:(path ^ ":3:") e))
+
 let suite =
   [
     test "analysis: empty trace" analysis_empty_trace;
@@ -564,7 +766,6 @@ let suite =
     test "analysis: write_skew with no writes" analysis_write_skew_no_writes;
     test "analysis: scan clipped to register file" analysis_scan_clipped;
     test "sink sees exactly the recorded trace" sink_sees_recorded_trace;
-    test "sink tee and filter compose" sink_tee_and_filter;
     test "stats sink matches batch analysis" stats_sink_matches_analysis;
     test "histogram quantiles within an octave" histogram_quantiles;
     test "histogram percentiles pinned across alloc-free rewrite"
@@ -585,4 +786,7 @@ let suite =
     test "jsonl header versioned, legacy accepted" jsonl_header_versioned;
     test "history round-trip, diff, schema rejection" history_roundtrip_and_diff;
     test "history floors gate regressions" history_floors_gate;
+    test "history: torn final line skipped, bad line fails" history_torn_final_line;
+    test "readers: damaged-input table" readers_on_damaged_input;
+    readers_byte_mutations;
   ]

@@ -24,6 +24,10 @@
 #      builds parameters (Agreement.Params.make): it turns Sys_error
 #      and Invalid_argument into one-line usage errors (exit 2), so
 #      user input never surfaces as an uncaught exception.
+#   7. Under lib/obs, only lib/obs/json.ml opens files for reading
+#      (In_channel.with_open_*, In_channel.open_*, open_in*): its one
+#      reader turns Sys_error into Error and owns the blank-line,
+#      path:line, header and torn-final-line policy for every loader.
 #
 # Exits non-zero listing every offender.
 
@@ -88,6 +92,12 @@ done
 # 6. command-line input goes through bin/cli.ml ---------------------
 if grep -En "open_in|open_out|Agreement\.Params\.make" bin/*.ml | grep -v "^bin/cli\.ml:"; then
   echo "lint: under bin/, open files and build Params only through bin/cli.ml" >&2
+  fail=1
+fi
+
+# 7. file reading in lib/obs goes through Obs.Json ------------------
+if grep -En "In_channel\.(with_open|open)|\bopen_in(_bin|_gen)?\b" lib/obs/*.ml | grep -v "^lib/obs/json\.ml:"; then
+  echo "lint: under lib/obs, open files for reading only through lib/obs/json.ml" >&2
   fail=1
 fi
 
