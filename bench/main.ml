@@ -548,13 +548,13 @@ let indep_table ~smoke =
         | Ok p -> p
         | Error msg -> Fmt.failwith "E19 protocol %s: %s" case msg
       in
-      let inputs = Fuzz.Gen.inputs in
+      let inputs = Runner.proto_inputs in
       let facts =
         Analyze.Indep.of_prog
           ~inputs:
             (List.filter_map
                (fun pid -> inputs ~pid ~instance:1)
-               (List.init prog.Analyze.Ir.n Fun.id))
+               (List.init prog.Shm.Vm.n Fun.id))
           prog
       in
       (* agreement-only: these protocols decide certified constants, so
@@ -570,10 +570,10 @@ let indep_table ~smoke =
         ~fields:
           [
             ("protocol", Obs.Json.String (Analyze.Ir.to_string prog));
-            ("n", Obs.Json.Int prog.Analyze.Ir.n);
-            ("registers", Obs.Json.Int prog.Analyze.Ir.registers);
+            ("n", Obs.Json.Int prog.Shm.Vm.n);
+            ("registers", Obs.Json.Int prog.Shm.Vm.registers);
           ]
-        (fun () -> Fuzz.Gen.config prog))
+        (fun () -> Shm.Vm.config prog))
     proto_cases;
   let ratio =
     if !total_refined = 0 then 1.0
@@ -690,14 +690,7 @@ let interp_arm ~config ~inputs ~full ~iters =
       for pid = 0 to n - 1 do
         if Shm.Config.runnable !config ~has_input pid then (
           let before = !config in
-          let config', ev =
-            match Shm.Config.proc before pid with
-            | Shm.Program.Await _ ->
-              let inst = Shm.Config.instance before pid + 1 in
-              Shm.Config.invoke before pid (Option.get (inputs ~pid ~instance:inst))
-            | Shm.Program.Stop -> assert false
-            | Shm.Program.Op _ | Shm.Program.Yield _ -> Shm.Config.step before pid
-          in
+          let config', ev = Shm.Config.advance ~inputs before pid in
           let hash' = Spec.Statehash.record !hash ~before config' ev in
           (sink :=
              !sink
@@ -845,12 +838,9 @@ let perf_table ~smoke =
     }
   in
   let vn = proto.Shm.Vm.n in
-  let proto_inputs ~pid ~instance =
-    if instance = 1 then Some (Shm.Value.int (pid + 1)) else None
-  in
   let vm_iters = if smoke then 300 else 3_000 in
   let proto_vm_arm ~iters =
-    let e = Shm.Vm.env (Shm.Vm.compile proto) ~inputs:proto_inputs in
+    let e = Shm.Vm.env (Shm.Vm.compile proto) ~inputs:Runner.proto_inputs in
     let st = Shm.Vm.make_state e in
     let steps = ref 0 and sink = ref 0 in
     let t0 = Unix.gettimeofday () in
@@ -908,7 +898,7 @@ let perf_table ~smoke =
       (best_of
          (interp_arm
             ~config:(fun () -> Shm.Vm.config ~backend:Shm.Memory.Journaled proto)
-            ~inputs:proto_inputs ~full:false))
+            ~inputs:Runner.proto_inputs ~full:false))
   in
   let vm_per_s, vm_arm_row =
     vm_row ~bench:"vm-sim-steps" ~arm:"vm" ~engine:"vm" ~iters:vm_iters
@@ -929,14 +919,15 @@ let perf_table ~smoke =
   let vm_dpor_interp () =
     Spec.Modelcheck.run
       ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs = 1 })
-      ~depth:vm_dpor_depth ~key:`Incremental ~completion_steps:0 ~inputs:proto_inputs
+      ~depth:vm_dpor_depth ~key:`Incremental ~completion_steps:0
+      ~inputs:Runner.proto_inputs
       ~check:(fun _ -> Ok ())
       (Shm.Vm.config ~backend:Shm.Memory.Journaled proto)
   in
   let vm_dpor_vm () =
     Spec.Modelcheck.run_vm
       ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs = 1 })
-      ~depth:vm_dpor_depth ~completion_steps:0 ~inputs:proto_inputs
+      ~depth:vm_dpor_depth ~completion_steps:0 ~inputs:Runner.proto_inputs
       ~check:(fun ~inputs:_ ~outputs:_ -> Ok ())
       proto
   in

@@ -282,28 +282,28 @@ let analyzer_version = Fuzz.Gen.version
    makes it inspectable by hand). *)
 let run_protocol ~engine prog =
   let r = Agreement.Runner.run_proto ~engine prog in
+  let written = r.Shm.Vm.final.Shm.Vm.written in
   Fmt.pr "@.run (%s engine): %d steps, %s; %d register(s) written {%a}@."
     (Agreement.Runner.engine_name engine)
-    r.Agreement.Runner.steps
-    (stopped_name r.Agreement.Runner.stopped)
-    (List.length r.Agreement.Runner.written)
+    r.Shm.Vm.steps (stopped_name r.Shm.Vm.stopped) (List.length written)
     Fmt.(list ~sep:comma int)
-    r.Agreement.Runner.written;
+    written;
   List.iter
     (fun (pid, inst, v) ->
       Fmt.pr "  p%d decides %a (instance %d)@." pid Shm.Value.pp v inst)
-    r.Agreement.Runner.io_outputs
+    r.Shm.Vm.final.Shm.Vm.outputs
 
 let explore_protocol ~engine ~depth prog =
   let mc_engine = Spec.Modelcheck.Dpor { cache = true; jobs = 1 } in
+  let inputs = Agreement.Runner.proto_inputs in
   let outcome =
     match (engine : Agreement.Runner.engine) with
     | Agreement.Runner.Interp ->
-      Spec.Modelcheck.run ~engine:mc_engine ~depth ~inputs:Fuzz.Gen.inputs
+      Spec.Modelcheck.run ~engine:mc_engine ~depth ~inputs
         ~check:(Spec.Properties.check_safety ~k:1)
-        (Fuzz.Gen.config prog)
+        (Shm.Vm.config prog)
     | Agreement.Runner.Vm ->
-      Spec.Modelcheck.run_vm ~engine:mc_engine ~depth ~inputs:Fuzz.Gen.inputs
+      Spec.Modelcheck.run_vm ~engine:mc_engine ~depth ~inputs
         ~check:(Spec.Properties.check_safety_io ~k:1)
         prog
   in
@@ -321,6 +321,12 @@ let analyze_protocol ~ir ~indep ~optimize ~witness ~sarif_path ~json_path
     | Ok p -> p
     | Error msg -> Cli.usage_error "protocol parse error: %s" msg
   in
+  (* executing needs a protocol the engines accept; the analyses
+     below lint the others *)
+  (match Shm.Vm.validate prog with
+  | Error msg when run || explore_depth <> None ->
+    Cli.usage_error "protocol cannot run: %s" msg
+  | _ -> ());
   let artifact = "protocol:" ^ Analyze.Ir.to_string prog in
   let d = Analyze.Dataflow.analyze prog in
   Fmt.pr "%a@." Analyze.Dataflow.pp d;

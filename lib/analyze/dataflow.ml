@@ -68,7 +68,7 @@ let pp_vset ppf s =
 (* ------------------------------------------------------------------ *)
 
 type t = {
-  prog : Ir.prog;
+  prog : Shm.Vm.proto;
   cfg : Ir.cfg;
   inputs : V.t list;
   reg_values : V.t list array;  (** collected per-register values, ⊥ first *)
@@ -100,7 +100,7 @@ let preds_of (cfg : Ir.cfg) =
 
 let scan_covers off len r = r >= off && r < off + len
 
-let analyze ?inputs (prog : Ir.prog) =
+let analyze ?inputs (prog : Shm.Vm.proto) =
   let inputs = match inputs with Some l -> l | None -> default_inputs prog.n in
   let cfg = Ir.cfg_of_prog prog in
   let npts = Array.length cfg.points in
@@ -205,9 +205,9 @@ let analyze ?inputs (prog : Ir.prog) =
         match op id with
         | Ir.PWrite (r, src) -> (
           match src with
-          | Ir.Const c -> Absdom.add store r (V.int c)
-          | Ir.Input -> List.iter (Absdom.add store r) inputs
-          | Ir.Last ->
+          | Shm.Vm.Const c -> Absdom.add store r (V.int c)
+          | Shm.Vm.Input -> List.iter (Absdom.add store r) inputs
+          | Shm.Vm.Last ->
             let li = last_in.(id) in
             if li.capped then widened := true;
             List.iter
@@ -290,7 +290,7 @@ let analyze ?inputs (prog : Ir.prog) =
   let last_live_out = Array.make npts false in
   let last_live_in id =
     match op id with
-    | Ir.PWrite (_, Ir.Last) | Ir.PDecide Ir.Last -> true
+    | Ir.PWrite (_, Shm.Vm.Last) | Ir.PDecide Shm.Vm.Last -> true
     | Ir.PRead _ -> false (* killed before use *)
     | Ir.PScan (_, len) when len > 0 -> false
     | _ -> last_live_out.(id)
@@ -390,7 +390,7 @@ let folded_value t id =
   if t.widened then None
   else
     match t.cfg.points.(id).op with
-    | Ir.PWrite (_, Ir.Last) | Ir.PDecide Ir.Last ->
+    | Ir.PWrite (_, Shm.Vm.Last) | Ir.PDecide Shm.Vm.Last ->
       singleton_value t.last_in.(id)
     | _ -> None
 

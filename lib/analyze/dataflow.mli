@@ -25,7 +25,7 @@ val singleton_value : vset -> Shm.Value.t option
 val pp_vset : Format.formatter -> vset -> unit
 
 type t = {
-  prog : Ir.prog;
+  prog : Shm.Vm.proto;
   cfg : Ir.cfg;
   inputs : Shm.Value.t list;  (** possible invocation inputs, all pids *)
   reg_values : Shm.Value.t list array;
@@ -50,7 +50,7 @@ type t = {
 (** [analyze prog] runs all analyses to fixpoint.  [inputs] defaults to
     {!Agreement.Runner.default_input} for every pid at instance 1 —
     the model under which generated protocols execute. *)
-val analyze : ?inputs:Shm.Value.t list -> Ir.prog -> t
+val analyze : ?inputs:Shm.Value.t list -> Shm.Vm.proto -> t
 
 (** Possible [last] values {e after} point [id]. *)
 val last_out : t -> int -> vset

@@ -31,7 +31,7 @@ type facts = {
 val empty : facts
 
 val of_dataflow : Dataflow.t -> facts
-val of_prog : ?inputs:Shm.Value.t list -> Ir.prog -> facts
+val of_prog : ?inputs:Shm.Value.t list -> Shm.Vm.proto -> facts
 
 (** Facts for an arbitrary free-monad configuration, from the abstract
     footprint ({!Absint}) and the lowered point trees ({!Ir.lower});

@@ -2,10 +2,9 @@
 
    Two sources feed the IR:
 
-   - the fuzzer's protocol language (step lists with bounded loops) is
-     *this* language — [Fuzz.Gen] re-exports the types below — so the
-     dataflow analyses and the optimizer work on fuzz protocols
-     exactly;
+   - the fuzzer's protocol language (step lists with bounded loops,
+     [Shm.Vm.proto]) is *this* language, so the dataflow analyses and
+     the optimizer work on fuzz protocols exactly;
    - arbitrary free-monad programs ([Shm.Program.t]) are lowered into
      per-process point trees by driving their abstract-stepping hooks
      against a collecting memory ([Absdom]), the same technique as
@@ -17,31 +16,20 @@
    at run time — the bridge between a dynamic step and its static
    point. *)
 
-(* The language itself now lives in [Shm.Vm] (PR 10): the bytecode
-   compiler and the free-monad compiler must agree on one set of
-   constructors, and shm sits below every layer that consumes them.
-   These equations keep [Analyze.Ir.Read] et al. valid constructors —
-   nothing downstream (Dataflow, Optim, Fuzz.Gen) changes. *)
-type src = Shm.Vm.src = Const of int | Input | Last
-
-type step = Shm.Vm.step =
-  | Read of int
-  | Write of int * src
-  | Scan of int * int
-  | Loop of int * step list
-  | Decide of src
-
-type prog = Shm.Vm.proto = { registers : int; n : int; steps : step list }
+(* The language itself lives in [Shm.Vm]: the bytecode compiler and
+   the free-monad compiler must agree on one set of constructors, and
+   shm sits below every layer that consumes them.  Annotations below
+   select its constructors by type. *)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering (the fuzzer's compact one-line replay form)               *)
 
-let src_to_string = function
+let src_to_string : Shm.Vm.src -> string = function
   | Const c -> string_of_int c
   | Input -> "in"
   | Last -> "last"
 
-let rec step_to_string = function
+let rec step_to_string : Shm.Vm.step -> string = function
   | Read r -> Fmt.str "R%d" r
   | Write (r, s) -> Fmt.str "W%d<-%s" r (src_to_string s)
   | Scan (off, len) -> Fmt.str "S%d+%d" off len
@@ -51,7 +39,7 @@ let rec step_to_string = function
 
 let pp_step ppf s = Fmt.string ppf (step_to_string s)
 
-let to_string p =
+let to_string (p : Shm.Vm.proto) =
   Fmt.str "r%d n%d : %s" p.registers p.n
     (String.concat "; " (List.map step_to_string p.steps))
 
@@ -82,7 +70,7 @@ let parse s =
       fail "expected integer";
     int_of_string (String.sub s start (!pos - start))
   in
-  let src () =
+  let src () : Shm.Vm.src =
     skip_ws ();
     match peek () with
     | Some ('-' | '0' .. '9') -> Const (int ())
@@ -94,7 +82,7 @@ let parse s =
       | "last" -> Last
       | w -> fail (Fmt.str "unknown source %S" w))
   in
-  let rec step () =
+  let rec step () : Shm.Vm.step =
     skip_ws ();
     match peek () with
     | Some 'R' ->
@@ -148,7 +136,7 @@ let parse s =
     if !pos <> len then fail "trailing input";
     if registers < 1 then fail "registers must be >= 1";
     if n < 1 then fail "n must be >= 1";
-    { registers; n; steps }
+    ({ registers; n; steps } : Shm.Vm.proto)
   with
   | p -> Ok p
   | exception Parse msg -> Error msg
@@ -159,9 +147,9 @@ let parse s =
 
 type pop =
   | PRead of int
-  | PWrite of int * src
+  | PWrite of int * Shm.Vm.src
   | PScan of int * int
-  | PDecide of src
+  | PDecide of Shm.Vm.src
 
 type point = { op : pop; succs : int list }
 
@@ -179,7 +167,7 @@ let pop_to_string = function
    exits when c >= 2, and a forward edge past the loop; c <= 0 is a
    bypass.  [Decide] is terminal — anything after it on the same path
    is dead code (emitted, marked unreachable). *)
-let cfg_of_prog p =
+let cfg_of_prog (p : Shm.Vm.proto) =
   let points = ref [] (* (id, pop) reversed *) in
   let next = ref 0 in
   let succs : (int, int list) Hashtbl.t = Hashtbl.create 16 in
@@ -202,7 +190,7 @@ let cfg_of_prog p =
     match steps with
     | [] -> pending
     | st :: tl -> (
-      match st with
+      match (st : Shm.Vm.step) with
       | Read r ->
         let id = emit (PRead r) in
         connect pending id;
@@ -236,7 +224,7 @@ let cfg_of_prog p =
   let final = seq p.steps [ -1 ] in
   ignore final;
   let n = !next in
-  let arr = Array.make n { op = PDecide Last; succs = [] } in
+  let arr = Array.make n { op = PDecide Shm.Vm.Last; succs = [] } in
   List.iter
     (fun (id, op) ->
       let ss =

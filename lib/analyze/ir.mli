@@ -1,7 +1,7 @@
 (** First-order protocol IR and control-flow graphs of program points.
 
-    The step-list language is shared with the fuzzer ({!Fuzz.Gen}
-    re-exports these types), so the dataflow analyses and the protocol
+    The step-list language is {!Shm.Vm.proto}, shared with the fuzzer
+    and the bytecode engine, so the dataflow analyses and the protocol
     optimizer apply to every generated protocol exactly.  Arbitrary
     free-monad programs are lowered into per-process point trees by
     {!lower}, which drives the abstract-stepping hooks of
@@ -14,47 +14,27 @@
     point whose unrolled index is [k] — the [Shm.Config.pc] bridge
     between dynamic steps and static points. *)
 
-(** Where a written or decided value comes from: a small-integer
-    constant, the invocation input, or the process's last observation
-    (⊥ until its first read; a scan observes its first component).
-
-    The constructors are re-exported from {!Shm.Vm}, where the
-    language is defined: the same value is an analyzer subject, a fuzz
-    corpus entry, and a bytecode-compilation subject. *)
-type src = Shm.Vm.src = Const of int | Input | Last
-
-type step = Shm.Vm.step =
-  | Read of int  (** read one register (becomes [last]) *)
-  | Write of int * src  (** write one register *)
-  | Scan of int * int  (** atomic scan: offset, length *)
-  | Loop of int * step list  (** repeat the body [count] times *)
-  | Decide of src  (** output and halt; the tail is dead code *)
-
-(** A symmetric protocol: [n] identical processes over [registers]
-    single-writer-free registers, each running [steps]. *)
-type prog = Shm.Vm.proto = { registers : int; n : int; steps : step list }
-
-val src_to_string : src -> string
-val step_to_string : step -> string
-val pp_step : Format.formatter -> step -> unit
+val src_to_string : Shm.Vm.src -> string
+val step_to_string : Shm.Vm.step -> string
+val pp_step : Format.formatter -> Shm.Vm.step -> unit
 
 (** One-line replay form, e.g. ["r3 n2 : R0; W1<-in; L2[R1]; D last"]. *)
-val to_string : prog -> string
+val to_string : Shm.Vm.proto -> string
 
-val pp : Format.formatter -> prog -> unit
+val pp : Format.formatter -> Shm.Vm.proto -> unit
 
 (** Inverse of {!to_string} (used by corpus files and [sa_run analyze
     --protocol]); errors mention the offending offset. *)
-val parse : string -> (prog, string) result
+val parse : string -> (Shm.Vm.proto, string) result
 
 (** {1 Control-flow graphs} *)
 
-(** A point's operation — a loop-free projection of {!step}. *)
+(** A point's operation — a loop-free projection of {!Shm.Vm.step}. *)
 type pop =
   | PRead of int
-  | PWrite of int * src
+  | PWrite of int * Shm.Vm.src
   | PScan of int * int
-  | PDecide of src
+  | PDecide of Shm.Vm.src
 
 type point = {
   op : pop;
@@ -71,7 +51,7 @@ type cfg = {
 (** Flatten a program into its CFG: one point per operation occurrence
     (loop bodies once, with a back edge when the count admits a second
     iteration), [Decide] terminal. *)
-val cfg_of_prog : prog -> cfg
+val cfg_of_prog : Shm.Vm.proto -> cfg
 
 val pop_to_string : pop -> string
 val pp_cfg : Format.formatter -> cfg -> unit

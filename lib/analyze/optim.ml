@@ -27,11 +27,15 @@
 
 module V = Shm.Value
 
-type edit = Keep of Ir.step | Fold of Ir.step * Ir.step | Drop of Ir.step | Eloop of int * edit list
+type edit =
+  | Keep of Shm.Vm.step
+  | Fold of Shm.Vm.step * Shm.Vm.step
+  | Drop of Shm.Vm.step
+  | Eloop of int * edit list
 
 type result = {
-  original : Ir.prog;
-  optimized : Ir.prog;
+  original : Shm.Vm.proto;
+  optimized : Shm.Vm.proto;
   edits : edit list;  (** last iteration's edits, for display *)
   kept : bool list;
       (** composed unrolled keep-mask over the original's executed op
@@ -52,11 +56,11 @@ let unrolled_ops steps =
   let acc = ref [] in
   let rec go steps =
     List.iter
-      (fun (s : Ir.step) ->
+      (fun (s : Shm.Vm.step) ->
         match s with
-        | Ir.Read _ | Ir.Write _ | Ir.Scan _ -> acc := s :: !acc
-        | Ir.Decide _ -> raise Decided
-        | Ir.Loop (c, b) ->
+        | Shm.Vm.Read _ | Shm.Vm.Write _ | Shm.Vm.Scan _ -> acc := s :: !acc
+        | Shm.Vm.Decide _ -> raise Decided
+        | Shm.Vm.Loop (c, b) ->
           for _ = 1 to c do
             go b
           done)
@@ -73,12 +77,12 @@ let unrolled_mask edits =
     List.iter
       (fun e ->
         match e with
-        | Keep (Ir.Decide _) | Fold (Ir.Decide _, _) -> raise Decided
-        | Drop (Ir.Decide _) ->
+        | Keep (Shm.Vm.Decide _) | Fold (Shm.Vm.Decide _, _) -> raise Decided
+        | Drop (Shm.Vm.Decide _) ->
           (* only dead code drops decides, and the walk raises at the
              live decide before reaching any dead code *)
           assert false
-        | Drop (Ir.Loop _) -> () (* empty or zero-count: executes nothing *)
+        | Drop (Shm.Vm.Loop _) -> () (* empty or zero-count: executes nothing *)
         | Keep _ | Fold _ -> acc := true :: !acc
         | Drop _ -> acc := false :: !acc
         | Eloop (c, b) ->
@@ -108,7 +112,7 @@ let compose_masks m1 m2 =
 (* One rewrite pass                                                    *)
 
 let as_const v =
-  match V.view v with V.Int c -> Some (Ir.Const c) | _ -> None
+  match V.view v with V.Int c -> Some (Shm.Vm.Const c) | _ -> None
 
 (* Walk the step list mirroring [Ir.cfg_of_prog]'s point emission order
    exactly, so dataflow facts indexed by point id line up. *)
@@ -126,42 +130,42 @@ let rewrite_pass (d : Dataflow.t) =
     (* [live] false once a Decide was passed at this level: dead code *)
     match steps with
     | [] -> []
-    | (s : Ir.step) :: tl -> (
+    | (s : Shm.Vm.step) :: tl -> (
       match s with
-      | Ir.Read _ | Ir.Scan _ ->
+      | Shm.Vm.Read _ | Shm.Vm.Scan _ ->
         let id = emit () in
         let e =
           if (not live) || redundant id then Drop s
           else Keep s
         in
         e :: go tl ~live
-      | Ir.Write (r, src) ->
+      | Shm.Vm.Write (r, src) ->
         let id = emit () in
         let e =
           if (not live) || dead r then Drop s
           else
             match src with
-            | Ir.Last -> (
+            | Shm.Vm.Last -> (
               match Option.bind (Dataflow.folded_value d id) as_const with
-              | Some c -> Fold (s, Ir.Write (r, c))
+              | Some c -> Fold (s, Shm.Vm.Write (r, c))
               | None -> Keep s)
             | _ -> Keep s
         in
         e :: go tl ~live
-      | Ir.Decide src ->
+      | Shm.Vm.Decide src ->
         let id = emit () in
         let e =
           if not live then Drop s
           else
             match src with
-            | Ir.Last -> (
+            | Shm.Vm.Last -> (
               match Option.bind (Dataflow.folded_value d id) as_const with
-              | Some c -> Fold (s, Ir.Decide c)
+              | Some c -> Fold (s, Shm.Vm.Decide c)
               | None -> Keep s)
             | _ -> Keep s
         in
         e :: go tl ~live:false
-      | Ir.Loop (c, body) ->
+      | Shm.Vm.Loop (c, body) ->
         if c <= 0 || body = [] then Drop s :: go tl ~live
         else
           let b = go body ~live in
@@ -170,7 +174,7 @@ let rewrite_pass (d : Dataflow.t) =
             && not
                  (List.exists
                     (let rec decides = function
-                       | Keep (Ir.Decide _) | Fold (Ir.Decide _, _) -> true
+                       | Keep (Shm.Vm.Decide _) | Fold (Shm.Vm.Decide _, _) -> true
                        | Eloop (_, es) -> List.exists decides es
                        | _ -> false
                      in
@@ -190,7 +194,7 @@ let rec apply_edits edits =
       | Fold (_, s') -> Some s'
       | Drop _ -> None
       | Eloop (c, b) -> (
-        match apply_edits b with [] -> None | b' -> Some (Ir.Loop (c, b'))))
+        match apply_edits b with [] -> None | b' -> Some (Shm.Vm.Loop (c, b'))))
     edits
 
 let rec count_edits edits =
@@ -199,7 +203,7 @@ let rec count_edits edits =
       match e with
       | Keep _ -> (f, dr)
       | Fold _ -> (f + 1, dr)
-      | Drop (Ir.Loop _) -> (f, dr) (* empty/zero loops execute nothing *)
+      | Drop (Shm.Vm.Loop _) -> (f, dr) (* empty/zero loops execute nothing *)
       | Drop _ -> (f, dr + 1)
       | Eloop (_, b) ->
         let f', dr' = count_edits b in
@@ -210,27 +214,27 @@ let rec count_edits edits =
 
 let max_iterations = 4
 
-let optimize ?inputs (prog : Ir.prog) =
+let optimize ?inputs (prog : Shm.Vm.proto) =
   let rec iter p mask folded dropped last_edits i =
     if i >= max_iterations then (p, mask, folded, dropped, last_edits, i)
     else
       let d = Dataflow.analyze ?inputs p in
-      let edits = rewrite_pass d p.Ir.steps in
+      let edits = rewrite_pass d p.Shm.Vm.steps in
       let f, dr = count_edits edits in
       if f = 0 && dr = 0 then (p, mask, folded, dropped, last_edits, i)
       else
-        let p' = { p with Ir.steps = apply_edits edits } in
+        let p' = { p with Shm.Vm.steps = apply_edits edits } in
         let mask' = compose_masks mask (unrolled_mask edits) in
         iter p' mask' (folded + f) (dropped + dr) (Some edits) (i + 1)
   in
-  let id_mask = List.map (fun _ -> true) (unrolled_ops prog.Ir.steps) in
+  let id_mask = List.map (fun _ -> true) (unrolled_ops prog.Shm.Vm.steps) in
   let optimized, kept, folded, dropped, edits, iterations =
     iter prog id_mask 0 0 None 0
   in
   {
     original = prog;
     optimized;
-    edits = Option.value edits ~default:(List.map (fun s -> Keep s) prog.Ir.steps);
+    edits = Option.value edits ~default:(List.map (fun s -> Keep s) prog.Shm.Vm.steps);
     kept;
     folded;
     dropped;

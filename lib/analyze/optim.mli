@@ -1,4 +1,4 @@
-(** The protocol optimizer: dataflow-certified rewrites of {!Ir.prog}.
+(** The protocol optimizer: dataflow-certified rewrites of {!Shm.Vm.proto}.
 
     Three rewrite families — constant folding ([W<-last] / [D last]
     with a provable singleton integer value), redundant-scan collapse
@@ -17,14 +17,14 @@
 (** What happened to each step.  [Fold] keeps an op but rewrites its
     source to a provably-equal constant; [Eloop] recurses. *)
 type edit =
-  | Keep of Ir.step
-  | Fold of Ir.step * Ir.step
-  | Drop of Ir.step
+  | Keep of Shm.Vm.step
+  | Fold of Shm.Vm.step * Shm.Vm.step
+  | Drop of Shm.Vm.step
   | Eloop of int * edit list
 
 type result = {
-  original : Ir.prog;
-  optimized : Ir.prog;
+  original : Shm.Vm.proto;
+  optimized : Shm.Vm.proto;
   edits : edit list;  (** the final changing iteration's edits *)
   kept : bool list;
       (** composed keep-mask over the original's {e executed} op
@@ -37,7 +37,7 @@ type result = {
 
 (** [optimize prog] — analyses and rewrites until nothing changes (or
     an iteration cap).  [inputs] as in {!Dataflow.analyze}. *)
-val optimize : ?inputs:Shm.Value.t list -> Ir.prog -> result
+val optimize : ?inputs:Shm.Value.t list -> Shm.Vm.proto -> result
 
 (** The composed unrolled keep-mask (the [kept] field). *)
 val kept_mask : result -> bool list

@@ -127,7 +127,7 @@ let bench_rows rows ~p mutants =
           ])
       mutants
 
-let protocol_row (prog : Ir.prog) (facts : Indep.facts) ~flow_diags opt =
+let protocol_row (prog : Shm.Vm.proto) (facts : Indep.facts) ~flow_diags opt =
   let ints l = Obs.Json.Arr (List.map (fun r -> Obs.Json.Int r) l) in
   Obs.Json.Obj
     ([

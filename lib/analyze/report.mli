@@ -64,7 +64,7 @@ val bench_rows :
     number of flow diagnostics and, when it was optimized, the
     rewrite. *)
 val protocol_row :
-  Ir.prog -> Indep.facts -> flow_diags:int -> Optim.result option -> Obs.Json.t
+  Shm.Vm.proto -> Indep.facts -> flow_diags:int -> Optim.result option -> Obs.Json.t
 
 val pp_header : Format.formatter -> unit -> unit
 val pp_row : Format.formatter -> row -> unit

@@ -50,7 +50,8 @@ let run_anonymous ?record ?r ?anonymous_collect ?seed ?sched ?sink ?(max_steps =
 (* ------------------------------------------------------------------ *)
 (* First-order protocols run under either engine: the free-monad
    interpreter (the reference) or the bytecode vm.  Both see the same
-   schedule and inputs; the result is the engine-neutral summary. *)
+   schedule and inputs; the result is the engine-neutral summary
+   ([Vm.vresult], compared by [Vm.diff]). *)
 
 type engine = Interp | Vm
 
@@ -62,16 +63,6 @@ let engine_of_string s =
   | "vm" | "bytecode" -> Some Vm
   | _ -> None
 
-type proto_result = {
-  steps : int;
-  stopped : Exec.stop_reason;
-  trace : Event.t list;
-  memory : Value.t array;
-  written : int list;
-  io_inputs : (int * int * Value.t) list;
-  io_outputs : (int * int * Value.t) list;
-}
-
 (* One invocation per process, [default_input] — the fuzzer's input
    space, so [analyze --protocol] and the oracles judge the same runs. *)
 let proto_inputs ~pid ~instance =
@@ -82,33 +73,8 @@ let run_proto ?(engine = Interp) ?backend ?record ?sched ?sink
   let sched = Option.value sched ~default:(Schedule.round_robin p.Vm.n) in
   match engine with
   | Interp ->
-    let res =
-      Exec.run ?record ?sink ~sched ~inputs ~max_steps (Vm.config ?backend p)
-    in
-    let mem = Config.mem res.Exec.config in
-    {
-      steps = res.Exec.steps;
-      stopped = res.Exec.stopped;
-      trace = res.Exec.trace;
-      memory = Memory.scan mem ~off:0 ~len:(Memory.size mem);
-      written =
-        (let module S = Set.Make (Int) in
-         S.elements (Memory.written_set mem));
-      io_inputs = Config.inputs res.Exec.config;
-      io_outputs = Config.outputs res.Exec.config;
-    }
-  | Vm ->
-    let e = Vm.env (Vm.compile p) ~inputs in
-    let r = Vm.run ?record ?sink ~max_steps ~sched e in
-    {
-      steps = r.Vm.steps;
-      stopped = r.Vm.stopped;
-      trace = r.Vm.trace;
-      memory = r.Vm.final.Vm.memory;
-      written = r.Vm.final.Vm.written;
-      io_inputs = r.Vm.final.Vm.inputs;
-      io_outputs = r.Vm.final.Vm.outputs;
-    }
+    Vm.of_exec (Exec.run ?record ?sink ~sched ~inputs ~max_steps (Vm.config ?backend p))
+  | Vm -> Vm.run ?record ?sink ~max_steps ~sched (Vm.env (Vm.compile p) ~inputs)
 
 (* Outputs of instance [i], with multiplicity, in completion order. *)
 let outputs_of_instance result ~instance =

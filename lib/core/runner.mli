@@ -66,7 +66,7 @@ val run_anonymous :
     ({!Shm.Vm}).  {!run_proto} drives either under the same schedule
     and inputs and returns the engine-neutral summary, so callers —
     the bench harness, [sa_run --engine] — switch engines without
-    changing anything else. *)
+    changing anything else; {!Shm.Vm.diff} compares two results. *)
 
 type engine = Interp | Vm
 
@@ -75,22 +75,14 @@ val engine_name : engine -> string
 (** ["interp"]/["interpreter"] or ["vm"]/["bytecode"]. *)
 val engine_of_string : string -> engine option
 
-type proto_result = {
-  steps : int;
-  stopped : Shm.Exec.stop_reason;
-  trace : Shm.Event.t list;  (** chronological; empty unless [record] *)
-  memory : Shm.Value.t array;  (** final register contents *)
-  written : int list;  (** registers ever written, ascending *)
-  io_inputs : (int * int * Shm.Value.t) list;
-      (** [(pid, instance, v)]; chronological from the interpreter,
-          (instance, pid)-ordered from the vm — compare as multisets *)
-  io_outputs : (int * int * Shm.Value.t) list;
-}
+(** One invocation per process with {!default_input}, none after —
+    the fuzzer's input space, so [sa_run analyze --protocol] and the
+    fuzz oracles judge the same runs. *)
+val proto_inputs : pid:int -> instance:int -> Shm.Value.t option
 
 (** [run_proto p] runs [p] to quiescence (or [max_steps], default
     200k) under [engine] (default [Interp]).  Defaults: round-robin
-    schedule, one invocation per process with {!default_input} —
-    the fuzzer's input space.  [backend] selects the interpreter's
+    schedule, {!proto_inputs}.  [backend] selects the interpreter's
     memory representation (the vm's state is always flat). *)
 val run_proto :
   ?engine:engine ->
@@ -101,7 +93,7 @@ val run_proto :
   ?max_steps:int ->
   ?inputs:(pid:int -> instance:int -> Shm.Value.t option) ->
   Shm.Vm.proto ->
-  proto_result
+  Shm.Vm.vresult
 
 (** Outputs of one instance, with multiplicity, in completion order. *)
 val outputs_of_instance : Shm.Exec.result -> instance:int -> Shm.Value.t list

@@ -35,13 +35,13 @@ let drop k l = List.filteri (fun i _ -> i >= k) l
 let rec refit ~registers steps =
   List.map
     (function
-      | Gen.Read r -> Gen.Read (r mod registers)
-      | Gen.Write (r, s) -> Gen.Write (r mod registers, s)
-      | Gen.Scan (off, len) ->
+      | Shm.Vm.Read r -> Shm.Vm.Read (r mod registers)
+      | Shm.Vm.Write (r, s) -> Shm.Vm.Write (r mod registers, s)
+      | Shm.Vm.Scan (off, len) ->
         let off = off mod registers in
-        Gen.Scan (off, min len (registers - off))
-      | Gen.Loop (c, body) -> Gen.Loop (c, refit ~registers body)
-      | Gen.Decide s -> Gen.Decide s)
+        Shm.Vm.Scan (off, min len (registers - off))
+      | Shm.Vm.Loop (c, body) -> Shm.Vm.Loop (c, refit ~registers body)
+      | Shm.Vm.Decide s -> Shm.Vm.Decide s)
     steps
 
 let splice rng (a : Gen.program) (b : Gen.program) =
@@ -50,7 +50,7 @@ let splice rng (a : Gen.program) (b : Gen.program) =
   let head = take (cut a.Gen.steps) a.Gen.steps in
   let tail = drop (cut b.Gen.steps) b.Gen.steps in
   let steps = refit ~registers (head @ tail) in
-  let steps = if steps = [] then [ Gen.Decide Gen.Last ] else steps in
+  let steps = if steps = [] then [ Shm.Vm.Decide Shm.Vm.Last ] else steps in
   { Gen.registers; n = (if Shm.Rng.bool rng then a.Gen.n else b.Gen.n); steps }
 
 let insert_step ?(sizes = Gen.default_sizes) rng (p : Gen.program) =
@@ -79,15 +79,15 @@ let renumber rng (p : Gen.program) =
   let rec go steps =
     List.map
       (function
-        | Gen.Read r -> Gen.Read perm.(r)
-        | Gen.Write (r, s) -> Gen.Write (perm.(r), s)
-        | Gen.Scan (off, len) ->
+        | Shm.Vm.Read r -> Shm.Vm.Read perm.(r)
+        | Shm.Vm.Write (r, s) -> Shm.Vm.Write (perm.(r), s)
+        | Shm.Vm.Scan (off, len) ->
           (* a permuted range need not stay contiguous; renumber the
              offset and re-fit the length instead *)
           let off = perm.(off) in
-          Gen.Scan (off, min len (p.Gen.registers - off))
-        | Gen.Loop (c, body) -> Gen.Loop (c, go body)
-        | Gen.Decide s -> Gen.Decide s)
+          Shm.Vm.Scan (off, min len (p.Gen.registers - off))
+        | Shm.Vm.Loop (c, body) -> Shm.Vm.Loop (c, go body)
+        | Shm.Vm.Decide s -> Shm.Vm.Decide s)
       steps
   in
   { p with Gen.steps = go p.Gen.steps }
@@ -163,7 +163,7 @@ let save path entries =
     Out_channel.with_open_text path (fun oc ->
         List.iter
           (fun e ->
-            Printf.fprintf oc "%d | %s | %s\n" e.credit (Gen.to_string e.program)
+            Printf.fprintf oc "%d | %s | %s\n" e.credit (Analyze.Ir.to_string e.program)
               (Gen.schedule_to_string e.schedule))
           entries);
     Ok ()
@@ -180,7 +180,9 @@ let load ?(warn = prerr_endline) path =
       in
       match String.split_on_char '|' line with
       | [ _credit; prog; sched ] -> (
-        match (Gen.parse (String.trim prog), Gen.schedule_of_string (String.trim sched)) with
+        match
+          (Analyze.Ir.parse (String.trim prog), Gen.schedule_of_string (String.trim sched))
+        with
         | Ok p, Ok s -> Some (p, s)
         | Error msg, _ | _, Error msg -> skip ("corpus line (" ^ msg ^ ")"))
       | _ -> skip "malformed corpus line"

@@ -15,39 +15,26 @@ let bucket ~tag h =
   (* 16 bits of the mixed hash, tagged so channels cannot collide *)
   (tag lsl 16) lor (Shm.Value.mix tag h land 0xffff)
 
-(* State-key channel: replay the schedule threading the incremental
-   state hash exactly as the DPOR engine does, one bit per visited
-   key bucket.  The journaled backend is fine — keys hash contents. *)
+(* State-key channel: replay the schedule ([Shm.Schedule.replay])
+   threading the incremental state hash exactly as the DPOR engine
+   does, one bit per visited key bucket.  The journaled backend is
+   fine — keys hash contents. *)
 let state_bits p schedule set =
-  let inputs = Gen.inputs in
-  let config = ref (Gen.config p) in
-  let hash = ref (Spec.Statehash.create !config) in
+  let config = Shm.Vm.config p in
+  let before = ref config and hash = ref (Spec.Statehash.create config) in
   let set = ref set in
-  List.iter
-    (fun pid ->
-      if pid >= 0 && pid < Shm.Config.n !config then begin
-        let before = !config in
-        let has_input pid inst = Option.is_some (inputs ~pid ~instance:inst) in
-        if Shm.Config.runnable before ~has_input pid then begin
-          let after, ev =
-            match Shm.Config.proc before pid with
-            | Shm.Program.Await _ ->
-              let inst = Shm.Config.instance before pid + 1 in
-              Shm.Config.invoke before pid
-                (Option.get (inputs ~pid ~instance:inst))
-            | Shm.Program.Stop -> assert false
-            | Shm.Program.Op _ | Shm.Program.Yield _ ->
-              Shm.Config.step before pid
-          in
-          hash := Spec.Statehash.record !hash ~before after ev;
-          config := after;
-          set :=
-            IntSet.add
-              (bucket ~tag:1 (Spec.Statehash.key_hash (Spec.Statehash.key !hash)))
-              !set
-        end
-      end)
-    schedule;
+  let probe ~step:_ ev after =
+    hash := Spec.Statehash.record !hash ~before:!before after ev;
+    before := after;
+    let key = Spec.Statehash.key_hash (Spec.Statehash.key !hash) in
+    set := IntSet.add (bucket ~tag:1 key) !set
+  in
+  ignore
+    (Shm.Exec.run ~probe
+       ~sched:(Shm.Schedule.replay ~n:p.Gen.n schedule)
+       ~inputs:Agreement.Runner.proto_inputs
+       ~max_steps:(List.length schedule + 1)
+       config);
   !set
 
 (* Analyzer channel: footprint cells and summary shape.  Budgets are
@@ -57,7 +44,7 @@ let analyzer_bits p set =
   let summary =
     Analyze.Absint.analyze
       ~budgets:(Analyze.Absint.budgets_for ~registers:p.Gen.registers ~n:p.Gen.n)
-      (Gen.config p)
+      (Shm.Vm.config p)
   in
   let set = ref set in
   let put tag h = set := IntSet.add (bucket ~tag h) !set in
@@ -76,7 +63,7 @@ let analyzer_bits p set =
   if summary.Analyze.Absint.widened then put 7 1;
   if not summary.Analyze.Absint.converged then put 7 2;
   (* lint channel rides on the same summary *)
-  let _, diags = Analyze.Lint.check ~summary ~anonymous:false (Gen.config p) in
+  let _, diags = Analyze.Lint.check ~summary ~anonymous:false (Shm.Vm.config p) in
   List.iter
     (fun (d : Analyze.Lint.diag) -> put 8 (Hashtbl.hash d.Analyze.Lint.rule))
     diags;

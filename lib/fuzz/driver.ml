@@ -160,7 +160,7 @@ let pp_witness ppf (w : witness) =
      shrink:   %d replays, %d steps removed (1-minimal)@,\
      replay:   %s@]"
     (Oracle.name w.oracle) w.found_at w.message
-    (Gen.to_string w.program)
+    (Analyze.Ir.to_string w.program)
     (Gen.schedule_to_string w.schedule)
     w.shrink_replays w.shrink_removed (replay_line w)
 

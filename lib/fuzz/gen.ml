@@ -7,19 +7,12 @@
    in bounds, all iteration bounded, decide-then-halt — hold by
    construction here, and nowhere else needs to re-establish them. *)
 
-(* The step language is the static analyzer's IR, re-exported: every
-   generated protocol is directly a dataflow/optimizer subject, and
-   the corpus's textual form round-trips through [Analyze.Ir.parse]. *)
-type src = Analyze.Ir.src = Const of int | Input | Last
-
-type step = Analyze.Ir.step =
-  | Read of int
-  | Write of int * src
-  | Scan of int * int
-  | Loop of int * step list
-  | Decide of src
-
-type program = Analyze.Ir.prog = { registers : int; n : int; steps : step list }
+(* The step language is [Shm.Vm]'s: every generated protocol is
+   directly a dataflow/optimizer subject and a bytecode-compilation
+   subject, and the corpus's textual form round-trips through
+   [Analyze.Ir.parse].  The record is re-exported so its fields read
+   as [p.Gen.steps]. *)
+type program = Shm.Vm.proto = { registers : int; n : int; steps : Shm.Vm.step list }
 
 type schedule = int list
 
@@ -42,7 +35,7 @@ type sizes = {
 let default_sizes =
   { max_registers = 4; max_procs = 4; max_steps = 7; max_loop = 3; max_sched = 48 }
 
-let gen_src rng =
+let gen_src rng : Shm.Vm.src =
   match Shm.Rng.int rng 4 with
   | 0 -> Input
   | 1 -> Const (Shm.Rng.int rng 3)
@@ -50,7 +43,7 @@ let gen_src rng =
 
 (* One step.  [depth] > 0 allows a (shallower) loop; loop bodies are
    decide-free so the body's step count is exact fuel. *)
-let rec gen_step rng ~registers ~sizes ~depth =
+let rec gen_step rng ~registers ~sizes ~depth : Shm.Vm.step =
   let reg () = Shm.Rng.int rng registers in
   match Shm.Rng.int rng (if depth > 0 then 10 else 8) with
   | 0 | 1 | 2 -> Read (reg ())
@@ -79,7 +72,7 @@ let generate ?(sizes = default_sizes) rng =
   let steps =
     match List.rev steps with
     | Decide _ :: _ -> steps
-    | _ -> steps @ [ Decide (gen_src rng) ]
+    | _ -> steps @ [ Shm.Vm.Decide (gen_src rng) ]
   in
   { registers; n; steps }
 
@@ -90,7 +83,7 @@ let gen_schedule ?(sizes = default_sizes) rng ~n =
 (* ------------------------------------------------------------------ *)
 (* Structure *)
 
-let rec step_fuel = function
+let rec step_fuel : Shm.Vm.step -> int = function
   | Read _ | Write _ | Scan _ -> 1
   | Decide _ -> 1
   | Loop (count, body) ->
@@ -98,76 +91,22 @@ let rec step_fuel = function
 
 let flat_length p = List.fold_left (fun acc s -> acc + step_fuel s) 0 p.steps
 
-let oob_steps p =
-  let bad_reg r = r < 0 || r >= p.registers in
-  let rec bad = function
-    | Read r -> bad_reg r
-    | Write (r, _) -> bad_reg r
-    | Scan (off, len) -> off < 0 || len < 0 || off + len > p.registers
-    | Loop (_, body) -> List.exists bad body
-    | Decide _ -> false
-  in
-  let rec collect acc = function
-    | [] -> List.rev acc
-    | s :: tl ->
-      let acc = if bad s then s :: acc else acc in
-      let acc =
-        match s with
-        | Loop (_, body) -> List.rev_append (collect [] body) acc
-        | _ -> acc
-      in
-      collect acc tl
-  in
-  collect [] p.steps
-
 (* ------------------------------------------------------------------ *)
-(* Compilation now lives in [Shm.Vm] (PR 10): the free-monad compiler
-   is the reference semantics the bytecode engine is pinned to, so
-   both live next to each other in shm and this module delegates.
-   [Vm.to_program] is CPS over the step list, threading the process's
-   "last observation"; loops unroll at compile time. *)
+(* Execution: replay through the shared stepping rule
+   ([Shm.Schedule.replay] over [Shm.Config.advance]) so a fuzz schedule
+   means exactly what a model-checker counterexample schedule means.
+   Mutated schedules may carry pids from a program with more
+   processes; the replay skips them like blocked pids. *)
 
-let compile = Shm.Vm.to_program
-let config = Shm.Vm.config
-
-let inputs ~pid ~instance =
-  if instance = 1 then Some (Agreement.Runner.default_input ~pid ~instance)
-  else None
-
-(* Replay through the shared stepping rule so a fuzz schedule means
-   exactly what a model-checker counterexample schedule means; record
-   the trace by probing around each step. *)
 let run ?backend p schedule =
-  let cursor = ref schedule in
-  let sched =
-    {
-      Shm.Schedule.name = "fuzz-replay";
-      next =
-        (fun ~step:_ ~runnable ->
-          let rec pick () =
-            match !cursor with
-            | [] -> None
-            | pid :: tl ->
-              cursor := tl;
-              (* mutated schedules may carry pids from a program with
-                 more processes; skip them like blocked pids *)
-              if pid >= 0 && pid < p.n && runnable pid then Some pid
-              else pick ()
-          in
-          pick ());
-    }
-  in
-  Shm.Exec.run ~record:true ~sched ~inputs
+  Shm.Exec.run ~record:true
+    ~sched:(Shm.Schedule.replay ~n:p.n schedule)
+    ~inputs:Agreement.Runner.proto_inputs
     ~max_steps:(List.length schedule + 1)
-    (config ?backend p)
+    (Shm.Vm.config ?backend p)
 
 (* ------------------------------------------------------------------ *)
-(* Rendering *)
-
-let pp_step = Analyze.Ir.pp_step
-let to_string = Analyze.Ir.to_string
-let pp = Analyze.Ir.pp
-let parse = Analyze.Ir.parse
+(* Schedule rendering (programs render through [Analyze.Ir]) *)
 
 let schedule_to_string s = String.concat " " (List.map string_of_int s)
 

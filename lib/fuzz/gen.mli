@@ -8,8 +8,8 @@
     them exactly.  Programs are well-formed {e by construction}:
 
     - every register index is in [0, registers) and every scan range
-      fits ([off + len <= registers]), so the lint's out-of-bounds rule
-      can never fire on generated terms;
+      fits ([off + len <= registers]), so {!Shm.Vm.validate} accepts
+      them and the lint's out-of-bounds rule can never fire;
     - iteration is bounded ([Loop] carries a constant count, bodies are
       decide-free), so every process halts within {!flat_length} shared
       steps of solo execution;
@@ -17,28 +17,12 @@
       last visible action, so the write-after-decide lint cannot fire
       either — and {!generate} guarantees a trailing [Decide]. *)
 
-(** Where a written or decided value comes from: a small constant, the
-    invocation input, or the last value this process read (⊥ before the
-    first read; scans observe their first component).
-
-    The step language {e is} the static analyzer's IR
-    ({!Analyze.Ir}), re-exported: every generated protocol is directly
-    a dataflow/optimizer subject. *)
-type src = Analyze.Ir.src = Const of int | Input | Last
-
-type step = Analyze.Ir.step =
-  | Read of int
-  | Write of int * src
-  | Scan of int * int  (** offset, length *)
-  | Loop of int * step list
-      (** bounded iteration: the body runs exactly [count] times *)
-  | Decide of src  (** yield the value and halt *)
-
-type program = Analyze.Ir.prog = {
-  registers : int;
-  n : int;  (** processes; all run [steps], with distinct inputs *)
-  steps : step list;
-}
+(** The step language is {!Shm.Vm.proto} (also the static analyzer's
+    subject, {!Analyze.Ir}): every generated protocol is directly a
+    dataflow/optimizer subject.  Re-exported so its fields read as
+    [p.Gen.steps]; [n] processes all run [steps], with distinct
+    inputs. *)
+type program = Shm.Vm.proto = { registers : int; n : int; steps : Shm.Vm.step list }
 
 type schedule = int list
 (** pids in intended step order; unrunnable entries are skipped *)
@@ -72,48 +56,21 @@ val gen_schedule : ?sizes:sizes -> Shm.Rng.t -> n:int -> schedule
     their counts) — the solo-termination fuel bound. *)
 val flat_length : program -> int
 
-(** Registers out of bounds or scan ranges overflowing: always [[]] for
-    generated programs (the well-formedness invariant, tested). *)
-val oob_steps : program -> step list
+(** {1 Execution} *)
 
-(** {1 Compilation and execution} *)
-
-(** Compile to the free-monad form; process [pid]'s copy.  The program
-    awaits one invocation, runs the steps, and halts. *)
-val compile : program -> pid:int -> Shm.Program.t
-
-(** Initial configuration: [registers] registers, [n] compiled
-    processes.  [backend] defaults to {!Shm.Memory.get_default}. *)
-val config : ?backend:Shm.Memory.backend -> program -> Shm.Config.t
-
-(** The input of every fuzzed invocation:
-    {!Agreement.Runner.default_input} for instance 1, none after — the
-    same input space the analyzer assumes. *)
-val inputs : pid:int -> instance:int -> Shm.Value.t option
-
-(** [run ?backend program schedule] replays the schedule from the
-    initial configuration with the shared stepping rule
-    ({!Spec.Counterex.step_pid}), skipping unrunnable pids, and records
-    the trace.  Deterministic. *)
+(** [run ?backend program schedule] replays the schedule
+    ({!Shm.Schedule.replay}) from the initial configuration with
+    {!Agreement.Runner.proto_inputs} and records the trace.
+    Deterministic. *)
 val run :
   ?backend:Shm.Memory.backend ->
   program ->
   schedule ->
   Shm.Exec.result
 
-(** {1 Rendering} *)
+(** {1 Schedule rendering}
 
-val pp_step : Format.formatter -> step -> unit
-val pp : Format.formatter -> program -> unit
-
-(** One-line compact form, e.g.
-    ["r3 n2 : R0; W1<-in; L2[R1; W0<-last]; D last"] — the replay
-    currency printed with witnesses. *)
-val to_string : program -> string
-
-(** Inverse of {!to_string} ({!Analyze.Ir.parse}): corpus seeds and
-    command-line protocols round-trip. *)
-val parse : string -> (program, string) result
+    Programs render and parse through {!Analyze.Ir}. *)
 
 val schedule_to_string : schedule -> string
 

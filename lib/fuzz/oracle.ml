@@ -37,7 +37,7 @@ let analyzer p sched =
     Analyze.Absint.analyze
       ~budgets:
         (Analyze.Absint.exhaustive ~registers:p.Gen.registers ~n:p.Gen.n)
-      (Gen.config p)
+      (Shm.Vm.config p)
   in
   let truncated =
     Array.exists
@@ -69,68 +69,25 @@ let analyzer p sched =
 (* ------------------------------------------------------------------ *)
 (* (b) Backend differential: persistent vs journaled *)
 
-let event_equal (a : Shm.Event.t) (b : Shm.Event.t) =
-  match (a, b) with
-  | Invoke a, Invoke b ->
-    a.pid = b.pid && a.instance = b.instance && V.equal a.input b.input
-  | Did_read a, Did_read b ->
-    a.pid = b.pid && a.reg = b.reg && V.equal a.value b.value
-  | Did_write a, Did_write b ->
-    a.pid = b.pid && a.reg = b.reg && V.equal a.value b.value
-  | Did_scan a, Did_scan b ->
-    a.pid = b.pid && a.off = b.off && a.len = b.len
-  | Output a, Output b ->
-    a.pid = b.pid && a.instance = b.instance && V.equal a.value b.value
-  | _ -> false
-
-let trace_diff ta tb =
-  if List.length ta <> List.length tb then
-    Some (Fmt.str "trace lengths %d vs %d" (List.length ta) (List.length tb))
-  else
-    List.find_mapi
-      (fun i (a, b) ->
-        if event_equal a b then None
-        else Some (Fmt.str "trace[%d]: %a vs %a" i Shm.Event.pp a Shm.Event.pp b))
-      (List.combine ta tb)
-
-let final_scan (res : Shm.Exec.result) =
-  let mem = Shm.Config.mem res.Shm.Exec.config in
-  Shm.Memory.scan mem ~off:0 ~len:(Shm.Memory.size mem)
-
 let safety_verdict config =
   match Spec.Properties.check_safety ~k:1 config with
   | Ok () -> "ok"
   | Error e -> "violation: " ^ e
 
-let compare_runs ~what (ra : Shm.Exec.result) (rb : Shm.Exec.result) =
-  if ra.Shm.Exec.steps <> rb.Shm.Exec.steps then
-    Some (Fmt.str "%s: steps %d vs %d" what ra.Shm.Exec.steps rb.Shm.Exec.steps)
-  else if ra.Shm.Exec.stopped <> rb.Shm.Exec.stopped then
-    Some (Fmt.str "%s: stop reasons differ" what)
-  else
-    match trace_diff ra.Shm.Exec.trace rb.Shm.Exec.trace with
-    | Some d -> Some (Fmt.str "%s: %s" what d)
-    | None ->
-      let sa = final_scan ra and sb = final_scan rb in
-      if not (Array.for_all2 V.equal sa sb) then
-        Some (Fmt.str "%s: final memories differ" what)
-      else if
-        not
-          (S.equal
-             (Shm.Memory.written_set (Shm.Config.mem ra.Shm.Exec.config))
-             (Shm.Memory.written_set (Shm.Config.mem rb.Shm.Exec.config)))
-      then Some (Fmt.str "%s: written sets differ" what)
-      else begin
-        let va = safety_verdict ra.Shm.Exec.config
-        and vb = safety_verdict rb.Shm.Exec.config in
-        if String.equal va vb then None
-        else Some (Fmt.str "%s: safety verdicts differ (%s vs %s)" what va vb)
-      end
+(* [Shm.Vm.diff] on two interpreter runs, labelled *)
+let diff_runs ~what ra rb =
+  Option.map (Fmt.str "%s: %s" what) (Shm.Vm.diff (Shm.Vm.of_exec ra) (Shm.Vm.of_exec rb))
 
 let backend p sched =
   let rp = Gen.run ~backend:Shm.Memory.Persistent p sched in
   let rj = Gen.run ~backend:Shm.Memory.Journaled p sched in
-  compare_runs ~what:"persistent vs journaled" rp rj
+  match diff_runs ~what:"persistent vs journaled" rp rj with
+  | Some d -> Some d
+  | None ->
+    let va = safety_verdict rp.Shm.Exec.config
+    and vb = safety_verdict rj.Shm.Exec.config in
+    if String.equal va vb then None
+    else Some (Fmt.str "persistent vs journaled: safety verdicts differ (%s vs %s)" va vb)
 
 (* ------------------------------------------------------------------ *)
 (* (c) Linearize mode agreement: boolean and witness checkers must
@@ -209,7 +166,7 @@ let linearize p sched =
        internals, so the judgement is replayable *)
     let rng =
       Shm.Rng.create
-        (Hashtbl.hash (Gen.to_string p, Gen.schedule_to_string sched))
+        (Hashtbl.hash (Analyze.Ir.to_string p, Gen.schedule_to_string sched))
     in
     match modes_agree ~components (corrupt rng h) with
     | Some d -> Some ("corrupted history: " ^ d)
@@ -229,23 +186,11 @@ let linearize p sched =
 
 let determinism p sched =
   let r1 = Gen.run p sched in
-  let r2 = Gen.run p sched in
-  match compare_runs ~what:"run vs re-run" r1 r2 with
+  match diff_runs ~what:"run vs re-run" r1 (Gen.run p sched) with
   | Some d -> Some d
   | None ->
-    let before = final_scan r1 in
-    let unshared = Shm.Config.unshare r1.Shm.Exec.config in
-    let mem = Shm.Config.mem unshared in
-    let after = Shm.Memory.scan mem ~off:0 ~len:(Shm.Memory.size mem) in
-    if not (Array.for_all2 V.equal before after) then
-      Some "unshare changed observable memory"
-    else if
-      not
-        (S.equal
-           (Shm.Memory.written_set (Shm.Config.mem r1.Shm.Exec.config))
-           (Shm.Memory.written_set mem))
-    then Some "unshare changed the written set"
-    else None
+    let unshared = { r1 with Shm.Exec.config = Shm.Config.unshare r1.Shm.Exec.config } in
+    diff_runs ~what:"unshare" r1 unshared
 
 (* ------------------------------------------------------------------ *)
 (* (e) Independence-refinement soundness: exploring with the dataflow
@@ -263,9 +208,9 @@ let indep p _sched =
   let explore static_indep =
     Spec.Modelcheck.run
       ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs = 1 })
-      ~depth:indep_depth ~inputs:Gen.inputs ?static_indep
+      ~depth:indep_depth ~inputs:Agreement.Runner.proto_inputs ?static_indep
       ~check:(Spec.Properties.check_safety ~k:1)
-      (Gen.config p)
+      (Shm.Vm.config p)
   in
   let verdict = function
     | Spec.Modelcheck.Ok_bounded _ -> "ok"
@@ -300,8 +245,8 @@ let optim p sched =
   let r = Analyze.Optim.optimize p in
   let mask = Array.of_list (Analyze.Optim.kept_mask r) in
   let n = p.Gen.n in
-  let orig = ref (Gen.config p) in
-  let opts = Array.init n (fun pid -> Gen.compile r.Analyze.Optim.optimized ~pid) in
+  let orig = ref (Shm.Vm.config p) in
+  let opts = Array.init n (fun pid -> Shm.Vm.to_program r.Analyze.Optim.optimized ~pid) in
   let pos = Array.make n 0 in
   let err = ref None in
   let fail fmt = Fmt.kstr (fun s -> if !err = None then err := Some s) fmt in
@@ -317,7 +262,7 @@ let optim p sched =
         | Shm.Program.Stop -> ()
         | Shm.Program.Await _ -> (
           let inst = Shm.Config.instance !orig pid + 1 in
-          match Gen.inputs ~pid ~instance:inst with
+          match Agreement.Runner.proto_inputs ~pid ~instance:inst with
           | None -> ()
           | Some v ->
             let c, _ = Shm.Config.invoke !orig pid v in
@@ -365,99 +310,27 @@ let optim p sched =
   !err
 
 (* ------------------------------------------------------------------ *)
-(* (g) Bytecode engine differential: the vm ([Shm.Vm.compile] +
-   [Shm.Vm.run]) must be event-equivalent to the free-monad
-   interpreter under the same cursor schedule — same step count, same
-   stop reason, same trace, same final memory and written set, same
-   i/o records (as multisets; the vm keeps them in (instance, pid)
-   order, not chronologically).  [Vm.compile] rejects out-of-bounds
-   registers and negative loop counts statically where the interpreter
-   only fails when (if) execution reaches them, so those programs —
-   mutation can produce them — carry no equivalence claim and pass
-   vacuously. *)
-
-let rec has_negative_loop steps =
-  List.exists
-    (function
-      | Gen.Loop (count, body) -> count < 0 || has_negative_loop body
-      | _ -> false)
-    steps
-
-let triple_compare (p1, i1, v1) (p2, i2, v2) =
-  match compare (p1 : int) p2 with
-  | 0 -> ( match compare (i1 : int) i2 with 0 -> V.compare v1 v2 | c -> c)
-  | c -> c
-
-let io_multiset_equal a b =
-  let sa = List.sort triple_compare a and sb = List.sort triple_compare b in
-  List.length sa = List.length sb
-  && List.for_all2
-       (fun (p1, i1, v1) (p2, i2, v2) -> p1 = p2 && i1 = i2 && V.equal v1 v2)
-       sa sb
-
-let cursor_schedule p sched =
-  let cursor = ref sched in
-  {
-    Shm.Schedule.name = "fuzz-replay";
-    next =
-      (fun ~step:_ ~runnable ->
-        let rec pick () =
-          match !cursor with
-          | [] -> None
-          | pid :: tl ->
-            cursor := tl;
-            if pid >= 0 && pid < p.Gen.n && runnable pid then Some pid
-            else pick ()
-        in
-        pick ());
-  }
+(* (g) Bytecode engine differential: the vm must be event-equivalent
+   to the free-monad interpreter under the same replayed schedule, by
+   [Shm.Vm.diff] (steps, stop reason, trace, final memory, written
+   set, counters, i/o records as multisets).  [Shm.Vm.validate]
+   rejects what the vm refuses to compile — out-of-bounds registers,
+   negative loop counts — statically where the interpreter only fails
+   when (if) execution reaches them, so those programs (mutation can
+   produce them) carry no equivalence claim and pass vacuously. *)
 
 let vm p sched =
-  if Gen.oob_steps p <> [] || has_negative_loop p.Gen.steps then None
-  else begin
-    let ri = Gen.run p sched in
-    let e = Shm.Vm.env (Shm.Vm.compile p) ~inputs:Gen.inputs in
-    let rv =
-      Shm.Vm.run ~record:true
-        ~max_steps:(List.length sched + 1)
-        ~sched:(cursor_schedule p sched) e
-    in
-    if ri.Shm.Exec.steps <> rv.Shm.Vm.steps then
-      Some
-        (Fmt.str "interp vs vm: steps %d vs %d" ri.Shm.Exec.steps
-           rv.Shm.Vm.steps)
-    else if ri.Shm.Exec.stopped <> rv.Shm.Vm.stopped then
-      Some "interp vs vm: stop reasons differ"
-    else
-      match trace_diff ri.Shm.Exec.trace rv.Shm.Vm.trace with
-      | Some d -> Some (Fmt.str "interp vs vm: %s" d)
-      | None ->
-        let f = rv.Shm.Vm.final in
-        let si = final_scan ri in
-        if
-          Array.length si <> Array.length f.Shm.Vm.memory
-          || not (Array.for_all2 V.equal si f.Shm.Vm.memory)
-        then Some "interp vs vm: final memories differ"
-        else if
-          not
-            (S.equal
-               (Shm.Memory.written_set (Shm.Config.mem ri.Shm.Exec.config))
-               (S.of_list f.Shm.Vm.written))
-        then Some "interp vs vm: written sets differ"
-        else if
-          not
-            (io_multiset_equal
-               (Shm.Config.inputs ri.Shm.Exec.config)
-               f.Shm.Vm.inputs)
-        then Some "interp vs vm: invocation records differ"
-        else if
-          not
-            (io_multiset_equal
-               (Shm.Config.outputs ri.Shm.Exec.config)
-               f.Shm.Vm.outputs)
-        then Some "interp vs vm: output records differ"
-        else None
-  end
+  let run engine =
+    Agreement.Runner.run_proto ~engine ~record:true
+      ~max_steps:(List.length sched + 1)
+      ~sched:(Shm.Schedule.replay ~n:p.Gen.n sched)
+      p
+  in
+  match Shm.Vm.validate p with
+  | Error _ -> None
+  | Ok () ->
+    Option.map (Fmt.str "interp vs vm: %s")
+      (Shm.Vm.diff (run Agreement.Runner.Interp) (run Agreement.Runner.Vm))
 
 let check kind p sched =
   match kind with

@@ -36,18 +36,9 @@ let run ~allowed ~inputs ~sched ~max_steps ?(stop = fun _ -> false) config =
       match sched.Schedule.next ~step ~runnable with
       | None -> Quiescent config
       | Some pid -> (
-        match Config.proc config pid with
-        | Program.Await _ ->
-          let inst = Config.instance config pid + 1 in
-          let input = Option.get (inputs ~pid ~instance:inst) in
-          let config, _ = Config.invoke config pid input in
-          go config (step + 1)
-        | Program.Op (Program.Write (reg, _), _) when not (allowed reg) ->
-          Escaped { config; pid; reg }
-        | Program.Stop -> go config (step + 1)
-        | Program.Op _ | Program.Yield _ ->
-          let config, _ = Config.step config pid in
-          go config (step + 1))
+        match Program.poised_write (Config.proc config pid) with
+        | Some reg when not (allowed reg) -> Escaped { config; pid; reg }
+        | _ -> go (fst (Config.advance ~inputs config pid)) (step + 1))
   in
   go config 0
 

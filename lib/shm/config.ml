@@ -118,6 +118,21 @@ let step t pid =
     let t = with_proc t (k (Program.RVec vec)) (Memory.count_read t.mem len) in
     (t, Event.Did_scan { pid; off; len })
 
+(* The stepping rule every engine shares, so a pid schedule means the
+   same thing everywhere: invoke an idle process with its next input,
+   otherwise perform its poised step. *)
+let advance ~inputs t pid =
+  match t.procs.(pid) with
+  | Program.Await _ -> (
+    let instance = t.instance.(pid) + 1 in
+    match inputs ~pid ~instance with
+    | Some v -> invoke t pid v
+    | None ->
+      invalid_arg
+        (Fmt.str "Config.advance: p%d has no input for instance %d" pid instance))
+  | Program.Stop -> invalid_arg (Fmt.str "Config.advance: p%d halted" pid)
+  | Program.Op _ | Program.Yield _ -> step t pid
+
 (* Clone support for the anonymous lower bound (Section 5): slot [to_]
    takes on the exact local state of [from_].  In an anonymous system a
    clone that shadows a process step-for-step (reading the same values,

@@ -58,6 +58,13 @@ val invoke : t -> int -> Value.t -> t * Event.t
     on idle or halted processes. *)
 val step : t -> int -> t * Event.t
 
+(** [advance ~inputs t pid] is the stepping rule every engine shares:
+    {!invoke} an idle process with [inputs ~pid ~instance] for its next
+    instance, otherwise {!step} it.  Raises [Invalid_argument] for a
+    halted process or an idle one with no input. *)
+val advance :
+  inputs:(pid:int -> instance:int -> Value.t option) -> t -> int -> t * Event.t
+
 (** {1 Lower-bound machinery support} *)
 
 (** [clone_proc t ~from_ ~to_]: slot [to_] takes on the exact local

@@ -47,20 +47,7 @@ let run ?(record = false) ?sink ?probe ?(max_steps = 1_000_000) ~sched ~inputs c
       match sched.Schedule.next ~step ~runnable with
       | None -> { config; steps = step; stopped = All_quiescent; trace = List.rev trace }
       | Some pid ->
-        let config, ev =
-          match Config.proc config pid with
-          | Program.Await _ ->
-            let inst = Config.instance config pid + 1 in
-            let input =
-              match inputs ~pid ~instance:inst with
-              | Some v -> v
-              | None -> invalid_arg "Exec.run: scheduler picked process with no input"
-            in
-            Config.invoke config pid input
-          | Program.Stop ->
-            invalid_arg "Exec.run: scheduler picked a halted process"
-          | Program.Op _ | Program.Yield _ -> Config.step config pid
-        in
+        let config, ev = Config.advance ~inputs config pid in
         observe ev;
         observe_config ~step ev config;
         go config (step + 1) (if record then ev :: trace else trace))

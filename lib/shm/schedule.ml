@@ -86,6 +86,20 @@ let only pids =
   in
   { name = Fmt.str "only(%a)" Fmt.(list ~sep:(any ",") int) pids; next }
 
+(* Replay a pid list in order, skipping out-of-range and unrunnable
+   entries (mutated or shrunk schedules strand some; a stranded entry
+   makes the schedule shorter, not invalid); ends with the list. *)
+let replay ~n pids =
+  let cursor = ref pids in
+  let rec next ~step ~runnable =
+    match !cursor with
+    | [] -> None
+    | pid :: tl ->
+      cursor := tl;
+      if pid >= 0 && pid < n && runnable pid then Some pid else next ~step ~runnable
+  in
+  { name = "replay"; next }
+
 (* Uniformly random runnable process. *)
 let random ~seed n =
   let rng = Rng.create seed in

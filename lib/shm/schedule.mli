@@ -37,6 +37,12 @@ val solo : int -> t
 (** Run exactly these processes, round-robin in list order. *)
 val only : int list -> t
 
+(** [replay ~n pids] runs the listed pids in order, skipping entries
+    outside [0..n-1] and entries not runnable when their turn comes; it
+    ends when the list is exhausted.  The one replay of a pid schedule
+    (fuzz inputs, counterexamples, engine differentials). *)
+val replay : n:int -> int list -> t
+
 (** Uniformly random runnable process among [0..n-1]. *)
 val random : seed:int -> int -> t
 

@@ -5,7 +5,7 @@
    per step for closure dispatch, continuation allocation, and the
    persistent-structure updates of [Config.t].  For *first-order*
    protocols — the step-list language shared by the fuzzer and the
-   static analyzer ([Analyze.Ir] re-exports the types below) — none of
+   static analyzer (both use the types below) — none of
    that is necessary: the program is finite straight-line data with
    bounded loops, so it lowers to a flat array of int-coded
    instructions, and a configuration lowers to a flat slice of ints
@@ -59,7 +59,7 @@
 
 (* ------------------------------------------------------------------ *)
 (* The first-order protocol language.  [Analyze.Ir] and [Fuzz.Gen]
-   re-export these constructors, so a fuzz corpus line, an analyzer
+   use these constructors directly, so a fuzz corpus line, an analyzer
    subject, and a vm subject are literally the same value. *)
 
 type src = Const of int | Input | Last
@@ -182,14 +182,27 @@ let op_loop_jmp = 10 (* a = counter slot, b = target index; transparent *)
 (* ------------------------------------------------------------------ *)
 (* Compiler: one linear pass, loops become set/decrement-jump around
    the emitted body, nesting depth picks the counter slot.  Register
-   bounds are checked here — statically, once — instead of per access
-   at run time; the interpreter checks lazily at execution, so the two
-   agree on every in-bounds protocol (the fuzz oracle skips
-   out-of-bounds subjects, as it does for the other oracles). *)
+   bounds are checked by [validate] — statically, once, dead loop
+   bodies included — instead of per access at run time; the
+   interpreter checks lazily at execution, so the two agree on every
+   valid protocol (the fuzz oracle skips the others). *)
+
+let validate (p : proto) =
+  let rec bad = function
+    | (Read r | Write (r, _)) when r < 0 || r >= p.registers ->
+      Some (Fmt.str "register %d out of bounds [0..%d)" r p.registers)
+    | Scan (off, len) when off < 0 || len < 0 || off + len > p.registers ->
+      Some (Fmt.str "scan [%d..%d) out of bounds [0..%d)" off (off + len) p.registers)
+    | Loop (count, _) when count < 0 -> Some (Fmt.str "negative loop count %d" count)
+    | Loop (_, body) -> List.find_map bad body
+    | Read _ | Write _ | Scan _ | Decide _ -> None
+  in
+  if p.n < 1 then Error "protocol needs at least one process"
+  else if p.registers < 0 then Error "negative register count"
+  else Option.fold ~none:(Ok ()) ~some:Result.error (List.find_map bad p.steps)
 
 let compile (p : proto) =
-  if p.n < 1 then invalid_arg "Vm.compile: protocol needs at least one process";
-  if p.registers < 0 then invalid_arg "Vm.compile: negative register count";
+  Result.iter_error (fun e -> invalid_arg ("Vm.compile: " ^ e)) (validate p);
   let buf = ref (Array.make 64 0) in
   let len = ref 0 in
   let c =
@@ -214,34 +227,23 @@ let compile (p : proto) =
     !buf.(!len + 2) <- b;
     len := !len + 3
   in
-  let check_reg r =
-    if r < 0 || r >= p.registers then
-      invalid_arg (Fmt.str "Vm.compile: register %d out of bounds [0..%d)" r p.registers)
-  in
   let slots = ref 0 in
   let rec emit depth steps =
     match steps with
     | [] -> ()
     | Read r :: tl ->
-      check_reg r;
       push op_read r 0;
       emit depth tl
     | Write (r, s) :: tl ->
-      check_reg r;
       (match s with
       | Const v -> push op_write_c r (encode c (Value.int v))
       | Input -> push op_write_in r 0
       | Last -> push op_write_last r 0);
       emit depth tl
     | Scan (off, slen) :: tl ->
-      if off < 0 || slen < 0 || off + slen > p.registers then
-        invalid_arg
-          (Fmt.str "Vm.compile: scan [%d..%d) out of bounds [0..%d)" off (off + slen)
-             p.registers);
       push op_scan off slen;
       emit depth tl
     | Loop (count, body) :: tl ->
-      if count < 0 then invalid_arg "Vm.compile: negative loop count";
       if count > 0 && body <> [] then begin
         if depth + 1 > !slots then slots := depth + 1;
         push op_loop_set depth count;
@@ -714,3 +716,83 @@ let run ?(record = false) ?sink ?(max_steps = 1_000_000) ~sched e =
   in
   let steps, stopped, trace = go 0 [] in
   { steps; stopped; trace = List.rev trace; final = snapshot e st 0 }
+
+(* ------------------------------------------------------------------ *)
+(* The one run comparison: interpreter runs are decoded into the same
+   summary, so engine, backend and determinism differentials all state
+   one contract. *)
+
+module Iset = Set.Make (Int)
+
+let of_exec (r : Exec.result) =
+  let c = r.Exec.config in
+  let mem = Config.mem c in
+  {
+    steps = r.Exec.steps;
+    stopped = r.Exec.stopped;
+    trace = r.Exec.trace;
+    final =
+      {
+        memory = Memory.scan mem ~off:0 ~len:(Memory.size mem);
+        written = Iset.elements (Memory.written_set mem);
+        num_written = Memory.num_written mem;
+        write_count = Memory.write_count mem;
+        read_count = Memory.read_count mem;
+        inputs = Config.inputs c;
+        outputs = Config.outputs c;
+      };
+  }
+
+let event_equal (a : Event.t) (b : Event.t) =
+  match (a, b) with
+  | Invoke a, Invoke b ->
+    a.pid = b.pid && a.instance = b.instance && Value.equal a.input b.input
+  | Did_read a, Did_read b ->
+    a.pid = b.pid && a.reg = b.reg && Value.equal a.value b.value
+  | Did_write a, Did_write b ->
+    a.pid = b.pid && a.reg = b.reg && Value.equal a.value b.value
+  | Did_scan a, Did_scan b -> a.pid = b.pid && a.off = b.off && a.len = b.len
+  | Output a, Output b ->
+    a.pid = b.pid && a.instance = b.instance && Value.equal a.value b.value
+  | _ -> false
+
+(* i/o records as multisets: the vm keeps (instance, pid) order, the
+   interpreter chronological order *)
+let io_equal a b =
+  let cmp (p1, i1, v1) (p2, i2, v2) =
+    match compare (p1, i1) (p2, i2) with 0 -> Value.compare v1 v2 | c -> c
+  in
+  List.equal (fun x y -> cmp x y = 0) (List.sort cmp a) (List.sort cmp b)
+
+let diff a b =
+  let fa = a.final and fb = b.final in
+  let unless ok msg = if ok then None else Some msg in
+  let ints what x y = if x = y then None else Some (Fmt.str "%s %d vs %d" what x y) in
+  let trace () =
+    let la = List.length a.trace and lb = List.length b.trace in
+    if la <> lb then Some (Fmt.str "trace lengths %d vs %d" la lb)
+    else
+      List.find_mapi
+        (fun i (x, y) ->
+          if event_equal x y then None
+          else Some (Fmt.str "trace[%d]: %a vs %a" i Event.pp x Event.pp y))
+        (List.combine a.trace b.trace)
+  in
+  List.find_map
+    (fun check -> check ())
+    [
+      (fun () -> ints "steps" a.steps b.steps);
+      (fun () -> unless (a.stopped = b.stopped) "stop reasons differ");
+      trace;
+      (fun () ->
+        unless
+          (Array.length fa.memory = Array.length fb.memory
+          && Array.for_all2 Value.equal fa.memory fb.memory)
+          "final memories differ");
+      (fun () -> unless (fa.written = fb.written) "written sets differ");
+      (fun () -> ints "num_written" fa.num_written fb.num_written);
+      (fun () -> ints "write_count" fa.write_count fb.write_count);
+      (fun () -> ints "read_count" fa.read_count fb.read_count);
+      (fun () -> unless (io_equal fa.inputs fb.inputs) "invocation records differ");
+      (fun () -> unless (io_equal fa.outputs fb.outputs) "output records differ");
+    ]

@@ -2,8 +2,8 @@
     protocols.
 
     First-order protocols — the step-list language shared by the
-    fuzzer and the static analyzer ([Analyze.Ir] and [Fuzz.Gen]
-    re-export the types below) — admit two executable forms:
+    fuzzer and the static analyzer ([Analyze.Ir] and [Fuzz.Gen] use
+    the types below directly) — admit two executable forms:
 
     - {!to_program} compiles to the free monad, executed by
       [Exec.run] — the reference semantics;
@@ -12,9 +12,9 @@
       flat [int array] — the fast engine.
 
     The two are event-equivalent by contract: same events in the same
-    order, same final memory and i/o records, same step counts.  The
-    fuzzer's [vm] oracle and the QCheck equivalence suite enforce the
-    contract on random protocols; [docs/PERFORMANCE.md] documents the
+    order, same final memory and i/o records, same step counts — the
+    contract {!diff} states.  The fuzzer's [vm] oracle and the QCheck
+    equivalence suite enforce it on random protocols; [docs/PERFORMANCE.md] documents the
     bytecode format and the arena layout.
 
     The engine maintains the exploration state key incrementally
@@ -63,10 +63,16 @@ val config : ?backend:Memory.backend -> proto -> Config.t
     shared read-only across domains. *)
 type code
 
-(** Static checks the interpreter performs lazily happen here, once:
-    register accesses must be in bounds and loop counts non-negative
-    ([Invalid_argument] otherwise, mirroring the error the interpreter
-    would raise at execution time). *)
+(** The static checks the interpreter performs lazily, done once: at
+    least one process, a non-negative register count, every register
+    access and scan range in bounds and every loop count non-negative —
+    dead loop bodies included.  [Error] names the first offence.
+    [Analyze.Ir.parse] accepts such protocols (the analyzer lints
+    them); everything that executes one checks here first. *)
+val validate : proto -> (unit, string) result
+
+(** Lowers a protocol; raises [Invalid_argument] when {!validate}
+    returns [Error]. *)
 val compile : proto -> code
 
 (** {1 Execution environment and state}
@@ -188,3 +194,17 @@ type vresult = {
 val run :
   ?record:bool -> ?sink:(Event.t -> unit) -> ?max_steps:int -> sched:Schedule.t -> env ->
   vresult
+
+(** {1 Comparing runs} *)
+
+(** An interpreter run as the same summary ([inputs]/[outputs] stay
+    chronological). *)
+val of_exec : Exec.result -> vresult
+
+(** [diff a b] is the first divergence between two runs, or [None]:
+    step count, stop reason, trace (event by event), final memory,
+    written set, the three counters, then the invocation and output
+    records compared as multisets.  The message names the field.  The
+    one run comparison: the engine, backend and determinism
+    differentials all use it. *)
+val diff : vresult -> vresult -> string option

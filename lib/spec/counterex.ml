@@ -24,18 +24,13 @@ let pp ppf { schedule; error; _ } =
     (String.concat " " (List.map string_of_int schedule))
     error
 
-(* One step of [pid]: invoke if idle (the input must exist), perform
-   the poised step otherwise.  This is the single stepping rule shared
-   by every engine, so "schedule" means the same thing everywhere. *)
+(* One step of [pid] under the single stepping rule every engine
+   shares ([Config.advance]), so "schedule" means the same thing
+   everywhere; halted and input-starved processes are left unchanged. *)
 let step_pid ~inputs config pid =
-  match Config.proc config pid with
-  | Program.Await _ ->
-    let inst = Config.instance config pid + 1 in
-    (match inputs ~pid ~instance:inst with
-    | Some v -> fst (Config.invoke config pid v)
-    | None -> config)
-  | Program.Stop -> config
-  | Program.Op _ | Program.Yield _ -> fst (Config.step config pid)
+  let has_input pid instance = Option.is_some (inputs ~pid ~instance) in
+  if Config.runnable config ~has_input pid then fst (Config.advance ~inputs config pid)
+  else config
 
 (* Drive [config] to quiescence deterministically (long solo bursts),
    the completion rule of the model checkers. *)
@@ -44,22 +39,16 @@ let complete ~inputs ~max_steps config =
   let sched = Schedule.quantum_round_robin ~quantum:2000 n in
   (Exec.run ~sched ~inputs ~max_steps config).Exec.config
 
-(* Tolerant replay: steps the schedule's pids in order, skipping any
-   pid that is not currently runnable (shrinking removes steps, which
-   can strand later ones), optionally completes, then re-checks.  Some
-   (error, config) iff the property still fails.  Tolerance matters for
-   minimization: a candidate schedule with a stranded step is simply a
-   shorter schedule, not an invalid one. *)
+(* Tolerant replay ([Schedule.replay]): steps the schedule's pids in
+   order, skipping any pid that is not currently runnable (shrinking
+   removes steps, which can strand later ones), optionally completes,
+   then re-checks.  Some (error, config) iff the property still fails.
+   Tolerance matters for minimization: a candidate schedule with a
+   stranded step is simply a shorter schedule, not an invalid one. *)
 let replay ?completion_steps ~inputs ~check config schedule =
-  let has_input pid inst = Option.is_some (inputs ~pid ~instance:inst) in
-  let final =
-    List.fold_left
-      (fun config pid ->
-        if pid >= 0 && pid < Config.n config && Config.runnable config ~has_input pid
-        then step_pid ~inputs config pid
-        else config)
-      config schedule
-  in
+  let sched = Schedule.replay ~n:(Config.n config) schedule in
+  let max_steps = List.length schedule + 1 in
+  let final = (Exec.run ~sched ~inputs ~max_steps config).Exec.config in
   let final =
     match completion_steps with
     | Some max_steps -> complete ~inputs ~max_steps final

@@ -15,10 +15,9 @@ type t = {
 
 val pp : Format.formatter -> t -> unit
 
-(** [step_pid ~inputs config pid] performs one step of [pid]: invoke
-    with its next input if idle, the poised step otherwise; halted and
-    input-starved processes are left unchanged.  The single stepping
-    rule every engine shares. *)
+(** [step_pid ~inputs config pid] is {!Shm.Config.advance} (the
+    stepping rule every engine shares) when [pid] is runnable, and
+    [config] unchanged for halted and input-starved processes. *)
 val step_pid :
   inputs:(pid:int -> instance:int -> Shm.Value.t option) ->
   Shm.Config.t ->
@@ -34,10 +33,10 @@ val complete :
   Shm.Config.t
 
 (** [replay ?completion_steps ~inputs ~check config schedule] re-runs
-    the schedule from [config] (skipping pids that are not runnable
-    when their turn comes), completes when [completion_steps] is given,
-    and re-checks.  [Some (error, final)] iff the property still
-    fails. *)
+    the schedule from [config] under {!Shm.Schedule.replay} (skipping
+    pids that are not runnable when their turn comes), completes when
+    [completion_steps] is given, and re-checks.  [Some (error, final)]
+    iff the property still fails. *)
 val replay :
   ?completion_steps:int ->
   inputs:(pid:int -> instance:int -> Shm.Value.t option) ->

@@ -159,14 +159,7 @@ module Interp_state = struct
 
   let child d ~prof t pid =
     let t0 = Explore.start prof in
-    let config, ev =
-      match Config.proc t.config pid with
-      | Program.Await _ ->
-        let instance = Config.instance t.config pid + 1 in
-        Config.invoke t.config pid (Option.get (d.env.inputs ~pid ~instance))
-      | Program.Stop -> assert false (* not runnable *)
-      | Program.Op _ | Program.Yield _ -> Config.step t.config pid
-    in
+    let config, ev = Config.advance ~inputs:d.env.inputs t.config pid in
     let t0 = Explore.lap prof Obs.Prof.Interp t0 in
     let hash = Statehash.record t.hash ~before:t.config config ev in
     ignore (Explore.lap prof Obs.Prof.Hash t0);

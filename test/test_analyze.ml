@@ -572,8 +572,8 @@ let dpor_static_indep_prunes () =
   let run static_indep =
     Spec.Modelcheck.run
       ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs = 1 })
-      ~depth:10 ~inputs:Fuzz.Gen.inputs ?static_indep ~check
-      (Fuzz.Gen.config prog)
+      ~depth:10 ~inputs:Agreement.Runner.proto_inputs ?static_indep ~check
+      (Shm.Vm.config prog)
   in
   let base = run None and refined = run (Some (Ind.refinement ~facts ())) in
   (match (base, refined) with
@@ -594,14 +594,14 @@ let dpor_static_indep_prunes () =
    States are drawn by walking a generated schedule. *)
 let prop_static_indep_commutes =
   let print (p, s) =
-    Fmt.str "%s | %s" (Fuzz.Gen.to_string p) (Fuzz.Gen.schedule_to_string s)
+    Fmt.str "%s | %s" (Analyze.Ir.to_string p) (Fuzz.Gen.schedule_to_string s)
   in
   let gen =
     QCheck.Gen.map
       (fun seed ->
         let rng = Shm.Rng.create seed in
         let p = Fuzz.Gen.generate rng in
-        (p, Fuzz.Gen.gen_schedule rng ~n:p.Ir.n))
+        (p, Fuzz.Gen.gen_schedule rng ~n:p.Shm.Vm.n))
       QCheck.Gen.(0 -- 1_000_000)
   in
   QCheck.Test.make ~count:60
@@ -648,10 +648,11 @@ let prop_static_indep_commutes =
             | pid :: rest ->
               diamonds_ok config
               && walk
-                   (Spec.Counterex.step_pid ~inputs:Fuzz.Gen.inputs config pid)
+                   (Spec.Counterex.step_pid ~inputs:Agreement.Runner.proto_inputs
+                      config pid)
                    rest
           in
-          walk (Fuzz.Gen.config ~backend p) sched)
+          walk (Shm.Vm.config ~backend p) sched)
         [ Shm.Memory.Persistent; Shm.Memory.Journaled ])
 
 (* The acceptance sweeps: the optimizer's simulation oracle and the
@@ -661,12 +662,12 @@ let oracle_sweep kind count () =
   let rng = Shm.Rng.create base_seed in
   for i = 1 to count do
     let p = Fuzz.Gen.generate rng in
-    let s = Fuzz.Gen.gen_schedule rng ~n:p.Ir.n in
+    let s = Fuzz.Gen.gen_schedule rng ~n:p.Shm.Vm.n in
     match Fuzz.Oracle.check kind p s with
     | None -> ()
     | Some msg ->
       Alcotest.failf "divergence at protocol %d: %s@.%s | %s" i msg
-        (Fuzz.Gen.to_string p)
+        (Analyze.Ir.to_string p)
         (Fuzz.Gen.schedule_to_string s)
   done
 

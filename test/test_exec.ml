@@ -126,6 +126,20 @@ let repeated_inputs_finite () =
   Alcotest.(check bool) "instance 3 exhausted" true
     (Option.is_none (Exec.repeated_inputs ~rounds:2 (fun _ i -> vi i) ~pid:0 ~instance:3))
 
+(* Replay of a pid list: out-of-range and unrunnable entries are
+   skipped, and the schedule ends with the list (and stays ended). *)
+let replay_skips_and_ends () =
+  let sched = Schedule.replay ~n:3 [ -1; 0; 3; 1; 2; 7; 0 ] in
+  let runnable pid = pid <> 1 in
+  let picks = List.init 4 (fun step -> sched.Schedule.next ~step ~runnable) in
+  Alcotest.(check (list (option int))) "picks" [ Some 0; Some 2; Some 0; None ] picks;
+  (* under Exec.run: invoke p0, invoke p1, p0 reads; then the list ends *)
+  let res = run_counters ~sched:(Schedule.replay ~n:2 [ 0; 5; 1; 0; -3 ]) ~n:2 ~ops:1 in
+  Alcotest.(check int) "three steps" 3 res.Exec.steps;
+  match res.Exec.stopped with
+  | Exec.All_quiescent -> ()
+  | Exec.Fuel_exhausted -> Alcotest.fail "exhausted list should end the run"
+
 let suite =
   [
     test "round-robin runs everyone to completion" round_robin_runs_all;
@@ -139,4 +153,5 @@ let suite =
     test "fuel exhaustion reported" fuel_exhaustion_reported;
     test "trace recording captures all events" trace_recording;
     test "repeated inputs are finite" repeated_inputs_finite;
+    test "replay skips bad pids and ends with the list" replay_skips_and_ends;
   ]

@@ -130,14 +130,7 @@ let statehash_audit ~n ~depth ~min_states () =
       List.init n Fun.id
       |> List.filter (fun pid -> Shm.Config.runnable config ~has_input pid)
       |> List.iter (fun pid ->
-             let config', ev =
-               match Shm.Config.proc config pid with
-               | Shm.Program.Await _ ->
-                 let inst = Shm.Config.instance config pid + 1 in
-                 Shm.Config.invoke config pid (Option.get (inputs ~pid ~instance:inst))
-               | Shm.Program.Stop -> assert false
-               | Shm.Program.Op _ | Shm.Program.Yield _ -> Shm.Config.step config pid
-             in
+             let config', ev = Shm.Config.advance ~inputs config pid in
              go config' (Spec.Statehash.record hash ~before:config config' ev) (d + 1))
   in
   go (Instances.oneshot p) (Spec.Statehash.create ~audit:true (Instances.oneshot p)) 0;
@@ -161,13 +154,7 @@ let statehash_merges_commuted_writes () =
   let run schedule =
     List.fold_left
       (fun (config, hash) pid ->
-        let config', ev =
-          match Shm.Config.proc config pid with
-          | Shm.Program.Await _ ->
-            let inst = Shm.Config.instance config pid + 1 in
-            Shm.Config.invoke config pid (Option.get (inputs ~pid ~instance:inst))
-          | _ -> Shm.Config.step config pid
-        in
+        let config', ev = Shm.Config.advance ~inputs config pid in
         (config', Spec.Statehash.record hash ~before:config config' ev))
       (config, Spec.Statehash.create ~audit:true config)
       schedule

@@ -21,12 +21,12 @@ let gen_well_formed seed =
     (fun ((p : G.program), sched) ->
       Alcotest.(check bool) "registers >= 1" true (p.G.registers >= 1);
       Alcotest.(check bool) "n >= 2" true (p.G.n >= 2);
-      Alcotest.(check int) "no out-of-bounds step" 0 (List.length (G.oob_steps p));
+      Alcotest.(check bool) "no out-of-bounds step" true (Shm.Vm.validate p = Ok ());
       Alcotest.(check bool) "bounded flat length" true
         (G.flat_length p >= 1 && G.flat_length p < 1000);
       (match List.rev p.G.steps with
-      | G.Decide _ :: _ -> ()
-      | _ -> Alcotest.failf "program does not end in Decide: %s" (G.to_string p));
+      | Shm.Vm.Decide _ :: _ -> ()
+      | _ -> Alcotest.failf "program does not end in Decide: %s" (Analyze.Ir.to_string p));
       List.iter
         (fun pid ->
           Alcotest.(check bool) "schedule pids in range" true
@@ -43,14 +43,14 @@ let gen_solo_termination seed =
       let result =
         Shm.Exec.run
           ~sched:(Shm.Schedule.round_robin p.G.n)
-          ~inputs:G.inputs
+          ~inputs:Agreement.Runner.proto_inputs
           ~max_steps:(p.G.n * (G.flat_length p + 2))
-          (G.config p)
+          (Shm.Vm.config p)
       in
       (match result.Shm.Exec.stopped with
       | Shm.Exec.All_quiescent -> ()
       | Shm.Exec.Fuel_exhausted ->
-        Alcotest.failf "did not quiesce: %s" (G.to_string p));
+        Alcotest.failf "did not quiesce: %s" (Analyze.Ir.to_string p));
       let outputs = Shm.Config.outputs result.Shm.Exec.config in
       Alcotest.(check int) "every process decided once" p.G.n
         (List.length outputs))
@@ -63,16 +63,16 @@ let prop_gen_never_oob =
     QCheck.(make Gen.int)
     (fun seed ->
       let p = G.generate (R.create seed) in
-      let _, diags = Analyze.Lint.check ~anonymous:false (G.config p) in
+      let _, diags = Analyze.Lint.check ~anonymous:false (Shm.Vm.config p) in
       List.for_all
         (fun (d : Analyze.Lint.diag) -> d.Analyze.Lint.rule <> "space/out-of-bounds")
         (Analyze.Lint.errors diags))
 
 let gen_inputs_oneshot _seed =
   Alcotest.(check bool) "instance 1 has an input" true
-    (Option.is_some (G.inputs ~pid:0 ~instance:1));
+    (Option.is_some (Agreement.Runner.proto_inputs ~pid:0 ~instance:1));
   Alcotest.(check bool) "instance 2 has none (one-shot)" true
-    (Option.is_none (G.inputs ~pid:0 ~instance:2))
+    (Option.is_none (Agreement.Runner.proto_inputs ~pid:0 ~instance:2))
 
 let run_respects_schedule seed =
   List.iter
@@ -89,7 +89,7 @@ let run_respects_schedule seed =
 
 (* ---- corpus ---- *)
 
-let render (p, s) = G.to_string p ^ " | " ^ G.schedule_to_string s
+let render (p, s) = Analyze.Ir.to_string p ^ " | " ^ G.schedule_to_string s
 
 let corpus_replay_determinism seed =
   (* two corpora from the same seed propose byte-identical campaigns,
@@ -183,9 +183,9 @@ let mutation_closure seed =
       in
       List.iter
         (fun (op, (m : G.program)) ->
-          if G.oob_steps m <> [] then
-            Alcotest.failf "%s broke bounds: %s -> %s" op (G.to_string p)
-              (G.to_string m);
+          if Shm.Vm.validate m <> Ok () then
+            Alcotest.failf "%s broke bounds: %s -> %s" op (Analyze.Ir.to_string p)
+              (Analyze.Ir.to_string m);
           ignore (G.run m (Fuzz.Corpus.mutate_schedule rng ~n:m.G.n sched)))
         mutants;
       let sched' = Fuzz.Corpus.mutate_schedule rng ~n:p.G.n sched in
@@ -242,7 +242,8 @@ let linearize_oracle_scan_heavy _seed =
       G.registers = 2;
       n = 2;
       steps =
-        [ G.Write (0, G.Const 1); G.Scan (0, 2); G.Write (1, G.Last); G.Scan (0, 2); G.Decide G.Last ];
+        Shm.Vm.
+          [ Write (0, Const 1); Scan (0, 2); Write (1, Last); Scan (0, 2); Decide Last ];
     }
   in
   let sched = [ 0; 1; 0; 1; 0; 1; 0; 1; 0; 1; 0; 1 ] in
@@ -258,7 +259,7 @@ let linearize_oracle_scan_heavy _seed =
 let synthetic_check (p : G.program) sched =
   let writes =
     List.length
-      (List.filter (function G.Write _ -> true | _ -> false) p.G.steps)
+      (List.filter (function Shm.Vm.Write _ -> true | _ -> false) p.G.steps)
   in
   let zeros = List.length (List.filter (( = ) 0) sched) in
   if writes >= 2 && zeros >= 3 then Some "synthetic" else None
@@ -269,10 +270,11 @@ let shrunk_witness_is_1_minimal seed =
       G.registers = 2;
       n = 2;
       steps =
-        [
-          G.Read 0; G.Write (0, G.Input); G.Scan (0, 2); G.Write (1, G.Last);
-          G.Read 1; G.Write (0, G.Const 1); G.Decide G.Last;
-        ];
+        Shm.Vm.
+          [
+            Read 0; Write (0, Input); Scan (0, 2); Write (1, Last);
+            Read 1; Write (0, Const 1); Decide Last;
+          ];
     }
   in
   let sched = [ 0; 1; 0; 1; 1; 0; 1; 0 ] in

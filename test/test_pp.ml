@@ -77,6 +77,15 @@ let error_paths () =
     (fun () -> ignore (Config.step c 0));
   Alcotest.check_raises "invoke active" (Invalid_argument "Config.invoke: p0 is not idle")
     (fun () -> ignore (Config.invoke c 0 (vi 1)));
+  let no_input ~pid:_ ~instance:_ = None in
+  Alcotest.check_raises "advance halted" (Invalid_argument "Config.advance: p0 halted")
+    (fun () -> ignore (Config.advance ~inputs:no_input c 0));
+  let idle =
+    Config.create ~registers:1 ~procs:[| Program.await (fun _ -> Program.stop) |] ()
+  in
+  Alcotest.check_raises "advance idle without input"
+    (Invalid_argument "Config.advance: p0 has no input for instance 1")
+    (fun () -> ignore (Config.advance ~inputs:no_input idle 0));
   Alcotest.check_raises "bad scheduler quantum"
     (Invalid_argument "Schedule.quantum_round_robin: quantum must be positive")
     (fun () -> ignore (Schedule.quantum_round_robin ~quantum:0 2));

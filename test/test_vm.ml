@@ -1,126 +1,30 @@
 (* Bytecode engine (Shm.Vm): compile-time rejection of ill-formed
-   protocols, lowering edge cases pinned against the interpreter, the
-   QCheck vm-vs-interpreter equivalence property on both memory
-   backends, the state-derived exploration key, and front-door verdict
-   agreement between [Modelcheck.run] and [Modelcheck.run_vm].
+   protocols, the run comparison [Vm.diff] itself, lowering edge cases
+   pinned against the interpreter, the QCheck vm-vs-interpreter
+   equivalence property on both memory backends, the state-derived
+   exploration key, and front-door verdict agreement between
+   [Modelcheck.run] and [Modelcheck.run_vm].
 
-   The equivalence comparison deliberately mirrors the fuzzer's vm
-   oracle (lib/fuzz/oracle.ml, section g) so a property failure here
-   and a fuzz divergence there describe the same contract — but this
-   copy additionally pins the interpreter side to an explicit memory
-   backend, covering Persistent and Journaled separately. *)
+   The equivalence contract is [Vm.diff], the one the fuzzer's vm
+   oracle uses; this suite additionally pins the interpreter side to
+   an explicit memory backend, covering Persistent and Journaled
+   separately. *)
 
 open Shm
 open Helpers
 module G = Fuzz.Gen
-module V = Value
-module IntSet = Set.Make (Int)
+module Runner = Agreement.Runner
 
-(* ------------------------------------------------------------------ *)
-(* Shared comparison machinery (the oracle's contract, verbatim shape) *)
-
-let event_equal (a : Event.t) (b : Event.t) =
-  match (a, b) with
-  | Invoke a, Invoke b ->
-    a.pid = b.pid && a.instance = b.instance && V.equal a.input b.input
-  | Did_read a, Did_read b -> a.pid = b.pid && a.reg = b.reg && V.equal a.value b.value
-  | Did_write a, Did_write b -> a.pid = b.pid && a.reg = b.reg && V.equal a.value b.value
-  | Did_scan a, Did_scan b -> a.pid = b.pid && a.off = b.off && a.len = b.len
-  | Output a, Output b ->
-    a.pid = b.pid && a.instance = b.instance && V.equal a.value b.value
-  | _ -> false
-
-let trace_diff ta tb =
-  if List.length ta <> List.length tb then
-    Some (Fmt.str "trace lengths %d vs %d" (List.length ta) (List.length tb))
-  else
-    List.find_mapi
-      (fun i (a, b) ->
-        if event_equal a b then None
-        else Some (Fmt.str "trace[%d]: %a vs %a" i Event.pp a Event.pp b))
-      (List.combine ta tb)
-
-let triple_compare (p1, i1, v1) (p2, i2, v2) =
-  match compare (p1 : int) p2 with
-  | 0 -> ( match compare (i1 : int) i2 with 0 -> V.compare v1 v2 | c -> c)
-  | c -> c
-
-let io_multiset_equal a b =
-  let sa = List.sort triple_compare a and sb = List.sort triple_compare b in
-  List.length sa = List.length sb
-  && List.for_all2
-       (fun (p1, i1, v1) (p2, i2, v2) -> p1 = p2 && i1 = i2 && V.equal v1 v2)
-       sa sb
-
-(* Replay a pid list as a scheduler, skipping out-of-range or
-   unrunnable entries — the interpreter's [Gen.run] applies the same
-   skipping rule, so both engines consume the schedule identically. *)
-let cursor_schedule (p : G.program) sched =
-  let cursor = ref sched in
-  {
-    Schedule.name = "vm-test-replay";
-    next =
-      (fun ~step:_ ~runnable ->
-        let rec pick () =
-          match !cursor with
-          | [] -> None
-          | pid :: tl ->
-            cursor := tl;
-            if pid >= 0 && pid < p.G.n && runnable pid then Some pid else pick ()
-        in
-        pick ());
-  }
-
-let final_scan (res : Exec.result) =
-  let mem = Config.mem res.Exec.config in
-  Memory.scan mem ~off:0 ~len:(Memory.size mem)
-
-(* Run both engines on [p]/[sched] and report the first divergence:
-   step count, stop reason, chronological trace, final memory, written
-   set, space/step counters, and the i/o records as multisets. *)
+(* Run both engines on [p] under the same replayed schedule and report
+   the first divergence. *)
 let equiv_diff ?backend (p : G.program) sched =
-  let ri = G.run ?backend p sched in
-  let e = Vm.env (Vm.compile p) ~inputs:G.inputs in
-  let rv =
-    Vm.run ~record:true ~max_steps:(List.length sched + 1) ~sched:(cursor_schedule p sched)
-      e
+  let run engine =
+    Runner.run_proto ~engine ?backend ~record:true
+      ~max_steps:(List.length sched + 1)
+      ~sched:(Schedule.replay ~n:p.G.n sched)
+      p
   in
-  let f = rv.Vm.final in
-  let mem = Config.mem ri.Exec.config in
-  if ri.Exec.steps <> rv.Vm.steps then
-    Some (Fmt.str "steps %d vs %d" ri.Exec.steps rv.Vm.steps)
-  else if ri.Exec.stopped <> rv.Vm.stopped then Some "stop reasons differ"
-  else
-    match trace_diff ri.Exec.trace rv.Vm.trace with
-    | Some d -> Some d
-    | None ->
-      let si = final_scan ri in
-      if
-        Array.length si <> Array.length f.Vm.memory
-        || not (Array.for_all2 V.equal si f.Vm.memory)
-      then Some "final memories differ"
-      else if not (IntSet.equal (Memory.written_set mem) (IntSet.of_list f.Vm.written))
-      then Some "written sets differ"
-      else if Memory.num_written mem <> f.Vm.num_written then
-        Some
-          (Fmt.str "num_written %d vs %d" (Memory.num_written mem) f.Vm.num_written)
-      else if Memory.write_count mem <> f.Vm.write_count then
-        Some
-          (Fmt.str "write_count %d vs %d" (Memory.write_count mem) f.Vm.write_count)
-      else if Memory.read_count mem <> f.Vm.read_count then
-        Some (Fmt.str "read_count %d vs %d" (Memory.read_count mem) f.Vm.read_count)
-      else if not (io_multiset_equal (Config.inputs ri.Exec.config) f.Vm.inputs) then
-        Some "invocation records differ"
-      else if not (io_multiset_equal (Config.outputs ri.Exec.config) f.Vm.outputs) then
-        Some "output records differ"
-      else None
-
-let assert_equiv ?backend p sched =
-  match equiv_diff ?backend p sched with
-  | None -> ()
-  | Some d ->
-    Alcotest.failf "vm diverges from interpreter on %s / %s: %s" (G.to_string p)
-      (G.schedule_to_string sched) d
+  Vm.diff (run Runner.Interp) (run Runner.Vm)
 
 (* Enough round-robin steps to drive any of the small edge-case protos
    (plus its invocations) to quiescence. *)
@@ -129,30 +33,74 @@ let rr_sched n = List.init (n * 40) (fun i -> i mod n)
 (* ------------------------------------------------------------------ *)
 (* (a) Compile-time rejection *)
 
+(* [Vm.validate] and [Vm.compile] reject the same protocols *)
 let expect_invalid what (p : G.program) =
+  if Vm.validate p = Ok () then Alcotest.failf "%s: validate accepted it" what;
   match Vm.compile p with
   | _ -> Alcotest.failf "%s: compile accepted an ill-formed protocol" what
   | exception Invalid_argument _ -> ()
 
 let test_compile_rejects () =
   expect_invalid "write out of bounds"
-    { G.registers = 2; n = 2; steps = [ G.Write (2, G.Input) ] };
+    Vm.{ registers = 2; n = 2; steps = [ Write (2, Input) ] };
   expect_invalid "read out of bounds"
-    { G.registers = 1; n = 2; steps = [ G.Read 3; G.Decide G.Last ] };
+    Vm.{ registers = 1; n = 2; steps = [ Read 3; Decide Last ] };
   expect_invalid "negative register in loop body"
-    { G.registers = 2; n = 2; steps = [ G.Loop (2, [ G.Read (-1) ]) ] };
+    Vm.{ registers = 2; n = 2; steps = [ Loop (2, [ Read (-1) ]) ] };
   expect_invalid "scan overflowing the register file"
-    { G.registers = 2; n = 2; steps = [ G.Scan (1, 2); G.Decide G.Last ] };
+    Vm.{ registers = 2; n = 2; steps = [ Scan (1, 2); Decide Last ] };
   expect_invalid "negative scan offset"
-    { G.registers = 2; n = 2; steps = [ G.Scan (-1, 1) ] };
+    Vm.{ registers = 2; n = 2; steps = [ Scan (-1, 1) ] };
   expect_invalid "negative loop count"
-    { G.registers = 1; n = 2; steps = [ G.Loop (-1, []); G.Decide G.Input ] };
-  expect_invalid "no processes" { G.registers = 1; n = 0; steps = [ G.Decide G.Input ] };
+    Vm.{ registers = 1; n = 2; steps = [ Loop (-1, []); Decide Input ] };
+  expect_invalid "out-of-bounds register in a dead loop body"
+    Vm.{ registers = 1; n = 2; steps = [ Loop (0, [ Write (5, Input) ]) ] };
+  expect_invalid "no processes" Vm.{ registers = 1; n = 0; steps = [ Decide Input ] };
   expect_invalid "negative register count"
-    { G.registers = -1; n = 2; steps = [ G.Decide G.Input ] }
+    Vm.{ registers = -1; n = 2; steps = [ Decide Input ] }
 
 (* ------------------------------------------------------------------ *)
-(* (b) Lowering edge cases, pinned against the interpreter *)
+(* (b) The run comparison: [Vm.diff] names the first field that
+   differs, and compares i/o records as multisets *)
+
+let test_diff_names_field () =
+  let p =
+    Vm.{ registers = 2; n = 2; steps = [ Write (0, Input); Read 1; Decide Last ] }
+  in
+  let base = Runner.run_proto ~record:true p in
+  let f = base.Vm.final in
+  let with_final f = { base with Vm.final = f } in
+  let cases =
+    [
+      ("steps", { base with Vm.steps = base.Vm.steps + 1 });
+      ("stop reasons", { base with Vm.stopped = Exec.Fuel_exhausted });
+      ("trace lengths", { base with Vm.trace = List.tl base.Vm.trace });
+      ("trace[0]", { base with Vm.trace = List.rev base.Vm.trace });
+      ("final memories", with_final { f with Vm.memory = Array.map (fun _ -> vi 99) f.memory });
+      ("written sets", with_final { f with Vm.written = [] });
+      ("num_written", with_final { f with Vm.num_written = f.Vm.num_written + 1 });
+      ("write_count", with_final { f with Vm.write_count = f.Vm.write_count + 1 });
+      ("read_count", with_final { f with Vm.read_count = f.Vm.read_count + 1 });
+      ("invocation records", with_final { f with Vm.inputs = List.tl f.Vm.inputs });
+      ("output records", with_final { f with Vm.outputs = [] });
+    ]
+  in
+  List.iter
+    (fun (field, perturbed) ->
+      match Vm.diff base perturbed with
+      | Some d when String.starts_with ~prefix:field d -> ()
+      | Some d -> Alcotest.failf "perturbed %s, diff reported %S" field d
+      | None -> Alcotest.failf "perturbed %s, diff reported nothing" field)
+    cases;
+  Alcotest.(check (option string)) "a run equals itself" None (Vm.diff base base);
+  Alcotest.(check int) "two inputs to permute" 2 (List.length f.Vm.inputs);
+  let permuted =
+    with_final { f with Vm.inputs = List.rev f.Vm.inputs; outputs = List.rev f.Vm.outputs }
+  in
+  Alcotest.(check (option string)) "i/o records are multisets" None (Vm.diff base permuted)
+
+(* ------------------------------------------------------------------ *)
+(* (c) Lowering edge cases, pinned against the interpreter *)
 
 (* Each proto isolates one corner of the lowering: transparent control
    instructions, dead code after a mid-list decide, zero-length scans,
@@ -160,46 +108,38 @@ let test_compile_rejects () =
    constants that do not fit the tagged even-code encoding. *)
 let edge_protos =
   [
-    ("empty step list", { G.registers = 1; n = 2; steps = [] });
+    ("empty step list", Vm.{ registers = 1; n = 2; steps = [] });
     ( "loop count zero skips its body",
-      { G.registers = 2; n = 2; steps = [ G.Loop (0, [ G.Write (0, G.Const 1) ]); G.Decide G.Input ] }
-    );
+      Vm.{ registers = 2; n = 2; steps = [ Loop (0, [ Write (0, Const 1) ]); Decide Input ] } );
     ( "loop with empty body",
-      { G.registers = 1; n = 2; steps = [ G.Loop (3, []); G.Decide G.Input ] } );
+      Vm.{ registers = 1; n = 2; steps = [ Loop (3, []); Decide Input ] } );
     ( "nested loops multiply",
-      {
-        G.registers = 3;
-        n = 2;
-        steps =
-          [
-            G.Loop (2, [ G.Write (0, G.Const 1); G.Loop (3, [ G.Write (1, G.Last); G.Read 0 ]) ]);
-            G.Decide G.Last;
-          ];
-      } );
+      Vm.
+        {
+          registers = 3;
+          n = 2;
+          steps =
+            [
+              Loop (2, [ Write (0, Const 1); Loop (3, [ Write (1, Last); Read 0 ]) ]);
+              Decide Last;
+            ];
+        } );
     ( "zero-length scan",
-      { G.registers = 2; n = 2; steps = [ G.Scan (0, 0); G.Decide G.Last ] } );
+      Vm.{ registers = 2; n = 2; steps = [ Scan (0, 0); Decide Last ] } );
     ( "dead code after a mid-list decide",
-      {
-        G.registers = 2;
-        n = 3;
-        steps = [ G.Decide G.Input; G.Write (0, G.Const 9); G.Read 0 ];
-      } );
+      Vm.{ registers = 2; n = 3; steps = [ Decide Input; Write (0, Const 9); Read 0 ] } );
     ( "write of last before any read is bottom",
-      { G.registers = 2; n = 2; steps = [ G.Write (1, G.Last); G.Decide G.Last ] } );
+      Vm.{ registers = 2; n = 2; steps = [ Write (1, Last); Decide Last ] } );
     ( "constants outside the tagged range intern",
-      {
-        G.registers = 2;
-        n = 2;
-        steps =
-          [
-            G.Write (0, G.Const min_int);
-            G.Read 0;
-            G.Write (1, G.Const max_int);
-            G.Decide G.Last;
-          ];
-      } );
+      Vm.
+        {
+          registers = 2;
+          n = 2;
+          steps =
+            [ Write (0, Const min_int); Read 0; Write (1, Const max_int); Decide Last ];
+        } );
     ( "no trailing decide halts without output",
-      { G.registers = 2; n = 2; steps = [ G.Write (0, G.Input); G.Read 0 ] } );
+      Vm.{ registers = 2; n = 2; steps = [ Write (0, Input); Read 0 ] } );
   ]
 
 let test_lowering_edges () =
@@ -224,7 +164,7 @@ let test_lowering_truncated () =
     edge_protos
 
 (* ------------------------------------------------------------------ *)
-(* (c) QCheck equivalence on random protocols, both memory backends *)
+(* (d) QCheck equivalence on random protocols, both memory backends *)
 
 let equivalence_property backend =
   QCheck.Test.make ~count:150
@@ -237,11 +177,11 @@ let equivalence_property backend =
       match equiv_diff ~backend p sched with
       | None -> true
       | Some d ->
-        QCheck.Test.fail_reportf "vm diverges on %s / %s: %s" (G.to_string p)
+        QCheck.Test.fail_reportf "vm diverges on %s / %s: %s" (Analyze.Ir.to_string p)
           (G.schedule_to_string sched) d)
 
 (* ------------------------------------------------------------------ *)
-(* (d) The state-derived exploration key *)
+(* (e) The state-derived exploration key *)
 
 (* Determinism: replaying one schedule from two fresh slices lands on
    bit-identical keys (the summands are pure functions of the state). *)
@@ -250,18 +190,18 @@ let test_key_deterministic seed =
   for _ = 1 to 25 do
     let p = G.generate rng in
     let sched = G.gen_schedule rng ~n:p.G.n in
-    let e = Vm.env (Vm.compile p) ~inputs:G.inputs in
+    let e = Vm.env (Vm.compile p) ~inputs:Runner.proto_inputs in
     let drive () =
       let st = Vm.make_state e in
       let _ =
-        Vm.drive e st 0 ~sched:(cursor_schedule p sched)
+        Vm.drive e st 0 ~sched:(Schedule.replay ~n:p.G.n sched)
           ~max_steps:(List.length sched + 1)
       in
       (Vm.key e st 0, Vm.key_hash e st 0)
     in
     let (ka, ha) = drive () and (kb, hb) = drive () in
     if ka <> kb || ha <> hb then
-      Alcotest.failf "key not deterministic on %s / %s" (G.to_string p)
+      Alcotest.failf "key not deterministic on %s / %s" (Analyze.Ir.to_string p)
         (G.schedule_to_string sched)
   done
 
@@ -273,12 +213,12 @@ let test_key_deterministic seed =
    cache relies on to prune equivalent interleavings. *)
 let test_key_converges seed =
   let p =
-    { G.registers = 2; n = 3; steps = [ G.Write (0, G.Const 5); G.Read 0; G.Decide G.Last ] }
+    Vm.{ registers = 2; n = 3; steps = [ Write (0, Const 5); Read 0; Decide Last ] }
   in
-  let e = Vm.env (Vm.compile p) ~inputs:G.inputs in
+  let e = Vm.env (Vm.compile p) ~inputs:Runner.proto_inputs in
   let run_key sched =
     let st = Vm.make_state e in
-    let _ = Vm.drive e st 0 ~sched:(cursor_schedule p sched) ~max_steps:1_000 in
+    let _ = Vm.drive e st 0 ~sched:(Schedule.replay ~n:p.G.n sched) ~max_steps:1_000 in
     if not (Vm.quiescent e st 0) then Alcotest.fail "schedule did not quiesce";
     Vm.key e st 0
   in
@@ -297,7 +237,7 @@ let test_key_converges seed =
     Alcotest.fail "initial and final states share a key"
 
 (* ------------------------------------------------------------------ *)
-(* (e) Front-door verdict agreement: Modelcheck.run vs run_vm *)
+(* (f) Front-door verdict agreement: Modelcheck.run vs run_vm *)
 
 (* Counterexample schedules may legitimately differ (the engines cache
    and reduce differently), but the verdict — safe up to the bound, or
@@ -315,13 +255,13 @@ let verdict_property =
       let p = G.generate ~sizes:small_sizes rng in
       let engine = Spec.Modelcheck.Dpor { cache = true; jobs = 1 } in
       let interp =
-        Spec.Modelcheck.run ~engine ~depth:5 ~inputs:G.inputs
+        Spec.Modelcheck.run ~engine ~depth:5 ~inputs:Runner.proto_inputs
           ~check:(Spec.Properties.check_safety ~k:1)
-          (G.config p)
+          (Shm.Vm.config p)
       in
       let vm jobs =
         Spec.Modelcheck.run_vm ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs })
-          ~depth:5 ~inputs:G.inputs
+          ~depth:5 ~inputs:Runner.proto_inputs
           ~check:(Spec.Properties.check_safety_io ~k:1)
           p
       in
@@ -335,13 +275,14 @@ let verdict_property =
       else
         QCheck.Test.fail_reportf
           "verdicts differ on %s: interpreter %s, vm %s, vm on 4 domains %s"
-          (G.to_string p) (show interp) (show vm1) (show vm4))
+          (Analyze.Ir.to_string p) (show interp) (show vm1) (show vm4))
 
 (* ------------------------------------------------------------------ *)
 
 let suite =
   [
     test "compile rejects ill-formed protocols" test_compile_rejects;
+    test "diff names the first differing field" test_diff_names_field;
     test "lowering edge cases match the interpreter" test_lowering_edges;
     test "truncated schedules match step-for-step" test_lowering_truncated;
     qcheck_to_alcotest (equivalence_property Memory.Persistent);

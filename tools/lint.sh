@@ -28,6 +28,12 @@
 #      (In_channel.with_open_*, In_channel.open_*, open_in*): its one
 #      reader turns Sys_error into Error and owns the blank-line,
 #      path:line, header and torn-final-line policy for every loader.
+#   8. One stepping rule: under lib, bin and bench, Config.invoke
+#      appears only in lib/shm/config.ml (Config.advance, the rule
+#      "invoke if idle, else step" every engine shares) and in callers
+#      that must inspect the poised op first — the lower-bound
+#      constructions (lib/lowerbound/{alpha,clones,lemma1}.ml) and the
+#      optimizer-simulation oracle (lib/fuzz/oracle.ml).
 #
 # Exits non-zero listing every offender.
 
@@ -98,6 +104,14 @@ fi
 # 7. file reading in lib/obs goes through Obs.Json ------------------
 if grep -En "In_channel\.(with_open|open)|\bopen_in(_bin|_gen)?\b" lib/obs/*.ml | grep -v "^lib/obs/json\.ml:"; then
   echo "lint: under lib/obs, open files for reading only through lib/obs/json.ml" >&2
+  fail=1
+fi
+
+# 8. one stepping rule -----------------------------------------------
+if grep -rEn "Config\.invoke" lib bin bench --include='*.ml' \
+  | grep -vE "^(lib/shm/config|lib/lowerbound/(alpha|clones|lemma1)|lib/fuzz/oracle)\.ml:"; then
+  echo "lint: step processes with Config.advance (Config.invoke only where the" >&2
+  echo "      poised op must be inspected first; see the rule 8 allowlist)" >&2
   fail=1
 fi
 
