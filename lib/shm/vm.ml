@@ -644,9 +644,9 @@ type final = {
   outputs : (int * int * Value.t) list;
 }
 
-let snapshot e st base =
+let io e st base =
   let c = e.c in
-  let io o =
+  let log o =
     let acc = ref [] in
     for inst = e.rounds downto 1 do
       for pid = c.n - 1 downto 0 do
@@ -656,6 +656,11 @@ let snapshot e st base =
     done;
     !acc
   in
+  (log e.o_inlog, log e.o_outlog)
+
+let snapshot e st base =
+  let c = e.c in
+  let inputs, outputs = io e st base in
   {
     memory = Array.init c.registers (fun r -> decode c st.(base + r));
     written =
@@ -665,8 +670,8 @@ let snapshot e st base =
     num_written = st.(base + e.o_scal + s_nwritten);
     write_count = st.(base + e.o_scal + s_wcount);
     read_count = st.(base + e.o_scal + s_rcount);
-    inputs = io e.o_inlog;
-    outputs = io e.o_outlog;
+    inputs;
+    outputs;
   }
 
 (* ------------------------------------------------------------------ *)

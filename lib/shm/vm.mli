@@ -176,6 +176,11 @@ type final = {
 
 val snapshot : env -> int array -> int -> final
 
+(** [(inputs, outputs)] of {!snapshot}, without decoding the rest of
+    the slice — all a property check reads. *)
+val io :
+  env -> int array -> int -> (int * int * Value.t) list * (int * int * Value.t) list
+
 (** Event-free in-place driver mirroring [Exec.run]'s loop (fuel check
     before each scheduler probe): returns steps taken and why it
     stopped. *)

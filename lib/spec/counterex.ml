@@ -9,7 +9,11 @@
    and [replay] reproduces (and re-grades) the violation from the
    initial configuration alone.  The shrinker (Spec.Shrink) works
    exclusively through [replay], so anything reported here can be
-   minimized. *)
+   minimized.
+
+   The frontier-completion rule lives here too, since [replay] and
+   every engine complete through it, along with its per-domain memo
+   ([complete_check]). *)
 
 open Shm
 
@@ -32,12 +36,151 @@ let step_pid ~inputs config pid =
   if Config.runnable config ~has_input pid then fst (Config.advance ~inputs config pid)
   else config
 
+(* ---- frontier completion ---- *)
+
+(* The completion rule of the model checkers: quantum round-robin with
+   q = 2000 ([Schedule.quantum_round_robin]'s rule), long solo bursts
+   that drive a configuration to quiescence deterministically. *)
+let quantum = 2000
+
+(* The completion memo: a direct-mapped flat table from (state key,
+   cursor) at the first step of a burst to the number of steps the
+   completion from there took to quiesce with an [Ok] verdict.  Six
+   ints per slot — the four key ints, the cursor, the length (0: an
+   empty slot; a stored length is at least the one step its burst
+   starts with).  It starts at 32 slots (small enough for the minor
+   heap) and doubles while half full, up to 2^16 slots (3 MB), so tiny
+   explorations pay almost nothing. *)
+type memo = { mutable slots : int array; mutable used : int; mutable hits : int }
+
+let width = 6
+let max_slots = 1 lsl 16
+let memo () = { slots = Array.make (32 * width) 0; used = 0; hits = 0 }
+let memo_hits m = m.hits
+let memo_entries m = m.used
+
+(* The slot of a (key, cursor) entry, from its five ints. *)
+let index slots ~mem ~locals ~inp ~out ~cursor =
+  let h = Value.mix (Value.mix (Value.mix (Value.mix mem locals) inp) out) cursor in
+  (h land (Array.length slots / width - 1)) * width
+
+let find m (k : Statehash.key) cursor =
+  let s = m.slots in
+  let i = index s ~mem:k.k_mem ~locals:k.k_locals ~inp:k.k_in ~out:k.k_out ~cursor in
+  if
+    s.(i + 5) > 0 && s.(i) = k.k_mem && s.(i + 1) = k.k_locals && s.(i + 2) = k.k_in
+    && s.(i + 3) = k.k_out && s.(i + 4) = cursor
+  then s.(i + 5)
+  else 0
+
+let put m ~mem ~locals ~inp ~out ~cursor len =
+  let s = m.slots in
+  let i = index s ~mem ~locals ~inp ~out ~cursor in
+  if s.(i + 5) = 0 then m.used <- m.used + 1;
+  s.(i) <- mem;
+  s.(i + 1) <- locals;
+  s.(i + 2) <- inp;
+  s.(i + 3) <- out;
+  s.(i + 4) <- cursor;
+  s.(i + 5) <- len
+
+(* Doubling re-files every entry; entries that then share a slot keep
+   the last one, as a direct-mapped table always does. *)
+let add m (k : Statehash.key) cursor len =
+  let old = m.slots in
+  let nslots = Array.length old / width in
+  if 2 * m.used >= nslots && nslots < max_slots then begin
+    m.slots <- Array.make (2 * Array.length old) 0;
+    m.used <- 0;
+    for e = 0 to nslots - 1 do
+      let i = e * width in
+      if old.(i + 5) > 0 then
+        put m ~mem:old.(i) ~locals:old.(i + 1) ~inp:old.(i + 2) ~out:old.(i + 3)
+          ~cursor:old.(i + 4) old.(i + 5)
+    done
+  end;
+  put m ~mem:k.k_mem ~locals:k.k_locals ~inp:k.k_in ~out:k.k_out ~cursor len
+
+(* The first runnable pid from [cursor] on, or -1 if none is. *)
+let rec first_runnable ~has_input config n cursor tried =
+  if tried >= n then -1
+  else if Config.runnable config ~has_input cursor then cursor
+  else first_runnable ~has_input config n ((cursor + 1) mod n) (tried + 1)
+
+(* How a completion run ended: out of fuel, quiescent, or at a memo
+   hit that fit the remaining budget. *)
+type ending = Fuel | Quiesced | Hit
+
+type run = {
+  final : Config.t;
+  ending : ending;
+  steps : int;  (* with a hit, the stored length included *)
+  pending : (Statehash.key * int * int) list;  (* (key, cursor, step) looked up *)
+}
+
+(* The completion loop: [Schedule.quantum_round_robin]'s rule from
+   cursor 0 with a full quantum, for at most [max_steps] steps.
+
+   With [memo = Some (m, hash)] ([hash] is [config]'s Statehash) it
+   looks up ([Statehash.inert_key], cursor) at the first step of every
+   burst, the leaf itself included.  A burst start is a memoryless
+   scheduler state (the cursor is the pid about to step, the quantum is
+   full), so the key and the cursor determine the rest of the run.
+   The key needs every process that has stepped to be inert, and
+   inertness is permanent, so only the previous burst's pid needs a
+   look; once it is still runnable (its quantum ran out), the run stops
+   looking.  A hit whose length fits the remaining budget ends the
+   run. *)
+let drive ?memo ~inputs ~max_steps config =
+  let n = Config.n config in
+  let has_input pid inst = Option.is_some (inputs ~pid ~instance:inst) in
+  let rec go config step cursor left last looking pending =
+    if step >= max_steps then { final = config; ending = Fuel; steps = step; pending }
+    else
+      let cursor, left = if left = 0 then ((cursor + 1) mod n, quantum) else (cursor, left) in
+      let pid = first_runnable ~has_input config n cursor 0 in
+      if pid < 0 then { final = config; ending = Quiesced; steps = step; pending }
+      else
+        let left = if pid = cursor then left else quantum in
+        let looking =
+          looking
+          && (left < quantum || last < 0 || not (Config.runnable config ~has_input last))
+        in
+        let step_on pending =
+          let config, _ = Config.advance ~inputs config pid in
+          go config (step + 1) pid (left - 1) pid looking pending
+        in
+        match memo with
+        | Some (m, hash) when looking && left = quantum ->
+          let key = Statehash.inert_key hash ~has_input config in
+          let len = find m key pid in
+          if len > 0 && step + len <= max_steps then begin
+            m.hits <- m.hits + 1;
+            { final = config; ending = Hit; steps = step + len; pending }
+          end
+          else step_on ((key, pid, step) :: pending)
+        | _ -> step_on pending
+  in
+  go config 0 0 quantum (-1) (memo <> None) []
+
 (* Drive [config] to quiescence deterministically (long solo bursts),
    the completion rule of the model checkers. *)
-let complete ~inputs ~max_steps config =
-  let n = Config.n config in
-  let sched = Schedule.quantum_round_robin ~quantum:2000 n in
-  (Exec.run ~sched ~inputs ~max_steps config).Exec.config
+let complete ~inputs ~max_steps config = (drive ~inputs ~max_steps config).final
+
+(* [check (complete config)], answered from the memo where it can be:
+   a hit is [Ok] with no further stepping and no [check] call.  A run
+   that ends [Ok] without running out of fuel files every key it looked
+   up with the steps that remained from there; a violation or a run out
+   of fuel files nothing, so every error (and its string) comes from a
+   real completion. *)
+let complete_check ?memo ~inputs ~max_steps ~check config =
+  let { final; ending; steps; pending } = drive ?memo ~inputs ~max_steps config in
+  let verdict = if ending = Hit then Ok () else check final in
+  (match memo with
+  | Some (m, _) when ending <> Fuel && Result.is_ok verdict ->
+    List.iter (fun (key, cursor, step) -> add m key cursor (steps - step)) pending
+  | _ -> ());
+  verdict
 
 (* Tolerant replay ([Schedule.replay]): steps the schedule's pids in
    order, skipping any pid that is not currently runnable (shrinking

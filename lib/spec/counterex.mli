@@ -5,7 +5,9 @@
     it as this one type, so the shrinker ({!Shrink}) and the CLI
     reproduce and minimize violations from any source the same way.
     Processes are deterministic, so the pid schedule alone pins down
-    the whole execution. *)
+    the whole execution.  The frontier-completion rule every engine and
+    [replay] share is here too ({!complete}), with its memoized form
+    for the DPOR engine ({!complete_check}). *)
 
 type t = {
   schedule : int list;  (** pids, in step order *)
@@ -24,13 +26,57 @@ val step_pid :
   int ->
   Shm.Config.t
 
-(** Drive a configuration to quiescence deterministically (long solo
-    bursts) — the frontier-completion rule of the model checkers. *)
+(** Drive a configuration to quiescence deterministically — the
+    frontier-completion rule of the model checkers: quantum round-robin
+    with quantum 2000 from pid 0 ({!Shm.Schedule.quantum_round_robin}'s
+    rule, long solo bursts), for at most [max_steps] steps. *)
 val complete :
   inputs:(pid:int -> instance:int -> Shm.Value.t option) ->
   max_steps:int ->
   Shm.Config.t ->
   Shm.Config.t
+
+(** {1 Memoized completion} *)
+
+(** A completion memo: a direct-mapped table from ({!Statehash.inert_key},
+    cursor) at the first step of a burst to the steps the completion
+    from there took to end [Ok].  Flat (6 ints per slot), it starts
+    small and doubles up to 2{^16} slots.  Mutable and unsynchronized:
+    one per domain. *)
+type memo
+
+val memo : unit -> memo
+
+(** Lookups answered so far. *)
+val memo_hits : memo -> int
+
+(** Entries stored (occupied slots). *)
+val memo_entries : memo -> int
+
+(** [complete_check ?memo ~inputs ~max_steps ~check config] is
+    [check (complete ~inputs ~max_steps config)].  With
+    [memo = (m, hash)], where [hash] is [config]'s {!Statehash.t}, it
+    looks up [m] at the first step of every burst for as long as every
+    process that has stepped is inert (so the key is defined).  A hit
+    whose stored length fits the remaining budget is [Ok] with no
+    further stepping and no [check] call.  A run that ends [Ok] without
+    running out of fuel stores every key it looked up; a violation or a
+    run out of fuel stores nothing, so every [Error] comes from a real
+    completion and [check].
+
+    Sound under the state cache's contract ([check] depends only on
+    memory, instance counts and the i/o records as multisets) plus
+    three facts: an inert process never steps again, so its local state
+    is invisible to the rest of the run; a burst start is a memoryless
+    scheduler state; only quiesced [Ok] results that fit the budget are
+    stored (see [docs/EXPLORATION.md]). *)
+val complete_check :
+  ?memo:memo * Statehash.t ->
+  inputs:(pid:int -> instance:int -> Shm.Value.t option) ->
+  max_steps:int ->
+  check:(Shm.Config.t -> (unit, string) result) ->
+  Shm.Config.t ->
+  (unit, string) result
 
 (** [replay ?completion_steps ~inputs ~check config schedule] re-runs
     the schedule from [config] under {!Shm.Schedule.replay} (skipping

@@ -68,8 +68,13 @@ module type STATE = sig
       [t]. *)
   val replay : dom -> t -> int list -> t
 
-  (** Complete the frontier state, then check it. *)
+  (** The verdict on the frontier state: complete it, then check it —
+      or answer from a completion memo. *)
   val leaf : dom -> t -> (unit, string) result
+
+  (** Leaves {!leaf} has answered from a completion memo on this
+      domain (0 for a representation without one). *)
+  val memo_hits : dom -> int
 
   (** The reported artifact for a violating schedule (in step order). *)
   val counterexample : env -> int list -> string -> Counterex.t
@@ -80,16 +85,18 @@ end
 
 type stats = {
   explored : int;    (** nodes visited (interior + frontier) *)
-  leaves : int;      (** frontier states completed and checked *)
+  leaves : int;      (** frontier states given a verdict by [STATE.leaf] *)
   max_depth : int;
   cache_hits : int;  (** nodes short-circuited by the state cache *)
   pruned : int;      (** branches pruned by sleep sets *)
   refined : int;     (** sleep retentions owed to a refinement alone *)
   steals : int;      (** successful steals (work-migration events) *)
+  memo_hits : int;   (** leaves answered by a completion memo, unchecked *)
 }
 
 (** [explore.nodes], [.leaves], [.cache_hits], [.sleep_pruned],
-    [.refined], [.steals] counters and the [explore.domains] gauge. *)
+    [.refined], [.steals], [.completion_memo_hits] counters and the
+    [explore.domains] gauge. *)
 val export_metrics : Obs.Metrics.t -> domains:int -> stats -> unit
 
 (** Phase brackets for [STATE.child]: [start prof] is a clock mark

@@ -16,7 +16,9 @@
    - [Dpor]: the exploration core — partial-order reduction + state
      caching + optional parallel domains, orders of magnitude fewer
      nodes, same class coverage (docs/EXPLORATION.md), over heap
-     configurations ([run]) or bytecode-vm arena slots ([run_vm]). *)
+     configurations ([run]) or bytecode-vm arena slots ([run_vm]).
+     With the cache, heap leaves are also answered from a per-domain
+     completion memo (Counterex.complete_check) where it can. *)
 
 open Shm
 
@@ -28,6 +30,7 @@ type stats = Explore.stats = {
   pruned : int;
   refined : int;
   steals : int;
+  memo_hits : int;
 }
 
 type outcome =
@@ -41,7 +44,7 @@ type outcome =
 
 let pp_outcome ppf = function
   | Ok_bounded { explored; leaves; _ } ->
-    Fmt.pf ppf "no violation (%d nodes, %d completions checked)" explored leaves
+    Fmt.pf ppf "no violation (%d nodes, %d leaves)" explored leaves
   | Counterexample { schedule; error; _ } ->
     Fmt.pf ppf "counterexample schedule [%a]: %s"
       Fmt.(list ~sep:comma int)
@@ -87,7 +90,7 @@ let exhaustive ~depth ~inputs ?(completion_steps = 50_000) ~check config =
   in
   let stats () =
     { explored = !explored; leaves = !leaves; max_depth = !deepest;
-      cache_hits = 0; pruned = 0; refined = 0; steals = 0 }
+      cache_hits = 0; pruned = 0; refined = 0; steals = 0; memo_hits = 0 }
   in
   try
     go config 0 [];
@@ -112,6 +115,8 @@ module Interp_state = struct
     completion_steps : int;
     check : Config.t -> (unit, string) result;
     full_key : bool;
+    (* memoize frontier completions (on with the state cache) *)
+    memo : bool;
     (* conditional-independence refinement: may the poised ops of two
        processes be swapped in the state whose memory is [mem] without
        changing the resulting configuration? *)
@@ -120,8 +125,8 @@ module Interp_state = struct
 
   (* [root] is this domain's own copy of the initial configuration: a
      journaled configuration may only be read by the domain that owns
-     its version family *)
-  type dom = { env : env; root : Config.t }
+     its version family; [memo] is this domain's completion memo *)
+  type dom = { env : env; root : Config.t; memo : Counterex.memo option }
 
   (* the Statehash observation hashes are immutable and shared freely *)
   type t = { config : Config.t; hash : Statehash.t }
@@ -134,8 +139,12 @@ module Interp_state = struct
   let n (env : env) = Config.n env.config
   let portable (env : env) = Memory.backend (Config.mem env.config) <> Memory.Journaled
 
+  (* with no completion budget there is nothing to memoize *)
   let dom (env : env) ~copy =
-    { env; root = (if copy then Config.unshare env.config else env.config) }
+    { env;
+      root = (if copy then Config.unshare env.config else env.config);
+      memo =
+        (if env.memo && env.completion_steps > 0 then Some (Counterex.memo ()) else None) }
 
   let root d = { config = d.root; hash = Statehash.create ~audit:d.env.full_key d.root }
   let runnable d t pid = Config.runnable t.config ~has_input:d.env.has_input pid
@@ -177,7 +186,10 @@ module Interp_state = struct
 
   let leaf d t =
     let { inputs; completion_steps; check; _ } = d.env in
-    check (Counterex.complete ~inputs ~max_steps:completion_steps t.config)
+    let memo = Option.map (fun m -> (m, t.hash)) d.memo in
+    Counterex.complete_check ?memo ~inputs ~max_steps:completion_steps ~check t.config
+
+  let memo_hits d = Option.fold ~none:0 ~some:Counterex.memo_hits d.memo
 
   let counterexample (env : env) =
     counterexample ~inputs:env.inputs ~completion_steps:env.completion_steps env.config
@@ -321,8 +333,10 @@ module Vm_state = struct
         (d.scratch, 0)
       end
     in
-    let fin = Vm.snapshot env.e st b in
-    env.check ~inputs:fin.Vm.inputs ~outputs:fin.Vm.outputs
+    let inputs, outputs = Vm.io env.e st b in
+    env.check ~inputs ~outputs
+
+  let memo_hits _ = 0
 
   (* replayed through the interpreter: the reported artifact is
      engine-neutral and independently re-executes the vm's claim *)
@@ -363,7 +377,7 @@ let run ~engine ~depth ?(key = `Incremental) ~inputs ?(completion_steps = 50_000
     of_explore
       (Interp.explore ~depth ~cache ~jobs ?metrics ?prof ?series
          { config; inputs; has_input; completion_steps; check; full_key = key = `Full;
-           static_indep })
+           memo = cache; static_indep })
 
 (* [run] for first-order protocols executed by [Shm.Vm]; the check sees
    decoded i/o records (Properties.check_safety_io fits directly). *)

@@ -15,12 +15,16 @@
 
 type stats = Explore.stats = {
   explored : int;    (** nodes visited (interior + frontier) *)
-  leaves : int;      (** frontier configurations checked *)
+  leaves : int;      (** frontier configurations given a verdict *)
   max_depth : int;
   cache_hits : int;  (** [Dpor] only; 0 for [Naive] *)
   pruned : int;      (** sleep-set prunes; [Dpor] only *)
   refined : int;     (** sleep retentions owed to [?static_indep] alone *)
   steals : int;      (** work-stealing migrations; [Dpor] only *)
+  memo_hits : int;
+      (** leaves answered by the completion memo, with no completion
+          run to the end and no [check] call; heap [Dpor] with the
+          cache only *)
 }
 
 type outcome =
@@ -75,6 +79,14 @@ val stats_of : outcome -> stats
     yields the identical configuration ([Analyze.Indep.refinement]
     derives one; it never widens ample sets); [prof] and [series]
     receive the phase breakdown and exploration time series.
+
+    With [Dpor { cache = true; _ }] and [completion_steps > 0], each
+    domain also memoizes frontier completions
+    ({!Counterex.complete_check}): [check] runs only on the leaves the
+    memo cannot answer, and a memo-answered leaf counts in
+    [stats.memo_hits].  The memo never answers a violation, so
+    counterexamples and their errors are those of a real completion;
+    [Naive], [cache = false] and {!run_vm} run every completion.
 
     Raises [Invalid_argument] for [Dpor] on more than
     {!Explore.max_procs} processes. *)

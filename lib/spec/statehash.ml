@@ -94,28 +94,36 @@ let local_slot pid obs instance = mix (mix (mix 0x1c pid) obs) instance
 
 let io_slot pid instance v = mix (mix (mix 0x2e pid) instance) (Value.hash v)
 
+(* The local summand of an inert process: no observation hash, since
+   its history can no longer affect anything (see [inert_key]). *)
+let inert_slot pid instance = mix (mix 0x1d pid) instance
+
 let obs0 = 0x5eed
+
+(* The components a configuration determines by itself, folded from
+   scratch: O(registers + records). *)
+let mem_sum config =
+  let mem = Config.mem config in
+  let sum = ref 0 in
+  Memory.scan mem ~off:0 ~len:(Memory.size mem)
+  |> Array.iteri (fun r v -> sum := !sum + mem_slot r v);
+  !sum
+
+let io_sum records =
+  List.fold_left (fun acc (pid, inst, v) -> acc + io_slot pid inst v) 0 records
 
 let create ?(audit = false) config =
   let n = Config.n config in
-  let mem = Config.mem config in
-  let size = Memory.size mem in
-  let k_mem = ref 0 in
-  Memory.scan mem ~off:0 ~len:size
-  |> Array.iteri (fun r v -> k_mem := !k_mem + mem_slot r v);
   let k_locals = ref 0 in
   for pid = 0 to n - 1 do
     k_locals := !k_locals + local_slot pid obs0 (Config.instance config pid)
   done;
-  let io_sum records =
-    List.fold_left (fun acc (pid, inst, v) -> acc + io_slot pid inst v) 0 records
-  in
   {
     obs = Array.make n obs0;
     digests = (if audit then Some (Array.make n (Digest.string "init")) else None);
     key =
       {
-        k_mem = !k_mem;
+        k_mem = mem_sum config;
         k_locals = !k_locals;
         k_in = io_sum (Config.inputs config);
         k_out = io_sum (Config.outputs config);
@@ -202,6 +210,31 @@ let record t ~before after ev =
   { obs; digests; key = { k_mem; k_locals; k_in; k_out } }
 
 let key t = t.key
+
+(* The key of [config], reached from [t]'s configuration by steps of
+   processes that are all inert now.  An inert process — halted, or
+   idle with no input for its next instance — never steps again, so
+   its local state can no longer influence the run: every inert process
+   gets the one summand [inert_slot], whatever history led there, and
+   only the others (which have not stepped, so [t.obs] is current) keep
+   their observation hash.  Frontier completion is a series of solo
+   bursts that mostly end halted, so this key merges completions that
+   [record]'s history key keeps apart. *)
+let inert_key t ~has_input config =
+  let k_locals = ref 0 in
+  for pid = 0 to Config.n config - 1 do
+    let instance = Config.instance config pid in
+    k_locals :=
+      !k_locals
+      + (if Config.runnable config ~has_input pid then local_slot pid t.obs.(pid) instance
+         else inert_slot pid instance)
+  done;
+  {
+    k_mem = mem_sum config;
+    k_locals = !k_locals;
+    k_in = io_sum (Config.inputs config);
+    k_out = io_sum (Config.outputs config);
+  }
 
 (* ---- the full-digest reference path (audit mode) ---- *)
 

@@ -23,8 +23,9 @@
 
 type t
 
-(** The flat incremental state key. *)
-type key
+(** The flat incremental state key: memory, local states and the two
+    i/o multisets, one commutative hash sum each. *)
+type key = private { k_mem : int; k_locals : int; k_in : int; k_out : int }
 
 val key_equal : key -> key -> bool
 val key_hash : key -> int
@@ -46,6 +47,20 @@ val record : t -> before:Shm.Config.t -> Shm.Config.t -> Shm.Event.t -> t
 
 (** The incrementally maintained canonical key — O(1). *)
 val key : t -> key
+
+(** [inert_key t ~has_input config] is the key of [config] with every
+    {e inert} process's local state forgotten.  Inert means not
+    runnable: halted, or idle with no input for its next instance
+    ([has_input pid instance] is false), so the process never steps
+    again.  Each inert process contributes one constant summand per
+    (pid, instance); every other process contributes its observation
+    hash in [t].  Precondition: [config] was reached from [t]'s
+    configuration by steps of processes that are all inert in [config]
+    (so the non-inert ones have not stepped and [t]'s hashes are
+    theirs).  Memory and the i/o multisets are recomputed from
+    [config]: O(registers + records).  The frontier-completion memo
+    ({!Counterex.complete_check}) is keyed by it. *)
+val inert_key : t -> has_input:(int -> int -> bool) -> Shm.Config.t -> key
 
 (** The uncompressed canonical form behind {!full_key} — exposed so
     tests can certify the incremental keys partition an enumerated

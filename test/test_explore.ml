@@ -99,33 +99,63 @@ let cache_reduces_states () =
 
 (* ---- state hashing ---- *)
 
+(* The canonical form with the digest of every inert (not runnable)
+   process masked: the partition [Statehash.inert_key] must induce.
+   [repr]'s locals section is one "digest#instance;" per pid. *)
+let inert_repr ~has_input hash config =
+  let repr = Spec.Statehash.repr hash config in
+  let rec find sub i =
+    if String.sub repr i (String.length sub) = sub then i else find sub (i + 1)
+  in
+  let locals = find "|locals:" 0 + String.length "|locals:" in
+  let io = find "|in:" locals in
+  String.sub repr locals (io - locals)
+  |> String.split_on_char ';'
+  |> List.mapi (fun pid e ->
+         if e <> "" && not (Shm.Config.runnable config ~has_input pid) then
+           "inert" ^ String.sub e (String.index e '#') (String.length e - String.index e '#')
+         else e)
+  |> String.concat ";"
+  |> fun masked ->
+  String.sub repr 0 locals ^ masked ^ String.sub repr io (String.length repr - io)
+
+(* Equal keys mean equal canonical forms and vice versa, recorded in
+   the two tables. *)
+let same_partition ~what by_key by_repr key repr =
+  (match Hashtbl.find_opt by_key key with
+  | Some repr' -> Alcotest.(check string) (what ^ ": equal key implies equal form") repr' repr
+  | None -> Hashtbl.add by_key key repr);
+  match Hashtbl.find_opt by_repr repr with
+  | Some key' ->
+    if not (Spec.Statehash.key_equal key key') then
+      Alcotest.failf "%s: equal canonical form, different keys: %a vs %a" what
+        Spec.Statehash.pp_key key Spec.Statehash.pp_key key'
+  | None -> Hashtbl.add by_repr repr key
+
 (* The collision audit.  Enumerate every state reachable within a depth
    bound (every schedule, no reduction) and certify the incremental key
    partitions the space exactly as the full canonical form does: equal
    keys always mean equal canonical forms (no collision ever merges
    distinct states), and equal canonical forms always mean equal keys
-   (incrementality loses no cache hits vs the full digest). *)
+   (incrementality loses no cache hits vs the full digest).
+
+   The same audit certifies [Statehash.inert_key] against the canonical
+   form with the digests of inert processes masked. *)
 let statehash_audit ~n ~depth ~min_states () =
   let p = Params.make ~n ~m:1 ~k:1 in
   let inputs = inputs_for n in
   let has_input pid inst = Option.is_some (inputs ~pid ~instance:inst) in
-  let by_key : (Spec.Statehash.key, string) Hashtbl.t = Hashtbl.create 1024 in
-  let by_repr : (string, Spec.Statehash.key) Hashtbl.t = Hashtbl.create 1024 in
+  let tables () = (Hashtbl.create 1024, Hashtbl.create 1024) in
+  let by_key, by_repr = tables () and inert_by_key, inert_by_repr = tables () in
   let states = ref 0 in
   let rec go config hash d =
     incr states;
     let key = Spec.Statehash.key hash in
     let repr = Spec.Statehash.repr hash config in
-    (match Hashtbl.find_opt by_key key with
-    | Some repr' ->
-      Alcotest.(check string) "equal key implies equal canonical form" repr' repr
-    | None -> Hashtbl.add by_key key repr);
-    (match Hashtbl.find_opt by_repr repr with
-    | Some key' ->
-      if not (Spec.Statehash.key_equal key key') then
-        Alcotest.failf "equal canonical form, different keys: %a vs %a"
-          Spec.Statehash.pp_key key Spec.Statehash.pp_key key'
-    | None -> Hashtbl.add by_repr repr key);
+    same_partition ~what:"history key" by_key by_repr key repr;
+    let ikey = Spec.Statehash.inert_key hash ~has_input config in
+    same_partition ~what:"inert key" inert_by_key inert_by_repr ikey
+      (inert_repr ~has_input hash config);
     if d < depth then
       List.init n Fun.id
       |> List.filter (fun pid -> Shm.Config.runnable config ~has_input pid)
@@ -336,6 +366,109 @@ let worker_exception_surfaces () =
       | exception Boom -> ())
     [ 1; 4 ]
 
+(* ---- the completion memo ---- *)
+
+(* Enumerate every leaf of the full schedule tree up to [depth] (no
+   reduction), threading its Statehash, and check that the memoized
+   verdict equals a plain completion followed by [check], leaf by leaf,
+   with one memo shared across all leaves as a domain's is.  Returns
+   (leaves, violating leaves, memo). *)
+let memo_differential ?(max_steps = 50_000) ~depth ~inputs ~check config =
+  let has_input pid inst = Option.is_some (inputs ~pid ~instance:inst) in
+  let memo = Spec.Counterex.memo () in
+  let leaves = ref 0 and errors = ref 0 in
+  let rec go config hash d =
+    let runnable =
+      List.filter (Shm.Config.runnable config ~has_input) (List.init (Shm.Config.n config) Fun.id)
+    in
+    if runnable = [] || d >= depth then begin
+      incr leaves;
+      let expected = check (Spec.Counterex.complete ~inputs ~max_steps config) in
+      if Result.is_error expected then incr errors;
+      let got = Spec.Counterex.complete_check ~memo:(memo, hash) ~inputs ~max_steps ~check config in
+      if got <> expected then
+        Alcotest.failf "leaf %d: memoized verdict %s, completion %s" !leaves
+          (Result.fold ~ok:(fun () -> "Ok") ~error:Fun.id got)
+          (Result.fold ~ok:(fun () -> "Ok") ~error:Fun.id expected)
+    end
+    else
+      List.iter
+        (fun pid ->
+          let config', ev = Shm.Config.advance ~inputs config pid in
+          go config' (Spec.Statehash.record hash ~before:config config' ev) (d + 1))
+        runnable
+  in
+  go config (Spec.Statehash.create config) 0;
+  (!leaves, !errors, memo)
+
+(* Figure 3, correct and starved (n = 2-4), and the anonymous one-shot
+   algorithm: every leaf agrees, and on Figure 3 the memo answers. *)
+let memo_agrees_leaf_by_leaf () =
+  List.iter
+    (fun (n, k, r, depth, violates) ->
+      let p = Params.make ~n ~m:1 ~k in
+      let name = Fmt.str "fig3 n=%d k=%d r=%d depth %d" n k r depth in
+      let leaves, errors, memo =
+        memo_differential ~depth ~inputs:(inputs_for n) ~check:(check_safety ~k)
+          (Instances.oneshot ~r p)
+      in
+      Alcotest.(check bool) (name ^ ": leaves") true (leaves > 1000);
+      Alcotest.(check bool) (name ^ ": violations found") violates (errors > 0);
+      Alcotest.(check bool) (name ^ ": memo hits") true (Spec.Counterex.memo_hits memo > 0))
+    [ (2, 1, 3, 10, false); (3, 2, 4, 7, false); (3, 1, 3, 8, false); (3, 2, 1, 7, true);
+      (4, 2, 4, 6, false); (4, 2, 2, 6, true) ];
+  let p = Params.make ~n:3 ~m:1 ~k:1 in
+  let leaves, _, _ =
+    memo_differential ~depth:7 ~inputs:(inputs_for 3) ~check:(check_safety ~k:1)
+      (Instances.anonymous_oneshot p)
+  in
+  Alcotest.(check bool) "anonymous one-shot: leaves" true (leaves > 100);
+  (* A budget some completions exceed, and a check that rejects an
+     unfinished run: a stored length must fit the budget left. *)
+  let finished c =
+    match Spec.Properties.termination_errors ~expected:(fun _ -> 1) c with
+    | [] -> Ok ()
+    | e :: _ -> Error e
+  in
+  let p = Params.make ~n:3 ~m:1 ~k:2 in
+  let leaves, errors, memo =
+    memo_differential ~max_steps:22 ~depth:7 ~inputs:(inputs_for 3) ~check:finished
+      (Instances.oneshot p)
+  in
+  Alcotest.(check bool) "tight budget: some completions fit, some do not" true
+    (errors > 0 && errors < leaves);
+  Alcotest.(check bool) "tight budget: memo hits" true (Spec.Counterex.memo_hits memo > 0)
+
+(* Figure 3 exactly as printed (the erratum, test_errata.ml): p1
+   leaves stale copies of its pair and halts; p0 and p2, proposing the
+   same value, spin in the adopt branch forever.  Every completion runs
+   out of fuel, so the memo must store nothing. *)
+let memo_stores_no_fuel_exhausted_run () =
+  let r = 3 in
+  let procs =
+    Array.init 3 (fun pid ->
+        Oneshot.program_paper_literal ~m:1 ~pid ~api:(Snapshot.Atomic.make ~off:0 ~len:r))
+  in
+  let config = Shm.Config.create ~registers:r ~procs () in
+  let config, _ = Shm.Config.advance ~inputs:(fun ~pid:_ ~instance:_ -> Some (vi 7)) config 1 in
+  let config = List.fold_left (fun c _ -> fst (Shm.Config.step c 1)) config (List.init 6 Fun.id) in
+  let config = Shm.Config.plant config ~slot:1 Shm.Program.stop ~instance:1 in
+  let inputs ~pid ~instance = if pid <> 1 && instance = 1 then Some (vi 7) else None in
+  (* past one quantum, so a second burst starts *)
+  let max_steps = 2_500 in
+  let stopped =
+    (Shm.Exec.run ~sched:(Shm.Schedule.quantum_round_robin ~quantum:2000 3) ~inputs
+       ~max_steps config)
+      .Shm.Exec.stopped
+  in
+  Alcotest.(check bool) "the completion runs out of fuel" true (stopped = Shm.Exec.Fuel_exhausted);
+  let leaves, _, memo =
+    memo_differential ~max_steps ~depth:6 ~inputs ~check:(check_safety ~k:2) config
+  in
+  Alcotest.(check bool) "enumerated" true (leaves > 10);
+  Alcotest.(check int) "nothing stored" 0 (Spec.Counterex.memo_entries memo);
+  Alcotest.(check int) "no hits" 0 (Spec.Counterex.memo_hits memo)
+
 (* ---- pinned state counts ---- *)
 
 (* The 62-register collect protocol of the E20 vm benchmarks. *)
@@ -354,7 +487,9 @@ let collect62 : Shm.Vm.proto =
 
 (* (explored, leaves, max_depth, cache_hits, pruned) of three
    single-domain runs.  Exploration order decides every cache hit, so
-   any change to the order shows up here. *)
+   any change to the order shows up here.  The completion memo leaves
+   them alone; its hit count on Figure 3 is pinned beside them (the
+   collect62 runs have no completion budget, so no memo). *)
 let pinned_state_counts () =
   let counts name expected outcome =
     Alcotest.(check bool) (name ^ ": ok") true (is_ok outcome);
@@ -364,13 +499,17 @@ let pinned_state_counts () =
   in
   let engine = Spec.Modelcheck.Dpor { cache = true; jobs = 1 } in
   (* Figure 3 at n=4, m=1, k=2, depth 8: the dpor-fig3 smoke size *)
-  counts "fig3 n=4 k=2 depth 8" [ 273; 156; 8; 40; 24 ]
-    (Spec.Modelcheck.run ~engine ~depth:8
-       ~inputs:
-         (Shm.Exec.repeated_inputs ~rounds:1 (fun pid instance ->
-              vi ((100 * instance) + pid)))
-       ~check:(check_safety ~k:2)
-       (Instances.oneshot (Params.make ~n:4 ~m:1 ~k:2)));
+  let fig3 =
+    Spec.Modelcheck.run ~engine ~depth:8
+      ~inputs:
+        (Shm.Exec.repeated_inputs ~rounds:1 (fun pid instance ->
+             vi ((100 * instance) + pid)))
+      ~check:(check_safety ~k:2)
+      (Instances.oneshot (Params.make ~n:4 ~m:1 ~k:2))
+  in
+  counts "fig3 n=4 k=2 depth 8" [ 273; 156; 8; 40; 24 ] fig3;
+  Alcotest.(check int) "fig3 n=4 k=2 depth 8: completion memo hits" 125
+    (Spec.Modelcheck.stats_of fig3).memo_hits;
   let inputs ~pid ~instance = if instance = 1 then Some (vi (pid + 1)) else None in
   counts "collect62 interpreter depth 10" [ 2521; 1464; 10; 316; 432 ]
     (Spec.Modelcheck.run ~engine ~depth:10 ~completion_steps:0 ~inputs
@@ -433,6 +572,10 @@ let suite =
     slow_test "jobs=1 and jobs=4 agree on outcomes" jobs_agree;
     slow_test "backends and key modes agree on verdicts" backends_and_key_modes_agree;
     slow_test "an exception on a worker domain surfaces" worker_exception_surfaces;
+    slow_test "completion memo agrees with complete + check, leaf by leaf"
+      memo_agrees_leaf_by_leaf;
+    test "completion memo stores no run that ran out of fuel"
+      memo_stores_no_fuel_exhausted_run;
     test "state counts are pinned" pinned_state_counts;
     slow_test "stress witness schedule replays and shrinks" stress_schedule_replays_and_shrinks;
   ]
