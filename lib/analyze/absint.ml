@@ -102,32 +102,50 @@ let fresh_acc pid =
     a_aborted = [];
   }
 
+(* One step of an explored path, kept structured: the path is consed on
+   every abstract step, but rendered to a [witness] only when a
+   diagnostic stores it, so the common case allocates one cell and
+   formats nothing. *)
+type event =
+  | Invoke of int * Shm.Value.t  (* instance, input *)
+  | Output of Shm.Value.t
+  | Step of Shm.Program.op
+
+let descr_of pid what = Fmt.str "p%d: %s" pid what
+
+let descr_event pid = function
+  | Invoke (inst, v) ->
+    descr_of pid (Fmt.str "invoke #%d %a" inst Shm.Value.pp v)
+  | Output v -> descr_of pid (Fmt.str "output %a" Shm.Value.pp v)
+  | Step op -> descr_of pid (Fmt.str "%a" Shm.Program.pp_op op)
+
+(* [path] is reversed; the witness is chronological. *)
+let render pid path = List.rev_map (descr_event pid) path
+
 (* Diagnostic lists are capped so pathological programs can't grow
    unbounded witness state across passes. *)
 let diag_cap = 32
 
-let record_oob acc descr wit =
-  if List.length acc.a_oob < diag_cap
-     && not (List.exists (fun (d, _) -> String.equal d descr) acc.a_oob)
-  then acc.a_oob <- acc.a_oob @ [ (descr, List.rev wit) ]
+let record diags pid descr path =
+  if List.length diags < diag_cap
+     && not (List.exists (fun (d, _) -> String.equal d descr) diags)
+  then diags @ [ (descr, render pid path) ]
+  else diags
 
-let record_abort acc descr wit =
-  if List.length acc.a_aborted < diag_cap
-     && not (List.exists (fun (d, _) -> String.equal d descr) acc.a_aborted)
-  then acc.a_aborted <- acc.a_aborted @ [ (descr, List.rev wit) ]
+let record_oob acc descr path =
+  acc.a_oob <- record acc.a_oob acc.a_pid descr path
 
-let descr_of pid what = Fmt.str "p%d: %s" pid what
+let record_abort acc descr path =
+  acc.a_aborted <- record acc.a_aborted acc.a_pid descr path
 
-let descr_op pid op = descr_of pid (Fmt.str "%a" Shm.Program.pp_op op)
-
-(* One pass of path exploration for a single process.  [wit] is the
+(* One pass of path exploration for a single process.  [path] is the
    reversed path so far; [forks] counts branching choice points on the
    current path; [decided] is set between a Yield and the next
    Await/Stop (the write-after-decide window); [just_wrote] is the last
    value this path wrote (feeds the uniform-own scan template). *)
 let explore ~b ~mem ~registers ~inputs ~rounds acc prog0 =
   let steps = ref 0 in
-  let rec go prog ~depth ~forks ~decided ~inst ~just_wrote ~wit =
+  let rec go prog ~depth ~forks ~decided ~inst ~just_wrote ~path =
     if depth >= b.max_depth || !steps >= b.max_steps_per_pass then
       acc.a_truncated <- true
     else begin
@@ -138,32 +156,27 @@ let explore ~b ~mem ~registers ~inputs ~rounds acc prog0 =
         if inst < rounds then begin
           let alts = inputs ~pid:acc.a_pid ~instance:(inst + 1) in
           branch prog alts ~forks ~width:b.branch_width (fun v forks ->
-              let descr =
-                descr_of acc.a_pid
-                  (Fmt.str "invoke #%d %a" (inst + 1) Shm.Value.pp v)
-              in
               match Shm.Program.start prog v with
               | Some p' ->
                 go p' ~depth:(depth + 1) ~forks ~decided:false
-                  ~inst:(inst + 1) ~just_wrote ~wit:(descr :: wit)
+                  ~inst:(inst + 1) ~just_wrote
+                  ~path:(Invoke (inst + 1, v) :: path)
               | None -> ())
         end
       | Shm.Program.Yield (v, rest) ->
         acc.a_yields <- acc.a_yields + 1;
-        let descr =
-          descr_of acc.a_pid (Fmt.str "output %a" Shm.Value.pp v)
-        in
         go rest ~depth:(depth + 1) ~forks ~decided:true ~inst ~just_wrote
-          ~wit:(descr :: wit)
+          ~path:(Output v :: path)
       | Shm.Program.Op (op, _) ->
-        let descr = descr_op acc.a_pid op in
-        let wit' = descr :: wit in
+        let ev = Step op in
+        let path' = ev :: path in
+        let descr () = descr_event acc.a_pid ev in
         let continue next ~forks ~just_wrote =
           match next with
           | Some p' ->
             go p' ~depth:(depth + 1) ~forks ~decided ~inst ~just_wrote
-              ~wit:wit'
-          | None -> record_abort acc (descr ^ " (result shape)") wit'
+              ~path:path'
+          | None -> record_abort acc (descr () ^ " (result shape)") path'
         in
         let apply f ~forks ~just_wrote =
           (* The continuation is the algorithm's own code; abstract
@@ -173,12 +186,13 @@ let explore ~b ~mem ~registers ~inputs ~rounds acc prog0 =
           | next -> continue next ~forks ~just_wrote
           | exception e ->
             record_abort acc
-              (Fmt.str "%s (path abandoned: %s)" descr (Printexc.to_string e))
-              wit'
+              (Fmt.str "%s (path abandoned: %s)" (descr ())
+                 (Printexc.to_string e))
+              path'
         in
         (match op with
         | Shm.Program.Read r ->
-          if r < 0 || r >= registers then record_oob acc descr wit'
+          if r < 0 || r >= registers then record_oob acc (descr ()) path'
           else begin
             acc.a_reads <- IntSet.add r acc.a_reads;
             let alts = Absdom.read_alternatives mem ~width:b.branch_width r in
@@ -187,11 +201,12 @@ let explore ~b ~mem ~registers ~inputs ~rounds acc prog0 =
                   ~just_wrote)
           end
         | Shm.Program.Write (r, v) ->
-          if decided && acc.a_wad = None then acc.a_wad <- Some (List.rev wit');
-          if r < 0 || r >= registers then record_oob acc descr wit'
+          if decided && Option.is_none acc.a_wad then
+            acc.a_wad <- Some (render acc.a_pid path');
+          if r < 0 || r >= registers then record_oob acc (descr ()) path'
           else begin
             if not (IntSet.mem r acc.a_writes) then
-              acc.a_wwit <- acc.a_wwit @ [ (r, List.rev wit') ];
+              acc.a_wwit <- acc.a_wwit @ [ (r, render acc.a_pid path') ];
             acc.a_writes <- IntSet.add r acc.a_writes;
             Absdom.add mem r v;
             apply
@@ -200,7 +215,7 @@ let explore ~b ~mem ~registers ~inputs ~rounds acc prog0 =
           end
         | Shm.Program.Scan (off, len) ->
           if off < 0 || len < 0 || off + len > registers then
-            record_oob acc descr wit'
+            record_oob acc (descr ()) path'
           else begin
             for i = off to off + len - 1 do
               acc.a_reads <- IntSet.add i acc.a_reads
@@ -228,7 +243,7 @@ let explore ~b ~mem ~registers ~inputs ~rounds acc prog0 =
       List.iteri (fun i v -> if i < width then k v (forks + 1)) alts
   in
   go prog0 ~depth:0 ~forks:0 ~decided:false ~inst:0 ~just_wrote:None
-    ~wit:[];
+    ~path:[];
   !steps
 
 let default_inputs ~pid ~instance =

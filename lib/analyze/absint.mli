@@ -18,7 +18,7 @@
     footprint.  docs/ANALYSIS.md states the argument and its
     bounded-depth caveat precisely. *)
 
-module IntSet : Set.S with type elt = int
+module IntSet : Set.S with type elt = int and type t = Set.Make(Int).t
 
 (** A chronological path to an event of interest: one line per step,
     e.g. ["p0: invoke 1"; "p0: write R0 := (1,0)"]. *)

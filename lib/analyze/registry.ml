@@ -89,8 +89,10 @@ let names = List.map (fun e -> e.name) all
 
 let find name = List.find_opt (fun e -> String.equal e.name name) all
 
-module Written = Set.Make (Int)
-
+(* Round-robin run with default inputs, stopped early once every
+   register has been written: the written set only grows and cannot
+   outgrow the memory, so the rest of the run (up to the 400,000-step
+   fuel) could not change the result. *)
 let measure_dynamic e p =
   let config = e.config p in
   let inputs ~pid ~instance =
@@ -98,13 +100,25 @@ let measure_dynamic e p =
       Some (Agreement.Runner.default_input ~pid ~instance)
     else None
   in
-  let result =
-    Shm.Exec.run ~max_steps:400_000
-      ~sched:(Shm.Schedule.round_robin (Shm.Config.n config))
-      ~inputs config
+  let size = Shm.Memory.size (Shm.Config.mem config) in
+  let exception All_written of Shm.Memory.t in
+  let probe ~step:_ ev c =
+    match ev with
+    | Shm.Event.Did_write _ ->
+      let mem = Shm.Config.mem c in
+      if Shm.Memory.num_written mem = size then raise (All_written mem)
+    | _ -> ()
   in
-  Shm.Memory.written_set (Shm.Config.mem result.Shm.Exec.config)
-  |> Written.to_seq |> Absint.IntSet.of_seq
+  let mem =
+    match
+      Shm.Exec.run ~probe ~max_steps:400_000
+        ~sched:(Shm.Schedule.round_robin (Shm.Config.n config))
+        ~inputs config
+    with
+    | result -> Shm.Config.mem result.Shm.Exec.config
+    | exception All_written mem -> mem
+  in
+  Shm.Memory.written_set mem
 
 let grid ~max_n =
   let ps = ref [] in

@@ -28,7 +28,8 @@ val find : string -> entry option
 (** Registers actually written by a concrete run of the entry under a
     round-robin schedule with default inputs (the written set of the
     final memory) — the dynamic measure the static footprint must
-    contain. *)
+    contain.  The run stops at the first write that leaves every
+    register written; the set is the full run's, as it only grows. *)
 val measure_dynamic : entry -> Agreement.Params.t -> Absint.IntSet.t
 
 (** The (n ≤ max_n, 1 ≤ m ≤ k < n) parameter grid of the sweep. *)

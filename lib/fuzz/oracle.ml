@@ -1,4 +1,3 @@
-module S = Set.Make (Int)
 module V = Shm.Value
 module L = Spec.Linearize
 
@@ -51,10 +50,7 @@ let analyzer p sched =
       Shm.Memory.written_set (Shm.Config.mem res.Shm.Exec.config)
     in
     let static = summary.Analyze.Absint.writes in
-    let escaped =
-      S.elements
-        (S.filter (fun r -> not (Analyze.Absint.IntSet.mem r static)) dynamic)
-    in
+    let escaped = Analyze.Absint.IntSet.(elements (diff dynamic static)) in
     match escaped with
     | [] -> None
     | rs ->

@@ -75,6 +75,18 @@ let absint_footprint_and_dead () =
   Alcotest.(check bool) "no witness for dead register" true
     (Analyze.Absint.write_witness s 2 = None)
 
+(* Witness paths are kept as events and rendered when stored: the
+   rendered path must be chronological and cover each event kind. *)
+let absint_witness_rendering_order () =
+  let p = P.await (fun v -> P.yield v (P.write 0 v @@ fun () -> P.stop)) in
+  let s = Analyze.Absint.analyze (config_of ~registers:1 [ p ]) in
+  let path = Some [ "p0: invoke #1 1"; "p0: output 1"; "p0: write R0 := 1" ] in
+  Alcotest.(check (option (list string)))
+    "write-after-decide path" path
+    s.Analyze.Absint.per_process.(0).Analyze.Absint.write_after_decide;
+  Alcotest.(check (option (list string)))
+    "write witness of R0" path (Analyze.Absint.write_witness s 0)
+
 let absint_cross_process_flow () =
   (* p1's write target depends on the value p0 wrote: the joint
      fixpoint must propagate p0's value into p1's read. *)
@@ -185,12 +197,16 @@ let registry_has_four_entries () =
     Analyze.Registry.names
 
 (* Differential: the dynamic measure reads the written set off the
-   final memory; replaying the same run's events through the streaming
-   stats must name exactly the same registers. *)
+   memory of a round-robin run it stops once every register is written;
+   replaying the full 400,000-step run's events through the streaming
+   stats must name exactly the same registers.  The max-n 3 grid holds
+   Figure 4 rows that livelock under round-robin and run the whole
+   fuel, so the early stop is compared against a run it cut short. *)
 let measure_dynamic_matches_event_stream () =
+  let exhausted = ref 0 in
   List.iter
-    (fun (n, m, k) ->
-      let p = params ~n ~m ~k in
+    (fun p ->
+      let n = p.Agreement.Params.n in
       List.iter
         (fun (e : Analyze.Registry.entry) ->
           if e.applicable p then begin
@@ -204,6 +220,7 @@ let measure_dynamic_matches_event_stream () =
               Shm.Exec.run ~record:true ~max_steps:400_000
                 ~sched:(Shm.Schedule.round_robin n) ~inputs config
             in
+            if res.Shm.Exec.stopped = Shm.Exec.Fuel_exhausted then incr exhausted;
             let a =
               Shm.Analysis.of_trace ~n
                 ~registers:(Shm.Memory.size (Shm.Config.mem config))
@@ -220,7 +237,49 @@ let measure_dynamic_matches_event_stream () =
               (Analyze.Absint.IntSet.elements (Analyze.Registry.measure_dynamic e p))
           end)
         Analyze.Registry.all)
-    [ (4, 1, 2); (5, 2, 3) ]
+    (Analyze.Registry.grid ~max_n:3 @ [ params ~n:4 ~m:1 ~k:2; params ~n:5 ~m:2 ~k:3 ]);
+  Alcotest.(check bool) "some rows run the whole fuel" true (!exhausted >= 3)
+
+(* The early stop keeps the dynamic measure cheap on rows that would
+   otherwise run the whole fuel: Figure 4 at (4,1,2) livelocks under
+   round-robin, and the full 400,000-step run allocates about 157M minor
+   words; stopped once every register is written it allocates about
+   7k. *)
+let measure_dynamic_allocation () =
+  let e = Option.get (Analyze.Registry.find "repeated") in
+  let p = params ~n:4 ~m:1 ~k:2 in
+  let before = Gc.minor_words () in
+  ignore (Analyze.Registry.measure_dynamic e p);
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Fmt.str "measure_dynamic allocates %.0f minor words" words)
+    true (words < 2e6)
+
+(* Witness paths are rendered only when a diagnostic keeps them, so an
+   abstract step costs the same whatever the size of the value it
+   writes.  One process writes the same value forever (the depth budget
+   ends each pass); rendering every step would make the 1,000-component
+   tuple about 60 times dearer per step than the int. *)
+let absint_step_allocation_independent_of_value_size () =
+  let words_per_step v =
+    let rec spin () = P.write 0 v @@ fun () -> spin () in
+    let config = config_of ~registers:1 [ P.await (fun _ -> spin ()) ] in
+    let budgets =
+      {
+        (Analyze.Absint.budgets_for ~registers:1 ~n:1) with
+        Analyze.Absint.max_depth = 10_000;
+        max_steps_per_pass = 10_000;
+      }
+    in
+    let before = Gc.minor_words () in
+    let s = Analyze.Absint.analyze ~budgets config in
+    (Gc.minor_words () -. before) /. float_of_int s.Analyze.Absint.steps
+  in
+  let small = words_per_step (vi 7) in
+  let big = words_per_step (V.tuple (List.init 1000 vi)) in
+  Alcotest.(check bool)
+    (Fmt.str "words per step: int %.1f, 1000-tuple %.1f" small big)
+    true (big < 4. *. small)
 
 let sweep_small_grid_green () =
   let rows = Analyze.Report.sweep ~max_n:4 () in
@@ -687,6 +746,12 @@ let suite =
     test "registry: four entries, bounds bound" registry_has_four_entries;
     test "registry: dynamic measure = written registers of the event stream"
       measure_dynamic_matches_event_stream;
+    test "registry: dynamic measure stops early (Gc-pinned)"
+      measure_dynamic_allocation;
+    test "absint: step allocation independent of written value size"
+      absint_step_allocation_independent_of_value_size;
+    test "witness paths render in chronological order"
+      absint_witness_rendering_order;
     test "sweep: small grid green" sweep_small_grid_green;
     test "sweep: three containments" sweep_checks_three_containments;
     test "mutant: oob write rejected with witness" mutant_oob_rejected_with_witness;
