@@ -1077,7 +1077,7 @@ let snapshot_ablation () =
          let p = Params.make ~n:5 ~m:1 ~k:2 in
          let result =
            Runner.run_oneshot ~impl
-             ~sched:(Shm.Schedule.quantum_round_robin ~quantum:2000 5)
+             ~sched:(Shm.Schedule.quantum_round_robin ~quantum:Spec.Counterex.quantum 5)
              ~max_steps:4_000_000 p
          in
          let mem = Shm.Config.mem result.Shm.Exec.config in
@@ -1192,7 +1192,7 @@ let bechamel_benches () =
   (* one fully solved instance per run, under a fresh large-quantum
      schedule *)
   let bench ~name run p = Test.make ~name (Staged.stage (fun () -> ignore (run p))) in
-  let sched (p : Params.t) = Shm.Schedule.quantum_round_robin ~quantum:2000 p.n in
+  let sched (p : Params.t) = Shm.Schedule.quantum_round_robin ~quantum:Spec.Counterex.quantum p.n in
   let max_steps = 4_000_000 in
   let oneshot ?impl p = Runner.run_oneshot ?impl ~sched:(sched p) ~max_steps p in
   let native (p : Params.t) =

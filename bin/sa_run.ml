@@ -19,9 +19,8 @@ open Cmdliner
 
 (* Model-check the configured instance over all schedules up to the
    depth bound, instead of running one schedule. *)
-let explore_run (r : Cli.run) (e : Cli.explore) ~metrics ?prof ?series () =
-  Spec.Modelcheck.run ~engine:e.engine ~depth:e.depth ~inputs:r.inst.inputs ~metrics
-    ?prof ?series
+let explore_run (r : Cli.run) (e : Cli.explore) ~metrics ?prof () =
+  Spec.Modelcheck.run ~engine:e.engine ~depth:e.depth ~inputs:r.inst.inputs ~metrics ?prof
     ~check:(Spec.Properties.check_safety ~k:r.inst.params.Agreement.Params.k)
     r.inst.config
 
@@ -50,7 +49,8 @@ let explore_main (r : Cli.run) (e : Cli.explore) ~stats =
     if r.shrink then begin
       let replay s =
         (* fresh copy: Config.t is persistent, replay never mutates the config *)
-        Spec.Counterex.replay ~completion_steps:50_000 ~inputs:r.inst.inputs
+        Spec.Counterex.replay ~completion_steps:Spec.Counterex.completion_steps
+          ~inputs:r.inst.inputs
           ~check:(Spec.Properties.check_safety ~k:r.inst.params.Agreement.Params.k)
           r.inst.config s
       in
@@ -143,17 +143,39 @@ let run (r : Cli.run) trace diagram stats trace_out =
    records per-domain DPOR worker timelines, steal flows, and the
    exploration counter tracks. *)
 
+(* The exploration series, read back from the trace: a [nodes] sample
+   and the [frontier], [cache hits] and [sleep hits] samples Explore
+   took with it share one timestamp and one domain. *)
+let pp_series ppf samples =
+  let at = Hashtbl.create 256 in
+  List.iter (fun (s : Obs.Trace.sample) -> Hashtbl.replace at (s.track, s.s_dom, s.s_ts_ns) s) samples;
+  let row (s : Obs.Trace.sample) =
+    let get track = (Hashtbl.find at (track, s.s_dom, s.s_ts_ns)).Obs.Trace.value in
+    if s.track <> "nodes" then None
+    else Some (s.s_ts_ns, s.value, get "frontier", get "cache hits", get "sleep hits")
+  in
+  match List.filter_map row samples with
+  | [] -> ()
+  | (t0, _, _, _, _) :: _ as rows ->
+    Fmt.pf ppf "--- exploration series ---@.%-10s %10s %10s %12s %12s@." "t (ms)" "nodes"
+      "frontier" "cache hits" "sleep hits";
+    List.iter
+      (fun (ts, nodes, frontier, cache, sleep) ->
+        Fmt.pf ppf "%-10.2f %10.0f %10.0f %12.0f %12.0f@." (float_of_int (ts - t0) /. 1e6)
+          nodes frontier cache sleep)
+      rows;
+    Fmt.pf ppf "%d samples@." (List.length rows)
+
 let trace_main (r : Cli.run) sets out jsonl_out stats =
   Cli.check_output "--out" out;
   Option.iter (Cli.check_output "--jsonl") jsonl_out;
   let tr = Obs.Trace.create () in
   let prof = Obs.Prof.create () in
-  let series = Obs.Prof.Series.create () in
   let code =
     Obs.Trace.with_attached tr (fun () ->
         match r.explore with
         | Some e ->
-          let outcome = explore_run r e ~metrics:(Obs.Metrics.create ()) ~prof ~series () in
+          let outcome = explore_run r e ~metrics:(Obs.Metrics.create ()) ~prof () in
           Fmt.pr "engine: %s, depth bound: %d — %a@."
             (Spec.Modelcheck.engine_name e.engine)
             e.depth Spec.Modelcheck.pp_outcome outcome;
@@ -189,8 +211,7 @@ let trace_main (r : Cli.run) sets out jsonl_out stats =
   if stats then begin
     if not (Obs.Prof.is_empty prof) then
       Fmt.pr "--- phase breakdown ---@.%a@." Obs.Prof.pp prof;
-    if Obs.Prof.Series.length series > 0 then
-      Fmt.pr "--- exploration series ---@.%a@." Obs.Prof.Series.pp series;
+    pp_series Fmt.stdout (Obs.Trace.samples tr);
     Fmt.pr "--- trace ---@.%a@." Obs.Trace.pp tr
   end;
   exit code

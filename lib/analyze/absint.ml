@@ -333,13 +333,3 @@ let write_witness s r =
 
 let pp_witness ppf w =
   Fmt.pf ppf "@[<v>%a@]" Fmt.(list ~sep:cut string) w
-
-let pp_intset ppf s =
-  Fmt.pf ppf "{%a}" Fmt.(list ~sep:comma int) (IntSet.elements s)
-
-let pp_summary ppf s =
-  Fmt.pf ppf
-    "@[<v>registers=%d writes=%a reads=%a dead=%a converged=%b widened=%b \
-     passes=%d steps=%d@]"
-    s.registers pp_intset s.writes pp_intset s.reads pp_intset s.dead
-    s.converged s.widened s.passes s.steps

@@ -93,4 +93,3 @@ val analyze :
 val write_witness : summary -> int -> witness option
 
 val pp_witness : Format.formatter -> witness -> unit
-val pp_summary : Format.formatter -> summary -> unit

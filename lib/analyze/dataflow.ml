@@ -330,26 +330,6 @@ let analyze ?inputs (prog : Shm.Vm.proto) =
 (* ------------------------------------------------------------------ *)
 (* Derived facts                                                       *)
 
-let last_out t id =
-  let li = t.last_in.(id) in
-  match t.cfg.points.(id).op with
-  | Ir.PRead r ->
-    let vals = t.reg_values.(r) in
-    let drop_bot =
-      IntSet.mem r t.must_self_written.(id) && not t.may_write_bot.(r)
-    in
-    vset_of_list
-      (if drop_bot then List.filter (fun v -> not (V.is_bot v)) vals else vals)
-  | Ir.PScan (_, 0) -> li
-  | Ir.PScan (off, _) ->
-    let vals = t.reg_values.(off) in
-    let drop_bot =
-      IntSet.mem off t.must_self_written.(id) && not t.may_write_bot.(off)
-    in
-    vset_of_list
-      (if drop_bot then List.filter (fun v -> not (V.is_bot v)) vals else vals)
-  | Ir.PWrite _ | Ir.PDecide _ -> li
-
 (* Registers every write of which provably stores the same value — and
    the value.  Requires an unwidened analysis (value sets incomplete
    otherwise). *)

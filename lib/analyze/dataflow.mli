@@ -52,9 +52,6 @@ type t = {
     the model under which generated protocols execute. *)
 val analyze : ?inputs:Shm.Value.t list -> Shm.Vm.proto -> t
 
-(** Possible [last] values {e after} point [id]. *)
-val last_out : t -> int -> vset
-
 (** {1 Derived facts} *)
 
 (** Registers whose every write provably stores one same value (and

@@ -37,8 +37,6 @@ let rec step_to_string : Shm.Vm.step -> string = function
     Fmt.str "L%d[%s]" count (String.concat "; " (List.map step_to_string body))
   | Decide s -> Fmt.str "D %s" (src_to_string s)
 
-let pp_step ppf s = Fmt.string ppf (step_to_string s)
-
 let to_string (p : Shm.Vm.proto) =
   Fmt.str "r%d n%d : %s" p.registers p.n
     (String.concat "; " (List.map step_to_string p.steps))

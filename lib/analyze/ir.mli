@@ -16,7 +16,6 @@
 
 val src_to_string : Shm.Vm.src -> string
 val step_to_string : Shm.Vm.step -> string
-val pp_step : Format.formatter -> Shm.Vm.step -> unit
 
 (** One-line replay form, e.g. ["r3 n2 : R0; W1<-in; L2[R1]; D last"]. *)
 val to_string : Shm.Vm.proto -> string

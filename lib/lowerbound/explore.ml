@@ -41,24 +41,3 @@ let run ~allowed ~inputs ~sched ~max_steps ?(stop = fun _ -> false) config =
         | _ -> go (fst (Config.advance ~inputs config pid)) (step + 1))
   in
   go config 0
-
-(* δ-search: try several schedules over the process set [procs] until
-   one produces an escape.  Because the processes are deterministic, the
-   only nondeterminism is the interleaving; [Schedule.only] plus per-
-   process solo runs plus a few randomized interleavings cover the
-   reachable first-writes in practice (DESIGN.md, substitution 3). *)
-let find_escape ~allowed ~inputs ~procs ~max_steps ~seeds config =
-  let scheds =
-    (Schedule.only procs :: List.map Schedule.solo procs)
-    @ List.map
-        (fun seed -> Schedule.eventually_only ~seed ~survivors:procs ~prefix:0 1)
-        seeds
-  in
-  let rec try_scheds = function
-    | [] -> None
-    | sched :: rest -> (
-      match run ~allowed ~inputs ~sched ~max_steps config with
-      | Escaped e -> Some e
-      | Stopped _ | Quiescent _ | Fuel _ -> try_scheds rest)
-  in
-  try_scheds scheds

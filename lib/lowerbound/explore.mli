@@ -27,14 +27,3 @@ val run :
   ?stop:(Shm.Config.t -> bool) ->
   Shm.Config.t ->
   outcome
-
-(** δ-search: try several schedules over [procs] (group round-robin,
-    per-process solos, seeded randoms) until one escapes. *)
-val find_escape :
-  allowed:(int -> bool) ->
-  inputs:(pid:int -> instance:int -> Shm.Value.t option) ->
-  procs:int list ->
-  max_steps:int ->
-  seeds:int list ->
-  Shm.Config.t ->
-  escape option

@@ -11,11 +11,7 @@
 
    Each DPOR worker owns one [t]; after the join the per-worker
    profiles merge into the run breakdown that [sa_run --stats] and
-   [sa_run trace --stats] print.
-
-   [Series] is the companion time series: strided samples of frontier
-   depth, nodes processed, cache hits and sleep-set prunes, for
-   plotting an exploration's shape over time. *)
+   [sa_run trace --stats] print. *)
 
 type phase =
   | Interp
@@ -54,17 +50,6 @@ let name = function
   | Vm_step -> "vm.step"
   | Vm_batch -> "vm.batch"
 
-let describe = function
-  | Interp -> "step interpretation (Config.step / invoke)"
-  | Footprint -> "footprint + independence computation"
-  | Hash -> "state hashing / key construction"
-  | Cache -> "seen-state cache lookup + insert"
-  | Replay -> "rebuilding stolen nodes by schedule replay"
-  | Steal -> "deque operations + steal attempts"
-  | Check -> "leaf completion + property checking"
-  | Vm_step -> "bytecode stepping (Vm.step, key maintenance included)"
-  | Vm_batch -> "vm frontier batching (arena snapshots, stack ops)"
-
 type t = { ns : int array; count : int array }
 
 let create () = { ns = Array.make n_phases 0; count = Array.make n_phases 0 }
@@ -86,11 +71,6 @@ let merge_into ~into t =
     into.ns.(i) <- into.ns.(i) + t.ns.(i);
     into.count.(i) <- into.count.(i) + t.count.(i)
   done
-
-let merge ts =
-  let acc = create () in
-  List.iter (fun t -> merge_into ~into:acc t) ts;
-  acc
 
 let is_empty t = total_ns t = 0 && Array.fold_left ( + ) 0 t.count = 0
 
@@ -114,76 +94,3 @@ let pp ppf t =
           (100. *. float_of_int (ns t p) /. float_of_int total))
     phases;
   Fmt.pf ppf "%-10s %12.3f" "total" (float_of_int (total_ns t) /. 1e6)
-
-module Series = struct
-  type row = {
-    ts_ns : int;
-    nodes : int;
-    frontier : int;
-    cache_hits : int;
-    sleep_hits : int;
-  }
-
-  type nonrec t = { mu : Mutex.t; mutable rows : row list (* reversed *) }
-
-  let create () = { mu = Mutex.create (); rows = [] }
-
-  let add t ~ts_ns ~nodes ~frontier ~cache_hits ~sleep_hits =
-    let r = { ts_ns; nodes; frontier; cache_hits; sleep_hits } in
-    Mutex.lock t.mu;
-    t.rows <- r :: t.rows;
-    Mutex.unlock t.mu
-
-  let rows t =
-    Mutex.lock t.mu;
-    let l = t.rows in
-    Mutex.unlock t.mu;
-    List.sort (fun a b -> compare a.ts_ns b.ts_ns) l
-
-  let length t =
-    Mutex.lock t.mu;
-    let n = List.length t.rows in
-    Mutex.unlock t.mu;
-    n
-
-  let to_json t =
-    Json.Arr
-      (List.map
-         (fun r ->
-           Json.Obj
-             [
-               ("ts_ns", Json.Int r.ts_ns);
-               ("nodes", Json.Int r.nodes);
-               ("frontier", Json.Int r.frontier);
-               ("cache_hits", Json.Int r.cache_hits);
-               ("sleep_hits", Json.Int r.sleep_hits);
-             ])
-         (rows t))
-
-  (* Feed the series into a trace's counter tracks so Perfetto plots
-     frontier depth and cache hit-rate alongside the worker spans. *)
-  let to_trace t tr =
-    List.iter
-      (fun r ->
-        let ts_ns = r.ts_ns in
-        Trace.counter tr ~ts_ns ~track:"frontier" (float_of_int r.frontier);
-        Trace.counter tr ~ts_ns ~track:"nodes" (float_of_int r.nodes);
-        Trace.counter tr ~ts_ns ~track:"cache hits" (float_of_int r.cache_hits);
-        Trace.counter tr ~ts_ns ~track:"sleep hits" (float_of_int r.sleep_hits))
-      (rows t)
-
-  let pp ppf t =
-    let rs = rows t in
-    match rs with
-    | [] -> Fmt.pf ppf "(no samples)"
-    | first :: _ ->
-      Fmt.pf ppf "%-10s %10s %10s %12s %12s@." "t (ms)" "nodes" "frontier"
-        "cache hits" "sleep hits";
-      List.iter
-        (fun r ->
-          Fmt.pf ppf "%-10.2f %10d %10d %12d %12d@."
-            (float_of_int (r.ts_ns - first.ts_ns) /. 1e6)
-            r.nodes r.frontier r.cache_hits r.sleep_hits)
-        rs;
-      Fmt.pf ppf "%d samples" (List.length rs)
-end

@@ -11,24 +11,20 @@
       if profiling then Prof.add p Prof.Interp (Prof.now_ns () - t0)
     ]} *)
 
-(** Where exploration time goes (see {!describe}).  [Vm_step] and
-    [Vm_batch] attribute the bytecode engine's time: stepping (state
-    key maintenance included) vs frontier batching (arena snapshots,
-    stack bookkeeping). *)
+(** Where exploration time goes. *)
 type phase =
-  | Interp
-  | Footprint
-  | Hash
-  | Cache
-  | Replay
-  | Steal
-  | Check
-  | Vm_step
-  | Vm_batch
+  | Interp  (** step interpretation ([Config.advance]) *)
+  | Footprint  (** footprint + independence computation *)
+  | Hash  (** state hashing / key construction *)
+  | Cache  (** seen-state cache lookup + insert *)
+  | Replay  (** rebuilding stolen nodes by schedule replay *)
+  | Steal  (** deque operations + steal attempts *)
+  | Check  (** leaf completion + property checking *)
+  | Vm_step  (** bytecode stepping ([Vm.step], key maintenance included) *)
+  | Vm_batch  (** vm frontier batching (arena snapshots, stack ops) *)
 
 val phases : phase list
 val name : phase -> string
-val describe : phase -> string
 
 type t
 
@@ -48,40 +44,8 @@ val total_ns : t -> int
 (** Fold per-worker profiles into a run profile. *)
 val merge_into : into:t -> t -> unit
 
-val merge : t list -> t
 val is_empty : t -> bool
 val to_json : t -> Json.t
 
 (** Breakdown table: per-phase milliseconds, hits, share of total. *)
 val pp : Format.formatter -> t -> unit
-
-(** Strided time series of an exploration's shape: frontier depth,
-    nodes processed, cache hits, sleep-set prunes. *)
-module Series : sig
-  type row = {
-    ts_ns : int;
-    nodes : int;
-    frontier : int;
-    cache_hits : int;
-    sleep_hits : int;
-  }
-
-  type t
-
-  val create : unit -> t
-
-  val add :
-    t -> ts_ns:int -> nodes:int -> frontier:int -> cache_hits:int -> sleep_hits:int -> unit
-
-  (** Samples in timestamp order. *)
-  val rows : t -> row list
-
-  val length : t -> int
-  val to_json : t -> Json.t
-
-  (** Replay the series into counter tracks of a trace collector so the
-      exported Chrome trace plots them alongside worker spans. *)
-  val to_trace : t -> Trace.t -> unit
-
-  val pp : Format.formatter -> t -> unit
-end

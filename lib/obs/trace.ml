@@ -193,11 +193,11 @@ let instant t ?(cat = "") ?(args = []) ?flow ?dom name =
   in
   Mutex.protect t.mu (fun () -> t.instants <- i :: t.instants)
 
-let counter t ?ts_ns ?dom ~track value =
+let counter t ?ts_ns ~track value =
   let s =
     {
       track;
-      s_dom = (match dom with Some d -> d | None -> self_dom ());
+      s_dom = self_dom ();
       s_ts_ns = (match ts_ns with Some ts -> ts | None -> now_ns ());
       value;
     }

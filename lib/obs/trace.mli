@@ -119,9 +119,9 @@ val instant :
   unit
 
 (** Append one sample to counter track [track] on the calling domain's
-    timeline.  [ts_ns]/[dom] override the stamp — how
-    {!Prof.Series.to_trace} replays a series collected elsewhere. *)
-val counter : t -> ?ts_ns:int -> ?dom:int -> track:string -> float -> unit
+    timeline.  [ts_ns] overrides the stamp — how one exploration sample
+    puts its four counter tracks under a single timestamp. *)
+val counter : t -> ?ts_ns:int -> track:string -> float -> unit
 
 (** {1 Reading} *)
 

@@ -46,11 +46,6 @@ let inputs t = List.rev t.inputs
 
 let outputs t = List.rev t.outputs
 
-let set_proc t pid p =
-  let procs = Array.copy t.procs in
-  procs.(pid) <- p;
-  { t with procs }
-
 (* A process is runnable when it is poised to take a step, or idle with
    an invocation available (decided by the caller via [has_input]). *)
 let runnable t ~has_input pid =
@@ -84,8 +79,8 @@ let invoke t pid v =
 (* Perform one step of an active process.  This is the simulator's
    innermost loop (every explored node and every frontier completion
    goes through it), so each branch builds its successor configuration
-   in one allocation instead of stacking [set_proc] + functional
-   update. *)
+   in one allocation instead of stacking a process-array copy and a
+   functional update. *)
 let step t pid =
   (* [with_proc] is the shared-memory-op path: it also advances the
      process's program point (its op counter), the stable identity the

@@ -38,9 +38,6 @@ val inputs : t -> (int * int * Value.t) list
 (** All outputs [(pid, instance, output)], chronological. *)
 val outputs : t -> (int * int * Value.t) list
 
-(** Replace one process's program (low-level; prefer {!step}). *)
-val set_proc : t -> int -> Program.t -> t
-
 (** [runnable t ~has_input pid]: poised at a step, or idle with an
     invocation available according to [has_input pid next_instance]. *)
 val runnable : t -> has_input:(int -> int -> bool) -> int -> bool

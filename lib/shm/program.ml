@@ -123,5 +123,3 @@ let start p v = match p with
 let is_idle = function Await _ -> true | Stop | Op _ | Yield _ -> false
 
 let is_halted = function Stop -> true | Op _ | Yield _ | Await _ -> false
-
-let is_active = function Op _ | Yield _ -> true | Stop | Await _ -> false

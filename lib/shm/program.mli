@@ -99,4 +99,3 @@ val start : t -> Value.t -> t option
 
 val is_idle : t -> bool
 val is_halted : t -> bool
-val is_active : t -> bool

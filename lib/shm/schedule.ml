@@ -36,28 +36,36 @@ let round_robin n =
   in
   { name = "round-robin"; next }
 
+(* The quantum rule, closure-free (see the interface): every quantum
+   round-robin run, frontier completions included, picks through it. *)
+let rec scan ~runnable env st n pid tried =
+  if tried >= n then -1
+  else if runnable env st pid then pid
+  else scan ~runnable env st n ((pid + 1) mod n) (tried + 1)
+
+let quantum_pick ~runnable env st n ~cursor ~left =
+  scan ~runnable env st n (if left = 0 then (cursor + 1) mod n else cursor) 0
+
 (* Round-robin with quantum [q]: each process takes q consecutive steps
    before the cursor advances.  Large quanta approximate solo runs. *)
 let quantum_round_robin ~quantum n =
   if quantum <= 0 then invalid_arg "Schedule.quantum_round_robin: quantum must be positive";
   let cursor = ref 0 and left = ref quantum in
-  (* closure-free probe loop: this runs on every simulator step
-     (frontier completions included), up to n probes per step *)
   let next ~step:_ ~runnable =
-    if !left = 0 then (
-      cursor := (!cursor + 1) mod n;
-      left := quantum);
-    let tried = ref 0 and found = ref (-1) in
-    while !found < 0 && !tried < n do
-      if runnable !cursor then (
-        decr left;
-        found := !cursor)
-      else (
-        cursor := (!cursor + 1) mod n;
-        left := quantum;
-        incr tried)
-    done;
-    if !found < 0 then None else Some !found
+    let pid =
+      quantum_pick ~runnable:(fun runnable () pid -> runnable pid) runnable () n
+        ~cursor:!cursor ~left:!left
+    in
+    if pid < 0 then begin
+      (* a probe that finds no one restarts a partly used quantum *)
+      if !left > 0 then left := quantum;
+      None
+    end
+    else begin
+      left := (if pid = !cursor && !left > 0 then !left else quantum) - 1;
+      cursor := pid;
+      Some pid
+    end
   in
   { name = Fmt.str "round-robin/q=%d" quantum; next }
 

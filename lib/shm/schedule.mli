@@ -26,6 +26,20 @@ val first_runnable : runnable:(int -> bool) -> int list -> int option
 (** Round-robin over all [n] processes, skipping unrunnable ones. *)
 val round_robin : int -> t
 
+(** The quantum rule, closure-free.  [quantum_pick ~runnable env st n
+    ~cursor ~left], with [cursor] the pid that stepped last and [left]
+    the steps left in its quantum, is the pid that steps next ([-1]:
+    none is runnable): [cursor] while runnable with [left > 0], else
+    the next runnable pid after it, whose quantum starts full — so
+    after the step [left - 1] steps are left if [pid = cursor] and
+    [left > 0], else [quantum - 1].  [runnable env st pid] tests a pid
+    in state [st]; passing [env] and [st] explicitly lets a caller use
+    one static function rather than build a closure per run.
+    {!quantum_round_robin} and [Spec.Counterex]'s completions pick
+    through it. *)
+val quantum_pick :
+  runnable:('e -> 's -> int -> bool) -> 'e -> 's -> int -> cursor:int -> left:int -> int
+
 (** Round-robin where each process takes [quantum] consecutive steps.
     Large quanta approximate solo runs, which obstruction-freedom turns
     into a termination guarantee. *)

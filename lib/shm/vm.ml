@@ -335,7 +335,6 @@ let env ?(rounds = 1) c ~inputs =
     o_inlog; o_outlog; o_scal; words = o_scal + n_scal }
 
 let state_words e = e.words
-let code_env e = e.c
 let proto_env e = e.c.proto
 
 (* Key summands.  Each is one salted mix over machine-state fields —
@@ -683,7 +682,7 @@ let make_state e =
   init e st 0;
   st
 
-(* Event-free driver, in place: the bench and leaf-completion path. *)
+(* Event-free driver, in place, under any scheduler. *)
 let drive e st base ~sched ~max_steps =
   let vm_step = step in
   let runnable = runnable e st base in

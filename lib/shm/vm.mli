@@ -90,7 +90,6 @@ type env
     [rounds] are never requested. *)
 val env : ?rounds:int -> code -> inputs:(pid:int -> instance:int -> Value.t option) -> env
 
-val code_env : env -> code
 val proto_env : env -> proto
 
 (** Size of one state slice, in ints. *)

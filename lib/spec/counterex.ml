@@ -36,12 +36,22 @@ let step_pid ~inputs config pid =
   if Config.runnable config ~has_input pid then fst (Config.advance ~inputs config pid)
   else config
 
+(* [step_pid] over a pid schedule, skipping pids out of range too: the
+   one re-execution of a schedule (see the interface). *)
+let run_schedule ~inputs config schedule =
+  let n = Config.n config in
+  List.fold_left
+    (fun config pid -> if pid >= 0 && pid < n then step_pid ~inputs config pid else config)
+    config schedule
+
 (* ---- frontier completion ---- *)
 
-(* The completion rule of the model checkers: quantum round-robin with
-   q = 2000 ([Schedule.quantum_round_robin]'s rule), long solo bursts
-   that drive a configuration to quiescence deterministically. *)
+(* The completion rule of the model checkers: quantum round-robin
+   ([Schedule.quantum_pick]) with q = 2000 from pid 0, long solo bursts
+   that drive a configuration to quiescence deterministically, within a
+   default budget of 50,000 steps. *)
 let quantum = 2000
+let completion_steps = 50_000
 
 (* The completion memo: a direct-mapped flat table from (state key,
    cursor) at the first step of a burst to the number of steps the
@@ -101,12 +111,6 @@ let add m (k : Statehash.key) cursor len =
   end;
   put m ~mem:k.k_mem ~locals:k.k_locals ~inp:k.k_in ~out:k.k_out ~cursor len
 
-(* The first runnable pid from [cursor] on, or -1 if none is. *)
-let rec first_runnable ~has_input config n cursor tried =
-  if tried >= n then -1
-  else if Config.runnable config ~has_input cursor then cursor
-  else first_runnable ~has_input config n ((cursor + 1) mod n) (tried + 1)
-
 (* How a completion run ended: out of fuel, quiescent, or at a memo
    hit that fit the remaining budget. *)
 type ending = Fuel | Quiesced | Hit
@@ -118,8 +122,8 @@ type run = {
   pending : (Statehash.key * int * int) list;  (* (key, cursor, step) looked up *)
 }
 
-(* The completion loop: [Schedule.quantum_round_robin]'s rule from
-   cursor 0 with a full quantum, for at most [max_steps] steps.
+(* The completion loop: the rule from cursor 0 with a full quantum,
+   for at most [max_steps] steps.
 
    With [memo = Some (m, hash)] ([hash] is [config]'s Statehash) it
    looks up ([Statehash.inert_key], cursor) at the first step of every
@@ -130,28 +134,31 @@ type run = {
    inertness is permanent, so only the previous burst's pid needs a
    look; once it is still runnable (its quantum ran out), the run stops
    looking.  A hit whose length fits the remaining budget ends the
-   run. *)
+   run.  [cursor] is the pid that stepped last.  Nothing is allocated
+   per step beyond [Config.advance]: [runnable] is static and
+   [step_on], always applied in tail position, compiles to a jump. *)
+let runnable has_input config pid = Config.runnable config ~has_input pid
+
 let drive ?memo ~inputs ~max_steps config =
   let n = Config.n config in
   let has_input pid inst = Option.is_some (inputs ~pid ~instance:inst) in
-  let rec go config step cursor left last looking pending =
+  let rec go config step cursor left looking pending =
     if step >= max_steps then { final = config; ending = Fuel; steps = step; pending }
     else
-      let cursor, left = if left = 0 then ((cursor + 1) mod n, quantum) else (cursor, left) in
-      let pid = first_runnable ~has_input config n cursor 0 in
+      let pid = Schedule.quantum_pick ~runnable has_input config n ~cursor ~left in
       if pid < 0 then { final = config; ending = Quiesced; steps = step; pending }
       else
-        let left = if pid = cursor then left else quantum in
+        let left = (if pid = cursor && left > 0 then left else quantum) - 1 in
+        let fresh = left = quantum - 1 in
         let looking =
-          looking
-          && (left < quantum || last < 0 || not (Config.runnable config ~has_input last))
+          looking && (not fresh || step = 0 || not (runnable has_input config cursor))
         in
         let step_on pending =
           let config, _ = Config.advance ~inputs config pid in
-          go config (step + 1) pid (left - 1) pid looking pending
+          go config (step + 1) pid left looking pending
         in
         match memo with
-        | Some (m, hash) when looking && left = quantum ->
+        | Some (m, hash) when looking && fresh ->
           let key = Statehash.inert_key hash ~has_input config in
           let len = find m key pid in
           if len > 0 && step + len <= max_steps then begin
@@ -161,11 +168,30 @@ let drive ?memo ~inputs ~max_steps config =
           else step_on ((key, pid, step) :: pending)
         | _ -> step_on pending
   in
-  go config 0 0 quantum (-1) (memo <> None) []
+  go config 0 0 quantum (memo <> None) []
 
 (* Drive [config] to quiescence deterministically (long solo bursts),
-   the completion rule of the model checkers. *)
-let complete ~inputs ~max_steps config = (drive ~inputs ~max_steps config).final
+   the completion rule of the model checkers; also the steps taken. *)
+let complete ~inputs ~max_steps config =
+  let { final; steps; _ } = drive ~inputs ~max_steps config in
+  (final, steps)
+
+(* The same rule over a compiled vm state, in place at [base]: the vm
+   engine's leaf completion.  Returns the steps taken. *)
+let complete_vm e st base ~max_steps =
+  let n = (Vm.proto_env e).Vm.n in
+  let runnable e st pid = Vm.runnable e st base pid in
+  let rec go step cursor left =
+    if step >= max_steps then step
+    else
+      let pid = Schedule.quantum_pick ~runnable e st n ~cursor ~left in
+      if pid < 0 then step
+      else begin
+        Vm.step e st base pid;
+        go (step + 1) pid ((if pid = cursor && left > 0 then left else quantum) - 1)
+      end
+  in
+  go 0 0 quantum
 
 (* [check (complete config)], answered from the memo where it can be:
    a hit is [Ok] with no further stepping and no [check] call.  A run
@@ -182,19 +208,15 @@ let complete_check ?memo ~inputs ~max_steps ~check config =
   | _ -> ());
   verdict
 
-(* Tolerant replay ([Schedule.replay]): steps the schedule's pids in
-   order, skipping any pid that is not currently runnable (shrinking
-   removes steps, which can strand later ones), optionally completes,
-   then re-checks.  Some (error, config) iff the property still fails.
-   Tolerance matters for minimization: a candidate schedule with a
-   stranded step is simply a shorter schedule, not an invalid one. *)
+(* Tolerant replay: [run_schedule], optionally completed, re-checked.
+   Tolerance matters for minimization: shrinking removes steps, which
+   can strand later ones, and a candidate schedule with a stranded step
+   is simply a shorter schedule, not an invalid one. *)
 let replay ?completion_steps ~inputs ~check config schedule =
-  let sched = Schedule.replay ~n:(Config.n config) schedule in
-  let max_steps = List.length schedule + 1 in
-  let final = (Exec.run ~sched ~inputs ~max_steps config).Exec.config in
+  let final = run_schedule ~inputs config schedule in
   let final =
     match completion_steps with
-    | Some max_steps -> complete ~inputs ~max_steps final
+    | Some max_steps -> fst (complete ~inputs ~max_steps final)
     | None -> final
   in
   match check final with Ok () -> None | Error error -> Some (error, final)

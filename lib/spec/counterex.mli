@@ -6,8 +6,9 @@
     reproduce and minimize violations from any source the same way.
     Processes are deterministic, so the pid schedule alone pins down
     the whole execution.  The frontier-completion rule every engine and
-    [replay] share is here too ({!complete}), with its memoized form
-    for the DPOR engine ({!complete_check}). *)
+    [replay] share is here too, with its constants ({!quantum},
+    {!completion_steps}), its vm form ({!complete_vm}) and its memoized
+    form for the DPOR engine ({!complete_check}). *)
 
 type t = {
   schedule : int list;  (** pids, in step order *)
@@ -26,15 +27,36 @@ val step_pid :
   int ->
   Shm.Config.t
 
+(** [run_schedule ~inputs config pids] folds {!step_pid} over the pids
+    in [0..n-1], skipping the rest: the one re-execution of a schedule
+    (counterexamples, stolen DPOR nodes, {!replay}). *)
+val run_schedule :
+  inputs:(pid:int -> instance:int -> Shm.Value.t option) ->
+  Shm.Config.t ->
+  int list ->
+  Shm.Config.t
+
+(** {1 The completion rule} *)
+
+(** The rule's quantum (2000) and default budget in steps (50,000). *)
+val quantum : int
+
+val completion_steps : int
+
 (** Drive a configuration to quiescence deterministically — the
     frontier-completion rule of the model checkers: quantum round-robin
-    with quantum 2000 from pid 0 ({!Shm.Schedule.quantum_round_robin}'s
-    rule, long solo bursts), for at most [max_steps] steps. *)
+    with {!quantum} from pid 0 ({!Shm.Schedule.quantum_pick}), for at
+    most [max_steps] steps.  Returns the final configuration and the
+    steps taken. *)
 val complete :
   inputs:(pid:int -> instance:int -> Shm.Value.t option) ->
   max_steps:int ->
   Shm.Config.t ->
-  Shm.Config.t
+  Shm.Config.t * int
+
+(** {!complete} in place over the vm state at [base]: the vm engine's
+    leaf completion.  Returns the steps taken. *)
+val complete_vm : Shm.Vm.env -> int array -> int -> max_steps:int -> int
 
 (** {1 Memoized completion} *)
 
@@ -79,8 +101,8 @@ val complete_check :
   (unit, string) result
 
 (** [replay ?completion_steps ~inputs ~check config schedule] re-runs
-    the schedule from [config] under {!Shm.Schedule.replay} (skipping
-    pids that are not runnable when their turn comes), completes when
+    the schedule from [config] with {!run_schedule} (skipping pids out
+    of range or not runnable when their turn comes), completes when
     [completion_steps] is given, and re-checks.  [Some (error, final)]
     iff the property still fails. *)
 val replay :

@@ -34,8 +34,9 @@
      merge at the end, and the first violation wins by compare-and-set.
      A state may be bound to the domain that built it (a journaled
      configuration reroots shared journal cells on read; an arena slot
-     lives in one domain's arena), so a domain that picks up a foreign
-     node rebuilds it by replaying the node's schedule on its own root.
+     lives in one domain's arena), so with several domains a domain
+     that picks up a foreign node always rebuilds it by replaying the
+     node's schedule on its own root, whatever the backend.
      Replay is deterministic and costs O(depth) once per stolen node.
 
    Caveat, stated once and repeated in the docs: under a finite depth
@@ -57,7 +58,6 @@ module type STATE = sig
 
   val batch : int
   val n : env -> int
-  val portable : env -> bool
   val dom : env -> copy:bool -> dom
   val root : dom -> t
   val runnable : dom -> t -> int -> bool
@@ -113,7 +113,7 @@ let lap prof phase t0 =
 
 let rec popcount m = if m = 0 then 0 else (m land 1) + popcount (m lsr 1)
 
-(* Sampling stride for the time series and trace counter tracks. *)
+(* Sampling stride for the trace's exploration counter tracks. *)
 let sample_stride = 64
 
 (* ---- per-domain work deques ---- *)
@@ -185,7 +185,6 @@ module Make (S : STATE) = struct
        flow (a stale read misplaces one arrow, never corrupts) *)
     dom_ids : int array;
     profiling : bool;
-    series : Obs.Prof.Series.t option;
   }
 
   (* One worker's domain-local state: counters, cache, profile. *)
@@ -204,21 +203,16 @@ module Make (S : STATE) = struct
     mutable until_sample : int;
   }
 
-  let sample ctx w node =
-    let frontier () =
-      (* unlocked reads of an immutable list: some recent snapshot *)
-      Array.fold_left (fun t dq -> t + List.length dq.items) 0 ctx.deques
-    in
-    Option.iter
-      (fun s ->
-        Obs.Prof.Series.add s ~ts_ns:(Obs.Prof.now_ns ()) ~nodes:w.explored
-          ~frontier:(frontier ()) ~cache_hits:w.cache_hits ~sleep_hits:w.pruned)
-      ctx.series;
-    Option.iter
-      (fun tr ->
-        S.sample tr w.d node.st;
-        Obs.Trace.counter tr ~track:"frontier" (float_of_int (frontier ())))
-      ctx.trace
+  (* One sample of the exploration series: this worker's counts and
+     the frontier, under one timestamp. *)
+  let sample tr w node ~frontier =
+    S.sample tr w.d node.st;
+    let ts_ns = Obs.Trace.now_ns () in
+    let counter track v = Obs.Trace.counter tr ~ts_ns ~track (float_of_int v) in
+    counter "nodes" w.explored;
+    counter "frontier" frontier;
+    counter "cache hits" w.cache_hits;
+    counter "sleep hits" w.pruned
 
   (* Cache lookup-or-insert.  Skipping a revisit is sound only against
      an entry that had at least as much remaining budget and was
@@ -315,13 +309,16 @@ module Make (S : STATE) = struct
         { node with st; owner = w.id }
       end
     in
-    if ctx.series <> None || ctx.trace <> None then begin
+    (match ctx.trace with
+    | Some tr ->
       w.until_sample <- w.until_sample - 1;
       if w.until_sample <= 0 then begin
         w.until_sample <- sample_stride;
-        sample ctx w node
+        (* unlocked reads of immutable lists: some recent snapshot *)
+        let frontier = Array.fold_left (fun t dq -> t + List.length dq.items) 0 ctx.deques in
+        sample tr w node ~frontier
       end
-    end;
+    | None -> ());
     let hit =
       ctx.use_cache
       &&
@@ -464,14 +461,14 @@ module Make (S : STATE) = struct
       pruned = a.pruned + b.pruned; refined = a.refined + b.refined;
       steals = a.steals + b.steals; memo_hits = a.memo_hits + b.memo_hits }
 
-  let explore ~depth ~cache ~jobs ?metrics ?prof ?series env =
+  let explore ~depth ~cache ~jobs ?metrics ?prof env =
     if depth < 0 then invalid_arg "Explore.explore: negative depth";
     if S.n env > max_procs then
       invalid_arg
         (Fmt.str "Explore.explore: %d processes exceed the limit of %d (sleep sets are int masks)"
            (S.n env) max_procs);
     let jobs = max 1 jobs in
-    let replay = jobs > 1 && not (S.portable env) in
+    let replay = jobs > 1 in
     (* built here, sequentially, before any domain runs *)
     let doms = Array.init jobs (fun _ -> S.dom env ~copy:replay) in
     let deques = Array.init jobs (fun _ -> { lock = Mutex.create (); items = [] }) in
@@ -507,7 +504,6 @@ module Make (S : STATE) = struct
         troot;
         dom_ids = Array.make jobs 0;
         profiling = prof <> None;
-        series;
       }
     in
     let others =

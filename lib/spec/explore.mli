@@ -36,10 +36,6 @@ module type STATE = sig
 
   val n : env -> int
 
-  (** States may be read from any domain, so stolen nodes need no
-      replay. *)
-  val portable : env -> bool
-
   (** Called once per domain, sequentially, before any worker runs.
       [copy] asks for a root no other domain shares (replay mode). *)
   val dom : env -> copy:bool -> dom
@@ -116,9 +112,11 @@ module Make (S : STATE) : sig
 
       Observability (off by default, zero-cost when absent): [metrics]
       receives {!export_metrics}; [prof] the merged phase breakdown;
-      [series] strided samples; an {!Obs.Trace} collector attached at
-      the call receives the run span, one span per worker, steal flows,
-      replay spans and counter tracks.
+      an {!Obs.Trace} collector attached at the call receives the run
+      span, one span per worker, steal flows, replay spans and, every
+      64 nodes a worker processes, the exploration series: counter
+      tracks [nodes], [frontier], [cache hits] and [sleep hits] (that
+      worker's counts, one timestamp per sample) beside {!STATE.sample}'s.
 
       Raises [Invalid_argument] on a negative depth or more than
       {!max_procs} processes. *)
@@ -128,7 +126,6 @@ module Make (S : STATE) : sig
     jobs:int ->
     ?metrics:Obs.Metrics.t ->
     ?prof:Obs.Prof.t ->
-    ?series:Obs.Prof.Series.t ->
     S.env ->
     stats * Counterex.t option
 end

@@ -62,13 +62,13 @@ let stats_of = function Ok_bounded s -> s | Counterexample { stats; _ } -> stats
 (* [exhaustive ~depth ~inputs ~check config] explores every schedule of
    length ≤ depth, completes each frontier, and applies [check].  Stops
    at the first violation. *)
-let exhaustive ~depth ~inputs ?(completion_steps = 50_000) ~check config =
+let exhaustive ~depth ~inputs ?(completion_steps = Counterex.completion_steps) ~check config =
   let has_input pid inst = Option.is_some (inputs ~pid ~instance:inst) in
   let explored = ref 0 and leaves = ref 0 and deepest = ref 0 in
   let exception Found of int list * string * Config.t in
   let check_leaf schedule config =
     incr leaves;
-    let final = Counterex.complete ~inputs ~max_steps:completion_steps config in
+    let final, _ = Counterex.complete ~inputs ~max_steps:completion_steps config in
     match check final with
     | Ok () -> ()
     | Error e -> raise (Found (List.rev schedule, e, final))
@@ -101,9 +101,9 @@ let exhaustive ~depth ~inputs ?(completion_steps = 50_000) ~check config =
 (* A violating schedule, re-executed by the interpreter from [config]
    and completed: the reported artifact is engine-neutral. *)
 let counterexample ~inputs ~completion_steps config schedule error =
-  let stepped = List.fold_left (Counterex.step_pid ~inputs) config schedule in
+  let stepped = Counterex.run_schedule ~inputs config schedule in
   { Counterex.schedule; error;
-    config = Counterex.complete ~inputs ~max_steps:completion_steps stepped }
+    config = fst (Counterex.complete ~inputs ~max_steps:completion_steps stepped) }
 
 (* ---- heap configurations, keyed by Statehash ---- *)
 
@@ -137,7 +137,6 @@ module Interp_state = struct
 
   let batch = 1
   let n (env : env) = Config.n env.config
-  let portable (env : env) = Memory.backend (Config.mem env.config) <> Memory.Journaled
 
   (* with no completion budget there is nothing to memoize *)
   let dom (env : env) ~copy =
@@ -181,8 +180,7 @@ module Interp_state = struct
   let release _ _ = ()
 
   let replay d t sched =
-    let step = Counterex.step_pid ~inputs:d.env.inputs in
-    { t with config = List.fold_left step d.root (List.rev sched) }
+    { t with config = Counterex.run_schedule ~inputs:d.env.inputs d.root (List.rev sched) }
 
   let leaf d t =
     let { inputs; completion_steps; check; _ } = d.env in
@@ -235,7 +233,6 @@ module Vm_state = struct
 
   let batch = 8
   let n env = env.proto.Vm.n
-  let portable _ = false
 
   let dom env ~copy:_ =
     let words = Vm.state_words env.e in
@@ -293,33 +290,6 @@ module Vm_state = struct
     List.iter (fun pid -> Vm.step d.env.e d.buf (s * d.words) pid) (List.rev sched);
     s
 
-  (* [Counterex.complete]'s rule (quantum round-robin, q = 2000) with a
-     constant name — [Schedule.quantum_round_robin]'s name is formatted
-     per construction, too costly for a per-leaf object. *)
-  let completion_sched n =
-    let quantum = 2000 in
-    let cursor = ref 0 and left = ref quantum in
-    let next ~step:_ ~runnable =
-      if !left = 0 then begin
-        cursor := (!cursor + 1) mod n;
-        left := quantum
-      end;
-      let tried = ref 0 and found = ref (-1) in
-      while !found < 0 && !tried < n do
-        if runnable !cursor then begin
-          decr left;
-          found := !cursor
-        end
-        else begin
-          cursor := (!cursor + 1) mod n;
-          left := quantum;
-          incr tried
-        end
-      done;
-      if !found < 0 then None else Some !found
-    in
-    { Schedule.name = "completion"; next }
-
   let leaf d s =
     let env = d.env in
     (* with no completion budget the frontier state is final as-is *)
@@ -327,9 +297,7 @@ module Vm_state = struct
       if env.completion_steps = 0 then (d.buf, s * d.words)
       else begin
         Array.blit d.buf (s * d.words) d.scratch 0 d.words;
-        ignore
-          (Vm.drive env.e d.scratch 0 ~sched:(completion_sched (n env))
-             ~max_steps:env.completion_steps);
+        ignore (Counterex.complete_vm env.e d.scratch 0 ~max_steps:env.completion_steps);
         (d.scratch, 0)
       end
     in
@@ -365,8 +333,8 @@ let of_explore = function
   | stats, Some { Counterex.schedule; error; config } ->
     Counterexample { schedule; error; config; stats }
 
-let run ~engine ~depth ?(key = `Incremental) ~inputs ?(completion_steps = 50_000)
-    ?static_indep ?metrics ?prof ?series ~check config =
+let run ~engine ~depth ?(key = `Incremental) ~inputs
+    ?(completion_steps = Counterex.completion_steps) ?static_indep ?metrics ?prof ~check config =
   match engine with
   | Naive ->
     let out = exhaustive ~depth ~inputs ~completion_steps ~check config in
@@ -375,14 +343,14 @@ let run ~engine ~depth ?(key = `Incremental) ~inputs ?(completion_steps = 50_000
   | Dpor { cache; jobs } ->
     let has_input pid inst = Option.is_some (inputs ~pid ~instance:inst) in
     of_explore
-      (Interp.explore ~depth ~cache ~jobs ?metrics ?prof ?series
+      (Interp.explore ~depth ~cache ~jobs ?metrics ?prof
          { config; inputs; has_input; completion_steps; check; full_key = key = `Full;
            memo = cache; static_indep })
 
 (* [run] for first-order protocols executed by [Shm.Vm]; the check sees
    decoded i/o records (Properties.check_safety_io fits directly). *)
-let run_vm ~engine ~depth ?(completion_steps = 50_000) ?metrics ?prof ?series ~inputs
-    ~check p =
+let run_vm ~engine ~depth ?(completion_steps = Counterex.completion_steps) ?metrics ?prof
+    ~inputs ~check p =
   match engine with
   | Naive ->
     let check c = check ~inputs:(Config.inputs c) ~outputs:(Config.outputs c) in
@@ -390,5 +358,5 @@ let run_vm ~engine ~depth ?(completion_steps = 50_000) ?metrics ?prof ?series ~i
   | Dpor { cache; jobs } ->
     let e = Vm.env (Vm.compile p) ~inputs in
     of_explore
-      (Vm_explore.explore ~depth ~cache ~jobs ?metrics ?prof ?series
+      (Vm_explore.explore ~depth ~cache ~jobs ?metrics ?prof
          { e; proto = p; inputs; completion_steps; check })

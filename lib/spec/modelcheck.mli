@@ -44,8 +44,8 @@ val counterex_of : outcome -> Counterex.t option
 
 (** [exhaustive ~depth ~inputs ~check config] explores every schedule
     of length ≤ depth, completes each frontier (budget
-    [completion_steps], default 50k), and applies [check]; stops at the
-    first violation. *)
+    [completion_steps], default {!Counterex.completion_steps}), and
+    applies [check]; stops at the first violation. *)
 val exhaustive :
   depth:int ->
   inputs:(pid:int -> instance:int -> Shm.Value.t option) ->
@@ -77,8 +77,8 @@ val stats_of : outcome -> stats
     relation — [refine ~mem a b] must hold only when executing poised
     ops [a] and [b] of two processes in either order from memory [mem]
     yields the identical configuration ([Analyze.Indep.refinement]
-    derives one; it never widens ample sets); [prof] and [series]
-    receive the phase breakdown and exploration time series.
+    derives one; it never widens ample sets); [prof] receives the phase
+    breakdown.
 
     With [Dpor { cache = true; _ }] and [completion_steps > 0], each
     domain also memoizes frontier completions
@@ -99,7 +99,6 @@ val run :
   ?static_indep:(mem:Shm.Memory.t -> Shm.Program.op -> Shm.Program.op -> bool) ->
   ?metrics:Obs.Metrics.t ->
   ?prof:Obs.Prof.t ->
-  ?series:Obs.Prof.Series.t ->
   check:(Shm.Config.t -> (unit, string) result) ->
   Shm.Config.t ->
   outcome
@@ -118,7 +117,6 @@ val run_vm :
   ?completion_steps:int ->
   ?metrics:Obs.Metrics.t ->
   ?prof:Obs.Prof.t ->
-  ?series:Obs.Prof.Series.t ->
   inputs:(pid:int -> instance:int -> Shm.Value.t option) ->
   check:
     (inputs:(int * int * Shm.Value.t) list ->

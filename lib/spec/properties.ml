@@ -81,11 +81,6 @@ let check_safety ~k config =
 let completed_ops config pid =
   List.length (List.filter (fun (p, _, _) -> p = pid) (Config.outputs config))
 
-let all_completed ~expected config =
-  let n = Config.n config in
-  let rec go pid = pid >= n || (completed_ops config pid >= expected pid && go (pid + 1)) in
-  go 0
-
 (* Termination errors for a run that should have quiesced with every
    process finishing [expected pid] operations. *)
 let termination_errors ~expected config =

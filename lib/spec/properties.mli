@@ -43,8 +43,5 @@ val check_safety : k:int -> Shm.Config.t -> (unit, string) result
 (** Completed operations of one process (= recorded outputs). *)
 val completed_ops : Shm.Config.t -> int -> int
 
-(** All processes completed at least [expected pid] operations. *)
-val all_completed : expected:(int -> int) -> Shm.Config.t -> bool
-
 (** One message per process short of [expected pid] operations. *)
 val termination_errors : expected:(int -> int) -> Shm.Config.t -> string list

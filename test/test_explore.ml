@@ -383,7 +383,7 @@ let memo_differential ?(max_steps = 50_000) ~depth ~inputs ~check config =
     in
     if runnable = [] || d >= depth then begin
       incr leaves;
-      let expected = check (Spec.Counterex.complete ~inputs ~max_steps config) in
+      let expected = check (fst (Spec.Counterex.complete ~inputs ~max_steps config)) in
       if Result.is_error expected then incr errors;
       let got = Spec.Counterex.complete_check ~memo:(memo, hash) ~inputs ~max_steps ~check config in
       if got <> expected then
@@ -555,6 +555,56 @@ let stress_schedule_replays_and_shrinks () =
             (replay without = None))
         s)
 
+(* ---- one completion rule across engines ---- *)
+
+(* The vm leaf completion ([Counterex.complete_vm]), the interpreter's
+   ([Counterex.complete]) and [Exec.run] under quantum round-robin with
+   q = 2000 are one rule: the same step count, stop reason, final
+   memory and i/o records, on collect62, on a variant whose solo runs
+   outlast the quantum (so bursts end on it) and on 50 generated
+   protocols, at the default budget and at half the steps a run takes
+   (so the fuel-exhausted ending is compared too). *)
+let one_completion_rule () =
+  let inputs = Agreement.Runner.proto_inputs in
+  let rng = Shm.Rng.create 23 in
+  let long =
+    Shm.Vm.
+      { collect62 with
+        steps = [ Write (0, Input); Loop (1200, [ Scan (0, 62); Write (1, Last) ]); Decide Last ] }
+  in
+  let protos = collect62 :: long :: List.init 50 (fun _ -> Fuzz.Gen.generate rng) in
+  let agree i (p : Shm.Vm.proto) ~max_steps =
+    let stopped steps =
+      if steps >= max_steps then Shm.Exec.Fuel_exhausted else Shm.Exec.All_quiescent
+    in
+    let exec =
+      Shm.Exec.run ~sched:(Shm.Schedule.quantum_round_robin ~quantum:2000 p.n) ~inputs
+        ~max_steps (Shm.Vm.config p)
+    in
+    let config, steps = Spec.Counterex.complete ~inputs ~max_steps (Shm.Vm.config p) in
+    let interp = { Shm.Exec.config; steps; stopped = stopped steps; trace = [] } in
+    let e = Shm.Vm.env (Shm.Vm.compile p) ~inputs in
+    let st = Shm.Vm.make_state e in
+    let steps = Spec.Counterex.complete_vm e st 0 ~max_steps in
+    let vm =
+      { Shm.Vm.steps; stopped = stopped steps; trace = []; final = Shm.Vm.snapshot e st 0 }
+    in
+    List.iter
+      (fun (name, r) ->
+        Option.iter
+          (Alcotest.failf "protocol %d, budget %d: vm completion vs %s: %s" i max_steps name)
+          (Shm.Vm.diff vm (Shm.Vm.of_exec r)))
+      [ ("Counterex.complete", interp); ("Exec.run", exec) ];
+    steps
+  in
+  List.iteri
+    (fun i p ->
+      let steps = agree i p ~max_steps:Spec.Counterex.completion_steps in
+      Alcotest.(check bool) (Fmt.str "protocol %d quiesces" i) true
+        (steps < Spec.Counterex.completion_steps);
+      if steps > 1 then ignore (agree i p ~max_steps:(steps / 2)))
+    protos
+
 let suite =
   [
     slow_test "dpor agrees with naive on seeded configs" dpor_agrees_with_naive;
@@ -578,4 +628,5 @@ let suite =
       memo_stores_no_fuel_exhausted_run;
     test "state counts are pinned" pinned_state_counts;
     slow_test "stress witness schedule replays and shrinks" stress_schedule_replays_and_shrinks;
+    test "one completion rule across engines" one_completion_rule;
   ]

@@ -176,13 +176,12 @@ let dpor_parallel_trace () =
   in
   let tr = Obs.Trace.create () in
   let prof = Obs.Prof.create () in
-  let series = Obs.Prof.Series.create () in
   let jobs = 4 in
   let outcome =
     Obs.Trace.with_attached tr (fun () ->
         Spec.Modelcheck.run
           ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs })
-          ~depth:10 ~inputs ~prof ~series
+          ~depth:10 ~inputs ~prof
           ~check:(Spec.Properties.check_safety ~k:1)
           config)
   in
@@ -223,7 +222,10 @@ let dpor_parallel_trace () =
     (List.mem Obs.Coverage.track_covered tracks);
   (* the profile attributed time somewhere *)
   Alcotest.(check bool) "profile non-empty" false (Obs.Prof.is_empty prof);
-  Alcotest.(check bool) "series sampled" true (Obs.Prof.Series.length series > 0)
+  (* the exploration series is the trace's four counter tracks *)
+  List.iter
+    (fun track -> Alcotest.(check bool) (track ^ " track sampled") true (List.mem track tracks))
+    [ "nodes"; "frontier"; "cache hits"; "sleep hits" ]
 
 (* ---- exports ---- *)
 
@@ -345,23 +347,26 @@ let prof_attribution_and_merge () =
   | Obs.Json.Obj _ -> ()
   | _ -> Alcotest.fail "prof json not an object"
 
+(* The exploration series lives in the trace's counter tracks: samples
+   stamped out of order come back sorted, each with its own timestamp. *)
 let series_rows_sorted () =
-  let s = Obs.Prof.Series.create () in
-  Obs.Prof.Series.add s ~ts_ns:30 ~nodes:3 ~frontier:1 ~cache_hits:0 ~sleep_hits:0;
-  Obs.Prof.Series.add s ~ts_ns:10 ~nodes:1 ~frontier:2 ~cache_hits:0 ~sleep_hits:1;
-  Obs.Prof.Series.add s ~ts_ns:20 ~nodes:2 ~frontier:3 ~cache_hits:1 ~sleep_hits:1;
-  let rows = Obs.Prof.Series.rows s in
-  Alcotest.(check (list int)) "ts sorted" [ 10; 20; 30 ]
-    (List.map (fun (r : Obs.Prof.Series.row) -> r.Obs.Prof.Series.ts_ns) rows);
-  (* replayed into a trace, rows keep their own timestamps *)
   let tr = Obs.Trace.create () in
-  Obs.Prof.Series.to_trace s tr;
-  let nodes =
-    List.filter (fun (x : Obs.Trace.sample) -> x.Obs.Trace.track = "nodes")
+  List.iter
+    (fun (ts_ns, nodes, frontier) ->
+      Obs.Trace.counter tr ~ts_ns ~track:"nodes" (float_of_int nodes);
+      Obs.Trace.counter tr ~ts_ns ~track:"frontier" (float_of_int frontier))
+    [ (30, 3, 1); (10, 1, 2); (20, 2, 3) ];
+  let track name =
+    List.filter_map
+      (fun (x : Obs.Trace.sample) ->
+        if x.Obs.Trace.track = name then Some (x.Obs.Trace.s_ts_ns, int_of_float x.value)
+        else None)
       (Obs.Trace.samples tr)
   in
-  Alcotest.(check (list int)) "replay keeps ts" [ 10; 20; 30 ]
-    (List.map (fun (x : Obs.Trace.sample) -> x.Obs.Trace.s_ts_ns) nodes)
+  Alcotest.(check (list (pair int int))) "nodes sorted, own timestamps"
+    [ (10, 1); (20, 2); (30, 3) ] (track "nodes");
+  Alcotest.(check (list (pair int int))) "frontier sorted, own timestamps"
+    [ (10, 2); (20, 3); (30, 1) ] (track "frontier")
 
 let suite =
   [

@@ -34,6 +34,14 @@
 #      that must inspect the poised op first — the lower-bound
 #      constructions (lib/lowerbound/{alpha,clones,lemma1}.ml) and the
 #      optimizer-simulation oracle (lib/fuzz/oracle.ml).
+#   9. One completion rule: under lib, bin and bench, the model
+#      checkers' completion rule (quantum round-robin, q = 2000, 50,000
+#      steps) is written only in lib/shm/schedule.ml (the quantum pick)
+#      and lib/spec/counterex.ml (the constants and the loops).
+#      Elsewhere no quantum-2000 literal, no `completion_steps` default
+#      or argument of 50_000, and no quantum cursor-advance loop (a
+#      counter reset to `quantum`); use Spec.Counterex.quantum,
+#      Spec.Counterex.completion_steps and Shm.Schedule.quantum_pick.
 #
 # Exits non-zero listing every offender.
 
@@ -112,6 +120,16 @@ if grep -rEn "Config\.invoke" lib bin bench --include='*.ml' \
   | grep -vE "^(lib/shm/config|lib/lowerbound/(alpha|clones|lemma1)|lib/fuzz/oracle)\.ml:"; then
   echo "lint: step processes with Config.advance (Config.invoke only where the" >&2
   echo "      poised op must be inspected first; see the rule 8 allowlist)" >&2
+  fail=1
+fi
+
+# 9. one completion rule ---------------------------------------------
+nd='([^_[:alnum:]]|$)'
+if grep -rEn "(quantum|(^|[^_[:alnum:]])q)[^0-9]{0,12}2_?000$nd|completion_steps[[:space:]]*[=:][[:space:]]*50_?000$nd|(:=|<-|else)[[:space:]]*quantum$nd|mod[[:space:]]+n[[:space:]]*,[[:space:]]*quantum$nd" \
+  lib bin bench --include='*.ml' \
+  | grep -vE "^lib/(shm/schedule|spec/counterex)\.ml:"; then
+  echo "lint: the completion rule is written once (lib/shm/schedule.ml picks," >&2
+  echo "      lib/spec/counterex.ml holds the constants; see rule 9)" >&2
   fail=1
 fi
 
