@@ -75,18 +75,20 @@ let decide_check ~m ~t view =
    duplicated index among t-tuples, line 23).  As in Figure 3 (see
    Oneshot.adopt_check, "pseudocode errata") an adoption whose value
    already equals pref falls through to the i increment, the reading
-   that makes the Lemma 5 argument reused in Appendix A sound. *)
-let adopt_check ~own ~i ~t view =
+   that makes the Lemma 5 argument reused in Appendix A sound.  [own]
+   is the entry the process just wrote, already encoded, and [pref] the
+   preference in it, so the scan compares values without rebuilding the
+   t-long history. *)
+let adopt_check ~pref ~own ~i ~t view =
   let ok = ref true in
   Array.iteri
-    (fun j v ->
-      if j <> i && (Value.is_bot v || Value.equal v (encode own)) then ok := false)
+    (fun j v -> if j <> i && (Value.is_bot v || Value.equal v own) then ok := false)
     view;
   if !ok then
     match View.min_duplicate_index ~eligible:(is_instance t) view with
     | Some j -> (
       match decode view.(j) with
-      | Some tu when not (Value.equal tu.pref own.pref) -> Some tu.pref
+      | Some tu when not (Value.equal tu.pref pref) -> Some tu.pref
       | Some _ | None -> None)
     | None -> None
   else None
@@ -97,28 +99,35 @@ let nth_output history t =
   | None -> invalid_arg "Repeated: adopted history shorter than instance"
 
 (* The process program.  Persistent locals (api, i, t, history) are
-   threaded through the recursion; each [Await] is the next Propose. *)
+   threaded through the recursion; each [Await] is the next Propose.
+   The history is carried as its interned value [hv] = [Value.list
+   history], rebuilt only when the history changes (a decision or a
+   line-15 adoption), so writing the entry costs O(1) per step rather
+   than a hash of all t−1 earlier outputs. *)
 let program ~m ~pid ~api =
   let r = api.Snapshot.Snap_api.components in
-  let rec next_propose (api : Snapshot.Snap_api.t) i t history =
+  let rec next_propose (api : Snapshot.Snap_api.t) i t hv =
     Program.await @@ fun v ->
     let t = t + 1 in
+    let history = Value.to_list hv in
     if List.length history >= t then
-      Program.yield (nth_output history t) (next_propose api i t history)
-    else loop api v i t history
-  and loop (api : Snapshot.Snap_api.t) pref i t history =
-    let own = { pref; id = pid; t; history } in
-    api.update i (encode own) @@ fun api ->
+      Program.yield (nth_output history t) (next_propose api i t hv)
+    else loop api v i t hv
+  and loop (api : Snapshot.Snap_api.t) pref i t hv =
+    let own = Value.list [ pref; Value.int pid; Value.int t; hv ] in
+    api.update i own @@ fun api ->
     api.scan @@ fun api view ->
     match find_higher ~t view with
     | Some tu ->
-      Program.yield (nth_output tu.history t) (next_propose api i t tu.history)
+      Program.yield (nth_output tu.history t)
+        (next_propose api i t (Value.list tu.history))
     | None -> (
       match decide_check ~m ~t view with
-      | Some w -> Program.yield w (next_propose api i t (history @ [ w ]))
+      | Some w ->
+        Program.yield w (next_propose api i t (Value.list (Value.to_list hv @ [ w ])))
       | None -> (
-        match adopt_check ~own ~i ~t view with
-        | Some w -> loop api w i t history
-        | None -> loop api pref ((i + 1) mod r) t history))
+        match adopt_check ~pref ~own ~i ~t view with
+        | Some w -> loop api w i t hv
+        | None -> loop api pref ((i + 1) mod r) t hv))
   in
-  next_propose api 0 0 []
+  next_propose api 0 0 (Value.list [])

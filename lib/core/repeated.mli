@@ -23,9 +23,16 @@ val find_higher : t:int -> Shm.Value.t array -> tuple option
 val decide_check : m:int -> t:int -> Shm.Value.t array -> Shm.Value.t option
 
 (** Line 22 (with the Figure 3 erratum repair): [Some w] iff the
-    process adopts [w]. *)
+    process adopts [w].  [own] is the entry the process wrote to
+    component [i], as {!encode} built it, and [pref] the preference it
+    holds. *)
 val adopt_check :
-  own:tuple -> i:int -> t:int -> Shm.Value.t array -> Shm.Value.t option
+  pref:Shm.Value.t ->
+  own:Shm.Value.t ->
+  i:int ->
+  t:int ->
+  Shm.Value.t array ->
+  Shm.Value.t option
 
 (** The full process program: one [Await] per Propose, forever. *)
 val program : m:int -> pid:int -> api:Snapshot.Snap_api.t -> Shm.Program.t

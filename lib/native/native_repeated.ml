@@ -75,14 +75,15 @@ let propose ?span s v =
     in
     let rec loop pref iters window =
       let own =
-        {
-          Agreement.Repeated.pref;
-          id = s.pid;
-          t;
-          history = Atomic.get s.history;
-        }
+        Agreement.Repeated.encode
+          {
+            Agreement.Repeated.pref;
+            id = s.pid;
+            t;
+            history = Atomic.get s.history;
+          }
       in
-      Native_snapshot.update s.h (Atomic.get s.i) (Agreement.Repeated.encode own);
+      Native_snapshot.update s.h (Atomic.get s.i) own;
       let view = Native_snapshot.scan ~on_retry:(fun _ -> Domain.cpu_relax ()) s.h in
       match Agreement.Repeated.find_higher ~t view with
       | Some tu ->
@@ -96,7 +97,7 @@ let propose ?span s v =
         | None ->
           let pref =
             match
-              Agreement.Repeated.adopt_check ~own ~i:(Atomic.get s.i) ~t view
+              Agreement.Repeated.adopt_check ~pref ~own ~i:(Atomic.get s.i) ~t view
             with
             | Some w -> w
             | None ->

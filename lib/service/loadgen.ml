@@ -59,6 +59,7 @@ type report = {
   max_ns : int;
   mean_ns : float;
   stalls : int;
+  failed : int;
 }
 
 let counter_workload _rng ~client:_ ~op:_ = Universal.Machines.add 1
@@ -86,6 +87,7 @@ let run ?command server cfg =
   let rngs = Array.init cfg.clients (fun _ -> Rng.split master) in
   let done_ops = Array.make cfg.clients 0 in
   let completed = ref 0 in
+  let committed = ref 0 in
   let stalls = ref 0 in
   let parked = Queue.create () in
   (* The command for op [i] is drawn exactly once — a backpressure
@@ -101,7 +103,11 @@ let run ?command server cfg =
   in
   let complete (ticket : Session.ticket) =
     let client = ticket.Session.tag in
-    Option.iter (Obs.Metrics.Histogram.observe latencies) (Session.latency_ns ticket);
+    (match Session.latency_ns ticket with
+    | Some ns ->
+      Obs.Metrics.Histogram.observe latencies ns;
+      incr committed
+    | None -> ());
     done_ops.(client) <- done_ops.(client) + 1;
     incr completed;
     if done_ops.(client) < cfg.ops_per_client then submit_next client
@@ -111,27 +117,36 @@ let run ?command server cfg =
     for client = 0 to cfg.clients - 1 do
       submit_next client
     done;
-    while !completed < total do
+    (* A round that resolves no ticket and admits no parked client
+       leaves nothing queued on a live shard, and only a stuck shard
+       refuses: the loop has reached its fixed point and stops, leaving
+       the rest of [total] uncommitted. *)
+    let progress = ref true in
+    while !progress && !completed < total do
       let resolved = Server.pump server in
       (* Clients parked on backpressure retry before the resolved ones
          resubmit.  Only the pump frees window room, so one retry pass
          per pump admits every parked client that can get in. *)
+      let admitted = ref false in
       for _ = 1 to Queue.length parked do
         let client, cmd = Queue.pop parked in
         if Server.try_submit server ~key:keys.(client) ~tag:client cmd = None then
           Queue.push (client, cmd) parked
+        else admitted := true
       done;
-      List.iter complete resolved
+      List.iter complete resolved;
+      progress := resolved <> [] || !admitted
     done
   end;
   let wall_ns = max 1 (Conform.Clock.now_ns () - start_ns) in
   {
-    ops = !completed;
+    ops = !committed;
     wall_ns;
-    throughput_cps = float_of_int !completed /. (float_of_int wall_ns /. 1e9);
+    throughput_cps = float_of_int !committed /. (float_of_int wall_ns /. 1e9);
     p50_ns = Obs.Metrics.Histogram.p50 latencies;
     p99_ns = Obs.Metrics.Histogram.p99 latencies;
     max_ns = Obs.Metrics.Histogram.max_value latencies;
     mean_ns = Obs.Metrics.Histogram.mean latencies;
     stalls = !stalls;
+    failed = total - !committed;
   }

@@ -39,6 +39,11 @@ type report = {
   max_ns : int;
   mean_ns : float;
   stalls : int;           (** submissions initially refused by backpressure *)
+  failed : int;
+      (** commands that never committed: failed by a shard that got
+          stuck, refused by one, or never issued because their client
+          was blocked behind such a refusal.  [ops + failed =
+          clients × ops_per_client]. *)
 }
 
 (** The default command stream for the counter app: [("add", 1)]. *)
@@ -52,8 +57,10 @@ val register_workload :
 (** [run server cfg] drives the closed loop to completion on the calling
     domain and reports.  Each round pumps every shard once, retries
     clients parked on backpressure, then resubmits for the clients
-    whose commands committed (in shard order, then batch order).
-    [command] overrides the
+    whose tickets resolved (in shard order, then batch order).  A round
+    that resolves no ticket and admits no parked client ends the run:
+    only a stuck shard gets there, and what it never committed is
+    counted in [failed].  [command] overrides the
     app-matched default workload.  Raises [Invalid_argument] if
     [clients <= 0] or [ops_per_client < 0]. *)
 val run :

@@ -18,58 +18,70 @@ let distinct_values vs =
    use it: the interpreter's [Config.t] carries the lists directly,
    the vm decodes them from its i/o log ([Shm.Vm.final]).  The
    checkers only inspect multisets per instance, so record order does
-   not matter (the Statehash contract). *)
+   not matter (the Statehash contract); within an instance the records
+   keep their list order.
+
+   One pass: each side is stably sorted by instance, then the two
+   sorted lists are walked together, one group per instance. *)
 let by_instance_io ~inputs ~outputs =
-  let add map (_, inst, v) side =
-    let ins, outs = try List.assoc inst map with Not_found -> ([], []) in
-    let entry = match side with `In -> (v :: ins, outs) | `Out -> (ins, v :: outs) in
-    (inst, entry) :: List.remove_assoc inst map
+  let by_inst = List.stable_sort (fun (_, a, _) (_, b, _) -> Int.compare a b) in
+  (* the values of the leading records of instance [i], and the rest *)
+  let rec take i acc = function
+    | (_, j, v) :: rest when j = i -> take i (v :: acc) rest
+    | rest -> (List.rev acc, rest)
   in
-  let map = List.fold_left (fun m e -> add m e `In) [] inputs in
-  let map = List.fold_left (fun m e -> add m e `Out) map outputs in
-  List.sort (fun (a, _) (b, _) -> compare a b) map
-  |> List.map (fun (i, (ins, outs)) -> (i, List.rev ins, List.rev outs))
+  let rec walk acc ins outs =
+    match (ins, outs) with
+    | [], [] -> List.rev acc
+    | (_, i, _) :: _, [] | [], (_, i, _) :: _ -> group acc i ins outs
+    | (_, a, _) :: _, (_, b, _) :: _ -> group acc (min a b) ins outs
+  and group acc i ins outs =
+    let ins_i, ins = take i [] ins in
+    let outs_i, outs = take i [] outs in
+    walk ((i, ins_i, outs_i) :: acc) ins outs
+  in
+  walk [] (by_inst inputs) (by_inst outputs)
 
 let by_instance config =
   by_instance_io ~inputs:(Config.inputs config) ~outputs:(Config.outputs config)
 
-let validity_errors_io ~inputs ~outputs =
-  by_instance_io ~inputs ~outputs
-  |> List.concat_map (fun (inst, ins, outs) ->
-         distinct_values outs
-         |> List.filter_map (fun v ->
-                if List.exists (Value.equal v) ins then None
-                else
-                  Some
-                    (Fmt.str "instance %d: output %a is not an input (inputs: %a)" inst
-                       Value.pp v
-                       Fmt.(list ~sep:comma Value.pp)
-                       ins)))
+(* The checkers below read a grouping built once by [by_instance_io]. *)
 
-let validity_errors config =
-  validity_errors_io ~inputs:(Config.inputs config) ~outputs:(Config.outputs config)
+let validity_of groups =
+  List.concat_map
+    (fun (inst, ins, outs) ->
+      distinct_values outs
+      |> List.filter_map (fun v ->
+             if List.exists (Value.equal v) ins then None
+             else
+               Some
+                 (Fmt.str "instance %d: output %a is not an input (inputs: %a)" inst
+                    Value.pp v
+                    Fmt.(list ~sep:comma Value.pp)
+                    ins)))
+    groups
 
-let agreement_errors_io ~k ~inputs ~outputs =
-  by_instance_io ~inputs ~outputs
-  |> List.filter_map (fun (inst, _, outs) ->
-         let d = distinct_values outs in
-         if List.length d <= k then None
-         else
-           Some
-             (Fmt.str "instance %d: %d distinct outputs > k=%d (%a)" inst
-                (List.length d) k
-                Fmt.(list ~sep:comma Value.pp)
-                d))
+let validity_errors config = validity_of (by_instance config)
 
-let agreement_errors ~k config =
-  agreement_errors_io ~k ~inputs:(Config.inputs config)
-    ~outputs:(Config.outputs config)
+let agreement_of ~k groups =
+  List.filter_map
+    (fun (inst, _, outs) ->
+      let d = distinct_values outs in
+      if List.length d <= k then None
+      else
+        Some
+          (Fmt.str "instance %d: %d distinct outputs > k=%d (%a)" inst
+             (List.length d) k
+             Fmt.(list ~sep:comma Value.pp)
+             d))
+    groups
+
+let agreement_errors ~k config = agreement_of ~k (by_instance config)
 
 (* Safety check: Validity ∧ k-Agreement on every instance. *)
 let check_safety_io ~k ~inputs ~outputs =
-  match
-    validity_errors_io ~inputs ~outputs @ agreement_errors_io ~k ~inputs ~outputs
-  with
+  let groups = by_instance_io ~inputs ~outputs in
+  match validity_of groups @ agreement_of ~k groups with
   | [] -> Ok ()
   | errs -> Error (String.concat "; " errs)
 

@@ -127,15 +127,21 @@ module Stepper = struct
     let inputs ~pid ~instance:i =
       if i = instance then proposals pid else None
     in
+    (* The slot's decisions are the run's own [Output] events for this
+       instance, collected as they happen; reading them back from
+       [Config.outputs] would walk the outputs of every earlier slot. *)
+    let decided = ref [] in
+    let sink = function
+      | Event.Output { pid; instance = i; value } when i = instance ->
+        decided := (pid, value) :: !decided
+      | Event.Output _ | Event.Invoke _ | Event.Did_read _ | Event.Did_write _
+      | Event.Did_scan _ -> ()
+    in
     let result =
-      Exec.run ~sched ~inputs ~max_steps:t.max_steps_per_slot t.config
+      Exec.run ~sink ~sched ~inputs ~max_steps:t.max_steps_per_slot t.config
     in
     let config = result.Exec.config in
-    let decisions =
-      Config.outputs config
-      |> List.filter_map (fun (pid, inst, v) ->
-             if inst = instance then Some (pid, v) else None)
-    in
+    let decisions = List.rev !decided in
     let stepper =
       { t with config; slot = instance; steps = t.steps + result.Exec.steps }
     in

@@ -283,6 +283,92 @@ let prop_register_budget =
       in
       Agreement.Runner.registers_used result <= Agreement.Params.r_oneshot p)
 
+(* ---- one-pass safety grouping vs the assoc-list oracle ---- *)
+
+(* The per-instance grouping [Spec.Properties] built before it sorted
+   records in one pass: an assoc list rebuilt per record, kept here as
+   the oracle, with the error messages formatted as they were. *)
+module Assoc_oracle = struct
+  let by_instance_io ~inputs ~outputs =
+    let add map (_, inst, v) side =
+      let ins, outs = try List.assoc inst map with Not_found -> ([], []) in
+      let entry = match side with `In -> (v :: ins, outs) | `Out -> (ins, v :: outs) in
+      (inst, entry) :: List.remove_assoc inst map
+    in
+    let map = List.fold_left (fun m e -> add m e `In) [] inputs in
+    let map = List.fold_left (fun m e -> add m e `Out) map outputs in
+    List.sort (fun (a, _) (b, _) -> compare a b) map
+    |> List.map (fun (i, (ins, outs)) -> (i, List.rev ins, List.rev outs))
+
+  let check_safety_io ~k ~inputs ~outputs =
+    let groups = by_instance_io ~inputs ~outputs in
+    let validity =
+      List.concat_map
+        (fun (inst, ins, outs) ->
+          Spec.Properties.distinct_values outs
+          |> List.filter_map (fun v ->
+                 if List.exists (Value.equal v) ins then None
+                 else
+                   Some
+                     (Fmt.str "instance %d: output %a is not an input (inputs: %a)" inst
+                        Value.pp v
+                        Fmt.(list ~sep:comma Value.pp)
+                        ins)))
+        groups
+    and agreement =
+      List.filter_map
+        (fun (inst, _, outs) ->
+          let d = Spec.Properties.distinct_values outs in
+          if List.length d <= k then None
+          else
+            Some
+              (Fmt.str "instance %d: %d distinct outputs > k=%d (%a)" inst
+                 (List.length d) k
+                 Fmt.(list ~sep:comma Value.pp)
+                 d))
+        groups
+    in
+    match validity @ agreement with
+    | [] -> Ok ()
+    | errs -> Error (String.concat "; " errs)
+end
+
+(* Record lists over a few instances (negative ones included), half of
+   them already in instance order so the stable sort is also checked on
+   input that is already sorted. *)
+let io_records_gen =
+  QCheck.Gen.(
+    let record = triple (int_bound 3) (int_range (-1) 4) (map Value.int (int_bound 3)) in
+    let records =
+      map2
+        (fun sorted l ->
+          if sorted then List.stable_sort (fun (_, a, _) (_, b, _) -> compare a b) l else l)
+        bool
+        (list_size (int_bound 25) record)
+    in
+    triple (int_range 1 3) records records)
+
+let io_records_arb =
+  let print_records =
+    QCheck.Print.list (fun (p, i, v) -> Printf.sprintf "(%d,%d,%s)" p i (Value.to_string v))
+  in
+  QCheck.make
+    ~print:(fun (k, ins, outs) ->
+      Printf.sprintf "k=%d inputs=%s outputs=%s" k (print_records ins) (print_records outs))
+    io_records_gen
+
+let prop_grouping_matches_oracle =
+  QCheck.Test.make ~name:"by_instance_io and check_safety_io match the assoc-list oracle"
+    ~count:500 io_records_arb (fun (k, inputs, outputs) ->
+      let same_values = List.equal Value.equal in
+      List.equal
+        (fun (i, ins, outs) (i', ins', outs') ->
+          i = i' && same_values ins ins' && same_values outs outs')
+        (Spec.Properties.by_instance_io ~inputs ~outputs)
+        (Assoc_oracle.by_instance_io ~inputs ~outputs)
+      && Spec.Properties.check_safety_io ~k ~inputs ~outputs
+         = Assoc_oracle.check_safety_io ~k ~inputs ~outputs)
+
 let suite =
   List.map to_alcotest
     [
@@ -304,4 +390,5 @@ let suite =
       prop_bot_decodes_to_none;
       prop_starved_always_breaks;
       prop_correct_always_resists;
+      prop_grouping_matches_oracle;
     ]

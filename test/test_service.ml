@@ -318,6 +318,28 @@ let test_history_schema_discipline () =
   | Ok _ -> Alcotest.fail "future major schema accepted"
   | Error _ -> ()
 
+(* --- a stuck shard ends the load run --- *)
+
+(* With 10 steps per slot the first slot runs out of fuel: both
+   clients' first commands fail and the shard turns stuck, so it
+   refuses their second commands for good.  The run must stop there
+   and say so, not spin on clients parked behind the stuck shard. *)
+let test_stuck_shard_ends_run () =
+  let server =
+    Service.Server.create ~max_steps_per_slot:10 ~shards:1 params
+  in
+  let report =
+    Service.Loadgen.run server
+      { Service.Loadgen.clients = 2; ops_per_client = 3; keys = 4; theta = 0.0; seed = 0 }
+  in
+  Alcotest.(check int) "nothing committed" 0 report.Service.Loadgen.ops;
+  Alcotest.(check int) "every op reported failed" 6 report.Service.Loadgen.failed;
+  Alcotest.(check bool) "the shard is stuck" true
+    (Service.Shard.is_stuck (Service.Server.shard server 0));
+  match Service.Server.verdict server with
+  | Ok () -> Alcotest.fail "a stuck shard passed the verdict"
+  | Error _ -> ()
+
 let suite =
   [
     test "routing is deterministic" test_routing_deterministic;
@@ -333,4 +355,5 @@ let suite =
     seeded_test "backpressure retry commits and replays" test_backpressure_retry;
     test "rsm history adapter grades registers" test_rsm_history_adapter;
     test "service history entries keep schema discipline" test_history_schema_discipline;
+    test "a stuck shard ends the load run" test_stuck_shard_ends_run;
   ]

@@ -278,6 +278,96 @@ let stepper_sitting_out () =
   Alcotest.(check bool) "pid 1 decided nothing" true
     (not (List.mem_assoc 1 outcome.Rsm.Stepper.decisions))
 
+(* Differential: a slot's decisions are the [Config.outputs] records of
+   its instance, in completion order.  The oracle is the pass over
+   every output that the stepper made before it collected decisions
+   from the run.  Pid 3 sits out from slot 20 on, and slot 40 runs
+   under lockstep round-robin until its step budget runs out, so slot
+   41 also finishes instance 40 for the processes caught mid-way. *)
+let stepper_decisions_match_outputs () =
+  let p = Agreement.Params.make ~n:4 ~m:1 ~k:1 in
+  let oracle config instance =
+    Shm.Config.outputs config
+    |> List.filter_map (fun (pid, inst, v) ->
+           if inst = instance then Some (pid, v) else None)
+  in
+  let decision = Alcotest.(pair int (testable Shm.Value.pp Shm.Value.equal)) in
+  let stepper = ref (Rsm.Stepper.create ~max_steps_per_slot:3_000 p) in
+  let fuel_outs = ref 0 and decided_in_40 = ref 0 in
+  for slot = 1 to 60 do
+    let live = if slot >= 20 then [ 0; 1; 2 ] else [ 0; 1; 2; 3 ] in
+    let sched =
+      if slot = 40 then Shm.Schedule.round_robin 4
+      else Shm.Schedule.alternating ~burst:800 (List.map (fun p -> [ p ]) live)
+    in
+    let outcome =
+      Rsm.Stepper.step_slot ~sched !stepper ~proposals:(fun pid ->
+          if List.mem pid live then Some (add pid slot) else None)
+    in
+    stepper := outcome.Rsm.Stepper.stepper;
+    if not outcome.Rsm.Stepper.quiescent then incr fuel_outs;
+    if slot = 40 then decided_in_40 := List.length outcome.Rsm.Stepper.decisions;
+    Alcotest.(check (list decision))
+      (Printf.sprintf "slot %d decisions" slot)
+      (oracle (Rsm.Stepper.config !stepper) slot)
+      outcome.Rsm.Stepper.decisions;
+    if slot >= 20 then
+      Alcotest.(check bool) "pid 3 sat out" false
+        (List.mem_assoc 3 outcome.Rsm.Stepper.decisions)
+  done;
+  Alcotest.(check int) "exactly slot 40 ran out of fuel" 1 !fuel_outs;
+  Alcotest.(check bool) "instance 40 finished after its slot" true
+    (List.length (oracle (Rsm.Stepper.config !stepper) 40) > !decided_in_40)
+
+(* Every Figure 4 entry written is (pref, pid, t, history) where
+   history is exactly the writer's outputs for instances 1..t-1: the
+   history value the program carries between steps never drifts from
+   the one [encode] would build.  Short solo bursts make processes lag,
+   so some of them take the line-15 shortcut (adopting the history of
+   an entry from a higher instance); the test counts those from the
+   scanned views and requires at least one. *)
+let fig4_entries_carry_history () =
+  let p = Agreement.Params.make ~n:4 ~m:1 ~k:1 in
+  let n = p.Agreement.Params.n in
+  let r = Agreement.Params.r_oneshot p in
+  let mem = Array.make r Shm.Value.bot in
+  let instance = Array.make n 0 in
+  let outputs = Array.make n [] in
+  let scanned = Array.make n (0, [||]) in
+  let writes = ref 0 and shortcuts = ref 0 in
+  let sink = function
+    | Shm.Event.Invoke { pid; instance = i; _ } -> instance.(pid) <- i
+    | Shm.Event.Did_write { pid; reg; value } ->
+      incr writes;
+      mem.(reg) <- value;
+      let pref =
+        match Agreement.Repeated.decode value with
+        | Some tu -> tu.Agreement.Repeated.pref
+        | None -> Alcotest.fail "wrote ⊥"
+      in
+      check_value
+        (Printf.sprintf "p%d entry at instance %d" pid instance.(pid))
+        (Agreement.Repeated.encode
+           { Agreement.Repeated.pref; id = pid; t = instance.(pid);
+             history = List.rev outputs.(pid) })
+        value
+    | Shm.Event.Did_scan { pid; off; len } ->
+      scanned.(pid) <- (instance.(pid), Array.sub mem off len)
+    | Shm.Event.Output { pid; instance = i; value } ->
+      let t, view = scanned.(pid) in
+      if t = i && Agreement.Repeated.find_higher ~t:i view <> None then incr shortcuts;
+      outputs.(pid) <- value :: outputs.(pid)
+    | Shm.Event.Did_read _ -> ()
+  in
+  let result =
+    Agreement.Runner.run_repeated ~impl:Agreement.Instances.Atomic ~sink
+      ~sched:(Shm.Schedule.quantum_round_robin ~quantum:150 n)
+      ~rounds:30 ~max_steps:5_000_000 ~input_fn:add p
+  in
+  Alcotest.(check bool) "quiescent" true (result.Shm.Exec.stopped = Shm.Exec.All_quiescent);
+  Alcotest.(check bool) "entries were written" true (!writes > 0);
+  Alcotest.(check bool) "the line-15 shortcut ran" true (!shortcuts > 0)
+
 let suite =
   [
     test "consensus replicas agree on log and state" consensus_replicas_agree;
@@ -293,4 +383,6 @@ let suite =
     test "k=2 branching stays bounded" k_branching_bounded;
     test "ledger slot analysis" ledger_slot_analysis;
     test "key-value store machine" kv_machine;
+    test "stepper decisions equal the instance's outputs" stepper_decisions_match_outputs;
+    test "Figure 4 entries carry the writer's decided history" fig4_entries_carry_history;
   ]
