@@ -23,8 +23,8 @@ let check_mark ok = if ok then "ok" else "MISMATCH"
    JSONL entry (schema version, git rev, rows) to BENCH_history.jsonl,
    the repo's perf trajectory.  `diff` compares the last two runs of an
    experiment; `check` re-runs the gated experiments and gates their
-   rows against the committed floors entries (machine-independent
-   ratios and verdicts). *)
+   rows against the floors in the [experiments] table
+   (machine-independent ratios and verdicts). *)
 
 let history_path = "BENCH_history.jsonl"
 
@@ -194,7 +194,6 @@ let fig1_anon_lower () =
            Clones.attack ~params:p ~registers:r ~slots
              ~make_config:(fun ~registers ~slots ->
                Instances.anonymous_oneshot ~r:registers ~slots p)
-             ()
          in
          Fmt.pr "%-6d %-4d %-12s %-46s@." r k
            (Fmt.str "%d (=bound)" slots)
@@ -212,7 +211,6 @@ let fig1_anon_lower () =
            Lemma9.attack ~params:p ~registers:r ~slots
              ~make_config:(fun ~registers ~slots ->
                Instances.anonymous_oneshot ~r:registers ~slots p)
-             ()
          in
          Fmt.pr "%-6d %-4s %-12s %-46s@." r
            (Fmt.str "%d,m=%d" k m)
@@ -244,7 +242,6 @@ let anon_frontier () =
            Clones.attack ~params:p ~registers:r ~slots:n
              ~make_config:(fun ~registers ~slots ->
                Instances.anonymous_oneshot ~r:registers ~slots p)
-             ()
          in
          let verdict r =
            match clone_attack r with
@@ -1504,7 +1501,7 @@ let fuzz_table ~smoke =
 (* ------------------------------------------------------------------ *)
 
 (* ------------------------------------------------------------------ *)
-(* History subcommands: diff, check, floors.                           *)
+(* History subcommands: diff, check.                                   *)
 
 let load_history () =
   match Obs.History.load history_path with
@@ -1533,9 +1530,9 @@ let diff_cmd experiment =
       experiment history_path experiment;
     exit 2
 
-(* The committed baseline: floors on the machine-independent speedup
-   ratios of E16 (same-binary reference vs new arms), the PR-5 targets.
-   `floors` (re)generates the entry; `check` enforces it. *)
+(* The baseline: floors on the machine-independent speedup ratios of
+   E16 (same-binary reference vs new arms), the PR-5 targets; `check`
+   enforces them. *)
 let perf_floors =
   [
     {
@@ -1696,32 +1693,12 @@ let run_experiment ~smoke e =
 
 let gated = List.filter (fun e -> e.floors <> []) experiments
 
-let floors_cmd () =
-  List.iter
-    (fun e ->
-      let entry =
-        Obs.History.make ~ts:(Unix.time ()) ~rev:(git_rev ()) ~kind:"floors"
-          ~experiment:e.id
-          (List.map Obs.History.floor_row e.floors)
-      in
-      Obs.History.append ~path:history_path entry;
-      Fmt.pr "appended floors entry to %s: %a@." history_path Obs.History.pp_entry
-        entry)
-    gated
-
 (* `check [--smoke] [--fault]`: run each gated experiment and gate its
-   rows against the committed floors.  Exit 1 on any violation.
-   --fault synthetically regresses every gated metric (divides it by
-   100) before checking — CI uses it to prove the gate actually fails. *)
+   rows against its [floors].  Exit 1 on any violation.  --fault
+   synthetically regresses every gated metric (divides it by 100)
+   before checking — CI uses it to prove the gate actually fails. *)
 let check_experiment ~smoke ~fault e =
-  let floors =
-    match Obs.History.latest_floors (load_history ()) ~experiment:e.id with
-    | Some entry -> Obs.History.floors_of_entry entry
-    | None ->
-      Fmt.epr "no committed floors entry for %S in %s (run `bench floors`)@." e.id
-        history_path;
-      exit 2
-  in
+  let floors = e.floors in
   let rows = run_experiment ~smoke e in
   let rows =
     if not fault then rows
@@ -1783,11 +1760,10 @@ let () =
   | [ _; "diff" ] -> diff_cmd "perf"
   | [ _; "diff"; experiment ] -> diff_cmd experiment
   | [ _; "check" ] -> check_cmd ~smoke ~fault ()
-  | [ _; "floors" ] -> floors_cmd ()
   | _ ->
     Fmt.epr
       "usage: main.exe [all | bechamel | table <id> | series <id> | diff \
-       [<experiment>] | check [--smoke] [--fault] | floors]@.tables: %a@.series: %a@."
+       [<experiment>] | check [--smoke] [--fault]]@.tables: %a@.series: %a@."
       Fmt.(list ~sep:sp string)
       (ids ~series:false)
       Fmt.(list ~sep:sp string)

@@ -59,7 +59,6 @@ let clones k registers slots =
     Clones.attack ~params:p ~registers ~slots
       ~make_config:(fun ~registers ~slots ->
         Agreement.Instances.anonymous_oneshot ~r:registers ~slots p)
-      ()
   in
   Fmt.pr "%a@." Clones.pp_outcome outcome;
   match outcome with Clones.Violation _ -> 0 | _ -> 1

@@ -46,7 +46,6 @@ let () =
     Lowerbound.Clones.attack ~params:p ~registers:starved_r ~slots
       ~make_config:(fun ~registers ~slots ->
         Instances.anonymous_oneshot ~r:registers ~slots p)
-      ()
   in
   Fmt.pr "  %a@." Lowerbound.Clones.pp_outcome outcome;
   match outcome with

@@ -21,9 +21,6 @@ module IntSet = Absint.IntSet
     membership is incomplete. *)
 type vset = { vals : Shm.Value.t list; capped : bool }
 
-val singleton_value : vset -> Shm.Value.t option
-val pp_vset : Format.formatter -> vset -> unit
-
 type t = {
   prog : Shm.Vm.proto;
   cfg : Ir.cfg;

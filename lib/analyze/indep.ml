@@ -57,8 +57,8 @@ let of_prog ?inputs prog = of_dataflow (Dataflow.analyze ?inputs prog)
    footprint (sound only when no process's exploration truncated), and
    constant registers read off the lowered point trees' concrete write
    values (sound only when no tree truncated). *)
-let of_config ?budgets config =
-  let summary = Absint.analyze ?budgets config in
+let of_config config =
+  let summary = Absint.analyze config in
   let truncated =
     Array.exists (fun p -> p.Absint.truncated) summary.Absint.per_process
   in

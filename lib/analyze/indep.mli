@@ -37,7 +37,7 @@ val of_prog : ?inputs:Shm.Value.t list -> Shm.Vm.proto -> facts
     footprint ({!Absint}) and the lowered point trees ({!Ir.lower});
     claims are dropped (and [widened] set) when either analysis
     truncates. *)
-val of_config : ?budgets:Absint.budgets -> Shm.Config.t -> facts
+val of_config : Shm.Config.t -> facts
 
 (** [refine ~mem a b]: do the poised ops [a] and [b] (of different
     processes) commute to the identical configuration in the state

@@ -272,8 +272,7 @@ let lop_to_string = function
   | LYield v -> Fmt.str "output %a" Shm.Value.pp v
   | LStop -> "halt"
 
-let default_inputs ~pid ~instance =
-  [ Agreement.Runner.default_input ~pid ~instance ]
+let max_points = 2_000
 
 (* Drive one process like [Absint.explore] does, but record every (op,
    fabricated-result branch) visit as a point.  The result is a point
@@ -281,8 +280,7 @@ let default_inputs ~pid ~instance =
    [max_points] per process; hitting the bound or an un-feedable shape
    sets [ltruncated], which downstream fact derivation treats as "no
    exactness claim". *)
-let lower ?(max_points = 2_000) ?(inputs = default_inputs) ?(rounds = 1)
-    config =
+let lower ?(rounds = 1) config =
   let registers = Shm.Memory.size (Shm.Config.mem config) in
   let n = Shm.Config.n config in
   let b = Absint.exhaustive ~registers ~n in
@@ -307,7 +305,9 @@ let lower ?(max_points = 2_000) ?(inputs = default_inputs) ?(rounds = 1)
         | Shm.Program.Await _ ->
           if inst >= rounds then []
           else begin
-            let alts = inputs ~pid ~instance:(inst + 1) in
+            let alts =
+              [ Agreement.Runner.default_input ~pid ~instance:(inst + 1) ]
+            in
             List.concat_map
               (fun v ->
                 match Shm.Program.start prog v with

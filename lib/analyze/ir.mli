@@ -14,7 +14,6 @@
     point whose unrolled index is [k] — the [Shm.Config.pc] bridge
     between dynamic steps and static points. *)
 
-val src_to_string : Shm.Vm.src -> string
 val step_to_string : Shm.Vm.step -> string
 
 (** One-line replay form, e.g. ["r3 n2 : R0; W1<-in; L2[R1]; D last"]. *)
@@ -76,14 +75,12 @@ type lowered = { pid : int; lpoints : lpoint array; ltruncated : bool }
 (** [lower config] drives every process of [config] through the
     abstract-step hooks, fabricating results from a collecting memory
     seeded over two passes (so cross-process writes flow into read
-    branches).  [max_points] (default 2000) bounds points per process;
-    [inputs] and [rounds] are as in {!Absint.analyze}. *)
+    branches).  At most 2000 points per process; each process proposes
+    {!Agreement.Runner.default_input} in every instance, and [rounds]
+    is as in {!Absint.analyze}. *)
 val lower :
-  ?max_points:int ->
-  ?inputs:(pid:int -> instance:int -> Shm.Value.t list) ->
   ?rounds:int ->
   Shm.Config.t ->
   lowered array
 
-val lop_to_string : lop -> string
 val pp_lowered : Format.formatter -> lowered -> unit

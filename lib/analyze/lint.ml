@@ -152,13 +152,13 @@ let rec solo_step ~registers ~pid ~fuel mem prog wit =
         | `Go (Some p') -> solo_step ~registers ~pid ~fuel:(fuel - 1) mem p' wit
         | exception e -> `Exn (e, List.rev wit))
 
-let default_solo_inputs ~pid ~instance =
-  Agreement.Runner.default_input ~pid ~instance
-
-let solo_termination ?fuel ?(inputs = default_solo_inputs) ?(rounds = 1)
-    config =
+(* Concrete solo execution of every process ([default_fuel] ops per
+   invocation, each process proposing [Runner.default_input]); diagnoses
+   [loop/unbounded-solo]. *)
+let solo_termination ~rounds config =
   let registers = Shm.Memory.size (Shm.Config.mem config) in
-  let fuel = match fuel with Some f -> f | None -> default_fuel config in
+  let fuel = default_fuel config in
+  let inputs = Agreement.Runner.default_input in
   let n = Shm.Config.n config in
   let diags = ref [] in
   let emit d = diags := !diags @ [ d ] in
@@ -234,14 +234,13 @@ let solo_termination ?fuel ?(inputs = default_solo_inputs) ?(rounds = 1)
 (* ------------------------------------------------------------------ *)
 (* Anonymity: lockstep differential execution.                         *)
 
-let anonymity ?fuel ?(rounds = 1) ?(input = Shm.Value.int 1) config =
+let anonymity ?(rounds = 1) config =
   let n = Shm.Config.n config in
   if n < 2 then []
   else begin
     let registers = Shm.Memory.size (Shm.Config.mem config) in
-    let fuel =
-      match fuel with Some f -> f | None -> 2 * default_fuel config
-    in
+    let fuel = 2 * default_fuel config in
+    let input = Shm.Value.int 1 in
     let mem = ref (Shm.Memory.create registers) in
     let violation = ref None in
     let wit = ref [] in

@@ -39,31 +39,19 @@ val severity_name : severity -> string
 val errors : diag list -> diag list
 val pp_diag : Format.formatter -> diag -> unit
 
-(** Diagnostics derivable from an existing abstract-interpretation
-    summary: out-of-bounds, write-after-decide, abandoned paths,
-    widening. *)
-val of_summary : Absint.summary -> diag list
-
-(** Concrete solo execution of every process ([fuel] ops per
-    invocation, default scaled as {!Absint.budgets_for}); diagnoses
-    [loop/unbounded-solo]. *)
-val solo_termination :
-  ?fuel:int ->
-  ?inputs:(pid:int -> instance:int -> Shm.Value.t) ->
-  ?rounds:int ->
-  Shm.Config.t ->
-  diag list
-
-(** Lockstep differential execution of processes 0 and 1 under
-    identical inputs and identical fabricated results; diagnoses
-    [anon/pid-dependent-value].  Configurations with fewer than two
-    processes trivially pass. *)
-val anonymity :
-  ?fuel:int -> ?rounds:int -> ?input:Shm.Value.t -> Shm.Config.t -> diag list
+(** Lockstep differential execution of processes 0 and 1, both
+    proposing 1 and fed identical fabricated results, for at most twice
+    the solo-termination fuel; diagnoses [anon/pid-dependent-value].
+    Configurations with fewer than two processes trivially pass. *)
+val anonymity : ?rounds:int -> Shm.Config.t -> diag list
 
 (** All applicable rules: abstract interpretation (or reuse [summary]),
-    solo termination, and — when [anonymous] — the anonymity check.
-    Returns the summary used and the diagnostics. *)
+    the diagnostics derivable from its summary (out-of-bounds,
+    write-after-decide, abandoned paths, widening), concrete solo
+    termination (each process runs solo, proposing
+    {!Agreement.Runner.default_input}, for 4x the abstract widening
+    depth per invocation), and — when [anonymous] — the anonymity
+    check.  Returns the summary used and the diagnostics. *)
 val check :
   ?budgets:Absint.budgets ->
   ?rounds:int ->

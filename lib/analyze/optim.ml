@@ -214,11 +214,11 @@ let rec count_edits edits =
 
 let max_iterations = 4
 
-let optimize ?inputs (prog : Shm.Vm.proto) =
+let optimize (prog : Shm.Vm.proto) =
   let rec iter p mask folded dropped last_edits i =
     if i >= max_iterations then (p, mask, folded, dropped, last_edits, i)
     else
-      let d = Dataflow.analyze ?inputs p in
+      let d = Dataflow.analyze p in
       let edits = rewrite_pass d p.Shm.Vm.steps in
       let f, dr = count_edits edits in
       if f = 0 && dr = 0 then (p, mask, folded, dropped, last_edits, i)

@@ -36,11 +36,10 @@ type result = {
 }
 
 (** [optimize prog] — analyses and rewrites until nothing changes (or
-    an iteration cap).  [inputs] as in {!Dataflow.analyze}. *)
-val optimize : ?inputs:Shm.Value.t list -> Shm.Vm.proto -> result
+    an iteration cap), with {!Dataflow.analyze}'s default inputs. *)
+val optimize : Shm.Vm.proto -> result
 
 (** The composed unrolled keep-mask (the [kept] field). *)
 val kept_mask : result -> bool list
 
-val pp_edit : Format.formatter -> edit -> unit
 val pp : Format.formatter -> result -> unit

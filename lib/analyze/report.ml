@@ -20,10 +20,10 @@ type row = {
   ok : bool;
 }
 
-let row_for ?budgets ?(dynamic = true) (e : Registry.entry) p =
+let row_for ?(dynamic = true) (e : Registry.entry) p =
   let config = e.config p in
   let summary, diags =
-    Lint.check ?budgets ~rounds:e.rounds ~anonymous:e.anonymous config
+    Lint.check ~rounds:e.rounds ~anonymous:e.anonymous config
   in
   let static_set = summary.Absint.writes in
   let dynamic_set =
@@ -54,7 +54,7 @@ let row_for ?budgets ?(dynamic = true) (e : Registry.entry) p =
     ok = static_within_bound && dynamic_within_static && lint_errors = 0;
   }
 
-let sweep ?budgets ?dynamic ?(max_n = 6) ?algos () =
+let sweep ?dynamic ?(max_n = 6) ?algos () =
   let entries =
     match algos with
     | None -> Registry.all
@@ -66,7 +66,7 @@ let sweep ?budgets ?dynamic ?(max_n = 6) ?algos () =
     (fun (e : Registry.entry) ->
       Registry.grid ~max_n
       |> List.filter e.applicable
-      |> List.map (row_for ?budgets ?dynamic e))
+      |> List.map (row_for ?dynamic e))
     entries
 
 let violations rows = List.filter (fun r -> not r.ok) rows

@@ -32,14 +32,11 @@ type row = {
 (** Analyze one registry entry at one parameter triple: abstract
     interpretation + lints + dynamic measurement.  [dynamic:false]
     skips the concrete run (dynamic fields 0/true). *)
-val row_for :
-  ?budgets:Absint.budgets -> ?dynamic:bool -> Registry.entry ->
-  Agreement.Params.t -> row
+val row_for : ?dynamic:bool -> Registry.entry -> Agreement.Params.t -> row
 
 (** Every applicable (entry, params) pair of {!Registry.grid}
     [~max_n] (default 6) × [algos] (default all). *)
 val sweep :
-  ?budgets:Absint.budgets ->
   ?dynamic:bool ->
   ?max_n:int ->
   ?algos:string list ->

@@ -19,6 +19,9 @@ type record = {
   finish : int;
 }
 
+(* Register reading of one record: [("write", v)] is an update of
+   component 0, [("read", _)] is a scan whose view is the reply; [None]
+   for any other command shape. *)
 let classify r =
   match Value.view r.cmd with
   | Value.Pair (tag, arg) -> (
@@ -28,6 +31,8 @@ let classify r =
       | _ -> None)
   | _ -> None
 
+(* The register events of a history, in record order, with the record
+   index as the event pid; records [classify] cannot read are dropped. *)
 let events_of_records records =
   List.mapi
     (fun idx r ->

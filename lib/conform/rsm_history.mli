@@ -16,16 +16,6 @@ type record = {
   finish : int;         (** monotonic ns at completion *)
 }
 
-(** Register reading of one record: [("write", v)] is an update of
-    component 0, [("read", _)] is a scan whose view is the reply;
-    [None] for any other command shape. *)
-val classify : record -> Spec.Linearize.op option
-
-(** The register events of a history, in record order, with the record
-    index as the event pid.  Records {!classify} cannot read are
-    dropped — use {!check_register} when that must be an error. *)
-val events_of_records : record list -> Spec.Linearize.event list
-
 (** [check_register records] is [Ok ()] iff every record is a register
     command and the history linearizes as a single atomic register
     (initial value ⊥).  Wing–Gong search underneath: intended for

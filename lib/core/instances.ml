@@ -70,20 +70,14 @@ let baseline ?(impl = Atomic) ?backend (p : Params.t) =
    p.n — the clone machinery of the Section 5 lower bound needs room for
    clones, which is legitimate precisely because the program text is the
    same for every slot. *)
-let anonymous_oneshot ?r ?slots ?(anonymous_collect = false) ?(seed = 0xA71)
-    ?backend (p : Params.t) =
+let anonymous_oneshot ?r ?slots (p : Params.t) =
   let r = Option.value r ~default:(Params.r_anonymous p) in
   let slots = Option.value slots ~default:p.Params.n in
   let procs =
-    Array.init slots (fun pid ->
-        let api =
-          if anonymous_collect then
-            Snapshot.Double_collect.make_anonymous ~off:0 ~len:r ~seed:(seed + (104729 * pid)) ()
-          else Snapshot.Atomic.make ~off:0 ~len:r
-        in
-        Anonymous_oneshot.program ~params:p ~api)
+    Array.init slots (fun _ ->
+        Anonymous_oneshot.program ~params:p ~api:(Snapshot.Atomic.make ~off:0 ~len:r))
   in
-  Shm.Config.create ?backend ~registers:r ~procs ()
+  Shm.Config.create ~registers:r ~procs ()
 
 (* Anonymous repeated instances (Figure 5): r components + register H.
    With [anonymous_collect] the snapshot is the anonymous double-collect
@@ -98,7 +92,7 @@ let anonymous ?r ?(anonymous_collect = false) ?(seed = 0xA70) ?backend (p : Para
     Array.init n (fun pid ->
         let api =
           if anonymous_collect then
-            Snapshot.Double_collect.make_anonymous ~off:0 ~len:r ~seed:(seed + (7919 * pid)) ()
+            Snapshot.Double_collect.make_anonymous ~off:0 ~len:r ~seed:(seed + (7919 * pid))
           else Snapshot.Atomic.make ~off:0 ~len:r
         in
         Anonymous.program ~params:p ~api ~h_reg)

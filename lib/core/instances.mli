@@ -34,17 +34,10 @@ val repeated :
 val baseline :
   ?impl:impl -> ?backend:Shm.Memory.backend -> Params.t -> Shm.Config.t
 
-(** Anonymous one-shot system (no H, no watcher).  [slots] allocates
-    extra identical process slots for the clone machinery of the
-    Section 5 lower bound. *)
-val anonymous_oneshot :
-  ?r:int ->
-  ?slots:int ->
-  ?anonymous_collect:bool ->
-  ?seed:int ->
-  ?backend:Shm.Memory.backend ->
-  Params.t ->
-  Shm.Config.t
+(** Anonymous one-shot system (no H, no watcher) over an atomic
+    snapshot.  [slots] allocates extra identical process slots for the
+    clone machinery of the Section 5 lower bound. *)
+val anonymous_oneshot : ?r:int -> ?slots:int -> Params.t -> Shm.Config.t
 
 (** Anonymous repeated system (Figure 5): r components + register H.
     With [anonymous_collect] the snapshot is the non-blocking anonymous

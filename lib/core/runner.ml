@@ -18,26 +18,24 @@ let run_oneshot ?record ?impl ?r ?sched ?sink ?(max_steps = 200_000) ?inputs (p 
   let config = Instances.oneshot ?impl ?r p in
   Exec.run ?record ?sink ~sched ~inputs:(Exec.oneshot_inputs inputs) ~max_steps config
 
-let run_repeated ?record ?impl ?r ?sched ?sink ?(max_steps = 500_000) ?(rounds = 3) ?input_fn
+let run_repeated ?impl ?sched ?sink ?(max_steps = 500_000) ?(rounds = 3) ?input_fn
     (p : Params.t) =
   let n = p.Params.n in
   let sched = Option.value sched ~default:(Schedule.round_robin n) in
   let input_fn =
     Option.value input_fn ~default:(fun pid instance -> default_input ~pid ~instance)
   in
-  let config = Instances.repeated ?impl ?r p in
-  Exec.run ?record ?sink ~sched ~inputs:(Exec.repeated_inputs ~rounds input_fn) ~max_steps config
+  let config = Instances.repeated ?impl p in
+  Exec.run ?sink ~sched ~inputs:(Exec.repeated_inputs ~rounds input_fn) ~max_steps config
 
-let run_baseline ?record ?impl ?sched ?sink ?(max_steps = 200_000) ?inputs (p : Params.t) =
+let run_baseline ?sched ?(max_steps = 200_000) (p : Params.t) =
   let n = p.Params.n in
   let sched = Option.value sched ~default:(Schedule.round_robin n) in
-  let inputs =
-    Option.value inputs ~default:(Array.init n (fun pid -> Value.int (pid + 1)))
-  in
-  let config = Instances.baseline ?impl p in
-  Exec.run ?record ?sink ~sched ~inputs:(Exec.oneshot_inputs inputs) ~max_steps config
+  let inputs = Array.init n (fun pid -> Value.int (pid + 1)) in
+  let config = Instances.baseline p in
+  Exec.run ~sched ~inputs:(Exec.oneshot_inputs inputs) ~max_steps config
 
-let run_anonymous ?record ?r ?anonymous_collect ?seed ?sched ?sink ?(max_steps = 500_000)
+let run_anonymous ?r ?anonymous_collect ?seed ?sched ?sink ?(max_steps = 500_000)
     ?(rounds = 1) ?input_fn (p : Params.t) =
   let n = p.Params.n in
   let sched = Option.value sched ~default:(Schedule.round_robin n) in
@@ -45,7 +43,7 @@ let run_anonymous ?record ?r ?anonymous_collect ?seed ?sched ?sink ?(max_steps =
     Option.value input_fn ~default:(fun pid instance -> default_input ~pid ~instance)
   in
   let config = Instances.anonymous ?r ?anonymous_collect ?seed p in
-  Exec.run ?record ?sink ~sched ~inputs:(Exec.repeated_inputs ~rounds input_fn) ~max_steps config
+  Exec.run ?sink ~sched ~inputs:(Exec.repeated_inputs ~rounds input_fn) ~max_steps config
 
 (* ------------------------------------------------------------------ *)
 (* First-order protocols run under either engine: the free-monad
@@ -68,13 +66,14 @@ let engine_of_string s =
 let proto_inputs ~pid ~instance =
   if instance = 1 then Some (default_input ~pid ~instance) else None
 
-let run_proto ?(engine = Interp) ?backend ?record ?sched ?sink
-    ?(max_steps = 200_000) ?(inputs = proto_inputs) (p : Vm.proto) =
+let run_proto ?(engine = Interp) ?backend ?record ?sched ?(max_steps = 200_000)
+    (p : Vm.proto) =
   let sched = Option.value sched ~default:(Schedule.round_robin p.Vm.n) in
   match engine with
   | Interp ->
-    Vm.of_exec (Exec.run ?record ?sink ~sched ~inputs ~max_steps (Vm.config ?backend p))
-  | Vm -> Vm.run ?record ?sink ~max_steps ~sched (Vm.env (Vm.compile p) ~inputs)
+    Vm.of_exec
+      (Exec.run ?record ~sched ~inputs:proto_inputs ~max_steps (Vm.config ?backend p))
+  | Vm -> Vm.run ?record ~max_steps ~sched (Vm.env (Vm.compile p) ~inputs:proto_inputs)
 
 (* Outputs of instance [i], with multiplicity, in completion order. *)
 let outputs_of_instance result ~instance =

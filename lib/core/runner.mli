@@ -22,9 +22,7 @@ val run_oneshot :
 
 (** Run the repeated algorithm (Figure 4) for [rounds] instances. *)
 val run_repeated :
-  ?record:bool ->
   ?impl:Instances.impl ->
-  ?r:int ->
   ?sched:Shm.Schedule.t ->
   ?sink:(Shm.Event.t -> unit) ->
   ?max_steps:int ->
@@ -33,20 +31,17 @@ val run_repeated :
   Params.t ->
   Shm.Exec.result
 
-(** Run the DFGR'13 baseline. *)
+(** Run the DFGR'13 baseline over an atomic snapshot, process pid
+    proposing pid+1.  Defaults: round-robin schedule, 200k step
+    budget. *)
 val run_baseline :
-  ?record:bool ->
-  ?impl:Instances.impl ->
   ?sched:Shm.Schedule.t ->
-  ?sink:(Shm.Event.t -> unit) ->
   ?max_steps:int ->
-  ?inputs:Shm.Value.t array ->
   Params.t ->
   Shm.Exec.result
 
 (** Run the anonymous repeated algorithm (Figure 5). *)
 val run_anonymous :
-  ?record:bool ->
   ?r:int ->
   ?anonymous_collect:bool ->
   ?seed:int ->
@@ -81,17 +76,15 @@ val engine_of_string : string -> engine option
 val proto_inputs : pid:int -> instance:int -> Shm.Value.t option
 
 (** [run_proto p] runs [p] to quiescence (or [max_steps], default
-    200k) under [engine] (default [Interp]).  Defaults: round-robin
-    schedule, {!proto_inputs}.  [backend] selects the interpreter's
+    200k) under [engine] (default [Interp]) with {!proto_inputs}.
+    Default schedule: round-robin.  [backend] selects the interpreter's
     memory representation (the vm's state is always flat). *)
 val run_proto :
   ?engine:engine ->
   ?backend:Shm.Memory.backend ->
   ?record:bool ->
   ?sched:Shm.Schedule.t ->
-  ?sink:(Shm.Event.t -> unit) ->
   ?max_steps:int ->
-  ?inputs:(pid:int -> instance:int -> Shm.Value.t option) ->
   Shm.Vm.proto ->
   Shm.Vm.vresult
 

@@ -88,7 +88,9 @@ let advance ~inputs config pid ~discovered ~snapshots ~max_steps =
 let snapshot_for snapshots reg =
   List.find_opt (fun (r, _) -> r = reg) snapshots |> Option.map snd
 
-let attack ~params ~registers ~slots ~make_config ?(max_steps = 200_000) () =
+let max_steps = 200_000
+
+let attack ~params ~registers ~slots ~make_config =
   let k = params.Agreement.Params.k in
   let c = k + 1 in
   (* group ℓ = process slot ℓ, proposing value 1000 + ℓ *)

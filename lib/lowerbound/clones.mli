@@ -26,14 +26,14 @@ type outcome =
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
-(** [attack ~params ~registers ~slots ~make_config ()]: run the gluing
+(** [attack ~params ~registers ~slots ~make_config]: run the gluing
     against an anonymous one-shot system with [registers] registers and
-    [slots] process slots (k+1 group mains + clone room). *)
+    [slots] process slots (k+1 group mains + clone room).  A group whose
+    solo advance runs 200,000 steps without reaching a new register or
+    an output leaves the attack [Stuck]. *)
 val attack :
   params:Agreement.Params.t ->
   registers:int ->
   slots:int ->
   make_config:(registers:int -> slots:int -> Shm.Config.t) ->
-  ?max_steps:int ->
-  unit ->
   outcome

@@ -10,20 +10,6 @@ type result =
   | Escape of Explore.escape   (** poised write outside the allowed set *)
   | Failed of string           (** bounded search exhausted *)
 
-(** Scheduling directives for the distinct-output search plans. *)
-type directive =
-  | Burst of int * int  (** pid, raw step budget (stops early if done) *)
-  | Finish of int       (** pid runs solo until [t] operations complete *)
-
-val run_plan :
-  allowed:(int -> bool) ->
-  inputs:(pid:int -> instance:int -> Shm.Value.t option) ->
-  max_steps:int ->
-  t:int ->
-  directive list ->
-  Shm.Config.t ->
-  [ `Done of Shm.Config.t | `Escape of Explore.escape | `Stuck of Shm.Config.t ]
-
 (** Distinct values output at instance [t] by processes in [procs]. *)
 val distinct_at : Shm.Config.t -> procs:int list -> t:int -> Shm.Value.t list
 

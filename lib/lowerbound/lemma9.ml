@@ -62,8 +62,10 @@ type group = {
       (* register -> poised state of its last writer (latest first) *)
 }
 
-let attack ~params ~registers ~slots ~make_config ?(alpha_tries = 3000)
-    ?(max_steps = 30_000) () =
+let alpha_tries = 3000
+let max_steps = 30_000
+
+let attack ~params ~registers ~slots ~make_config =
   let m = params.Agreement.Params.m and k = params.Agreement.Params.k in
   let c = (k + m) / m in
   (* group ℓ occupies slots ℓm .. ℓm+m−1; member i proposes 1000ℓ + i *)

@@ -23,12 +23,12 @@ type outcome =
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
+(** [attack ~params ~registers ~slots ~make_config]: run the gluing.
+    The α search makes at most 3000 tries of at most 30,000 steps
+    each. *)
 val attack :
   params:Agreement.Params.t ->
   registers:int ->
   slots:int ->
   make_config:(registers:int -> slots:int -> Shm.Config.t) ->
-  ?alpha_tries:int ->
-  ?max_steps:int ->
-  unit ->
   outcome

@@ -71,8 +71,9 @@ let attack_inputs ~icap ~pid ~instance =
   else if instance = icap + 1 then Some (Value.int (1_000_000 + pid))
   else None
 
-let attack ~params ~registers ~make_config ?(icap = 20) ?(delta_steps = 30_000)
-    ?(gamma_tries = 1500) () =
+let delta_steps = 30_000
+
+let attack ~params ~registers ~make_config ?(icap = 20) ?(gamma_tries = 1500) () =
   let { Agreement.Params.n; m; k } = params in
   let c = (k + m) / m in
   (* c = ⌈(k+1)/m⌉ since m ≤ k: (k+1+m-1)/m = (k+m)/m *)

@@ -29,20 +29,15 @@ type outcome =
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
-(** The inputs of the attacked execution (exposed for checking): fresh
-    instance icap+1 proposes 1,000,000 + pid. *)
-val attack_inputs : icap:int -> pid:int -> instance:int -> Shm.Value.t option
-
 (** [attack ~params ~registers ~make_config ()] runs the construction.
     [icap] caps ordinary instances (the fresh instance is icap+1);
-    [delta_steps] bounds each guarded fragment; [gamma_tries] bounds
-    the Lemma 1 search. *)
+    each guarded fragment runs at most 30,000 steps; [gamma_tries]
+    bounds the Lemma 1 search. *)
 val attack :
   params:Agreement.Params.t ->
   registers:int ->
   make_config:(registers:int -> Shm.Config.t) ->
   ?icap:int ->
-  ?delta_steps:int ->
   ?gamma_tries:int ->
   unit ->
   outcome

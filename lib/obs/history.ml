@@ -4,17 +4,15 @@
    version, wall-clock timestamp, git revision, experiment id, smoke
    flag, and the full row set that also went to BENCH_<id>.json.  The
    file is the perf trajectory of the repo: `bench diff` compares two
-   entries, `bench check` compares a fresh run against *floor* entries
-   committed in the repository's own BENCH_history.jsonl and exits
-   non-zero on regression.
+   entries, `bench check` compares a fresh run against the *floors*
+   its caller supplies and exits non-zero on regression.  Floors gate
+   machine-independent metrics (same-binary speedup ratios), so one
+   set holds across hardware.
 
-   Two entry kinds share the line format:
-   - kind "run":    rows are measurement rows, as in BENCH_<id>.json;
-   - kind "floors": rows are floor specs — string-valued selector
-     fields plus {"metric": <name>, "min": <float>} — the committed
-     baseline `bench check` enforces.  Floors gate machine-independent
-     metrics (same-binary speedup ratios), so the committed baseline
-     holds across hardware.
+   Entries written now are kind "run" (measurement rows, as in
+   BENCH_<id>.json).  Earlier versions also committed kind "floors"
+   entries (floor specs as rows); those lines still load, and callers
+   filter on [kind] to skip them.
 
    A BENCH_<id>.json document is the {experiment, schema, rows} part of
    an entry, pretty-printed: one decoder, [entry_of_json], reads both.
@@ -33,14 +31,13 @@ type entry = {
   ts : float;  (* unix seconds, 0. when unknown *)
   rev : string;
   experiment : string;
-  kind : string;  (* "run" | "floors" *)
+  kind : string;  (* "run"; "floors" on lines from earlier versions *)
   smoke : bool;
   rows : Json.t list;
 }
 
-let make ?(ts = 0.) ?(rev = "unknown") ?(kind = "run") ?(smoke = false) ~experiment
-    rows =
-  { schema = schema_version; ts; rev; experiment; kind; smoke; rows }
+let make ?(ts = 0.) ?(rev = "unknown") ?(smoke = false) ~experiment rows =
+  { schema = schema_version; ts; rev; experiment; kind = "run"; smoke; rows }
 
 let json_of_entry e =
   Json.Obj
@@ -176,37 +173,6 @@ let pp_delta ppf d =
 (* ---- floors (for check) ---- *)
 
 type floor = { selector : (string * string) list; metric : string; min : float }
-
-let floor_row f =
-  Json.Obj
-    (List.map (fun (k, v) -> (k, Json.String v)) f.selector
-    @ [ ("metric", Json.String f.metric); ("min", Json.Float f.min) ])
-
-let floor_of_row row =
-  match row with
-  | Json.Obj fields ->
-    let selector =
-      List.filter_map
-        (fun (k, v) ->
-          match v with Json.String s when k <> "metric" -> Some (k, s) | _ -> None)
-        fields
-    in
-    let metric =
-      match Json.member "metric" row with Some (Json.String s) -> Some s | _ -> None
-    in
-    let min = Option.bind (Json.member "min" row) Json.to_float_opt in
-    (match (metric, min) with
-    | Some metric, Some min -> Some { selector; metric; min }
-    | _ -> None)
-  | _ -> None
-
-let floors_of_entry e = List.filter_map floor_of_row e.rows
-
-(* Latest floors entry for [experiment], if any. *)
-let latest_floors entries ~experiment =
-  List.fold_left
-    (fun acc e -> if e.kind = "floors" && e.experiment = experiment then Some e else acc)
-    None entries
 
 let row_matches selector row =
   List.for_all

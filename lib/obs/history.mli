@@ -2,11 +2,12 @@
     trajectory, one JSONL entry per [bench table] run — plus the diff
     and floor-checking logic behind [bench diff] / [bench check].
 
-    Entries come in two kinds: ["run"] (measurement rows, the same rows
-    written to [BENCH_<id>.json]) and ["floors"] (committed baseline:
-    selector fields plus [metric]/[min], enforced by [bench check]).
-    Floors gate machine-independent metrics — same-binary speedup
-    ratios — so one committed baseline holds across hardware.
+    Entries hold measurement rows, the same rows written to
+    [BENCH_<id>.json], and are of kind ["run"].  Lines of kind
+    ["floors"], written by earlier versions, still load; callers skip
+    them by [kind].  Floors themselves are the caller's ({!check_floors}
+    takes them as an argument) and gate machine-independent metrics —
+    same-binary speedup ratios — so one set holds across hardware.
 
     The module is subprocess- and unix-free: callers supply timestamps
     and git revisions. *)
@@ -18,15 +19,15 @@ type entry = {
   ts : float;  (** unix seconds, [0.] when unknown *)
   rev : string;
   experiment : string;
-  kind : string;  (** ["run"] or ["floors"] *)
+  kind : string;  (** ["run"]; ["floors"] on lines from earlier versions *)
   smoke : bool;
   rows : Json.t list;
 }
 
+(** A ["run"] entry. *)
 val make :
   ?ts:float ->
   ?rev:string ->
-  ?kind:string ->
   ?smoke:bool ->
   experiment:string ->
   Json.t list ->
@@ -80,12 +81,6 @@ type floor = {
   metric : string;
   min : float;
 }
-
-val floor_row : floor -> Json.t
-val floors_of_entry : entry -> floor list
-
-(** Most recent ["floors"] entry for [experiment]. *)
-val latest_floors : entry list -> experiment:string -> entry option
 
 type verdict = {
   v_floor : floor;

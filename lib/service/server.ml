@@ -10,14 +10,14 @@ type t = {
   shards : Shard.t array;
 }
 
-let create ?(batch_max = 16) ?(window = 64) ?impl ?max_steps_per_slot ?quantum
+let create ?(batch_max = 16) ?(window = 64) ?max_steps_per_slot
     ?(history = true) ?(app = App.register) ?seed:_ ?(domains = 0) ~shards
     (params : Agreement.Params.t) =
   if shards <= 0 then invalid_arg "Server.create: shards must be positive";
   if domains <> 0 then invalid_arg "Server.create: domains must be 0";
   let shards =
     Array.init shards (fun id ->
-        Shard.create ?impl ?max_steps_per_slot ?quantum ~history ~id ~batch_max
+        Shard.create ?max_steps_per_slot ~history ~id ~batch_max
           ~window params ~app ())
   in
   { params; app; shards }
@@ -56,7 +56,9 @@ let registers_used t =
    register linearizability check applies when the app is the register
    and histories were recorded.  [max_ops] caps the Wing–Gong search
    per shard (the checker is exponential in overlap). *)
-let verdict ?(max_ops = 400) t =
+let max_ops = 400
+
+let verdict t =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
   Array.iter

@@ -13,9 +13,10 @@
 
 type t
 
-(** [create ~shards params] builds an idle server.  Defaults: batches
-    of ≤ 16 commands per slot, a 64-command in-flight window per
-    shard, the register app, history recording on.  Raises
+(** [create ~shards params] builds an idle server whose shards are
+    built as in {!Shard.create}.  Defaults: batches of ≤ 16 commands
+    per slot, a 64-command in-flight window per shard, the register
+    app, history recording on.  Raises
     [Invalid_argument] if [shards <= 0], [batch_max <= 0] or
     [window < batch_max].
 
@@ -25,9 +26,7 @@ type t
 val create :
   ?batch_max:int ->
   ?window:int ->
-  ?impl:Agreement.Instances.impl ->
   ?max_steps_per_slot:int ->
-  ?quantum:int ->
   ?history:bool ->
   ?app:App.t ->
   ?seed:int ->
@@ -47,7 +46,8 @@ val try_submit : t -> key:Shm.Value.t -> ?tag:int -> Shm.Value.t -> Session.tick
 
 (** Decide one slot on every shard with queued commands; returns the
     tickets resolved, in shard order then batch order ([[]] when
-    nothing was queued). *)
+    nothing was queued).  A shard whose slot gets stuck fails and
+    returns its whole queue too, as in {!Shard.run_slot}. *)
 val pump : t -> Session.ticket list
 
 (** {!pump} until no shard decides anything. *)
@@ -67,6 +67,7 @@ val registers_used : t -> int
 
 (** Grade every shard with the conformance oracles: validity +
     k-agreement of the layer below always; register linearizability of
-    the recorded command history when the app is the register.
-    [max_ops] (default 400) caps the per-shard Wing–Gong search. *)
-val verdict : ?max_ops:int -> t -> (unit, string list) result
+    the recorded command history when the app is the register, over
+    each shard's first 400 commands (the Wing–Gong search is
+    exponential in overlap). *)
+val verdict : t -> (unit, string list) result

@@ -33,7 +33,6 @@ type t = {
   app : App.t;
   batch_max : int;
   window : int;
-  quantum : int;
   queue : Session.ticket Queue.t;
   mutable in_flight : int;
   mutable stepper : Rsm.Stepper.t;
@@ -52,9 +51,8 @@ type t = {
   m_in_flight : Obs.Metrics.Gauge.t;
 }
 
-let create ?impl ?(max_steps_per_slot = 2_000_000) ?(quantum = 800)
-    ?(history = true) ~id ~batch_max ~window (params : Agreement.Params.t)
-    ~app () =
+let create ?(max_steps_per_slot = 2_000_000) ?(history = true) ~id ~batch_max
+    ~window (params : Agreement.Params.t) ~app () =
   if batch_max <= 0 then invalid_arg "Shard.create: batch_max must be positive";
   if window < batch_max then
     invalid_arg "Shard.create: window must be at least batch_max";
@@ -64,10 +62,9 @@ let create ?impl ?(max_steps_per_slot = 2_000_000) ?(quantum = 800)
     app;
     batch_max;
     window;
-    quantum;
     queue = Queue.create ();
     in_flight = 0;
-    stepper = Rsm.Stepper.create ?impl ~max_steps_per_slot params;
+    stepper = Rsm.Stepper.create ~max_steps_per_slot params;
     alive = List.init params.Agreement.Params.n Fun.id;
     app_state = app.App.init;
     committed = 0;
@@ -101,25 +98,34 @@ let crash_replica t pid =
   if crashed then t.alive <- List.filter (fun p -> p <> pid) t.alive;
   crashed
 
-(* Deterministic per-slot schedule: solo bursts over the live pids,
-   rotated by slot number so successive slots favor different leaders.
-   Solo bursts keep termination guaranteed (obstruction-freedom), and
-   the rotation point doubles as the determinism hook for replay. *)
-let slot_sched t ~alive ~slot =
+(* Deterministic per-slot schedule: [quantum]-step solo bursts over the
+   live pids, rotated by slot number so successive slots favor different
+   leaders.  Solo bursts keep termination guaranteed
+   (obstruction-freedom), and the rotation point doubles as the
+   determinism hook for replay. *)
+let quantum = 800
+
+let slot_sched ~alive ~slot =
   let a = Array.of_list alive in
   let len = Array.length a in
   let rot = slot mod len in
   let groups =
     List.init len (fun i -> [ a.((i + rot) mod len) ])
   in
-  Schedule.alternating ~burst:t.quantum groups
+  Schedule.alternating ~burst:quantum groups
 
-let fail_tickets t tickets msg =
+(* A stuck shard never runs another slot, so fail the popped batch and
+   every ticket queued behind it; returns them all, batch first. *)
+let fail_all t batch msg =
   t.stuck <- true;
+  let tickets = batch @ List.of_seq (Queue.to_seq t.queue) in
+  Queue.clear t.queue;
   List.iter
     (fun (tk : Session.ticket) -> tk.Session.state <- Session.Failed msg)
     tickets;
-  t.in_flight <- t.in_flight - List.length tickets
+  t.in_flight <- 0;
+  Obs.Metrics.Gauge.set t.m_in_flight 0.;
+  tickets
 
 let commit t tickets cmds ~slot_steps =
   let slot = Rsm.Stepper.slot t.stepper in
@@ -157,7 +163,7 @@ let run_slot t =
     let cmds = List.map (fun (tk : Session.ticket) -> tk.Session.cmd) tickets in
     let proposal = Batch.encode cmds in
     let alive = t.alive in
-    let sched = slot_sched t ~alive ~slot:(Rsm.Stepper.slot t.stepper) in
+    let sched = slot_sched ~alive ~slot:(Rsm.Stepper.slot t.stepper) in
     let proposals pid = if List.mem pid alive then Some proposal else None in
     let steps_before = Rsm.Stepper.steps t.stepper in
     let span =
@@ -182,25 +188,25 @@ let run_slot t =
     | None -> ()
     | Some (tr, ctx) ->
       Obs.Trace.end_span tr ~args:[ ("steps", Obs.Json.Int slot_steps) ] ctx);
-    (if not outcome.Rsm.Stepper.quiescent then
-       fail_tickets t tickets
-         (Printf.sprintf "shard %d: slot %d exhausted its step budget" t.id
-            (Rsm.Stepper.slot t.stepper))
-     else
-       (* All live replicas proposed the same batch, so by validity every
-          decision is that batch; take the first and decode defensively. *)
-       let decided =
-         match outcome.Rsm.Stepper.decisions with
-         | (_, v) :: _ -> Batch.decode v
-         | [] -> None
-       in
-       match decided with
-       | Some committed when List.length committed = batch_n ->
-         commit t tickets committed ~slot_steps
-       | _ ->
-         fail_tickets t tickets
-           (Printf.sprintf "shard %d: slot decided a non-batch value" t.id));
-    tickets
+    if not outcome.Rsm.Stepper.quiescent then
+      fail_all t tickets
+        (Printf.sprintf "shard %d: slot %d exhausted its step budget" t.id
+           (Rsm.Stepper.slot t.stepper))
+    else
+      (* All live replicas proposed the same batch, so by validity every
+         decision is that batch; take the first and decode defensively. *)
+      let decided =
+        match outcome.Rsm.Stepper.decisions with
+        | (_, v) :: _ -> Batch.decode v
+        | [] -> None
+      in
+      match decided with
+      | Some committed when List.length committed = batch_n ->
+        commit t tickets committed ~slot_steps;
+        tickets
+      | _ ->
+        fail_all t tickets
+          (Printf.sprintf "shard %d: slot decided a non-batch value" t.id)
   end
 
 let stats t =

@@ -25,13 +25,12 @@ type stats = {
 }
 
 (** [create ~id ~batch_max ~window params ~app ()] builds an idle
-    shard.  Defaults: space-optimal snapshot choice, 2M steps per
-    slot, 800-step solo bursts, history recording on.  Raises
-    [Invalid_argument] if [batch_max <= 0] or [window < batch_max]. *)
+    shard over the space-optimal snapshot choice, scheduling each slot
+    as 800-step solo bursts.  Defaults: 2M steps per slot, history
+    recording on.  Raises [Invalid_argument] if [batch_max <= 0] or
+    [window < batch_max]. *)
 val create :
-  ?impl:Agreement.Instances.impl ->
   ?max_steps_per_slot:int ->
-  ?quantum:int ->
   ?history:bool ->
   id:int ->
   batch_max:int ->
@@ -61,7 +60,11 @@ val crash_replica : t -> int -> bool
 
 (** Decide one slot over whatever is queued (up to [batch_max]
     commands) and return the tickets it resolved, in batch order; [[]]
-    if the queue was empty or the shard is stuck. *)
+    if the queue was empty or the shard is stuck.  A slot that runs out
+    of steps or decides a non-batch value makes the shard stuck: its
+    batch and every ticket still queued behind it resolve [Failed], and
+    all of them are returned, the batch first, then the rest in queue
+    order. *)
 val run_slot : t -> Session.ticket list
 
 val stats : t -> stats

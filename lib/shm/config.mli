@@ -10,7 +10,7 @@ type t
 (** [create ?backend ~registers ~procs ()] is the initial
     configuration: all registers ⊥, process [pid] running
     [procs.(pid)].  [backend] selects the memory representation
-    (default {!Memory.get_default}). *)
+    (default: the process-wide one, {!Memory.set_default}). *)
 val create : ?backend:Memory.backend -> registers:int -> procs:Program.t array -> unit -> t
 
 val n : t -> int

@@ -9,8 +9,8 @@
    Symbols: I invoke, wN write to register N, rN read of register N,
    s scan, O output, . idle.  Multi-digit register indices widen their
    column.  Intended for small traces (CLI --diagram, debugging the
-   lower-bound constructions); long traces can be windowed with
-   [?from]/[?len]. *)
+   lower-bound constructions); long traces can be cut to their first
+   [?len] steps. *)
 
 
 let symbol = function
@@ -31,8 +31,7 @@ let grid ~n trace =
     trace;
   g
 
-let pp ?(from = 0) ?len ~n ppf trace =
-  let trace = List.filteri (fun i _ -> i >= from) trace in
+let pp ?len ~n ppf trace =
   let trace =
     match len with Some l -> List.filteri (fun i _ -> i < l) trace | None -> trace
   in
@@ -52,5 +51,4 @@ let pp ?(from = 0) ?len ~n ppf trace =
     Fmt.pf ppf "|@,"
   done
 
-let to_string ?from ?len ~n trace =
-  Fmt.str "@[<v>%a@]" (fun ppf -> pp ?from ?len ~n ppf) trace
+let to_string ~n trace = Fmt.str "@[<v>%a@]" (fun ppf -> pp ~n ppf) trace

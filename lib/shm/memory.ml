@@ -63,8 +63,6 @@ let default = Atomic.make Journaled
 
 let set_default b = Atomic.set default b
 
-let get_default () = Atomic.get default
-
 (* ---- journaled versions ---- *)
 
 type version = cell ref

@@ -30,8 +30,6 @@ val backend_of_string : string -> backend option
     (e.g. from [sa_run --memory-backend]). *)
 val set_default : backend -> unit
 
-val get_default : unit -> backend
-
 (** [create ?backend size] allocates registers [0 .. size-1], all
     holding ⊥. *)
 val create : ?backend:backend -> int -> t

@@ -54,8 +54,6 @@ val poised_op : t -> op option
 
 type footprint = { reads : int list; writes : int list }
 
-val empty_footprint : footprint
-
 (** Footprint of the poised step.  [Yield], [Await] and [Stop] heads
     have the empty footprint — they touch no shared memory. *)
 val footprint : t -> footprint

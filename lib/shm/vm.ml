@@ -304,8 +304,9 @@ let s_wcount = 5
 let s_rcount = 6
 let n_scal = 7
 
-let env ?(rounds = 1) c ~inputs =
+let env c ~inputs =
   let n = c.n in
+  let rounds = 1 in
   let inp = Array.make (n * rounds) no_input in
   for inst = 1 to rounds do
     for pid = 0 to n - 1 do

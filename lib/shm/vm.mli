@@ -85,10 +85,10 @@ val compile : proto -> code
 
 type env
 
-(** [env c ~inputs] pre-encodes [inputs ~pid ~instance] for every
-    process and instance [1..rounds] (default 1 round).  Inputs beyond
-    [rounds] are never requested. *)
-val env : ?rounds:int -> code -> inputs:(pid:int -> instance:int -> Value.t option) -> env
+(** [env c ~inputs] pre-encodes [inputs ~pid ~instance:1] for every
+    process: a vm run is one round, and later instances are never
+    requested. *)
+val env : code -> inputs:(pid:int -> instance:int -> Value.t option) -> env
 
 val proto_env : env -> proto
 
@@ -151,10 +151,6 @@ val key_hash : env -> int array -> int -> int
     consuming no scheduler steps — the interpreter unrolls loops at
     compile time.  Allocation-free. *)
 val step : env -> int array -> int -> int -> unit
-
-(** [step], also reporting what happened — the oracle and trace
-    paths. *)
-val step_ev : env -> int array -> int -> int -> Event.t
 
 (** {1 Driving whole executions} *)
 

@@ -75,12 +75,12 @@ let make ~off ~len ~pid ?max_retries () =
   let fresh_tag seq = (Shm.Value.pair (Shm.Value.int pid) (Shm.Value.int seq), seq + 1) in
   make_with_tag ~off ~len ?max_retries fresh_tag 0
 
-let make_anonymous ~off ~len ~seed ?max_retries () =
+let make_anonymous ~off ~len ~seed =
   let fresh_tag (state, seq) =
     let nonce, state' = Shm.Rng.pure_step state in
     (Shm.Value.pair (Shm.Value.int (Int64.to_int nonce)) (Shm.Value.int seq), (state', seq + 1))
   in
-  make_with_tag ~off ~len ?max_retries fresh_tag (Int64.of_int seed, 0)
+  make_with_tag ~off ~len fresh_tag (Int64.of_int seed, 0)
 
 let footprint ~len =
   {

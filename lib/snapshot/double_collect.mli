@@ -13,12 +13,12 @@
     to retry forever. *)
 val make : off:int -> len:int -> pid:int -> ?max_retries:int -> unit -> Snap_api.t
 
-(** [make_anonymous ~off ~len ~seed ()] draws tags from a per-process
+(** [make_anonymous ~off ~len ~seed] draws tags from a per-process
     deterministic PRNG stream plus a local sequence number: identical
     program text for every process, fresh tags with overwhelming
     probability — the practical realization of Guerraoui–Ruppert [7]
-    anonymous snapshots (DESIGN.md, substitution 5). *)
-val make_anonymous :
-  off:int -> len:int -> seed:int -> ?max_retries:int -> unit -> Snap_api.t
+    anonymous snapshots (DESIGN.md, substitution 5).  Its scans retry
+    forever. *)
+val make_anonymous : off:int -> len:int -> seed:int -> Snap_api.t
 
 val footprint : len:int -> Snap_api.footprint

@@ -15,11 +15,5 @@ val replay :
   Shm.Event.t list ->
   violation list
 
-(** Lemma 3 on a register state (one-shot (value, id) pairs). *)
-val lemma3_pairs : Shm.Value.t array -> string option
-
-(** Lemma 12 on a register state (repeated 4-tuples). *)
-val lemma12_tuples : Shm.Value.t array -> string option
-
 val check_lemma3 : registers:int -> Shm.Event.t list -> violation list
 val check_lemma12 : registers:int -> Shm.Event.t list -> violation list

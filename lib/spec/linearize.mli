@@ -52,5 +52,4 @@ val witness :
 
 val encode_update : i:int -> v:Shm.Value.t -> Shm.Value.t
 val encode_scan : Shm.Value.t array -> Shm.Value.t
-val decode_marker : Shm.Value.t -> op option
 val history_of_trace : Shm.Event.t list -> event list

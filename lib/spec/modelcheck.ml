@@ -349,14 +349,14 @@ let run ~engine ~depth ?(key = `Incremental) ~inputs
 
 (* [run] for first-order protocols executed by [Shm.Vm]; the check sees
    decoded i/o records (Properties.check_safety_io fits directly). *)
-let run_vm ~engine ~depth ?(completion_steps = Counterex.completion_steps) ?metrics ?prof
-    ~inputs ~check p =
+let run_vm ~engine ~depth ?(completion_steps = Counterex.completion_steps) ~inputs
+    ~check p =
   match engine with
   | Naive ->
     let check c = check ~inputs:(Config.inputs c) ~outputs:(Config.outputs c) in
-    run ~engine ~depth ~inputs ~completion_steps ?metrics ~check (Vm.config p)
+    run ~engine ~depth ~inputs ~completion_steps ~check (Vm.config p)
   | Dpor { cache; jobs } ->
     let e = Vm.env (Vm.compile p) ~inputs in
     of_explore
-      (Vm_explore.explore ~depth ~cache ~jobs ?metrics ?prof
+      (Vm_explore.explore ~depth ~cache ~jobs
          { e; proto = p; inputs; completion_steps; check })

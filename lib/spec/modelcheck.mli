@@ -110,13 +110,12 @@ val run :
     batches of 8 keep successor slices contiguous.  [check] sees the
     decoded i/o records ({!Properties.check_safety_io} fits directly).
     Violations are re-executed by the interpreter before being
-    reported.  Raises [Invalid_argument] if [p] fails to compile. *)
+    reported.  It records no metrics or profile.  Raises
+    [Invalid_argument] if [p] fails to compile. *)
 val run_vm :
   engine:engine ->
   depth:int ->
   ?completion_steps:int ->
-  ?metrics:Obs.Metrics.t ->
-  ?prof:Obs.Prof.t ->
   inputs:(pid:int -> instance:int -> Shm.Value.t option) ->
   check:
     (inputs:(int * int * Shm.Value.t) list ->

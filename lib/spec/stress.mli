@@ -6,10 +6,6 @@
 
 type family = Bursty | Uniform | M_bounded of int
 
-val family_name : family -> string
-
-val sched_of : family -> seed:int -> n:int -> Shm.Schedule.t
-
 type verdict =
   | Survived of { runs : int }
   | Broken of {

@@ -24,9 +24,6 @@ type 'state run = {
   quiescent : bool;
 }
 
-(** Outputs of one process in instance order — its branch of the log. *)
-val log_of : Shm.Config.t -> int -> Shm.Value.t list
-
 (** [replicate params machine ~commands ~slots] runs [slots] instances
     of repeated agreement over the space-optimal snapshot choice;
     process [pid] proposes [commands pid slot] and applies what was

@@ -10,7 +10,6 @@ let make p ~registers ~slots =
 let attack ?(slots = 16) p ~registers =
   Clones.attack ~params:p ~registers ~slots
     ~make_config:(fun ~registers ~slots -> make p ~registers ~slots)
-    ()
 
 (* Consensus (k = 1) with 3 registers among enough processes: the glued
    execution outputs two distinct values. *)

@@ -8,7 +8,6 @@ let attack p ~registers ~slots =
   Lemma9.attack ~params:p ~registers ~slots
     ~make_config:(fun ~registers ~slots ->
       Instances.anonymous_oneshot ~r:registers ~slots p)
-    ()
 
 (* m = 2, k = 3, r = 3: two groups of two; the glued execution outputs
    4 > k values.  Slot budget: ⌈(k+1)/m⌉(m + (r²−r)/2) = 2·(2+3) = 10. *)
@@ -49,7 +48,6 @@ let m1_matches_clones () =
     Clones.attack ~params:p ~registers:3 ~slots:8
       ~make_config:(fun ~registers ~slots ->
         Instances.anonymous_oneshot ~r:registers ~slots p)
-      ()
   with
   | Clones.Violation { clones_used; _ } ->
     Alcotest.(check int) "same clone count" 6 clones_used

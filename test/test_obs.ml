@@ -473,8 +473,8 @@ let jsonl_header_versioned () =
 
 (* ---- bench history ---- *)
 
-let history_entry ?(kind = "run") ?(rev = "abc1234") rows =
-  Obs.History.make ~ts:1000. ~rev ~kind ~experiment:"perf" rows
+let history_entry ?(rev = "abc1234") rows =
+  Obs.History.make ~ts:1000. ~rev ~experiment:"perf" rows
 
 let perf_row ~arm ~ratio =
   Obs.Json.Obj
@@ -533,16 +533,6 @@ let history_floors_gate () =
       };
     ]
   in
-  (* floors survive the entry round trip *)
-  let entry = history_entry ~kind:"floors" (List.map Obs.History.floor_row floors) in
-  let entry =
-    Result.get_ok (Obs.History.entry_of_json (Obs.History.json_of_entry entry))
-  in
-  Alcotest.(check bool) "floors round-trip" true
-    (Obs.History.floors_of_entry entry = floors);
-  Alcotest.(check bool) "latest_floors finds it" true
-    (Obs.History.latest_floors [ history_entry []; entry ] ~experiment:"perf"
-    = Some entry);
   let verdicts rows = Obs.History.check_floors ~floors rows in
   (* above the floor: pass *)
   Alcotest.(check bool) "pass above floor" false

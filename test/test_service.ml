@@ -340,6 +340,31 @@ let test_stuck_shard_ends_run () =
   | Ok () -> Alcotest.fail "a stuck shard passed the verdict"
   | Error _ -> ()
 
+(* --- a stuck shard fails its whole queue --- *)
+
+(* With one command per batch and 10 steps per slot, the first slot
+   runs out of fuel while two more commands wait behind it.  The shard
+   can never run another slot, so those two must fail with the first
+   instead of staying pending for ever, and [drain] must return. *)
+let test_stuck_shard_fails_queue () =
+  let server =
+    Service.Server.create ~batch_max:1 ~window:4 ~max_steps_per_slot:10
+      ~shards:1 params
+  in
+  let tickets =
+    submit_all server ~key:(vi 0)
+      (List.init 3 (fun i -> Universal.Machines.write (vi i)))
+  in
+  Service.Server.drain server;
+  List.iteri
+    (fun i (tk : Service.Session.ticket) ->
+      match tk.Service.Session.state with
+      | Service.Session.Failed _ -> ()
+      | _ -> Alcotest.failf "ticket %d is not Failed" i)
+    tickets;
+  Alcotest.(check int) "nothing pending" 0
+    (Service.Shard.pending (Service.Server.shard server 0))
+
 let suite =
   [
     test "routing is deterministic" test_routing_deterministic;
@@ -356,4 +381,5 @@ let suite =
     test "rsm history adapter grades registers" test_rsm_history_adapter;
     test "service history entries keep schema discipline" test_history_schema_discipline;
     test "a stuck shard ends the load run" test_stuck_shard_ends_run;
+    test "a stuck shard fails its whole queue" test_stuck_shard_fails_queue;
   ]

@@ -130,7 +130,7 @@ let mw_sw_timestamp_order () =
    (no aliasing in practice). *)
 let anonymous_tags_fresh () =
   let mk seed =
-    let api = Snapshot.Double_collect.make_anonymous ~off:0 ~len:1 ~seed () in
+    let api = Snapshot.Double_collect.make_anonymous ~off:0 ~len:1 ~seed in
     Program.await (fun _ ->
         api.Snapshot.Snap_api.update 0 (vi 1) (fun _ -> Program.stop))
   in

@@ -6,7 +6,10 @@
 #   tools/loc.sh
 #
 # Prints one "<dir> <lines>" row per directory, then the lib total and
-# the grand total over lib, bin and bench.
+# the grand total over lib, bin and bench, then a "knobs" row: the
+# number of optional arguments (?label:) the library interfaces
+# (lib/*/*.mli) declare, so the option count is tracked beside the
+# line count.
 
 set -eu
 cd "$(dirname "$0")/.."
@@ -30,3 +33,5 @@ for d in bin bench; do
   printf '%-16s %6d\n' "$d" "$n"
 done
 printf '%-16s %6d\n' "total" "$total"
+knobs=$(cat lib/*/*.mli | grep -o "?[a-z_][A-Za-z0-9_']*:" | wc -l | tr -d ' ')
+printf '%-16s %6d\n' "knobs" "$knobs"
