@@ -384,7 +384,7 @@ let analyze_protocol ~ir ~indep ~optimize ~witness ~sarif_path ~json_path
   Option.iter (fun depth -> explore_protocol ~engine ~depth prog) explore_depth
 
 let analyze () algos all p max_n mutants json_path witness no_dynamic protocol ir
-    indep optimize sarif_path engine_s run explore_depth =
+    indep optimize sarif_path engine_s run explore_depth stats =
   Option.iter (Cli.check_output "--json") json_path;
   Option.iter (Cli.check_output "--sarif") sarif_path;
   let engine =
@@ -413,13 +413,11 @@ let analyze () algos all p max_n mutants json_path witness no_dynamic protocol i
       Analyze.Registry.all
   in
   let dynamic = not no_dynamic in
-  let rows =
-    if all then
-      Analyze.Report.sweep ~dynamic ~max_n
-        ?algos:(if algos = [] then None else Some algos)
-        ()
-    else List.map (fun e -> Analyze.Report.row_for ~dynamic e p) selected
+  let cells =
+    if all then Analyze.Report.cells ~max_n ~algos
+    else List.map (fun e -> (e, p)) selected
   in
+  let rows, totals = Analyze.Report.measure ~dynamic cells in
   Fmt.pr "%a@." Analyze.Report.pp_header ();
   List.iter (fun r -> Fmt.pr "%a@." Analyze.Report.pp_row r) rows;
   (* with --witness in single-triple mode, show the discovered path to
@@ -494,6 +492,7 @@ let analyze () algos all p max_n mutants json_path witness no_dynamic protocol i
     (if mutants then
        Fmt.str ", mutants %s" (if mutants_ok then "all rejected" else "NOT all rejected")
      else "");
+  if stats then Fmt.pr "%a@." Analyze.Report.pp_stats totals;
   if bad <> [] || not mutants_ok then exit 1
 
 let analyze_cmd =
@@ -610,6 +609,15 @@ let analyze_cmd =
              DEPTH scheduler steps under --engine; exits 1 on a violation.  \
              Requires --protocol.")
   in
+  let stats =
+    Arg.(
+      value & flag
+      & info [ "stats" ]
+          ~doc:
+            "Also print the abstract interpretation's totals over the rows: \
+             steps, passes, and the abstract domain's alternative lookups \
+             and cache recomputes.")
+  in
   Cmd.v
     (Cmd.info "analyze"
        ~doc:
@@ -623,7 +631,7 @@ let analyze_cmd =
       const analyze $ Cli.memory_backend $ algos $ all $ Cli.nmk ~n:4 ~m:1 ~k:2 () $ max_n
       $ mutants
       $ json_path $ witness $ no_dynamic $ protocol $ ir $ indep $ optimize
-      $ sarif_path $ engine $ run $ explore_depth)
+      $ sarif_path $ engine $ run $ explore_depth $ stats)
 
 (* ------------------------------------------------------------------ *)
 (* The `conform` subcommand: native conformance harness (lib/conform). *)

@@ -12,7 +12,14 @@
 
     The memory is shared, mutable and monotone: it only ever grows, and
     {!version} bumps on every growth, which is what the joint fixpoint
-    iteration of {!Absint} watches. *)
+    iteration of {!Absint} watches.
+
+    Cache invariant: a register's read alternatives are rebuilt only
+    when that register's set grows (or a different [width] is asked
+    for), and the views of a scanned range [(off, len)] only when a
+    register of the range grows (or a different [exhaustive_cap] is
+    asked for).  Between growths every query is a lookup, and every
+    answer equals what a fresh memory fed the same {!add}s returns. *)
 
 type t
 
@@ -33,7 +40,8 @@ val widened : t -> bool
 val add : t -> int -> Shm.Value.t -> unit
 
 (** All collected values of register [r], ⊥ first, then insertion
-    order (most recent last). *)
+    order (most recent last).  The list is shared with later calls;
+    lists are immutable, so this exposes nothing a caller can change. *)
 val values : t -> int -> Shm.Value.t list
 
 (** Most recently collected value of [r]; ⊥ if nothing was written. *)
@@ -41,6 +49,13 @@ val latest : t -> int -> Shm.Value.t
 
 (** Number of distinct values collected for [r] (including ⊥). *)
 val cardinal : t -> int -> int
+
+(** Calls to {!read_alternatives} and {!scan_views} so far. *)
+val lookups : t -> int
+
+(** How many of those {!lookups} rebuilt their answer instead of
+    reading it from the cache. *)
+val recomputes : t -> int
 
 (** {1 Read and scan alternatives}
 
@@ -50,10 +65,11 @@ val cardinal : t -> int -> int
     otherwise a bounded set of representative templates is explored —
     the documented precision/soundness trade of the bounded analysis. *)
 
-(** Alternatives for a single read of [r]: every collected value when
-    there are at most [width], else \{⊥ (if never overwritten... always
-    collected), latest, first-written\} truncated to [width].  The
-    preferred (no-fork) alternative is first. *)
+(** Alternatives for a single read of [r], the preferred (no-fork)
+    alternative first.  When [r] holds at most [width] values: all of
+    them, latest first, then the rest in insertion order (⊥ first).
+    Otherwise: latest, ⊥, first-written, then the remaining values most
+    recent first — deduplicated and truncated to [width]. *)
 val read_alternatives : t -> width:int -> int -> Shm.Value.t list
 
 (** Alternatives for a scan of [off..off+len-1].  Exhaustive product
@@ -62,7 +78,9 @@ val read_alternatives : t -> width:int -> int -> Shm.Value.t list
     a half-finished block of writes), uniform-[just_wrote] (models the
     scanner running solo after its own write), value-diverse (cycles
     each register through its set), all-⊥ — deduplicated and truncated
-    to [width].  The preferred alternative is first. *)
+    to [width].  The preferred alternative is first.  Every returned
+    array is fresh: a caller may mutate it without changing any later
+    answer. *)
 val scan_views :
   t ->
   width:int ->

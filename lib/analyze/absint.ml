@@ -70,6 +70,8 @@ type summary = {
   widened : bool;
   passes : int;
   steps : int;
+  lookups : int;
+  recomputes : int;
 }
 
 (* Mutable accumulator per process, shared by every pass: footprints
@@ -321,6 +323,8 @@ let analyze ?budgets ?(inputs = default_inputs) ?(rounds = 1) config =
     widened = Absdom.widened mem;
     passes = !passes;
     steps = !total_steps;
+    lookups = Absdom.lookups mem;
+    recomputes = Absdom.recomputes mem;
   }
 
 let write_witness s r =

@@ -76,6 +76,8 @@ type summary = {
   widened : bool;  (** some register hit the value-set cap *)
   passes : int;
   steps : int;  (** total interpreted ops *)
+  lookups : int;  (** read and scan alternatives asked of the domain *)
+  recomputes : int;  (** lookups the domain's cache could not answer *)
 }
 
 (** [analyze config] explores every process of [config].  [inputs]

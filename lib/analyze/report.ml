@@ -20,7 +20,7 @@ type row = {
   ok : bool;
 }
 
-let row_for ?(dynamic = true) (e : Registry.entry) p =
+let analyzed ?(dynamic = true) (e : Registry.entry) p =
   let config = e.config p in
   let summary, diags =
     Lint.check ~rounds:e.rounds ~anonymous:e.anonymous config
@@ -34,40 +34,64 @@ let row_for ?(dynamic = true) (e : Registry.entry) p =
   let lint_errors = List.length (Lint.errors diags) in
   let static_within_bound = static_writes <= bound in
   let dynamic_within_static = Absint.IntSet.subset dynamic_set static_set in
-  {
-    algo = e.name;
-    params = p;
-    registers = e.registers p;
-    bound;
-    bound_label = e.bound_label;
-    static_writes;
-    static_reads = Absint.IntSet.cardinal summary.Absint.reads;
-    dynamic_writes = Absint.IntSet.cardinal dynamic_set;
-    static_within_bound;
-    dynamic_within_static;
-    lint_errors;
-    diags;
-    converged = summary.Absint.converged;
-    widened = summary.Absint.widened;
-    passes = summary.Absint.passes;
-    steps = summary.Absint.steps;
-    ok = static_within_bound && dynamic_within_static && lint_errors = 0;
-  }
+  ( {
+      algo = e.name;
+      params = p;
+      registers = e.registers p;
+      bound;
+      bound_label = e.bound_label;
+      static_writes;
+      static_reads = Absint.IntSet.cardinal summary.Absint.reads;
+      dynamic_writes = Absint.IntSet.cardinal dynamic_set;
+      static_within_bound;
+      dynamic_within_static;
+      lint_errors;
+      diags;
+      converged = summary.Absint.converged;
+      widened = summary.Absint.widened;
+      passes = summary.Absint.passes;
+      steps = summary.Absint.steps;
+      ok = static_within_bound && dynamic_within_static && lint_errors = 0;
+    },
+    summary )
 
-let sweep ?dynamic ?(max_n = 6) ?algos () =
+let row_for ?dynamic e p = fst (analyzed ?dynamic e p)
+
+let cells ~max_n ~algos =
   let entries =
-    match algos with
-    | None -> Registry.all
-    | Some names ->
-        List.filter (fun (e : Registry.entry) -> List.mem e.name names)
-          Registry.all
+    if algos = [] then Registry.all
+    else List.filter (fun (e : Registry.entry) -> List.mem e.name algos) Registry.all
   in
   List.concat_map
     (fun (e : Registry.entry) ->
-      Registry.grid ~max_n
-      |> List.filter e.applicable
-      |> List.map (row_for ?dynamic e))
+      Registry.grid ~max_n |> List.filter e.applicable |> List.map (fun p -> (e, p)))
     entries
+
+type stats = { steps : int; passes : int; lookups : int; recomputes : int }
+
+(* Summaries hold witness paths: fold them into the totals one row at a
+   time rather than keeping them all until the sweep ends. *)
+let measure ~dynamic cells =
+  let add t (s : Absint.summary) =
+    {
+      steps = t.steps + s.steps;
+      passes = t.passes + s.passes;
+      lookups = t.lookups + s.lookups;
+      recomputes = t.recomputes + s.recomputes;
+    }
+  in
+  let rows, totals =
+    List.fold_left
+      (fun (rows, t) (e, p) ->
+        let row, s = analyzed ~dynamic e p in
+        (row :: rows, add t s))
+      ([], { steps = 0; passes = 0; lookups = 0; recomputes = 0 })
+      cells
+  in
+  (List.rev rows, totals)
+
+let sweep ?(dynamic = true) ?(max_n = 6) () =
+  fst (measure ~dynamic (cells ~max_n ~algos:[]))
 
 let violations rows = List.filter (fun r -> not r.ok) rows
 
@@ -149,6 +173,12 @@ let protocol_row (prog : Shm.Vm.proto) (facts : Indep.facts) ~flow_diags opt =
         ("folded", Obs.Json.Int r.folded);
         ("dropped", Obs.Json.Int r.dropped);
       ])
+
+let pp_stats ppf s =
+  Fmt.pf ppf
+    "@[<v>analyze.absint_steps: %d@,analyze.absint_passes: %d@,\
+     analyze.absdom_lookups: %d@,analyze.absdom_recomputes: %d@]"
+    s.steps s.passes s.lookups s.recomputes
 
 let pp_header ppf () =
   Fmt.pf ppf "%-10s %-12s %4s %6s %7s %7s %5s %s" "algo" "(n,m,k)" "regs"

@@ -35,13 +35,22 @@ type row = {
 val row_for : ?dynamic:bool -> Registry.entry -> Agreement.Params.t -> row
 
 (** Every applicable (entry, params) pair of {!Registry.grid}
-    [~max_n] (default 6) × [algos] (default all). *)
-val sweep :
-  ?dynamic:bool ->
-  ?max_n:int ->
-  ?algos:string list ->
-  unit ->
-  row list
+    [~max_n] × the entries named in [algos] (all entries when [algos]
+    is empty), in sweep order. *)
+val cells :
+  max_n:int -> algos:string list -> (Registry.entry * Agreement.Params.t) list
+
+(** The abstract-interpretation totals of a set of rows: steps and
+    passes (as in the rows), and the {!Absdom} alternative lookups and
+    how many of them rebuilt their answer. *)
+type stats = { steps : int; passes : int; lookups : int; recomputes : int }
+
+(** {!row_for} over [cells], with the totals of their analyses. *)
+val measure :
+  dynamic:bool -> (Registry.entry * Agreement.Params.t) list -> row list * stats
+
+(** The rows of every entry's {!cells}, [max_n] defaulting to 6. *)
+val sweep : ?dynamic:bool -> ?max_n:int -> unit -> row list
 
 val violations : row list -> row list
 
@@ -62,6 +71,10 @@ val bench_rows :
     rewrite. *)
 val protocol_row :
   Shm.Vm.proto -> Indep.facts -> flow_diags:int -> Optim.result option -> Obs.Json.t
+
+(** One [name: value] line per {!stats} field, named as the bench
+    counters ([analyze.absint_steps], …, [analyze.absdom_recomputes]). *)
+val pp_stats : Format.formatter -> stats -> unit
 
 val pp_header : Format.formatter -> unit -> unit
 val pp_row : Format.formatter -> row -> unit

@@ -266,15 +266,17 @@ let compile (p : proto) =
   { c with ops = Array.sub !buf 0 !len; slots = !slots }
 
 (* ------------------------------------------------------------------ *)
-(* Execution environment: compiled code + invocation schedule (inputs
-   pre-encoded per (pid, instance)) + the state-slice layout. *)
+(* Execution environment: compiled code + invocation schedule (each
+   process's one input, pre-encoded) + the state-slice layout.  A vm
+   run is one round: every process is invoked at most once, as
+   instance 1, so the input, i/o-log and instance fields are indexed by
+   pid alone. *)
 
 let no_input = min_int
 
 type env = {
   c : code;
-  rounds : int;
-  inp : int array;  (* (instance-1)*n + pid -> value code, or [no_input] *)
+  inp : int array;  (* pid -> value code, or [no_input] *)
   (* per-register / per-process key salts, precomputed once *)
   msalt : int array;
   lsalt : int array;
@@ -306,15 +308,12 @@ let n_scal = 7
 
 let env c ~inputs =
   let n = c.n in
-  let rounds = 1 in
-  let inp = Array.make (n * rounds) no_input in
-  for inst = 1 to rounds do
-    for pid = 0 to n - 1 do
-      match inputs ~pid ~instance:inst with
-      | Some v -> inp.(((inst - 1) * n) + pid) <- encode c v
-      | None -> ()
-    done
-  done;
+  let inp =
+    Array.init n (fun pid ->
+        match inputs ~pid ~instance:1 with
+        | Some v -> encode c v
+        | None -> no_input)
+  in
   let o_wmask = c.registers in
   let wwords = (c.registers + 62) / 63 in
   let o_ip = o_wmask + wwords in
@@ -325,10 +324,10 @@ let env c ~inputs =
   let o_ctr = o_pc + n in
   let o_lsl = o_ctr + (n * c.slots) in
   let o_inlog = o_lsl + n in
-  let o_outlog = o_inlog + (n * rounds) in
-  let o_scal = o_outlog + (n * rounds) in
+  let o_outlog = o_inlog + n in
+  let o_scal = o_outlog + n in
   {
-    c; rounds; inp;
+    c; inp;
     msalt = Array.init c.registers (fun r -> Value.mix 0x6d r);
     lsalt = Array.init n (fun pid -> Value.mix 0x1c pid);
     iosalt = Array.init n (fun pid -> Value.mix 0x2e pid);
@@ -396,7 +395,7 @@ let init e st base =
     st.(base + r) <- code_bot;
     k_mem := !k_mem + mix e.msalt.(r) code_bot
   done;
-  for i = 0 to (c.n * e.rounds) - 1 do
+  for i = 0 to c.n - 1 do
     st.(base + e.o_inlog + i) <- no_input;
     st.(base + e.o_outlog + i) <- no_input
   done;
@@ -438,7 +437,7 @@ let pc e st base pid = st.(base + e.o_pc + pid)
 
 let has_input e st base pid =
   let inst = st.!(base + e.o_inst + pid) in
-  inst < e.rounds && e.inp.!((inst * e.c.n) + pid) <> no_input
+  inst = 0 && e.inp.!(pid) <> no_input
 
 let runnable e st base pid =
   let ip = st.!(base + e.o_ip + pid) in
@@ -566,23 +565,21 @@ let step e st base pid =
        in
        let inst = st.!(base + e.o_inst + pid) in
        st.!(scal + s_kout) <- st.!(scal + s_kout) + io_slot e pid inst vcode;
-       st.!(base + e.o_outlog + ((inst - 1) * c.n) + pid) <- vcode;
+       st.!(base + e.o_outlog + pid) <- vcode;
        st.!(i_ip) <- ip_halted
      end
    end
    else if ip = ip_await then begin
      (* invoke *)
      let inst = st.!(base + e.o_inst + pid) + 1 in
-     let vcode =
-       if inst <= e.rounds then e.inp.!(((inst - 1) * c.n) + pid) else no_input
-     in
+     let vcode = if inst = 1 then e.inp.!(pid) else no_input in
      if vcode = no_input then
        invalid_arg (Fmt.str "Vm.step: p%d idle with no input" pid);
      st.!(scal + s_kin) <- st.!(scal + s_kin) + io_slot e pid inst vcode;
      st.!(base + e.o_inst + pid) <- inst;
      st.!(i_pc) <- 0;
      st.!(base + e.o_input + pid) <- vcode;
-     st.!(base + e.o_inlog + ((inst - 1) * c.n) + pid) <- vcode;
+     st.!(base + e.o_inlog + pid) <- vcode;
      st.!(i_ip) <- advance e st base pid 0
    end
    else invalid_arg (Fmt.str "Vm.step: p%d halted" pid));
@@ -597,9 +594,7 @@ let step_ev e st base pid =
   let ev =
     if ip = ip_await then
       let inst = st.(base + e.o_inst + pid) + 1 in
-      let vcode =
-        if inst <= e.rounds then e.inp.(((inst - 1) * c.n) + pid) else no_input
-      in
+      let vcode = if inst = 1 then e.inp.(pid) else no_input in
       if vcode = no_input then
         invalid_arg (Fmt.str "Vm.step: p%d idle with no input" pid)
       else Event.Invoke { pid; instance = inst; input = decode c vcode }
@@ -648,11 +643,9 @@ let io e st base =
   let c = e.c in
   let log o =
     let acc = ref [] in
-    for inst = e.rounds downto 1 do
-      for pid = c.n - 1 downto 0 do
-        let k = st.(base + o + ((inst - 1) * c.n) + pid) in
-        if k <> no_input then acc := (pid, inst, decode c k) :: !acc
-      done
+    for pid = c.n - 1 downto 0 do
+      let k = st.(base + o + pid) in
+      if k <> no_input then acc := (pid, 1, decode c k) :: !acc
     done;
     !acc
   in

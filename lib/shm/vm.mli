@@ -77,8 +77,7 @@ val compile : proto -> code
 
 (** {1 Execution environment and state}
 
-    An {!env} fixes code, round count, and the pre-encoded invocation
-    inputs; a state is a slice of {!state_words} ints inside any
+    An {!env} fixes code and the pre-encoded invocation inputs; a state is a slice of {!state_words} ints inside any
     [int array] the caller owns (an arena).  All engine entry points
     address the slice as [(st, base)]; snapshotting a configuration is
     one [Array.blit]. *)

@@ -461,6 +461,153 @@ let prop_static_footprint_sound =
           IS.for_all (fun r -> Analyze.Absint.IntSet.mem r static) dynamic)
         scheds)
 
+(* ---- the abstract domain's caches ---- *)
+
+module D = Analyze.Absdom
+
+(* The uncached domain, as plain lists: a register's set ⊥ first in
+   insertion order, and every alternative rebuilt from it on demand.
+   The cached [Absdom] must answer exactly like this. *)
+module Spec_dom = struct
+  let dedup eq l =
+    List.fold_left (fun acc x -> if List.exists (eq x) acc then acc else acc @ [ x ]) [] l
+
+  let take n l = List.filteri (fun i _ -> i < n) l
+  let latest vals = List.nth vals (List.length vals - 1)
+
+  let reads vals ~width =
+    if List.length vals <= width then dedup V.equal (latest vals :: vals)
+    else
+      let first = match vals with _ :: v :: _ -> [ v ] | _ -> [] in
+      take width (dedup V.equal ((latest vals :: V.bot :: first) @ List.rev vals))
+
+  let same a b = Array.length a = Array.length b && Array.for_all2 V.equal a b
+
+  (* [sets i] is the set of register [off + i] *)
+  let scan sets ~width ~cap ~just_wrote ~len =
+    if len = 0 then [ [||] ]
+    else
+      let product =
+        List.fold_left (fun acc i -> acc * List.length (sets i)) 1 (List.init len Fun.id)
+      in
+      let latest_view = Array.init len (fun i -> latest (sets i)) in
+      if product <= cap then
+        let rec go i =
+          if i >= len then [ [] ]
+          else
+            List.concat_map (fun v -> List.map (fun tl -> v :: tl) (go (i + 1))) (sets i)
+        in
+        latest_view
+        :: List.filter (fun v -> not (same v latest_view)) (List.map Array.of_list (go 0))
+      else
+        let prefix =
+          Array.init len (fun i -> if i < (len + 1) / 2 then latest (sets i) else V.bot)
+        in
+        let own = match just_wrote with Some v -> [ Array.make len v ] | None -> [] in
+        let diverse =
+          Array.init len (fun i -> List.nth (sets i) (i mod List.length (sets i)))
+        in
+        take width
+          (dedup same ((latest_view :: own) @ [ prefix; diverse; Array.make len V.bot ]))
+end
+
+type dom_op =
+  | Add of int * int
+  | Read of int * int  (** width, register *)
+  | Scan of int * int * int * int * int option
+      (** width, exhaustive cap, off, len, just_wrote *)
+
+let dom_case_gen =
+  QCheck.Gen.(
+    int_range 0 4 >>= fun registers ->
+    int_range 2 5 >>= fun set_cap ->
+    let reg = int_range (-1) registers in
+    let width = oneofl [ 0; 1; 2; 3; 4; 64 ] in
+    let op =
+      frequency
+        [
+          (4, map2 (fun r v -> Add (r, v)) reg (int_bound 6));
+          (2, map2 (fun w r -> Read (w, r)) width reg);
+          ( 3,
+            int_bound registers >>= fun off ->
+            int_bound (registers - off) >>= fun len ->
+            map3
+              (fun w cap own -> Scan (w, cap, off, len, own))
+              width (oneofl [ 1; 3; 8; 64 ]) (opt (int_bound 6)) );
+        ]
+    in
+    list_size (int_range 1 40) op >|= fun ops -> (registers, set_cap, ops))
+
+let pp_dom_op = function
+  | Add (r, v) -> Fmt.str "add R%d %d" r v
+  | Read (w, r) -> Fmt.str "read w%d R%d" w r
+  | Scan (w, c, o, l, j) ->
+    Fmt.str "scan w%d cap%d [%d,+%d)%s" w c o l
+      (match j with Some v -> Fmt.str " own %d" v | None -> "")
+
+(* Every query of a long-lived domain equals the answer of a fresh
+   domain fed the same adds, and of the uncached specification; a
+   caller scribbling over returned views changes no later answer. *)
+let prop_absdom_cache_differential =
+  QCheck.Test.make ~name:"absdom: cached answers = fresh replay = uncached spec"
+    ~count:300
+    (QCheck.make dom_case_gen ~print:(fun (registers, set_cap, ops) ->
+         Fmt.str "registers=%d set_cap=%d [%s]" registers set_cap
+           (String.concat "; " (List.map pp_dom_op ops))))
+    (fun (registers, set_cap, ops) ->
+      let live = D.create ~registers ~set_cap in
+      let adds = ref [] in
+      let fresh () =
+        let d = D.create ~registers ~set_cap in
+        List.iter (fun (r, v) -> D.add d r v) (List.rev !adds);
+        d
+      in
+      let views = Alcotest.(list (array (testable V.pp V.equal))) in
+      let values = Alcotest.(list (testable V.pp V.equal)) in
+      let scan d (w, cap, off, len, own) =
+        D.scan_views d ~width:w ~exhaustive_cap:cap ?just_wrote:(Option.map vi own) ~off
+          ~len ()
+      in
+      List.iter
+        (fun op ->
+          match op with
+          | Add (r, v) ->
+            adds := (r, vi v) :: !adds;
+            D.add live r (vi v)
+          | Read (width, r) ->
+            let spec = Spec_dom.reads (D.values (fresh ()) r) ~width in
+            Alcotest.check values (pp_dom_op op ^ " = fresh")
+              (D.read_alternatives (fresh ()) ~width r)
+              (D.read_alternatives live ~width r);
+            Alcotest.check values (pp_dom_op op ^ " = spec") spec
+              (D.read_alternatives live ~width r)
+          | Scan (width, cap, off, len, own) ->
+            let q = (width, cap, off, len, own) in
+            let f = fresh () in
+            let spec =
+              Spec_dom.scan (fun i -> D.values f (off + i)) ~width ~cap
+                ~just_wrote:(Option.map vi own) ~len
+            in
+            let got = scan live q in
+            Alcotest.check views (pp_dom_op op ^ " = fresh") (scan f q) got;
+            Alcotest.check views (pp_dom_op op ^ " = spec") spec got;
+            List.iter (fun a -> Array.fill a 0 (Array.length a) (vi 99)) got;
+            Alcotest.check views (pp_dom_op op ^ " after mutation") spec (scan live q);
+            (* the same range once more, without the caller's own write *)
+            let solo = (width, cap, off, len, None) in
+            Alcotest.check views (pp_dom_op op ^ " without own") (scan (fresh ()) solo)
+              (scan live solo))
+        ops;
+      let f = fresh () in
+      List.for_all
+        (fun r ->
+          List.equal V.equal (D.values f r) (D.values live r)
+          && V.equal (D.latest f r) (D.latest live r)
+          && D.cardinal f r = D.cardinal live r)
+        (List.init (registers + 2) (fun r -> r - 1))
+      && D.version f = D.version live
+      && D.widened f = D.widened live)
+
 (* ================================================================== *)
 (* The dataflow engine: IR, analyses, flow lints, optimizer, and the
    conditional-independence relation (lib/analyze ISSUE 9 surface). *)
@@ -759,6 +906,7 @@ let suite =
     test "mutant: pid leak rejected with witness"
       mutant_pid_leak_rejected_with_witness;
     to_alcotest prop_static_footprint_sound;
+    to_alcotest prop_absdom_cache_differential;
     test "ir: parse/print round-trip and errors" ir_parse_roundtrip;
     test "ir: cfg shape (backedge, terminal decide)" ir_cfg_shape;
     test "dataflow: constants, dead registers, folding"
