@@ -35,10 +35,10 @@ let explore_main (r : Cli.run) (e : Cli.explore) ~stats =
   let s = Spec.Modelcheck.stats_of outcome in
   Fmt.pr "engine: %s, depth bound: %d@." (Spec.Modelcheck.engine_name e.engine) e.depth;
   Fmt.pr
-    "explored %d nodes (%d leaves, %d completion memo hits, %d cache hits, %d sleep-set \
-     pruned) in %.3fs@."
+    "explored %d nodes (%d leaves, %d completion memo hits, %d completion summary hits, %d \
+     cache hits, %d sleep-set pruned) in %.3fs@."
     s.Spec.Modelcheck.explored s.Spec.Modelcheck.leaves s.Spec.Modelcheck.memo_hits
-    s.Spec.Modelcheck.cache_hits s.Spec.Modelcheck.pruned wall;
+    s.Spec.Modelcheck.summary_hits s.Spec.Modelcheck.cache_hits s.Spec.Modelcheck.pruned wall;
   (match outcome with
   | Spec.Modelcheck.Ok_bounded _ ->
     Fmt.pr "verdict: no safety violation within the bound@."

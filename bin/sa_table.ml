@@ -29,7 +29,7 @@ let measure_anonymous p =
 
 let print_table n =
   Fmt.pr "Figure 1 for n = %d (registers: paper bound vs measured)@." n;
-  Fmt.pr "%-8s %-22s %-22s %-10s %-10s@." "(m,k)" "non-anon rep. [lo,up]"
+  Fmt.pr "%-8s %-22s %-22s %-10s %s@." "(m,k)" "non-anon rep. [lo,up]"
     "anon rep. [lo,up]" "meas.rep" "meas.anon";
   for k = 1 to n - 1 do
     for m = 1 to k do
@@ -40,8 +40,8 @@ let print_table n =
       let aup = Agreement.Params.r_anonymous p + 1 in
       let meas = measure_repeated p in
       let ameas = measure_anonymous p in
-      Fmt.pr "%-8s [%d, %d]%-15s [%.1f, %d]%-12s %-10d %-10d@."
-        (Fmt.str "(%d,%d)" m k) lo up "" alo aup "" meas ameas
+      Fmt.pr "%-8s %-22s %-22s %-10d %d@." (Fmt.str "(%d,%d)" m k)
+        (Fmt.str "[%d, %d]" lo up) (Fmt.str "[%.1f, %d]" alo aup) meas ameas
     done
   done
 

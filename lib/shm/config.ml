@@ -128,6 +128,66 @@ let advance ~inputs t pid =
   | Program.Stop -> invalid_arg (Fmt.str "Config.advance: p%d halted" pid)
   | Program.Op _ | Program.Yield _ -> step t pid
 
+(* ---- solo-burst patches ---- *)
+
+(* The net effect of a run of steps of one process, as much of it as
+   the configuration records: the process's final program, instance
+   count and op counter; the last value of each register it wrote; its
+   step counts; the i/o records it appended, newest first (the order
+   [inputs]/[outputs] are kept in). *)
+type patch = {
+  pid : int;
+  program : Program.t;
+  p_instance : int;
+  p_pc : int;
+  writes : (int * Value.t) list;
+  write_steps : int;
+  read_steps : int;
+  new_inputs : (int * int * Value.t) list;
+  new_outputs : (int * int * Value.t) list;
+}
+
+let patch_of ~before after pid ~wrote =
+  (* the records are append-only: [after]'s list ends in [before]'s *)
+  let rec appended l stop =
+    if l == stop then [] else match l with r :: tl -> r :: appended tl stop | [] -> []
+  in
+  let mem = after.mem in
+  {
+    pid;
+    program = after.procs.(pid);
+    p_instance = after.instance.(pid);
+    p_pc = after.pc.(pid);
+    writes = List.map (fun r -> (r, Memory.read mem r)) (List.sort_uniq Int.compare wrote);
+    write_steps = Memory.write_count mem - Memory.write_count before.mem;
+    read_steps = Memory.read_count mem - Memory.read_count before.mem;
+    new_inputs = appended after.inputs before.inputs;
+    new_outputs = appended after.outputs before.outputs;
+  }
+
+(* Every patch in one pass: one copy of each per-process array. *)
+let apply t = function
+  | [] -> t
+  | patches ->
+    let procs = Array.copy t.procs and instance = Array.copy t.instance in
+    let pc = Array.copy t.pc in
+    let t =
+      List.fold_left
+        (fun t p ->
+          procs.(p.pid) <- p.program;
+          instance.(p.pid) <- p.p_instance;
+          pc.(p.pid) <- p.p_pc;
+          {
+            t with
+            mem =
+              Memory.patch t.mem p.writes ~write_steps:p.write_steps ~read_steps:p.read_steps;
+            inputs = p.new_inputs @ t.inputs;
+            outputs = p.new_outputs @ t.outputs;
+          })
+        t patches
+    in
+    { t with procs; instance; pc }
+
 (* Clone support for the anonymous lower bound (Section 5): slot [to_]
    takes on the exact local state of [from_].  In an anonymous system a
    clone that shadows a process step-for-step (reading the same values,

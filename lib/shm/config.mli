@@ -62,6 +62,31 @@ val step : t -> int -> t * Event.t
 val advance :
   inputs:(pid:int -> instance:int -> Value.t option) -> t -> int -> t * Event.t
 
+(** {1 Solo-burst patches}
+
+    The net effect of a run of steps of one process, replayable onto
+    another configuration in which that process has the same local
+    state and instance and the memory the same contents (the DPOR
+    leaf completion's burst summaries, {!Spec.Counterex}). *)
+
+type patch
+
+(** [patch_of ~before after pid ~wrote]: [pid]'s final program,
+    instance and {!pc}, the last value of each register in [wrote] (the
+    registers its steps wrote, repeats allowed), its write and read
+    step counts, and the i/o records it appended.  Precondition:
+    [after] was reached from [before] by steps of [pid] alone.
+    O(registers written + records appended). *)
+val patch_of : before:t -> t -> int -> wrote:int list -> patch
+
+(** [apply t patches] applies the patches in order.  When each patch's
+    process starts in [t] (or after the patches before it) from the
+    same local state, instance and memory contents as in the
+    configuration it was taken from, the result equals what stepping
+    would have reached: memory contents, written set, step counters,
+    programs, instances, program points, and the i/o records in order. *)
+val apply : t -> patch list -> t
+
 (** {1 Lower-bound machinery support} *)
 
 (** [clone_proc t ~from_ ~to_]: slot [to_] takes on the exact local

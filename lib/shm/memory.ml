@@ -187,6 +187,12 @@ let unshare t =
 
 let count_read t n = { t with read_count = t.read_count + n }
 
+(* The net effect of a run of steps: its writes, in order, with the
+   step counters advanced by the run's own counts. *)
+let patch t writes ~write_steps ~read_steps =
+  let t' = List.fold_left (fun t (r, v) -> write t r v) t writes in
+  { t' with write_count = t.write_count + write_steps; read_count = t.read_count + read_steps }
+
 let written_set t = t.written
 
 let num_written t = Iset.cardinal t.written

@@ -58,6 +58,12 @@ val unshare : t -> t
 (** [count_read t n] bumps the read counter by [n] (bookkeeping only). *)
 val count_read : t -> int -> t
 
+(** [patch t writes ~write_steps ~read_steps] is [t] after the writes
+    [(r, v)], in order, with the step counters advanced by
+    [write_steps] and [read_steps] instead of one write per entry: the
+    net effect of a run of steps ({!Config.apply}). *)
+val patch : t -> (int * Value.t) list -> write_steps:int -> read_steps:int -> t
+
 (** {1 Space and step accounting} *)
 
 (** Registers written at least once. *)

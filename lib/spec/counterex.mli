@@ -63,8 +63,12 @@ val complete_vm : Shm.Vm.env -> int array -> int -> max_steps:int -> int
 (** A completion memo: a direct-mapped table from ({!Statehash.inert_key},
     cursor) at the first step of a burst to the steps the completion
     from there took to end [Ok].  Flat (6 ints per slot), it starts
-    small and doubles up to 2{^16} slots.  Mutable and unsynchronized:
-    one per domain. *)
+    small and doubles up to 2{^16} slots.  Beside it, and on whenever
+    it is, a table of solo-burst summaries keyed by (pid, the pid's
+    {!Statehash.observation}, its instance, the memory sum), holding
+    each burst's {!Shm.Config.patch}, length and change to the inert
+    key; it starts and grows the same way.  Mutable and
+    unsynchronized: one per domain. *)
 type memo
 
 val memo : unit -> memo
@@ -75,6 +79,9 @@ val memo_hits : memo -> int
 (** Entries stored (occupied slots). *)
 val memo_entries : memo -> int
 
+(** Bursts answered from a summary so far. *)
+val summary_hits : memo -> int
+
 (** [complete_check ?memo ~inputs ~max_steps ~check config] is
     [check (complete ~inputs ~max_steps config)].  With
     [memo = (m, hash)], where [hash] is [config]'s {!Statehash.t}, it
@@ -83,15 +90,28 @@ val memo_entries : memo -> int
     whose stored length fits the remaining budget is [Ok] with no
     further stepping and no [check] call.  A run that ends [Ok] without
     running out of fuel stores every key it looked up; a violation or a
-    run out of fuel stores nothing, so every [Error] comes from a real
+    run out of fuel stores nothing.
+
+    After a memo miss the burst is looked up among the summaries.  A
+    summary that fits the remaining budget stands in for the burst: its
+    steps are counted, its pid is treated as inert, the inert key moves
+    by the stored change, and its patch is applied only when the
+    configuration is needed (before a real step, at quiescence for
+    [check], or at fuel), so the configuration [check] sees equals the
+    stepped one.  A miss steps the burst and stores its summary if it
+    ends with its pid inert inside one quantum and the budget.  A run
+    that used a summary and fails [check] is re-run without the memo
+    and reports that run's verdict, so every [Error] comes from a real
     completion and [check].
 
     Sound under the state cache's contract ([check] depends only on
-    memory, instance counts and the i/o records as multisets) plus
-    three facts: an inert process never steps again, so its local state
-    is invisible to the rest of the run; a burst start is a memoryless
-    scheduler state; only quiesced [Ok] results that fit the budget are
-    stored (see [docs/EXPLORATION.md]). *)
+    memory, instance counts and the i/o records as multisets) plus four
+    facts: an inert process never steps again, so its local state is
+    invisible to the rest of the run; a burst start is a memoryless
+    scheduler state; a solo burst depends only on its process's local
+    state and instance, the memory and that process's inputs; only
+    quiesced [Ok] results that fit the budget and bursts that end inert
+    are stored (see [docs/EXPLORATION.md]). *)
 val complete_check :
   ?memo:memo * Statehash.t ->
   inputs:(pid:int -> instance:int -> Shm.Value.t option) ->

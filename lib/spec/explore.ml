@@ -69,6 +69,7 @@ module type STATE = sig
   val replay : dom -> t -> int list -> t
   val leaf : dom -> t -> (unit, string) result
   val memo_hits : dom -> int
+  val summary_hits : dom -> int
   val counterexample : env -> int list -> string -> Counterex.t
   val sample : Obs.Trace.t -> dom -> t -> unit
 end
@@ -82,11 +83,12 @@ type stats = {
   refined : int;
   steals : int;
   memo_hits : int;
+  summary_hits : int;
 }
 
 let zero =
   { explored = 0; leaves = 0; max_depth = 0; cache_hits = 0; pruned = 0; refined = 0;
-    steals = 0; memo_hits = 0 }
+    steals = 0; memo_hits = 0; summary_hits = 0 }
 
 let export_metrics m ~domains (s : stats) =
   let bump name v = Obs.Metrics.Counter.incr ~by:v (Obs.Metrics.counter m name) in
@@ -97,6 +99,7 @@ let export_metrics m ~domains (s : stats) =
   bump "explore.refined" s.refined;
   bump "explore.steals" s.steals;
   bump "explore.completion_memo_hits" s.memo_hits;
+  bump "explore.completion_summary_hits" s.summary_hits;
   Obs.Metrics.Gauge.set (Obs.Metrics.gauge m "explore.domains") (float_of_int domains)
 
 (* Phase brackets: [lap] charges the time since [t0] and returns the
@@ -383,7 +386,7 @@ module Make (S : STATE) = struct
   let stats_of (w : worker) =
     { explored = w.explored; leaves = w.leaves; max_depth = w.max_depth;
       cache_hits = w.cache_hits; pruned = w.pruned; refined = w.refined;
-      steals = w.steals; memo_hits = S.memo_hits w.d }
+      steals = w.steals; memo_hits = S.memo_hits w.d; summary_hits = S.summary_hits w.d }
 
   let run_worker ctx id =
     let w =
@@ -459,7 +462,8 @@ module Make (S : STATE) = struct
     { explored = a.explored + b.explored; leaves = a.leaves + b.leaves;
       max_depth = max a.max_depth b.max_depth; cache_hits = a.cache_hits + b.cache_hits;
       pruned = a.pruned + b.pruned; refined = a.refined + b.refined;
-      steals = a.steals + b.steals; memo_hits = a.memo_hits + b.memo_hits }
+      steals = a.steals + b.steals; memo_hits = a.memo_hits + b.memo_hits;
+      summary_hits = a.summary_hits + b.summary_hits }
 
   let explore ~depth ~cache ~jobs ?metrics ?prof env =
     if depth < 0 then invalid_arg "Explore.explore: negative depth";

@@ -72,6 +72,10 @@ module type STATE = sig
       domain (0 for a representation without one). *)
   val memo_hits : dom -> int
 
+  (** Completion bursts {!leaf} has answered from a summary on this
+      domain (0 for a representation without them). *)
+  val summary_hits : dom -> int
+
   (** The reported artifact for a violating schedule (in step order). *)
   val counterexample : env -> int list -> string -> Counterex.t
 
@@ -88,10 +92,12 @@ type stats = {
   refined : int;     (** sleep retentions owed to a refinement alone *)
   steals : int;      (** successful steals (work-migration events) *)
   memo_hits : int;   (** leaves answered by a completion memo, unchecked *)
+  summary_hits : int;  (** completion bursts answered by a summary, unstepped *)
 }
 
 (** [explore.nodes], [.leaves], [.cache_hits], [.sleep_pruned],
-    [.refined], [.steals], [.completion_memo_hits] counters and the
+    [.refined], [.steals], [.completion_memo_hits],
+    [.completion_summary_hits] counters and the
     [explore.domains] gauge. *)
 val export_metrics : Obs.Metrics.t -> domains:int -> stats -> unit
 

@@ -31,6 +31,7 @@ type stats = Explore.stats = {
   refined : int;
   steals : int;
   memo_hits : int;
+  summary_hits : int;
 }
 
 type outcome =
@@ -90,7 +91,7 @@ let exhaustive ~depth ~inputs ?(completion_steps = Counterex.completion_steps) ~
   in
   let stats () =
     { explored = !explored; leaves = !leaves; max_depth = !deepest;
-      cache_hits = 0; pruned = 0; refined = 0; steals = 0; memo_hits = 0 }
+      cache_hits = 0; pruned = 0; refined = 0; steals = 0; memo_hits = 0; summary_hits = 0 }
   in
   try
     go config 0 [];
@@ -188,6 +189,7 @@ module Interp_state = struct
     Counterex.complete_check ?memo ~inputs ~max_steps:completion_steps ~check t.config
 
   let memo_hits d = Option.fold ~none:0 ~some:Counterex.memo_hits d.memo
+  let summary_hits d = Option.fold ~none:0 ~some:Counterex.summary_hits d.memo
 
   let counterexample (env : env) =
     counterexample ~inputs:env.inputs ~completion_steps:env.completion_steps env.config
@@ -305,6 +307,7 @@ module Vm_state = struct
     env.check ~inputs ~outputs
 
   let memo_hits _ = 0
+  let summary_hits _ = 0
 
   (* replayed through the interpreter: the reported artifact is
      engine-neutral and independently re-executes the vm's claim *)

@@ -25,6 +25,9 @@ type stats = Explore.stats = {
       (** leaves answered by the completion memo, with no completion
           run to the end and no [check] call; heap [Dpor] with the
           cache only *)
+  summary_hits : int;
+      (** completion bursts answered by a solo-burst summary instead
+          of stepped; heap [Dpor] with the cache only *)
 }
 
 type outcome =
@@ -84,8 +87,11 @@ val stats_of : outcome -> stats
     domain also memoizes frontier completions
     ({!Counterex.complete_check}): [check] runs only on the leaves the
     memo cannot answer, and a memo-answered leaf counts in
-    [stats.memo_hits].  The memo never answers a violation, so
-    counterexamples and their errors are those of a real completion;
+    [stats.memo_hits]; a completion burst answered from the memo's
+    solo-burst summaries counts in [stats.summary_hits].  The memo
+    never answers a violation, and a violation after a summary is
+    re-run without it, so counterexamples and their errors are those
+    of a real completion;
     [Naive], [cache = false] and {!run_vm} run every completion.
 
     Raises [Invalid_argument] for [Dpor] on more than

@@ -211,6 +211,14 @@ let record t ~before after ev =
 
 let key t = t.key
 
+let observation t pid = t.obs.(pid)
+
+(* Each component is a sum, so a change between two keys carries over
+   to any key by addition. *)
+let shift k ~mem ~locals ~inp ~out =
+  { k_mem = k.k_mem + mem; k_locals = k.k_locals + locals; k_in = k.k_in + inp;
+    k_out = k.k_out + out }
+
 (* The key of [config], reached from [t]'s configuration by steps of
    processes that are all inert now.  An inert process — halted, or
    idle with no input for its next instance — never steps again, so
@@ -220,21 +228,29 @@ let key t = t.key
    their observation hash.  Frontier completion is a series of solo
    bursts that mostly end halted, so this key merges completions that
    [record]'s history key keeps apart. *)
-let inert_key t ~has_input config =
+let inert_locals t ~runnable config =
   let k_locals = ref 0 in
   for pid = 0 to Config.n config - 1 do
     let instance = Config.instance config pid in
     k_locals :=
       !k_locals
-      + (if Config.runnable config ~has_input pid then local_slot pid t.obs.(pid) instance
+      + (if runnable pid then local_slot pid t.obs.(pid) instance
          else inert_slot pid instance)
   done;
+  !k_locals
+
+let inert_key t ~has_input config =
   {
     k_mem = mem_sum config;
-    k_locals = !k_locals;
+    k_locals = inert_locals t ~runnable:(Config.runnable config ~has_input) config;
     k_in = io_sum (Config.inputs config);
     k_out = io_sum (Config.outputs config);
   }
+
+(* At [t]'s own configuration the other three sums are [t.key]'s. *)
+let leaf_key t ~live config =
+  let runnable pid = live land (1 lsl pid) <> 0 in
+  { t.key with k_locals = inert_locals t ~runnable config }
 
 (* ---- the full-digest reference path (audit mode) ---- *)
 

@@ -48,6 +48,19 @@ val record : t -> before:Shm.Config.t -> Shm.Config.t -> Shm.Event.t -> t
 (** The incrementally maintained canonical key — O(1). *)
 val key : t -> key
 
+(** [observation t pid]: [pid]'s observation hash, which with its
+    instance determines its local state.  With [pid], its instance and
+    the memory sum [k_mem] it keys the leaf completion's solo-burst
+    summaries ({!Counterex.complete_check}). *)
+val observation : t -> int -> int
+
+(** [shift k ~mem ~locals ~inp ~out] adds a change to each component
+    of [k].  Every component is a sum of summands, so the change a run
+    of steps makes to one key (the differences of its fields) is the
+    change it makes to the key of any state it changes the same way.
+    O(1). *)
+val shift : key -> mem:int -> locals:int -> inp:int -> out:int -> key
+
 (** [inert_key t ~has_input config] is the key of [config] with every
     {e inert} process's local state forgotten.  Inert means not
     runnable: halted, or idle with no input for its next instance
@@ -61,6 +74,12 @@ val key : t -> key
     [config]: O(registers + records).  The frontier-completion memo
     ({!Counterex.complete_check}) is keyed by it. *)
 val inert_key : t -> has_input:(int -> int -> bool) -> Shm.Config.t -> key
+
+(** [leaf_key t ~live config] is {!inert_key} of [config] when
+    [config] is the configuration [t] hashes (no step since) and bit
+    [pid] of [live] is set iff [pid] is runnable there: memory and the
+    i/o multisets are read from {!key}, so it costs O(processes). *)
+val leaf_key : t -> live:int -> Shm.Config.t -> key
 
 (** The uncompressed canonical form behind {!full_key} — exposed so
     tests can certify the incremental keys partition an enumerated

@@ -368,11 +368,31 @@ let worker_exception_surfaces () =
 
 (* ---- the completion memo ---- *)
 
+(* Everything stepping decides about a configuration, as text: memory
+   contents, counters and written set, each process's status and
+   instance, the op counters, and the i/o records in order. *)
+module Iset = Set.Make (Int)
+
+let render c =
+  let open Shm in
+  let mem = Config.mem c in
+  let records rs =
+    String.concat " " (List.map (fun (p, i, v) -> Fmt.str "%d.%d=%a" p i Value.pp v) rs)
+  in
+  Fmt.str "%a@.writes %d, reads %d, written {%s}@.pc [%s]@.in %s@.out %s" Config.pp c
+    (Memory.write_count mem) (Memory.read_count mem)
+    (String.concat "," (List.map string_of_int (Iset.elements (Memory.written_set mem))))
+    (String.concat " " (List.init (Config.n c) (fun pid -> string_of_int (Config.pc c pid))))
+    (records (Config.inputs c)) (records (Config.outputs c))
+
 (* Enumerate every leaf of the full schedule tree up to [depth] (no
    reduction), threading its Statehash, and check that the memoized
    verdict equals a plain completion followed by [check], leaf by leaf,
-   with one memo shared across all leaves as a domain's is.  Returns
-   (leaves, violating leaves, memo). *)
+   with one memo shared across all leaves as a domain's is.  At each
+   leaf the memo's O(n) [leaf_key] must equal [inert_key].  Every
+   configuration [check] is shown must equal the plain completion's
+   final one, so a burst answered from a summary must leave exactly
+   what stepping it would.  Returns (leaves, violating leaves, memo). *)
 let memo_differential ?(max_steps = 50_000) ~depth ~inputs ~check config =
   let has_input pid inst = Option.is_some (inputs ~pid ~instance:inst) in
   let memo = Spec.Counterex.memo () in
@@ -383,13 +403,39 @@ let memo_differential ?(max_steps = 50_000) ~depth ~inputs ~check config =
     in
     if runnable = [] || d >= depth then begin
       incr leaves;
-      let expected = check (fst (Spec.Counterex.complete ~inputs ~max_steps config)) in
+      let live = List.fold_left (fun live pid -> live lor (1 lsl pid)) 0 runnable in
+      if
+        not
+          (Spec.Statehash.key_equal
+             (Spec.Statehash.leaf_key hash ~live config)
+             (Spec.Statehash.inert_key hash ~has_input config))
+      then Alcotest.failf "leaf %d: leaf_key differs from inert_key" !leaves;
+      let final, _ = Spec.Counterex.complete ~inputs ~max_steps config in
+      let expected = check final in
       if Result.is_error expected then incr errors;
-      let got = Spec.Counterex.complete_check ~memo:(memo, hash) ~inputs ~max_steps ~check config in
+      let seen = ref [] in
+      let check' c =
+        seen := c :: !seen;
+        check c
+      in
+      let got =
+        Spec.Counterex.complete_check ~memo:(memo, hash) ~inputs ~max_steps ~check:check'
+          config
+      in
       if got <> expected then
         Alcotest.failf "leaf %d: memoized verdict %s, completion %s" !leaves
           (Result.fold ~ok:(fun () -> "Ok") ~error:Fun.id got)
-          (Result.fold ~ok:(fun () -> "Ok") ~error:Fun.id expected)
+          (Result.fold ~ok:(fun () -> "Ok") ~error:Fun.id expected);
+      if !seen <> [] then begin
+        let want = render final in
+        List.iter
+          (fun c ->
+            let got = render c in
+            if got <> want then
+              Alcotest.failf "leaf %d: checked configuration@.%s@.completion's@.%s" !leaves got
+                want)
+          !seen
+      end
     end
     else
       List.iter
@@ -414,15 +460,19 @@ let memo_agrees_leaf_by_leaf () =
       in
       Alcotest.(check bool) (name ^ ": leaves") true (leaves > 1000);
       Alcotest.(check bool) (name ^ ": violations found") violates (errors > 0);
-      Alcotest.(check bool) (name ^ ": memo hits") true (Spec.Counterex.memo_hits memo > 0))
+      Alcotest.(check bool) (name ^ ": memo hits") true (Spec.Counterex.memo_hits memo > 0);
+      Alcotest.(check bool) (name ^ ": summary hits") true
+        (Spec.Counterex.summary_hits memo > 0))
     [ (2, 1, 3, 10, false); (3, 2, 4, 7, false); (3, 1, 3, 8, false); (3, 2, 1, 7, true);
       (4, 2, 4, 6, false); (4, 2, 2, 6, true) ];
   let p = Params.make ~n:3 ~m:1 ~k:1 in
-  let leaves, _, _ =
+  let leaves, _, memo =
     memo_differential ~depth:7 ~inputs:(inputs_for 3) ~check:(check_safety ~k:1)
       (Instances.anonymous_oneshot p)
   in
   Alcotest.(check bool) "anonymous one-shot: leaves" true (leaves > 100);
+  Alcotest.(check bool) "anonymous one-shot: summary hits" true
+    (Spec.Counterex.summary_hits memo > 0);
   (* A budget some completions exceed, and a check that rejects an
      unfinished run: a stored length must fit the budget left. *)
   let finished c =
@@ -437,7 +487,9 @@ let memo_agrees_leaf_by_leaf () =
   in
   Alcotest.(check bool) "tight budget: some completions fit, some do not" true
     (errors > 0 && errors < leaves);
-  Alcotest.(check bool) "tight budget: memo hits" true (Spec.Counterex.memo_hits memo > 0)
+  Alcotest.(check bool) "tight budget: memo hits" true (Spec.Counterex.memo_hits memo > 0);
+  Alcotest.(check bool) "tight budget: summary hits" true
+    (Spec.Counterex.summary_hits memo > 0)
 
 (* Figure 3 exactly as printed (the erratum, test_errata.ml): p1
    leaves stale copies of its pair and halts; p0 and p2, proposing the
@@ -467,7 +519,8 @@ let memo_stores_no_fuel_exhausted_run () =
   in
   Alcotest.(check bool) "enumerated" true (leaves > 10);
   Alcotest.(check int) "nothing stored" 0 (Spec.Counterex.memo_entries memo);
-  Alcotest.(check int) "no hits" 0 (Spec.Counterex.memo_hits memo)
+  Alcotest.(check int) "no hits" 0 (Spec.Counterex.memo_hits memo);
+  Alcotest.(check int) "no summary hits" 0 (Spec.Counterex.summary_hits memo)
 
 (* ---- pinned state counts ---- *)
 
@@ -605,6 +658,99 @@ let one_completion_rule () =
       if steps > 1 then ignore (agree i p ~max_steps:(steps / 2)))
     protos
 
+(* ---- solo-burst summaries ---- *)
+
+(* A violation found after a summarized burst is reported from a real
+   re-run.  The same leaf is completed twice with one memo, under a
+   check that rejects everything and names its call: the first run
+   steps every burst and files its summary; the second answers a burst
+   from a summary (the table is direct-mapped, so not necessarily
+   every one), so [check] sees a patched configuration (call 2), which
+   must equal the stepped one, and then the re-run's (call 3), whose
+   error is the one reported. *)
+let summary_violation_is_rerun () =
+  let p = Params.make ~n:3 ~m:1 ~k:2 in
+  let config = Instances.oneshot p and inputs = inputs_for 3 in
+  let final, _ = Spec.Counterex.complete ~inputs ~max_steps:50_000 config in
+  let seen = ref [] in
+  let check c =
+    seen := c :: !seen;
+    Error (Fmt.str "call %d" (List.length !seen))
+  in
+  let memo = Spec.Counterex.memo () and hash = Spec.Statehash.create config in
+  let run () =
+    Spec.Counterex.complete_check ~memo:(memo, hash) ~inputs ~max_steps:50_000 ~check config
+  in
+  let verdict = Alcotest.(result unit string) in
+  Alcotest.check verdict "first run: stepped and checked" (Error "call 1") (run ());
+  Alcotest.(check int) "first run: no summary" 0 (Spec.Counterex.summary_hits memo);
+  Alcotest.check verdict "second run: the re-run's error" (Error "call 3") (run ());
+  Alcotest.(check bool) "second run: summarized" true (Spec.Counterex.summary_hits memo > 0);
+  List.iteri
+    (fun i c ->
+      Alcotest.(check string) (Fmt.str "call %d: the stepped configuration" (3 - i))
+        (render final) (render c))
+    !seen
+
+(* A burst that uses up its quantum is not summarized.  p0 reads r0
+   for longer than a quantum before it outputs; p1 writes r1 once.
+   The leaves [0 1] and [1 0] reach one state, so a summary filed for
+   p0's first burst at one would answer the other with p0 stopped for
+   good, and the check, which rejects p0's output, would pass. *)
+let summary_needs_an_inert_end () =
+  let open Shm in
+  let rec spin i =
+    if i = 0 then Program.yield (vi 0) Program.stop else Program.read 0 (fun _ -> spin (i - 1))
+  in
+  let procs = [| spin 2_500; Program.write 1 (vi 1) (fun () -> Program.stop) |] in
+  let check c = match Config.outputs c with [] -> Ok () | _ -> Error "p0 decided" in
+  let leaves, errors, _ =
+    memo_differential ~depth:2 ~inputs:(fun ~pid:_ ~instance:_ -> None) ~check
+      (Config.create ~registers:2 ~procs ())
+  in
+  Alcotest.(check int) "leaves" 3 leaves;
+  Alcotest.(check int) "p0 decides in every completion" leaves errors
+
+(* Summaries key on the instance.  One memo serves two roots that
+   differ only in p0's instance count (planted), so p0's solo burst
+   invokes instance 1 in one and instance 2 in the other, with
+   different inputs.  Each root's Statehash starts p0's observation
+   hash afresh, so only the instance tells the two bursts apart. *)
+let summary_keys_on_the_instance () =
+  let open Shm in
+  let echo = Program.await (fun v -> Program.yield v Program.stop) in
+  let a = Config.create ~registers:1 ~procs:[| echo |] () in
+  let b = Config.plant a ~slot:0 echo ~instance:1 in
+  let inputs ~pid:_ ~instance = if instance <= 2 then Some (vi instance) else None in
+  let check c =
+    if List.exists (fun (_, _, v) -> Value.equal v (vi 2)) (Config.outputs c) then
+      Error "decided 2"
+    else Ok ()
+  in
+  let memo = Spec.Counterex.memo () in
+  let run c =
+    Spec.Counterex.complete_check ~memo:(memo, Spec.Statehash.create c) ~inputs ~max_steps:100
+      ~check c
+  in
+  let verdict = Alcotest.(result unit string) in
+  Alcotest.check verdict "instance 1" (Ok ()) (run a);
+  Alcotest.check verdict "instance 2" (Error "decided 2") (run b)
+
+(* The summary hit count at the dpor-fig3 smoke size, beside the
+   unchanged memo hit count (pinned in [pinned_state_counts] too). *)
+let summary_hits_are_pinned () =
+  let fig3 =
+    Spec.Modelcheck.run ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs = 1 }) ~depth:8
+      ~inputs:
+        (Shm.Exec.repeated_inputs ~rounds:1 (fun pid instance ->
+             vi ((100 * instance) + pid)))
+      ~check:(check_safety ~k:2)
+      (Instances.oneshot (Params.make ~n:4 ~m:1 ~k:2))
+  in
+  let s = Spec.Modelcheck.stats_of fig3 in
+  Alcotest.(check (list int)) "fig3 n=4 k=2 depth 8: memo hits, summary hits" [ 125; 225 ]
+    [ s.memo_hits; s.summary_hits ]
+
 let suite =
   [
     slow_test "dpor agrees with naive on seeded configs" dpor_agrees_with_naive;
@@ -629,4 +775,10 @@ let suite =
     test "state counts are pinned" pinned_state_counts;
     slow_test "stress witness schedule replays and shrinks" stress_schedule_replays_and_shrinks;
     test "one completion rule across engines" one_completion_rule;
+    test "completion summaries: a violation after a summary is re-run"
+      summary_violation_is_rerun;
+    test "completion summaries: a burst that uses up its quantum is not stored"
+      summary_needs_an_inert_end;
+    test "completion summaries key on the instance" summary_keys_on_the_instance;
+    test "completion summary hits are pinned" summary_hits_are_pinned;
   ]
