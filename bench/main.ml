@@ -16,8 +16,6 @@ open Lowerbound
 
 let section title = Fmt.pr "@.=== %s ===@." title
 
-let check_mark ok = if ok then "ok" else "MISMATCH"
-
 (* ------------------------------------------------------------------ *)
 (* Bench history: every experiment run that produces rows appends one
    JSONL entry (schema version, git rev, rows) to BENCH_history.jsonl,
@@ -59,102 +57,40 @@ let checker_throughput metrics =
 let point_fields ~n ~m ~k =
   [ ("n", Obs.Json.Int n); ("m", Obs.Json.Int m); ("k", Obs.Json.Int k) ]
 
-(* The latency columns [spans]/[span_p50]/[span_p99] of an accumulator
-   that timed every propose of the runs it observed. *)
-let span_fields acc =
-  let a = Shm.Analysis.snapshot acc in
-  let h = Obs.Metrics.Histogram.of_list a.latencies in
+(* The latency columns [spans]/[span_p50]/[span_p99] of the step
+   latencies of every propose (Shm.Analysis) of the runs observed. *)
+let span_fields latencies =
+  let h = Obs.Metrics.Histogram.of_list latencies in
   [
-    ("spans", Obs.Json.Int (List.length a.latencies));
+    ("spans", Obs.Json.Int (List.length latencies));
     ("span_p50", Obs.Json.Float (Obs.Metrics.Histogram.p50 h));
     ("span_p99", Obs.Json.Float (Obs.Metrics.Histogram.p99 h));
   ]
 
 (* ------------------------------------------------------------------ *)
-(* E1 and E3: registers written against a Figure 1 upper bound, over
-   the (4 <= n <= max_n, 1 <= m <= k < n) grid.  [run p ~sink] executes
-   one point; [show] picks the rows to print.  Returns the rows and the
-   number of points over their bound. *)
+(* E1 and E3: Figure 1's upper-bound rows (Lowerbound.Figure1) as JSON
+   documents; `sa_run fig1` prints the whole table, E2/E4/E6 included,
+   with its verdicts.                                                  *)
 
-let bound_table ~max_n ~bound ~show run =
-  Fmt.pr "%-12s %-8s %-10s %-8s@." "(n,m,k)" "bound" "measured" "status";
-  let mismatches = ref 0 in
+let fig1_json experiment ~max_n title ~smoke:_ =
+  section title;
   let rows =
-    Analyze.Registry.grid ~max_n
-    |> List.filter (fun (p : Params.t) -> p.n >= 4)
-    |> List.map (fun (p : Params.t) ->
-           let span = Shm.Analysis.create ~n:p.n ~registers:0 in
-           let result = run p ~sink:(Shm.Analysis.feed span) in
-           let bound = bound p and measured = Runner.registers_used result in
-           let ok = measured <= bound in
-           if not ok then incr mismatches;
-           if show p ~bound ~measured then
-             Fmt.pr "%-12s %-8d %-10d %-8s@." (Params.to_string p) bound measured
-               (check_mark ok);
-           Obs.Json.Obj
-             (point_fields ~n:p.n ~m:p.m ~k:p.k
-             @ [
-                 ("bound", Obs.Json.Int bound);
-                 ("measured", Obs.Json.Int measured);
-                 ("ok", Obs.Json.Bool ok);
-                 ("steps", Obs.Json.Int result.Shm.Exec.steps);
-               ]
-             @ span_fields span))
+    Figure1.table ~max_n
+    |> List.filter_map (fun ({ params = p; _ } as r : Figure1.row) ->
+           match r.measured with
+           | Figure1.Registers { bound; written; steps; latencies }
+             when r.experiment = experiment ->
+             Some
+               (Obs.Json.Obj
+                  (point_fields ~n:p.n ~m:p.m ~k:p.k
+                  @ [ ("bound", Obs.Json.Int bound); ("measured", Obs.Json.Int written);
+                      ("ok", Obs.Json.Bool (Result.is_ok r.verdict));
+                      ("steps", Obs.Json.Int steps) ]
+                  @ span_fields latencies))
+           | _ -> None)
   in
-  (rows, !mismatches)
-
-let fig1_upper () =
-  section "E1  Figure 1 upper bound (non-anonymous repeated): min(n+2m-k, n)";
-  let rows, mismatches =
-    bound_table ~max_n:9 ~bound:Params.registers_upper
-      ~show:(fun p ~bound ~measured -> p.k <= 3 || measured <> bound)
-      (fun p ~sink ->
-        let impl =
-          if Params.r_oneshot p <= p.n then Instances.Atomic else Instances.Sw_based
-        in
-        Runner.run_repeated ~impl ~rounds:2 ~sink
-          ~sched:(Shm.Schedule.quantum_round_robin ~quantum:500 p.n)
-          ~max_steps:3_000_000 p)
-  in
-  Fmt.pr "(rows with k>3 and measured = bound elided) mismatches: %d@." mismatches;
+  Fmt.pr "%d points; the table with verdicts: sa_run fig1@." (List.length rows);
   rows
-
-(* ------------------------------------------------------------------ *)
-(* E2: Theorem 2 adversary on starved and correct instances.           *)
-
-let fig1_lower () =
-  section "E2  Figure 1 lower bound (Theorem 2): n+m-k registers are necessary";
-  Fmt.pr "%-12s %-12s %-44s@." "(n,m,k)" "registers" "Figure 2 construction outcome";
-  let cases = [ (4, 1, 1); (5, 1, 1); (5, 1, 2); (5, 2, 2); (6, 1, 3); (6, 2, 3) ] in
-  cases
-  |> List.iter (fun (n, m, k) ->
-         let p = Params.make ~n ~m ~k in
-         let run registers =
-           Theorem2.attack ~params:p ~registers
-             ~make_config:(fun ~registers -> Instances.repeated ~r:registers p)
-             ~icap:4 ()
-         in
-         let starved = Params.registers_lower p - 1 in
-         Fmt.pr "%-12s %-12s %-44s@." (Params.to_string p)
-           (Fmt.str "%d (=lo-1)" starved)
-           (Fmt.str "%a" Theorem2.pp_outcome (run starved));
-         let correct = Params.r_oneshot p in
-         Fmt.pr "%-12s %-12s %-44s@." "" (Fmt.str "%d (=up)" correct)
-           (Fmt.str "%a" Theorem2.pp_outcome (run correct)))
-
-(* ------------------------------------------------------------------ *)
-(* E3: anonymous repeated upper bound (m+1)(n−k)+m²+1.                 *)
-
-let fig1_anon_upper () =
-  section "E3  Figure 1 anonymous upper bound: (m+1)(n-k)+m^2+1 registers";
-  fst
-    (bound_table ~max_n:7
-       ~bound:(fun p -> Params.r_anonymous p + 1)
-       ~show:(fun _ ~bound:_ ~measured:_ -> true)
-       (fun p ~sink ->
-         Runner.run_anonymous ~rounds:2 ~sink
-           ~sched:(Shm.Schedule.quantum_round_robin ~quantum:800 p.n)
-           ~max_steps:4_000_000 p))
 
 (* E3b: the same algorithm over the honest *non-blocking* anonymous
    snapshot (what Theorem 11 actually has available [7]) — register
@@ -177,45 +113,6 @@ let fig1_anon_nonblocking () =
            (Params.r_anonymous p + 1)
            (Runner.registers_used a) (Runner.registers_used c) a.Shm.Exec.steps
            c.Shm.Exec.steps)
-
-(* ------------------------------------------------------------------ *)
-(* E4: anonymous one-shot lower bound via the clone construction.      *)
-
-let fig1_anon_lower () =
-  section
-    "E4  Anonymous one-shot lower bound (Theorem 10): clones break r <= sqrt(m(n/k-2))";
-  Fmt.pr "%-6s %-4s %-12s %-46s@." "r" "k" "slots" "clone construction outcome";
-  [ (2, 1); (3, 1); (4, 1); (3, 2) ]
-  |> List.iter (fun (r, k) ->
-         let c = k + 1 in
-         let slots = c * (1 + (((r * r) - r) / 2)) in
-         let p = Params.make ~n:slots ~m:1 ~k in
-         let run slots =
-           Clones.attack ~params:p ~registers:r ~slots
-             ~make_config:(fun ~registers ~slots ->
-               Instances.anonymous_oneshot ~r:registers ~slots p)
-         in
-         Fmt.pr "%-6d %-4d %-12s %-46s@." r k
-           (Fmt.str "%d (=bound)" slots)
-           (Fmt.str "%a" Clones.pp_outcome (run slots));
-         Fmt.pr "%-6s %-4s %-12s %-46s@." "" ""
-           (Fmt.str "%d (<bound)" (slots - 1))
-           (Fmt.str "%a" Clones.pp_outcome (run (slots - 1))));
-  (* general m ≥ 2 gluing (Lemma9): groups of two *)
-  [ (3, 2, 3); (3, 2, 2) ]
-  |> List.iter (fun (r, m, k) ->
-         let c = (k + m) / m in
-         let slots = c * (m + (((r * r) - r) / 2)) in
-         let p = Params.make ~n:slots ~m ~k in
-         let outcome =
-           Lemma9.attack ~params:p ~registers:r ~slots
-             ~make_config:(fun ~registers ~slots ->
-               Instances.anonymous_oneshot ~r:registers ~slots p)
-         in
-         Fmt.pr "%-6d %-4s %-12s %-46s@." r
-           (Fmt.str "%d,m=%d" k m)
-           (Fmt.str "%d (=bound)" slots)
-           (Fmt.str "%a" Lemma9.pp_outcome outcome))
 
 (* ------------------------------------------------------------------ *)
 (* E9: the Section 7 open question, probed empirically: between the    *)
@@ -1039,30 +936,6 @@ let analyze_table () =
   Analyze.Report.bench_rows rows ~p verdicts
 
 (* ------------------------------------------------------------------ *)
-(* E6: repeated consensus needs exactly n registers (m = k = 1).       *)
-
-let consensus_exact () =
-  section "E6  Repeated consensus (m=k=1) needs exactly n registers";
-  Fmt.pr "%-4s %-18s %-46s@." "n" "upper (measured)" "lower (adversary at n-1 registers)";
-  for n = 3 to 7 do
-    let p = Params.make ~n ~m:1 ~k:1 in
-    (* upper: r_oneshot = n+1 > n, so the SW-based snapshot gives n *)
-    let result =
-      Runner.run_repeated ~impl:Instances.Sw_based ~rounds:2
-        ~sched:(Shm.Schedule.quantum_round_robin ~quantum:800 n)
-        ~max_steps:4_000_000 p
-    in
-    let outcome =
-      Theorem2.attack ~params:p ~registers:(n - 1)
-        ~make_config:(fun ~registers -> Instances.repeated ~r:registers p)
-        ~icap:4 ()
-    in
-    Fmt.pr "%-4d %-18s %-46s@." n
-      (Fmt.str "n=%d, used %d" n (Runner.registers_used result))
-      (Fmt.str "%a" Theorem2.pp_outcome outcome)
-  done
-
-(* ------------------------------------------------------------------ *)
 (* E7: snapshot implementation ablation.                               *)
 
 let snapshot_ablation () =
@@ -1113,7 +986,7 @@ let progress_vs_m () =
             ("max_steps", Obs.Json.Int mx);
             ("decided", Obs.Json.Int !decided);
           ]
-        @ span_fields span)
+        @ span_fields (Shm.Analysis.snapshot span).latencies)
       :: !rows;
     Fmt.pr "%-4d %-14.1f %-14d %d/20@." m mean mx !decided
   done;
@@ -1174,7 +1047,7 @@ let steps_vs_n () =
             ("steps", Obs.Json.Int result.Shm.Exec.steps);
             ("registers", Obs.Json.Int (Runner.registers_used result));
           ]
-        @ span_fields span)
+        @ span_fields (Shm.Analysis.snapshot span).latencies)
       :: !rows;
     Fmt.pr "%-4d %-12d %-12d@." n result.Shm.Exec.steps (Runner.registers_used result)
   done;
@@ -1653,15 +1526,16 @@ let experiments =
     []
   in
   [
-    table "fig1-upper" ~file:"BENCH_fig1.json" (always fig1_upper);
-    table "fig1-lower" (printed fig1_lower);
-    table "fig1-anon-upper" ~file:"BENCH_fig1_anon.json" (always fig1_anon_upper);
+    table "fig1-upper" ~file:"BENCH_fig1.json"
+      (fig1_json Figure1.E1 ~max_n:9
+         "E1  Figure 1 upper bound (non-anonymous repeated): min(n+2m-k, n)");
+    table "fig1-anon-upper" ~file:"BENCH_fig1_anon.json"
+      (fig1_json Figure1.E3 ~max_n:7
+         "E3  Figure 1 anonymous upper bound: (m+1)(n-k)+m^2+1 registers");
     table "fig1-anon-nonblocking" (printed fig1_anon_nonblocking);
-    table "fig1-anon-lower" (printed fig1_anon_lower);
     table "anon-frontier" (printed anon_frontier);
     table "conjecture-probe" (printed conjecture_probe);
     table "baseline" (printed baseline_table);
-    table "consensus-exact" (printed consensus_exact);
     table "snapshot-ablation" (printed snapshot_ablation);
     table "explore" ~file:"BENCH_explore.json" (always explore_table);
     table "indep" ~file:"BENCH_indep.json" ~floors:indep_floors indep_table;

@@ -1,7 +1,8 @@
 (* sa-run: run any of the set-agreement algorithms under a chosen
    scheduler and report decisions, safety, and space usage — or
    model-check them over *all* schedules with --explore — or audit the
-   native multicore layer with the conformance harness (`conform`).
+   native multicore layer with the conformance harness (`conform`) — or
+   reproduce Figure 1 with a verdict per row (`fig1`).
 
    Examples:
      sa_run -n 5 -m 1 -k 2
@@ -11,6 +12,7 @@
      sa_run -n 3 -m 1 -k 1 --explore dpor:10
      sa_run -n 3 -m 1 -k 1 --registers 3 --explore dpor:14 --shrink
      sa_run -n 3 -m 1 -k 1 --explore dpor:12 --jobs 4 --stats
+     sa_run fig1 --max-n 6
      sa_run conform --object snapshot --domains 4 --iters 500
      sa_run conform --object snapshot --mutant single-collect --chaos yields
      sa_run conform --object agreement --domains 4 -m 2 -k 2 --chaos crashes *)
@@ -119,7 +121,8 @@ let run (r : Cli.run) trace diagram stats trace_out =
            (Spec.Properties.distinct_values ins)
            Fmt.(list ~sep:comma Shm.Value.pp)
            (Spec.Properties.distinct_values outs));
-  (match Spec.Properties.check_safety ~k result.Shm.Exec.config with
+  let safety = Spec.Properties.check_safety ~k result.Shm.Exec.config in
+  (match safety with
   | Ok () -> Fmt.pr "safety: OK@."
   | Error e -> Fmt.pr "safety: VIOLATED — %s@." e);
   Fmt.pr "stopped: %s after %d steps; registers written: %d@."
@@ -132,7 +135,8 @@ let run (r : Cli.run) trace diagram stats trace_out =
       Shm.Analysis.pp a (List.length a.latencies) a.pending
       Obs.Metrics.Histogram.pp (Obs.Metrics.Histogram.of_list a.latencies)
   end;
-  Option.iter (fun path -> Fmt.pr "trace written to %s (JSONL)@." path) trace_out
+  Option.iter (fun path -> Fmt.pr "trace written to %s (JSONL)@." path) trace_out;
+  if Result.is_error safety then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* The `trace` subcommand: record a causally-linked trace of one run
@@ -863,6 +867,32 @@ let serve_cmd =
       $ trace_out $ stats)
 
 (* ------------------------------------------------------------------ *)
+(* The `fig1` subcommand: the paper's Figure 1 (experiments E1–E4, E6)
+   with a verdict per row; exits 1 if any verdict fails. *)
+
+let fig1 max_n =
+  let rows = Lowerbound.Figure1.table ~max_n in
+  let failed = List.filter (fun r -> Result.is_error r.Lowerbound.Figure1.verdict) rows in
+  Fmt.pr "%a%d rows, %d failed@." Lowerbound.Figure1.pp rows (List.length rows)
+    (List.length failed);
+  if failed <> [] then exit 1
+
+let fig1_cmd =
+  let max_n =
+    Arg.(
+      value & opt int 9
+      & info [ "max-n" ] ~docv:"N"
+          ~doc:"Largest n of the E1, E3 and E6 sweeps (E3 and E6 also stop at 7).")
+  in
+  Cmd.v
+    (Cmd.info "fig1"
+       ~doc:
+         "Reproduce the paper's Figure 1: measured registers against the upper bounds \
+          and the Theorem 2 / Theorem 10 constructions against the lower bounds, one \
+          checked row each.  Exits 1 if any verdict fails.")
+    Term.(const fig1 $ max_n)
+
+(* ------------------------------------------------------------------ *)
 (* The `fuzz` subcommand: coverage-guided differential fuzzing of the
    simulator stack (lib/fuzz). *)
 
@@ -1004,6 +1034,6 @@ let cmd =
        ~doc:
          "Run m-obstruction-free k-set agreement in the simulator, or audit the native \
           layer with `conform'")
-    [ conform_cmd; analyze_cmd; trace_cmd; serve_cmd; fuzz_cmd ]
+    [ conform_cmd; analyze_cmd; trace_cmd; serve_cmd; fuzz_cmd; fig1_cmd ]
 
 let () = exit (Cmd.eval cmd)

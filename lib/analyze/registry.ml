@@ -120,13 +120,4 @@ let measure_dynamic e p =
   in
   Shm.Memory.written_set mem
 
-let grid ~max_n =
-  let ps = ref [] in
-  for n = 2 to max_n do
-    for k = 1 to n - 1 do
-      for m = 1 to k do
-        ps := Agreement.Params.make ~n ~m ~k :: !ps
-      done
-    done
-  done;
-  List.rev !ps
+let grid = Agreement.Params.grid

@@ -1,6 +1,6 @@
 (* The closed forms of Figure 1, the paper's results table, plus the
-   corollaries discussed in Sections 1 and 7.  The bench harness prints
-   these next to the measured register counts. *)
+   corollaries discussed in Sections 1 and 7.  Lowerbound.Figure1 and
+   Analyze.Registry check measurements against them. *)
 
 type cell = {
   label : string;

@@ -1,6 +1,8 @@
 (** The closed forms of Figure 1, the paper's results table, plus the
-    corollaries of Sections 1 and 4.1.  The bench harness prints these
-    next to measured register counts. *)
+    corollaries of Sections 1 and 4.1.  [Lowerbound.Figure1] checks
+    measured registers and the lower-bound constructions against them,
+    and the analyzer's registry ([Analyze.Registry]) its static
+    footprints. *)
 
 type cell = {
   label : string;

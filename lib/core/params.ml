@@ -17,6 +17,17 @@ let make ~n ~m ~k =
   let t = { n; m; k } in
   match validate t with Ok () -> t | Error msg -> invalid_arg ("Params.make: " ^ msg)
 
+let grid ~max_n =
+  let ps = ref [] in
+  for n = 2 to max_n do
+    for k = 1 to n - 1 do
+      for m = 1 to k do
+        ps := make ~n ~m ~k :: !ps
+      done
+    done
+  done;
+  List.rev !ps
+
 (* Snapshot components used by the Figure 3 / Figure 4 algorithms. *)
 let r_oneshot { n; m; k } = n + (2 * m) - k
 

@@ -12,6 +12,10 @@ val validate : t -> (unit, string) result
 (** Validating constructor; raises [Invalid_argument] on bad triples. *)
 val make : n:int -> m:int -> k:int -> t
 
+(** Every valid triple with n ≤ max_n (1 ≤ m ≤ k < n), ordered by n,
+    then k, then m: the parameter grid of the Figure 1 sweeps. *)
+val grid : max_n:int -> t list
+
 (** Snapshot components of the Figure 3/4 algorithms: n + 2m − k. *)
 val r_oneshot : t -> int
 

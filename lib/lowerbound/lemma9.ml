@@ -42,9 +42,9 @@ let pp_outcome ppf = function
   | Violation { outputs; clones_used; registers_written; _ } ->
     Fmt.pf ppf "VIOLATION: %d distinct outputs (%a) using %d clones over registers %a"
       (List.length outputs)
-      Fmt.(list ~sep:comma Value.pp)
+      Fmt.(list ~sep:(any ", ") Value.pp)
       outputs clones_used
-      Fmt.(list ~sep:comma int)
+      Fmt.(list ~sep:(any ", ") int)
       registers_written
   | Out_of_slots { clones_used; slots; round } ->
     Fmt.pf ppf

@@ -52,7 +52,7 @@ let pp_outcome ppf = function
   | Violation { instance; outputs; _ } ->
     Fmt.pf ppf "VIOLATION: instance %d decided %d distinct values: %a" instance
       (List.length outputs)
-      Fmt.(list ~sep:comma Value.pp)
+      Fmt.(list ~sep:(any ", ") Value.pp)
       outputs
   | Out_of_processes { group; aset_size; groups_built } ->
     Fmt.pf ppf

@@ -9,10 +9,9 @@
    machine-independent metrics (same-binary speedup ratios), so one
    set holds across hardware.
 
-   Entries written now are kind "run" (measurement rows, as in
-   BENCH_<id>.json).  Earlier versions also committed kind "floors"
-   entries (floor specs as rows); those lines still load, and callers
-   filter on [kind] to skip them.
+   Entries written here are kind "run" (measurement rows, as in
+   BENCH_<id>.json); readers select by [kind], so other row kinds can
+   share the file.
 
    A BENCH_<id>.json document is the {experiment, schema, rows} part of
    an entry, pretty-printed: one decoder, [entry_of_json], reads both.
@@ -31,7 +30,7 @@ type entry = {
   ts : float;  (* unix seconds, 0. when unknown *)
   rev : string;
   experiment : string;
-  kind : string;  (* "run"; "floors" on lines from earlier versions *)
+  kind : string;  (* "run" for the entries [make] builds *)
   smoke : bool;
   rows : Json.t list;
 }

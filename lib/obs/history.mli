@@ -3,9 +3,9 @@
     and floor-checking logic behind [bench diff] / [bench check].
 
     Entries hold measurement rows, the same rows written to
-    [BENCH_<id>.json], and are of kind ["run"].  Lines of kind
-    ["floors"], written by earlier versions, still load; callers skip
-    them by [kind].  Floors themselves are the caller's ({!check_floors}
+    [BENCH_<id>.json], and are of kind ["run"]; readers select rows by
+    [kind], so other row kinds can share the file.  Floors are the
+    caller's ({!check_floors}
     takes them as an argument) and gate machine-independent metrics —
     same-binary speedup ratios — so one set holds across hardware.
 
@@ -19,7 +19,7 @@ type entry = {
   ts : float;  (** unix seconds, [0.] when unknown *)
   rev : string;
   experiment : string;
-  kind : string;  (** ["run"]; ["floors"] on lines from earlier versions *)
+  kind : string;  (** ["run"] for the entries {!make} builds *)
   smoke : bool;
   rows : Json.t list;
 }
