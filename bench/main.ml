@@ -306,29 +306,33 @@ let explore_table () =
   List.rev !rows
 
 (* ------------------------------------------------------------------ *)
-(* E19: static conditional independence for DPOR — the dataflow        *)
-(* engine's refinement (Analyze.Indep) vs the dynamic-footprint        *)
-(* baseline, same engine and depth per case.  Two case families:       *)
+(* E19: run-time conditional independence for DPOR — the sleep-set     *)
+(* refinement (Spec.Modelcheck.cond_independent, decided from the two *)
+(* poised ops and the current memory) vs the dynamic-footprint         *)
+(* baseline, same engine and depth per case.  Two case families:      *)
 (*                                                                     *)
 (* - the E13 oneshot grid (correct + starved), kept for verdict        *)
 (*   identity and as an honest negative result: Figure 3 writes        *)
 (*   pid-tagged pairs and scans everything, so its conflicts are       *)
 (*   almost never conditionally independent — the refinement holds     *)
 (*   verdicts and prunes ~nothing there;                               *)
-(* - first-order protocols with provable redundancy (constant and      *)
-(*   re-written registers — the patterns flow/constant-register and    *)
-(*   the no-op-write rule certify), where conditional independence     *)
-(*   carries real weight.                                              *)
+(* - first-order protocols with redundancy (constant and re-written    *)
+(*   registers — equal same-register writes and no-op writes), where   *)
+(*   conditional independence carries real weight.                     *)
 (*                                                                     *)
-(* The gate is the aggregate explored-state ratio (base/refined) plus  *)
+(* The gate is the aggregate explored-state ratio (base/refined),     *)
 (* verdict identity — a refinement that changes any verdict is         *)
-(* unsound, not fast.                                                  *)
+(* unsound, not fast — and the exact explored totals, which are        *)
+(* deterministic: any drift in the relation or the engine moves them.  *)
+
+(* (base, refined) explored totals, --smoke and full *)
+let indep_pinned_totals ~smoke = if smoke then (2722, 2047) else (9326, 7193)
 
 let indep_table ~smoke =
   section
-    "E19 Static conditional independence (lib/analyze dataflow): dpor+cache \
-     baseline vs dpor+cache with ?static_indep, on the E13 grid and on \
-     redundancy-bearing first-order protocols";
+    "E19 Run-time conditional independence (Spec.Modelcheck.cond_independent): \
+     dpor+cache baseline vs dpor+cache with ~refine:true, on the E13 grid \
+     and on redundancy-bearing first-order protocols";
   let oneshot_cases =
     if smoke then
       [ ("correct", 3, 1, None, 8); ("starved-r3", 3, 1, Some 3, 10) ]
@@ -363,18 +367,16 @@ let indep_table ~smoke =
   let engine = Spec.Modelcheck.Dpor { cache = true; jobs = 1 } in
   (* One case: run both arms at equal depth, record per-arm rows, fold
      the explored counts and verdicts into the table-wide gate. *)
-  let run_case ~case ~depth ~facts ~inputs ~check ~fields mk_config =
-    let arms =
-      [ ("base", None); ("refined", Some (Analyze.Indep.refinement ~facts ())) ]
-    in
+  let run_case ~case ~depth ~inputs ~check ~fields mk_config =
+    let arms = [ ("base", false); ("refined", true) ] in
     let base_explored = ref 0 in
     let base_verdict = ref "" in
     List.iter
-      (fun (arm, static_indep) ->
+      (fun (arm, refine) ->
         let metrics = Obs.Metrics.create () in
         let outcome, wall =
           timed (fun () ->
-              Spec.Modelcheck.run ~engine ~depth ~inputs ~check ?static_indep ~metrics
+              Spec.Modelcheck.run ~engine ~depth ~inputs ~check ~refine ~metrics
                 (mk_config ()))
         in
         let wall_ms = 1000. *. wall in
@@ -428,9 +430,7 @@ let indep_table ~smoke =
       let inputs =
         Shm.Exec.oneshot_inputs (Array.init n (fun pid -> Shm.Value.int (pid + 1)))
       in
-      run_case ~case ~depth
-        ~facts:(Analyze.Indep.of_config (Instances.oneshot ~r p))
-        ~inputs
+      run_case ~case ~depth ~inputs
         ~check:(Spec.Properties.check_safety ~k)
         ~fields:(point_fields ~n ~m:1 ~k @ [ ("registers", Obs.Json.Int r) ])
         (fun () -> Instances.oneshot ~r p))
@@ -443,15 +443,7 @@ let indep_table ~smoke =
         | Error msg -> Fmt.failwith "E19 protocol %s: %s" case msg
       in
       let inputs = Runner.proto_inputs in
-      let facts =
-        Analyze.Indep.of_prog
-          ~inputs:
-            (List.filter_map
-               (fun pid -> inputs ~pid ~instance:1)
-               (List.init prog.Shm.Vm.n Fun.id))
-          prog
-      in
-      (* agreement-only: these protocols decide certified constants, so
+      (* agreement-only: these protocols decide constants, so
          validity (output ∈ inputs) is vacuously false and would stop
          exploration at the first leaf; k-agreement is the verdict that
          exercises the full bounded state space *)
@@ -460,7 +452,7 @@ let indep_table ~smoke =
         | [] -> Ok ()
         | e :: _ -> Error e
       in
-      run_case ~case ~depth ~facts ~inputs ~check:check_agreement
+      run_case ~case ~depth ~inputs ~check:check_agreement
         ~fields:
           [
             ("protocol", Obs.Json.String (Analyze.Ir.to_string prog));
@@ -481,6 +473,10 @@ let indep_table ~smoke =
         ("explored_refined", Obs.Json.Int !total_refined);
         ("states_ratio", Obs.Json.Float ratio);
         ("verdict_match", Obs.Json.Float (if !verdicts_match then 1.0 else 0.0));
+        ( "totals_match",
+          Obs.Json.Float
+            (if (!total_base, !total_refined) = indep_pinned_totals ~smoke then 1.0
+             else 0.0) );
       ]
     :: !rows;
   Fmt.pr "total: base %d, refined %d, ratio %.3f, verdicts %s@." !total_base
@@ -1487,8 +1483,9 @@ let fuzz_floors =
     ]
 
 (* Floors for E19: the state reduction is a same-binary ratio of
-   explored-state counts (machine-independent), and verdict identity
-   is exact — the refinement must never flip a verdict. *)
+   explored-state counts (machine-independent), verdict identity is
+   exact — the refinement must never flip a verdict — and so are the
+   explored totals ([indep_pinned_totals]). *)
 let indep_floors =
   [
     {
@@ -1499,6 +1496,11 @@ let indep_floors =
     {
       Obs.History.selector = [ ("bench", "indep-total") ];
       metric = "verdict_match";
+      min = 1.0;
+    };
+    {
+      Obs.History.selector = [ ("bench", "indep-total") ];
+      metric = "totals_match";
       min = 1.0;
     };
   ]

@@ -117,9 +117,9 @@ let run (r : Cli.run) trace diagram stats trace_out =
   Spec.Properties.by_instance result.Shm.Exec.config
   |> List.iter (fun (inst, ins, outs) ->
          Fmt.pr "instance %d: in {%a} out {%a}@." inst
-           Fmt.(list ~sep:comma Shm.Value.pp)
+           Fmt.(list ~sep:(any ", ") Shm.Value.pp)
            (Spec.Properties.distinct_values ins)
-           Fmt.(list ~sep:comma Shm.Value.pp)
+           Fmt.(list ~sep:(any ", ") Shm.Value.pp)
            (Spec.Properties.distinct_values outs));
   let safety = Spec.Properties.check_safety ~k result.Shm.Exec.config in
   (match safety with
@@ -311,7 +311,7 @@ let run_protocol ~engine prog =
   Fmt.pr "@.run (%s engine): %d steps, %s; %d register(s) written {%a}@."
     (Agreement.Runner.engine_name engine)
     r.Shm.Vm.steps (stopped_name r.Shm.Vm.stopped) (List.length written)
-    Fmt.(list ~sep:comma int)
+    Fmt.(list ~sep:(any ", ") int)
     written;
   List.iter
     (fun (pid, inst, v) ->
@@ -352,16 +352,23 @@ let analyze_protocol ~ir ~indep ~optimize ~witness ~sarif_path ~json_path
   | Error msg when run || explore_depth <> None ->
     Cli.usage_error "protocol cannot run: %s" msg
   | _ -> ());
+  (* the explorer rejects both with Invalid_argument; catch them first *)
+  (match explore_depth with
+  | Some d when d < 0 ->
+    Cli.usage_error "--explore-depth %d: depth is not a non-negative integer" d
+  | Some d when prog.Shm.Vm.n > Spec.Explore.max_procs ->
+    Cli.usage_error "--explore-depth %d: protocol n%d exceeds the DPOR limit of %d processes"
+      d prog.Shm.Vm.n Spec.Explore.max_procs
+  | _ -> ());
   let artifact = "protocol:" ^ Analyze.Ir.to_string prog in
   let d = Analyze.Dataflow.analyze prog in
   Fmt.pr "%a@." Analyze.Dataflow.pp d;
   if ir then
     Fmt.pr "@.control-flow graph:@.%a@." Analyze.Ir.pp_cfg
       (Analyze.Ir.cfg_of_prog prog);
-  let facts = Analyze.Indep.of_dataflow d in
-  let flow_diags = Analyze.Indep.lint d in
+  let flow_diags = Analyze.Lint.flow d in
   if indep then begin
-    Fmt.pr "@.independence facts: %a@." Analyze.Indep.pp_facts facts;
+    Fmt.pr "@.independence facts: %a@." Analyze.Dataflow.pp_facts d;
     if flow_diags = [] then Fmt.pr "no flow diagnostics@."
     else begin
       Fmt.pr "flow diagnostics:@.";
@@ -382,7 +389,7 @@ let analyze_protocol ~ir ~indep ~optimize ~witness ~sarif_path ~json_path
   | Some path ->
     Cli.with_path "--json" (fun () ->
         Obs.History.write_document ~experiment:"analyze-protocol" ~path
-          [ Analyze.Report.protocol_row prog facts ~flow_diags:(List.length flow_diags) opt ]);
+          [ Analyze.Report.protocol_row prog d ~flow_diags:(List.length flow_diags) opt ]);
     Fmt.pr "wrote %s@." path);
   if run then run_protocol ~engine prog;
   Option.iter (fun depth -> explore_protocol ~engine ~depth prog) explore_depth
@@ -403,6 +410,12 @@ let analyze () algos all p max_n mutants json_path witness no_dynamic protocol i
   | None ->
     if optimize then
       Cli.usage_error "--optimize rewrites first-order protocols; pass one with --protocol";
+    if ir then
+      Cli.usage_error
+        "--ir prints a first-order protocol's control-flow graph; pass one with --protocol";
+    if indep then
+      Cli.usage_error
+        "--indep prints a first-order protocol's dataflow facts; pass one with --protocol";
     if run || explore_depth <> None then
       Cli.usage_error
         "--run/--explore-depth execute first-order protocols; pass one with --protocol");
@@ -443,21 +456,6 @@ let analyze () algos all p max_n mutants json_path witness no_dynamic protocol i
                    w
                | None -> ())
              summary.Analyze.Absint.writes);
-  if ir && not all then
-    selected
-    |> List.iter (fun (e : Analyze.Registry.entry) ->
-           let lowered =
-             Analyze.Ir.lower ~rounds:e.Analyze.Registry.rounds
-               (e.Analyze.Registry.config p)
-           in
-           Fmt.pr "@.%s lowered IR:@." e.Analyze.Registry.name;
-           Array.iter (fun l -> Fmt.pr "%a@." Analyze.Ir.pp_lowered l) lowered);
-  if indep && not all then
-    selected
-    |> List.iter (fun (e : Analyze.Registry.entry) ->
-           Fmt.pr "@.%s independence facts: %a@." e.Analyze.Registry.name
-             Analyze.Indep.pp_facts
-             (Analyze.Indep.of_config (e.Analyze.Registry.config p)));
   (match sarif_path with
   | None -> ()
   | Some path ->
@@ -556,18 +554,18 @@ let analyze_cmd =
       value & flag
       & info [ "ir" ]
           ~doc:
-            "Print the intermediate representation: the protocol's \
-             control-flow graph (with --protocol) or each algorithm's \
-             abstractly-lowered point trees.")
+            "Print the protocol's control-flow graph (its program points \
+             and successors).  Requires --protocol.")
   in
   let indep =
     Arg.(
       value & flag
       & info [ "indep" ]
           ~doc:
-            "Print the conditional-independence facts the DPOR refinement \
-             consumes (constant/dead registers, redundant scans), plus the \
-             flow/* diagnostics with --protocol.")
+            "Print the protocol's dataflow facts (constant and dead \
+             registers, redundant scans) and its flow/* diagnostics.  These \
+             are diagnostics: the DPOR independence relation is decided at \
+             run time and reads none of them.  Requires --protocol.")
   in
   let optimize =
     Arg.(

@@ -100,8 +100,8 @@ let preds_of (cfg : Ir.cfg) =
 
 let scan_covers off len r = r >= off && r < off + len
 
-let analyze ?inputs (prog : Shm.Vm.proto) =
-  let inputs = match inputs with Some l -> l | None -> default_inputs prog.n in
+let analyze (prog : Shm.Vm.proto) =
+  let inputs = default_inputs prog.n in
   let cfg = Ir.cfg_of_prog prog in
   let npts = Array.length cfg.points in
   let regs = prog.registers in
@@ -396,3 +396,13 @@ let pp ppf t =
         (if t.last_live_out.(id) then "" else "  [last dead]"))
     t.cfg.points;
   Fmt.pf ppf "@]"
+
+let pp_facts ppf t =
+  Fmt.pf ppf "@[<v>const: %a@,dead: {%a}@,redundant points: [%a]%s@]"
+    Fmt.(list ~sep:(any ",") (pair ~sep:(any "=") int V.pp))
+    (const_regs t)
+    Fmt.(list ~sep:(any ",") int)
+    (dead_regs t)
+    Fmt.(list ~sep:(any ",") int)
+    (redundant_points t)
+    (if t.widened then "  (widened)" else "")

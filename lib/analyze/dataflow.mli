@@ -44,10 +44,10 @@ type t = {
   passes : int;
 }
 
-(** [analyze prog] runs all analyses to fixpoint.  [inputs] defaults to
-    {!Agreement.Runner.default_input} for every pid at instance 1 —
-    the model under which generated protocols execute. *)
-val analyze : ?inputs:Shm.Value.t list -> Shm.Vm.proto -> t
+(** [analyze prog] runs all analyses to fixpoint, with
+    {!Agreement.Runner.default_input} for every pid at instance 1 as
+    the inputs — the model under which generated protocols execute. *)
+val analyze : Shm.Vm.proto -> t
 
 (** {1 Derived facts} *)
 
@@ -68,3 +68,7 @@ val redundant_points : t -> int list
 val folded_value : t -> int -> Shm.Value.t option
 
 val pp : Format.formatter -> t -> unit
+
+(** The derived facts on three lines: {!const_regs}, {!dead_regs},
+    {!redundant_points}, and whether the analysis widened. *)
+val pp_facts : Format.formatter -> t -> unit

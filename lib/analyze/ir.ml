@@ -1,14 +1,8 @@
 (* First-order protocol IR and control-flow graphs of program points.
 
-   Two sources feed the IR:
-
-   - the fuzzer's protocol language (step lists with bounded loops,
-     [Shm.Vm.proto]) is *this* language, so the dataflow analyses and
-     the optimizer work on fuzz protocols exactly;
-   - arbitrary free-monad programs ([Shm.Program.t]) are lowered into
-     per-process point trees by driving their abstract-stepping hooks
-     against a collecting memory ([Absdom]), the same technique as
-     [Absint] — exact up to the recorded [truncated] flag.
+   The fuzzer's protocol language (step lists with bounded loops,
+   [Shm.Vm.proto]) is *this* language, so the dataflow analyses and the
+   optimizer work on fuzz protocols exactly.
 
    A program point is one shared-memory operation occurrence (or a
    decide).  Points are identified by their index in execution order,
@@ -250,153 +244,3 @@ let pp_cfg ppf cfg =
         Fmt.(list ~sep:(any ",") int)
         pt.succs)
     cfg.points
-
-(* ------------------------------------------------------------------ *)
-(* Lowering free-monad programs via the abstract-stepping hooks        *)
-
-type lop =
-  | LRead of int
-  | LWrite of int * Shm.Value.t
-  | LScan of int * int
-  | LYield of Shm.Value.t
-  | LStop
-
-type lpoint = { lop : lop; lsuccs : int list }
-
-type lowered = { pid : int; lpoints : lpoint array; ltruncated : bool }
-
-let lop_to_string = function
-  | LRead r -> Fmt.str "read R%d" r
-  | LWrite (r, v) -> Fmt.str "write R%d := %a" r Shm.Value.pp v
-  | LScan (off, len) -> Fmt.str "scan [%d, %d)" off (off + len)
-  | LYield v -> Fmt.str "output %a" Shm.Value.pp v
-  | LStop -> "halt"
-
-let max_points = 2_000
-
-(* Drive one process like [Absint.explore] does, but record every (op,
-   fabricated-result branch) visit as a point.  The result is a point
-   *tree* per process — no merging of converging paths — bounded by
-   [max_points] per process; hitting the bound or an un-feedable shape
-   sets [ltruncated], which downstream fact derivation treats as "no
-   exactness claim". *)
-let lower ?(rounds = 1) config =
-  let registers = Shm.Memory.size (Shm.Config.mem config) in
-  let n = Shm.Config.n config in
-  let b = Absint.exhaustive ~registers ~n in
-  let mem = Absdom.create ~registers ~set_cap:b.Absint.set_cap in
-  let lower_one pid =
-    let points = ref [] (* (id, lop, succ ids) reversed *) in
-    let next = ref 0 in
-    let truncated = ref false in
-    (* returns the entry point ids of [prog]'s continuations *)
-    let rec go prog ~depth ~inst : int list =
-      if !next >= max_points || depth >= b.Absint.max_depth then begin
-        truncated := true;
-        []
-      end
-      else
-        match prog with
-        | Shm.Program.Stop ->
-          let id = !next in
-          incr next;
-          points := (id, LStop, []) :: !points;
-          [ id ]
-        | Shm.Program.Await _ ->
-          if inst >= rounds then []
-          else begin
-            let alts =
-              [ Agreement.Runner.default_input ~pid ~instance:(inst + 1) ]
-            in
-            List.concat_map
-              (fun v ->
-                match Shm.Program.start prog v with
-                | Some p' -> go p' ~depth:(depth + 1) ~inst:(inst + 1)
-                | None ->
-                  truncated := true;
-                  [])
-              alts
-          end
-        | Shm.Program.Yield (v, rest) ->
-          let id = !next in
-          incr next;
-          let ss = go rest ~depth:(depth + 1) ~inst in
-          points := (id, LYield v, ss) :: !points;
-          [ id ]
-        | Shm.Program.Op (op, _) ->
-          let id = !next in
-          incr next;
-          let continue f alts =
-            List.concat_map
-              (fun r ->
-                match f r with
-                | Some p' -> go p' ~depth:(depth + 1) ~inst
-                | None ->
-                  truncated := true;
-                  []
-                | exception _ ->
-                  truncated := true;
-                  [])
-              alts
-          in
-          let lop, ss =
-            match op with
-            | Shm.Program.Read r ->
-              if r < 0 || r >= registers then begin
-                truncated := true;
-                (LRead r, [])
-              end
-              else
-                ( LRead r,
-                  continue
-                    (Shm.Program.feed_read prog)
-                    (Absdom.read_alternatives mem ~width:b.Absint.branch_width
-                       r) )
-            | Shm.Program.Write (r, v) ->
-              if r < 0 || r >= registers then begin
-                truncated := true;
-                (LWrite (r, v), [])
-              end
-              else begin
-                Absdom.add mem r v;
-                ( LWrite (r, v),
-                  continue
-                    (fun () -> Shm.Program.feed_write_ack prog)
-                    [ () ] )
-              end
-            | Shm.Program.Scan (off, len) ->
-              if off < 0 || len < 0 || off + len > registers then begin
-                truncated := true;
-                (LScan (off, len), [])
-              end
-              else
-                ( LScan (off, len),
-                  continue
-                    (Shm.Program.feed_scan prog)
-                    (Absdom.scan_views mem ~width:b.Absint.branch_width
-                       ~exhaustive_cap:b.Absint.exhaustive_cap ~off ~len ()) )
-          in
-          points := (id, lop, ss) :: !points;
-          [ id ]
-    in
-    ignore (go (Shm.Config.proc config pid) ~depth:0 ~inst:0);
-    let arr = Array.make (max 1 !next) { lop = LStop; lsuccs = [] } in
-    List.iter (fun (id, lop, ss) -> arr.(id) <- { lop; lsuccs = ss }) !points;
-    let arr = Array.sub arr 0 !next in
-    { pid; lpoints = arr; ltruncated = !truncated }
-  in
-  (* two passes so values written by later processes flow into earlier
-     processes' read branches (the cheap half of Absint's fixpoint);
-     only the second pass's trees are kept *)
-  let _ = Array.init n lower_one in
-  Array.init n lower_one
-
-let pp_lowered ppf l =
-  Fmt.pf ppf "p%d (%d points%s):@." l.pid (Array.length l.lpoints)
-    (if l.ltruncated then ", truncated" else "");
-  Array.iteri
-    (fun id (pt : lpoint) ->
-      Fmt.pf ppf "  %3d %-28s -> [%a]@." id (lop_to_string pt.lop)
-        Fmt.(list ~sep:(any ",") int)
-        pt.lsuccs)
-    l.lpoints

@@ -2,11 +2,7 @@
 
     The step-list language is {!Shm.Vm.proto}, shared with the fuzzer
     and the bytecode engine, so the dataflow analyses and the protocol
-    optimizer apply to every generated protocol exactly.  Arbitrary
-    free-monad programs are lowered into per-process point trees by
-    {!lower}, which drives the abstract-stepping hooks of
-    {!Shm.Program} against a collecting memory — the {!Absint}
-    technique, exact up to the recorded truncation flag.
+    optimizer apply to every generated protocol exactly.
 
     A {e program point} is one operation occurrence (read, write, scan
     or decide).  Points are numbered in emission order; at run time a
@@ -53,34 +49,3 @@ val cfg_of_prog : Shm.Vm.proto -> cfg
 
 val pop_to_string : pop -> string
 val pp_cfg : Format.formatter -> cfg -> unit
-
-(** {1 Lowering free-monad programs} *)
-
-(** A lowered point's operation: like {!pop} but with the concrete
-    written value (free-monad programs carry values, not sources). *)
-type lop =
-  | LRead of int
-  | LWrite of int * Shm.Value.t
-  | LScan of int * int
-  | LYield of Shm.Value.t
-  | LStop
-
-type lpoint = { lop : lop; lsuccs : int list }
-
-(** One process's point {e tree} (converging paths are not merged).
-    [ltruncated] means the point budget or an analysis bound cut some
-    path short — downstream fact derivation must not claim exactness. *)
-type lowered = { pid : int; lpoints : lpoint array; ltruncated : bool }
-
-(** [lower config] drives every process of [config] through the
-    abstract-step hooks, fabricating results from a collecting memory
-    seeded over two passes (so cross-process writes flow into read
-    branches).  At most 2000 points per process; each process proposes
-    {!Agreement.Runner.default_input} in every instance, and [rounds]
-    is as in {!Absint.analyze}. *)
-val lower :
-  ?rounds:int ->
-  Shm.Config.t ->
-  lowered array
-
-val pp_lowered : Format.formatter -> lowered -> unit

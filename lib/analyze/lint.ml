@@ -343,6 +343,115 @@ let anonymity ?(rounds = 1) config =
   end
 
 (* ------------------------------------------------------------------ *)
+(* The flow/* rules, read off a first-order protocol's dataflow facts   *)
+
+(* Shortest entry path to a point, rendered one step per line — the
+   same witness shape the abstract interpreter produces. *)
+let witness_to (cfg : Ir.cfg) target =
+  let n = Array.length cfg.points in
+  if target < 0 || target >= n || not cfg.reachable.(target) then []
+  else begin
+    let prev = Array.make n (-2) in
+    prev.(0) <- -1;
+    let q = Queue.create () in
+    Queue.push 0 q;
+    let rec bfs () =
+      if Queue.is_empty q then ()
+      else
+        let id = Queue.pop q in
+        if id = target then ()
+        else begin
+          List.iter
+            (fun s ->
+              if prev.(s) = -2 then begin
+                prev.(s) <- id;
+                Queue.push s q
+              end)
+            cfg.points.(id).succs;
+          bfs ()
+        end
+    in
+    bfs ();
+    let rec path id acc =
+      if id < 0 then acc else path prev.(id) (id :: acc)
+    in
+    if prev.(target) = -2 then []
+    else
+      List.map
+        (fun id ->
+          Fmt.str "point %d: %s" id (Ir.pop_to_string cfg.points.(id).op))
+        (path target [])
+  end
+
+let flow d =
+  let cfg = d.Dataflow.cfg in
+  let find_write_point r =
+    let found = ref None in
+    Array.iteri
+      (fun id (pt : Ir.point) ->
+        if !found = None && cfg.Ir.reachable.(id) then
+          match pt.Ir.op with
+          | Ir.PWrite (r', _) when r' = r -> found := Some id
+          | _ -> ())
+      cfg.Ir.points;
+    !found
+  in
+  let dead =
+    List.filter_map
+      (fun r ->
+        Option.map
+          (fun id ->
+            {
+              rule = "flow/dead-register-write";
+              severity = Warning;
+              message =
+                Fmt.str
+                  "register R%d is written but no process ever reads it — \
+                   the write at point %d is unobservable"
+                  r id;
+              witness = witness_to cfg id;
+            })
+          (find_write_point r))
+      (Dataflow.dead_regs d)
+  in
+  let redundant =
+    List.map
+      (fun id ->
+        let what =
+          match cfg.Ir.points.(id).Ir.op with
+          | Ir.PScan (_, 0) -> "zero-length scan observes nothing"
+          | Ir.PScan _ -> "scan result is never consumed"
+          | _ -> "read result is never consumed"
+        in
+        {
+          rule = "flow/redundant-scan";
+          severity = Warning;
+          message = Fmt.str "point %d: %s (dead observation)" id what;
+          witness = witness_to cfg id;
+        })
+      (Dataflow.redundant_points d)
+  in
+  let consts =
+    List.filter_map
+      (fun (r, v) ->
+        Option.map
+          (fun id ->
+            {
+              rule = "flow/constant-register";
+              severity = Info;
+              message =
+                Fmt.str
+                  "register R%d always holds %a once written — every write \
+                   stores the same value"
+                  r Shm.Value.pp v;
+              witness = witness_to cfg id;
+            })
+          (find_write_point r))
+      (Dataflow.const_regs d)
+  in
+  dead @ redundant @ consts
+
+(* ------------------------------------------------------------------ *)
 
 let check ?budgets ?(rounds = 1) ?summary ~anonymous config =
   let summary =

@@ -24,7 +24,10 @@
     - [absint/path-abandoned] ({e info}) — an explored path died in the
       program's own decode logic under an abstract value mix.
     - [absint/widened] ({e warning}) — value sets hit the widening cap;
-      value coverage (not register coverage) is incomplete. *)
+      value coverage (not register coverage) is incomplete.
+
+    First-order protocols get the [flow/*] rules instead ({!flow}),
+    from their {!Dataflow} facts. *)
 
 type severity = Error | Warning | Info
 
@@ -44,6 +47,12 @@ val pp_diag : Format.formatter -> diag -> unit
     the solo-termination fuel; diagnoses [anon/pid-dependent-value].
     Configurations with fewer than two processes trivially pass. *)
 val anonymity : ?rounds:int -> Shm.Config.t -> diag list
+
+(** The [flow/dead-register-write] (warning), [flow/redundant-scan]
+    (warning) and [flow/constant-register] (info) diagnostics of a
+    protocol's dataflow facts, each with a shortest entry path as
+    witness. *)
+val flow : Dataflow.t -> diag list
 
 (** All applicable rules: abstract interpretation (or reuse [summary]),
     the diagnostics derivable from its summary (out-of-bounds,

@@ -117,9 +117,10 @@ let as_const v =
 (* Walk the step list mirroring [Ir.cfg_of_prog]'s point emission order
    exactly, so dataflow facts indexed by point id line up. *)
 let rewrite_pass (d : Dataflow.t) =
-  let facts = Indep.of_dataflow d in
-  let dead r = List.mem r facts.Indep.dead_regs in
-  let redundant id = List.mem id facts.Indep.redundant in
+  let dead_regs = Dataflow.dead_regs d in
+  let redundant_points = Dataflow.redundant_points d in
+  let dead r = List.mem r dead_regs in
+  let redundant id = List.mem id redundant_points in
   let next = ref 0 in
   let emit () =
     let id = !next in

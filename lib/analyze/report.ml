@@ -151,7 +151,7 @@ let bench_rows rows ~p mutants =
           ])
       mutants
 
-let protocol_row (prog : Shm.Vm.proto) (facts : Indep.facts) ~flow_diags opt =
+let protocol_row (prog : Shm.Vm.proto) (d : Dataflow.t) ~flow_diags opt =
   let ints l = Obs.Json.Arr (List.map (fun r -> Obs.Json.Int r) l) in
   Obs.Json.Obj
     ([
@@ -159,9 +159,9 @@ let protocol_row (prog : Shm.Vm.proto) (facts : Indep.facts) ~flow_diags opt =
        ("protocol", Obs.Json.String (Ir.to_string prog));
        ("registers", Obs.Json.Int prog.registers);
        ("n", Obs.Json.Int prog.n);
-       ("widened", Obs.Json.Bool facts.widened);
-       ("const_regs", ints (List.map fst facts.const_regs));
-       ("dead_regs", ints facts.dead_regs);
+       ("widened", Obs.Json.Bool d.widened);
+       ("const_regs", ints (List.map fst (Dataflow.const_regs d)));
+       ("dead_regs", ints (Dataflow.dead_regs d));
        ("flow_diags", Obs.Json.Int flow_diags);
      ]
     @

@@ -66,11 +66,11 @@ val bench_rows :
   row list -> p:Agreement.Params.t -> (Mutants.mutant * bool) list -> Obs.Json.t list
 
 (** The one row of an [analyze-protocol] document ([sa_run analyze
-    --protocol --json]): the protocol, its independence facts, the
+    --protocol --json]): the protocol, its dataflow facts, the
     number of flow diagnostics and, when it was optimized, the
     rewrite. *)
 val protocol_row :
-  Shm.Vm.proto -> Indep.facts -> flow_diags:int -> Optim.result option -> Obs.Json.t
+  Shm.Vm.proto -> Dataflow.t -> flow_diags:int -> Optim.result option -> Obs.Json.t
 
 (** One [name: value] line per {!stats} field, named as the bench
     counters ([analyze.absint_steps], …, [analyze.absdom_recomputes]). *)

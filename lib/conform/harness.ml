@@ -292,7 +292,7 @@ let check_decisions ~k ~inputs decisions =
       Error
         (Fmt.str "%d-agreement violated: %d distinct decisions {%a}" k
            (List.length distinct)
-           Fmt.(list ~sep:comma Shm.Value.pp)
+           Fmt.(list ~sep:(any ", ") Shm.Value.pp)
            distinct)
     else Ok ()
 

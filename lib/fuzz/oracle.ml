@@ -58,7 +58,7 @@ let analyzer p sched =
         (Fmt.str "dynamic write outside static footprint: R%a (static {%a})"
            Fmt.(list ~sep:(any ",R") int)
            rs
-           Fmt.(list ~sep:comma int)
+           Fmt.(list ~sep:(any ", ") int)
            (Analyze.Absint.IntSet.elements static))
   end
 
@@ -189,22 +189,20 @@ let determinism p sched =
     diff_runs ~what:"unshare" r1 unshared
 
 (* ------------------------------------------------------------------ *)
-(* (e) Independence-refinement soundness: exploring with the dataflow
-   engine's conditional-independence relation must reach the same
-   verdict kind as the dynamic-footprint baseline.  The refinement only
-   prunes redundant interleavings, so a violation exists under one arm
-   iff it exists under the other (which counterexample is found first
-   may differ). *)
+(* (e) Independence-refinement soundness: exploring with the run-time
+   conditional-independence relation must reach the same verdict kind
+   as the dynamic-footprint baseline.  The refinement only prunes
+   redundant interleavings, so a violation exists under one arm iff it
+   exists under the other (which counterexample is found first may
+   differ). *)
 
 let indep_depth = 6
 
 let indep p _sched =
-  let facts = Analyze.Indep.of_prog p in
-  let refine = Analyze.Indep.refinement ~facts () in
-  let explore static_indep =
+  let explore refine =
     Spec.Modelcheck.run
       ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs = 1 })
-      ~depth:indep_depth ~inputs:Agreement.Runner.proto_inputs ?static_indep
+      ~depth:indep_depth ~inputs:Agreement.Runner.proto_inputs ~refine
       ~check:(Spec.Properties.check_safety ~k:1)
       (Shm.Vm.config p)
   in
@@ -212,7 +210,7 @@ let indep p _sched =
     | Spec.Modelcheck.Ok_bounded _ -> "ok"
     | Spec.Modelcheck.Counterexample { error; _ } -> "violation: " ^ error
   in
-  match (explore None, explore (Some refine)) with
+  match (explore false, explore true) with
   | Spec.Modelcheck.Ok_bounded base, Spec.Modelcheck.Ok_bounded refined ->
     (* pruning must never *grow* the state space *)
     if refined.Spec.Modelcheck.explored > base.Spec.Modelcheck.explored then
@@ -223,7 +221,7 @@ let indep p _sched =
   | Spec.Modelcheck.Counterexample _, Spec.Modelcheck.Counterexample _ -> None
   | base, refined ->
     Some
-      (Fmt.str "verdicts diverge: dynamic-only %s, with static refinement %s"
+      (Fmt.str "verdicts diverge: dynamic-only %s, with the refinement %s"
          (verdict base) (verdict refined))
 
 (* ------------------------------------------------------------------ *)

@@ -21,11 +21,11 @@
     - {!Determinism} — re-running the same input reproduces the trace
       byte-for-byte, and {!Shm.Config.unshare} preserves observable
       memory.
-    - {!Indep} — exploring with the dataflow engine's
-      conditional-independence refinement ([Analyze.Indep.refinement]
-      threaded through [Spec.Modelcheck.run]'s [?static_indep]) reaches the same
-      verdict kind as the dynamic-footprint baseline, and never
-      explores {e more} states.
+    - {!Indep} — exploring with the run-time conditional-independence
+      refinement ([Spec.Modelcheck.run ~refine:true], which adds
+      {!Spec.Modelcheck.cond_independent} pairs to sleep sets) reaches
+      the same verdict kind as the dynamic-footprint baseline, and
+      never explores {e more} states.
     - {!Optim} — simulation equivalence of [Analyze.Optim]: running
       the original under the schedule and feeding the optimized
       program the results of exactly the kept operations yields

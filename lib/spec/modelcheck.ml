@@ -48,7 +48,7 @@ let pp_outcome ppf = function
     Fmt.pf ppf "no violation (%d nodes, %d leaves)" explored leaves
   | Counterexample { schedule; error; _ } ->
     Fmt.pf ppf "counterexample schedule [%a]: %s"
-      Fmt.(list ~sep:comma int)
+      Fmt.(list ~sep:(any ", ") int)
       schedule error
 
 (* Extract the counterexample as the common currency of the stack, for
@@ -106,6 +106,25 @@ let counterexample ~inputs ~completion_steps config schedule error =
   { Counterex.schedule; error;
     config = fst (Counterex.complete ~inputs ~max_steps:completion_steps stepped) }
 
+(* ---- conditional independence ---- *)
+
+(* Two poised ops whose footprints collide may still commute to the
+   identical configuration in the current memory: same-register writes
+   of equal values ([Value.equal] is a pointer test on hash-consed
+   values), and a write re-storing the value the register already holds
+   against a read of it or a scan covering it.  Peeking at [mem] counts
+   no access.  [false] means "not proved", never "dependent". *)
+let cond_independent mem a b =
+  let noop r v = Value.equal (Memory.read mem r) v in
+  match (a, b) with
+  | Program.Write (r1, v1), Program.Write (r2, v2) -> r1 = r2 && Value.equal v1 v2
+  | Program.Write (r, v), Program.Read r' | Program.Read r', Program.Write (r, v) ->
+    r = r' && noop r v
+  | Program.Write (r, v), Program.Scan (off, len)
+  | Program.Scan (off, len), Program.Write (r, v) ->
+    r >= off && r < off + len && noop r v
+  | _ -> false (* read/read pairs are footprint-independent already *)
+
 (* ---- heap configurations, keyed by Statehash ---- *)
 
 module Interp_state = struct
@@ -118,10 +137,8 @@ module Interp_state = struct
     full_key : bool;
     (* memoize frontier completions (on with the state cache) *)
     memo : bool;
-    (* conditional-independence refinement: may the poised ops of two
-       processes be swapped in the state whose memory is [mem] without
-       changing the resulting configuration? *)
-    static_indep : (mem:Memory.t -> Program.op -> Program.op -> bool) option;
+    (* add [cond_independent] pairs to sleep sets *)
+    refine : bool;
   }
 
   (* [root] is this domain's own copy of the initial configuration: a
@@ -159,12 +176,11 @@ module Interp_state = struct
          the identical state in the current memory (equal-value writes, a
          no-op write against a read) — sound for sleep sets, which need
          commutation only at this node, never for ample sets *)
-      match d.env.static_indep with
-      | None -> Explore.Conflict
-      | Some refine -> (
+      if not d.env.refine then Explore.Conflict
+      else
         match (Program.poised_op (Config.proc c q), Program.poised_op (Config.proc c p)) with
-        | Some oq, Some op when refine ~mem:(Config.mem c) oq op -> Explore.Refined
-        | _ -> Explore.Conflict)
+        | Some oq, Some op when cond_independent (Config.mem c) oq op -> Explore.Refined
+        | _ -> Explore.Conflict
 
   let child d ~prof t pid =
     let t0 = Explore.start prof in
@@ -337,7 +353,8 @@ let of_explore = function
     Counterexample { schedule; error; config; stats }
 
 let run ~engine ~depth ?(key = `Incremental) ~inputs
-    ?(completion_steps = Counterex.completion_steps) ?static_indep ?metrics ?prof ~check config =
+    ?(completion_steps = Counterex.completion_steps) ?(refine = false) ?metrics ?prof ~check
+    config =
   match engine with
   | Naive ->
     let out = exhaustive ~depth ~inputs ~completion_steps ~check config in
@@ -348,7 +365,7 @@ let run ~engine ~depth ?(key = `Incremental) ~inputs
     of_explore
       (Interp.explore ~depth ~cache ~jobs ?metrics ?prof
          { config; inputs; has_input; completion_steps; check; full_key = key = `Full;
-           memo = cache; static_indep })
+           memo = cache; refine })
 
 (* [run] for first-order protocols executed by [Shm.Vm]; the check sees
    decoded i/o records (Properties.check_safety_io fits directly). *)

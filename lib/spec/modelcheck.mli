@@ -19,7 +19,7 @@ type stats = Explore.stats = {
   max_depth : int;
   cache_hits : int;  (** [Dpor] only; 0 for [Naive] *)
   pruned : int;      (** sleep-set prunes; [Dpor] only *)
-  refined : int;     (** sleep retentions owed to [?static_indep] alone *)
+  refined : int;     (** sleep retentions owed to [~refine:true] alone *)
   steals : int;      (** work-stealing migrations; [Dpor] only *)
   memo_hits : int;
       (** leaves answered by the completion memo, with no completion
@@ -57,6 +57,17 @@ val exhaustive :
   Shm.Config.t ->
   outcome
 
+(** [cond_independent mem a b]: do the poised ops [a] and [b] of two
+    processes, whose footprints collide, still commute to the identical
+    configuration from memory [mem]?  Two rules, decided at run time in
+    O(1): same-register writes of equal values, and a no-op write
+    (re-storing the value the register holds) against a read of that
+    register or a scan covering it.  Footprint-dead writes do not
+    qualify: unequal unobservable writes still differ in memory.
+    [false] means "not proved", never "proved dependent"; probing [mem]
+    counts no access. *)
+val cond_independent : Shm.Memory.t -> Shm.Program.op -> Shm.Program.op -> bool
+
 (** {1 Engine dispatch} *)
 
 type engine =
@@ -76,11 +87,8 @@ val stats_of : outcome -> stats
     selects the state-cache key (default [`Incremental]; [`Full] is the
     full MD5 digest of the canonical form, the audited reference path —
     both induce the same partition up to hash collision);
-    [static_indep] refines sleep sets with a conditional independence
-    relation — [refine ~mem a b] must hold only when executing poised
-    ops [a] and [b] of two processes in either order from memory [mem]
-    yields the identical configuration ([Analyze.Indep.refinement]
-    derives one; it never widens ample sets); [prof] receives the phase
+    [refine] (default [false]) also lets {!cond_independent} pairs
+    join sleep sets (never ample sets); [prof] receives the phase
     breakdown.
 
     With [Dpor { cache = true; _ }] and [completion_steps > 0], each
@@ -102,7 +110,7 @@ val run :
   ?key:[ `Incremental | `Full ] ->
   inputs:(pid:int -> instance:int -> Shm.Value.t option) ->
   ?completion_steps:int ->
-  ?static_indep:(mem:Shm.Memory.t -> Shm.Program.op -> Shm.Program.op -> bool) ->
+  ?refine:bool ->
   ?metrics:Obs.Metrics.t ->
   ?prof:Obs.Prof.t ->
   check:(Shm.Config.t -> (unit, string) result) ->

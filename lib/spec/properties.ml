@@ -57,7 +57,7 @@ let validity_of groups =
                Some
                  (Fmt.str "instance %d: output %a is not an input (inputs: %a)" inst
                     Value.pp v
-                    Fmt.(list ~sep:comma Value.pp)
+                    Fmt.(list ~sep:(any ", ") Value.pp)
                     ins)))
     groups
 
@@ -72,7 +72,7 @@ let agreement_of ~k groups =
         Some
           (Fmt.str "instance %d: %d distinct outputs > k=%d (%a)" inst
              (List.length d) k
-             Fmt.(list ~sep:comma Value.pp)
+             Fmt.(list ~sep:(any ", ") Value.pp)
              d))
     groups
 

@@ -614,7 +614,6 @@ let prop_absdom_cache_differential =
 
 module Ir = Analyze.Ir
 module DF = Analyze.Dataflow
-module Ind = Analyze.Indep
 
 let parse_ok s =
   match Ir.parse s with
@@ -677,7 +676,7 @@ let dataflow_redundant () =
 
 let flow_lint_rules () =
   let d = DF.analyze (parse_ok "r3 n2 : W1<-5; R0; R0; D last") in
-  let diags = Ind.lint d in
+  let diags = Analyze.Lint.flow d in
   let rules =
     List.map (fun (dg : Analyze.Lint.diag) -> dg.Analyze.Lint.rule) diags
   in
@@ -696,7 +695,7 @@ let flow_lint_rules () =
         (dg.Analyze.Lint.witness <> []))
     diags;
   let clean = DF.analyze (parse_ok "r1 n2 : W0<-in; R0; D last") in
-  Alcotest.(check int) "clean protocol" 0 (List.length (Ind.lint clean))
+  Alcotest.(check int) "clean protocol" 0 (List.length (Analyze.Lint.flow clean))
 
 let optim_rewrites () =
   let module Opt = Analyze.Optim in
@@ -713,7 +712,7 @@ let optim_rewrites () =
 
 let sarif_document () =
   let d = DF.analyze (parse_ok "r3 n2 : W1<-5; R0; R0; D last") in
-  let results = List.map (fun dg -> ("protocol:test", dg)) (Ind.lint d) in
+  let results = List.map (fun dg -> ("protocol:test", dg)) (Analyze.Lint.flow d) in
   let s = Analyze.Sarif.to_string ~tool_version:"test" results in
   List.iter
     (fun needle ->
@@ -729,59 +728,54 @@ let sarif_document () =
 
 let refinement_units () =
   let t = Alcotest.(check bool) in
-  let refine = Ind.refinement () in
+  let refine = Spec.Modelcheck.cond_independent in
   let mem = Shm.Memory.write (Shm.Memory.create 3) 0 (vi 3) in
   t "equal writes commute" true
-    (refine ~mem (P.Write (1, vi 9)) (P.Write (1, vi 9)));
+    (refine mem (P.Write (1, vi 9)) (P.Write (1, vi 9)));
   t "unequal writes do not" false
-    (refine ~mem (P.Write (1, vi 9)) (P.Write (1, vi 8)));
+    (refine mem (P.Write (1, vi 9)) (P.Write (1, vi 8)));
   t "different registers are footprint territory" false
-    (refine ~mem (P.Write (0, vi 3)) (P.Write (1, vi 3)));
-  t "no-op write vs read" true (refine ~mem (P.Write (0, vi 3)) (P.Read 0));
-  t "symmetric" true (refine ~mem (P.Read 0) (P.Write (0, vi 3)));
+    (refine mem (P.Write (0, vi 3)) (P.Write (1, vi 3)));
+  t "no-op write vs read" true (refine mem (P.Write (0, vi 3)) (P.Read 0));
+  t "symmetric" true (refine mem (P.Read 0) (P.Write (0, vi 3)));
   t "changing write vs read" false
-    (refine ~mem (P.Write (0, vi 4)) (P.Read 0));
+    (refine mem (P.Write (0, vi 4)) (P.Read 0));
   t "no-op write vs covering scan" true
-    (refine ~mem (P.Write (0, vi 3)) (P.Scan (0, 2)));
+    (refine mem (P.Write (0, vi 3)) (P.Scan (0, 2)));
   t "no-op write vs non-covering scan" false
-    (refine ~mem (P.Write (0, vi 3)) (P.Scan (1, 2)));
-  (* the constant-register certificate is re-checked at the call site:
-     writes that disagree with it never qualify *)
-  let facts = { Ind.empty with Ind.const_regs = [ (2, vi 6) ] } in
-  let refine' = Ind.refinement ~facts () in
+    (refine mem (P.Write (0, vi 3)) (P.Scan (1, 2)));
+  (* the pairs a constant register's writes form: equal stores commute
+     by the equal-write rule alone, mismatched ones never do *)
   t "certified writes commute" true
-    (refine' ~mem (P.Write (2, vi 6)) (P.Write (2, vi 6)));
+    (refine mem (P.Write (2, vi 6)) (P.Write (2, vi 6)));
   t "certificate mismatch rejected" false
-    (refine' ~mem (P.Write (2, vi 5)) (P.Write (2, vi 6)))
+    (refine mem (P.Write (2, vi 5)) (P.Write (2, vi 6)))
 
 let indep_facts_of_prog () =
-  let facts =
-    Ind.of_prog (parse_ok "r3 n3 : W0<-3; W2<-8; L3[W0<-3; R0]; D last")
-  in
+  let d = DF.analyze (parse_ok "r3 n3 : W0<-3; W2<-8; L3[W0<-3; R0]; D last") in
   Alcotest.(check bool) "R0 certified constant" true
-    (match List.assoc_opt 0 facts.Ind.const_regs with
+    (match List.assoc_opt 0 (DF.const_regs d) with
     | Some v -> V.equal v (vi 3)
     | None -> false);
-  Alcotest.(check (list int)) "dead register" [ 2 ] facts.Ind.dead_regs;
-  Alcotest.(check bool) "not widened" false facts.Ind.widened
+  Alcotest.(check (list int)) "dead register" [ 2 ] (DF.dead_regs d);
+  Alcotest.(check bool) "not widened" false d.DF.widened
 
-(* ?static_indep end-to-end: identical verdict, strictly fewer states
+(* ~refine:true end-to-end: identical verdict, strictly fewer states
    on a protocol whose writes are all no-ops after the first. *)
-let dpor_static_indep_prunes () =
+let dpor_refine_prunes () =
   let prog = parse_ok "r2 n3 : W0<-3; L3[W0<-3; R0]; D last" in
-  let facts = Ind.of_prog prog in
   let check c =
     match Spec.Properties.agreement_errors ~k:1 c with
     | [] -> Ok ()
     | e :: _ -> Error e
   in
-  let run static_indep =
+  let run refine =
     Spec.Modelcheck.run
       ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs = 1 })
-      ~depth:10 ~inputs:Agreement.Runner.proto_inputs ?static_indep ~check
+      ~depth:10 ~inputs:Agreement.Runner.proto_inputs ~refine ~check
       (Shm.Vm.config prog)
   in
-  let base = run None and refined = run (Some (Ind.refinement ~facts ())) in
+  let base = run false and refined = run true in
   (match (base, refined) with
   | Spec.Modelcheck.Ok_bounded _, Spec.Modelcheck.Ok_bounded _ -> ()
   | _ -> Alcotest.fail "verdicts diverged (or a counterexample appeared)");
@@ -793,12 +787,12 @@ let dpor_static_indep_prunes () =
     (explored refined < explored base)
 
 (* The soundness property behind the sleep-set refinement: whenever
-   [Indep.refinement] accepts a pair of poised ops, executing them in
+   [Spec.Modelcheck.cond_independent] accepts a pair of poised ops, executing them in
    either order yields configurations with identical canonical
    representations ([Statehash.repr]: memory dump + per-process
    observation digests + instances + io) — on both memory backends.
    States are drawn by walking a generated schedule. *)
-let prop_static_indep_commutes =
+let prop_refine_commutes =
   let print (p, s) =
     Fmt.str "%s | %s" (Analyze.Ir.to_string p) (Fuzz.Gen.schedule_to_string s)
   in
@@ -814,7 +808,7 @@ let prop_static_indep_commutes =
     ~name:"statically-independent enabled pairs commute (both backends)"
     (QCheck.make ~print gen)
     (fun (p, sched) ->
-      let refine = Ind.refinement ~facts:(Ind.of_prog p) () in
+      let refine = Spec.Modelcheck.cond_independent in
       let diamonds_ok config =
         let n = Shm.Config.n config in
         let mem = Shm.Config.mem config in
@@ -825,7 +819,7 @@ let prop_static_indep_commutes =
               ( P.poised_op (Shm.Config.proc config a),
                 P.poised_op (Shm.Config.proc config b) )
             with
-            | Some oa, Some ob when refine ~mem oa ob ->
+            | Some oa, Some ob when refine mem oa ob ->
               let run order =
                 let base = Shm.Config.unshare config in
                 List.fold_left
@@ -918,10 +912,10 @@ let suite =
     test "indep: refinement unit rules" refinement_units;
     test "indep: facts from a protocol" indep_facts_of_prog;
     test "dpor: static independence prunes, verdict unchanged"
-      dpor_static_indep_prunes;
+      dpor_refine_prunes;
     test "oracle: optimizer equivalence on 120 protocols"
       (oracle_sweep Fuzz.Oracle.Optim 120);
     test "oracle: independence soundness on 120 protocols"
       (oracle_sweep Fuzz.Oracle.Indep 120);
-    to_alcotest prop_static_indep_commutes;
+    to_alcotest prop_refine_commutes;
   ]

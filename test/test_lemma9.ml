@@ -18,6 +18,10 @@ let breaks_m2_k3 () =
     Alcotest.(check int) "four distinct outputs" 4 (List.length outputs);
     Alcotest.(check bool) "checker confirms" true
       (Spec.Properties.agreement_errors ~k:3 config <> []);
+    (* the four values are joined on one line, with no break hints *)
+    List.iter
+      (fun e -> Alcotest.(check bool) (Fmt.str "one line: %S" e) false (String.contains e '\n'))
+      (Spec.Properties.agreement_errors ~k:3 config);
     Alcotest.(check (list string)) "validity holds" []
       (Spec.Properties.validity_errors config);
     (* c·(r²−r)/2 = 2·3 clones *)

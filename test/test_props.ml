@@ -312,7 +312,7 @@ module Assoc_oracle = struct
                    Some
                      (Fmt.str "instance %d: output %a is not an input (inputs: %a)" inst
                         Value.pp v
-                        Fmt.(list ~sep:comma Value.pp)
+                        Fmt.(list ~sep:(any ", ") Value.pp)
                         ins)))
         groups
     and agreement =
@@ -324,7 +324,7 @@ module Assoc_oracle = struct
             Some
               (Fmt.str "instance %d: %d distinct outputs > k=%d (%a)" inst
                  (List.length d) k
-                 Fmt.(list ~sep:comma Value.pp)
+                 Fmt.(list ~sep:(any ", ") Value.pp)
                  d))
         groups
     in
