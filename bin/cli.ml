@@ -295,6 +295,10 @@ let run ~shrink =
   let make inst (spec, max_steps) (explore, jobs, shrink) =
     let n = inst.params.Agreement.Params.n in
     let valid = function Ok v -> v | Error e -> usage_error "%s" e in
+    if explore = None then begin
+      if shrink then usage_error "--shrink minimizes an --explore counterexample; pass --explore";
+      if jobs <> 1 then usage_error "--jobs %d sets --explore workers; pass --explore" jobs
+    end;
     {
       inst;
       sched = valid (parse_sched spec ~n);

@@ -78,7 +78,12 @@ let stopped_name = function
 
 let run (r : Cli.run) trace diagram stats trace_out =
   match r.explore with
-  | Some e -> explore_main r e ~stats
+  | Some e ->
+    List.iter
+      (fun (given, flag) ->
+        if given then Cli.usage_error "%s shows a single run; it does not apply to --explore" flag)
+      [ (trace, "--trace"); (diagram, "--diagram"); (trace_out <> None, "--trace-out") ];
+    explore_main r e ~stats
   | None ->
   let { Cli.config; params = { Agreement.Params.n; k; _ }; _ } = r.inst in
   (* Streaming observers: stats always (O(1) and cheap), JSONL export
@@ -171,6 +176,8 @@ let pp_series ppf samples =
     Fmt.pf ppf "%d samples@." (List.length rows)
 
 let trace_main (r : Cli.run) sets out jsonl_out stats =
+  if sets && r.explore <> None then
+    Cli.usage_error "--cov-sets records a single run's coverage; it does not apply to --explore";
   Cli.check_output "--out" out;
   Option.iter (Cli.check_output "--jsonl") jsonl_out;
   let tr = Obs.Trace.create () in

@@ -28,11 +28,11 @@ let attack ~label p ~registers =
     groups
     |> List.iter (fun g ->
            Fmt.pr "  j=%d  Q={%a}  P={%a}  A={%a}@." g.Theorem2.index
-             Fmt.(list ~sep:comma int)
+             Fmt.(list ~sep:(any ", ") int)
              g.Theorem2.final_q
-             Fmt.(list ~sep:comma int)
+             Fmt.(list ~sep:(any ", ") int)
              g.Theorem2.pset
-             Fmt.(list ~sep:comma int)
+             Fmt.(list ~sep:(any ", ") int)
              g.Theorem2.aset);
     (* Independent certification by the property checker. *)
     (match Spec.Properties.check_safety ~k:p.Params.k config with

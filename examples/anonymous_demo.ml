@@ -27,7 +27,7 @@ let () =
   Spec.Properties.by_instance result.Shm.Exec.config
   |> List.iter (fun (inst, _, outs) ->
          Fmt.pr "  instance %d: outputs {%a}@." inst
-           Fmt.(list ~sep:comma Shm.Value.pp)
+           Fmt.(list ~sep:(any ", ") Shm.Value.pp)
            (Spec.Properties.distinct_values outs));
   (match Spec.Properties.check_safety ~k:2 result.Shm.Exec.config with
   | Ok () -> Fmt.pr "  safety: OK@."

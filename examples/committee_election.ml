@@ -33,7 +33,7 @@ let elect ~sched_name sched =
     Spec.Properties.distinct_values (Runner.outputs_of_instance result ~instance:1)
   in
   Fmt.pr "%-28s committee {%a} (size %d <= k=%d), %d steps@." sched_name
-    Fmt.(list ~sep:comma Shm.Value.pp)
+    Fmt.(list ~sep:(any ", ") Shm.Value.pp)
     committee (List.length committee) k result.Shm.Exec.steps;
   (match Spec.Properties.check_safety ~k result.Shm.Exec.config with
   | Ok () -> ()
@@ -71,5 +71,5 @@ let () =
   in
   let sizes = List.map List.length [ c1; c2; c3; c4; c5 ] in
   Fmt.pr "all five elections valid; committee sizes %a@."
-    Fmt.(list ~sep:comma int)
+    Fmt.(list ~sep:(any ", ") int)
     sizes

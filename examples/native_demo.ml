@@ -20,9 +20,9 @@ let () =
     in
     Fmt.pr "trial %d: inputs {%a} -> decisions {%a} (%d distinct <= k=2) in %.0f us@."
       trial
-      Fmt.(list ~sep:comma Shm.Value.pp)
+      Fmt.(list ~sep:(any ", ") Shm.Value.pp)
       (Array.to_list inputs |> Spec.Properties.distinct_values)
-      Fmt.(list ~sep:comma Shm.Value.pp)
+      Fmt.(list ~sep:(any ", ") Shm.Value.pp)
       (Array.to_list decisions)
       (List.length distinct) dt;
     assert (List.length distinct <= 2)

@@ -21,9 +21,9 @@ let () =
   Spec.Properties.by_instance result.Shm.Exec.config
   |> List.iter (fun (inst, ins, outs) ->
          Fmt.pr "instance %d: inputs {%a} -> outputs {%a}@." inst
-           Fmt.(list ~sep:comma Shm.Value.pp)
+           Fmt.(list ~sep:(any ", ") Shm.Value.pp)
            (Spec.Properties.distinct_values ins)
-           Fmt.(list ~sep:comma Shm.Value.pp)
+           Fmt.(list ~sep:(any ", ") Shm.Value.pp)
            (Spec.Properties.distinct_values outs));
 
   (* The checker confirms Validity and k-Agreement. *)

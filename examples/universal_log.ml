@@ -37,7 +37,7 @@ let () =
   (match Rsm.agreement_log run with
   | Some log ->
     Fmt.pr "agreed log (%d slots): %a@." (List.length log)
-      Fmt.(list ~sep:comma Shm.Value.pp)
+      Fmt.(list ~sep:(any ", ") Shm.Value.pp)
       log
   | None -> Fmt.pr "replicas diverged?! (bug)@.");
   List.iter

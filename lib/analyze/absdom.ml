@@ -63,8 +63,6 @@ let create ~registers ~set_cap =
     recomputes = 0;
   }
 
-let registers t = Array.length t.regs
-
 let version t = t.version
 
 let widened t = t.widened

@@ -26,8 +26,6 @@ type t
 (** [create ~registers ~set_cap] — all registers start as \{⊥\}. *)
 val create : registers:int -> set_cap:int -> t
 
-val registers : t -> int
-
 (** Bumped every time any register's set grows. *)
 val version : t -> int
 

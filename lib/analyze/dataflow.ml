@@ -11,20 +11,16 @@
    The analyses:
    - per-point [last] value sets (forward), feeding the global store to
      a joint fixpoint — constant detection and folding;
-   - must-self-written registers (forward, intersection at joins) —
-     lets a read drop ⊥ when this process surely wrote the register
-     and no write anywhere may write ⊥;
-   - reaching definitions (forward, union) — which of this process's
-     own writes may reach a point;
-   - shared-register liveness (backward, union) — may a later point of
-     this process read the register;
+   - must-self-written registers (forward, intersection at joins),
+     local to [analyze] — lets a read drop ⊥ when this process surely
+     wrote the register and no write anywhere may write ⊥;
    - [last]-liveness (backward) — is the observation a read or scan
      produces ever consumed; dead observations are the redundant-scan
      lint and the optimizer's drop rule.
 
    The value-set analyses are sound only up to widening: when any set
    hits its cap, [widened] is set and downstream users must not trust
-   value claims (syntactic facts — liveness, reaching, read/write
+   value claims (syntactic facts — [last]-liveness and read/write
    sets — are exact on the CFG regardless). *)
 
 module V = Shm.Value
@@ -75,12 +71,7 @@ type t = {
   read_regs : IntSet.t;  (** registers some reachable point reads or scans *)
   write_regs : IntSet.t;  (** registers some reachable point writes *)
   last_in : vset array;  (** per point: possible [last] values on entry *)
-  must_self_written : IntSet.t array;
-      (** per point: registers this process surely wrote before it *)
   may_write_bot : bool array;  (** per register: some write may store ⊥ *)
-  reaching_in : IntSet.t array array;
-      (** [reaching_in.(p).(r)]: own write points that may reach [p] *)
-  live_out : bool array array;  (** [live_out.(p).(r)]: may be read later *)
   last_live_out : bool array;  (** per point: is [last] consumed later *)
   widened : bool;
   passes : int;
@@ -97,8 +88,6 @@ let preds_of (cfg : Ir.cfg) =
       List.iter (fun s -> preds.(s) <- id :: preds.(s)) pt.succs)
     cfg.points;
   preds
-
-let scan_covers off len r = r >= off && r < off + len
 
 let analyze (prog : Shm.Vm.proto) =
   let inputs = default_inputs prog.n in
@@ -230,61 +219,6 @@ let analyze (prog : Shm.Vm.proto) =
     (fun id s -> if reachable id && s.capped then widened := true)
     last_in;
 
-  (* reaching definitions: forward, ∪ at joins, kill on same-register
-     self-write *)
-  let reaching = Array.init npts (fun _ -> Array.make regs IntSet.empty) in
-  let reach_changed = ref true in
-  while !reach_changed do
-    reach_changed := false;
-    for id = 0 to npts - 1 do
-      if reachable id then
-        List.iter
-          (fun p ->
-            if reachable p then
-              for r = 0 to regs - 1 do
-                let out =
-                  match op p with
-                  | Ir.PWrite (r', _) when r' = r -> IntSet.singleton p
-                  | _ -> reaching.(p).(r)
-                in
-                let joined = IntSet.union reaching.(id).(r) out in
-                if not (IntSet.equal joined reaching.(id).(r)) then begin
-                  reaching.(id).(r) <- joined;
-                  reach_changed := true
-                end
-              done)
-          preds.(id)
-    done
-  done;
-
-  (* shared-register liveness: backward, ∪ at joins *)
-  let live_out = Array.init npts (fun _ -> Array.make regs false) in
-  let live_in id r =
-    match op id with
-    | Ir.PRead r' when r' = r -> true
-    | Ir.PScan (off, len) when scan_covers off len r -> true
-    | _ -> live_out.(id).(r)
-    (* note: writes do not kill — may-liveness needs no kill for the
-       boolean "read later" question, and keeping it kill-free makes
-       the fact monotone under cross-process interleavings *)
-  in
-  let live_changed = ref true in
-  while !live_changed do
-    live_changed := false;
-    for id = npts - 1 downto 0 do
-      if reachable id then
-        List.iter
-          (fun s ->
-            for r = 0 to regs - 1 do
-              if (not live_out.(id).(r)) && live_in s r then begin
-                live_out.(id).(r) <- true;
-                live_changed := true
-              end
-            done)
-          (succs id)
-    done
-  done;
-
   (* last-liveness: backward; uses are W<-last and D last, kills are
      Read and Scan(len>0) *)
   let last_live_out = Array.make npts false in
@@ -318,10 +252,7 @@ let analyze (prog : Shm.Vm.proto) =
     read_regs = !read_regs;
     write_regs = !write_regs;
     last_in;
-    must_self_written = must;
     may_write_bot;
-    reaching_in = reaching;
-    live_out;
     last_live_out;
     widened = !widened;
     passes = !passes;

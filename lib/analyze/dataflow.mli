@@ -4,13 +4,12 @@
     per-register collecting store (an {!Absdom}, shared with the
     abstract interpreter) is fed by the CFG's writes under every
     process's input, so its value sets over-approximate every
-    interleaving.  Forward analyses: per-point [last] value sets (joint
-    fixpoint with the store), must-self-written registers, reaching
-    definitions.  Backward analyses: shared-register liveness and
-    [last]-liveness.
+    interleaving.  Forward: per-point [last] value sets (joint fixpoint
+    with the store), sharpened by a must-self-written pass that lets a
+    read drop ⊥.  Backward: [last]-liveness.
 
     Value-set facts ({!const_regs}, {!folded_value}) are sound only
-    when {!field-widened} is false; syntactic facts (liveness, reaching,
+    when {!field-widened} is false; syntactic facts ([last]-liveness,
     read/write sets, {!dead_regs}, {!redundant_points}) are exact on
     the CFG regardless.  docs/ANALYSIS.md §"Dataflow and independence"
     states the arguments. *)
@@ -30,14 +29,7 @@ type t = {
   read_regs : IntSet.t;  (** registers some reachable point reads or scans *)
   write_regs : IntSet.t;  (** registers some reachable point writes *)
   last_in : vset array;  (** per point: possible [last] values on entry *)
-  must_self_written : IntSet.t array;
-      (** per point: registers this process wrote on every path to it *)
   may_write_bot : bool array;  (** per register: some write may store ⊥ *)
-  reaching_in : IntSet.t array array;
-      (** [reaching_in.(p).(r)]: own write points that may reach [p]
-          with no intervening self-write of [r] *)
-  live_out : bool array array;
-      (** [live_out.(p).(r)]: this process may read [r] after [p] *)
   last_live_out : bool array;
       (** per point: the current [last] may still be consumed *)
   widened : bool;  (** some value set hit its cap — value facts degrade *)

@@ -35,8 +35,6 @@ let to_string (p : Shm.Vm.proto) =
   Fmt.str "r%d n%d : %s" p.registers p.n
     (String.concat "; " (List.map step_to_string p.steps))
 
-let pp ppf p = Fmt.string ppf (to_string p)
-
 (* ------------------------------------------------------------------ *)
 (* Parsing: the exact inverse of [to_string], so corpus files and
    command lines round-trip. *)

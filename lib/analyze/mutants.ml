@@ -109,8 +109,6 @@ let pid_leak_anonymous =
 
 let all = [ oob_oneshot; pid_leak_anonymous ]
 
-let find name = List.find_opt (fun m -> String.equal m.name name) all
-
 let check mu p =
   Lint.check ~rounds:mu.rounds ~anonymous:mu.anonymous (mu.config p)
 

@@ -32,7 +32,6 @@ type mutant = {
 val oob_oneshot : mutant
 val pid_leak_anonymous : mutant
 val all : mutant list
-val find : string -> mutant option
 
 (** What the analyzer says about a mutant at [p]: the summary and the
     diagnostics, exactly as {!Lint.check} under the mutant's own

@@ -7,10 +7,6 @@
     code flow — one thread-flow location per step.  Severities map
     [Error]→[error], [Warning]→[warning], [Info]→[note]. *)
 
-(** The complete SARIF log as a JSON value; each diagnostic is paired
-    with the artifact it was found in. *)
-val log : tool_version:string -> (string * Lint.diag) list -> Obs.Json.t
-
 (** Pretty-printed SARIF document (what [sa_run analyze --sarif FILE]
     writes). *)
 val to_string : tool_version:string -> (string * Lint.diag) list -> string

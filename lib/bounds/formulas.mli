@@ -13,20 +13,12 @@ type cell = {
 (** Row 1: Theorem 2 lower, Theorem 8 upper. *)
 val repeated_non_anonymous : cell
 
-(** Row 1': lower 2 (from DFGR'13), upper Theorem 7. *)
-val oneshot_non_anonymous : cell
-
 (** Row 2: Theorem 2 lower, Theorem 11 upper. *)
 val repeated_anonymous : cell
 
-(** Row 2': Theorem 10 lower, Theorem 11 (minus H) upper. *)
-val oneshot_anonymous : cell
-
-(** Section 4.1's comparison row: the DFGR'13 algorithm's own cost,
-    2(n−k) registers, m = 1 only (lower = upper — a baseline, not a
-    bound of this paper). *)
-val dfgr13_baseline : cell
-
+(** Figure 1's four rows in order: 1, 1' (one-shot, lower 2 from
+    DFGR'13, upper Theorem 7), 2 and 2' (anonymous one-shot, Theorem
+    10 lower, Theorem 11 minus H upper). *)
 val all : cell list
 
 (** The cell a registry algorithm ({!Analyze.Registry}) is measured

@@ -14,18 +14,6 @@ type tuple = { pref : Shm.Value.t; t : int; history : Shm.Value.t list }
 val encode : tuple -> Shm.Value.t
 val decode : Shm.Value.t -> tuple option
 
-(** Fair interleaving of two programs; the first [Yield] wins. *)
-val par : Shm.Program.t -> Shm.Program.t -> Shm.Program.t
-
-(** Line 23: [Some w] iff the view decides instance [t] with the most
-    frequent value [w]. *)
-val decide_check : m:int -> t:int -> Shm.Value.t array -> Shm.Value.t option
-
-(** Lines 27–28: the first value with ≥ ℓ copies when the current
-    preference has fewer than ℓ. *)
-val adoption :
-  ell:int -> t:int -> pref:Shm.Value.t -> Shm.Value.t array -> Shm.Value.t option
-
 (** The process program.  [h_reg] is the index of register H.  The same
     program text serves every process; the only per-process distinction
     is the freshness seed hidden inside an anonymous snapshot [api],

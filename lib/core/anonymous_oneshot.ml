@@ -22,6 +22,8 @@ let decide_check ~m view =
 
 let count_value view v0 = View.count (Value.equal v0) view
 
+(* The value to adopt, if the current preference has fewer than ℓ
+   copies and some other value has at least ℓ. *)
 let adoption ~ell ~pref view =
   if count_value view pref >= ell then None
   else

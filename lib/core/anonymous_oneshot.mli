@@ -7,10 +7,5 @@
     values), with the most frequent value [w]. *)
 val decide_check : m:int -> Shm.Value.t array -> Shm.Value.t option
 
-(** The value to adopt, if the current preference has fewer than ℓ
-    copies and some other value has at least ℓ. *)
-val adoption :
-  ell:int -> pref:Shm.Value.t -> Shm.Value.t array -> Shm.Value.t option
-
 (** The process program — identical for every process. *)
 val program : params:Params.t -> api:Snapshot.Snap_api.t -> Shm.Program.t

@@ -13,9 +13,6 @@ type impl =
 
 val impl_name : impl -> string
 
-(** Per-process snapshot API plus total raw register count. *)
-val api_for : impl -> r:int -> n:int -> pid:int -> Snapshot.Snap_api.t * int
-
 val registers_for : impl -> r:int -> n:int -> int
 
 (** The space-optimal choice of Theorem 7's proof: {!Atomic} when

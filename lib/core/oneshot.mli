@@ -18,25 +18,6 @@ val decide_check : m:int -> Shm.Value.t array -> Shm.Value.t option
 val adopt_check :
   pid:int -> pref:Shm.Value.t -> i:int -> Shm.Value.t array -> Shm.Value.t option
 
-(** Lines 11–13 exactly as printed in the paper, which may "adopt" a
-    value equal to pref.  Kept so the erratum is executable (see
-    test_errata.ml). *)
-val adopt_check_paper_literal :
-  pid:int -> pref:Shm.Value.t -> i:int -> Shm.Value.t array -> Shm.Value.t option
-
-(** The body of Propose(v); [finish w] is what runs after outputting.
-    [adopt] selects the adoption rule (repaired one by default). *)
-val propose :
-  ?adopt:
-    (pid:int -> pref:Shm.Value.t -> i:int -> Shm.Value.t array -> Shm.Value.t option) ->
-  m:int ->
-  pid:int ->
-  api:Snapshot.Snap_api.t ->
-  Shm.Value.t ->
-  finish:(Shm.Value.t -> Shm.Program.t) ->
-  unit ->
-  Shm.Program.t
-
 (** The full one-shot process program: await one invocation, run
     Propose, halt. *)
 val program : m:int -> pid:int -> api:Snapshot.Snap_api.t -> Shm.Program.t

@@ -40,5 +40,4 @@ val anon_lower_bound : t -> float
 (** DFGR'13 baseline register count 2(n−k) (m = 1 only). *)
 val r_dfgr13 : t -> int
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

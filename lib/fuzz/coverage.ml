@@ -71,8 +71,6 @@ let analyzer_bits p set =
 
 let signature p schedule = analyzer_bits p (state_bits p schedule IntSet.empty)
 
-let bits t = IntSet.elements t
-
 let cardinal = IntSet.cardinal
 
 let equal = IntSet.equal

@@ -25,7 +25,6 @@ type t
     interpreter, and folds both into bits. *)
 val signature : Gen.program -> Gen.schedule -> t
 
-val bits : t -> int list
 (** the bits, sorted ascending; equal signatures have equal bit lists *)
 
 val cardinal : t -> int

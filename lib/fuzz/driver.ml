@@ -68,6 +68,8 @@ let shrink_with ~check ~kind ~seed ~found_at (p0 : Gen.program) s0 =
         shrink_removed = plen + slen - List.length sh.Spec.Shrink.schedule;
       }
 
+(* Joint 1-minimal shrink of a known-failing pair; [None] iff the pair
+   does not fail [oracle]. *)
 let shrink ~oracle ~seed ~found_at p0 s0 =
   shrink_with ~check:(Oracle.check oracle) ~kind:oracle ~seed ~found_at p0 s0
 

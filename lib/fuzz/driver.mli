@@ -56,12 +56,6 @@ val run :
   ?replay:(Gen.program * Gen.schedule) list ->
   oracle:Oracle.kind -> budget:int -> seed:int -> unit -> outcome
 
-(** Joint 1-minimal shrink of a known-failing pair; [None] iff the
-    pair does not fail [oracle] (nothing to shrink). *)
-val shrink :
-  oracle:Oracle.kind -> seed:int -> found_at:int ->
-  Gen.program -> Gen.schedule -> witness option
-
 (** Same, against an arbitrary judgement — the tests inject synthetic
     divergences to pin 1-minimality of the joint index space.  [kind]
     only labels the witness. *)

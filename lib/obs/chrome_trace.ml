@@ -62,6 +62,7 @@ let domains_of t =
   in
   IS.elements s
 
+(* The [traceEvents] array. *)
 let events ?(process_name = "set_agreement") t =
   let pid = Trace.trace_id t in
   let t0 = Trace.epoch_ns t in

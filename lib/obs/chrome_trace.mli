@@ -7,9 +7,6 @@
     timeline) become counter ("C") tracks.  Timestamps are
     microseconds relative to the collector's epoch. *)
 
-(** The [traceEvents] array. *)
-val events : ?process_name:string -> Trace.t -> Json.t list
-
 (** Full trace-event document (object form, with metadata). *)
 val to_json : ?process_name:string -> Trace.t -> Json.t
 

@@ -14,10 +14,10 @@
 open Shm
 module IS = Set.Make (Int)
 
-(* Registers covered in [config]: distinct registers some process is
-   poised to write.  Several processes poised at the same register is
-   precisely a block-write in formation — the set is deduplicated, the
-   multiplicity is visible in [covering]. *)
+(* [(pid, reg)] pairs: every process poised at a write, with its
+   target.  Several processes poised at the same register is precisely
+   a block-write in formation; [covered] deduplicates them into the
+   sorted set of covered registers. *)
 let covering config =
   let n = Config.n config in
   let rec go pid acc =

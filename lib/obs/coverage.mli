@@ -6,15 +6,7 @@
     module turns those two sets, observed per event, into trace
     counter tracks and instants. *)
 
-(** [(pid, reg)] pairs: every process poised at a write, with its
-    target.  Multiple pids on one reg = a block write in formation. *)
-val covering : Shm.Config.t -> (int * int) list
-
-(** Distinct covered registers, sorted. *)
-val covered : Shm.Config.t -> int list
-
 val num_covered : Shm.Config.t -> int
-val written : Shm.Config.t -> Set.Make(Int).t
 val num_written : Shm.Config.t -> int
 
 (** Counter-track names used by {!probe}. *)

@@ -22,8 +22,6 @@ val to_string : t -> string
 (** Indented multi-line rendering (the [BENCH_*.json] form). *)
 val to_pretty_string : t -> string
 
-val pp : Format.formatter -> t -> unit
-
 (** Parse a complete JSON document.  Non-finite floats serialize as
     [null], so [of_string (to_string v) = Ok v] for all finite values. *)
 val of_string : string -> (t, string) result

@@ -100,19 +100,6 @@ module Histogram = struct
   let p90 t = quantile t 0.9
   let p99 t = quantile t 0.99
 
-  let to_json t =
-    Json.Obj
-      [
-        ("count", Json.Int t.count);
-        ("sum", Json.Int t.sum);
-        ("min", Json.Int (min_value t));
-        ("max", Json.Int (max_value t));
-        ("mean", Json.Float (mean t));
-        ("p50", Json.Float (p50 t));
-        ("p90", Json.Float (p90 t));
-        ("p99", Json.Float (p99 t));
-      ]
-
   let pp ppf t =
     Fmt.pf ppf "count=%d min=%d p50=%.0f p90=%.0f p99=%.0f max=%d mean=%.1f" t.count
       (min_value t) (p50 t) (p90 t) (p99 t) (max_value t) (mean t)
@@ -169,18 +156,6 @@ let histogram t name =
     h
 
 let names t = List.rev t.order
-
-let to_json t =
-  Json.Obj
-    (names t
-    |> List.map (fun name ->
-           let v =
-             match Hashtbl.find t.tbl name with
-             | M_counter c -> Json.Int (Counter.value c)
-             | M_gauge g -> Json.Float (Gauge.value g)
-             | M_histogram h -> Histogram.to_json h
-           in
-           (name, v)))
 
 let pp ppf t =
   let field ppf name =

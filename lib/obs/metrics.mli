@@ -22,7 +22,6 @@ module Gauge : sig
 
   val create : unit -> t
   val set : t -> float -> unit
-  val value : t -> float
 end
 
 module Histogram : sig
@@ -49,7 +48,6 @@ module Histogram : sig
   val p50 : t -> float
   val p90 : t -> float
   val p99 : t -> float
-  val to_json : t -> Json.t
   val pp : Format.formatter -> t -> unit
 end
 
@@ -66,5 +64,4 @@ val histogram : t -> string -> Histogram.t
 (** Registered names, in registration order. *)
 val names : t -> string list
 
-val to_json : t -> Json.t
 val pp : Format.formatter -> t -> unit

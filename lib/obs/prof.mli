@@ -23,9 +23,6 @@ type phase =
   | Vm_step  (** bytecode stepping ([Vm.step], key maintenance included) *)
   | Vm_batch  (** vm frontier batching (arena snapshots, stack ops) *)
 
-val phases : phase list
-val name : phase -> string
-
 type t
 
 val create : unit -> t

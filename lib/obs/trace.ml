@@ -99,8 +99,6 @@ let create ?trace_id () =
 let trace_id t = t.trace_id
 let epoch_ns t = t.t0_ns
 
-let root t = { trace_id = t.trace_id; span_id = 0 }
-
 (* ---- the ambient collector ---- *)
 
 (* The option cell is written once per attach/detach, so [enabled] is a

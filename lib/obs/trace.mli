@@ -60,16 +60,12 @@ val trace_id : t -> int
     against it. *)
 val epoch_ns : t -> int
 
-(** A parentless context of this trace, for seeding propagation. *)
-val root : t -> ctx
-
 (** {1 The ambient collector}
 
     Instrumentation sites never take a [t] — they consult the ambient
     collector so that instrumented libraries stay zero-cost when
     nothing is attached. *)
 
-val attach : t -> unit
 val detach : unit -> unit
 
 (** One atomic load, no allocation: the guard for every

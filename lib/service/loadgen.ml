@@ -56,8 +56,6 @@ type report = {
   throughput_cps : float;
   p50_ns : float;
   p99_ns : float;
-  max_ns : int;
-  mean_ns : float;
   stalls : int;
   failed : int;
 }
@@ -145,8 +143,6 @@ let run ?command server cfg =
     throughput_cps = float_of_int !committed /. (float_of_int wall_ns /. 1e9);
     p50_ns = Obs.Metrics.Histogram.p50 latencies;
     p99_ns = Obs.Metrics.Histogram.p99 latencies;
-    max_ns = Obs.Metrics.Histogram.max_value latencies;
-    mean_ns = Obs.Metrics.Histogram.mean latencies;
     stalls = !stalls;
     failed = total - !committed;
   }

@@ -36,8 +36,6 @@ type report = {
   throughput_cps : float; (** committed commands per second *)
   p50_ns : float;         (** submit-to-commit latency quantiles *)
   p99_ns : float;
-  max_ns : int;
-  mean_ns : float;
   stalls : int;           (** submissions initially refused by backpressure *)
   failed : int;
       (** commands that never committed: failed by a shard that got
@@ -45,9 +43,6 @@ type report = {
           was blocked behind such a refusal.  [ops + failed =
           clients × ops_per_client]. *)
 }
-
-(** The default command stream for the counter app: [("add", 1)]. *)
-val counter_workload : Shm.Rng.t -> client:int -> op:int -> Shm.Value.t
 
 (** A read/write mix for the register app ([read_pct]% reads, default
     50); writes carry a unique [(client, op)] payload. *)

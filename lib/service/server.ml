@@ -46,7 +46,6 @@ let crash_replica t ~shard ~pid =
 
 let stats t = Array.to_list (Array.map Shard.stats t.shards)
 let shard t i = t.shards.(i)
-let metrics t = Array.to_list (Array.mapi (fun i s -> (i, Shard.metrics s)) t.shards)
 
 let registers_used t =
   Array.fold_left (fun acc s -> acc + (Shard.stats s).Shard.registers) 0 t.shards

@@ -37,9 +37,6 @@ val create :
 
 val app_name : t -> string
 
-(** The shard a key routes to. *)
-val route : t -> Shm.Value.t -> int
-
 (** Submit without blocking; [None] when the target shard's window is
     full (backpressure). *)
 val try_submit : t -> key:Shm.Value.t -> ?tag:int -> Shm.Value.t -> Session.ticket option
@@ -59,7 +56,6 @@ val crash_replica : t -> shard:int -> pid:int -> bool
 
 val stats : t -> Shard.stats list
 val shard : t -> int -> Shard.t
-val metrics : t -> (int * Obs.Metrics.t) list
 
 (** Registers written across all shards — the space bill of the whole
     service. *)

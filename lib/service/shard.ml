@@ -43,12 +43,6 @@ type t = {
   mutable log_rev : Value.t list;
   record_history : bool;
   mutable history_rev : Conform.Rsm_history.record list;
-  metrics : Obs.Metrics.t;
-  m_slots : Obs.Metrics.Counter.t;
-  m_commands : Obs.Metrics.Counter.t;
-  m_steps : Obs.Metrics.Counter.t;
-  m_batch : Obs.Metrics.Histogram.t;
-  m_in_flight : Obs.Metrics.Gauge.t;
 }
 
 let create ?(max_steps_per_slot = 2_000_000) ?(history = true) ~id ~batch_max
@@ -56,7 +50,6 @@ let create ?(max_steps_per_slot = 2_000_000) ?(history = true) ~id ~batch_max
   if batch_max <= 0 then invalid_arg "Shard.create: batch_max must be positive";
   if window < batch_max then
     invalid_arg "Shard.create: window must be at least batch_max";
-  let metrics = Obs.Metrics.create () in
   {
     id;
     app;
@@ -72,16 +65,9 @@ let create ?(max_steps_per_slot = 2_000_000) ?(history = true) ~id ~batch_max
     log_rev = [];
     record_history = history;
     history_rev = [];
-    metrics;
-    m_slots = Obs.Metrics.counter metrics "service.slots";
-    m_commands = Obs.Metrics.counter metrics "service.commands";
-    m_steps = Obs.Metrics.counter metrics "service.steps";
-    m_batch = Obs.Metrics.histogram metrics "service.batch_size";
-    m_in_flight = Obs.Metrics.gauge metrics "service.in_flight";
   }
 
 let id t = t.id
-let metrics t = t.metrics
 
 let try_admit t ticket =
   let ok = (not t.stuck) && t.in_flight < t.window in
@@ -124,10 +110,9 @@ let fail_all t batch msg =
     (fun (tk : Session.ticket) -> tk.Session.state <- Session.Failed msg)
     tickets;
   t.in_flight <- 0;
-  Obs.Metrics.Gauge.set t.m_in_flight 0.;
   tickets
 
-let commit t tickets cmds ~slot_steps =
+let commit t tickets cmds =
   let slot = Rsm.Stepper.slot t.stepper in
   let state', replies = Batch.apply_all t.app t.app_state cmds in
   let finish_ns = Conform.Clock.now_ns () in
@@ -148,12 +133,7 @@ let commit t tickets cmds ~slot_steps =
           :: t.history_rev)
     tickets replies;
   t.in_flight <- t.in_flight - n;
-  t.log_rev <- List.rev_append cmds t.log_rev;
-  Obs.Metrics.Counter.add t.m_slots 1;
-  Obs.Metrics.Counter.add t.m_commands n;
-  Obs.Metrics.Counter.add t.m_steps slot_steps;
-  Obs.Metrics.Histogram.observe t.m_batch n;
-  Obs.Metrics.Gauge.set t.m_in_flight (float_of_int t.in_flight)
+  t.log_rev <- List.rev_append cmds t.log_rev
 
 let run_slot t =
   if Queue.is_empty t.queue || t.stuck then []
@@ -183,10 +163,10 @@ let run_slot t =
     in
     let outcome = Rsm.Stepper.step_slot ~sched t.stepper ~proposals in
     t.stepper <- outcome.Rsm.Stepper.stepper;
-    let slot_steps = Rsm.Stepper.steps t.stepper - steps_before in
     (match span with
     | None -> ()
     | Some (tr, ctx) ->
+      let slot_steps = Rsm.Stepper.steps t.stepper - steps_before in
       Obs.Trace.end_span tr ~args:[ ("steps", Obs.Json.Int slot_steps) ] ctx);
     if not outcome.Rsm.Stepper.quiescent then
       fail_all t tickets
@@ -202,7 +182,7 @@ let run_slot t =
       in
       match decided with
       | Some committed when List.length committed = batch_n ->
-        commit t tickets committed ~slot_steps;
+        commit t tickets committed;
         tickets
       | _ ->
         fail_all t tickets

@@ -42,10 +42,6 @@ val create :
 
 val id : t -> int
 
-(** The shard's metric registry ([service.slots], [service.commands],
-    [service.steps], [service.batch_size], [service.in_flight]). *)
-val metrics : t -> Obs.Metrics.t
-
 (** Admit a ticket unless the in-flight window is full or the shard is
     stuck. *)
 val try_admit : t -> Session.ticket -> bool

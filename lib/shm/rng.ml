@@ -21,8 +21,6 @@ type t = { mutable state : int64 }
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 let next_int64 t =
   let v, state = pure_step t.state in
   t.state <- state;

@@ -9,9 +9,6 @@ type t
 (** [create seed] returns a fresh generator. *)
 val create : int -> t
 
-(** An independent copy: advancing one does not affect the other. *)
-val copy : t -> t
-
 (** The raw 64-bit output stream. *)
 val next_int64 : t -> int64
 

@@ -431,10 +431,6 @@ let key_hash e st base =
     ((st.!(scal + s_kin) * poly) + st.!(scal + s_kout))
   land max_int
 
-let status e st base pid = st.(base + e.o_ip + pid)
-let instance e st base pid = st.(base + e.o_inst + pid)
-let pc e st base pid = st.(base + e.o_pc + pid)
-
 let has_input e st base pid =
   let inst = st.!(base + e.o_inst + pid) in
   inst = 0 && e.inp.!(pid) <> no_input

@@ -104,16 +104,6 @@ val make_state : env -> int array
 
 (** {1 Inspection} *)
 
-(** Instruction pointer of [pid]: [>= 0] poised at an instruction,
-    [-1] idle (awaiting an invocation), [-2] halted. *)
-val status : env -> int array -> int -> int -> int
-
-val instance : env -> int array -> int -> int -> int
-
-(** Ops performed in the current invocation — the program-point
-    counter, matching [Config.pc]. *)
-val pc : env -> int array -> int -> int -> int
-
 val runnable : env -> int array -> int -> int -> bool
 val quiescent : env -> int array -> int -> bool
 

@@ -81,10 +81,3 @@ let update ~off ~n ~pid ~seq data k =
   scan ~off ~n (fun view ->
       let cell = { seq = seq + 1; data; view } in
       Shm.Program.write (off + pid) (encode cell) (fun () -> k (seq + 1)))
-
-let footprint ~n =
-  {
-    Snap_api.registers = n;
-    wait_free = true;
-    description = "Afek et al. single-writer snapshot (n registers)";
-  }

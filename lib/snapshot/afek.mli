@@ -22,5 +22,3 @@ val update :
   Shm.Value.t ->
   (int -> Shm.Program.t) ->
   Shm.Program.t
-
-val footprint : n:int -> Snap_api.footprint

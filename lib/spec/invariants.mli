@@ -7,13 +7,5 @@ type violation = { at_step : int; register : int; message : string }
 
 val pp_violation : Format.formatter -> violation -> unit
 
-(** Replay a trace over [registers] registers, calling [check] on the
-    register state after every write. *)
-val replay :
-  registers:int ->
-  check:(Shm.Value.t array -> string option) ->
-  Shm.Event.t list ->
-  violation list
-
 val check_lemma3 : registers:int -> Shm.Event.t list -> violation list
 val check_lemma12 : registers:int -> Shm.Event.t list -> violation list

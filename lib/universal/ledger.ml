@@ -60,5 +60,5 @@ let pp_slot ppf i =
   Fmt.pf ppf "slot %d: %a" i.slot
     Fmt.(
       list ~sep:(any " | ") (fun ppf (b, pids) ->
-          pf ppf "%a <- {%a}" Value.pp b (list ~sep:comma int) pids))
+          pf ppf "%a <- {%a}" Value.pp b (list ~sep:(any ", ") int) pids))
     i.followers

@@ -19,17 +19,7 @@ let tagged cmd =
     match Value.view tag with Value.Str s -> Some (s, arg) | _ -> None)
   | _ -> None
 
-(* counter: commands ("add", x) *)
-let counter =
-  {
-    Rsm.init = 0;
-    apply =
-      (fun s cmd ->
-        match tagged cmd with
-        | Some ("add", x) -> s + Value.to_int x
-        | _ -> s);
-  }
-
+(* counter command ("add", x), applied by the service's counter app *)
 let add x = Value.pair (Value.str "add") (Value.int x)
 
 (* last-writer-wins register: commands ("write", v) *)

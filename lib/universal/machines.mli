@@ -5,9 +5,7 @@
 (** Decode a command into its [(tag, argument)] pair, if it is one. *)
 val tagged : Shm.Value.t -> (string * Shm.Value.t) option
 
-(** Counter; commands {!add}. *)
-val counter : int Rsm.machine
-
+(** Counter command [("add", x)]; the service's counter app applies it. *)
 val add : int -> Shm.Value.t
 
 (** Last-writer-wins register; commands {!write}. *)

@@ -113,7 +113,6 @@ module Stepper = struct
   let slot t = t.slot
   let config t = t.config
   let steps t = t.steps
-  let params t = t.params
   let registers_used t = Memory.num_written (Config.mem t.config)
 
   let step_slot ?sched t ~proposals =

@@ -84,8 +84,6 @@ module Stepper : sig
   (** Simulator steps consumed across all slots so far. *)
   val steps : t -> int
 
-  val params : t -> Agreement.Params.t
-
   (** Registers the agreement layer has written — the space measure;
       stays ≤ min(n+2m−k, n) no matter how many slots have run. *)
   val registers_used : t -> int

@@ -98,6 +98,14 @@ let ledger_slot_analysis () =
            4 (List.length followers))
 
 (* A register-valued machine: key-value store commands. *)
+(* A slot renders on one line, as examples/universal_log.ml prints it:
+   the pid list joins with a plain ", ", not a break hint that wraps. *)
+let ledger_slot_one_line () =
+  let cmd = Shm.Value.pair (Shm.Value.str "add") (Shm.Value.int 20) in
+  let i = { Ledger.slot = 2; branches = [ cmd ]; followers = [ (cmd, [ 0; 1 ]) ] } in
+  let printed = Fmt.str "  %a@." Ledger.pp_slot i in
+  Alcotest.(check string) "one line" "  slot 2: (\"add\",20) <- {0, 1}\n" printed
+
 let kv_machine () =
   let machine =
     {
@@ -385,4 +393,5 @@ let suite =
     test "key-value store machine" kv_machine;
     test "stepper decisions equal the instance's outputs" stepper_decisions_match_outputs;
     test "Figure 4 entries carry the writer's decided history" fig4_entries_carry_history;
+    test "ledger slot prints on one line" ledger_slot_one_line;
   ]

@@ -42,6 +42,13 @@
 #      or argument of 50_000, and no quantum cursor-advance loop (a
 #      counter reset to `quantum`); use Spec.Counterex.quantum,
 #      Spec.Counterex.completion_steps and Shm.Schedule.quantum_pick.
+#  10. Every library export is read somewhere else: the name of each
+#      `val` in lib/*/*.mli occurs (as a word, comments included) in
+#      some .ml/.mli under lib, bin, bench, examples or test other than
+#      its own module's two files.  A value nothing else names is
+#      unexported (kept in the .ml) or deleted.  Allowlisted exports,
+#      each with its reason, go in `export_allow` as "file:name";
+#      it is empty.
 #
 # Exits non-zero listing every offender.
 
@@ -130,6 +137,34 @@ if grep -rEn "(quantum|(^|[^_[:alnum:]])q)[^0-9]{0,12}2_?000$nd|completion_steps
   | grep -vE "^lib/(shm/schedule|spec/counterex)\.ml:"; then
   echo "lint: the completion rule is written once (lib/shm/schedule.ml picks," >&2
   echo "      lib/spec/counterex.ml holds the constants; see rule 9)" >&2
+  fail=1
+fi
+
+# 10. exports that something else reads ------------------------------
+export_allow=""
+sources=$(find lib bin bench examples test -type f \( -name '*.ml' -o -name '*.mli' \) | LC_ALL=C sort)
+# shellcheck disable=SC2086 # one path per word; no path has a space
+unread=$(awk -v allow="$export_allow" '
+    FNR == 1 { own = FILENAME; sub(/\.mli?$/, "", own) }
+    FILENAME ~ /^lib\/[^\/]+\/[^\/]+\.mli$/ && match($0, /^[ \t]*val [a-z_][A-Za-z0-9_]*/) {
+      v = substr($0, RSTART, RLENGTH); sub(/^[ \t]*val /, "", v)
+      vals[FILENAME ":" v] = 1
+    }
+    {
+      n = split($0, w, /[^A-Za-z0-9_]+/)
+      for (i = 1; i <= n; i++)
+        if (w[i] != "" && !((w[i], own) in seen)) { seen[w[i], own] = 1; mods[w[i]]++ }
+    }
+    END {
+      for (k in vals) {
+        split(k, kv, ":"); m = kv[1]; sub(/\.mli$/, "", m)
+        if (mods[kv[2]] - ((kv[2], m) in seen) == 0 && index(" " allow " ", " " k " ") == 0)
+          print k
+      }
+    }' $sources | LC_ALL=C sort)
+if [ -n "$unread" ]; then
+  echo "$unread" | sed 's/^/lint: exported but read nowhere else: /' >&2
+  echo "lint: unexport or delete these values (see rule 10)" >&2
   fail=1
 fi
 
