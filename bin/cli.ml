@@ -38,6 +38,16 @@ let check_output flag path =
 let write_file flag path s =
   with_path flag (fun () -> Out_channel.with_open_text path (fun oc -> output_string oc s))
 
+(* A document named by an output flag: "-" prints it on stdout, after
+   what was printed before it; any other path is a file, announced by
+   a "wrote PATH" line with [note] appended. *)
+let write_output flag ?(note = "") path s =
+  if path = "-" then Fmt.pr "%s@?" s
+  else begin
+    write_file flag path s;
+    Fmt.pr "wrote %s%s@." path note
+  end
+
 (* ------------------------------------------------------------------ *)
 (* n/m/k, with per-command defaults. *)
 
@@ -169,7 +179,8 @@ let instance =
     const make $ memory_backend $ algo $ impl $ nmk ~n:5 ~m:1 ~k:2 () $ rounds $ registers)
 
 (* ------------------------------------------------------------------ *)
-(* The schedule group: scheduler spec name[:arg[:arg]] and step budget. *)
+(* The schedule group: scheduler spec name[:arg[:arg]] and step budget,
+   each [None] when not given (they apply to a single run only). *)
 
 let sched_specs =
   [ "round-robin"; "quantum[:Q]"; "random[:SEED]"; "solo:P"; "m-bounded:SEED[:M]" ]
@@ -217,26 +228,29 @@ let schedule =
   Term.(
     const (fun spec max_steps -> (spec, max_steps))
     $ Arg.(
-        value & opt string "quantum:300"
-        & info [ "sched"; "s" ]
+        value
+        & opt (some string) None
+        & info [ "sched"; "s" ] ~absent:"quantum:300"
             ~doc:
               ("Scheduler (single-run mode): " ^ String.concat " | " sched_specs ^ "."))
     $ Arg.(
-        value & opt int 500_000 & info [ "max-steps" ] ~doc:"Step budget (single run)."))
+        value
+        & opt (some int) None
+        & info [ "max-steps" ] ~absent:"500000" ~doc:"Step budget (single run)."))
 
 (* ------------------------------------------------------------------ *)
-(* The explore group: exploration spec engine:DEPTH, worker domains,
-   and (where the command offers it) counterexample shrinking. *)
+(* The explore group: exploration spec engine:DEPTH and (where the
+   command offers it) counterexample shrinking. *)
 
 type explore = { engine : Spec.Modelcheck.engine; depth : int }
 
 let explore_specs = [ "naive:DEPTH"; "dpor:DEPTH"; "dpor-nocache:DEPTH" ]
 
-let parse_explore spec ~jobs ~n =
+let parse_explore spec ~n =
   let engine_of = function
     | "naive" -> Some Spec.Modelcheck.Naive
-    | "dpor" -> Some (Spec.Modelcheck.Dpor { cache = true; jobs })
-    | "dpor-nocache" -> Some (Spec.Modelcheck.Dpor { cache = false; jobs })
+    | "dpor" -> Some (Spec.Modelcheck.Dpor { cache = true; jobs = 1 })
+    | "dpor-nocache" -> Some (Spec.Modelcheck.Dpor { cache = false; jobs = 1 })
     | _ -> None
   in
   match String.split_on_char ':' spec with
@@ -259,7 +273,7 @@ let parse_explore spec ~jobs ~n =
 
 let explore ~shrink =
   Term.(
-    const (fun spec jobs shrink -> (spec, jobs, shrink))
+    const (fun spec shrink -> (spec, shrink))
     $ Arg.(
         value
         & opt (some string) None
@@ -268,9 +282,6 @@ let explore ~shrink =
               ("Model-check over all schedules up to DEPTH instead of running one \
                 schedule: " ^ String.concat " | " explore_specs
              ^ ".  Exits 1 on a violation."))
-    $ Arg.(
-        value & opt int 1
-        & info [ "jobs"; "j" ] ~doc:"Worker domains for --explore dpor (default 1).")
     $
     if shrink then
       Arg.(
@@ -292,18 +303,22 @@ type run = {
 }
 
 let run ~shrink =
-  let make inst (spec, max_steps) (explore, jobs, shrink) =
+  let make inst (spec, max_steps) (explore, shrink) =
     let n = inst.params.Agreement.Params.n in
     let valid = function Ok v -> v | Error e -> usage_error "%s" e in
-    if explore = None then begin
-      if shrink then usage_error "--shrink minimizes an --explore counterexample; pass --explore";
-      if jobs <> 1 then usage_error "--jobs %d sets --explore workers; pass --explore" jobs
-    end;
+    (match explore with
+    | None ->
+      if shrink then usage_error "--shrink minimizes an --explore counterexample; pass --explore"
+    | Some _ ->
+      List.iter
+        (fun (given, flag) ->
+          if given then usage_error "%s sets a single run; it does not apply to --explore" flag)
+        [ (spec <> None, "--sched"); (max_steps <> None, "--max-steps") ]);
     {
       inst;
-      sched = valid (parse_sched spec ~n);
-      max_steps;
-      explore = Option.map (fun spec -> valid (parse_explore spec ~jobs ~n)) explore;
+      sched = valid (parse_sched (Option.value spec ~default:"quantum:300") ~n);
+      max_steps = Option.value max_steps ~default:500_000;
+      explore = Option.map (fun spec -> valid (parse_explore spec ~n)) explore;
       shrink;
     }
   in

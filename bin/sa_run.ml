@@ -11,7 +11,7 @@
      sa_run -n 6 -m 2 -k 3 --sched m-bounded:7:2 --stats --trace-out t.jsonl
      sa_run -n 3 -m 1 -k 1 --explore dpor:10
      sa_run -n 3 -m 1 -k 1 --registers 3 --explore dpor:14 --shrink
-     sa_run -n 3 -m 1 -k 1 --explore dpor:12 --jobs 4 --stats
+     sa_run -n 3 -m 1 -k 1 --explore dpor:12 --stats
      sa_run fig1 --max-n 6
      sa_run conform --object snapshot --domains 4 --iters 500
      sa_run conform --object snapshot --mutant single-collect --chaos yields
@@ -149,12 +149,11 @@ let run (r : Cli.run) trace diagram stats trace_out =
    Perfetto, plus optionally the raw span JSONL.  Single-run mode
    records the register-coverage timeline (covered = poised writes,
    written = the space measure) through Exec's probe hook; explore mode
-   records per-domain DPOR worker timelines, steal flows, and the
-   exploration counter tracks. *)
+   records the DPOR explore span and the exploration counter tracks. *)
 
 (* The exploration series, read back from the trace: a [nodes] sample
    and the [frontier], [cache hits] and [sleep hits] samples Explore
-   took with it share one timestamp and one domain. *)
+   took with it share one timestamp. *)
 let pp_series ppf samples =
   let at = Hashtbl.create 256 in
   List.iter (fun (s : Obs.Trace.sample) -> Hashtbl.replace at (s.track, s.s_dom, s.s_ts_ns) s) samples;
@@ -257,8 +256,8 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:
-         "Record a causal trace — spans, register-coverage timeline, per-domain DPOR \
-          worker timelines with steal flows — and export Chrome trace-event JSON \
+         "Record a causal trace — spans, register-coverage timeline, the DPOR \
+          exploration span and counter tracks — and export Chrome trace-event JSON \
           loadable in Perfetto.")
     Term.(const trace_main $ Cli.run ~shrink:false $ sets $ out $ jsonl_out $ stats)
 
@@ -306,6 +305,10 @@ let analyze_mutants ~witness ~params =
 (* The dataflow engine is versioned with the protocol grammar it
    consumes, so SARIF logs and corpus caches key on the same string. *)
 let analyzer_version = Fuzz.Gen.version
+
+(* The --json document, as [Obs.History.write_document] writes it. *)
+let json_document ~experiment rows =
+  Obs.Json.to_pretty_string (Obs.History.document ~experiment rows) ^ "\n"
 
 (* --protocol execution: run or model-check the protocol under the
    selected engine (free-monad interpreter or bytecode vm); both see
@@ -384,20 +387,18 @@ let analyze_protocol ~ir ~indep ~optimize ~witness ~sarif_path ~json_path
   end;
   let opt = if optimize then Some (Analyze.Optim.optimize prog) else None in
   Option.iter (fun r -> Fmt.pr "@.%a@." Analyze.Optim.pp r) opt;
-  (match sarif_path with
-  | None -> ()
-  | Some path ->
-    Cli.write_file "--sarif" path
-      (Analyze.Sarif.to_string ~tool_version:analyzer_version
-         (List.map (fun dg -> (artifact, dg)) flow_diags));
-    Fmt.pr "wrote %s@." path);
-  (match json_path with
-  | None -> ()
-  | Some path ->
-    Cli.with_path "--json" (fun () ->
-        Obs.History.write_document ~experiment:"analyze-protocol" ~path
-          [ Analyze.Report.protocol_row prog d ~flow_diags:(List.length flow_diags) opt ]);
-    Fmt.pr "wrote %s@." path);
+  Option.iter
+    (fun path ->
+      Cli.write_output "--sarif" path
+        (Analyze.Sarif.to_string ~tool_version:analyzer_version
+           (List.map (fun dg -> (artifact, dg)) flow_diags)))
+    sarif_path;
+  Option.iter
+    (fun path ->
+      Cli.write_output "--json" path
+        (json_document ~experiment:"analyze-protocol"
+           [ Analyze.Report.protocol_row prog d ~flow_diags:(List.length flow_diags) opt ]))
+    json_path;
   if run then run_protocol ~engine prog;
   Option.iter (fun depth -> explore_protocol ~engine ~depth prog) explore_depth
 
@@ -474,9 +475,9 @@ let analyze () algos all p max_n mutants json_path witness no_dynamic protocol i
             r.Analyze.Report.diags)
         rows
     in
-    Cli.write_file "--sarif" path
-      (Analyze.Sarif.to_string ~tool_version:analyzer_version results);
-    Fmt.pr "wrote %s (%d results)@." path (List.length results));
+    Cli.write_output "--sarif" path
+      ~note:(Fmt.str " (%d results)" (List.length results))
+      (Analyze.Sarif.to_string ~tool_version:analyzer_version results));
   let bad = Analyze.Report.violations rows in
   List.iter
     (fun (r : Analyze.Report.row) ->
@@ -492,10 +493,8 @@ let analyze () algos all p max_n mutants json_path witness no_dynamic protocol i
   let mutants_ok = List.for_all snd verdicts in
   Option.iter
     (fun path ->
-      Cli.with_path "--json" (fun () ->
-          Obs.History.write_document ~experiment:"analyze" ~path
-            (Analyze.Report.bench_rows rows ~p verdicts));
-      Fmt.pr "wrote %s@." path)
+      Cli.write_output "--json" path
+        (json_document ~experiment:"analyze" (Analyze.Report.bench_rows rows ~p verdicts)))
     json_path;
   Fmt.pr "@.%d rows, %d violations%s@." (List.length rows) (List.length bad)
     (if mutants then
@@ -533,7 +532,10 @@ let analyze_cmd =
     Arg.(
       value
       & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Write the rows as a BENCH-style JSON document.")
+      & info [ "json" ] ~docv:"FILE"
+          ~doc:
+            "Write the rows as a BENCH-style JSON document to FILE, or to stdout \
+             after the table when FILE is $(b,-).")
   in
   let witness =
     Arg.(
@@ -588,7 +590,9 @@ let analyze_cmd =
       value
       & opt (some string) None
       & info [ "sarif" ] ~docv:"FILE"
-          ~doc:"Write the lint diagnostics as a SARIF 2.1.0 log to FILE.")
+          ~doc:
+            "Write the lint diagnostics as a SARIF 2.1.0 log to FILE, or to stdout \
+             after the table when FILE is $(b,-).")
   in
   let engine =
     Arg.(
@@ -633,9 +637,9 @@ let analyze_cmd =
          "Statically analyze the algorithms: abstract-interpretation register \
           footprints checked against the paper bounds and against dynamically \
           measured registers, plus well-formedness and anonymity lints.  With \
-          --protocol, run the dataflow engine (reaching definitions, \
-          liveness, value sets) on a first-order protocol instead.  Exits 1 \
-          on any violation.")
+          --protocol, run the dataflow engine ($(b,last) value sets, \
+          $(b,last)-liveness, register value sets) on a first-order protocol \
+          instead.  Exits 1 on any violation.")
     Term.(
       const analyze $ Cli.memory_backend $ algos $ all $ Cli.nmk ~n:4 ~m:1 ~k:2 () $ max_n
       $ mutants

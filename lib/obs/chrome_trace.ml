@@ -7,9 +7,7 @@
      naming it "domain N";
    - spans -> ph "X" complete events (ts/dur in microseconds, relative
      to the collector's epoch so timestamps start near 0);
-   - instants -> ph "i" (thread scope); instants that carry a flow id
-     additionally emit ph "s"/"f" flow events, which Perfetto renders
-     as arrows between domain timelines (steal handoffs);
+   - instants -> ph "i" (thread scope);
    - counter samples -> ph "C" events, one counter track per sample
      track name (the register-coverage timeline uses these).
 
@@ -19,7 +17,7 @@
 
 let us_of_ns ns = float_of_int ns /. 1e3
 
-let event ~ph ~name ~cat ~pid ~tid ~ts ?dur ?id ?bp ?(args = []) () =
+let event ~ph ~name ~cat ~pid ~tid ~ts ?dur ?(args = []) () =
   let base =
     [
       ("name", Json.String name);
@@ -31,9 +29,6 @@ let event ~ph ~name ~cat ~pid ~tid ~ts ?dur ?id ?bp ?(args = []) () =
     ]
   in
   let base = match dur with Some d -> base @ [ ("dur", Json.Float d) ] | None -> base in
-  let base = match id with Some i -> base @ [ ("id", Json.Int i) ] | None -> base in
-  (* "bp":"e" lets flow-start events bind to the enclosing slice end. *)
-  let base = match bp with Some b -> base @ [ ("bp", Json.String b) ] | None -> base in
   let base =
     match args with [] -> base | kvs -> base @ [ ("args", Json.Obj kvs) ]
   in
@@ -81,26 +76,10 @@ let events ?(process_name = "set_agreement") t =
     event ~ph:"X" ~name:s.name ~cat:s.cat ~pid ~tid:s.dom ~ts:(ts s.start_ns)
       ~dur:(us_of_ns s.dur_ns) ~args ()
   in
-  let instant_evs (i : Trace.instant) =
-    let base =
-      event ~ph:"i" ~name:i.i_name ~cat:i.i_cat ~pid ~tid:i.i_dom ~ts:(ts i.i_ts_ns)
-        ~args:(("s", Json.String "t") :: i.i_args)
-        ()
-    in
-    match i.i_dir with
-    | Trace.Flow_none -> [ base ]
-    | Trace.Flow_out ->
-      [
-        base;
-        event ~ph:"s" ~name:i.i_name ~cat:i.i_cat ~pid ~tid:i.i_dom ~ts:(ts i.i_ts_ns)
-          ~id:i.i_flow ();
-      ]
-    | Trace.Flow_in ->
-      [
-        base;
-        event ~ph:"f" ~name:i.i_name ~cat:i.i_cat ~pid ~tid:i.i_dom ~ts:(ts i.i_ts_ns)
-          ~id:i.i_flow ~bp:"e" ();
-      ]
+  let instant_ev (i : Trace.instant) =
+    event ~ph:"i" ~name:i.i_name ~cat:i.i_cat ~pid ~tid:i.i_dom ~ts:(ts i.i_ts_ns)
+      ~args:(("s", Json.String "t") :: i.i_args)
+      ()
   in
   let sample_ev (s : Trace.sample) =
     event ~ph:"C" ~name:s.track ~cat:"counter" ~pid ~tid:s.s_dom ~ts:(ts s.s_ts_ns)
@@ -109,7 +88,7 @@ let events ?(process_name = "set_agreement") t =
   in
   metas
   @ List.map span_ev (Trace.spans t)
-  @ List.concat_map instant_evs (Trace.instants t)
+  @ List.map instant_ev (Trace.instants t)
   @ List.map sample_ev (Trace.samples t)
 
 let to_json ?process_name t =

@@ -2,8 +2,8 @@
 
     The output loads in Perfetto ({:https://ui.perfetto.dev}) or
     [chrome://tracing]: each OCaml domain becomes a named thread row,
-    spans become complete ("X") slices, cross-domain flows become
-    arrows between rows, and counter samples (the register-coverage
+    spans become complete ("X") slices, instants become instant ("i")
+    events, and counter samples (the register-coverage
     timeline) become counter ("C") tracks.  Timestamps are
     microseconds relative to the collector's epoch. *)
 

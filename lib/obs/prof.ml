@@ -9,9 +9,8 @@
      ... work ...
      if profiling then Prof.add p Prof.Interp (Prof.now_ns () - t0)
 
-   Each DPOR worker owns one [t]; after the join the per-worker
-   profiles merge into the run breakdown that [sa_run --stats] and
-   [sa_run trace --stats] print. *)
+   A DPOR search charges one [t], the run breakdown that
+   [sa_run --stats] and [sa_run trace --stats] print. *)
 
 type phase =
   | Interp
@@ -19,12 +18,11 @@ type phase =
   | Hash
   | Cache
   | Replay
-  | Steal
   | Check
   | Vm_step
   | Vm_batch
 
-let n_phases = 9
+let n_phases = 8
 
 let index = function
   | Interp -> 0
@@ -32,12 +30,11 @@ let index = function
   | Hash -> 2
   | Cache -> 3
   | Replay -> 4
-  | Steal -> 5
-  | Check -> 6
-  | Vm_step -> 7
-  | Vm_batch -> 8
+  | Check -> 5
+  | Vm_step -> 6
+  | Vm_batch -> 7
 
-let phases = [ Interp; Footprint; Hash; Cache; Replay; Steal; Check; Vm_step; Vm_batch ]
+let phases = [ Interp; Footprint; Hash; Cache; Replay; Check; Vm_step; Vm_batch ]
 
 let name = function
   | Interp -> "interp"
@@ -45,7 +42,6 @@ let name = function
   | Hash -> "hash"
   | Cache -> "cache"
   | Replay -> "replay"
-  | Steal -> "steal"
   | Check -> "check"
   | Vm_step -> "vm.step"
   | Vm_batch -> "vm.batch"

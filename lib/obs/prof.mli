@@ -17,8 +17,9 @@ type phase =
   | Footprint  (** footprint + independence computation *)
   | Hash  (** state hashing / key construction *)
   | Cache  (** seen-state cache lookup + insert *)
-  | Replay  (** rebuilding stolen nodes by schedule replay *)
-  | Steal  (** deque operations + steal attempts *)
+  | Replay
+      (** charged by nothing; kept because [bench/e2e] reads it as
+          [spec.prof.replay_s] *)
   | Check  (** leaf completion + property checking *)
   | Vm_step  (** bytecode stepping ([Vm.step], key maintenance included) *)
   | Vm_batch  (** vm frontier batching (arena snapshots, stack ops) *)
@@ -38,7 +39,7 @@ val ns : t -> phase -> int
 val count : t -> phase -> int
 val total_ns : t -> int
 
-(** Fold per-worker profiles into a run profile. *)
+(** Add [t]'s times and hits into [into]. *)
 val merge_into : into:t -> t -> unit
 
 val is_empty : t -> bool

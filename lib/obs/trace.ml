@@ -3,22 +3,20 @@
    A span is a named interval of wall-clock (monotonic) time attributed
    to the domain that opened it; spans nest through an explicit parent
    context, and a context is two plain integers — so it can be handed
-   to another domain (through a work-stealing deque, a Domain.spawn
-   closure, a queue) and the span closed over there.  One collector
+   to another domain (through a Domain.spawn closure or a queue) and
+   the span closed over there.  One collector
    gathers everything under a mutex; ids come from a single atomic
    counter, so they are unique across domains and monotone in
    allocation order.
 
    The collector is *attachable*: instrumented hot paths (the DPOR
-   workers, the native operations, the execution runner) guard every
+   search, the native operations, the execution runner) guard every
    emission with [enabled ()], which is one atomic load — when nothing
    is attached the instrumentation allocates nothing and calls no
    clock.  test_obs.ml pins that with a Gc-measured test.
 
    Besides spans the collector records:
-   - instants: point events (a steal, a crash, a cache milestone),
-     optionally carrying a flow id that links an emitting and a
-     receiving instant across domains (rendered as arrows in Perfetto);
+   - instants: point events (a violation, a crash, a coverage change);
    - samples: named counter tracks (registers covered, frontier depth,
      cache hit-rate) — the register-coverage timeline of the paper's
      covering argument is exported this way (Obs.Coverage).
@@ -37,21 +35,17 @@ type span = {
   name : string;
   cat : string;
   dom : int;       (* domain that opened the span *)
-  close_dom : int; (* domain that closed it (= dom unless stolen) *)
+  close_dom : int; (* domain that closed it *)
   start_ns : int;
   dur_ns : int;
   args : (string * Json.t) list;
 }
-
-type flow_dir = Flow_none | Flow_out | Flow_in
 
 type instant = {
   i_name : string;
   i_cat : string;
   i_dom : int;
   i_ts_ns : int;
-  i_flow : int;  (* 0 = not part of a flow *)
-  i_dir : flow_dir;
   i_args : (string * Json.t) list;
 }
 
@@ -69,7 +63,7 @@ type open_span = {
 type t = {
   trace_id : int;
   t0_ns : int;
-  next_id : int Atomic.t;  (* span and flow ids; 0 reserved for "none" *)
+  next_id : int Atomic.t;  (* span ids; 0 reserved for "none" *)
   mu : Mutex.t;
   open_tbl : (int, open_span) Hashtbl.t;
   mutable spans : span list;       (* completed, reversed *)
@@ -165,29 +159,11 @@ let with_span t ?parent ?cat ?args name f =
   let ctx = begin_span t ?parent ?cat ?args name in
   Fun.protect ~finally:(fun () -> end_span t ctx) (fun () -> f ctx)
 
-(* ---- instants, flows, counter samples ---- *)
+(* ---- instants, counter samples ---- *)
 
-let fresh_flow t = fresh_id t
-
-(* [dom] overrides the attributed domain: a thief records the victim
-   side of a steal handoff on the victim's timeline. *)
-let instant t ?(cat = "") ?(args = []) ?flow ?dom name =
-  let flow_id, dir =
-    match flow with
-    | None -> (0, Flow_none)
-    | Some (id, `Out) -> (id, Flow_out)
-    | Some (id, `In) -> (id, Flow_in)
-  in
+let instant t ?(cat = "") ?(args = []) name =
   let i =
-    {
-      i_name = name;
-      i_cat = cat;
-      i_dom = (match dom with Some d -> d | None -> self_dom ());
-      i_ts_ns = now_ns ();
-      i_flow = flow_id;
-      i_dir = dir;
-      i_args = args;
-    }
+    { i_name = name; i_cat = cat; i_dom = self_dom (); i_ts_ns = now_ns (); i_args = args }
   in
   Mutex.protect t.mu (fun () -> t.instants <- i :: t.instants)
 
@@ -234,9 +210,11 @@ let find_span t name =
 (* One header line then one record per span/instant/sample.  The header
    carries the format name and schema version; the reader rejects a
    major it does not know (same discipline as the BENCH_*.json
-   documents of Obs.History). *)
+   documents of Obs.History).  Schema 2 dropped the instants' "flow"
+   and "dir" fields; schema 1 files still load (unknown fields are
+   ignored). *)
 
-let schema_version = 1
+let schema_version = 2
 
 let jsonl_header = { Json.format = "sa-trace"; schema = schema_version; required = true }
 
@@ -268,10 +246,6 @@ let json_of_instant i =
       ("cat", Json.String i.i_cat);
       ("dom", Json.Int i.i_dom);
       ("ts_ns", Json.Int i.i_ts_ns);
-      ("flow", Json.Int i.i_flow);
-      ( "dir",
-        Json.String
-          (match i.i_dir with Flow_none -> "" | Flow_out -> "out" | Flow_in -> "in") );
       ("args", Json.Obj i.i_args);
     ]
 
@@ -325,17 +299,8 @@ let instant_of_json j =
   let* i_cat = Json.string_field "cat" j in
   let* i_dom = Json.int_field "dom" j in
   let* i_ts_ns = Json.int_field "ts_ns" j in
-  let* i_flow = Json.int_field "flow" j in
-  let* dir = Json.string_field "dir" j in
-  let* i_dir =
-    match dir with
-    | "" -> Ok Flow_none
-    | "out" -> Ok Flow_out
-    | "in" -> Ok Flow_in
-    | d -> Error (Fmt.str "unknown flow direction %S" d)
-  in
   let* i_args = args_field j in
-  Ok { i_name; i_cat; i_dom; i_ts_ns; i_flow; i_dir; i_args }
+  Ok { i_name; i_cat; i_dom; i_ts_ns; i_args }
 
 let sample_of_json j =
   let ( let* ) = Result.bind in

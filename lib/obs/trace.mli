@@ -3,9 +3,8 @@
 
     A {e span} is a named interval of monotonic time.  Opening a span
     returns a {!ctx} — two plain integers — which can cross domains
-    (through a work-stealing deque, a [Domain.spawn] closure) and be
-    closed over there; the collector records both the opening and the
-    closing domain.  Span ids come from one atomic counter, so they are
+    (through a [Domain.spawn] closure) and be closed over there; the
+    collector records both the opening and the closing domain.  Span ids come from one atomic counter, so they are
     globally unique and monotone in creation order; {!spans} sorts by
     [(start_ns, id)], which guarantees a parent precedes its children
     in the merged output even across domains.
@@ -28,23 +27,18 @@ type span = {
   name : string;
   cat : string;
   dom : int;  (** domain that opened the span *)
-  close_dom : int;  (** domain that closed it; [<> dom] after a steal *)
+  close_dom : int;  (** domain that closed it *)
   start_ns : int;
   dur_ns : int;
   args : (string * Json.t) list;
 }
 
-type flow_dir = Flow_none | Flow_out | Flow_in
-
-(** A point event, optionally part of a cross-domain flow (rendered as
-    an arrow between domain timelines in Perfetto). *)
+(** A point event on the calling domain's timeline. *)
 type instant = {
   i_name : string;
   i_cat : string;
   i_dom : int;
   i_ts_ns : int;
-  i_flow : int;  (** 0 = not part of a flow *)
-  i_dir : flow_dir;
   i_args : (string * Json.t) list;
 }
 
@@ -99,20 +93,8 @@ val with_span :
   (ctx -> 'a) ->
   'a
 
-(** Allocate a fresh flow id linking an [`Out] instant to an [`In]
-    instant on another domain. *)
-val fresh_flow : t -> int
-
-(** [dom] overrides the attributed domain (e.g. a thief recording the
-    victim side of a steal handoff on the victim's timeline). *)
-val instant :
-  t ->
-  ?cat:string ->
-  ?args:(string * Json.t) list ->
-  ?flow:int * [ `Out | `In ] ->
-  ?dom:int ->
-  string ->
-  unit
+(** Record a point event on the calling domain's timeline. *)
+val instant : t -> ?cat:string -> ?args:(string * Json.t) list -> string -> unit
 
 (** Append one sample to counter track [track] on the calling domain's
     timeline.  [ts_ns] overrides the stamp — how one exploration sample

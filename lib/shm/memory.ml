@@ -35,10 +35,9 @@
 
      Concurrency: a version family is owned by one domain at a time —
      rerooting mutates shared cells.  A config that crosses domains
-     (work stealing) must either be rebuilt by schedule replay or
-     detached with [unshare], which copies the current contents into a
-     fresh single-version family.  Spec.Explore does exactly that; see
-     docs/PERFORMANCE.md for the ownership argument.
+     must be detached with [unshare], which copies the current contents
+     into a fresh single-version family; see docs/PERFORMANCE.md for
+     the ownership argument.
 
    Bookkeeping (written set, step counters) lives in the immutable
    per-version handle, not in the journal, so it needs no undo and the

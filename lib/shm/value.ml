@@ -15,9 +15,9 @@
    pointer test on the hot paths (state hashing, abstract value sets,
    linearization matching).  Interning is per-domain on purpose — a
    global table would put a lock on the simulator's hottest allocation
-   path and the exploration engine runs one independent simulator per
-   domain.  Values that cross domains (work stealing hands nodes
-   around) are still compared correctly: [equal] falls back to a
+   path, and the native layer and its conformance harness build values
+   on several domains at once.  Values that cross domains are still
+   compared correctly: [equal] falls back to a
    hash-guarded structural walk whose recursive calls hit the pointer
    fast path as soon as the two values share interned substructure.
 

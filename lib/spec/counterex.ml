@@ -12,7 +12,7 @@
    minimized.
 
    The frontier-completion rule lives here too, since [replay] and
-   every engine complete through it, along with its per-domain memo
+   every engine complete through it, along with its memo
    ([complete_check]). *)
 
 open Shm

@@ -14,11 +14,11 @@
      n^depth nodes, the reference semantics, and the engine whose
      counterexamples are lexicographically first;
    - [Dpor]: the exploration core — partial-order reduction + state
-     caching + optional parallel domains, orders of magnitude fewer
-     nodes, same class coverage (docs/EXPLORATION.md), over heap
-     configurations ([run]) or bytecode-vm arena slots ([run_vm]).
-     With the cache, heap leaves are also answered from a per-domain
-     completion memo (Counterex.complete_check) where it can. *)
+     caching, orders of magnitude fewer nodes, same class coverage
+     (docs/EXPLORATION.md), over heap configurations ([run]) or
+     bytecode-vm arena slots ([run_vm]).  With the cache, heap leaves
+     are also answered from a completion memo
+     (Counterex.complete_check) where it can. *)
 
 open Shm
 
@@ -29,7 +29,6 @@ type stats = Explore.stats = {
   cache_hits : int;
   pruned : int;
   refined : int;
-  steals : int;
   memo_hits : int;
   summary_hits : int;
 }
@@ -91,7 +90,7 @@ let exhaustive ~depth ~inputs ?(completion_steps = Counterex.completion_steps) ~
   in
   let stats () =
     { explored = !explored; leaves = !leaves; max_depth = !deepest;
-      cache_hits = 0; pruned = 0; refined = 0; steals = 0; memo_hits = 0; summary_hits = 0 }
+      cache_hits = 0; pruned = 0; refined = 0; memo_hits = 0; summary_hits = 0 }
   in
   try
     go config 0 [];
@@ -141,10 +140,8 @@ module Interp_state = struct
     refine : bool;
   }
 
-  (* [root] is this domain's own copy of the initial configuration: a
-     journaled configuration may only be read by the domain that owns
-     its version family; [memo] is this domain's completion memo *)
-  type dom = { env : env; root : Config.t; memo : Counterex.memo option }
+  (* [memo] is the search's completion memo *)
+  type dom = { env : env; memo : Counterex.memo option }
 
   (* the Statehash observation hashes are immutable and shared freely *)
   type t = { config : Config.t; hash : Statehash.t }
@@ -157,13 +154,13 @@ module Interp_state = struct
   let n (env : env) = Config.n env.config
 
   (* with no completion budget there is nothing to memoize *)
-  let dom (env : env) ~copy =
+  let dom (env : env) =
     { env;
-      root = (if copy then Config.unshare env.config else env.config);
       memo =
         (if env.memo && env.completion_steps > 0 then Some (Counterex.memo ()) else None) }
 
-  let root d = { config = d.root; hash = Statehash.create ~audit:d.env.full_key d.root }
+  let root d =
+    { config = d.env.config; hash = Statehash.create ~audit:d.env.full_key d.env.config }
   let runnable d t pid = Config.runnable t.config ~has_input:d.env.has_input pid
   let poised_local _ t pid = Program.footprint_is_local (Config.footprint t.config pid)
 
@@ -195,9 +192,6 @@ module Interp_state = struct
     else Inc (Statehash.key t.hash)
 
   let release _ _ = ()
-
-  let replay d t sched =
-    { t with config = Counterex.run_schedule ~inputs:d.env.inputs d.root (List.rev sched) }
 
   let leaf d t =
     let { inputs; completion_steps; check; _ } = d.env in
@@ -233,7 +227,7 @@ module Vm_state = struct
       (unit, string) result;
   }
 
-  (* A domain's arena: slots of [words] ints, bump-allocated with a free
+  (* The search's arena: slots of [words] ints, bump-allocated with a free
      list; doubling keeps slot ids stable.  Children of a batch are
      allocated consecutively, so the next pass walks contiguous memory.
      [scratch] holds one completion slice, reused per leaf. *)
@@ -252,7 +246,7 @@ module Vm_state = struct
   let batch = 8
   let n env = env.proto.Vm.n
 
-  let dom env ~copy:_ =
+  let dom env =
     let words = Vm.state_words env.e in
     { env; words; buf = Array.make (max 1 (words * 256)) 0; top = 0; free = [];
       scratch = Array.make words 0 }
@@ -303,11 +297,6 @@ module Vm_state = struct
   let key d s = Vm.key d.env.e d.buf (s * d.words)
   let release d s = d.free <- s :: d.free
 
-  let replay d _ sched =
-    let s = root d in
-    List.iter (fun pid -> Vm.step d.env.e d.buf (s * d.words) pid) (List.rev sched);
-    s
-
   let leaf d s =
     let env = d.env in
     (* with no completion budget the frontier state is final as-is *)
@@ -342,10 +331,11 @@ type engine = Naive | Dpor of { cache : bool; jobs : int }
 
 let engine_name = function
   | Naive -> "naive"
-  | Dpor { cache; jobs } ->
-    Fmt.str "dpor%s%s"
-      (if cache then "+cache" else "")
-      (if jobs > 1 then Fmt.str " (%d domains)" jobs else "")
+  | Dpor { cache; _ } -> if cache then "dpor+cache" else "dpor"
+
+let check_jobs jobs =
+  if jobs <> 1 then
+    invalid_arg (Fmt.str "Modelcheck: jobs = %d; the exploration runs on one domain" jobs)
 
 let of_explore = function
   | stats, None -> Ok_bounded stats
@@ -358,12 +348,13 @@ let run ~engine ~depth ?(key = `Incremental) ~inputs
   match engine with
   | Naive ->
     let out = exhaustive ~depth ~inputs ~completion_steps ~check config in
-    Option.iter (fun m -> Explore.export_metrics m ~domains:1 (stats_of out)) metrics;
+    Option.iter (fun m -> Explore.export_metrics m (stats_of out)) metrics;
     out
   | Dpor { cache; jobs } ->
+    check_jobs jobs;
     let has_input pid inst = Option.is_some (inputs ~pid ~instance:inst) in
     of_explore
-      (Interp.explore ~depth ~cache ~jobs ?metrics ?prof
+      (Interp.explore ~depth ~cache ?metrics ?prof
          { config; inputs; has_input; completion_steps; check; full_key = key = `Full;
            memo = cache; refine })
 
@@ -376,7 +367,8 @@ let run_vm ~engine ~depth ?(completion_steps = Counterex.completion_steps) ~inpu
     let check c = check ~inputs:(Config.inputs c) ~outputs:(Config.outputs c) in
     run ~engine ~depth ~inputs ~completion_steps ~check (Vm.config p)
   | Dpor { cache; jobs } ->
+    check_jobs jobs;
     let e = Vm.env (Vm.compile p) ~inputs in
     of_explore
-      (Vm_explore.explore ~depth ~cache ~jobs
+      (Vm_explore.explore ~depth ~cache
          { e; proto = p; inputs; completion_steps; check })

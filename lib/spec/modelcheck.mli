@@ -10,8 +10,8 @@
 
     {!exhaustive} is the reference engine (literal enumeration); {!run}
     and {!run_vm} additionally dispatch to {!Explore} (partial-order
-    reduction + state caching + parallel domains), instantiated over
-    heap configurations and over bytecode-vm arena slots. *)
+    reduction + state caching), instantiated over heap configurations
+    and over bytecode-vm arena slots. *)
 
 type stats = Explore.stats = {
   explored : int;    (** nodes visited (interior + frontier) *)
@@ -20,7 +20,6 @@ type stats = Explore.stats = {
   cache_hits : int;  (** [Dpor] only; 0 for [Naive] *)
   pruned : int;      (** sleep-set prunes; [Dpor] only *)
   refined : int;     (** sleep retentions owed to [~refine:true] alone *)
-  steals : int;      (** work-stealing migrations; [Dpor] only *)
   memo_hits : int;
       (** leaves answered by the completion memo, with no completion
           run to the end and no [check] call; heap [Dpor] with the
@@ -73,8 +72,10 @@ val cond_independent : Shm.Memory.t -> Shm.Program.op -> Shm.Program.op -> bool
 type engine =
   | Naive  (** literal enumeration — the reference semantics *)
   | Dpor of { cache : bool; jobs : int }
-      (** the exploration core, optional state caching, [jobs]
-          domains *)
+      (** the exploration core with optional state caching.  It runs
+          on one domain: [jobs] must be 1.  The field remains because
+          the end-to-end benchmark ([bench/e2e]) builds this record;
+          it goes when that benchmark next changes. *)
 
 val engine_name : engine -> string
 
@@ -91,8 +92,8 @@ val stats_of : outcome -> stats
     join sleep sets (never ample sets); [prof] receives the phase
     breakdown.
 
-    With [Dpor { cache = true; _ }] and [completion_steps > 0], each
-    domain also memoizes frontier completions
+    With [Dpor { cache = true; _ }] and [completion_steps > 0],
+    the search also memoizes frontier completions
     ({!Counterex.complete_check}): [check] runs only on the leaves the
     memo cannot answer, and a memo-answered leaf counts in
     [stats.memo_hits]; a completion burst answered from the memo's
@@ -103,7 +104,7 @@ val stats_of : outcome -> stats
     [Naive], [cache = false] and {!run_vm} run every completion.
 
     Raises [Invalid_argument] for [Dpor] on more than
-    {!Explore.max_procs} processes. *)
+    {!Explore.max_procs} processes or [jobs <> 1]. *)
 val run :
   engine:engine ->
   depth:int ->
@@ -125,7 +126,8 @@ val run :
     decoded i/o records ({!Properties.check_safety_io} fits directly).
     Violations are re-executed by the interpreter before being
     reported.  It records no metrics or profile.  Raises
-    [Invalid_argument] if [p] fails to compile. *)
+    [Invalid_argument] if [p] fails to compile, or for [Dpor] with
+    [jobs <> 1]. *)
 val run_vm :
   engine:engine ->
   depth:int ->

@@ -299,27 +299,30 @@ let shrinker_reaches_empty () =
     Alcotest.(check (list int)) "shrinks to the empty schedule" []
       shrunk.Spec.Counterex.schedule
 
-(* ---- parallel domains ---- *)
+(* ---- verdicts ---- *)
 
-(* --jobs 1 and --jobs 4 agree on the outcome, on both a correct and a
-   starved instance. *)
-let jobs_agree () =
+(* DPOR with the cache reaches the expected verdict on a correct and
+   two starved instances; it runs on one domain, so any other [jobs] is
+   refused. *)
+let dpor_verdicts () =
   [ (2, 1, 3, 10, true); (2, 1, 1, 10, false); (3, 1, 1, 7, false) ]
   |> List.iter (fun (n, k, r, depth, expect_ok) ->
-         let j1 =
+         let out =
            run_engine ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs = 1 }) ~depth ~n
              ~k ~r
-         and j4 =
-           run_engine ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs = 4 }) ~depth ~n
-             ~k ~r
          in
-         Alcotest.(check bool) (Fmt.str "jobs=1 verdict (n=%d r=%d)" n r) expect_ok (is_ok j1);
-         Alcotest.(check bool) (Fmt.str "jobs=4 verdict (n=%d r=%d)" n r) expect_ok (is_ok j4))
+         Alcotest.(check bool) (Fmt.str "verdict (n=%d r=%d)" n r) expect_ok (is_ok out));
+  match
+    run_engine ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs = 2 }) ~depth:4 ~n:2 ~k:1
+      ~r:3
+  with
+  | _ -> Alcotest.fail "jobs = 2 was accepted"
+  | exception Invalid_argument _ -> ()
 
-(* Every combination of memory backend × cache-key flavour × domain
-   count reaches the same verdict, on a correct and a starved instance.
-   This pins the journaled backend's replay-based stealing and the
-   incremental key against the persistent/full-digest reference. *)
+(* Every combination of memory backend × cache-key flavour reaches the
+   same verdict, on a correct and a starved instance.  This pins the
+   journaled backend and the incremental key against the
+   persistent/full-digest reference. *)
 let backends_and_key_modes_agree () =
   [ (3, true); (1, false) ]
   |> List.iter (fun (r, expect_ok) ->
@@ -329,42 +332,41 @@ let backends_and_key_modes_agree () =
          |> List.iter (fun backend ->
                 [ `Incremental; `Full ]
                 |> List.iter (fun key ->
-                       [ 1; 4 ]
-                       |> List.iter (fun jobs ->
-                              let out =
-                                Spec.Modelcheck.run
-                                  ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs })
-                                  ~depth ~key ~inputs:(inputs_for n)
-                                  ~check:(check_safety ~k)
-                                  (Instances.oneshot ~r ~backend p)
-                              in
-                              Alcotest.(check bool)
-                                (Fmt.str "verdict (r=%d %s %s jobs=%d)" r
-                                   (Shm.Memory.backend_name backend)
-                                   (match key with `Incremental -> "inc" | `Full -> "full")
-                                   jobs)
-                                expect_ok (is_ok out)))))
+                       let out =
+                         Spec.Modelcheck.run
+                           ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs = 1 })
+                           ~depth ~key ~inputs:(inputs_for n)
+                           ~check:(check_safety ~k)
+                           (Instances.oneshot ~r ~backend p)
+                       in
+                       Alcotest.(check bool)
+                         (Fmt.str "verdict (r=%d %s %s)" r
+                            (Shm.Memory.backend_name backend)
+                            (match key with `Incremental -> "inc" | `Full -> "full"))
+                         expect_ok (is_ok out))))
 
-(* A check that raises on a worker domain must surface its exception
-   once every domain has joined, not leave the other workers waiting on
-   a node that will never finish. *)
-let worker_exception_surfaces () =
+(* An exception raised by the check ends the search and surfaces from
+   [run]; with a trace attached, the explore span is closed first. *)
+let check_exception_surfaces () =
   let exception Boom in
-  List.iter
-    (fun jobs ->
-      let calls = Atomic.make 0 in
-      let check c =
-        if Atomic.fetch_and_add calls 1 = 50 then raise Boom else check_safety ~k:1 c
-      in
-      let p = Params.make ~n:3 ~m:1 ~k:1 in
-      match
+  let calls = ref 0 in
+  let check c =
+    incr calls;
+    if !calls = 50 then raise Boom else check_safety ~k:1 c
+  in
+  let p = Params.make ~n:3 ~m:1 ~k:1 in
+  let tr = Obs.Trace.create () in
+  match
+    Obs.Trace.with_attached tr (fun () ->
         Spec.Modelcheck.run
-          ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs })
-          ~depth:10 ~inputs:(inputs_for 3) ~check (Instances.oneshot p)
-      with
-      | _ -> Alcotest.failf "jobs=%d: the check's exception was swallowed" jobs
-      | exception Boom -> ())
-    [ 1; 4 ]
+          ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs = 1 })
+          ~depth:10 ~inputs:(inputs_for 3) ~check (Instances.oneshot p))
+  with
+  | _ -> Alcotest.fail "the check's exception was swallowed"
+  | exception Boom ->
+    Alcotest.(check int) "no span left open" 0 (Obs.Trace.open_count tr);
+    Alcotest.(check bool) "explore span closed" true
+      (Obs.Trace.find_span tr "explore" <> None)
 
 (* ---- the completion memo ---- *)
 
@@ -765,9 +767,9 @@ let suite =
       minimize_generic_agrees_with_wrapper;
     slow_test "shrinker reaches the empty schedule when completion violates"
       shrinker_reaches_empty;
-    slow_test "jobs=1 and jobs=4 agree on outcomes" jobs_agree;
+    slow_test "dpor verdicts, correct and starved" dpor_verdicts;
     slow_test "backends and key modes agree on verdicts" backends_and_key_modes_agree;
-    slow_test "an exception on a worker domain surfaces" worker_exception_surfaces;
+    slow_test "an exception in the check surfaces" check_exception_surfaces;
     slow_test "completion memo agrees with complete + check, leaf by leaf"
       memo_agrees_leaf_by_leaf;
     test "completion memo stores no run that ran out of fuel"

@@ -7,8 +7,8 @@ open Helpers
 
 (* ---- spans across real domains ---- *)
 
-(* A span opened on one domain and closed on another — the steal
-   pattern — must record both domains. *)
+(* A span opened on one domain and closed on another must record both
+   domains. *)
 let span_crosses_domains () =
   let tr = Obs.Trace.create () in
   let c = Obs.Trace.begin_span tr ~cat:"test" "stolen" in
@@ -55,7 +55,7 @@ let merged_ordering_under_domains () =
     spans
 
 (* Closing twice, or closing a ctx from a different collector, is a
-   no-op — the contract that makes steal-time handoffs safe. *)
+   no-op. *)
 let end_span_idempotent () =
   let tr = Obs.Trace.create () in
   let other = Obs.Trace.create ~trace_id:999 () in
@@ -163,12 +163,12 @@ let coverage_probe_tracks_run () =
       | _ -> Alcotest.fail "cov instant lacks written set")
     covs
 
-(* ---- parallel DPOR integration ---- *)
+(* ---- DPOR integration ---- *)
 
-(* A traced parallel exploration must produce: the explore span, one
-   worker span per domain, per-node coverage counters, and balanced
-   open/close — the per-domain timeline the Chrome export renders. *)
-let dpor_parallel_trace () =
+(* A traced exploration must produce: the explore span, per-node
+   coverage counters, the exploration series, a non-empty profile, and
+   balanced open/close. *)
+let dpor_trace () =
   let p = Agreement.Params.make ~n:3 ~m:1 ~k:1 in
   let config = Agreement.Instances.oneshot p in
   let inputs =
@@ -176,11 +176,10 @@ let dpor_parallel_trace () =
   in
   let tr = Obs.Trace.create () in
   let prof = Obs.Prof.create () in
-  let jobs = 4 in
   let outcome =
     Obs.Trace.with_attached tr (fun () ->
         Spec.Modelcheck.run
-          ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs })
+          ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs = 1 })
           ~depth:10 ~inputs ~prof
           ~check:(Spec.Properties.check_safety ~k:1)
           config)
@@ -190,29 +189,10 @@ let dpor_parallel_trace () =
   | Spec.Modelcheck.Counterexample { error; _ } -> Alcotest.failf "violation: %s" error);
   Alcotest.(check bool) "detached after" true (Obs.Trace.attached () = None);
   Alcotest.(check int) "nothing left open" 0 (Obs.Trace.open_count tr);
-  let spans = Obs.Trace.spans tr in
-  let named prefix =
-    List.filter
-      (fun (s : Obs.Trace.span) ->
-        String.length s.Obs.Trace.name >= String.length prefix
-        && String.sub s.Obs.Trace.name 0 (String.length prefix) = prefix)
-      spans
+  let explore =
+    List.filter (fun (s : Obs.Trace.span) -> s.Obs.Trace.name = "explore") (Obs.Trace.spans tr)
   in
-  Alcotest.(check int) "one explore span" 1 (List.length (named "explore"));
-  Alcotest.(check int) "one worker span per domain" jobs
-    (List.length (named "worker"));
-  let explore = List.hd (named "explore") in
-  List.iter
-    (fun (w : Obs.Trace.span) ->
-      Alcotest.(check int) "workers parented to explore" explore.Obs.Trace.id
-        w.Obs.Trace.parent)
-    (named "worker");
-  (* distinct domains actually ran the workers *)
-  let doms =
-    List.sort_uniq compare
-      (List.map (fun (s : Obs.Trace.span) -> s.Obs.Trace.dom) (named "worker"))
-  in
-  Alcotest.(check int) "workers on distinct domains" jobs (List.length doms);
+  Alcotest.(check int) "one explore span" 1 (List.length explore);
   (* coverage counters were sampled *)
   let tracks =
     List.sort_uniq compare
@@ -235,10 +215,7 @@ let populated_trace () =
   let d =
     Domain.spawn (fun () ->
         Obs.Trace.with_span tr ~parent:root ~cat:"test" "child" (fun _ ->
-            Obs.Trace.counter tr ~track:"regs" 2.;
-            let f = Obs.Trace.fresh_flow tr in
-            Obs.Trace.instant tr ~cat:"test" ~flow:(f, `Out) "handoff.out";
-            Obs.Trace.instant tr ~cat:"test" ~flow:(f, `In) "handoff.in"))
+            Obs.Trace.counter tr ~track:"regs" 2.))
   in
   Domain.join d;
   Obs.Trace.instant tr ~cat:"test" ~args:[ ("reg", Obs.Json.Int 0) ] "write";
@@ -299,7 +276,7 @@ let chrome_trace_valid () =
   List.iter
     (fun ph ->
       Alcotest.(check bool) (Fmt.str "has ph %S" ph) true (List.mem ph phs))
-    [ "M"; "X"; "i"; "s"; "f"; "C" ];
+    [ "M"; "X"; "i"; "C" ];
   (* X events carry non-negative numeric ts/dur in microseconds *)
   List.iter
     (fun e ->
@@ -378,8 +355,7 @@ let suite =
       detached_paths_allocation_free;
     test "ambient probe absent when detached" ambient_probe_detached;
     test "coverage probe tracks covered/written per step" coverage_probe_tracks_run;
-    test "parallel DPOR trace: worker timelines, coverage, profile"
-      dpor_parallel_trace;
+    test "DPOR trace: span, tracks, profile" dpor_trace;
     test "trace JSONL round-trips" trace_jsonl_roundtrip;
     test "trace JSONL rejects newer major" trace_jsonl_rejects_newer_major;
     test "chrome trace-event export is well-formed" chrome_trace_valid;

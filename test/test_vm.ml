@@ -242,8 +242,7 @@ let test_key_converges seed =
 (* Counterexample schedules may legitimately differ (the engines cache
    and reduce differently), but the verdict — safe up to the bound, or
    some violation exists — is a property of the protocol and must
-   match, on one domain and with work stealing over four.  Small sizes
-   keep the exhaustive cost of 40 protocols low. *)
+   match.  Small sizes keep the exhaustive cost of 40 protocols low. *)
 let small_sizes =
   { G.max_registers = 3; max_procs = 3; max_steps = 3; max_loop = 2; max_sched = 8 }
 
@@ -259,9 +258,8 @@ let verdict_property =
           ~check:(Spec.Properties.check_safety ~k:1)
           (Shm.Vm.config p)
       in
-      let vm jobs =
-        Spec.Modelcheck.run_vm ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs })
-          ~depth:5 ~inputs:Runner.proto_inputs
+      let vm =
+        Spec.Modelcheck.run_vm ~engine ~depth:5 ~inputs:Runner.proto_inputs
           ~check:(Spec.Properties.check_safety_io ~k:1)
           p
       in
@@ -270,12 +268,10 @@ let verdict_property =
         | Spec.Modelcheck.Counterexample _ -> true
       in
       let show o = if violated o then "violation" else "safe" in
-      let vm1 = vm 1 and vm4 = vm 4 in
-      if violated interp = violated vm1 && violated vm1 = violated vm4 then true
+      if violated interp = violated vm then true
       else
-        QCheck.Test.fail_reportf
-          "verdicts differ on %s: interpreter %s, vm %s, vm on 4 domains %s"
-          (Analyze.Ir.to_string p) (show interp) (show vm1) (show vm4))
+        QCheck.Test.fail_reportf "verdicts differ on %s: interpreter %s, vm %s"
+          (Analyze.Ir.to_string p) (show interp) (show vm))
 
 (* ------------------------------------------------------------------ *)
 
