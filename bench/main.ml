@@ -1,15 +1,15 @@
-(* The experiment harness: regenerates the paper's evaluation.
+(* The experiment harness: the measured side of the paper's evaluation.
 
-   The paper's results are Figure 1 (the bounds table) and the claims
-   around it; each experiment below corresponds to a row of the
-   per-experiment index in DESIGN.md and EXPERIMENTS.md (E1–E20) and
-   prints the paper's expected numbers next to measured ones.  Bechamel
-   microbenchmarks (B1–B7) measure per-propose latency of every
-   algorithm/snapshot combination.
+   Figure 1 and the claims around it are checked row by row by
+   `sa_run fig1` (Lowerbound.Figure1); this harness writes its
+   upper-bound rows as JSON and runs the experiments on the
+   verification stack and the serving layer (DESIGN.md and
+   EXPERIMENTS.md index them, E1–E20).  Every table here has its own CI
+   step, and tools/lint.sh (rule 11) keeps it that way.
 
-   Every table and series is one row of [experiments] at the bottom:
-   its id, its row producer, and the floors `check` gates it on.  Run
-   main.exe with no valid command for the usage line and the ids. *)
+   Every table is one row of [experiments] at the bottom: its id, its
+   row producer, and the floors `check` gates it on.  Run main.exe with
+   no valid command for the usage line and the ids. *)
 
 open Agreement
 open Lowerbound
@@ -68,21 +68,22 @@ let span_fields latencies =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* E1 and E3: Figure 1's upper-bound rows (Lowerbound.Figure1) as JSON
-   documents; `sa_run fig1` prints the whole table, E2/E4/E6 included,
-   with its verdicts.                                                  *)
+(* E1 and E3: Figure 1's upper-bound rows (Lowerbound.Figure1) as one
+   JSON document, each row naming its experiment; `sa_run fig1` prints
+   the whole table, the lower-bound constructions included, with its
+   verdicts.                                                           *)
 
-let fig1_json experiment ~max_n title ~smoke:_ =
-  section title;
+let fig1_json ~smoke:_ =
+  section "E1, E3  Figure 1 upper bounds: min(n+2m-k, n) and (m+1)(n-k)+m^2+1 registers";
   let rows =
-    Figure1.table ~max_n
+    Figure1.table ~max_n:9
     |> List.filter_map (fun ({ params = p; _ } as r : Figure1.row) ->
            match r.measured with
-           | Figure1.Registers { bound; written; steps; latencies }
-             when r.experiment = experiment ->
+           | Figure1.Registers { bound; written; steps; latencies } ->
              Some
                (Obs.Json.Obj
-                  (point_fields ~n:p.n ~m:p.m ~k:p.k
+                  ((("experiment", Obs.Json.String (Figure1.experiment_name r.experiment))
+                   :: point_fields ~n:p.n ~m:p.m ~k:p.k)
                   @ [ ("bound", Obs.Json.Int bound); ("measured", Obs.Json.Int written);
                       ("ok", Obs.Json.Bool (Result.is_ok r.verdict));
                       ("steps", Obs.Json.Int steps) ]
@@ -91,136 +92,6 @@ let fig1_json experiment ~max_n title ~smoke:_ =
   in
   Fmt.pr "%d points; the table with verdicts: sa_run fig1@." (List.length rows);
   rows
-
-(* E3b: the same algorithm over the honest *non-blocking* anonymous
-   snapshot (what Theorem 11 actually has available [7]) — register
-   counts unchanged, step cost much higher, H earns its keep. *)
-let fig1_anon_nonblocking () =
-  section "E3b Anonymous repeated over the non-blocking snapshot (register parity)";
-  Fmt.pr "%-12s %-8s %-14s %-14s %-14s@." "(n,m,k)" "bound" "atomic regs" "collect regs"
-    "steps (atomic/collect)";
-  [ (4, 1, 2); (4, 2, 2); (5, 1, 3); (5, 2, 3) ]
-  |> List.iter (fun (n, m, k) ->
-         let p = Params.make ~n ~m ~k in
-         let run ~anonymous_collect =
-           Runner.run_anonymous ~anonymous_collect ~rounds:2
-             ~sched:(Shm.Schedule.quantum_round_robin ~quantum:4000 n)
-             ~max_steps:8_000_000 p
-         in
-         let a = run ~anonymous_collect:false in
-         let c = run ~anonymous_collect:true in
-         Fmt.pr "%-12s %-8d %-14d %-14d %d / %d@." (Params.to_string p)
-           (Params.r_anonymous p + 1)
-           (Runner.registers_used a) (Runner.registers_used c) a.Shm.Exec.steps
-           c.Shm.Exec.steps)
-
-(* ------------------------------------------------------------------ *)
-(* E9: the Section 7 open question, probed empirically: between the    *)
-(* √(m(n/k−2)) lower bound and the quadratic anonymous upper bound,    *)
-(* where does the breakable/unbreakable frontier actually sit for the  *)
-(* clone construction and for randomized stress?                       *)
-
-let anon_frontier () =
-  section
-    "E9  (§7 probe) Anonymous one-shot frontier: clone-breakable r vs the paper's bounds \
-     (m=1, k=1)";
-  Fmt.pr "%-4s %-12s %-14s %-18s %-12s@." "n" "sqrt lower" "clone-max r"
-    "stress-safe r" "paper upper";
-  [ 6; 8; 10; 12 ]
-  |> List.iter (fun n ->
-         let p = Params.make ~n ~m:1 ~k:1 in
-         (* largest r the clone counting can break with n processes:
-            n >= 2(1 + (r²−r)/2)  ⇔  r²−r+2 <= n *)
-         let rec max_breakable r =
-           if ((r + 1) * (r + 1)) - (r + 1) + 2 <= n then max_breakable (r + 1) else r
-         in
-         let rb = max_breakable 1 in
-         let clone_attack r =
-           Clones.attack ~params:p ~registers:r ~slots:n
-             ~make_config:(fun ~registers ~slots ->
-               Instances.anonymous_oneshot ~r:registers ~slots p)
-         in
-         let verdict r =
-           match clone_attack r with
-           | Clones.Violation _ -> "broken"
-           | Clones.Out_of_slots _ | Clones.Prefix_mismatch _ | Clones.Stuck _ ->
-             "resists"
-         in
-         (* randomized stress: does any of 100 bursty schedules break
-            safety at this register count? *)
-         let stress_breaks r =
-           let bad = ref false in
-           (try
-              for seed = 0 to 99 do
-                let config = Instances.anonymous_oneshot ~r ~slots:n p in
-                let inputs =
-                  Shm.Exec.oneshot_inputs (Array.init n (fun pid -> Shm.Value.int pid))
-                in
-                let sched = Shm.Schedule.bursty_random ~seed (List.init n Fun.id) in
-                let res = Shm.Exec.run ~sched ~inputs ~max_steps:50_000 config in
-                match Spec.Properties.check_safety ~k:1 res.Shm.Exec.config with
-                | Ok () -> ()
-                | Error _ ->
-                  bad := true;
-                  raise Exit
-              done
-            with Exit -> ());
-           !bad
-         in
-         (* smallest r that survives the stress — this algorithm's
-            empirical safety frontier (the paper guarantees r = 2n−1;
-            the gap to √n is the open question of §7) *)
-         let rec stress_safe r =
-           if r > Params.r_anonymous p then r
-           else if stress_breaks r then stress_safe (r + 1)
-           else r
-         in
-         Fmt.pr "%-4d %-12.2f %-14s %-18d %-12d@." n
-           (Params.anon_lower_bound p)
-           (Fmt.str "%d (%s)" rb (verdict rb))
-           (stress_safe (rb + 1))
-           (Params.r_anonymous p))
-
-(* ------------------------------------------------------------------ *)
-(* E12: the other §7 conjecture — "the upper bound could perhaps be    *)
-(* improved to n+m−k".  Between n+m−k and n+2m−k−1 registers the       *)
-(* Theorem 2 adversary cannot run (not enough processes), so we probe  *)
-(* the gap against Figure 4 with randomized stress and, where n is     *)
-(* tiny, exhaustive model checking.                                    *)
-
-let conjecture_probe () =
-  section
-    "E12 (§7 probe) The gap n+m-k .. n+2m-k: is Figure 4 safe below its proven budget?";
-  Fmt.pr "%-12s %-8s %-12s %-26s@." "(n,m,k)" "r" "region" "stress (200 bursty runs)";
-  let stress p r =
-    let n = p.Params.n in
-    let bad = ref 0 in
-    for seed = 0 to 199 do
-      let config = Instances.repeated ~r p in
-      let inputs =
-        Shm.Exec.repeated_inputs ~rounds:2 (fun pid i -> Shm.Value.int ((100 * i) + pid))
-      in
-      let sched = Shm.Schedule.bursty_random ~seed (List.init n Fun.id) in
-      let res = Shm.Exec.run ~sched ~inputs ~max_steps:60_000 config in
-      match Spec.Properties.check_safety ~k:p.Params.k res.Shm.Exec.config with
-      | Ok () -> ()
-      | Error _ -> incr bad
-    done;
-    if !bad = 0 then "no violation found" else Fmt.str "%d VIOLATIONS" !bad
-  in
-  [ (4, 2, 2); (5, 2, 2); (5, 2, 3); (6, 2, 3); (6, 3, 3) ]
-  |> List.iter (fun (n, m, k) ->
-         let p = Params.make ~n ~m ~k in
-         let lo = Params.registers_lower p and hi = Params.r_oneshot p in
-         for r = lo - 1 to hi do
-           let region =
-             if r < lo then "below lo"
-             else if r = lo then "at lo"
-             else if r = hi then "proven"
-             else "gap"
-           in
-           Fmt.pr "%-12s %-8d %-12s %-26s@." (Params.to_string p) r region (stress p r)
-         done)
 
 (* ------------------------------------------------------------------ *)
 (* E13: exploration engines — naive enumeration vs DPOR vs DPOR with   *)
@@ -886,25 +757,6 @@ let perf_table ~smoke =
   List.rev !rows
 
 (* ------------------------------------------------------------------ *)
-(* E5: DFGR'13 baseline comparison (Section 4.1).                      *)
-
-let baseline_table () =
-  section "E5  Baseline: DFGR'13 2(n-k) registers vs Figure 3's n-k+2 (m=1, n=10)";
-  Fmt.pr "%-4s %-16s %-16s %-14s %-14s@." "k" "DFGR13 regs" "Fig.3 regs" "DFGR13 steps"
-    "Fig.3 steps";
-  let n = 10 in
-  for k = 1 to n - 2 do
-    let p = Params.make ~n ~m:1 ~k in
-    let sched () = Shm.Schedule.quantum_round_robin ~quantum:400 n in
-    let b = Runner.run_baseline ~sched:(sched ()) ~max_steps:2_000_000 p in
-    let o = Runner.run_oneshot ~sched:(sched ()) ~max_steps:2_000_000 p in
-    Fmt.pr "%-4d %-16s %-16s %-14d %-14d@." k
-      (Fmt.str "%d (used %d)" (Params.r_dfgr13 p) (Runner.registers_used b))
-      (Fmt.str "%d (used %d)" (Params.r_oneshot p) (Runner.registers_used o))
-      b.Shm.Exec.steps o.Shm.Exec.steps
-  done
-
-(* ------------------------------------------------------------------ *)
 (* E15: static analyzer — abstract footprints vs paper bounds vs       *)
 (* dynamically measured registers, plus the mutation tests.            *)
 
@@ -931,97 +783,8 @@ let analyze_table () =
   in
   Analyze.Report.bench_rows rows ~p verdicts
 
-(* ------------------------------------------------------------------ *)
-(* E7: snapshot implementation ablation.                               *)
-
-let snapshot_ablation () =
-  section "E7  Snapshot ablation: one-shot (n=5,m=1,k=2) over three implementations";
-  Fmt.pr "%-16s %-10s %-10s %-10s %-10s@." "implementation" "steps" "registers" "reads"
-    "writes";
-  [ Instances.Atomic; Instances.Double_collect; Instances.Sw_based ]
-  |> List.iter (fun impl ->
-         let p = Params.make ~n:5 ~m:1 ~k:2 in
-         let result =
-           Runner.run_oneshot ~impl
-             ~sched:(Shm.Schedule.quantum_round_robin ~quantum:Spec.Counterex.quantum 5)
-             ~max_steps:4_000_000 p
-         in
-         let mem = Shm.Config.mem result.Shm.Exec.config in
-         Fmt.pr "%-16s %-10d %-10d %-10d %-10d@." (Instances.impl_name impl)
-           result.Shm.Exec.steps (Runner.registers_used result)
-           (Shm.Memory.read_count mem) (Shm.Memory.write_count mem))
-
-(* ------------------------------------------------------------------ *)
-(* E8: progress vs m (the meaning of m-obstruction-freedom).           *)
-
-let progress_vs_m () =
-  section "E8  Steps to quiescence vs m (n=8, k=4, m-bounded adversary, 20 seeds)";
-  Fmt.pr "%-4s %-14s %-14s %-10s@." "m" "mean steps" "max steps" "decided";
-  let rows = ref [] in
-  for m = 1 to 4 do
-    let p = Params.make ~n:8 ~m ~k:4 in
-    let span = Shm.Analysis.create ~n:p.n ~registers:0 in
-    let steps = ref [] and decided = ref 0 in
-    for seed = 0 to 19 do
-      let sched = Shm.Schedule.m_bounded ~seed ~m ~prefix:60 8 in
-      let result =
-        Runner.run_oneshot ~sched ~sink:(Shm.Analysis.feed span) ~max_steps:400_000 p
-      in
-      steps := result.Shm.Exec.steps :: !steps;
-      if result.Shm.Exec.stopped = Shm.Exec.All_quiescent then incr decided
-    done;
-    let l = !steps in
-    let mean = float_of_int (List.fold_left ( + ) 0 l) /. float_of_int (List.length l) in
-    let mx = List.fold_left max 0 l in
-    rows :=
-      Obs.Json.Obj
-        (point_fields ~n:8 ~m ~k:4
-        @ [
-            ("seeds", Obs.Json.Int 20);
-            ("mean_steps", Obs.Json.Float mean);
-            ("max_steps", Obs.Json.Int mx);
-            ("decided", Obs.Json.Int !decided);
-          ]
-        @ span_fields (Shm.Analysis.snapshot span).latencies)
-      :: !rows;
-    Fmt.pr "%-4d %-14.1f %-14d %d/20@." m mean mx !decided
-  done;
-  List.rev !rows
-
-(* Decision diversity vs input workload: how many distinct values an
-   election actually commits, depending on the proposal pattern and the
-   contention regime.  (Extra analysis — not a figure of the paper.) *)
-let diversity_vs_workload () =
-  section "E11 Decision diversity vs workload (n=8, m=2, k=4; 20 schedules per cell)";
-  Fmt.pr "%-18s %-10s %-14s %-14s %-12s@." "workload" "inputs" "calm mean" "bursty mean"
-    "max seen";
-  Agreement.Workload.all
-  |> List.iter (fun w ->
-         let n = 8 in
-         let p = Params.make ~n ~m:2 ~k:4 in
-         let inputs = Agreement.Workload.inputs w ~n in
-         let run sched =
-           let result = Runner.run_oneshot ~sched ~inputs ~max_steps:400_000 p in
-           List.length
-             (Spec.Properties.distinct_values
-                (Runner.outputs_of_instance result ~instance:1))
-         in
-         let mean_over f =
-           let total = ref 0 in
-           for seed = 0 to 19 do
-             total := !total + f seed
-           done;
-           float_of_int !total /. 20.
-         in
-         let calm seed = run (Shm.Schedule.m_bounded ~seed ~m:1 ~prefix:30 n) in
-         let bursty seed = run (Shm.Schedule.bursty_random ~seed (List.init n Fun.id)) in
-         let max_seen = ref 0 in
-         for seed = 0 to 19 do
-           max_seen := max !max_seen (max (calm seed) (bursty seed))
-         done;
-         Fmt.pr "%-18s %-10d %-14.2f %-14.2f %-12d@." (Agreement.Workload.name w)
-           (Agreement.Workload.distinct_inputs w ~n)
-           (mean_over calm) (mean_over bursty) !max_seen)
+(* E8b: Figure 3's steps to quiescence as n grows (m = k = 1), over the
+   space-optimal snapshot.                                             *)
 
 let steps_vs_n () =
   section "E8b Steps to quiescence vs n (m=1, k=1, solo-burst schedule)";
@@ -1048,68 +811,6 @@ let steps_vs_n () =
     Fmt.pr "%-4d %-12d %-12d@." n result.Shm.Exec.steps (Runner.registers_used result)
   done;
   List.rev !rows
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks (B1–B6).                                   *)
-
-let bechamel_benches () =
-  section "B1-B7  Bechamel microbenchmarks (time per fully solved instance)";
-  let open Bechamel in
-  (* one fully solved instance per run, under a fresh large-quantum
-     schedule *)
-  let bench ~name run p = Test.make ~name (Staged.stage (fun () -> ignore (run p))) in
-  let sched (p : Params.t) = Shm.Schedule.quantum_round_robin ~quantum:Spec.Counterex.quantum p.n in
-  let max_steps = 4_000_000 in
-  let oneshot ?impl p = Runner.run_oneshot ?impl ~sched:(sched p) ~max_steps p in
-  let native (p : Params.t) =
-    Native.Native_agreement.run_instance ~params:p
-      (Array.init p.n (fun pid -> Shm.Value.int (pid + 1)))
-  in
-  let p512 = Params.make ~n:5 ~m:1 ~k:2 in
-  let p523 = Params.make ~n:5 ~m:2 ~k:3 in
-  let p813 = Params.make ~n:8 ~m:1 ~k:3 in
-  let tests =
-    Test.make_grouped ~name:"set-agreement"
-      [
-        bench ~name:"B1 oneshot atomic n=5 m=1 k=2" oneshot p512;
-        bench ~name:"B2 oneshot atomic n=5 m=2 k=3" oneshot p523;
-        bench ~name:"B3 oneshot atomic n=8 m=1 k=3" oneshot p813;
-        bench ~name:"B4 oneshot double-collect n=5 m=1 k=2"
-          (oneshot ~impl:Instances.Double_collect) p512;
-        bench ~name:"B4b oneshot sw-snapshot n=5 m=1 k=2"
-          (oneshot ~impl:Instances.Sw_based) p512;
-        bench ~name:"B5 repeated (3 rounds) n=5 m=1 k=2"
-          (fun p -> Runner.run_repeated ~rounds:3 ~sched:(sched p) ~max_steps p)
-          p512;
-        bench ~name:"B6 anonymous (2 rounds) n=5 m=1 k=2"
-          (fun p -> Runner.run_anonymous ~rounds:2 ~sched:(sched p) ~max_steps p)
-          p512;
-        bench ~name:"B5b baseline DFGR13 n=5 m=1 k=2"
-          (fun p -> Runner.run_baseline ~sched:(sched p) ~max_steps p)
-          p512;
-        bench ~name:"B7 native multicore (4 domains) n=4 m=2 k=2" native
-          (Params.make ~n:4 ~m:2 ~k:2);
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.6) ~kde:None () in
-  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] tests in
-  let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Fmt.pr "%-50s %-16s %-8s@." "benchmark" "time/run" "r^2";
-  Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results []
-  |> List.sort compare
-  |> List.iter (fun (name, ols) ->
-         let est =
-           match Analyze.OLS.estimates ols with Some (e :: _) -> e | _ -> nan
-         in
-         let r2 = match Analyze.OLS.r_square ols with Some r -> r | None -> nan in
-         let pretty =
-           if est > 1e9 then Fmt.str "%.2f s" (est /. 1e9)
-           else if est > 1e6 then Fmt.str "%.2f ms" (est /. 1e6)
-           else if est > 1e3 then Fmt.str "%.2f us" (est /. 1e3)
-           else Fmt.str "%.0f ns" est
-         in
-         Fmt.pr "%-50s %-16s %-8.3f@." name pretty r2)
 
 (* ------------------------------------------------------------------ *)
 (* E17: the serving layer (lib/service).  Three sections, one schema:
@@ -1368,8 +1069,6 @@ let fuzz_table ~smoke =
   List.rev !rows
 
 (* ------------------------------------------------------------------ *)
-
-(* ------------------------------------------------------------------ *)
 (* History subcommands: diff, check.                                   *)
 
 let load_history () =
@@ -1511,60 +1210,35 @@ let indep_floors =
    the driver writes them to [file] and appends them to the history. *)
 
 type experiment = {
-  id : string;  (* `table <id>` or `series <id>`; the history experiment *)
-  series : bool;
-  file : string option;  (* BENCH_*.json; None: a printed-only experiment *)
+  id : string;  (* `table <id>`; the history experiment *)
+  file : string;  (* BENCH_*.json *)
   run : smoke:bool -> Obs.Json.t list;
   floors : Obs.History.floor list;  (* what `check` gates the rows on *)
 }
 
 let experiments =
-  let table ?file ?(floors = []) ?(series = false) id run =
-    { id; series; file; run; floors }
-  in
+  let table ?(floors = []) id file run = { id; file; run; floors } in
   let always f ~smoke:_ = f () in
-  let printed f ~smoke:_ =
-    f ();
-    []
-  in
   [
-    table "fig1-upper" ~file:"BENCH_fig1.json"
-      (fig1_json Figure1.E1 ~max_n:9
-         "E1  Figure 1 upper bound (non-anonymous repeated): min(n+2m-k, n)");
-    table "fig1-anon-upper" ~file:"BENCH_fig1_anon.json"
-      (fig1_json Figure1.E3 ~max_n:7
-         "E3  Figure 1 anonymous upper bound: (m+1)(n-k)+m^2+1 registers");
-    table "fig1-anon-nonblocking" (printed fig1_anon_nonblocking);
-    table "anon-frontier" (printed anon_frontier);
-    table "conjecture-probe" (printed conjecture_probe);
-    table "baseline" (printed baseline_table);
-    table "snapshot-ablation" (printed snapshot_ablation);
-    table "explore" ~file:"BENCH_explore.json" (always explore_table);
-    table "indep" ~file:"BENCH_indep.json" ~floors:indep_floors indep_table;
-    table "conform" ~file:"BENCH_conform.json" (always conform_table);
-    table "analyze" ~file:"BENCH_analyze.json" (always analyze_table);
-    table "perf" ~file:"BENCH_perf.json" ~floors:perf_floors perf_table;
-    table "service" ~file:"BENCH_service.json" ~floors:service_floors service_table;
-    table "fuzz" ~file:"BENCH_fuzz.json" ~floors:fuzz_floors fuzz_table;
-    table "progress-vs-m" ~series:true ~file:"BENCH_progress_vs_m.json"
-      (always progress_vs_m);
-    table "steps-vs-n" ~series:true ~file:"BENCH_steps_vs_n.json" (always steps_vs_n);
-    table "diversity-vs-workload" ~series:true (printed diversity_vs_workload);
+    table "fig1-upper" "BENCH_fig1.json" fig1_json;
+    table "explore" "BENCH_explore.json" (always explore_table);
+    table "indep" "BENCH_indep.json" ~floors:indep_floors indep_table;
+    table "conform" "BENCH_conform.json" (always conform_table);
+    table "analyze" "BENCH_analyze.json" (always analyze_table);
+    table "perf" "BENCH_perf.json" ~floors:perf_floors perf_table;
+    table "service" "BENCH_service.json" ~floors:service_floors service_table;
+    table "fuzz" "BENCH_fuzz.json" ~floors:fuzz_floors fuzz_table;
+    table "steps-vs-n" "BENCH_steps_vs_n.json" (always steps_vs_n);
   ]
 
-let ids ~series =
-  List.filter_map (fun e -> if e.series = series then Some e.id else None) experiments
+let ids = List.map (fun e -> e.id) experiments
 
 let run_experiment ~smoke e =
   let rows = e.run ~smoke in
-  Option.iter
-    (fun file ->
-      Obs.History.write_document ~experiment:e.id ~path:file rows;
-      Obs.History.append ~path:history_path
-        (Obs.History.make ~ts:(Unix.time ()) ~rev:(git_rev ()) ~smoke ~experiment:e.id
-           rows);
-      Fmt.pr "wrote %s (%d rows; history: %s)@." file (List.length rows) history_path)
-    e.file;
+  Obs.History.write_document ~experiment:e.id ~path:e.file rows;
+  Obs.History.append ~path:history_path
+    (Obs.History.make ~ts:(Unix.time ()) ~rev:(git_rev ()) ~smoke ~experiment:e.id rows);
+  Fmt.pr "wrote %s (%d rows; history: %s)@." e.file (List.length rows) history_path;
   rows
 
 let gated = List.filter (fun e -> e.floors <> []) experiments
@@ -1620,28 +1294,20 @@ let () =
     List.filter (fun a -> a <> "--smoke" && a <> "--fault") (Array.to_list Sys.argv)
   in
   match argv with
-  | [ _ ] | [ _; "all" ] ->
-    List.iter (fun e -> ignore (run_experiment ~smoke e)) experiments;
-    bechamel_benches ()
-  | [ _; "bechamel" ] -> bechamel_benches ()
-  | [ _; ("table" | "series" as kind); id ] -> (
-    let series = kind = "series" in
-    match List.find_opt (fun e -> e.series = series && e.id = id) experiments with
+  | [ _ ] | [ _; "all" ] -> List.iter (fun e -> ignore (run_experiment ~smoke e)) experiments
+  | [ _; "table"; id ] -> (
+    match List.find_opt (fun e -> e.id = id) experiments with
     | Some e -> ignore (run_experiment ~smoke e)
     | None ->
-      Fmt.epr "unknown %s %S; available: %a@." kind id
-        Fmt.(list ~sep:sp string)
-        (ids ~series);
+      Fmt.epr "unknown table %S; available: %a@." id Fmt.(list ~sep:sp string) ids;
       exit 2)
   | [ _; "diff" ] -> diff_cmd "perf"
   | [ _; "diff"; experiment ] -> diff_cmd experiment
   | [ _; "check" ] -> check_cmd ~smoke ~fault ()
   | _ ->
     Fmt.epr
-      "usage: main.exe [all | bechamel | table <id> | series <id> | diff \
-       [<experiment>] | check [--smoke] [--fault]]@.tables: %a@.series: %a@."
+      "usage: main.exe [all | table <id> | diff [<experiment>] | check [--smoke] \
+       [--fault]]@.tables: %a@."
       Fmt.(list ~sep:sp string)
-      (ids ~series:false)
-      Fmt.(list ~sep:sp string)
-      (ids ~series:true);
+      ids;
     exit 2

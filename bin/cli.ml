@@ -14,6 +14,18 @@ let usage_error fmt =
       exit 2)
     fmt
 
+(* The exit statuses every command's --help lists.  Cmdliner's own
+   parse errors are usage errors too: sa_run.ml maps its code to 2. *)
+let exits =
+  Cmd.Exit.
+    [
+      info 0 ~doc:"on success.";
+      info 1 ~doc:"when the command's check fails (a safety violation or a failed \
+                   verdict).";
+      info 2 ~doc:"on usage errors, command line parsing errors included.";
+      info internal_error ~doc:"on unexpected internal errors (bugs).";
+    ]
+
 (* A value named on the command line and looked up by [find]. *)
 let lookup what ~valid find name =
   match find name with

@@ -254,7 +254,7 @@ let trace_cmd =
           ~doc:"Print the phase breakdown, exploration series, and span summary.")
   in
   Cmd.v
-    (Cmd.info "trace"
+    (Cmd.info "trace" ~exits:Cli.exits
        ~doc:
          "Record a causal trace — spans, register-coverage timeline, the DPOR \
           exploration span and counter tracks — and export Chrome trace-event JSON \
@@ -632,7 +632,7 @@ let analyze_cmd =
              and cache recomputes.")
   in
   Cmd.v
-    (Cmd.info "analyze"
+    (Cmd.info "analyze" ~exits:Cli.exits
        ~doc:
          "Statically analyze the algorithms: abstract-interpretation register \
           footprints checked against the paper bounds and against dynamically \
@@ -741,7 +741,7 @@ let conform_cmd =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print the conform.* metrics registry.")
   in
   Cmd.v
-    (Cmd.info "conform"
+    (Cmd.info "conform" ~exits:Cli.exits
        ~doc:
          "Audit the native multicore layer: capture real histories, check real-time \
           linearizability (chaos injection, crash-pending completion), shrink failures \
@@ -863,7 +863,7 @@ let serve_cmd =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print the per-shard breakdown.")
   in
   Cmd.v
-    (Cmd.info "serve"
+    (Cmd.info "serve" ~exits:Cli.exits
        ~doc:
          "Serve a replicated application over sharded, batched repeated set \
           agreement: Zipfian closed-loop load, per-shard backpressure, and a \
@@ -876,8 +876,9 @@ let serve_cmd =
       $ trace_out $ stats)
 
 (* ------------------------------------------------------------------ *)
-(* The `fig1` subcommand: the paper's Figure 1 (experiments E1–E4, E6)
-   with a verdict per row; exits 1 if any verdict fails. *)
+(* The `fig1` subcommand: the paper's Figure 1 and the claims around it
+   (experiments E1–E7) with a verdict per row; exits 1 if any verdict
+   fails. *)
 
 let fig1 max_n =
   let rows = Lowerbound.Figure1.table ~max_n in
@@ -891,14 +892,19 @@ let fig1_cmd =
     Arg.(
       value & opt int 9
       & info [ "max-n" ] ~docv:"N"
-          ~doc:"Largest n of the E1, E3 and E6 sweeps (E3 and E6 also stop at 7).")
+          ~doc:
+            "Largest n of the E1, E3 and E6 sweeps (E3 and E6 also stop at 7); the \
+             other rows run at fixed points.")
   in
   Cmd.v
-    (Cmd.info "fig1"
+    (Cmd.info "fig1" ~exits:Cli.exits
        ~doc:
          "Reproduce the paper's Figure 1: measured registers against the upper bounds \
-          and the Theorem 2 / Theorem 10 constructions against the lower bounds, one \
-          checked row each.  Exits 1 if any verdict fails.")
+          (E1, E3), the Theorem 2 / Theorem 10 constructions against the lower bounds \
+          (E2, E6, E4), and the claims checked over several arms: Figure 5 over the \
+          atomic and the non-blocking anonymous snapshot (E3b), the DFGR'13 baseline's \
+          2(n-k) against Figure 3's n-k+2 (E5), and Figure 3 over each snapshot \
+          implementation (E7).  One checked row each; exits 1 if any verdict fails.")
     Term.(const fig1 $ max_n)
 
 (* ------------------------------------------------------------------ *)
@@ -1014,7 +1020,7 @@ let fuzz_cmd =
              analyzer and conformance mutant must be caught within the budget.")
   in
   Cmd.v
-    (Cmd.info "fuzz"
+    (Cmd.info "fuzz" ~exits:Cli.exits
        ~doc:
          "Coverage-guided differential fuzzing of the simulator stack: random \
           protocols + schedules, coverage feedback from state keys and analyzer \
@@ -1039,10 +1045,10 @@ let cmd =
   in
   Cmd.group
     ~default:Term.(const run $ Cli.run ~shrink:true $ trace $ diagram $ stats $ trace_out)
-    (Cmd.info "sa_run"
+    (Cmd.info "sa_run" ~exits:Cli.exits
        ~doc:
          "Run m-obstruction-free k-set agreement in the simulator, or audit the native \
           layer with `conform'")
     [ conform_cmd; analyze_cmd; trace_cmd; serve_cmd; fuzz_cmd; fig1_cmd ]
 
-let () = exit (Cmd.eval cmd)
+let () = exit (match Cmd.eval cmd with c when c = Cmd.Exit.cli_error -> 2 | c -> c)

@@ -73,7 +73,9 @@ let repeated_consensus_exact ~n =
   let p = Agreement.Params.make ~n ~m:1 ~k:1 in
   (Agreement.Params.registers_lower p, Agreement.Params.registers_upper p)
 
-(* §4.1: improvement over DFGR'13 at m = 1: 2(n−k) vs n−k+2. *)
+(* §4.1: improvement over DFGR'13 at m = 1: 2(n−k) vs n−k+2, Figure
+   3's component count (at k = 1 that is n+1, one more than Theorem 7's
+   min(n+2m−k, n)). *)
 let dfgr13_comparison ~n ~k =
   let p = Agreement.Params.make ~n ~m:1 ~k in
-  (Agreement.Params.r_dfgr13 p, Agreement.Params.registers_upper p)
+  (Agreement.Params.r_dfgr13 p, Agreement.Params.r_oneshot p)

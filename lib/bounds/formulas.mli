@@ -13,6 +13,9 @@ type cell = {
 (** Row 1: Theorem 2 lower, Theorem 8 upper. *)
 val repeated_non_anonymous : cell
 
+(** Row 1': lower 2 (DFGR'13), Theorem 7 upper min(n+2m−k, n). *)
+val oneshot_non_anonymous : cell
+
 (** Row 2: Theorem 2 lower, Theorem 11 upper. *)
 val repeated_anonymous : cell
 
@@ -31,5 +34,6 @@ val for_algorithm : string -> cell option
     exactly n registers"). *)
 val repeated_consensus_exact : n:int -> int * int
 
-(** Section 4.1: (2(n−k), n−k+2) at m = 1. *)
+(** Section 4.1: (2(n−k), n−k+2) at m = 1: the DFGR'13 baseline's
+    registers and Figure 3's components. *)
 val dfgr13_comparison : n:int -> k:int -> int * int

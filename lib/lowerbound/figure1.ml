@@ -1,20 +1,23 @@
 (* Figure 1 as one checked table: the runs, attacks and verdicts of
-   experiments E1–E4 and E6 (the interface says what each row claims).
+   experiments E1–E7 (the interface says what each row claims).
    Bounds come from Bounds.Formulas; the schedules, step budgets and
    instance lists are the experiments' own. *)
 
 open Agreement
 
-type experiment = E1 | E2 | E3 | E4 | E6
+type experiment = E1 | E2 | E3 | E3b | E4 | E5 | E6 | E7
 
 type finding = Broke of int | Resisted | Failed
 
 type attack = { budget : int; found : finding; report : string }
 
+type arm = { name : string; bound : int; written : int; steps : int }
+
 type measured =
   | Registers of { bound : int; written : int; steps : int; latencies : int list }
   | Theorem2 of { lo : int; starved : attack; full : attack; written : int option }
   | Clones of { registers : int; at : attack; below : attack }
+  | Arms of arm list
 
 type row = {
   experiment : experiment;
@@ -129,9 +132,70 @@ let e4 (r, m, k) =
   let verdict = lower ~unit:"slots" at below in
   { experiment = E4; params = p; measured = Clones { registers = r; at; below }; verdict }
 
+(* E3b, E5 and E7: one claim over several arms, each run measured
+   against its own bound; with [~agree] the arms must also write the
+   same number of registers. *)
+let arm name bound result =
+  { name; bound; written = Runner.registers_used result; steps = result.Shm.Exec.steps }
+
+let arms ?(agree = false) experiment p arms =
+  let over = List.find_opt (fun a -> a.written > a.bound) arms in
+  let verdict =
+    match (over, arms) with
+    | Some a, _ -> Error (Fmt.str "%s wrote %d > bound %d" a.name a.written a.bound)
+    | None, a :: rest when agree && List.exists (fun b -> b.written <> a.written) rest ->
+      Error
+        (Fmt.str "arms disagree: %s"
+           (String.concat ", " (List.map (fun b -> Fmt.str "%s %d" b.name b.written) arms)))
+    | None, _ -> Ok ()
+  in
+  { experiment; params = p; measured = Arms arms; verdict }
+
+(* E5 (§4.1): the DFGR'13 baseline and Figure 3 at n = 10, m = 1 under
+   quantum-400 round-robin. *)
+let e5 k =
+  let n = 10 in
+  let p = Params.make ~n ~m:1 ~k in
+  let baseline, fig3 = Bounds.Formulas.dfgr13_comparison ~n ~k in
+  let sched () = Shm.Schedule.quantum_round_robin ~quantum:400 n in
+  arms E5 p
+    [
+      arm "dfgr13" baseline (Runner.run_baseline ~sched:(sched ()) ~max_steps:2_000_000 p);
+      arm "fig3" fig3 (Runner.run_oneshot ~sched:(sched ()) ~max_steps:2_000_000 p);
+    ]
+
+(* E3b (Theorem 11): Figure 5 over the atomic snapshot and over the
+   non-blocking anonymous collect, two rounds under quantum-4000
+   round-robin; the collect costs steps, not registers. *)
+let e3b (n, m, k) =
+  let p = Params.make ~n ~m ~k in
+  let bound = bound Bounds.Formulas.repeated_anonymous.upper p in
+  let run name anonymous_collect =
+    Runner.run_anonymous ~anonymous_collect ~rounds:2
+      ~sched:(Shm.Schedule.quantum_round_robin ~quantum:4000 n)
+      ~max_steps:8_000_000 p
+    |> arm name bound
+  in
+  arms ~agree:true E3b p [ run "atomic" false; run "collect" true ]
+
+(* E7 (Theorem 7): Figure 3 at (5,1,2) over each snapshot
+   implementation. *)
+let e7 () =
+  let p = Params.make ~n:5 ~m:1 ~k:2 in
+  let bound = bound Bounds.Formulas.oneshot_non_anonymous.upper p in
+  arms E7 p
+    (List.map
+       (fun impl ->
+         Runner.run_oneshot ~impl
+           ~sched:(Shm.Schedule.quantum_round_robin ~quantum:Spec.Counterex.quantum 5)
+           ~max_steps:4_000_000 p
+         |> arm (Instances.impl_name impl) bound)
+       [ Instances.Atomic; Instances.Double_collect; Instances.Sw_based ])
+
 let table ~max_n =
   let anon_max_n = min max_n 7 in
   e1 ~max_n @ e3 ~max_n:anon_max_n
+  @ List.map e3b [ (4, 1, 2); (4, 2, 2); (5, 1, 3); (5, 2, 3) ]
   @ List.map
       (fun (n, m, k) -> theorem2 E2 (Params.make ~n ~m ~k))
       [ (4, 1, 1); (5, 1, 1); (5, 1, 2); (5, 2, 2); (6, 1, 3); (6, 2, 3) ]
@@ -139,8 +203,20 @@ let table ~max_n =
     |> List.filter (fun (p : Params.t) -> p.n >= 3 && p.k = 1)
     |> List.map (theorem2 E6))
   @ List.map e4 [ (2, 1, 1); (3, 1, 1); (4, 1, 1); (3, 1, 2); (3, 2, 3); (3, 2, 2) ]
+  @ List.init 8 (fun i -> e5 (i + 1))
+  @ [ e7 () ]
 
 (* Printing: one line of five cells per row. *)
+
+let experiment_name = function
+  | E1 -> "E1"
+  | E2 -> "E2"
+  | E3 -> "E3"
+  | E3b -> "E3b"
+  | E4 -> "E4"
+  | E5 -> "E5"
+  | E6 -> "E6"
+  | E7 -> "E7"
 
 let cells { experiment; params = p; measured; verdict } =
   let attacks unit b b' =
@@ -161,12 +237,17 @@ let cells { experiment; params = p; measured; verdict } =
       (Fmt.str "lo %d = up" lo, Fmt.str "wrote %d; %s" w (attacks "regs" starved full))
     | Clones { registers; at; below } ->
       (Fmt.str "r %d: %d slots" registers at.budget, attacks "slots" at below)
-  in
-  let name =
-    match experiment with E1 -> "E1" | E2 -> "E2" | E3 -> "E3" | E4 -> "E4" | E6 -> "E6"
+    | Arms arms ->
+      (* one bound when the arms share it, else each arm's in order *)
+      let bounds = List.map (fun a -> string_of_int a.bound) arms in
+      let bounds =
+        if List.for_all (( = ) (List.hd bounds)) bounds then [ List.hd bounds ] else bounds
+      in
+      let arm a = Fmt.str "%s %d in %d" a.name a.written a.steps in
+      ("up " ^ String.concat "/" bounds, String.concat ", " (List.map arm arms) ^ " steps")
   in
   let verdict = match verdict with Ok () -> "ok" | Error why -> "FAILED: " ^ why in
-  [ name; Params.to_string p; bounds; measured; verdict ]
+  [ experiment_name experiment; Params.to_string p; bounds; measured; verdict ]
 
 let pp ppf rows =
   let lines = [ "exp"; "(n,m,k)"; "bounds"; "measured"; "verdict" ] :: List.map cells rows in

@@ -62,12 +62,6 @@ let ns t phase = t.ns.(index phase)
 let count t phase = t.count.(index phase)
 let total_ns t = Array.fold_left ( + ) 0 t.ns
 
-let merge_into ~into t =
-  for i = 0 to n_phases - 1 do
-    into.ns.(i) <- into.ns.(i) + t.ns.(i);
-    into.count.(i) <- into.count.(i) + t.count.(i)
-  done
-
 let is_empty t = total_ns t = 0 && Array.fold_left ( + ) 0 t.count = 0
 
 let to_json t =

@@ -39,9 +39,6 @@ val ns : t -> phase -> int
 val count : t -> phase -> int
 val total_ns : t -> int
 
-(** Add [t]'s times and hits into [into]. *)
-val merge_into : into:t -> t -> unit
-
 val is_empty : t -> bool
 val to_json : t -> Json.t
 

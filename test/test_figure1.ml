@@ -18,7 +18,7 @@ let every_row_ok () =
     (fun e ->
       Alcotest.(check bool) "experiment present" true
         (List.exists (fun (r : Figure1.row) -> r.experiment = e) rows))
-    Figure1.[ E1; E2; E3; E4; E6 ];
+    Figure1.[ E1; E2; E3; E3b; E4; E5; E6; E7 ];
   Alcotest.(check int) "E1 points at n <= 5" 16
     (List.length (List.filter (fun (r : Figure1.row) -> r.experiment = Figure1.E1) rows))
 
@@ -57,7 +57,7 @@ let reports_one_line () =
   List.iter
     (fun (r : Figure1.row) ->
       match r.measured with
-      | Figure1.Registers _ -> ()
+      | Figure1.Registers _ | Figure1.Arms _ -> ()
       | Figure1.Theorem2 { starved; full; _ } -> List.iter one_line [ starved; full ]
       | Figure1.Clones { at; below; _ } -> List.iter one_line [ at; below ])
     (Lazy.force table)

@@ -308,17 +308,17 @@ let chrome_trace_valid () =
 
 (* ---- prof ---- *)
 
-let prof_attribution_and_merge () =
-  let a = Obs.Prof.create () and b = Obs.Prof.create () in
+let prof_attribution () =
+  let a = Obs.Prof.create () in
+  Alcotest.(check bool) "fresh profile empty" true (Obs.Prof.is_empty a);
   Obs.Prof.add a Obs.Prof.Interp 100;
   Obs.Prof.add a Obs.Prof.Interp 50;
-  Obs.Prof.add b Obs.Prof.Hash 25;
+  Obs.Prof.add a Obs.Prof.Hash 25;
   Alcotest.(check int) "ns" 150 (Obs.Prof.ns a Obs.Prof.Interp);
   Alcotest.(check int) "count" 2 (Obs.Prof.count a Obs.Prof.Interp);
-  Obs.Prof.merge_into ~into:a b;
-  Alcotest.(check int) "merged ns" 25 (Obs.Prof.ns a Obs.Prof.Hash);
+  Alcotest.(check int) "hash ns" 25 (Obs.Prof.ns a Obs.Prof.Hash);
   Alcotest.(check int) "total" 175 (Obs.Prof.total_ns a);
-  Alcotest.(check bool) "b untouched" false (Obs.Prof.is_empty b);
+  Alcotest.(check bool) "charged profile not empty" false (Obs.Prof.is_empty a);
   (* the json form names every phase it reports *)
   match Obs.Prof.to_json a with
   | Obs.Json.Obj _ -> ()
@@ -359,6 +359,6 @@ let suite =
     test "trace JSONL round-trips" trace_jsonl_roundtrip;
     test "trace JSONL rejects newer major" trace_jsonl_rejects_newer_major;
     test "chrome trace-event export is well-formed" chrome_trace_valid;
-    test "prof attribution and merge" prof_attribution_and_merge;
+    test "prof attribution" prof_attribution;
     test "series rows sorted and replayed with own timestamps" series_rows_sorted;
   ]

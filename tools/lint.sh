@@ -49,6 +49,10 @@
 #      unexported (kept in the .ml) or deleted.  Allowlisted exports,
 #      each with its reason, go in `export_allow` as "file:name";
 #      it is empty.
+#  11. Every bench table runs in CI: each id in the `experiments` list of
+#      bench/main.ml (its `table "<id>"` rows) appears in
+#      .github/workflows/ci.yml as `bench/main.exe -- table <id>`, so no
+#      table is only ever printed.
 #
 # Exits non-zero listing every offender.
 
@@ -167,6 +171,20 @@ if [ -n "$unread" ]; then
   echo "lint: unexport or delete these values (see rule 10)" >&2
   fail=1
 fi
+
+# 11. every bench table runs in CI ----------------------------------
+bench_ids=$(awk '/^let experiments =/ { on = 1 } on && /^$/ { on = 0 } on' bench/main.ml \
+  | sed -n 's/^[[:space:]]*table "\([^"]*\)".*/\1/p')
+if [ -z "$bench_ids" ]; then
+  echo "lint: no table ids found in the experiments list of bench/main.ml (rule 11)" >&2
+  fail=1
+fi
+for id in $bench_ids; do
+  if ! grep -Eq "bench/main\.exe -- table $id( |\$)" .github/workflows/ci.yml; then
+    echo "lint: bench table $id has no CI step (bench/main.exe -- table $id)" >&2
+    fail=1
+  fi
+done
 
 if [ "$fail" -eq 0 ]; then
   echo "lint: ok"
