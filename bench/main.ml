@@ -1299,7 +1299,7 @@ let () =
     match List.find_opt (fun e -> e.id = id) experiments with
     | Some e -> ignore (run_experiment ~smoke e)
     | None ->
-      Fmt.epr "unknown table %S; available: %a@." id Fmt.(list ~sep:sp string) ids;
+      Fmt.epr "unknown table %S; available: %a@." id Fmt.(list ~sep:(any " ") string) ids;
       exit 2)
   | [ _; "diff" ] -> diff_cmd "perf"
   | [ _; "diff"; experiment ] -> diff_cmd experiment
@@ -1308,6 +1308,6 @@ let () =
     Fmt.epr
       "usage: main.exe [all | table <id> | diff [<experiment>] | check [--smoke] \
        [--fault]]@.tables: %a@."
-      Fmt.(list ~sep:sp string)
+      Fmt.(list ~sep:(any " ") string)
       ids;
     exit 2

@@ -421,6 +421,9 @@ let key e st base =
     k_out = st.(base + e.o_scal + s_kout);
   }
 
+let key_words e st base k =
+  Array.blit st (base + e.o_scal + s_kmem) k 0 4
+
 (* The four components folded down to one non-negative hash, read
    straight off the slice — no record allocation, one mix, for
    per-step use (cache probes, the bench loops). *)

@@ -126,6 +126,10 @@ type key = { k_mem : int; k_locals : int; k_in : int; k_out : int }
 
 val key : env -> int array -> int -> key
 
+(** [key_words e st base k] writes {!key}'s four components, in field
+    order, to [k.(0..3)] — allocation-free, for the DPOR state cache. *)
+val key_words : env -> int array -> int -> int array -> unit
+
 (** One final mix over the four components, computed straight off the
     slice — allocation-free, for per-step use (the bench loops, cache
     probes). *)

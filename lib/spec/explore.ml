@@ -1,7 +1,8 @@
 (* The exploration core: bounded partial-order-reduced search of the
    schedule tree, written once over an abstract state representation
    (STATE).  Modelcheck instantiates it twice: heap configurations
-   keyed by Statehash, and bytecode-vm arena slots keyed by Vm.key.
+   keyed by Statehash, and bytecode-vm arena slots keyed by their
+   in-slice key words.
 
    The naive checker (Modelcheck.exhaustive) enumerates every schedule
    of length ≤ depth — n^depth nodes.  This core explores one
@@ -20,12 +21,15 @@
      exploring pid p, p joins the sleep set of the later siblings'
      subtrees and stays there while the steps taken commute with p's.
 
-   - State caching.  A canonical key of the reached state memoizes
-     explored states.  An entry may only short-circuit a new visit if
-     it had at least as much remaining depth budget and was explored
-     with a sleep set no larger than the current one — both guards are
-     required for soundness (docs/EXPLORATION.md).  At most 8 entries
-     are kept per key.
+   - State caching.  A canonical key of the reached state, four int
+     words, memoizes explored states: Statehash's four sums, the
+     audited MD5 digest's 128 bits as four 32-bit words, or the vm
+     slice's four key words.  An entry may only short-circuit a new
+     visit if it had at least as much remaining depth budget and was
+     explored with a sleep set no larger than the current one — both
+     guards are required for soundness (docs/EXPLORATION.md).  At most
+     8 entries are kept per key.  The table ([Cache]) is three flat int
+     arrays and never evicts a key: see below.
 
    - One frontier stack.  The search pops a batch of its freshest
      nodes at a time ([STATE.batch]) and processes them freshest first,
@@ -47,7 +51,6 @@ module type STATE = sig
   type env
   type dom
   type t
-  type key
 
   val batch : int
   val n : env -> int
@@ -57,7 +60,7 @@ module type STATE = sig
   val poised_local : dom -> t -> int -> bool
   val commutes : dom -> t -> int -> int -> commute
   val child : dom -> prof:Obs.Prof.t option -> t -> int -> t
-  val key : dom -> t -> key
+  val key : dom -> t -> int array -> unit
   val release : dom -> t -> unit
   val leaf : dom -> t -> (unit, string) result
   val memo_hits : dom -> int
@@ -104,6 +107,133 @@ let rec popcount m = if m = 0 then 0 else (m land 1) + popcount (m lsr 1)
 (* Sampling stride for the trace's exploration counter tracks. *)
 let sample_stride = 64
 
+(* The state cache: one flat table over three int arrays, with no
+   per-probe allocation and no eviction.
+
+   - [index]: open addressing with linear probing, a power of two of
+     one-word slots, at most half full.  A slot is 0 (empty) or a key
+     id + 1.
+   - [keys]: [kw] words per key id, dense in insertion order: the four
+     key words, then the head of the key's entry list.
+   - [pool]: [ew] words per entry: remaining depth, sleep mask, next
+     entry (-1 ends the list).
+
+   A hit needs an entry with [r >= remaining] and a sleep mask inside
+   the current one: a smaller sleep set means more branches were
+   explored there, covering ours.  On a miss the new entry goes first;
+   a key's list holds at most [cap] entries, so the ninth recycles the
+   oldest one's pool cell.  Keys are never dropped, so every hit
+   decision is the one an unbounded map of capped lists would make. *)
+module Cache = struct
+  type t = {
+    mutable index : int array;
+    mutable keys : int array;
+    mutable nkeys : int;
+    mutable pool : int array;
+    mutable nentries : int;
+  }
+
+  let kw = 5
+  let ew = 3
+  let cap = 8
+
+  let hash k0 k1 k2 k3 = Shm.Value.mix (Shm.Value.mix (Shm.Value.mix k0 k1) k2) k3
+
+  (* [slots] keys and entries before the first doubling (a power of
+     two) *)
+  let create slots =
+    { index = Array.make (2 * slots) 0; keys = Array.make (slots * kw) 0; nkeys = 0;
+      pool = Array.make (slots * ew) 0; nentries = 0 }
+
+  let grow a =
+    let b = Array.make (2 * Array.length a) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+
+  let rec free_slot index i =
+    if index.(i) = 0 then i else free_slot index ((i + 1) land (Array.length index - 1))
+
+  (* File key [id] in the first empty slot of its probe chain. *)
+  let place index keys id =
+    let o = id * kw in
+    let h = hash keys.(o) keys.(o + 1) keys.(o + 2) keys.(o + 3) in
+    index.(free_slot index (h land (Array.length index - 1))) <- id + 1
+
+  let entry t ~remaining ~sleep ~next =
+    if t.nentries * ew = Array.length t.pool then t.pool <- grow t.pool;
+    let e = t.nentries in
+    t.nentries <- e + 1;
+    let p = e * ew in
+    t.pool.(p) <- remaining;
+    t.pool.(p + 1) <- sleep;
+    t.pool.(p + 2) <- next;
+    e
+
+  (* A new key with one entry.  Doubling the index re-files every key
+     in id order, a sequential pass over [keys]. *)
+  let add t k0 k1 k2 k3 i ~remaining ~sleep =
+    let id = t.nkeys in
+    if (id + 1) * kw > Array.length t.keys then t.keys <- grow t.keys;
+    let o = id * kw in
+    let keys = t.keys in
+    keys.(o) <- k0;
+    keys.(o + 1) <- k1;
+    keys.(o + 2) <- k2;
+    keys.(o + 3) <- k3;
+    keys.(o + 4) <- entry t ~remaining ~sleep ~next:(-1);
+    t.nkeys <- id + 1;
+    if 2 * t.nkeys > Array.length t.index then begin
+      let index = Array.make (2 * Array.length t.index) 0 in
+      for id = 0 to t.nkeys - 1 do
+        place index keys id
+      done;
+      t.index <- index
+    end
+    else t.index.(i) <- id + 1
+
+  (* Walk a key's entries from [e] for one covering the visit; on a
+     miss put the visit first (the list head is [keys.(head)]),
+     recycling the oldest entry when the list is full.  [last] and
+     [before] trail [e] by one and two.  Top-level and closure-free,
+     like [probe], so a lookup allocates nothing. *)
+  let rec walk t head e len last before ~remaining ~sleep =
+    let pool = t.pool in
+    if e >= 0 then
+      let p = e * ew in
+      (pool.(p) >= remaining && pool.(p + 1) land lnot sleep = 0)
+      || walk t head pool.(p + 2) (len + 1) e last ~remaining ~sleep
+    else begin
+      let first = t.keys.(head) in
+      (if len >= cap then begin
+         pool.((before * ew) + 2) <- -1;
+         let p = last * ew in
+         pool.(p) <- remaining;
+         pool.(p + 1) <- sleep;
+         pool.(p + 2) <- first;
+         t.keys.(head) <- last
+       end
+       else t.keys.(head) <- entry t ~remaining ~sleep ~next:first);
+      false
+    end
+
+  let rec probe t i k0 k1 k2 k3 ~remaining ~sleep =
+    let slot = t.index.(i) in
+    if slot = 0 then begin
+      add t k0 k1 k2 k3 i ~remaining ~sleep;
+      false
+    end
+    else
+      let keys = t.keys and o = (slot - 1) * kw in
+      if keys.(o) = k0 && keys.(o + 1) = k1 && keys.(o + 2) = k2 && keys.(o + 3) = k3 then
+        walk t (o + 4) keys.(o + 4) 0 (-1) (-1) ~remaining ~sleep
+      else probe t ((i + 1) land (Array.length t.index - 1)) k0 k1 k2 k3 ~remaining ~sleep
+
+  (* Lookup-or-insert of a visit with [remaining] depth and [sleep]
+     under the key (k0, k1, k2, k3): [true] iff an entry covers it. *)
+  let covered t k0 k1 k2 k3 ~remaining ~sleep =
+    probe t (hash k0 k1 k2 k3 land (Array.length t.index - 1)) k0 k1 k2 k3 ~remaining ~sleep
+end
+
 module Make (S : STATE) = struct
   type node = {
     st : S.t;
@@ -119,7 +249,8 @@ module Make (S : STATE) = struct
     n : int;
     use_cache : bool;
     d : S.dom;
-    cache : (S.key, (int * int) list) Hashtbl.t;
+    cache : Cache.t;
+    key : int array;  (* the current node's key words *)
     prof : Obs.Prof.t option;
     trace : Obs.Trace.t option;
     mutable frontier : node list;  (* head = freshest *)
@@ -144,21 +275,6 @@ module Make (S : STATE) = struct
     counter "frontier" (List.length s.frontier);
     counter "cache hits" s.cache_hits;
     counter "sleep hits" s.pruned
-
-  (* Cache lookup-or-insert.  Skipping a revisit is sound only against
-     an entry that had at least as much remaining budget and was
-     explored with a sleep set no larger than ours — a smaller sleep set
-     means more branches were explored there, covering ours. *)
-  let covered s key ~remaining ~sleep =
-    let entries = Option.value (Hashtbl.find_opt s.cache key) ~default:[] in
-    List.exists (fun (r, sl) -> r >= remaining && sl land lnot sleep = 0) entries
-    || begin
-      let entries = (remaining, sleep) :: entries in
-      Hashtbl.replace s.cache key
-        (if List.length entries > 8 then List.filteri (fun i _ -> i < 8) entries
-         else entries);
-      false
-    end
 
   let leaf s node =
     s.leaves <- s.leaves + 1;
@@ -231,8 +347,11 @@ module Make (S : STATE) = struct
       s.use_cache
       &&
       let t0 = start s.prof in
+      let k = s.key in
+      S.key s.d node.st k;
       let hit =
-        covered s (S.key s.d node.st) ~remaining:(s.bound - node.depth) ~sleep:node.sleep
+        Cache.covered s.cache k.(0) k.(1) k.(2) k.(3) ~remaining:(s.bound - node.depth)
+          ~sleep:node.sleep
       in
       ignore (lap s.prof Obs.Prof.Cache t0);
       hit
@@ -289,7 +408,7 @@ module Make (S : STATE) = struct
     in
     let s =
       { bound = depth; n = S.n env; use_cache = cache; d;
-        cache = Hashtbl.create (if cache then 4096 else 1); prof; trace;
+        cache = Cache.create (if cache then 256 else 1); key = Array.make 4 0; prof; trace;
         frontier = [ { st = S.root d; depth = 0; sched = []; sleep = 0 } ];
         explored = 0; leaves = 0; max_depth = 0; cache_hits = 0; pruned = 0; refined = 0;
         until_sample = sample_stride }

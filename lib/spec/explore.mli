@@ -2,14 +2,15 @@
     representation.
 
     One reduction, written once: local steps form singleton persistent
-    (ample) sets; sleep sets are int masks; a state cache keeps at most
-    8 (remaining depth, sleep set) entries per key and skips a revisit
-    only when some entry had at least the current remaining depth and a
-    sleep set contained in the current one; one frontier stack is
-    popped [batch] nodes at a time, freshest first, and the first
-    violation ends the search.  {!Modelcheck} instantiates it over heap
-    configurations and over bytecode-vm arena slots.  Caveats of
-    bounded-depth reduction are documented in [docs/EXPLORATION.md]. *)
+    (ample) sets; sleep sets are int masks; a state cache ({!Cache})
+    keeps at most 8 (remaining depth, sleep set) entries per key and
+    skips a revisit only when some entry had at least the current
+    remaining depth and a sleep set contained in the current one; one
+    frontier stack is popped [batch] nodes at a time, freshest first,
+    and the first violation ends the search.  {!Modelcheck}
+    instantiates it over heap configurations and over bytecode-vm arena
+    slots.  Caveats of bounded-depth reduction are documented in
+    [docs/EXPLORATION.md]. *)
 
 (** Whether two poised steps may be reordered in the current state:
     [Independent] by footprints, [Refined] only by a conditional
@@ -26,7 +27,6 @@ module type STATE = sig
   type env
   type dom
   type t
-  type key
 
   (** Nodes popped from the frontier at once and processed back to
       back, freshest first. *)
@@ -51,7 +51,9 @@ module type STATE = sig
       phases. *)
   val child : dom -> prof:Obs.Prof.t option -> t -> int -> t
 
-  val key : dom -> t -> key
+  (** [key d t k] writes [t]'s canonical key, four words, to
+      [k.(0..3)]: equal states write equal words. *)
+  val key : dom -> t -> int array -> unit
 
   (** The node is done; its storage may be reused. *)
   val release : dom -> t -> unit
@@ -73,6 +75,26 @@ module type STATE = sig
 
   (** Emit instance counter tracks at a sampling point. *)
   val sample : Obs.Trace.t -> dom -> t -> unit
+end
+
+(** The state cache: one flat int-array table from four-word keys to
+    capped lists of (remaining depth, sleep set) entries.  It never
+    evicts a key, so its hit decisions are those of an unbounded map. *)
+module Cache : sig
+  type t
+
+  (** [create slots]: room for [slots] keys and entries (a power of
+      two) before the first doubling. *)
+  val create : int -> t
+
+  (** [covered t k0 k1 k2 k3 ~remaining ~sleep] looks the visit up
+      under the key (k0, k1, k2, k3): [true] iff some entry has at
+      least [remaining] and a sleep mask inside [sleep].  On [false] it
+      files the visit first in the key's list and keeps the newest 8. *)
+  val covered : t -> int -> int -> int -> int -> remaining:int -> sleep:int -> bool
+
+  (** The key hash; a key's probe chain starts at its low bits. *)
+  val hash : int -> int -> int -> int -> int
 end
 
 type stats = {

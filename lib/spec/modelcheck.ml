@@ -146,10 +146,6 @@ module Interp_state = struct
   (* the Statehash observation hashes are immutable and shared freely *)
   type t = { config : Config.t; hash : Statehash.t }
 
-  (* the incremental key, or the full MD5 digest (the audited reference
-     path, also the perf benchmark's old-cost arm) *)
-  type key = Inc of Statehash.key | Full of Digest.t
-
   let batch = 1
   let n (env : env) = Config.n env.config
 
@@ -187,9 +183,22 @@ module Interp_state = struct
     ignore (Explore.lap prof Obs.Prof.Hash t0);
     { config; hash }
 
-  let key d t =
-    if d.env.full_key then Full (Statehash.full_key t.hash t.config)
-    else Inc (Statehash.key t.hash)
+  (* the incremental key, or the full MD5 digest (the audited reference
+     path, also the perf benchmark's old-cost arm) as four 32-bit words *)
+  let key d t k =
+    if d.env.full_key then begin
+      let dg = Statehash.full_key t.hash t.config in
+      for w = 0 to 3 do
+        k.(w) <- Int32.to_int (String.get_int32_le dg (4 * w))
+      done
+    end
+    else begin
+      let { Statehash.k_mem; k_locals; k_in; k_out } = Statehash.key t.hash in
+      k.(0) <- k_mem;
+      k.(1) <- k_locals;
+      k.(2) <- k_in;
+      k.(3) <- k_out
+    end
 
   let release _ _ = ()
 
@@ -213,7 +222,7 @@ end
 
 module Interp = Explore.Make (Interp_state)
 
-(* ---- bytecode-vm arena slots, keyed by Vm.key ---- *)
+(* ---- bytecode-vm arena slots, keyed by their in-slice key words ---- *)
 
 module Vm_state = struct
   type env = {
@@ -241,7 +250,6 @@ module Vm_state = struct
   }
 
   type t = int
-  type key = Vm.key
 
   let batch = 8
   let n env = env.proto.Vm.n
@@ -294,7 +302,7 @@ module Vm_state = struct
     ignore (Explore.lap prof Obs.Prof.Vm_step t0);
     c
 
-  let key d s = Vm.key d.env.e d.buf (s * d.words)
+  let key d s k = Vm.key_words d.env.e d.buf (s * d.words) k
   let release d s = d.free <- s :: d.free
 
   let leaf d s =

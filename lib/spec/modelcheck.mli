@@ -86,8 +86,9 @@ val stats_of : outcome -> stats
     counters are exported into it ({!Explore.export_metrics}, both
     engines).  The remaining options apply to [Dpor] only: [key]
     selects the state-cache key (default [`Incremental]; [`Full] is the
-    full MD5 digest of the canonical form, the audited reference path —
-    both induce the same partition up to hash collision);
+    full MD5 digest of the canonical form, the audited reference path,
+    filed as four 32-bit words — both induce the same partition up to
+    hash collision);
     [refine] (default [false]) also lets {!cond_independent} pairs
     join sleep sets (never ample sets); [prof] receives the phase
     breakdown.

@@ -320,13 +320,16 @@ let dpor_verdicts () =
   | exception Invalid_argument _ -> ()
 
 (* Every combination of memory backend × cache-key flavour reaches the
-   same verdict, on a correct and a starved instance.  This pins the
+   same verdict, on correct and starved instances.  This pins the
    journaled backend and the incremental key against the
-   persistent/full-digest reference. *)
+   persistent/full-digest reference.  Each arm's node and cache-hit
+   counts are pinned too, at the values the polymorphic-Hashtbl cache
+   gave: the flat cache, and the full digest packed into four words,
+   change no hit decision (n = 3 at depth 12 has 200 hits). *)
 let backends_and_key_modes_agree () =
-  [ (3, true); (1, false) ]
-  |> List.iter (fun (r, expect_ok) ->
-         let n = 2 and k = 1 and depth = 10 in
+  [ (2, 3, 1, 10, true, 285, 0); (2, 1, 1, 10, false, 9, 0);
+    (3, 4, 2, 12, true, 9051, 200) ]
+  |> List.iter (fun (n, r, k, depth, expect_ok, nodes, hits) ->
          let p = Params.make ~n ~m:1 ~k in
          [ Shm.Memory.Persistent; Shm.Memory.Journaled ]
          |> List.iter (fun backend ->
@@ -339,11 +342,15 @@ let backends_and_key_modes_agree () =
                            ~check:(check_safety ~k)
                            (Instances.oneshot ~r ~backend p)
                        in
-                       Alcotest.(check bool)
-                         (Fmt.str "verdict (r=%d %s %s)" r
-                            (Shm.Memory.backend_name backend)
-                            (match key with `Incremental -> "inc" | `Full -> "full"))
-                         expect_ok (is_ok out))))
+                       let arm =
+                         Fmt.str "n=%d r=%d %s %s" n r
+                           (Shm.Memory.backend_name backend)
+                           (match key with `Incremental -> "inc" | `Full -> "full")
+                       in
+                       Alcotest.(check bool) ("verdict " ^ arm) expect_ok (is_ok out);
+                       let s = Spec.Modelcheck.stats_of out in
+                       Alcotest.(check (list int)) ("explored, cache hits " ^ arm)
+                         [ nodes; hits ] [ s.explored; s.cache_hits ])))
 
 (* An exception raised by the check ends the search and surfaces from
    [run]; with a trace attached, the explore span is closed first. *)
@@ -753,6 +760,84 @@ let summary_hits_are_pinned () =
   Alcotest.(check (list int)) "fig3 n=4 k=2 depth 8: memo hits, summary hits" [ 125; 225 ]
     [ s.memo_hits; s.summary_hits ]
 
+(* ---- the state cache against a model of its rule ---- *)
+
+(* The rule the flat table keeps, as the map it replaced: per key an
+   assoc list of (remaining, sleep), newest first, capped at 8; a visit
+   is covered by an entry with at least its remaining depth and a sleep
+   mask inside its own. *)
+let model_covered model key ~remaining ~sleep =
+  let entries = Option.value (Hashtbl.find_opt model key) ~default:[] in
+  List.exists (fun (r, sl) -> r >= remaining && sl land lnot sleep = 0) entries
+  || begin
+    Hashtbl.replace model key
+      (List.filteri (fun i _ -> i < 8) ((remaining, sleep) :: entries));
+    false
+  end
+
+(* Random (key, remaining, sleep) sequences, one fresh table and model
+   per round, every decision compared.  The keys: 400 random ones (the
+   table starts with room for 256, so it doubles mid-round), a few hot
+   ones that collect far more than 8 entries, and for each key word 3
+   keys equal to a base key but in that word, each with the base's hash
+   in its low 16 bits, so all 13 share one probe chain at any index
+   size the rounds reach.  Remaining depths and sleep masks are small,
+   so equal depths with different masks are common. *)
+let cache_matches_model seed =
+  let rng = Random.State.make [| seed |] in
+  let word () = Random.State.bits rng - (1 lsl 29) in
+  let hash (a, b, c, d) = Spec.Explore.Cache.hash a b c d in
+  let base = (word (), word (), word (), word ()) in
+  let home = hash base land 0xffff in
+  let with_word (a, b, c, d) w v =
+    match w with 0 -> (v, b, c, d) | 1 -> (a, v, c, d) | 2 -> (a, b, v, d) | _ -> (a, b, c, v)
+  in
+  let rec colliding w =
+    let k = with_word base w (word ()) in
+    if hash k land 0xffff = home && k <> base then k else colliding w
+  in
+  let chain = base :: List.concat_map (fun w -> List.init 3 (fun _ -> colliding w)) [ 0; 1; 2; 3 ] in
+  let hot = chain @ List.init 3 (fun _ -> (word (), word (), word (), word ())) in
+  let cold = Array.init 400 (fun _ -> (word (), word (), word (), word ())) in
+  let hot = Array.of_list hot in
+  let hits = ref 0 and misses = ref 0 in
+  for round = 1 to 20 do
+    let t = Spec.Explore.Cache.create 256 and model = Hashtbl.create 64 in
+    for op = 1 to 2000 do
+      let ((a, b, c, d) as key) =
+        if Random.State.bool rng then hot.(Random.State.int rng (Array.length hot))
+        else cold.(Random.State.int rng (Array.length cold))
+      in
+      let remaining = Random.State.int rng 6 and sleep = Random.State.int rng 16 in
+      let expected = model_covered model key ~remaining ~sleep in
+      let got = Spec.Explore.Cache.covered t a b c d ~remaining ~sleep in
+      if got <> expected then
+        Alcotest.failf "round %d op %d: key %d.%d.%d.%d remaining %d sleep %x: table %b, model %b"
+          round op a b c d remaining sleep got expected;
+      incr (if got then hits else misses)
+    done
+  done;
+  Alcotest.(check bool) "hits and misses both occur" true (!hits > 1000 && !misses > 1000)
+
+(* The rule at its edges, by hand: equal depths with disjoint masks,
+   a covering superset, and the ninth entry pushing out the first. *)
+let cache_rule_edges () =
+  let t = Spec.Explore.Cache.create 1 in
+  let covered ~remaining ~sleep = Spec.Explore.Cache.covered t 1 2 3 4 ~remaining ~sleep in
+  Alcotest.(check bool) "first visit misses" false (covered ~remaining:3 ~sleep:0b01);
+  Alcotest.(check bool) "equal depth, other mask misses" false (covered ~remaining:3 ~sleep:0b10);
+  Alcotest.(check bool) "equal depth, superset mask hits" true (covered ~remaining:3 ~sleep:0b11);
+  Alcotest.(check bool) "less depth hits" true (covered ~remaining:2 ~sleep:0b01);
+  Alcotest.(check bool) "more depth misses" false (covered ~remaining:4 ~sleep:0b100);
+  Alcotest.(check bool) "another key misses" false
+    (Spec.Explore.Cache.covered t 1 2 3 5 ~remaining:0 ~sleep:0b11);
+  (* entries 4..9 at depth 9 with masks 1 lsl 4 .. 1 lsl 9: with the
+     three above, the 8 newest no longer hold (3, 0b01) *)
+  for b = 4 to 9 do
+    Alcotest.(check bool) "fresh mask misses" false (covered ~remaining:9 ~sleep:(1 lsl b))
+  done;
+  Alcotest.(check bool) "the oldest entry is gone" false (covered ~remaining:3 ~sleep:0b01)
+
 let suite =
   [
     slow_test "dpor agrees with naive on seeded configs" dpor_agrees_with_naive;
@@ -783,4 +868,6 @@ let suite =
       summary_needs_an_inert_end;
     test "completion summaries key on the instance" summary_keys_on_the_instance;
     test "completion summary hits are pinned" summary_hits_are_pinned;
+    seeded_test "state cache matches a model of its rule" cache_matches_model;
+    test "state cache rule at its edges" cache_rule_edges;
   ]
