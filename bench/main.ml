@@ -17,12 +17,12 @@ open Lowerbound
 let section title = Fmt.pr "@.=== %s ===@." title
 
 (* ------------------------------------------------------------------ *)
-(* Bench history: every experiment run that produces rows appends one
-   JSONL entry (schema version, git rev, rows) to BENCH_history.jsonl,
-   the repo's perf trajectory.  `diff` compares the last two runs of an
-   experiment; `check` re-runs the gated experiments and gates their
-   rows against the floors in the [experiments] table
-   (machine-independent ratios and verdicts). *)
+(* Bench history: every `table` run appends one JSONL entry (schema
+   version, git rev, rows) to BENCH_history.jsonl, the repo's perf
+   trajectory.  `diff` compares the last two runs of an experiment;
+   `check` re-runs the gated experiments and gates their rows against
+   the floors in the [experiments] table (machine-independent ratios
+   and verdicts), writing nothing. *)
 
 let history_path = "BENCH_history.jsonl"
 
@@ -39,11 +39,11 @@ let git_rev () =
       match Unix.close_process_in ic with Unix.WEXITED 0 -> line | _ -> "unknown"
     with _ -> "unknown")
 
-(* [f ()] and its wall-clock time in seconds. *)
+(* [f ()] and its wall time in milliseconds, by the monotonic clock. *)
 let timed f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Trace.now_ns () in
   let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+  (r, float_of_int (Obs.Trace.now_ns () - t0) /. 1e6)
 
 (* Linearizability-checker throughput from a conform run's metrics:
    (ops, checker ns, ops graded per second of checker time — the
@@ -134,11 +134,10 @@ let explore_table () =
       let naive_explored = ref 0 in
       List.iter
         (fun (name, engine) ->
-          let outcome, wall =
+          let outcome, wall_ms =
             timed (fun () ->
                 Spec.Modelcheck.run ~engine ~depth ~inputs ~check (Instances.oneshot ~r p))
           in
-          let wall_ms = 1000. *. wall in
           let s = Spec.Modelcheck.stats_of outcome in
           let verdict, ce_len =
             match outcome with
@@ -245,12 +244,11 @@ let indep_table ~smoke =
     List.iter
       (fun (arm, refine) ->
         let metrics = Obs.Metrics.create () in
-        let outcome, wall =
+        let outcome, wall_ms =
           timed (fun () ->
               Spec.Modelcheck.run ~engine ~depth ~inputs ~check ~refine ~metrics
                 (mk_config ()))
         in
-        let wall_ms = 1000. *. wall in
         let s = Spec.Modelcheck.stats_of outcome in
         let refined_count =
           Obs.Metrics.Counter.value (Obs.Metrics.counter metrics "explore.refined")
@@ -379,10 +377,9 @@ let conform_table () =
              iters = 150;
            }
          in
-         let outcome, wall =
+         let outcome, wall_ms =
            timed (fun () -> Conform.Harness.run_snapshot ~metrics ~sut:Conform.Sut.real cfg)
          in
-         let wall_ms = 1000. *. wall in
          let counter name =
            Obs.Metrics.Counter.value (Obs.Metrics.counter metrics name)
          in
@@ -427,6 +424,58 @@ let conform_table () =
   List.rev !rows
 
 (* ------------------------------------------------------------------ *)
+(* Same-binary speed comparisons (E16, E17, E20): every timed floor
+   gates a ratio of medians over [trials] runs of each arm, so one
+   disturbed run cannot flip a verdict.                                *)
+
+let trials = 5
+
+(* An arm of a comparison: its name, the fields that describe it, and
+   one trial of its fixed workload, which returns how many units
+   (steps, states, commands) it did. *)
+type arm = { name : string; fields : (string * Obs.Json.t) list; work : unit -> int }
+
+(* Runs [reference] and [candidate] alternately, [trials] pairs, so slow
+   drift (frequency scaling, a noisy neighbour) falls on both arms.  An
+   arm's figure is the median of its per-second rates, with their IQR;
+   the candidate's [ratio_vs_reference] is the ratio of the medians.
+   [count] names the field of units per trial, [rate] the per-second
+   field.  Prints one line per arm; returns the rows, reference first. *)
+let compare_arms ~bench ~count ~rate reference candidate =
+  let pairs =
+    List.init trials (fun _ ->
+        let r = timed reference.work in
+        (r, timed candidate.work))
+  in
+  (* the [q]th quartile of [xs] (2 = the median), at rank q(n-1)/4:
+     exact for 5 trials *)
+  let quartile xs q =
+    let a = Array.of_list (List.sort compare xs) in
+    a.(q * (Array.length a - 1) / 4)
+  in
+  let summary runs =
+    let rates = List.map (fun (units, ms) -> 1000. *. float_of_int units /. ms) runs in
+    (fst (List.hd runs), quartile rates 2, quartile rates 3 -. quartile rates 1)
+  in
+  let ((_, ref_rate, _) as r) = summary (List.map fst pairs)
+  and ((_, cand_rate, _) as c) = summary (List.map snd pairs) in
+  let row arm (units, median, iqr) ratio =
+    Fmt.pr "%-18s %-10s %14.0f %12.0f %8.2f@." bench arm.name median iqr ratio;
+    Obs.Json.Obj
+      ((("bench", Obs.Json.String bench) :: ("arm", Obs.Json.String arm.name) :: arm.fields)
+      @ [
+          (count, Obs.Json.Int units);
+          ("trials", Obs.Json.Int trials);
+          (rate, Obs.Json.Float median);
+          (rate ^ "_iqr", Obs.Json.Float iqr);
+          ("ratio_vs_reference", Obs.Json.Float ratio);
+        ])
+  in
+  Fmt.pr "%-18s %-10s %14s %12s %8s@." "bench" "arm" "median/s" "iqr/s" "ratio";
+  let ref_row = row reference r 1.0 in
+  [ ref_row; row candidate c (cand_rate /. ref_rate) ]
+
+(* ------------------------------------------------------------------ *)
 (* E16: simulator hot-path performance — the journaled memory backend  *)
 (* and incremental state keys vs the persistent-map + full-MD5-digest  *)
 (* reference, measured in the same run on the Figure 3 one-shot        *)
@@ -435,12 +484,11 @@ let conform_table () =
 (* Interpreter stepping, exploration-style: every step also updates the
    state hash and derives the node's cache key, exactly the per-node
    work of the engines' DFS.  [full] keys by the audited MD5 digest
-   (the old hot path), otherwise by the incremental key.  Returns
-   (steps, wall seconds) over [iters] runs to quiescence. *)
-let interp_arm ~config ~inputs ~full ~iters =
+   (the old hot path), otherwise by the incremental key.  Returns the
+   steps taken over [iters] runs to quiescence. *)
+let interp_arm ~config ~inputs ~full ~iters () =
   let has_input pid inst = Option.is_some (inputs ~pid ~instance:inst) in
   let steps = ref 0 and sink = ref 0 in
-  let t0 = Unix.gettimeofday () in
   for _ = 1 to iters do
     let config = ref (config ()) in
     let n = Shm.Config.n !config in
@@ -467,7 +515,7 @@ let interp_arm ~config ~inputs ~full ~iters =
     done
   done;
   ignore (Sys.opaque_identity !sink);
-  (!steps, Unix.gettimeofday () -. t0)
+  !steps
 
 (* --smoke (CI): same arms and schema, small iteration counts. *)
 let perf_table ~smoke =
@@ -478,41 +526,37 @@ let perf_table ~smoke =
   let p = Params.make ~n:4 ~m:1 ~k:1 in
   let n = p.Params.n in
   let inputs = Shm.Exec.oneshot_inputs (Array.init n (fun pid -> Shm.Value.int (pid + 1))) in
-  let rows = ref [] in
-  (* -- simulator stepping: reference arm = persistent backend + audited
-     MD5 digests + full-digest key (the old hot path); new arm =
-     journaled backend + incremental key. *)
-  let sim_iters = if smoke then 200 else 2_000 in
-  let sim_row ~arm ~backend ~full =
-    let steps, wall =
-      interp_arm ~config:(fun () -> Instances.oneshot ~backend p) ~inputs ~full
-        ~iters:sim_iters
+  let dpor = Spec.Modelcheck.Dpor { cache = true; jobs = 1 } in
+  let explored outcome = (Spec.Modelcheck.stats_of outcome).Spec.Modelcheck.explored in
+  (* Reference arm = persistent backend + audited MD5 digests +
+     full-digest key (the old hot path); new arm = journaled backend +
+     incremental key.  [size] is the workload's iterations or depth. *)
+  let hot_path ~bench ~count ~rate size work =
+    let arm name backend full =
+      {
+        name;
+        fields =
+          [
+            ("backend", Obs.Json.String (Shm.Memory.backend_name backend));
+            ("keying", Obs.Json.String (if full then "full-digest" else "incremental"));
+            size;
+          ];
+        work = work backend full;
+      }
     in
-    let per_s = float_of_int steps /. wall in
-    (per_s,
-     fun ratio ->
-       Obs.Json.Obj
-         [
-           ("bench", Obs.Json.String "sim-steps");
-           ("arm", Obs.Json.String arm);
-           ("backend", Obs.Json.String (Shm.Memory.backend_name backend));
-           ("keying", Obs.Json.String (if full then "full-digest" else "incremental"));
-           ("iters", Obs.Json.Int sim_iters);
-           ("steps", Obs.Json.Int steps);
-           ("wall_ms", Obs.Json.Float (1000. *. wall));
-           ("steps_per_s", Obs.Json.Float per_s);
-           ("ratio_vs_reference", Obs.Json.Float ratio);
-         ])
+    compare_arms ~bench ~count ~rate
+      (arm "reference" Shm.Memory.Persistent true)
+      (arm "new" Shm.Memory.Journaled false)
   in
-  let ref_per_s, ref_row = sim_row ~arm:"reference" ~backend:Shm.Memory.Persistent ~full:true in
-  let new_per_s, new_row = sim_row ~arm:"new" ~backend:Shm.Memory.Journaled ~full:false in
-  let sim_ratio = new_per_s /. ref_per_s in
-  rows := [ new_row sim_ratio; ref_row 1.0 ];
-  Fmt.pr "%-12s %-12s %-12s %-14s %-10s@." "bench" "arm" "backend" "per-second" "ratio";
-  Fmt.pr "%-12s %-12s %-12s %-14.0f %-10s@." "sim-steps" "reference" "persistent"
-    ref_per_s "1.00";
-  Fmt.pr "%-12s %-12s %-12s %-14.0f %-10.2f@." "sim-steps" "new" "journaled" new_per_s
-    sim_ratio;
+  (* -- simulator stepping *)
+  let sim_iters = if smoke then 200 else 2_000 in
+  let sim_rows =
+    hot_path ~bench:"sim-steps" ~count:"steps" ~rate:"steps_per_s"
+      ("iters", Obs.Json.Int sim_iters)
+      (fun backend full ->
+        interp_arm ~config:(fun () -> Instances.oneshot ~backend p) ~inputs ~full
+          ~iters:sim_iters)
+  in
   (* -- DPOR: same engine, old vs new cache key and backend.  States
      per second over a fixed-depth exploration of the same instance.
      This measures the exploration core — per-node state hashing, cache
@@ -521,46 +565,17 @@ let perf_table ~smoke =
      is plain simulator stepping, identical in both arms, and the
      sim-steps rows above already measure it end to end. *)
   let dpor_depth = if smoke then 9 else 12 in
-  let dpor_arm ~arm ~backend ~key =
-    let outcome, wall =
-      timed (fun () ->
-          Spec.Modelcheck.run
-            ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs = 1 })
-            ~depth:dpor_depth ~key ~completion_steps:0 ~inputs
-            ~check:(Spec.Properties.check_safety ~k:1)
-            (Instances.oneshot ~backend p))
-    in
-    let explored = (Spec.Modelcheck.stats_of outcome).Spec.Modelcheck.explored in
-    let per_s = float_of_int explored /. wall in
-    (per_s,
-     fun ratio ->
-       Obs.Json.Obj
-         [
-           ("bench", Obs.Json.String "dpor-states");
-           ("arm", Obs.Json.String arm);
-           ("backend", Obs.Json.String (Shm.Memory.backend_name backend));
-           ( "keying",
-             Obs.Json.String
-               (match key with `Full -> "full-digest" | `Incremental -> "incremental") );
-           ("depth", Obs.Json.Int dpor_depth);
-           ("explored", Obs.Json.Int explored);
-           ("wall_ms", Obs.Json.Float (1000. *. wall));
-           ("states_per_s", Obs.Json.Float per_s);
-           ("ratio_vs_reference", Obs.Json.Float ratio);
-         ])
+  let dpor_rows =
+    hot_path ~bench:"dpor-states" ~count:"explored" ~rate:"states_per_s"
+      ("depth", Obs.Json.Int dpor_depth)
+      (fun backend full () ->
+        explored
+          (Spec.Modelcheck.run ~engine:dpor ~depth:dpor_depth
+             ~key:(if full then `Full else `Incremental)
+             ~completion_steps:0 ~inputs
+             ~check:(Spec.Properties.check_safety ~k:1)
+             (Instances.oneshot ~backend p)))
   in
-  let dref_per_s, dref_row =
-    dpor_arm ~arm:"reference" ~backend:Shm.Memory.Persistent ~key:`Full
-  in
-  let dnew_per_s, dnew_row =
-    dpor_arm ~arm:"new" ~backend:Shm.Memory.Journaled ~key:`Incremental
-  in
-  let dpor_ratio = dnew_per_s /. dref_per_s in
-  rows := dnew_row dpor_ratio :: dref_row 1.0 :: !rows;
-  Fmt.pr "%-12s %-12s %-12s %-14.0f %-10s@." "dpor-states" "reference" "persistent"
-    dref_per_s "1.00";
-  Fmt.pr "%-12s %-12s %-12s %-14.0f %-10.2f@." "dpor-states" "new" "journaled" dnew_per_s
-    dpor_ratio;
   (* -- E20: the bytecode vm vs the free-monad interpreter on the same
      first-order workload.  The reference arm is the PR-5 winner —
      journaled backend + incremental keys — driving the free-monad
@@ -600,12 +615,11 @@ let perf_table ~smoke =
   in
   let vn = proto.Shm.Vm.n in
   let vm_iters = if smoke then 300 else 3_000 in
-  let proto_vm_arm ~iters =
+  let proto_vm_arm () =
     let e = Shm.Vm.env (Shm.Vm.compile proto) ~inputs:Runner.proto_inputs in
     let st = Shm.Vm.make_state e in
     let steps = ref 0 and sink = ref 0 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
+    for _ = 1 to vm_iters do
       Shm.Vm.init e st 0;
       let quiescent = ref false in
       while not !quiescent do
@@ -622,104 +636,54 @@ let perf_table ~smoke =
       done
     done;
     ignore (Sys.opaque_identity !sink);
-    (!steps, Unix.gettimeofday () -. t0)
+    !steps
   in
-  let vm_row ~bench ~arm ~engine ~iters (count, wall) =
-    let per_s = float_of_int count /. wall in
-    (per_s,
-     fun ratio ->
-       Obs.Json.Obj
-         [
-           ("bench", Obs.Json.String bench);
-           ("arm", Obs.Json.String arm);
-           ("engine", Obs.Json.String engine);
-           ("workload", Obs.Json.String (Analyze.Ir.to_string proto));
-           ("iters", Obs.Json.Int iters);
-           ("steps", Obs.Json.Int count);
-           ("wall_ms", Obs.Json.Float (1000. *. wall));
-           ("steps_per_s", Obs.Json.Float per_s);
-           ("ratio_vs_reference", Obs.Json.Float ratio);
-         ])
+  let vm_compare ~bench ~count ~rate size ~interp ~vm =
+    let arm name engine work =
+      {
+        name;
+        fields =
+          [
+            ("engine", Obs.Json.String engine);
+            ("workload", Obs.Json.String (Analyze.Ir.to_string proto));
+            size;
+          ];
+        work;
+      }
+    in
+    compare_arms ~bench ~count ~rate (arm "reference" "interp" interp) (arm "vm" "vm" vm)
   in
-  (* Best-of-3 after a warm-up pass: the arms are short (especially
-     under --smoke), so scheduler noise easily shadows the engine
-     difference; the fastest repetition is the least-disturbed
-     measurement of each arm's actual cost. *)
-  let best_of arm =
-    ignore (arm ~iters:(max 1 (vm_iters / 10)));
-    let best = ref (0, infinity) in
-    for _ = 1 to 3 do
-      let steps, wall = arm ~iters:vm_iters in
-      if wall < snd !best then best := (steps, wall)
-    done;
-    !best
+  let vm_rows =
+    vm_compare ~bench:"vm-sim-steps" ~count:"steps" ~rate:"steps_per_s"
+      ("iters", Obs.Json.Int vm_iters)
+      ~interp:
+        (interp_arm
+           ~config:(fun () -> Shm.Vm.config ~backend:Shm.Memory.Journaled proto)
+           ~inputs:Runner.proto_inputs ~full:false ~iters:vm_iters)
+      ~vm:proto_vm_arm
   in
-  let vref_per_s, vref_row =
-    vm_row ~bench:"vm-sim-steps" ~arm:"reference" ~engine:"interp" ~iters:vm_iters
-      (best_of
-         (interp_arm
-            ~config:(fun () -> Shm.Vm.config ~backend:Shm.Memory.Journaled proto)
-            ~inputs:Runner.proto_inputs ~full:false))
-  in
-  let vm_per_s, vm_arm_row =
-    vm_row ~bench:"vm-sim-steps" ~arm:"vm" ~engine:"vm" ~iters:vm_iters
-      (best_of proto_vm_arm)
-  in
-  let vm_ratio = vm_per_s /. vref_per_s in
-  rows := vm_arm_row vm_ratio :: vref_row 1.0 :: !rows;
-  Fmt.pr "%-12s %-12s %-12s %-14.0f %-10s@." "vm-sim" "reference" "interp" vref_per_s
-    "1.00";
-  Fmt.pr "%-12s %-12s %-12s %-14.0f %-10.2f@." "vm-sim" "vm" "bytecode" vm_per_s
-    vm_ratio;
   (* -- vm DPOR: reduced exploration of the same protocol, interpreter
      state (heap configurations on the journaled backend + incremental
      keys) vs the vm state (arena slots, batched expansion, keys read
      off the slice), both through the one exploration core.  The check always passes so both arms
      sweep the full reduced space; completion is excluded as above. *)
   let vm_dpor_depth = if smoke then 10 else 13 in
-  let vm_dpor_interp () =
-    Spec.Modelcheck.run
-      ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs = 1 })
-      ~depth:vm_dpor_depth ~key:`Incremental ~completion_steps:0
-      ~inputs:Runner.proto_inputs
-      ~check:(fun _ -> Ok ())
-      (Shm.Vm.config ~backend:Shm.Memory.Journaled proto)
+  let vm_dpor_rows =
+    vm_compare ~bench:"vm-dpor-states" ~count:"explored" ~rate:"states_per_s"
+      ("depth", Obs.Json.Int vm_dpor_depth)
+      ~interp:(fun () ->
+        explored
+          (Spec.Modelcheck.run ~engine:dpor ~depth:vm_dpor_depth ~key:`Incremental
+             ~completion_steps:0 ~inputs:Runner.proto_inputs
+             ~check:(fun _ -> Ok ())
+             (Shm.Vm.config ~backend:Shm.Memory.Journaled proto)))
+      ~vm:(fun () ->
+        explored
+          (Spec.Modelcheck.run_vm ~engine:dpor ~depth:vm_dpor_depth ~completion_steps:0
+             ~inputs:Runner.proto_inputs
+             ~check:(fun ~inputs:_ ~outputs:_ -> Ok ())
+             proto))
   in
-  let vm_dpor_vm () =
-    Spec.Modelcheck.run_vm
-      ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs = 1 })
-      ~depth:vm_dpor_depth ~completion_steps:0 ~inputs:Runner.proto_inputs
-      ~check:(fun ~inputs:_ ~outputs:_ -> Ok ())
-      proto
-  in
-  let vm_dpor_row ~arm ~engine (outcome, wall) =
-    let explored = (Spec.Modelcheck.stats_of outcome).Spec.Modelcheck.explored in
-    let per_s = float_of_int explored /. wall in
-    (per_s,
-     fun ratio ->
-       Obs.Json.Obj
-         [
-           ("bench", Obs.Json.String "vm-dpor-states");
-           ("arm", Obs.Json.String arm);
-           ("engine", Obs.Json.String engine);
-           ("workload", Obs.Json.String (Analyze.Ir.to_string proto));
-           ("depth", Obs.Json.Int vm_dpor_depth);
-           ("explored", Obs.Json.Int explored);
-           ("wall_ms", Obs.Json.Float (1000. *. wall));
-           ("states_per_s", Obs.Json.Float per_s);
-           ("ratio_vs_reference", Obs.Json.Float ratio);
-         ])
-  in
-  let vdref_per_s, vdref_row =
-    vm_dpor_row ~arm:"reference" ~engine:"interp" (timed vm_dpor_interp)
-  in
-  let vdvm_per_s, vdvm_row = vm_dpor_row ~arm:"vm" ~engine:"vm" (timed vm_dpor_vm) in
-  let vdpor_ratio = vdvm_per_s /. vdref_per_s in
-  rows := vdvm_row vdpor_ratio :: vdref_row 1.0 :: !rows;
-  Fmt.pr "%-12s %-12s %-12s %-14.0f %-10s@." "vm-dpor" "reference" "interp"
-    vdref_per_s "1.00";
-  Fmt.pr "%-12s %-12s %-12s %-14.0f %-10.2f@." "vm-dpor" "vm" "bytecode" vdvm_per_s
-    vdpor_ratio;
   (* -- linearizability checker throughput (tracked so a regression in
      the checker shows up here; memory backend is irrelevant to it). *)
   let metrics = Obs.Metrics.create () in
@@ -739,22 +703,20 @@ let perf_table ~smoke =
     | _ -> false
   in
   let ops, check_ns, check_ops_per_s = checker_throughput metrics in
-  rows :=
-    Obs.Json.Obj
-      [
-        ("bench", Obs.Json.String "linearize");
-        ("arm", Obs.Json.String "checker");
-        ("iters", Obs.Json.Int cfg.Conform.Harness.iters);
-        ("ops", Obs.Json.Int ops);
-        ("linearizable", Obs.Json.Bool lin_ok);
-        ("check_ns_total", Obs.Json.Int check_ns);
-        ("checks_per_s", Obs.Json.Float check_ops_per_s);
-      ]
-    :: !rows;
-  Fmt.pr "%-12s %-12s %-12s %-14.0f %-10s@." "linearize" "checker" "-" check_ops_per_s
-    "-";
-  Fmt.pr "speedups: sim %.2fx, dpor %.2fx (targets: >=5x, >=3x)@." sim_ratio dpor_ratio;
-  List.rev !rows
+  Fmt.pr "linearize checker: %.0f checks/s@." check_ops_per_s;
+  sim_rows @ dpor_rows @ vm_rows @ vm_dpor_rows
+  @ [
+      Obs.Json.Obj
+        [
+          ("bench", Obs.Json.String "linearize");
+          ("arm", Obs.Json.String "checker");
+          ("iters", Obs.Json.Int cfg.Conform.Harness.iters);
+          ("ops", Obs.Json.Int ops);
+          ("linearizable", Obs.Json.Bool lin_ok);
+          ("check_ns_total", Obs.Json.Int check_ns);
+          ("checks_per_s", Obs.Json.Float check_ops_per_s);
+        ];
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E15: static analyzer — abstract footprints vs paper bounds vs       *)
@@ -764,12 +726,12 @@ let analyze_table () =
   section
     "E15 Static analyzer: abstract footprint <= paper bound, dynamic subset \
      of static (n <= 6), mutants rejected";
-  let rows, wall = timed (fun () -> Analyze.Report.sweep ~max_n:6 ()) in
+  let rows, wall_ms = timed (fun () -> Analyze.Report.sweep ~max_n:6 ()) in
   Fmt.pr "%a@." Analyze.Report.pp_header ();
   List.iter (fun r -> Fmt.pr "%a@." Analyze.Report.pp_row r) rows;
   let bad = Analyze.Report.violations rows in
   Fmt.pr "%d rows, %d violations, %.0f ms@." (List.length rows)
-    (List.length bad) (1000. *. wall);
+    (List.length bad) wall_ms;
   let p = Params.make ~n:4 ~m:1 ~k:2 in
   let verdicts =
     List.map
@@ -834,15 +796,15 @@ let service_table ~smoke =
   let theta = 0.9 in
   let seed = 0x5e17 in
   let rows = ref [] in
-  let loadrun ~shards ~batch_max ~window ~app ~history =
+  (* one closed-loop run of the counter app *)
+  let loadrun ~shards ~batch_max =
     let server =
-      Service.Server.create ~batch_max ~window ~app ~history ~shards params
+      Service.Server.create ~batch_max ~window:64 ~app:Service.App.counter ~history:false
+        ~shards params
     in
-    let report =
-      Service.Loadgen.run server
-        { Service.Loadgen.clients; ops_per_client = ops; keys; theta; seed }
-    in
-    (server, report)
+    (server,
+     Service.Loadgen.run server
+       { Service.Loadgen.clients; ops_per_client = ops; keys; theta; seed })
   in
   let totals server =
     List.fold_left
@@ -855,10 +817,7 @@ let service_table ~smoke =
     "slots";
   List.iter
     (fun shards ->
-      let server, report =
-        loadrun ~shards ~batch_max:16 ~window:64 ~app:Service.App.counter
-          ~history:false
-      in
+      let server, report = loadrun ~shards ~batch_max:16 in
       let slots, cmds = totals server in
       Fmt.pr "%-8d %-14.0f %-12.1f %-12.1f %-8d@." shards
         report.Service.Loadgen.throughput_cps
@@ -886,32 +845,18 @@ let service_table ~smoke =
     [ 1; 2; 4; 8 ];
   (* batched vs reference: the same binary, one shard; the floor gates
      the machine-independent ratio *)
-  let _, ref_report =
-    loadrun ~shards:1 ~batch_max:1 ~window:64 ~app:Service.App.counter
-      ~history:false
+  let throughput_arm name batch_max =
+    {
+      name;
+      fields = [ ("batch_max", Obs.Json.Int batch_max) ];
+      work = (fun () -> (snd (loadrun ~shards:1 ~batch_max)).Service.Loadgen.ops);
+    }
   in
-  let _, batched_report =
-    loadrun ~shards:1 ~batch_max:16 ~window:64
-      ~app:Service.App.counter ~history:false
-  in
-  let ratio =
-    batched_report.Service.Loadgen.throughput_cps
-    /. ref_report.Service.Loadgen.throughput_cps
-  in
-  Fmt.pr "@.batching: reference %.0f cmds/s, batched %.0f cmds/s (%.1fx)@."
-    ref_report.Service.Loadgen.throughput_cps
-    batched_report.Service.Loadgen.throughput_cps ratio;
-  let arm_row name report r =
-    Obs.Json.Obj
-      [
-        ("bench", Obs.Json.String "service-throughput");
-        ("arm", Obs.Json.String name);
-        ("throughput_cps", Obs.Json.Float report.Service.Loadgen.throughput_cps);
-        ("p99_ns", Obs.Json.Float report.Service.Loadgen.p99_ns);
-        ("ratio_vs_reference", Obs.Json.Float r);
-      ]
-  in
-  rows := arm_row "batched" batched_report ratio :: arm_row "reference" ref_report 1.0 :: !rows;
+  rows :=
+    List.rev_append
+      (compare_arms ~bench:"service-throughput" ~count:"commands" ~rate:"throughput_cps"
+         (throughput_arm "reference" 1) (throughput_arm "batched" 16))
+      !rows;
   (* chaos verdict: a crash-profile run on the register app, graded by
      the Conform oracles per shard *)
   let shards = 4 in
@@ -992,10 +937,10 @@ let fuzz_table ~smoke =
   let rows = ref [] in
   List.iter
     (fun oracle ->
-      let outcome, wall = timed (fun () -> Fuzz.Driver.run ~oracle ~budget ~seed ()) in
+      let outcome, wall_ms = timed (fun () -> Fuzz.Driver.run ~oracle ~budget ~seed ()) in
       let s = outcome.Fuzz.Driver.stats in
       let execs_per_s =
-        if wall <= 0. then 0. else float_of_int s.Fuzz.Driver.execs /. wall
+        if wall_ms <= 0. then 0. else 1000. *. float_of_int s.Fuzz.Driver.execs /. wall_ms
       in
       let curve =
         Obs.Json.Arr
@@ -1018,7 +963,7 @@ let fuzz_table ~smoke =
             ("coverage_curve", curve);
             ("divergences", Obs.Json.Int s.Fuzz.Driver.divergences);
             ("execs_per_s", Obs.Json.Float execs_per_s);
-            ("wall_ms", Obs.Json.Float (1000. *. wall));
+            ("wall_ms", Obs.Json.Float wall_ms);
             ( "ok",
               Obs.Json.Float (if s.Fuzz.Driver.divergences = 0 then 1.0 else 0.0)
             );
@@ -1027,12 +972,12 @@ let fuzz_table ~smoke =
       Fmt.pr "%-14s %-8d %-10d %-12d %-10d %-10d %-12.0f %-10.1f@."
         (Fuzz.Oracle.name oracle) s.Fuzz.Driver.execs s.Fuzz.Driver.interesting
         s.Fuzz.Driver.corpus_size s.Fuzz.Driver.coverage_bits
-        s.Fuzz.Driver.divergences execs_per_s (1000. *. wall);
+        s.Fuzz.Driver.divergences execs_per_s wall_ms;
       match outcome.Fuzz.Driver.witness with
       | None -> ()
       | Some w -> Fmt.pr "  !! %a@." Fuzz.Driver.pp_witness w)
     Fuzz.Oracle.all;
-  let results, wall =
+  let results, wall_ms =
     timed (fun () -> Fuzz.Oracle.mutant_sweep ~budget:mutant_budget ~seed:42)
   in
   let caught =
@@ -1062,10 +1007,10 @@ let fuzz_table ~smoke =
                      ("witness_size", Obs.Json.Int r.Fuzz.Oracle.witness_size);
                    ])
                results) );
-        ("wall_ms", Obs.Json.Float (1000. *. wall));
+        ("wall_ms", Obs.Json.Float wall_ms);
       ]
     :: !rows;
-  Fmt.pr "mutants: %d/%d caught in %.1f ms@." caught total (1000. *. wall);
+  Fmt.pr "mutants: %d/%d caught in %.1f ms@." caught total wall_ms;
   List.rev !rows
 
 (* ------------------------------------------------------------------ *)
@@ -1238,18 +1183,18 @@ let run_experiment ~smoke e =
   Obs.History.write_document ~experiment:e.id ~path:e.file rows;
   Obs.History.append ~path:history_path
     (Obs.History.make ~ts:(Unix.time ()) ~rev:(git_rev ()) ~smoke ~experiment:e.id rows);
-  Fmt.pr "wrote %s (%d rows; history: %s)@." e.file (List.length rows) history_path;
-  rows
+  Fmt.pr "wrote %s (%d rows; history: %s)@." e.file (List.length rows) history_path
 
 let gated = List.filter (fun e -> e.floors <> []) experiments
 
 (* `check [--smoke] [--fault]`: run each gated experiment and gate its
-   rows against its [floors].  Exit 1 on any violation.  --fault
+   rows against its [floors]; it writes no file.  Exit 1 on any
+   violation.  --fault
    synthetically regresses every gated metric (divides it by 100)
    before checking — CI uses it to prove the gate actually fails. *)
 let check_experiment ~smoke ~fault e =
   let floors = e.floors in
-  let rows = run_experiment ~smoke e in
+  let rows = e.run ~smoke in
   let rows =
     if not fault then rows
     else
@@ -1294,10 +1239,10 @@ let () =
     List.filter (fun a -> a <> "--smoke" && a <> "--fault") (Array.to_list Sys.argv)
   in
   match argv with
-  | [ _ ] | [ _; "all" ] -> List.iter (fun e -> ignore (run_experiment ~smoke e)) experiments
+  | [ _ ] | [ _; "all" ] -> List.iter (run_experiment ~smoke) experiments
   | [ _; "table"; id ] -> (
     match List.find_opt (fun e -> e.id = id) experiments with
-    | Some e -> ignore (run_experiment ~smoke e)
+    | Some e -> run_experiment ~smoke e
     | None ->
       Fmt.epr "unknown table %S; available: %a@." id Fmt.(list ~sep:(any " ") string) ids;
       exit 2)

@@ -31,9 +31,9 @@ let explore_main (r : Cli.run) (e : Cli.explore) ~stats =
   (* profile only under --stats: phase attribution costs two clock
      reads per phase per node, which we don't charge to plain runs *)
   let prof = if stats then Some (Obs.Prof.create ()) else None in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Trace.now_ns () in
   let outcome = explore_run r e ~metrics ?prof () in
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall = float_of_int (Obs.Trace.now_ns () - t0) /. 1e9 in
   let s = Spec.Modelcheck.stats_of outcome in
   Fmt.pr "engine: %s, depth bound: %d@." (Spec.Modelcheck.engine_name e.engine) e.depth;
   Fmt.pr
@@ -410,23 +410,35 @@ let analyze () algos all p max_n mutants json_path witness no_dynamic protocol i
     Cli.lookup "engine" Agreement.Runner.engine_of_string engine_s
       ~valid:[ "interp"; "vm" ]
   in
+  (* each mode's flags are usage errors in the other mode *)
+  let misplaced ~hint flags =
+    List.iter
+      (fun (set, flag, what) -> if set then Cli.usage_error "%s %s; %s" flag what hint)
+      flags
+  in
   (match protocol with
   | Some s ->
+    misplaced ~hint:"it does not apply to --protocol"
+      [
+        (algos <> [], "--algo", "picks registry algorithms");
+        (all, "--all", "sweeps the registry grid");
+        (mutants, "--mutants", "analyzes the seeded registry mutants");
+        (no_dynamic, "--no-dynamic", "skips the registry algorithms' concrete runs");
+        (stats, "--stats", "totals the registry sweep's abstract interpretation");
+      ];
     analyze_protocol ~ir ~indep ~optimize ~witness ~sarif_path ~json_path
       ~engine ~run ~explore_depth s;
     exit 0
   | None ->
-    if optimize then
-      Cli.usage_error "--optimize rewrites first-order protocols; pass one with --protocol";
-    if ir then
-      Cli.usage_error
-        "--ir prints a first-order protocol's control-flow graph; pass one with --protocol";
-    if indep then
-      Cli.usage_error
-        "--indep prints a first-order protocol's dataflow facts; pass one with --protocol";
-    if run || explore_depth <> None then
-      Cli.usage_error
-        "--run/--explore-depth execute first-order protocols; pass one with --protocol");
+    misplaced ~hint:"pass one with --protocol"
+      [
+        (optimize, "--optimize", "rewrites first-order protocols");
+        (ir, "--ir", "prints a first-order protocol's control-flow graph");
+        (indep, "--indep", "prints a first-order protocol's dataflow facts");
+        ( run || explore_depth <> None,
+          "--run/--explore-depth",
+          "execute first-order protocols" );
+      ]);
   List.iter
     (fun a -> ignore (Cli.lookup "algorithm" Analyze.Registry.find a ~valid:Analyze.Registry.names))
     algos;

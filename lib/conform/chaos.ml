@@ -54,11 +54,20 @@ let yield_storm rng =
       Domain.cpu_relax ()
     done
 
+(* Busy-wait for [ns] nanoseconds: a stall must not release the domain
+   (Unix.sleepf would let the scheduler tidy everything up and hide the
+   interleaving we are trying to provoke). *)
+let busy_wait_ns ns =
+  let deadline = Obs.Trace.now_ns () + ns in
+  while Obs.Trace.now_ns () < deadline do
+    Domain.cpu_relax ()
+  done
+
 let long_stall rng =
   (* 1 in 32: freeze mid-operation for 20–520 µs — several orders of
      magnitude longer than an update/scan, so every other domain runs
      many operations over the stalled one's open interval *)
-  if Shm.Rng.int rng 32 = 0 then Clock.busy_wait_ns (20_000 + Shm.Rng.int rng 500_000)
+  if Shm.Rng.int rng 32 = 0 then busy_wait_ns (20_000 + Shm.Rng.int rng 500_000)
 
 let point h =
   match h.profile with

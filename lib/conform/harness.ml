@@ -220,7 +220,7 @@ let run_snapshot ?(metrics = Obs.Metrics.create ()) ~sut (cfg : config) =
       Obs.Metrics.Counter.add ops_c (List.length completed);
       Obs.Metrics.Counter.add crashes_c (List.length pending);
       observe_latencies ~metrics completed;
-      let t0 = Clock.now_ns () in
+      let t0 = Obs.Trace.now_ns () in
       let w =
         spanned tr ?parent:ispan
           ~args:[ ("ops", Obs.Json.Int (List.length completed)) ]
@@ -228,7 +228,7 @@ let run_snapshot ?(metrics = Obs.Metrics.create ()) ~sut (cfg : config) =
           (fun () -> Spec.Linearize.witness ~components:cfg.components ~pending completed)
       in
       Obs.Metrics.Counter.incr checks_c;
-      Obs.Metrics.Counter.add check_ns_c (Clock.now_ns () - t0);
+      Obs.Metrics.Counter.add check_ns_c (Obs.Trace.now_ns () - t0);
       (match (tr, ispan) with
       | Some t, Some c -> Obs.Trace.end_span t c
       | _ -> ());
@@ -340,12 +340,12 @@ let run_agreement ?(metrics = Obs.Metrics.create ()) ~(params : Agreement.Params
                       Chaos.point hc;
                       Chaos.crash_point hc
                     in
-                    let t0 = Clock.now_ns () in
+                    let t0 = Obs.Trace.now_ns () in
                     match
                       Native.Native_agreement.propose ~chaos t ~pid ~seed:iseed
                         inputs.(pid)
                     with
-                    | w -> Some (w, Clock.now_ns () - t0)
+                    | w -> Some (w, Obs.Trace.now_ns () - t0)
                     | exception Chaos.Crashed -> None)))
       in
       let results = Array.map Domain.join workers in

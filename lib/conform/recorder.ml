@@ -5,9 +5,11 @@
    locks, no atomics, no cross-domain traffic on the hot path (the
    whole-run structure is published to the spawned domains before they
    start and read back after they join, so the OCaml memory model makes
-   the hand-off safe).  Timestamps are monotonic-clock nanoseconds
-   rebased to the recorder's creation so intervals stay small and
-   printable.
+   the hand-off safe).  Timestamps are Obs.Trace.now_ns nanoseconds,
+   one monotonic clock across domains, so intervals captured on
+   different cores compare directly (the real-time order the
+   linearizability checker needs); they are rebased to the recorder's
+   creation so intervals stay small and printable.
 
    Completed operations carry [invoke, response] intervals; pending
    operations (the domain crashed mid-operation) carry their invoke
@@ -27,14 +29,14 @@ type handle = { recorder : t; buf : buf }
 
 let create ~domains =
   {
-    base = Clock.now_ns ();
+    base = Obs.Trace.now_ns ();
     bufs = Array.init domains (fun pid -> { pid; events = []; pending = []; count = 0 });
   }
 
 let handle t ~pid = { recorder = t; buf = t.bufs.(pid) }
 
 (* Nanoseconds since the recorder was created. *)
-let now h = Clock.now_ns () - h.recorder.base
+let now h = Obs.Trace.now_ns () - h.recorder.base
 
 let completed h ~start ~finish op =
   let b = h.buf in

@@ -5,9 +5,9 @@
    The caller brackets work with explicit clock reads, never closures
    (closures allocate):
 
-     let t0 = if profiling then Prof.now_ns () else 0 in
+     let t0 = if profiling then Trace.now_ns () else 0 in
      ... work ...
-     if profiling then Prof.add p Prof.Interp (Prof.now_ns () - t0)
+     if profiling then Prof.add p Prof.Interp (Trace.now_ns () - t0)
 
    A DPOR search charges one [t], the run breakdown that
    [sa_run --stats] and [sa_run trace --stats] print. *)
@@ -49,8 +49,6 @@ let name = function
 type t = { ns : int array; count : int array }
 
 let create () = { ns = Array.make n_phases 0; count = Array.make n_phases 0 }
-
-let now_ns = Trace.now_ns
 
 (* Allocation-free: the hot-path attribution primitive. *)
 let add t phase dns =

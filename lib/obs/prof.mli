@@ -6,9 +6,9 @@
     never closure-based helpers (closures allocate):
 
     {[
-      let t0 = if profiling then Prof.now_ns () else 0 in
+      let t0 = if profiling then Trace.now_ns () else 0 in
       (* ... work ... *)
-      if profiling then Prof.add p Prof.Interp (Prof.now_ns () - t0)
+      if profiling then Prof.add p Prof.Interp (Trace.now_ns () - t0)
     ]} *)
 
 (** Where exploration time goes. *)
@@ -27,9 +27,6 @@ type phase =
 type t
 
 val create : unit -> t
-
-(** Alias of {!Trace.now_ns}. *)
-val now_ns : unit -> int
 
 (** [add t phase dns] attributes [dns] nanoseconds (and one hit) to
     [phase].  Allocation-free. *)

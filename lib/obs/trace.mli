@@ -15,7 +15,8 @@
     instrumentation allocates zero words per event (pinned by a
     Gc-measured test). *)
 
-(** Current monotonic time, in nanoseconds (arbitrary epoch). *)
+(** Current monotonic time, in nanoseconds (arbitrary epoch), one clock
+    for every domain. *)
 val now_ns : unit -> int
 
 (** A handle on a live or past span: safe to copy across domains. *)

@@ -110,7 +110,7 @@ let run ?command server cfg =
     incr completed;
     if done_ops.(client) < cfg.ops_per_client then submit_next client
   in
-  let start_ns = Conform.Clock.now_ns () in
+  let start_ns = Obs.Trace.now_ns () in
   if cfg.ops_per_client > 0 then begin
     for client = 0 to cfg.clients - 1 do
       submit_next client
@@ -136,7 +136,7 @@ let run ?command server cfg =
       progress := resolved <> [] || !admitted
     done
   end;
-  let wall_ns = max 1 (Conform.Clock.now_ns () - start_ns) in
+  let wall_ns = max 1 (Obs.Trace.now_ns () - start_ns) in
   {
     ops = !committed;
     wall_ns;

@@ -29,7 +29,7 @@ let route t key = Sharding.shard_of_key ~shards:(Array.length t.shards) key
 let try_submit t ~key ?(tag = -1) cmd =
   let shard = route t key in
   let ticket =
-    Session.make_ticket ~tag ~shard ~cmd ~submit_ns:(Conform.Clock.now_ns ())
+    Session.make_ticket ~tag ~shard ~cmd ~submit_ns:(Obs.Trace.now_ns ())
   in
   if Shard.try_admit t.shards.(shard) ticket then Some ticket else None
 

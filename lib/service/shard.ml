@@ -115,7 +115,7 @@ let fail_all t batch msg =
 let commit t tickets cmds =
   let slot = Rsm.Stepper.slot t.stepper in
   let state', replies = Batch.apply_all t.app t.app_state cmds in
-  let finish_ns = Conform.Clock.now_ns () in
+  let finish_ns = Obs.Trace.now_ns () in
   let n = List.length cmds in
   t.app_state <- state';
   t.committed <- t.committed + n;

@@ -92,13 +92,13 @@ let export_metrics m (s : stats) =
 
 (* Phase brackets: [lap] charges the time since [t0] and returns the
    new mark.  Both are a no-op returning 0 when not profiling. *)
-let start = function None -> 0 | Some _ -> Obs.Prof.now_ns ()
+let start = function None -> 0 | Some _ -> Obs.Trace.now_ns ()
 
 let lap prof phase t0 =
   match prof with
   | None -> 0
   | Some p ->
-    let t = Obs.Prof.now_ns () in
+    let t = Obs.Trace.now_ns () in
     Obs.Prof.add p phase (t - t0);
     t
 

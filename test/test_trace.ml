@@ -92,7 +92,7 @@ let detached_paths_allocation_free () =
   measure "Prof.add" (fun i -> Obs.Prof.add p Obs.Prof.Interp i);
   measure "guarded bracket" (fun i ->
       (* the exact pattern instrumented sites compile to *)
-      let t0 = if Obs.Trace.enabled () then Obs.Prof.now_ns () else 0 in
+      let t0 = if Obs.Trace.enabled () then Obs.Trace.now_ns () else 0 in
       if Obs.Trace.enabled () then Obs.Prof.add p Obs.Prof.Hash (t0 + i))
 
 (* ambient_probe must be None when detached, so Exec.run's hoisted
