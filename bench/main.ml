@@ -684,39 +684,7 @@ let perf_table ~smoke =
              ~check:(fun ~inputs:_ ~outputs:_ -> Ok ())
              proto))
   in
-  (* -- linearizability checker throughput (tracked so a regression in
-     the checker shows up here; memory backend is irrelevant to it). *)
-  let metrics = Obs.Metrics.create () in
-  let cfg =
-    {
-      Conform.Harness.domains = 4;
-      components = 4;
-      ops = 16;
-      profile = Conform.Chaos.Calm;
-      seed = 42;
-      iters = (if smoke then 20 else 150);
-    }
-  in
-  let lin_ok =
-    match Conform.Harness.run_snapshot ~metrics ~sut:Conform.Sut.real cfg with
-    | Conform.Harness.Pass _ -> true
-    | _ -> false
-  in
-  let ops, check_ns, check_ops_per_s = checker_throughput metrics in
-  Fmt.pr "linearize checker: %.0f checks/s@." check_ops_per_s;
   sim_rows @ dpor_rows @ vm_rows @ vm_dpor_rows
-  @ [
-      Obs.Json.Obj
-        [
-          ("bench", Obs.Json.String "linearize");
-          ("arm", Obs.Json.String "checker");
-          ("iters", Obs.Json.Int cfg.Conform.Harness.iters);
-          ("ops", Obs.Json.Int ops);
-          ("linearizable", Obs.Json.Bool lin_ok);
-          ("check_ns_total", Obs.Json.Int check_ns);
-          ("checks_per_s", Obs.Json.Float check_ops_per_s);
-        ];
-    ]
 
 (* ------------------------------------------------------------------ *)
 (* E15: static analyzer — abstract footprints vs paper bounds vs       *)

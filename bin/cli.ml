@@ -66,19 +66,18 @@ let write_output flag ?(note = "") path s =
 let params ~n ~m ~k =
   try Agreement.Params.make ~n ~m ~k with Invalid_argument msg -> usage_error "%s" msg
 
-(* The raw triple, for a command that validates it only in some modes
-   (conform's --domains is also the snapshot harness's domain count). *)
-let nmk_args ?(n_names = [ "n" ]) ?(n_doc = "Number of processes.") ?(scope = "")
-    ~n ~m ~k () =
+(* The triple with [n] read by the term [n] (conform agreement names it
+   --domains). *)
+let nmk_of n ~m ~k =
   let int names default doc = Arg.(value & opt int default & info names ~doc) in
   Term.(
-    const (fun n m k -> (n, m, k))
-    $ int n_names n n_doc
-    $ int [ "m" ] m ("Obstruction bound" ^ scope ^ ".")
-    $ int [ "k" ] k ("Agreement bound" ^ scope ^ "."))
+    const (fun n m k -> params ~n ~m ~k)
+    $ n
+    $ int [ "m" ] m "Obstruction bound."
+    $ int [ "k" ] k "Agreement bound.")
 
-let nmk ?n_doc ~n ~m ~k () =
-  Term.(const (fun (n, m, k) -> params ~n ~m ~k) $ nmk_args ?n_doc ~n ~m ~k ())
+let nmk ?(n_doc = "Number of processes.") ~n ~m ~k () =
+  nmk_of Arg.(value & opt int n & info [ "n" ] ~doc:n_doc) ~m ~k
 
 (* ------------------------------------------------------------------ *)
 (* --memory-backend: applies process-wide, before any configuration is
@@ -126,10 +125,7 @@ let build_config ~algo ~impl ~registers params =
   match algo with
   | One_shot -> Agreement.Instances.oneshot ?r:registers ~impl params
   | Repeated -> Agreement.Instances.repeated ?r:registers ~impl params
-  | Baseline ->
-    if registers <> None then
-      Fmt.epr "note: --registers is ignored for the baseline algorithm@.";
-    Agreement.Instances.baseline ~impl params
+  | Baseline -> Agreement.Instances.baseline ~impl params
   | Anonymous ->
     Agreement.Instances.anonymous ?r:registers
       ~anonymous_collect:(impl = Agreement.Instances.Double_collect)
@@ -160,7 +156,10 @@ let instance =
       & info [ "impl" ] ~doc:"Snapshot implementation.")
   in
   let rounds =
-    Arg.(value & opt int 3 & info [ "rounds"; "r" ] ~doc:"Instances (repeated).")
+    Arg.(
+      value
+      & opt (some ~none:"3" int) None
+      & info [ "rounds"; "r" ] ~doc:"Instances (repeated and anonymous only).")
   in
   let registers =
     Arg.(
@@ -169,14 +168,23 @@ let instance =
       & info [ "registers" ] ~docv:"R"
           ~doc:
             "Override the register budget (components) of the instance.  Fewer than \
-             n+2m-k voids the correctness argument — that is the point: combine with \
-             --explore to exhibit violations of register-starved instances.")
+             n+2m-k voids the correctness argument — that is the point: explore \
+             register-starved instances to exhibit their violations.  The baseline's \
+             2(n-k) registers are fixed.")
   in
   let make () algo impl params rounds registers =
-    (match registers with
-    | Some r when r < 1 -> usage_error "--registers %d: need at least 1 register" r
+    (match (algo, registers) with
+    | _, Some r when r < 1 -> usage_error "--registers %d: need at least 1 register" r
+    | Baseline, Some r -> usage_error "--registers %d: the baseline's 2(n-k) registers are fixed" r
     | _ -> ());
-    let rounds = match algo with One_shot | Baseline -> 1 | Repeated | Anonymous -> rounds in
+    let rounds =
+      match (algo, rounds) with
+      | (One_shot | Baseline), Some r ->
+        usage_error "--rounds %d: --algo %s runs one instance" r
+          (if algo = One_shot then "oneshot" else "baseline")
+      | (One_shot | Baseline), None -> 1
+      | (Repeated | Anonymous), r -> Option.value r ~default:3
+    in
     {
       algo;
       impl;
@@ -191,8 +199,7 @@ let instance =
     const make $ memory_backend $ algo $ impl $ nmk ~n:5 ~m:1 ~k:2 () $ rounds $ registers)
 
 (* ------------------------------------------------------------------ *)
-(* The schedule group: scheduler spec name[:arg[:arg]] and step budget,
-   each [None] when not given (they apply to a single run only). *)
+(* The schedule of a single run: scheduler spec name[:arg[:arg]]. *)
 
 let sched_specs =
   [ "round-robin"; "quantum[:Q]"; "random[:SEED]"; "solo:P"; "m-bounded:SEED[:M]" ]
@@ -236,23 +243,29 @@ let parse_sched spec ~n =
       (Fmt.str "unknown scheduler %S; valid specs: %s" spec
          (String.concat " | " sched_specs))
 
-let schedule =
+(* ------------------------------------------------------------------ *)
+(* One run of an instance: the instance and its schedule, validated
+   against each other (scheduler specs depend on n). *)
+
+type run = { inst : instance; sched : Shm.Schedule.t; max_steps : int }
+
+let valid = function Ok v -> v | Error e -> usage_error "%s" e
+
+let run =
+  let make inst spec max_steps =
+    { inst; sched = valid (parse_sched spec ~n:inst.params.Agreement.Params.n); max_steps }
+  in
   Term.(
-    const (fun spec max_steps -> (spec, max_steps))
+    const make $ instance
     $ Arg.(
         value
-        & opt (some string) None
-        & info [ "sched"; "s" ] ~absent:"quantum:300"
-            ~doc:
-              ("Scheduler (single-run mode): " ^ String.concat " | " sched_specs ^ "."))
-    $ Arg.(
-        value
-        & opt (some int) None
-        & info [ "max-steps" ] ~absent:"500000" ~doc:"Step budget (single run)."))
+        & opt string "quantum:300"
+        & info [ "sched"; "s" ] ~doc:("Scheduler: " ^ String.concat " | " sched_specs ^ "."))
+    $ Arg.(value & opt int 500_000 & info [ "max-steps" ] ~doc:"Step budget."))
 
 (* ------------------------------------------------------------------ *)
-(* The explore group: exploration spec engine:DEPTH and (where the
-   command offers it) counterexample shrinking. *)
+(* An exploration of an instance: the engine:DEPTH spec, checked against
+   the instance's n. *)
 
 type explore = { engine : Spec.Modelcheck.engine; depth : int }
 
@@ -270,68 +283,25 @@ let parse_explore spec ~n =
     match (engine_of name, int_of_string_opt d) with
     | Some (Spec.Modelcheck.Dpor _), Some _ when n > Spec.Explore.max_procs ->
       Error
-        (Fmt.str "--explore %S: -n %d exceeds the DPOR limit of %d processes" spec n
+        (Fmt.str "explore %S: -n %d exceeds the DPOR limit of %d processes" spec n
            Spec.Explore.max_procs)
     | Some engine, Some depth when depth >= 0 -> Ok { engine; depth }
-    | Some _, _ -> Error (Fmt.str "--explore %S: depth %S is not a non-negative integer" spec d)
+    | Some _, _ -> Error (Fmt.str "explore %S: depth %S is not a non-negative integer" spec d)
     | None, _ ->
       Error
-        (Fmt.str "--explore %S: unknown engine %S; valid specs: %s" spec name
+        (Fmt.str "explore %S: unknown engine %S; valid specs: %s" spec name
            (String.concat " | " explore_specs)))
   | _ ->
     Error
-      (Fmt.str "--explore %S: expected engine:DEPTH; valid specs: %s" spec
+      (Fmt.str "explore %S: expected ENGINE:DEPTH; valid specs: %s" spec
          (String.concat " | " explore_specs))
 
-let explore ~shrink =
+let explore =
+  let make inst spec = (inst, valid (parse_explore spec ~n:inst.params.Agreement.Params.n)) in
   Term.(
-    const (fun spec shrink -> (spec, shrink))
+    const make $ instance
     $ Arg.(
-        value
-        & opt (some string) None
-        & info [ "explore" ] ~docv:"ENGINE:DEPTH"
-            ~doc:
-              ("Model-check over all schedules up to DEPTH instead of running one \
-                schedule: " ^ String.concat " | " explore_specs
-             ^ ".  Exits 1 on a violation."))
-    $
-    if shrink then
-      Arg.(
-        value & flag
-        & info [ "shrink" ]
-            ~doc:"Minimize the counterexample schedule found by --explore before printing.")
-    else const false)
-
-(* ------------------------------------------------------------------ *)
-(* One run of an instance: the three groups, validated against each
-   other (scheduler and explorer limits depend on n). *)
-
-type run = {
-  inst : instance;
-  sched : Shm.Schedule.t;
-  max_steps : int;
-  explore : explore option;
-  shrink : bool;
-}
-
-let run ~shrink =
-  let make inst (spec, max_steps) (explore, shrink) =
-    let n = inst.params.Agreement.Params.n in
-    let valid = function Ok v -> v | Error e -> usage_error "%s" e in
-    (match explore with
-    | None ->
-      if shrink then usage_error "--shrink minimizes an --explore counterexample; pass --explore"
-    | Some _ ->
-      List.iter
-        (fun (given, flag) ->
-          if given then usage_error "%s sets a single run; it does not apply to --explore" flag)
-        [ (spec <> None, "--sched"); (max_steps <> None, "--max-steps") ]);
-    {
-      inst;
-      sched = valid (parse_sched (Option.value spec ~default:"quantum:300") ~n);
-      max_steps = Option.value max_steps ~default:500_000;
-      explore = Option.map (fun spec -> valid (parse_explore spec ~n)) explore;
-      shrink;
-    }
-  in
-  Term.(const make $ instance $ schedule $ explore ~shrink)
+        required
+        & pos 0 (some string) None
+        & info [] ~docv:"ENGINE:DEPTH"
+            ~doc:("Engine and depth bound: " ^ String.concat " | " explore_specs ^ ".")))

@@ -1,6 +1,6 @@
 (* sa-run: run any of the set-agreement algorithms under a chosen
    scheduler and report decisions, safety, and space usage — or
-   model-check them over *all* schedules with --explore — or audit the
+   model-check them over *all* schedules (`explore`) — or audit the
    native multicore layer with the conformance harness (`conform`) — or
    reproduce Figure 1 with a verdict per row (`fig1`).
 
@@ -9,30 +9,64 @@
      sa_run -n 5 -m 2 -k 3 --algo repeated --rounds 4 --sched random:7
      sa_run -n 4 -m 1 -k 2 --algo anonymous --impl collect --trace
      sa_run -n 6 -m 2 -k 3 --sched m-bounded:7:2 --stats --trace-out t.jsonl
-     sa_run -n 3 -m 1 -k 1 --explore dpor:10
-     sa_run -n 3 -m 1 -k 1 --registers 3 --explore dpor:14 --shrink
-     sa_run -n 3 -m 1 -k 1 --explore dpor:12 --stats
+     sa_run explore dpor:10 -n 3 -m 1 -k 1
+     sa_run explore dpor:14 -n 3 -m 1 -k 1 --registers 3 --shrink
+     sa_run explore dpor:12 -n 3 -m 1 -k 1 --stats --trace-out dpor.json
+     sa_run protocol 'r2 n2 : R0; W1<-in; D last' --run --explore-depth 6
      sa_run fig1 --max-n 6
-     sa_run conform --object snapshot --domains 4 --iters 500
-     sa_run conform --object snapshot --mutant single-collect --chaos yields
-     sa_run conform --object agreement --domains 4 -m 2 -k 2 --chaos crashes *)
+     sa_run conform snapshot --domains 4 --iters 500
+     sa_run conform snapshot --mutant single-collect --chaos yields
+     sa_run conform agreement --domains 4 -m 2 -k 2 --chaos crashes *)
 
 open Cmdliner
 
-(* Model-check the configured instance over all schedules up to the
-   depth bound, instead of running one schedule. *)
-let explore_run (r : Cli.run) (e : Cli.explore) ~metrics ?prof () =
-  Spec.Modelcheck.run ~engine:e.engine ~depth:e.depth ~inputs:r.inst.inputs ~metrics ?prof
-    ~check:(Spec.Properties.check_safety ~k:r.inst.params.Agreement.Params.k)
-    r.inst.config
+let save_chrome_trace flag path tr =
+  Cli.with_path flag (fun () -> Obs.Chrome_trace.save path tr);
+  Fmt.pr "chrome trace written to %s (open in https://ui.perfetto.dev)@." path
 
-let explore_main (r : Cli.run) (e : Cli.explore) ~stats =
+(* The exploration series, read back from the trace: a [nodes] sample
+   and the [frontier], [cache hits] and [sleep hits] samples Explore
+   took with it share one timestamp. *)
+let pp_series ppf samples =
+  let at = Hashtbl.create 256 in
+  List.iter (fun (s : Obs.Trace.sample) -> Hashtbl.replace at (s.track, s.s_dom, s.s_ts_ns) s) samples;
+  let row (s : Obs.Trace.sample) =
+    let get track = (Hashtbl.find at (track, s.s_dom, s.s_ts_ns)).Obs.Trace.value in
+    if s.track <> "nodes" then None
+    else Some (s.s_ts_ns, s.value, get "frontier", get "cache hits", get "sleep hits")
+  in
+  match List.filter_map row samples with
+  | [] -> ()
+  | (t0, _, _, _, _) :: _ as rows ->
+    Fmt.pf ppf "--- exploration series ---@.%-10s %10s %10s %12s %12s@." "t (ms)" "nodes"
+      "frontier" "cache hits" "sleep hits";
+    List.iter
+      (fun (ts, nodes, frontier, cache, sleep) ->
+        Fmt.pf ppf "%-10.2f %10.0f %10.0f %12.0f %12.0f@." (float_of_int (ts - t0) /. 1e6)
+          nodes frontier cache sleep)
+      rows;
+    Fmt.pf ppf "%d samples@." (List.length rows)
+
+(* The `explore` command: model-check the configured instance over all
+   schedules up to the depth bound.  --trace-out records the DPOR
+   explore span and the exploration counter tracks as Chrome
+   trace-event JSON. *)
+let explore_main ((inst : Cli.instance), (e : Cli.explore)) shrink stats trace_out =
+  Option.iter (Cli.check_output "--trace-out") trace_out;
+  let check = Spec.Properties.check_safety ~k:inst.params.Agreement.Params.k in
   let metrics = Obs.Metrics.create () in
   (* profile only under --stats: phase attribution costs two clock
      reads per phase per node, which we don't charge to plain runs *)
   let prof = if stats then Some (Obs.Prof.create ()) else None in
+  let traced = Option.map (fun path -> (path, Obs.Trace.create ())) trace_out in
   let t0 = Obs.Trace.now_ns () in
-  let outcome = explore_run r e ~metrics ?prof () in
+  let explore () =
+    Spec.Modelcheck.run ~engine:e.engine ~depth:e.depth ~inputs:inst.inputs ~metrics ?prof
+      ~check inst.config
+  in
+  let outcome =
+    match traced with None -> explore () | Some (_, tr) -> Obs.Trace.with_attached tr explore
+  in
   let wall = float_of_int (Obs.Trace.now_ns () - t0) /. 1e9 in
   let s = Spec.Modelcheck.stats_of outcome in
   Fmt.pr "engine: %s, depth bound: %d@." (Spec.Modelcheck.engine_name e.engine) e.depth;
@@ -48,13 +82,11 @@ let explore_main (r : Cli.run) (e : Cli.explore) ~stats =
     Fmt.pr "verdict: VIOLATION — %s@." error;
     Fmt.pr "schedule (%d steps): [%s]@." (List.length schedule)
       (String.concat " " (List.map string_of_int schedule));
-    if r.shrink then begin
+    if shrink then begin
       let replay s =
         (* fresh copy: Config.t is persistent, replay never mutates the config *)
         Spec.Counterex.replay ~completion_steps:Spec.Counterex.completion_steps
-          ~inputs:r.inst.inputs
-          ~check:(Spec.Properties.check_safety ~k:r.inst.params.Agreement.Params.k)
-          r.inst.config s
+          ~inputs:inst.inputs ~check inst.config s
       in
       match
         Option.bind (Spec.Modelcheck.counterex_of outcome) (fun ce ->
@@ -63,28 +95,56 @@ let explore_main (r : Cli.run) (e : Cli.explore) ~stats =
       | Some r -> Fmt.pr "%a@." Spec.Shrink.pp_result r
       | None -> Fmt.pr "shrink: counterexample did not reproduce under replay@."
     end);
+  Option.iter (fun (path, tr) -> save_chrome_trace "--trace-out" path tr) traced;
   if stats then begin
     Fmt.pr "--- metrics ---@.%a@." Obs.Metrics.pp metrics;
-    match prof with
+    (match prof with
     | Some p when not (Obs.Prof.is_empty p) ->
       Fmt.pr "--- phase breakdown ---@.%a@." Obs.Prof.pp p
-    | _ -> ()
+    | _ -> ());
+    Option.iter
+      (fun (_, tr) ->
+        pp_series Fmt.stdout (Obs.Trace.samples tr);
+        Fmt.pr "--- trace ---@.%a@." Obs.Trace.pp tr)
+      traced
   end;
   match outcome with Spec.Modelcheck.Ok_bounded _ -> () | _ -> exit 1
+
+let explore_cmd =
+  let shrink =
+    Arg.(
+      value & flag
+      & info [ "shrink" ] ~doc:"Minimize the counterexample schedule before printing.")
+  in
+  let stats =
+    Arg.(
+      value & flag
+      & info [ "stats" ]
+          ~doc:
+            "Print the explore.* metrics and the phase breakdown; with $(b,--trace-out), \
+             also the exploration series and the span summary.")
+  in
+  let trace_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace-out" ] ~docv:"FILE"
+          ~doc:
+            "Record the DPOR explore span and the exploration counter tracks and write \
+             them as a Chrome trace-event file (load at ui.perfetto.dev).")
+  in
+  Cmd.v
+    (Cmd.info "explore" ~exits:Cli.exits
+       ~doc:
+         "Model-check the instance over all schedules up to a depth bound instead of \
+          running one schedule.  Exits 1 on a violation.")
+    Term.(const explore_main $ Cli.explore $ shrink $ stats $ trace_out)
 
 let stopped_name = function
   | Shm.Exec.All_quiescent -> "quiescent"
   | Shm.Exec.Fuel_exhausted -> "fuel exhausted"
 
 let run (r : Cli.run) trace diagram stats trace_out =
-  match r.explore with
-  | Some e ->
-    List.iter
-      (fun (given, flag) ->
-        if given then Cli.usage_error "%s shows a single run; it does not apply to --explore" flag)
-      [ (trace, "--trace"); (diagram, "--diagram"); (trace_out <> None, "--trace-out") ];
-    explore_main r e ~stats
-  | None ->
   let { Cli.config; params = { Agreement.Params.n; k; _ }; _ } = r.inst in
   (* Streaming observers: stats always (O(1) and cheap), JSONL export
      when --trace-out was given. *)
@@ -145,86 +205,39 @@ let run (r : Cli.run) trace diagram stats trace_out =
 
 (* ------------------------------------------------------------------ *)
 (* The `trace` subcommand: record a causally-linked trace of one run
-   (or one exploration) and export it as Chrome trace-event JSON for
-   Perfetto, plus optionally the raw span JSONL.  Single-run mode
-   records the register-coverage timeline (covered = poised writes,
-   written = the space measure) through Exec's probe hook; explore mode
-   records the DPOR explore span and the exploration counter tracks. *)
-
-(* The exploration series, read back from the trace: a [nodes] sample
-   and the [frontier], [cache hits] and [sleep hits] samples Explore
-   took with it share one timestamp. *)
-let pp_series ppf samples =
-  let at = Hashtbl.create 256 in
-  List.iter (fun (s : Obs.Trace.sample) -> Hashtbl.replace at (s.track, s.s_dom, s.s_ts_ns) s) samples;
-  let row (s : Obs.Trace.sample) =
-    let get track = (Hashtbl.find at (track, s.s_dom, s.s_ts_ns)).Obs.Trace.value in
-    if s.track <> "nodes" then None
-    else Some (s.s_ts_ns, s.value, get "frontier", get "cache hits", get "sleep hits")
-  in
-  match List.filter_map row samples with
-  | [] -> ()
-  | (t0, _, _, _, _) :: _ as rows ->
-    Fmt.pf ppf "--- exploration series ---@.%-10s %10s %10s %12s %12s@." "t (ms)" "nodes"
-      "frontier" "cache hits" "sleep hits";
-    List.iter
-      (fun (ts, nodes, frontier, cache, sleep) ->
-        Fmt.pf ppf "%-10.2f %10.0f %10.0f %12.0f %12.0f@." (float_of_int (ts - t0) /. 1e6)
-          nodes frontier cache sleep)
-      rows;
-    Fmt.pf ppf "%d samples@." (List.length rows)
+   and export it as Chrome trace-event JSON for Perfetto, plus
+   optionally the raw span JSONL.  The register-coverage timeline
+   (covered = poised writes, written = the space measure) is recorded
+   through Exec's probe hook. *)
 
 let trace_main (r : Cli.run) sets out jsonl_out stats =
-  if sets && r.explore <> None then
-    Cli.usage_error "--cov-sets records a single run's coverage; it does not apply to --explore";
   Cli.check_output "--out" out;
   Option.iter (Cli.check_output "--jsonl") jsonl_out;
   let tr = Obs.Trace.create () in
-  let prof = Obs.Prof.create () in
-  let code =
-    Obs.Trace.with_attached tr (fun () ->
-        match r.explore with
-        | Some e ->
-          let outcome = explore_run r e ~metrics:(Obs.Metrics.create ()) ~prof () in
-          Fmt.pr "engine: %s, depth bound: %d — %a@."
-            (Spec.Modelcheck.engine_name e.engine)
-            e.depth Spec.Modelcheck.pp_outcome outcome;
-          (match outcome with Spec.Modelcheck.Ok_bounded _ -> 0 | _ -> 1)
-        | None ->
-          (* the coverage probe sees the configuration after each event;
-             [--cov-sets] additionally records the sets themselves *)
-          let probe = Obs.Coverage.ambient_probe ~sets () in
-          let root =
-            Obs.Trace.begin_span tr ~cat:"exec"
-              ~args:[ ("sched", Obs.Json.String (Shm.Schedule.name r.sched)) ]
-              "run"
-          in
-          let result =
-            Shm.Exec.run ?probe ~sched:r.sched ~inputs:r.inst.inputs
-              ~max_steps:r.max_steps r.inst.config
-          in
-          Obs.Trace.end_span tr
-            ~args:[ ("steps", Obs.Json.Int result.Shm.Exec.steps) ]
-            root;
-          Fmt.pr "ran %d steps (%s); registers written: %d@." result.Shm.Exec.steps
-            (stopped_name result.Shm.Exec.stopped)
-            (Obs.Coverage.num_written result.Shm.Exec.config);
-          0)
-  in
-  Cli.with_path "--out" (fun () -> Obs.Chrome_trace.save out tr);
-  Fmt.pr "chrome trace written to %s (open in https://ui.perfetto.dev)@." out;
+  Obs.Trace.with_attached tr (fun () ->
+      (* the coverage probe sees the configuration after each event;
+         [--cov-sets] additionally records the sets themselves *)
+      let probe = Obs.Coverage.ambient_probe ~sets () in
+      let root =
+        Obs.Trace.begin_span tr ~cat:"exec"
+          ~args:[ ("sched", Obs.Json.String (Shm.Schedule.name r.sched)) ]
+          "run"
+      in
+      let result =
+        Shm.Exec.run ?probe ~sched:r.sched ~inputs:r.inst.inputs ~max_steps:r.max_steps
+          r.inst.config
+      in
+      Obs.Trace.end_span tr ~args:[ ("steps", Obs.Json.Int result.Shm.Exec.steps) ] root;
+      Fmt.pr "ran %d steps (%s); registers written: %d@." result.Shm.Exec.steps
+        (stopped_name result.Shm.Exec.stopped)
+        (Obs.Coverage.num_written result.Shm.Exec.config));
+  save_chrome_trace "--out" out tr;
   Option.iter
     (fun path ->
       Cli.with_path "--jsonl" (fun () -> Obs.Trace.save_jsonl path tr);
       Fmt.pr "spans written to %s (JSONL)@." path)
     jsonl_out;
-  if stats then begin
-    if not (Obs.Prof.is_empty prof) then
-      Fmt.pr "--- phase breakdown ---@.%a@." Obs.Prof.pp prof;
-    pp_series Fmt.stdout (Obs.Trace.samples tr);
-    Fmt.pr "--- trace ---@.%a@." Obs.Trace.pp tr
-  end;
-  exit code
+  if stats then Fmt.pr "--- trace ---@.%a@." Obs.Trace.pp tr
 
 let trace_cmd =
   let sets =
@@ -233,7 +246,7 @@ let trace_cmd =
       & info [ "cov-sets" ]
           ~doc:
             "Record the covered/written register sets themselves on every write \
-             event, not just their sizes (heavier; single-run mode).")
+             event, not just their sizes (heavier).")
   in
   let out =
     Arg.(
@@ -251,15 +264,15 @@ let trace_cmd =
     Arg.(
       value & flag
       & info [ "stats" ]
-          ~doc:"Print the phase breakdown, exploration series, and span summary.")
+          ~doc:"Print the span summary.")
   in
   Cmd.v
     (Cmd.info "trace" ~exits:Cli.exits
        ~doc:
-         "Record a causal trace — spans, register-coverage timeline, the DPOR \
-          exploration span and counter tracks — and export Chrome trace-event JSON \
-          loadable in Perfetto.")
-    Term.(const trace_main $ Cli.run ~shrink:false $ sets $ out $ jsonl_out $ stats)
+         "Record a causal trace of one run — spans and the register-coverage \
+          timeline — and export Chrome trace-event JSON loadable in Perfetto.  \
+          $(b,sa_run explore --trace-out) records an exploration.")
+    Term.(const trace_main $ Cli.run $ sets $ out $ jsonl_out $ stats)
 
 (* ------------------------------------------------------------------ *)
 (* The `analyze` subcommand: static protocol analyzer (lib/analyze).   *)
@@ -310,135 +323,36 @@ let analyzer_version = Fuzz.Gen.version
 let json_document ~experiment rows =
   Obs.Json.to_pretty_string (Obs.History.document ~experiment rows) ^ "\n"
 
-(* --protocol execution: run or model-check the protocol under the
-   selected engine (free-monad interpreter or bytecode vm); both see
-   the fuzzer's input space, so the two engines' verdicts are directly
-   comparable (the vm oracle enforces run equivalence; this surface
-   makes it inspectable by hand). *)
-let run_protocol ~engine prog =
-  let r = Agreement.Runner.run_proto ~engine prog in
-  let written = r.Shm.Vm.final.Shm.Vm.written in
-  Fmt.pr "@.run (%s engine): %d steps, %s; %d register(s) written {%a}@."
-    (Agreement.Runner.engine_name engine)
-    r.Shm.Vm.steps (stopped_name r.Shm.Vm.stopped) (List.length written)
-    Fmt.(list ~sep:(any ", ") int)
-    written;
-  List.iter
-    (fun (pid, inst, v) ->
-      Fmt.pr "  p%d decides %a (instance %d)@." pid Shm.Value.pp v inst)
-    r.Shm.Vm.final.Shm.Vm.outputs
+(* The flags `analyze` and `protocol` share. *)
+let witness =
+  Arg.(value & flag & info [ "witness" ] ~doc:"Print full witness paths for every finding.")
 
-let explore_protocol ~engine ~depth prog =
-  let mc_engine = Spec.Modelcheck.Dpor { cache = true; jobs = 1 } in
-  let inputs = Agreement.Runner.proto_inputs in
-  let outcome =
-    match (engine : Agreement.Runner.engine) with
-    | Agreement.Runner.Interp ->
-      Spec.Modelcheck.run ~engine:mc_engine ~depth ~inputs
-        ~check:(Spec.Properties.check_safety ~k:1)
-        (Shm.Vm.config prog)
-    | Agreement.Runner.Vm ->
-      Spec.Modelcheck.run_vm ~engine:mc_engine ~depth ~inputs
-        ~check:(Spec.Properties.check_safety_io ~k:1)
-        prog
-  in
-  Fmt.pr "@.explore (%s engine, depth %d): %a@."
-    (Agreement.Runner.engine_name engine)
-    depth Spec.Modelcheck.pp_outcome outcome;
-  match outcome with Spec.Modelcheck.Ok_bounded _ -> () | _ -> exit 1
+let json_path =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "json" ] ~docv:"FILE"
+        ~doc:
+          "Write the rows as a BENCH-style JSON document to FILE, or to stdout \
+           after the table when FILE is $(b,-).")
 
-(* --protocol mode: run the dataflow engine (lib/analyze IR, not the
-   free-monad registry) on one first-order protocol string. *)
-let analyze_protocol ~ir ~indep ~optimize ~witness ~sarif_path ~json_path
-    ~engine ~run ~explore_depth s =
-  let prog =
-    match Analyze.Ir.parse s with
-    | Ok p -> p
-    | Error msg -> Cli.usage_error "protocol parse error: %s" msg
-  in
-  (* executing needs a protocol the engines accept; the analyses
-     below lint the others *)
-  (match Shm.Vm.validate prog with
-  | Error msg when run || explore_depth <> None ->
-    Cli.usage_error "protocol cannot run: %s" msg
-  | _ -> ());
-  (* the explorer rejects both with Invalid_argument; catch them first *)
-  (match explore_depth with
-  | Some d when d < 0 ->
-    Cli.usage_error "--explore-depth %d: depth is not a non-negative integer" d
-  | Some d when prog.Shm.Vm.n > Spec.Explore.max_procs ->
-    Cli.usage_error "--explore-depth %d: protocol n%d exceeds the DPOR limit of %d processes"
-      d prog.Shm.Vm.n Spec.Explore.max_procs
-  | _ -> ());
-  let artifact = "protocol:" ^ Analyze.Ir.to_string prog in
-  let d = Analyze.Dataflow.analyze prog in
-  Fmt.pr "%a@." Analyze.Dataflow.pp d;
-  if ir then
-    Fmt.pr "@.control-flow graph:@.%a@." Analyze.Ir.pp_cfg
-      (Analyze.Ir.cfg_of_prog prog);
-  let flow_diags = Analyze.Lint.flow d in
-  if indep then begin
-    Fmt.pr "@.independence facts: %a@." Analyze.Dataflow.pp_facts d;
-    if flow_diags = [] then Fmt.pr "no flow diagnostics@."
-    else begin
-      Fmt.pr "flow diagnostics:@.";
-      print_diags ~witness flow_diags
-    end
-  end;
-  let opt = if optimize then Some (Analyze.Optim.optimize prog) else None in
-  Option.iter (fun r -> Fmt.pr "@.%a@." Analyze.Optim.pp r) opt;
-  Option.iter
-    (fun path ->
-      Cli.write_output "--sarif" path
-        (Analyze.Sarif.to_string ~tool_version:analyzer_version
-           (List.map (fun dg -> (artifact, dg)) flow_diags)))
-    sarif_path;
-  Option.iter
-    (fun path ->
-      Cli.write_output "--json" path
-        (json_document ~experiment:"analyze-protocol"
-           [ Analyze.Report.protocol_row prog d ~flow_diags:(List.length flow_diags) opt ]))
-    json_path;
-  if run then run_protocol ~engine prog;
-  Option.iter (fun depth -> explore_protocol ~engine ~depth prog) explore_depth
+let sarif_path =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "sarif" ] ~docv:"FILE"
+        ~doc:
+          "Write the lint diagnostics as a SARIF 2.1.0 log to FILE, or to stdout \
+           after the table when FILE is $(b,-).")
 
-let analyze () algos all p max_n mutants json_path witness no_dynamic protocol ir
-    indep optimize sarif_path engine_s run explore_depth stats =
+let analyze () algos all p max_n mutants json_path witness no_dynamic sarif_path stats =
   Option.iter (Cli.check_output "--json") json_path;
   Option.iter (Cli.check_output "--sarif") sarif_path;
-  let engine =
-    Cli.lookup "engine" Agreement.Runner.engine_of_string engine_s
-      ~valid:[ "interp"; "vm" ]
+  let max_n =
+    match (max_n, all) with
+    | Some n, false -> Cli.usage_error "--max-n %d bounds the --all sweep; pass --all" n
+    | n, _ -> Option.value n ~default:6
   in
-  (* each mode's flags are usage errors in the other mode *)
-  let misplaced ~hint flags =
-    List.iter
-      (fun (set, flag, what) -> if set then Cli.usage_error "%s %s; %s" flag what hint)
-      flags
-  in
-  (match protocol with
-  | Some s ->
-    misplaced ~hint:"it does not apply to --protocol"
-      [
-        (algos <> [], "--algo", "picks registry algorithms");
-        (all, "--all", "sweeps the registry grid");
-        (mutants, "--mutants", "analyzes the seeded registry mutants");
-        (no_dynamic, "--no-dynamic", "skips the registry algorithms' concrete runs");
-        (stats, "--stats", "totals the registry sweep's abstract interpretation");
-      ];
-    analyze_protocol ~ir ~indep ~optimize ~witness ~sarif_path ~json_path
-      ~engine ~run ~explore_depth s;
-    exit 0
-  | None ->
-    misplaced ~hint:"pass one with --protocol"
-      [
-        (optimize, "--optimize", "rewrites first-order protocols");
-        (ir, "--ir", "prints a first-order protocol's control-flow graph");
-        (indep, "--indep", "prints a first-order protocol's dataflow facts");
-        ( run || explore_depth <> None,
-          "--run/--explore-depth",
-          "execute first-order protocols" );
-      ]);
   List.iter
     (fun a -> ignore (Cli.lookup "algorithm" Analyze.Registry.find a ~valid:Analyze.Registry.names))
     algos;
@@ -531,7 +445,7 @@ let analyze_cmd =
                 < n) instead of one triple.")
   in
   let max_n =
-    Arg.(value & opt int 6 & info [ "max-n" ] ~doc:"Grid limit for --all.")
+    Arg.(value & opt (some ~none:"6" int) None & info [ "max-n" ] ~doc:"Grid limit for --all.")
   in
   let mutants =
     Arg.(
@@ -540,99 +454,11 @@ let analyze_cmd =
           ~doc:"Also analyze the seeded broken protocols; exit 1 unless every \
                 one is rejected.")
   in
-  let json_path =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Write the rows as a BENCH-style JSON document to FILE, or to stdout \
-             after the table when FILE is $(b,-).")
-  in
-  let witness =
-    Arg.(
-      value & flag
-      & info [ "witness" ] ~doc:"Print full witness paths for every finding.")
-  in
   let no_dynamic =
     Arg.(
       value & flag
       & info [ "no-dynamic" ]
           ~doc:"Skip the concrete runs; static analysis and lints only.")
-  in
-  let protocol =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "protocol" ] ~docv:"PROG"
-          ~doc:
-            "Analyze a first-order protocol string (the fuzz generator's \
-             compact form, e.g. 'r2 n2 : R0; W1<-in; D last') with the \
-             dataflow engine instead of the registry algorithms.")
-  in
-  let ir =
-    Arg.(
-      value & flag
-      & info [ "ir" ]
-          ~doc:
-            "Print the protocol's control-flow graph (its program points \
-             and successors).  Requires --protocol.")
-  in
-  let indep =
-    Arg.(
-      value & flag
-      & info [ "indep" ]
-          ~doc:
-            "Print the protocol's dataflow facts (constant and dead \
-             registers, redundant scans) and its flow/* diagnostics.  These \
-             are diagnostics: the DPOR independence relation is decided at \
-             run time and reads none of them.  Requires --protocol.")
-  in
-  let optimize =
-    Arg.(
-      value & flag
-      & info [ "optimize" ]
-          ~doc:
-            "Rewrite the protocol (dead-register write elimination, constant \
-             folding, redundant-scan collapse) and print the edit list.  \
-             Requires --protocol.")
-  in
-  let sarif_path =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "sarif" ] ~docv:"FILE"
-          ~doc:
-            "Write the lint diagnostics as a SARIF 2.1.0 log to FILE, or to stdout \
-             after the table when FILE is $(b,-).")
-  in
-  let engine =
-    Arg.(
-      value & opt string "interp"
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Execution engine for --run/--explore-depth: $(b,interp) (the \
-             free-monad reference interpreter) or $(b,vm) (the bytecode \
-             engine, see docs/PERFORMANCE.md).  Requires --protocol.")
-  in
-  let run =
-    Arg.(
-      value & flag
-      & info [ "run" ]
-          ~doc:
-            "Also execute the protocol (round-robin schedule, the fuzzer's \
-             input space) under --engine and print steps, written registers \
-             and decisions.  Requires --protocol.")
-  in
-  let explore_depth =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "explore-depth" ] ~docv:"DEPTH"
-          ~doc:
-            "Also model-check the protocol (DPOR, 1-agreement safety) to \
-             DEPTH scheduler steps under --engine; exits 1 on a violation.  \
-             Requires --protocol.")
   in
   let stats =
     Arg.(
@@ -648,97 +474,274 @@ let analyze_cmd =
        ~doc:
          "Statically analyze the algorithms: abstract-interpretation register \
           footprints checked against the paper bounds and against dynamically \
-          measured registers, plus well-formedness and anonymity lints.  With \
-          --protocol, run the dataflow engine ($(b,last) value sets, \
-          $(b,last)-liveness, register value sets) on a first-order protocol \
-          instead.  Exits 1 on any violation.")
+          measured registers, plus well-formedness and anonymity lints.  \
+          $(b,sa_run protocol) analyzes a first-order protocol instead.  Exits 1 \
+          on any violation.")
     Term.(
       const analyze $ Cli.memory_backend $ algos $ all $ Cli.nmk ~n:4 ~m:1 ~k:2 () $ max_n
-      $ mutants
-      $ json_path $ witness $ no_dynamic $ protocol $ ir $ indep $ optimize
-      $ sarif_path $ engine $ run $ explore_depth $ stats)
+      $ mutants $ json_path $ witness $ no_dynamic $ sarif_path $ stats)
+
+(* ------------------------------------------------------------------ *)
+(* The `protocol` subcommand: the dataflow engine (lib/analyze IR, not
+   the free-monad registry) on one first-order protocol string, and
+   optionally one run or a model check of it. *)
+
+(* Run or model-check the protocol under the selected engine
+   (free-monad interpreter or bytecode vm); both see the fuzzer's input
+   space, so the two engines' verdicts are directly comparable (the vm
+   oracle enforces run equivalence; this surface makes it inspectable
+   by hand). *)
+let run_protocol ~engine prog =
+  let r = Agreement.Runner.run_proto ~engine prog in
+  let written = r.Shm.Vm.final.Shm.Vm.written in
+  Fmt.pr "@.run (%s engine): %d steps, %s; %d register(s) written {%a}@."
+    (Agreement.Runner.engine_name engine)
+    r.Shm.Vm.steps (stopped_name r.Shm.Vm.stopped) (List.length written)
+    Fmt.(list ~sep:(any ", ") int)
+    written;
+  List.iter
+    (fun (pid, inst, v) ->
+      Fmt.pr "  p%d decides %a (instance %d)@." pid Shm.Value.pp v inst)
+    r.Shm.Vm.final.Shm.Vm.outputs
+
+let explore_protocol ~engine ~depth prog =
+  let mc_engine = Spec.Modelcheck.Dpor { cache = true; jobs = 1 } in
+  let inputs = Agreement.Runner.proto_inputs in
+  let outcome =
+    match (engine : Agreement.Runner.engine) with
+    | Agreement.Runner.Interp ->
+      Spec.Modelcheck.run ~engine:mc_engine ~depth ~inputs
+        ~check:(Spec.Properties.check_safety ~k:1)
+        (Shm.Vm.config prog)
+    | Agreement.Runner.Vm ->
+      Spec.Modelcheck.run_vm ~engine:mc_engine ~depth ~inputs
+        ~check:(Spec.Properties.check_safety_io ~k:1)
+        prog
+  in
+  Fmt.pr "@.explore (%s engine, depth %d): %a@."
+    (Agreement.Runner.engine_name engine)
+    depth Spec.Modelcheck.pp_outcome outcome;
+  match outcome with Spec.Modelcheck.Ok_bounded _ -> () | _ -> exit 1
+
+let protocol () s ir indep optimize witness sarif_path json_path engine_s run explore_depth =
+  Option.iter (Cli.check_output "--json") json_path;
+  Option.iter (Cli.check_output "--sarif") sarif_path;
+  let engine =
+    match engine_s with
+    | Some e when not (run || explore_depth <> None) ->
+      Cli.usage_error "--engine %s: runs nothing without --run or --explore-depth" e
+    | e ->
+      Cli.lookup "engine" Agreement.Runner.engine_of_string
+        (Option.value e ~default:"interp")
+        ~valid:[ "interp"; "vm" ]
+  in
+  let prog =
+    match Analyze.Ir.parse s with
+    | Ok p -> p
+    | Error msg -> Cli.usage_error "protocol parse error: %s" msg
+  in
+  (* executing needs a protocol the engines accept; the analyses
+     below lint the others *)
+  (match Shm.Vm.validate prog with
+  | Error msg when run || explore_depth <> None ->
+    Cli.usage_error "protocol cannot run: %s" msg
+  | _ -> ());
+  (* the explorer rejects both with Invalid_argument; catch them first *)
+  (match explore_depth with
+  | Some d when d < 0 ->
+    Cli.usage_error "--explore-depth %d: depth is not a non-negative integer" d
+  | Some d when prog.Shm.Vm.n > Spec.Explore.max_procs ->
+    Cli.usage_error "--explore-depth %d: protocol n%d exceeds the DPOR limit of %d processes"
+      d prog.Shm.Vm.n Spec.Explore.max_procs
+  | _ -> ());
+  let artifact = "protocol:" ^ Analyze.Ir.to_string prog in
+  let d = Analyze.Dataflow.analyze prog in
+  Fmt.pr "%a@." Analyze.Dataflow.pp d;
+  if ir then
+    Fmt.pr "@.control-flow graph:@.%a@." Analyze.Ir.pp_cfg
+      (Analyze.Ir.cfg_of_prog prog);
+  let flow_diags = Analyze.Lint.flow d in
+  if indep then begin
+    Fmt.pr "@.independence facts: %a@." Analyze.Dataflow.pp_facts d;
+    if flow_diags = [] then Fmt.pr "no flow diagnostics@."
+    else begin
+      Fmt.pr "flow diagnostics:@.";
+      print_diags ~witness flow_diags
+    end
+  end;
+  let opt = if optimize then Some (Analyze.Optim.optimize prog) else None in
+  Option.iter (fun r -> Fmt.pr "@.%a@." Analyze.Optim.pp r) opt;
+  Option.iter
+    (fun path ->
+      Cli.write_output "--sarif" path
+        (Analyze.Sarif.to_string ~tool_version:analyzer_version
+           (List.map (fun dg -> (artifact, dg)) flow_diags)))
+    sarif_path;
+  Option.iter
+    (fun path ->
+      Cli.write_output "--json" path
+        (json_document ~experiment:"analyze-protocol"
+           [ Analyze.Report.protocol_row prog d ~flow_diags:(List.length flow_diags) opt ]))
+    json_path;
+  if run then run_protocol ~engine prog;
+  Option.iter (fun depth -> explore_protocol ~engine ~depth prog) explore_depth
+
+let protocol_cmd =
+  let prog =
+    Arg.(
+      required
+      & pos 0 (some string) None
+      & info [] ~docv:"PROG"
+          ~doc:
+            "A first-order protocol string (the fuzz generator's compact form, e.g. \
+             'r2 n2 : R0; W1<-in; D last').")
+  in
+  let ir =
+    Arg.(
+      value & flag
+      & info [ "ir" ]
+          ~doc:"Print the protocol's control-flow graph (its program points and successors).")
+  in
+  let indep =
+    Arg.(
+      value & flag
+      & info [ "indep" ]
+          ~doc:
+            "Print the protocol's dataflow facts (constant and dead \
+             registers, redundant scans) and its flow/* diagnostics.  These \
+             are diagnostics: the DPOR independence relation is decided at \
+             run time and reads none of them.")
+  in
+  let optimize =
+    Arg.(
+      value & flag
+      & info [ "optimize" ]
+          ~doc:
+            "Rewrite the protocol (dead-register write elimination, constant \
+             folding, redundant-scan collapse) and print the edit list.")
+  in
+  let engine =
+    Arg.(
+      value
+      & opt (some ~none:"interp" string) None
+      & info [ "engine" ] ~docv:"ENGINE"
+          ~doc:
+            "Execution engine for --run/--explore-depth: $(b,interp) (the \
+             free-monad reference interpreter) or $(b,vm) (the bytecode \
+             engine, see docs/PERFORMANCE.md).")
+  in
+  let run =
+    Arg.(
+      value & flag
+      & info [ "run" ]
+          ~doc:
+            "Also execute the protocol (round-robin schedule, the fuzzer's \
+             input space) under --engine and print steps, written registers \
+             and decisions.")
+  in
+  let explore_depth =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "explore-depth" ] ~docv:"DEPTH"
+          ~doc:
+            "Also model-check the protocol (DPOR, 1-agreement safety) to \
+             DEPTH scheduler steps under --engine; exits 1 on a violation.")
+  in
+  Cmd.v
+    (Cmd.info "protocol" ~exits:Cli.exits
+       ~doc:
+         "Analyze a first-order protocol with the dataflow engine ($(b,last) value \
+          sets, $(b,last)-liveness, register value sets), and optionally run or \
+          model-check it.  Exits 1 if the model check finds a violation.")
+    Term.(
+      const protocol $ Cli.memory_backend $ prog $ ir $ indep $ optimize $ witness
+      $ sarif_path $ json_path $ engine $ run $ explore_depth)
 
 (* ------------------------------------------------------------------ *)
 (* The `conform` subcommand: native conformance harness (lib/conform). *)
 
-let conform obj (domains, m, k) components ops chaos seed iters mutant stats =
-  let profile =
-    Cli.lookup "chaos profile" Conform.Chaos.profile_of_string chaos
-      ~valid:(List.map Conform.Chaos.profile_name Conform.Chaos.all_profiles)
+let chaos_profile chaos =
+  Cli.lookup "chaos profile" Conform.Chaos.profile_of_string chaos
+    ~valid:(List.map Conform.Chaos.profile_name Conform.Chaos.all_profiles)
+
+(* Print the conform.* metrics under --stats, then exit. *)
+let conform_finish ~stats metrics code =
+  if stats then Fmt.pr "--- metrics ---@.%a@." Obs.Metrics.pp metrics;
+  exit code
+
+let conform_snapshot domains components ops mutant (chaos, seed, iters, stats) =
+  let profile = chaos_profile chaos in
+  let sut =
+    match mutant with
+    | None -> Conform.Sut.real
+    | Some name ->
+      Cli.lookup "implementation" Conform.Sut.by_name name
+        ~valid:(List.map (fun s -> s.Conform.Sut.name) Conform.Sut.all)
   in
   let metrics = Obs.Metrics.create () in
-  let finish code =
-    if stats then Fmt.pr "--- metrics ---@.%a@." Obs.Metrics.pp metrics;
-    exit code
-  in
-  match obj with
-  | `Snapshot -> (
-    let sut =
-      match mutant with
-      | None -> Conform.Sut.real
-      | Some name ->
-        Cli.lookup "implementation" Conform.Sut.by_name name
-          ~valid:(List.map (fun s -> s.Conform.Sut.name) Conform.Sut.all)
-    in
-    let cfg = { Conform.Harness.domains; components; ops; profile; seed; iters } in
-    Fmt.pr "object: snapshot (%s), %d domains x %d ops, %d components, chaos %s, seed %d, \
-            %d iterations@."
-      sut.Conform.Sut.name domains ops components
+  let cfg = { Conform.Harness.domains; components; ops; profile; seed; iters } in
+  Fmt.pr "object: snapshot (%s), %d domains x %d ops, %d components, chaos %s, seed %d, \
+          %d iterations@."
+    sut.Conform.Sut.name domains ops components
+    (Conform.Chaos.profile_name profile)
+    seed iters;
+  let outcome = Conform.Harness.run_snapshot ~metrics ~sut cfg in
+  Fmt.pr "%a@." Conform.Harness.pp_outcome outcome;
+  match outcome with
+  | Conform.Harness.Pass _ -> conform_finish ~stats metrics 0
+  | Conform.Harness.Fail v ->
+    (* the seed pins the workload and chaos plan, but the physical
+       race still needs retries: give the replay a few dozen
+       iterations (sub-second) rather than promising one-shot
+       reproduction of a timing-dependent failure *)
+    Fmt.pr "replay: sa_run conform snapshot%s --domains %d --components %d --ops %d \
+            --chaos %s --seed %d --iters 40@."
+      (match mutant with Some mu -> " --mutant " ^ mu | None -> "")
+      domains components ops
       (Conform.Chaos.profile_name profile)
-      seed iters;
-    let outcome = Conform.Harness.run_snapshot ~metrics ~sut cfg in
-    Fmt.pr "%a@." Conform.Harness.pp_outcome outcome;
-    match outcome with
-    | Conform.Harness.Pass _ -> finish 0
-    | Conform.Harness.Fail v ->
-      (* the seed pins the workload and chaos plan, but the physical
-         race still needs retries: give the replay a few dozen
-         iterations (sub-second) rather than promising one-shot
-         reproduction of a timing-dependent failure *)
-      Fmt.pr "replay: sa_run conform --object snapshot%s --domains %d --components %d \
-              --ops %d --chaos %s --seed %d --iters 40@."
-        (match mutant with Some mu -> " --mutant " ^ mu | None -> "")
-        domains components ops
-        (Conform.Chaos.profile_name profile)
-        v.Conform.Harness.iter_seed;
-      finish 1)
-  | `Agreement -> (
-    if mutant <> None then Cli.usage_error "--mutant applies to --object snapshot only";
-    let params = Cli.params ~n:domains ~m ~k in
-    Fmt.pr "object: agreement (Fig. 3 native, %s), chaos %s, seed %d, %d instances@."
-      (Agreement.Params.to_string params)
-      (Conform.Chaos.profile_name profile)
-      seed iters;
-    let outcome =
-      Conform.Harness.run_agreement ~metrics ~params ~profile ~seed ~iters ()
-    in
-    Fmt.pr "%a@." Conform.Harness.pp_agreement_outcome outcome;
-    match outcome with
-    | Conform.Harness.Agree_pass _ -> finish 0
-    | Conform.Harness.Agree_fail _ -> finish 1)
+      v.Conform.Harness.iter_seed;
+    conform_finish ~stats metrics 1
+
+let conform_agreement params (chaos, seed, iters, stats) =
+  let profile = chaos_profile chaos in
+  let metrics = Obs.Metrics.create () in
+  Fmt.pr "object: agreement (Fig. 3 native, %s), chaos %s, seed %d, %d instances@."
+    (Agreement.Params.to_string params)
+    (Conform.Chaos.profile_name profile)
+    seed iters;
+  let outcome = Conform.Harness.run_agreement ~metrics ~params ~profile ~seed ~iters () in
+  Fmt.pr "%a@." Conform.Harness.pp_agreement_outcome outcome;
+  match outcome with
+  | Conform.Harness.Agree_pass _ -> conform_finish ~stats metrics 0
+  | Conform.Harness.Agree_fail _ -> conform_finish ~stats metrics 1
 
 let conform_cmd =
-  let obj =
-    Arg.(
-      value
-      & opt (enum [ ("snapshot", `Snapshot); ("agreement", `Agreement) ]) `Snapshot
-      & info [ "object" ] ~doc:"Object to audit: snapshot | agreement.")
+  let domains =
+    Arg.(value & opt int 4 & info [ "domains" ] ~doc:"OCaml domains (= processes).")
+  in
+  (* the flags both objects take *)
+  let common =
+    let chaos =
+      Arg.(
+        value & opt string "calm"
+        & info [ "chaos" ]
+            ~doc:"Chaos profile: calm | yields | stalls | crashes | mixed.")
+    in
+    let seed = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Base seed (replayable).") in
+    let iters =
+      Arg.(value & opt int 100 & info [ "iters" ] ~doc:"Iterations (fresh object each).")
+    in
+    let stats =
+      Arg.(value & flag & info [ "stats" ] ~doc:"Print the conform.* metrics registry.")
+    in
+    Term.(const (fun c s i st -> (c, s, i, st)) $ chaos $ seed $ iters $ stats)
   in
   let components =
     Arg.(value & opt int 4 & info [ "components" ] ~doc:"Snapshot components.")
   in
   let ops =
     Arg.(value & opt int 12 & info [ "ops" ] ~doc:"Operations per domain per iteration.")
-  in
-  let chaos =
-    Arg.(
-      value & opt string "calm"
-      & info [ "chaos" ]
-          ~doc:"Chaos profile: calm | yields | stalls | crashes | mixed.")
-  in
-  let seed = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Base seed (replayable).") in
-  let iters =
-    Arg.(value & opt int 100 & info [ "iters" ] ~doc:"Iterations (fresh object each).")
   in
   let mutant =
     Arg.(
@@ -749,20 +752,29 @@ let conform_cmd =
             "Audit a deliberately broken snapshot instead of the real one: \
              single-collect | torn-update.  The harness must reject it.")
   in
-  let stats =
-    Arg.(value & flag & info [ "stats" ] ~doc:"Print the conform.* metrics registry.")
+  let snapshot =
+    Cmd.v
+      (Cmd.info "snapshot" ~exits:Cli.exits
+         ~doc:
+           "Audit the native atomic snapshot: real histories checked for real-time \
+            linearizability, failures shrunk to 1-minimal witnesses with a replay line.")
+      Term.(const conform_snapshot $ domains $ components $ ops $ mutant $ common)
   in
-  Cmd.v
+  let agreement =
+    Cmd.v
+      (Cmd.info "agreement" ~exits:Cli.exits
+         ~doc:
+           "Audit native Figure 3 set agreement: validity and k-agreement over fresh \
+            instances, one process per domain.")
+      Term.(const conform_agreement $ Cli.nmk_of domains ~m:1 ~k:2 $ common)
+  in
+  Cmd.group
     (Cmd.info "conform" ~exits:Cli.exits
        ~doc:
          "Audit the native multicore layer: capture real histories, check real-time \
           linearizability (chaos injection, crash-pending completion), shrink failures \
           to 1-minimal witnesses")
-    Term.(
-      const conform $ obj
-      $ Cli.nmk_args ~n_names:[ "domains" ] ~n_doc:"OCaml domains (= processes)."
-          ~scope:" (agreement)" ~n:4 ~m:1 ~k:2 ()
-      $ components $ ops $ chaos $ seed $ iters $ mutant $ stats)
+    [ snapshot; agreement ]
 
 (* ------------------------------------------------------------------ *)
 (* The `serve` subcommand: sharded batched serving layer (lib/service). *)
@@ -790,11 +802,11 @@ let serve () shards clients ops keys theta seed app_name batch window params
     shards
     (Agreement.Params.to_string params)
     app.Service.App.name clients ops theta seed;
-  let tr = Option.map (fun _ -> Obs.Trace.create ()) trace_out in
+  let traced = Option.map (fun path -> (path, Obs.Trace.create ())) trace_out in
   let report =
-    match tr with
+    match traced with
     | None -> Service.Loadgen.run server cfg
-    | Some tr -> Obs.Trace.with_attached tr (fun () -> Service.Loadgen.run server cfg)
+    | Some (_, tr) -> Obs.Trace.with_attached tr (fun () -> Service.Loadgen.run server cfg)
   in
   Fmt.pr "committed %d commands in %.1f ms: %.0f cmds/s, p50 %.1f us, p99 %.1f us, \
           %d backpressure stalls@."
@@ -816,11 +828,7 @@ let serve () shards clients ops keys theta seed app_name batch window params
           s.Service.Shard.steps s.Service.Shard.registers s.Service.Shard.alive
           (if s.Service.Shard.stuck then " [stuck]" else ""))
       (Service.Server.stats server);
-  (match (trace_out, tr) with
-  | Some out, Some tr ->
-    Cli.with_path "--trace-out" (fun () -> Obs.Chrome_trace.save out tr);
-    Fmt.pr "chrome trace written to %s (open in https://ui.perfetto.dev)@." out
-  | _ -> ());
+  Option.iter (fun (path, tr) -> save_chrome_trace "--trace-out" path tr) traced;
   match Service.Server.verdict server with
   | Ok () ->
     Fmt.pr "verdict: ok (every shard passes validity + %d-agreement%s)@." k
@@ -923,6 +931,8 @@ let fig1_cmd =
 (* The `fuzz` subcommand: coverage-guided differential fuzzing of the
    simulator stack (lib/fuzz). *)
 
+let oracle_names = List.map Fuzz.Oracle.name Fuzz.Oracle.all @ [ "all" ]
+
 let fuzz_one ~budget ~seed ~replay ~corpus_out oracle =
   Option.iter
     (fun (path, seeds) ->
@@ -946,7 +956,7 @@ let fuzz_one ~budget ~seed ~replay ~corpus_out oracle =
     Fmt.pr "%a@." Fuzz.Driver.pp_witness w;
     false
 
-let fuzz oracle_s budget seed corpus_in corpus_out mutants =
+let fuzz oracle_s budget seed corpus_in corpus_out =
   Option.iter (Cli.check_output "--corpus-out") corpus_out;
   let replay =
     Option.map
@@ -956,29 +966,27 @@ let fuzz oracle_s budget seed corpus_in corpus_out mutants =
         | Error e -> Cli.usage_error "--corpus-in: %s" e)
       corpus_in
   in
-  if mutants then begin
-    let results = Fuzz.Oracle.mutant_sweep ~budget ~seed in
-    let ok =
-      List.fold_left
-        (fun ok (r : Fuzz.Oracle.mutant_result) ->
-          Fmt.pr "%-28s %s  %s@." r.Fuzz.Oracle.mutant
-            (if r.Fuzz.Oracle.caught then "caught " else "MISSED ")
-            r.Fuzz.Oracle.detail;
-          ok && r.Fuzz.Oracle.caught)
-        true results
-    in
-    exit (if ok then 0 else 1)
-  end;
   let oracles =
     if String.lowercase_ascii oracle_s = "all" then Fuzz.Oracle.all
-    else
-      [ Cli.lookup "oracle" Fuzz.Oracle.of_string oracle_s
-          ~valid:("all" :: List.map Fuzz.Oracle.name Fuzz.Oracle.all) ]
+    else [ Cli.lookup "oracle" Fuzz.Oracle.of_string oracle_s ~valid:oracle_names ]
   in
   let ok =
     List.fold_left
       (fun ok o -> fuzz_one ~budget ~seed ~replay ~corpus_out o && ok)
       true oracles
+  in
+  exit (if ok then 0 else 1)
+
+let fuzz_mutants budget seed =
+  let results = Fuzz.Oracle.mutant_sweep ~budget ~seed in
+  let ok =
+    List.fold_left
+      (fun ok (r : Fuzz.Oracle.mutant_result) ->
+        Fmt.pr "%-28s %s  %s@." r.Fuzz.Oracle.mutant
+          (if r.Fuzz.Oracle.caught then "caught " else "MISSED ")
+          r.Fuzz.Oracle.detail;
+        ok && r.Fuzz.Oracle.caught)
+      true results
   in
   exit (if ok then 0 else 1)
 
@@ -988,8 +996,8 @@ let fuzz_cmd =
       value & opt string "all"
       & info [ "oracle" ]
           ~doc:
-            "Differential oracle to judge inputs with: analyzer | backend | \
-             linearize | determinism | indep | optim | all.")
+            ("Differential oracle to judge inputs with: "
+            ^ String.concat " | " oracle_names ^ "."))
   in
   let budget =
     Arg.(
@@ -1024,21 +1032,23 @@ let fuzz_cmd =
           ~doc:"Write the final corpus (credit | program | schedule) to FILE.")
   in
   let mutants =
-    Arg.(
-      value & flag
-      & info [ "mutants" ]
-          ~doc:
-            "Run the seeded-mutant regression sweep instead of fuzzing: every \
-             analyzer and conformance mutant must be caught within the budget.")
+    Cmd.v
+      (Cmd.info "mutants" ~exits:Cli.exits
+         ~doc:
+           "Run the seeded-mutant regression sweep instead of fuzzing: every \
+            analyzer and conformance mutant must be caught within the budget.  \
+            Exits 1 if one is missed.")
+      Term.(const fuzz_mutants $ budget $ seed)
   in
-  Cmd.v
+  Cmd.group
+    ~default:Term.(const fuzz $ oracle $ budget $ seed $ corpus_in $ corpus_out)
     (Cmd.info "fuzz" ~exits:Cli.exits
        ~doc:
          "Coverage-guided differential fuzzing of the simulator stack: random \
           protocols + schedules, coverage feedback from state keys and analyzer \
           footprints, and joint 1-minimal shrinking of any divergence.  Exits 1 \
           with a replayable witness on divergence.")
-    Term.(const fuzz $ oracle $ budget $ seed $ corpus_in $ corpus_out $ mutants)
+    [ mutants ]
 
 let cmd =
   let trace = Arg.(value & flag & info [ "trace"; "t" ] ~doc:"Print the full trace.") in
@@ -1056,11 +1066,14 @@ let cmd =
           ~doc:"Stream the event trace to $(docv) as JSONL, one event per line.")
   in
   Cmd.group
-    ~default:Term.(const run $ Cli.run ~shrink:true $ trace $ diagram $ stats $ trace_out)
+    ~default:Term.(const run $ Cli.run $ trace $ diagram $ stats $ trace_out)
     (Cmd.info "sa_run" ~exits:Cli.exits
        ~doc:
-         "Run m-obstruction-free k-set agreement in the simulator, or audit the native \
-          layer with `conform'")
-    [ conform_cmd; analyze_cmd; trace_cmd; serve_cmd; fuzz_cmd; fig1_cmd ]
+         "Run m-obstruction-free k-set agreement in the simulator, model-check it with \
+          `explore', or audit the native layer with `conform'")
+    [
+      explore_cmd; protocol_cmd; conform_cmd; analyze_cmd; trace_cmd; serve_cmd; fuzz_cmd;
+      fig1_cmd;
+    ]
 
 let () = exit (match Cmd.eval cmd with c when c = Cmd.Exit.cli_error -> 2 | c -> c)
