@@ -66,18 +66,28 @@ let write_output flag ?(note = "") path s =
 let params ~n ~m ~k =
   try Agreement.Params.make ~n ~m ~k with Invalid_argument msg -> usage_error "%s" msg
 
-(* The triple with [n] read by the term [n] (conform agreement names it
-   --domains). *)
-let nmk_of n ~m ~k =
-  let int names default doc = Arg.(value & opt int default & info names ~doc) in
+(* The triple, and whether any of its flags was given: [n] is the term
+   for n and whether it was given (conform agreement names it
+   --domains); -m and -k read None when absent. *)
+let nmk_given n ~m ~k =
+  let int names default doc =
+    Arg.(value & opt (some ~none:(string_of_int default) int) None & info names ~doc)
+  in
   Term.(
-    const (fun n m k -> params ~n ~m ~k)
+    const (fun (n, n_given) m' k' ->
+        ( n_given || m' <> None || k' <> None,
+          params ~n ~m:(Option.value m' ~default:m) ~k:(Option.value k' ~default:k) ))
     $ n
     $ int [ "m" ] m "Obstruction bound."
     $ int [ "k" ] k "Agreement bound.")
 
-let nmk ?(n_doc = "Number of processes.") ~n ~m ~k () =
-  nmk_of Arg.(value & opt int n & info [ "n" ] ~doc:n_doc) ~m ~k
+let nmk_of n ~m ~k = Term.(const snd $ nmk_given (const (fun n -> (n, false)) $ n) ~m ~k)
+
+let nmk_flags ?(n_doc = "Number of processes.") ~n ~m ~k () =
+  let n_arg = Arg.(value & opt (some ~none:(string_of_int n) int) None & info [ "n" ] ~doc:n_doc) in
+  nmk_given Term.(const (fun o -> (Option.value o ~default:n, o <> None)) $ n_arg) ~m ~k
+
+let nmk ?n_doc ~n ~m ~k () = Term.(const snd $ nmk_flags ?n_doc ~n ~m ~k ())
 
 (* ------------------------------------------------------------------ *)
 (* --memory-backend: applies process-wide, before any configuration is
@@ -305,3 +315,54 @@ let explore =
         & pos 0 (some string) None
         & info [] ~docv:"ENGINE:DEPTH"
             ~doc:("Engine and depth bound: " ^ String.concat " | " explore_specs ^ ".")))
+
+(* ------------------------------------------------------------------ *)
+(* Observability: --stats, and on the commands that record spans
+   --trace-out.  A trace collector is attached when either is given;
+   --trace-out writes it as a Chrome trace, and --stats prints its span
+   summary before the command's own table. *)
+
+let stats =
+  Arg.(
+    value & flag
+    & info [ "stats" ]
+        ~doc:
+          "After the output, print the span summary (on the commands that take \
+           $(b,--trace-out)), then the command's own statistics.")
+
+type obs = { stats : bool; trace_out : string option; trace : Obs.Trace.t option }
+
+let obs =
+  let trace_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace-out" ] ~docv:"FILE"
+          ~doc:
+            "Write the recorded spans, instants and counter tracks to $(docv) as a \
+             Chrome trace-event file (load at ui.perfetto.dev): a run's $(b,run) span \
+             and register-coverage tracks, $(b,explore)'s span and exploration \
+             tracks, $(b,serve)'s per-slot spans.")
+  in
+  let make stats trace_out =
+    Option.iter (check_output "--trace-out") trace_out;
+    let trace = if stats || trace_out <> None then Some (Obs.Trace.create ()) else None in
+    { stats; trace_out; trace }
+  in
+  Term.(const make $ stats $ trace_out)
+
+(* [f ()] with the collector, if any, attached. *)
+let observe o f = match o.trace with None -> f () | Some tr -> Obs.Trace.with_attached tr f
+
+(* Called after the command's output and before its own --stats table:
+   writes the Chrome trace and prints the span summary. *)
+let report o =
+  Option.iter
+    (fun tr ->
+      Option.iter
+        (fun path ->
+          with_path "--trace-out" (fun () -> Obs.Chrome_trace.save path tr);
+          Fmt.pr "chrome trace written to %s (open in https://ui.perfetto.dev)@." path)
+        o.trace_out;
+      if o.stats then Fmt.pr "%a@." Obs.Trace.pp tr)
+    o.trace

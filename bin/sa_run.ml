@@ -8,7 +8,8 @@
      sa_run -n 5 -m 1 -k 2
      sa_run -n 5 -m 2 -k 3 --algo repeated --rounds 4 --sched random:7
      sa_run -n 4 -m 1 -k 2 --algo anonymous --impl collect --trace
-     sa_run -n 6 -m 2 -k 3 --sched m-bounded:7:2 --stats --trace-out t.jsonl
+     sa_run -n 6 -m 2 -k 3 --sched m-bounded:7:2 --stats --trace-out run.json
+     sa_run -n 6 -m 2 -k 3 --sched m-bounded:7:2 --events run.jsonl
      sa_run explore dpor:10 -n 3 -m 1 -k 1
      sa_run explore dpor:14 -n 3 -m 1 -k 1 --registers 3 --shrink
      sa_run explore dpor:12 -n 3 -m 1 -k 1 --stats --trace-out dpor.json
@@ -19,10 +20,6 @@
      sa_run conform agreement --domains 4 -m 2 -k 2 --chaos crashes *)
 
 open Cmdliner
-
-let save_chrome_trace flag path tr =
-  Cli.with_path flag (fun () -> Obs.Chrome_trace.save path tr);
-  Fmt.pr "chrome trace written to %s (open in https://ui.perfetto.dev)@." path
 
 (* The exploration series, read back from the trace: a [nodes] sample
    and the [frontier], [cache hits] and [sleep hits] samples Explore
@@ -48,25 +45,20 @@ let pp_series ppf samples =
     Fmt.pf ppf "%d samples@." (List.length rows)
 
 (* The `explore` command: model-check the configured instance over all
-   schedules up to the depth bound.  --trace-out records the DPOR
-   explore span and the exploration counter tracks as Chrome
-   trace-event JSON. *)
-let explore_main ((inst : Cli.instance), (e : Cli.explore)) shrink stats trace_out =
-  Option.iter (Cli.check_output "--trace-out") trace_out;
+   schedules up to the depth bound.  The trace holds the DPOR explore
+   span and the exploration counter tracks. *)
+let explore_main ((inst : Cli.instance), (e : Cli.explore)) shrink (o : Cli.obs) =
   let check = Spec.Properties.check_safety ~k:inst.params.Agreement.Params.k in
   let metrics = Obs.Metrics.create () in
   (* profile only under --stats: phase attribution costs two clock
      reads per phase per node, which we don't charge to plain runs *)
-  let prof = if stats then Some (Obs.Prof.create ()) else None in
-  let traced = Option.map (fun path -> (path, Obs.Trace.create ())) trace_out in
+  let prof = if o.stats then Some (Obs.Prof.create ()) else None in
   let t0 = Obs.Trace.now_ns () in
   let explore () =
     Spec.Modelcheck.run ~engine:e.engine ~depth:e.depth ~inputs:inst.inputs ~metrics ?prof
       ~check inst.config
   in
-  let outcome =
-    match traced with None -> explore () | Some (_, tr) -> Obs.Trace.with_attached tr explore
-  in
+  let outcome = Cli.observe o explore in
   let wall = float_of_int (Obs.Trace.now_ns () - t0) /. 1e9 in
   let s = Spec.Modelcheck.stats_of outcome in
   Fmt.pr "engine: %s, depth bound: %d@." (Spec.Modelcheck.engine_name e.engine) e.depth;
@@ -95,18 +87,14 @@ let explore_main ((inst : Cli.instance), (e : Cli.explore)) shrink stats trace_o
       | Some r -> Fmt.pr "%a@." Spec.Shrink.pp_result r
       | None -> Fmt.pr "shrink: counterexample did not reproduce under replay@."
     end);
-  Option.iter (fun (path, tr) -> save_chrome_trace "--trace-out" path tr) traced;
-  if stats then begin
+  Cli.report o;
+  if o.stats then begin
     Fmt.pr "--- metrics ---@.%a@." Obs.Metrics.pp metrics;
     (match prof with
     | Some p when not (Obs.Prof.is_empty p) ->
       Fmt.pr "--- phase breakdown ---@.%a@." Obs.Prof.pp p
     | _ -> ());
-    Option.iter
-      (fun (_, tr) ->
-        pp_series Fmt.stdout (Obs.Trace.samples tr);
-        Fmt.pr "--- trace ---@.%a@." Obs.Trace.pp tr)
-      traced
+    Option.iter (fun tr -> pp_series Fmt.stdout (Obs.Trace.samples tr)) o.trace
   end;
   match outcome with Spec.Modelcheck.Ok_bounded _ -> () | _ -> exit 1
 
@@ -116,42 +104,31 @@ let explore_cmd =
       value & flag
       & info [ "shrink" ] ~doc:"Minimize the counterexample schedule before printing.")
   in
-  let stats =
-    Arg.(
-      value & flag
-      & info [ "stats" ]
-          ~doc:
-            "Print the explore.* metrics and the phase breakdown; with $(b,--trace-out), \
-             also the exploration series and the span summary.")
-  in
-  let trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Record the DPOR explore span and the exploration counter tracks and write \
-             them as a Chrome trace-event file (load at ui.perfetto.dev).")
-  in
   Cmd.v
     (Cmd.info "explore" ~exits:Cli.exits
        ~doc:
          "Model-check the instance over all schedules up to a depth bound instead of \
-          running one schedule.  Exits 1 on a violation.")
-    Term.(const explore_main $ Cli.explore $ shrink $ stats $ trace_out)
+          running one schedule.  $(b,--stats) prints the explore.* metrics, the phase \
+          breakdown and the exploration series.  Exits 1 on a violation.")
+    Term.(const explore_main $ Cli.explore $ shrink $ Cli.obs)
 
 let stopped_name = function
   | Shm.Exec.All_quiescent -> "quiescent"
   | Shm.Exec.Fuel_exhausted -> "fuel exhausted"
 
-let run (r : Cli.run) trace diagram stats trace_out =
+(* A single run.  With a collector attached, the trace holds a [run]
+   span and the register-coverage tracks (covered = poised writes,
+   written = the space measure), recorded through Exec's probe hook;
+   [--cov-sets] adds the sets themselves.  [--events] streams the
+   replayable event log. *)
+let run (r : Cli.run) trace diagram (o : Cli.obs) sets events =
   let { Cli.config; params = { Agreement.Params.n; k; _ }; _ } = r.inst in
-  (* Streaming observers: stats always (O(1) and cheap), JSONL export
-     when --trace-out was given. *)
+  if sets && o.trace = None then
+    Cli.usage_error "--cov-sets: records into the trace; pass --trace-out or --stats";
   let acc = Shm.Analysis.create ~n ~registers:(Shm.Memory.size (Shm.Config.mem config)) in
-  let trace_chan = Option.map (Cli.out_channel "--trace-out") trace_out in
+  let events_chan = Option.map (Cli.out_channel "--events") events in
   let sink =
-    match trace_chan with
+    match events_chan with
     | None -> Shm.Analysis.feed acc
     | Some oc ->
       let write = Obs.Jsonl.sink_to_channel oc in
@@ -159,11 +136,25 @@ let run (r : Cli.run) trace diagram stats trace_out =
         Shm.Analysis.feed acc ev;
         write ev
   in
-  let result =
-    Shm.Exec.run ~record:(trace || diagram) ~sink ~sched:r.sched ~inputs:r.inst.inputs
+  let exec probe =
+    Shm.Exec.run ?probe ~record:(trace || diagram) ~sink ~sched:r.sched ~inputs:r.inst.inputs
       ~max_steps:r.max_steps config
   in
-  Option.iter close_out trace_chan;
+  let result =
+    match o.trace with
+    | None -> exec None
+    | Some tr ->
+      Obs.Trace.with_attached tr (fun () ->
+          let root =
+            Obs.Trace.begin_span tr ~cat:"exec"
+              ~args:[ ("sched", Obs.Json.String (Shm.Schedule.name r.sched)) ]
+              "run"
+          in
+          let result = exec (Obs.Coverage.ambient_probe ~sets ()) in
+          Obs.Trace.end_span tr ~args:[ ("steps", Obs.Json.Int result.Shm.Exec.steps) ] root;
+          result)
+  in
+  Option.iter close_out events_chan;
   if trace then
     Fmt.pr "@[<v>--- trace ---@,%a@,-------------@]@." Shm.Exec.pp_trace
       result.Shm.Exec.trace;
@@ -194,85 +185,15 @@ let run (r : Cli.run) trace diagram stats trace_out =
     (stopped_name result.Shm.Exec.stopped)
     result.Shm.Exec.steps
     (Agreement.Runner.registers_used result);
-  if stats then begin
+  Cli.report o;
+  if o.stats then begin
     let a = Shm.Analysis.snapshot acc in
     Fmt.pr "--- stats ---@.%a@.spans: %d completed, %d open; latency %a@."
       Shm.Analysis.pp a (List.length a.latencies) a.pending
       Obs.Metrics.Histogram.pp (Obs.Metrics.Histogram.of_list a.latencies)
   end;
-  Option.iter (fun path -> Fmt.pr "trace written to %s (JSONL)@." path) trace_out;
+  Option.iter (fun path -> Fmt.pr "events written to %s (JSONL)@." path) events;
   if Result.is_error safety then exit 1
-
-(* ------------------------------------------------------------------ *)
-(* The `trace` subcommand: record a causally-linked trace of one run
-   and export it as Chrome trace-event JSON for Perfetto, plus
-   optionally the raw span JSONL.  The register-coverage timeline
-   (covered = poised writes, written = the space measure) is recorded
-   through Exec's probe hook. *)
-
-let trace_main (r : Cli.run) sets out jsonl_out stats =
-  Cli.check_output "--out" out;
-  Option.iter (Cli.check_output "--jsonl") jsonl_out;
-  let tr = Obs.Trace.create () in
-  Obs.Trace.with_attached tr (fun () ->
-      (* the coverage probe sees the configuration after each event;
-         [--cov-sets] additionally records the sets themselves *)
-      let probe = Obs.Coverage.ambient_probe ~sets () in
-      let root =
-        Obs.Trace.begin_span tr ~cat:"exec"
-          ~args:[ ("sched", Obs.Json.String (Shm.Schedule.name r.sched)) ]
-          "run"
-      in
-      let result =
-        Shm.Exec.run ?probe ~sched:r.sched ~inputs:r.inst.inputs ~max_steps:r.max_steps
-          r.inst.config
-      in
-      Obs.Trace.end_span tr ~args:[ ("steps", Obs.Json.Int result.Shm.Exec.steps) ] root;
-      Fmt.pr "ran %d steps (%s); registers written: %d@." result.Shm.Exec.steps
-        (stopped_name result.Shm.Exec.stopped)
-        (Obs.Coverage.num_written result.Shm.Exec.config));
-  save_chrome_trace "--out" out tr;
-  Option.iter
-    (fun path ->
-      Cli.with_path "--jsonl" (fun () -> Obs.Trace.save_jsonl path tr);
-      Fmt.pr "spans written to %s (JSONL)@." path)
-    jsonl_out;
-  if stats then Fmt.pr "--- trace ---@.%a@." Obs.Trace.pp tr
-
-let trace_cmd =
-  let sets =
-    Arg.(
-      value & flag
-      & info [ "cov-sets" ]
-          ~doc:
-            "Record the covered/written register sets themselves on every write \
-             event, not just their sizes (heavier).")
-  in
-  let out =
-    Arg.(
-      value & opt string "trace.json"
-      & info [ "out"; "o" ] ~docv:"FILE"
-          ~doc:"Chrome trace-event output file (load at ui.perfetto.dev).")
-  in
-  let jsonl_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "jsonl" ] ~docv:"FILE" ~doc:"Also dump the raw spans as JSONL.")
-  in
-  let stats =
-    Arg.(
-      value & flag
-      & info [ "stats" ]
-          ~doc:"Print the span summary.")
-  in
-  Cmd.v
-    (Cmd.info "trace" ~exits:Cli.exits
-       ~doc:
-         "Record a causal trace of one run — spans and the register-coverage \
-          timeline — and export Chrome trace-event JSON loadable in Perfetto.  \
-          $(b,sa_run explore --trace-out) records an exploration.")
-    Term.(const trace_main $ Cli.run $ sets $ out $ jsonl_out $ stats)
 
 (* ------------------------------------------------------------------ *)
 (* The `analyze` subcommand: static protocol analyzer (lib/analyze).   *)
@@ -345,7 +266,8 @@ let sarif_path =
           "Write the lint diagnostics as a SARIF 2.1.0 log to FILE, or to stdout \
            after the table when FILE is $(b,-).")
 
-let analyze () algos all p max_n mutants json_path witness no_dynamic sarif_path stats =
+let analyze () algos all (nmk_given, p) max_n mutants json_path witness no_dynamic sarif_path
+    stats =
   Option.iter (Cli.check_output "--json") json_path;
   Option.iter (Cli.check_output "--sarif") sarif_path;
   let max_n =
@@ -353,6 +275,8 @@ let analyze () algos all p max_n mutants json_path witness no_dynamic sarif_path
     | Some n, false -> Cli.usage_error "--max-n %d bounds the --all sweep; pass --all" n
     | n, _ -> Option.value n ~default:6
   in
+  if all && nmk_given && not mutants then
+    Cli.usage_error "-n/-m/-k: --all sweeps its own grid; only --mutants reads the triple";
   List.iter
     (fun a -> ignore (Cli.lookup "algorithm" Analyze.Registry.find a ~valid:Analyze.Registry.names))
     algos;
@@ -460,26 +384,19 @@ let analyze_cmd =
       & info [ "no-dynamic" ]
           ~doc:"Skip the concrete runs; static analysis and lints only.")
   in
-  let stats =
-    Arg.(
-      value & flag
-      & info [ "stats" ]
-          ~doc:
-            "Also print the abstract interpretation's totals over the rows: \
-             steps, passes, and the abstract domain's alternative lookups \
-             and cache recomputes.")
-  in
   Cmd.v
     (Cmd.info "analyze" ~exits:Cli.exits
        ~doc:
          "Statically analyze the algorithms: abstract-interpretation register \
           footprints checked against the paper bounds and against dynamically \
           measured registers, plus well-formedness and anonymity lints.  \
-          $(b,sa_run protocol) analyzes a first-order protocol instead.  Exits 1 \
-          on any violation.")
+          $(b,sa_run protocol) analyzes a first-order protocol instead.  \
+          $(b,--stats) prints the abstract interpretation's totals over the rows: \
+          steps, passes, and the abstract domain's alternative lookups and cache \
+          recomputes.  Exits 1 on any violation.")
     Term.(
-      const analyze $ Cli.memory_backend $ algos $ all $ Cli.nmk ~n:4 ~m:1 ~k:2 () $ max_n
-      $ mutants $ json_path $ witness $ no_dynamic $ sarif_path $ stats)
+      const analyze $ Cli.memory_backend $ algos $ all $ Cli.nmk_flags ~n:4 ~m:1 ~k:2 ()
+      $ max_n $ mutants $ json_path $ witness $ no_dynamic $ sarif_path $ Cli.stats)
 
 (* ------------------------------------------------------------------ *)
 (* The `protocol` subcommand: the dataflow engine (lib/analyze IR, not
@@ -732,10 +649,7 @@ let conform_cmd =
     let iters =
       Arg.(value & opt int 100 & info [ "iters" ] ~doc:"Iterations (fresh object each).")
     in
-    let stats =
-      Arg.(value & flag & info [ "stats" ] ~doc:"Print the conform.* metrics registry.")
-    in
-    Term.(const (fun c s i st -> (c, s, i, st)) $ chaos $ seed $ iters $ stats)
+    Term.(const (fun c s i st -> (c, s, i, st)) $ chaos $ seed $ iters $ Cli.stats)
   in
   let components =
     Arg.(value & opt int 4 & info [ "components" ] ~doc:"Snapshot components.")
@@ -773,16 +687,14 @@ let conform_cmd =
        ~doc:
          "Audit the native multicore layer: capture real histories, check real-time \
           linearizability (chaos injection, crash-pending completion), shrink failures \
-          to 1-minimal witnesses")
+          to 1-minimal witnesses; $(b,--stats) prints the conform.* metrics registry")
     [ snapshot; agreement ]
 
 (* ------------------------------------------------------------------ *)
 (* The `serve` subcommand: sharded batched serving layer (lib/service). *)
 
-let serve () shards clients ops keys theta seed app_name batch window params
-    trace_out stats =
+let serve () shards clients ops keys theta seed app_name batch window params (o : Cli.obs) =
   let { Agreement.Params.n; m; k } = params in
-  Option.iter (Cli.check_output "--trace-out") trace_out;
   let app =
     Cli.lookup "app" Service.App.by_name app_name
       ~valid:(List.map (fun a -> a.Service.App.name) Service.App.all)
@@ -802,12 +714,7 @@ let serve () shards clients ops keys theta seed app_name batch window params
     shards
     (Agreement.Params.to_string params)
     app.Service.App.name clients ops theta seed;
-  let traced = Option.map (fun path -> (path, Obs.Trace.create ())) trace_out in
-  let report =
-    match traced with
-    | None -> Service.Loadgen.run server cfg
-    | Some (_, tr) -> Obs.Trace.with_attached tr (fun () -> Service.Loadgen.run server cfg)
-  in
+  let report = Cli.observe o (fun () -> Service.Loadgen.run server cfg) in
   Fmt.pr "committed %d commands in %.1f ms: %.0f cmds/s, p50 %.1f us, p99 %.1f us, \
           %d backpressure stalls@."
     report.Service.Loadgen.ops
@@ -820,7 +727,8 @@ let serve () shards clients ops keys theta seed app_name batch window params
     (Service.Server.registers_used server)
     shards
     (min (n + (2 * m) - k) n);
-  if stats then
+  Cli.report o;
+  if o.stats then
     List.iter
       (fun (s : Service.Shard.stats) ->
         Fmt.pr "  shard %d: %d slots, %d commands, %d steps, %d registers, %d alive%s@."
@@ -828,7 +736,6 @@ let serve () shards clients ops keys theta seed app_name batch window params
           s.Service.Shard.steps s.Service.Shard.registers s.Service.Shard.alive
           (if s.Service.Shard.stuck then " [stuck]" else ""))
       (Service.Server.stats server);
-  Option.iter (fun (path, tr) -> save_chrome_trace "--trace-out" path tr) traced;
   match Service.Server.verdict server with
   | Ok () ->
     Fmt.pr "verdict: ok (every shard passes validity + %d-agreement%s)@." k
@@ -870,30 +777,19 @@ let serve_cmd =
       value & opt int 64
       & info [ "window" ] ~doc:"Per-shard in-flight window (backpressure bound).")
   in
-  let trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Record per-slot service spans and write a Chrome trace-event file \
-             (load at ui.perfetto.dev).")
-  in
-  let stats =
-    Arg.(value & flag & info [ "stats" ] ~doc:"Print the per-shard breakdown.")
-  in
   Cmd.v
     (Cmd.info "serve" ~exits:Cli.exits
        ~doc:
          "Serve a replicated application over sharded, batched repeated set \
           agreement: Zipfian closed-loop load, per-shard backpressure, and a \
           conformance verdict (validity + k-agreement + linearizability) at the \
-          end.  Exits 1 if any shard fails its verdict.")
+          end.  $(b,--stats) prints the per-shard breakdown.  Exits 1 if any shard \
+          fails its verdict.")
     Term.(
       const serve $ Cli.memory_backend $ shards $ clients $ ops $ keys $ theta $ seed
       $ app_arg $ batch $ window
       $ Cli.nmk ~n_doc:"Replicas per shard." ~n:4 ~m:1 ~k:1 ()
-      $ trace_out $ stats)
+      $ Cli.obs)
 
 (* ------------------------------------------------------------------ *)
 (* The `fig1` subcommand: the paper's Figure 1 and the claims around it
@@ -1055,25 +951,30 @@ let cmd =
   let diagram =
     Arg.(value & flag & info [ "diagram"; "d" ] ~doc:"Print a space-time diagram.")
   in
-  let stats =
-    Arg.(value & flag & info [ "stats" ] ~doc:"Print streaming metrics and span summary.")
+  let sets =
+    Arg.(
+      value & flag
+      & info [ "cov-sets" ]
+          ~doc:
+            "Record the covered/written register sets themselves in the trace on \
+             every event, not just their sizes (heavier).")
   in
-  let trace_out =
+  let events =
     Arg.(
       value
       & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:"Stream the event trace to $(docv) as JSONL, one event per line.")
+      & info [ "events" ] ~docv:"FILE"
+          ~doc:
+            "Stream the run's event log to $(docv) as JSONL, one event per line: the \
+             replayable record of the run.")
   in
   Cmd.group
-    ~default:Term.(const run $ Cli.run $ trace $ diagram $ stats $ trace_out)
+    ~default:Term.(const run $ Cli.run $ trace $ diagram $ Cli.obs $ sets $ events)
     (Cmd.info "sa_run" ~exits:Cli.exits
        ~doc:
          "Run m-obstruction-free k-set agreement in the simulator, model-check it with \
-          `explore', or audit the native layer with `conform'")
-    [
-      explore_cmd; protocol_cmd; conform_cmd; analyze_cmd; trace_cmd; serve_cmd; fuzz_cmd;
-      fig1_cmd;
-    ]
+          `explore', or audit the native layer with `conform'.  $(b,--stats) prints \
+          the run's Shm.Analysis counts and propose latencies")
+    [ explore_cmd; protocol_cmd; conform_cmd; analyze_cmd; serve_cmd; fuzz_cmd; fig1_cmd ]
 
 let () = exit (match Cmd.eval cmd with c when c = Cmd.Exit.cli_error -> 2 | c -> c)

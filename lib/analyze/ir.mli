@@ -15,8 +15,8 @@ val step_to_string : Shm.Vm.step -> string
 (** One-line replay form, e.g. ["r3 n2 : R0; W1<-in; L2[R1]; D last"]. *)
 val to_string : Shm.Vm.proto -> string
 
-(** Inverse of {!to_string} (used by corpus files and [sa_run analyze
-    --protocol]); errors mention the offending offset. *)
+(** Inverse of {!to_string} (used by corpus files and [sa_run
+    protocol]); errors mention the offending offset. *)
 val parse : string -> (Shm.Vm.proto, string) result
 
 (** {1 Control-flow graphs} *)

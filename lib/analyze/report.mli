@@ -65,8 +65,8 @@ val row_to_json : row -> Obs.Json.t
 val bench_rows :
   row list -> p:Agreement.Params.t -> (Mutants.mutant * bool) list -> Obs.Json.t list
 
-(** The one row of an [analyze-protocol] document ([sa_run analyze
-    --protocol --json]): the protocol, its dataflow facts, the
+(** The one row of an [analyze-protocol] document ([sa_run protocol
+    --json]): the protocol, its dataflow facts, the
     number of flow diagnostics and, when it was optimized, the
     rewrite. *)
 val protocol_row :

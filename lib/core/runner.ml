@@ -62,7 +62,7 @@ let engine_of_string s =
   | _ -> None
 
 (* One invocation per process, [default_input] — the fuzzer's input
-   space, so [analyze --protocol] and the oracles judge the same runs. *)
+   space, so [sa_run protocol] and the oracles judge the same runs. *)
 let proto_inputs ~pid ~instance =
   if instance = 1 then Some (default_input ~pid ~instance) else None
 

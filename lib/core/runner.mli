@@ -60,7 +60,7 @@ val run_anonymous :
     free-monad interpreter (the reference) and the bytecode vm
     ({!Shm.Vm}).  {!run_proto} drives either under the same schedule
     and inputs and returns the engine-neutral summary, so callers —
-    the bench harness, [sa_run --engine] — switch engines without
+    the bench harness, [sa_run protocol --engine] — switch engines without
     changing anything else; {!Shm.Vm.diff} compares two results. *)
 
 type engine = Interp | Vm
@@ -71,7 +71,7 @@ val engine_name : engine -> string
 val engine_of_string : string -> engine option
 
 (** One invocation per process with {!default_input}, none after —
-    the fuzzer's input space, so [sa_run analyze --protocol] and the
+    the fuzzer's input space, so [sa_run protocol] and the
     fuzz oracles judge the same runs. *)
 val proto_inputs : pid:int -> instance:int -> Shm.Value.t option
 

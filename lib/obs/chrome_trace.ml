@@ -15,6 +15,10 @@
    the opening domain's row (Chrome "X" events cannot change thread);
    the closing domain is preserved as a "close_dom" arg. *)
 
+(* The [otherData] schema.  Schema 2 dropped the flow ("s"/"f")
+   events. *)
+let schema_version = 2
+
 let us_of_ns ns = float_of_int ns /. 1e3
 
 let event ~ph ~name ~cat ~pid ~tid ~ts ?dur ?(args = []) () =
@@ -100,7 +104,7 @@ let to_json ?process_name t =
         Json.Obj
           [
             ("format", Json.String "sa-chrome-trace");
-            ("schema", Json.Int Trace.schema_version);
+            ("schema", Json.Int schema_version);
           ] );
     ]
 

@@ -7,8 +7,8 @@
    [Shm.Exec.run]: after every event it appends one sample to the
    "registers covered" and "registers written" counter tracks of the
    executing domain, plus a per-write instant; with [~sets:true] each
-   event also carries the covered-register set itself, so the JSONL
-   export reconstructs the full covering timeline, not just its
+   event also carries the covered-register set itself, so the trace
+   reconstructs the full covering timeline, not just its
    cardinality. *)
 
 open Shm

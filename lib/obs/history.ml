@@ -93,7 +93,7 @@ let append ~path e =
 let load path =
   Json.fold_lines path ~init:[] ~f:(fun acc j ->
       Result.map (fun e -> e :: acc) (entry_of_json j))
-  |> Result.map (fun (_, entries) -> List.rev entries)
+  |> Result.map List.rev
 
 (* ---- BENCH_<id>.json documents ---- *)
 

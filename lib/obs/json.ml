@@ -388,7 +388,7 @@ let of_file path =
   with_file path (fun ic ->
       Result.map_error (Fmt.str "%s: %s" path) (of_string (In_channel.input_all ic)))
 
-type header = { format : string; schema : int; required : bool }
+type header = { format : string; schema : int }
 
 let header_fields h = [ ("jsonl", String h.format); ("schema", Int h.schema) ]
 
@@ -403,7 +403,6 @@ let check_header h j =
   | Some (String f), _ when f = h.format -> Error "header missing integer \"schema\""
   | Some (String f), _ -> Error (Fmt.str "not an %s file (format %S)" h.format f)
   | Some _, _ -> Error "malformed header"
-  | None, _ when h.required -> Error (Fmt.str "not an %s file (missing header)" h.format)
   | None, _ -> Ok false
 
 (* A final line with no trailing newline was cut off by an interrupted
@@ -415,21 +414,17 @@ let check_header h j =
 let fold_lines ?(warn = prerr_endline) ?header path ~init ~f =
   with_file path (fun ic ->
       let fail lineno e = Error (Fmt.str "%s:%d: %s" path lineno e) in
-      let rec go lineno ~first hdr acc =
+      let rec go lineno ~first acc =
         let before = In_channel.pos ic in
         match In_channel.input_line ic with
-        | None -> (
-          match header with
-          | Some h when first && h.required ->
-            Error (Fmt.str "%s: empty %s file" path h.format)
-          | _ -> Ok (hdr, acc))
-        | Some line when String.trim line = "" -> go (lineno + 1) ~first hdr acc
+        | None -> Ok acc
+        | Some line when String.trim line = "" -> go (lineno + 1) ~first acc
         | Some line -> (
           match of_string line with
           | Error e
             when Int64.(to_int (sub (In_channel.pos ic) before)) = String.length line ->
             warn (Fmt.str "%s:%d: skipping torn final line (%s)" path lineno e);
-            go (lineno + 1) ~first hdr acc
+            go (lineno + 1) ~first acc
           | Error e -> fail lineno e
           | Ok j -> (
             let is_header =
@@ -437,10 +432,10 @@ let fold_lines ?(warn = prerr_endline) ?header path ~init ~f =
             in
             match is_header with
             | Error e -> fail lineno e
-            | Ok true -> go (lineno + 1) ~first:false (Some j) acc
+            | Ok true -> go (lineno + 1) ~first:false acc
             | Ok false -> (
               match f acc j with
-              | Ok acc -> go (lineno + 1) ~first:false hdr acc
+              | Ok acc -> go (lineno + 1) ~first:false acc
               | Error e -> fail lineno e)))
       in
-      go 1 ~first:true None init)
+      go 1 ~first:true init)

@@ -56,7 +56,6 @@ val of_file : string -> (t, string) result
 type header = {
   format : string;
   schema : int;  (** newest major this reader understands *)
-  required : bool;  (** [false]: a headerless file is data from line 1 *)
 }
 
 (** The header's [jsonl] and [schema] fields, for writers. *)
@@ -64,11 +63,11 @@ val header_fields : header -> (string * t) list
 
 (** [fold_lines ?header path ~init ~f] folds [f] over the JSON value of
     every non-blank line of a JSONL file, streaming.  With [header], the
-    first non-blank line is checked against it: a newer schema major, a
-    different format name or (when [required]) a missing header is an
-    [Error]; a valid header is returned, not folded.  A final line with
-    no trailing newline that does not parse — a torn append — is
-    skipped and reported through [warn] (default: a line on stderr);
+    first non-blank line is checked against it: a newer schema major or
+    a different format name is an [Error]; a valid header is skipped,
+    not folded, and a file without one is data from line 1.  A final
+    line with no trailing newline that does not parse — a torn append —
+    is skipped and reported through [warn] (default: a line on stderr);
     any other bad line is an [Error]. *)
 val fold_lines :
   ?warn:(string -> unit) ->
@@ -76,4 +75,4 @@ val fold_lines :
   string ->
   init:'a ->
   f:('a -> t -> ('a, string) result) ->
-  (t option * 'a, string) result
+  ('a, string) result

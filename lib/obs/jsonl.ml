@@ -112,7 +112,7 @@ let event_of_line line = Result.bind (Json.of_string line) event_of_json
 
 let schema_version = 1
 
-let header = { Json.format = "sa-events"; schema = schema_version; required = false }
+let header = { Json.format = "sa-events"; schema = schema_version }
 
 let write_header oc =
   output_string oc (Json.to_string (Json.Obj (Json.header_fields header)));
@@ -138,6 +138,5 @@ let save path trace =
 let fold_file path ~init ~f =
   Json.fold_lines ~header path ~init ~f:(fun acc j ->
       Result.map (f acc) (event_of_json j))
-  |> Result.map snd
 
 let load path = Result.map List.rev (fold_file path ~init:[] ~f:(fun acc ev -> ev :: acc))

@@ -9,8 +9,8 @@
      ... work ...
      if profiling then Prof.add p Prof.Interp (Trace.now_ns () - t0)
 
-   A DPOR search charges one [t], the run breakdown that
-   [sa_run --stats] and [sa_run trace --stats] print. *)
+   A DPOR search charges one [t], the phase breakdown that
+   [sa_run explore --stats] prints. *)
 
 type phase =
   | Interp

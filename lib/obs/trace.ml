@@ -22,8 +22,7 @@
      covering argument is exported this way (Obs.Coverage).
 
    Export: Chrome trace-event JSON via {!Chrome_trace} (loadable in
-   Perfetto / chrome://tracing) and a JSONL span log (schema-versioned,
-   reloadable) here. *)
+   Perfetto / chrome://tracing). *)
 
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
@@ -204,149 +203,6 @@ let open_count t = read t (fun t -> Hashtbl.length t.open_tbl)
 
 let find_span t name =
   List.find_opt (fun s -> s.name = name) (spans t)
-
-(* ---- JSONL export / reload ---- *)
-
-(* One header line then one record per span/instant/sample.  The header
-   carries the format name and schema version; the reader rejects a
-   major it does not know (same discipline as the BENCH_*.json
-   documents of Obs.History).  Schema 2 dropped the instants' "flow"
-   and "dir" fields; schema 1 files still load (unknown fields are
-   ignored). *)
-
-let schema_version = 2
-
-let jsonl_header = { Json.format = "sa-trace"; schema = schema_version; required = true }
-
-let header t =
-  Json.Obj
-    (Json.header_fields jsonl_header
-    @ [ ("trace_id", Json.Int t.trace_id); ("epoch_ns", Json.Int t.t0_ns) ])
-
-let json_of_span s =
-  Json.Obj
-    [
-      ("rec", Json.String "span");
-      ("id", Json.Int s.id);
-      ("parent", Json.Int s.parent);
-      ("name", Json.String s.name);
-      ("cat", Json.String s.cat);
-      ("dom", Json.Int s.dom);
-      ("close_dom", Json.Int s.close_dom);
-      ("start_ns", Json.Int s.start_ns);
-      ("dur_ns", Json.Int s.dur_ns);
-      ("args", Json.Obj s.args);
-    ]
-
-let json_of_instant i =
-  Json.Obj
-    [
-      ("rec", Json.String "instant");
-      ("name", Json.String i.i_name);
-      ("cat", Json.String i.i_cat);
-      ("dom", Json.Int i.i_dom);
-      ("ts_ns", Json.Int i.i_ts_ns);
-      ("args", Json.Obj i.i_args);
-    ]
-
-let json_of_sample s =
-  Json.Obj
-    [
-      ("rec", Json.String "sample");
-      ("track", Json.String s.track);
-      ("dom", Json.Int s.s_dom);
-      ("ts_ns", Json.Int s.s_ts_ns);
-      ("value", Json.Float s.value);
-    ]
-
-let to_jsonl_channel oc t =
-  let line j =
-    output_string oc (Json.to_string j);
-    output_char oc '\n'
-  in
-  line (header t);
-  List.iter (fun s -> line (json_of_span s)) (spans t);
-  List.iter (fun i -> line (json_of_instant i)) (instants t);
-  List.iter (fun s -> line (json_of_sample s)) (samples t)
-
-let save_jsonl path t =
-  Out_channel.with_open_text path (fun oc -> to_jsonl_channel oc t)
-
-(* -- reload -- *)
-
-let args_field j =
-  match Json.member "args" j with
-  | Some (Json.Obj kvs) -> Ok kvs
-  | None -> Ok []
-  | Some _ -> Error "malformed \"args\""
-
-let span_of_json j =
-  let ( let* ) = Result.bind in
-  let* id = Json.int_field "id" j in
-  let* parent = Json.int_field "parent" j in
-  let* name = Json.string_field "name" j in
-  let* cat = Json.string_field "cat" j in
-  let* dom = Json.int_field "dom" j in
-  let* close_dom = Json.int_field "close_dom" j in
-  let* start_ns = Json.int_field "start_ns" j in
-  let* dur_ns = Json.int_field "dur_ns" j in
-  let* args = args_field j in
-  Ok { id; parent; name; cat; dom; close_dom; start_ns; dur_ns; args }
-
-let instant_of_json j =
-  let ( let* ) = Result.bind in
-  let* i_name = Json.string_field "name" j in
-  let* i_cat = Json.string_field "cat" j in
-  let* i_dom = Json.int_field "dom" j in
-  let* i_ts_ns = Json.int_field "ts_ns" j in
-  let* i_args = args_field j in
-  Ok { i_name; i_cat; i_dom; i_ts_ns; i_args }
-
-let sample_of_json j =
-  let ( let* ) = Result.bind in
-  let* track = Json.string_field "track" j in
-  let* s_dom = Json.int_field "dom" j in
-  let* s_ts_ns = Json.int_field "ts_ns" j in
-  let* value =
-    Option.to_result ~none:"missing \"value\""
-      (Option.bind (Json.member "value" j) Json.to_float_opt)
-  in
-  Ok { track; s_dom; s_ts_ns; value }
-
-type reloaded = {
-  r_trace_id : int;
-  r_spans : span list;
-  r_instants : instant list;
-  r_samples : sample list;
-}
-
-(* Rejects files whose header declares a schema major newer than this
-   reader ([schema_version]); missing header is an error too — every
-   writer since the format existed emits one. *)
-let load_jsonl path =
-  let record (sp, ins, sa) j =
-    match Json.member "rec" j with
-    | Some (Json.String "span") ->
-      Result.map (fun s -> (s :: sp, ins, sa)) (span_of_json j)
-    | Some (Json.String "instant") ->
-      Result.map (fun i -> (sp, i :: ins, sa)) (instant_of_json j)
-    | Some (Json.String "sample") ->
-      Result.map (fun s -> (sp, ins, s :: sa)) (sample_of_json j)
-    | _ -> Error "missing or unknown \"rec\" tag"
-  in
-  Json.fold_lines ~header:jsonl_header path ~init:([], [], []) ~f:record
-  |> Result.map (fun (hdr, (sp, ins, sa)) ->
-         let r_trace_id =
-           match Option.bind hdr (Json.member "trace_id") with
-           | Some (Json.Int i) -> i
-           | _ -> 0
-         in
-         {
-           r_trace_id;
-           r_spans = List.sort compare_span sp;
-           r_instants = List.sort compare_instant ins;
-           r_samples = List.sort compare_sample sa;
-         })
 
 let pp ppf t =
   Fmt.pf ppf "trace %d: %d spans (%d open), %d instants, %d samples" t.trace_id

@@ -117,23 +117,4 @@ val open_count : t -> int
 
 val find_span : t -> string -> span option
 
-(** {1 JSONL export}
-
-    Line 1 is a header [{"jsonl":"sa-trace","schema":N,...}]; the
-    reader rejects files without one or whose schema major exceeds
-    {!schema_version}, and otherwise follows {!Json.fold_lines}. *)
-
-val schema_version : int
-
-val save_jsonl : string -> t -> unit
-
-type reloaded = {
-  r_trace_id : int;
-  r_spans : span list;
-  r_instants : instant list;
-  r_samples : sample list;
-}
-
-val load_jsonl : string -> (reloaded, string) result
-
 val pp : Format.formatter -> t -> unit

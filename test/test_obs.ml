@@ -578,28 +578,12 @@ let formats =
          Event.Output { pid = 0; instance = 1; value = vi 1 };
        ]
      in
-     let tr = Obs.Trace.create ~trace_id:7 () in
-     Obs.Trace.with_span tr "root" (fun _ ->
-         Obs.Trace.instant tr "mark";
-         Obs.Trace.counter tr ~track:"regs" 1.);
      let rows = List.map (fun n -> Obs.Json.Obj [ ("n", Obs.Json.Int n) ]) [ 4; 5 ] in
      [
        {
          name = "events";
          contents = contents_of (fun path -> Obs.Jsonl.save path events);
          load = (fun path -> Result.map List.length (Obs.Jsonl.load path));
-       };
-       {
-         name = "trace";
-         contents = contents_of (fun path -> Obs.Trace.save_jsonl path tr);
-         load =
-           (fun path ->
-             Result.map
-               (fun r ->
-                 List.length r.Obs.Trace.r_spans
-                 + List.length r.Obs.Trace.r_instants
-                 + List.length r.Obs.Trace.r_samples)
-               (Obs.Trace.load_jsonl path));
        };
        {
          name = "history";
@@ -634,41 +618,40 @@ let load_bytes fmt contents =
 
 let schema_99 = function
   | "events" -> "{\"jsonl\":\"sa-events\",\"schema\":99}\n"
-  | "trace" -> "{\"jsonl\":\"sa-trace\",\"schema\":99,\"trace_id\":1,\"epoch_ns\":0}\n"
   | _ -> "{\"schema\":99,\"experiment\":\"perf\",\"rows\":[]}\n"
 
 (* Documented outcomes: [Some n] = Ok with n records, [None] = Error.
-   Columns: events, trace, history, document. *)
+   Columns: events, history, document. *)
 let reader_cases =
   let torn c =
     let last = List.nth (lines c) (List.length (lines c) - 1) in
     c ^ String.sub last 0 (String.length last / 2)
   in
   [
-    ("missing file", (fun _ -> None), [ None; None; None; None ]);
-    ("empty file", (fun _ -> Some ""), [ Some 0; None; Some 0; None ]);
+    ("missing file", (fun _ -> None), [ None; None; None ]);
+    ("empty file", (fun _ -> Some ""), [ Some 0; Some 0; None ]);
     ( "blank lines",
       (fun f -> Some ("\n" ^ String.concat "\n\n" (lines f.contents) ^ "\n\n")),
-      [ Some 3; Some 3; Some 2; Some 2 ] );
+      [ Some 3; Some 2; Some 2 ] );
     ( "another format's header",
       (fun f ->
-        let other = if f.name = "events" then "sa-trace" else "sa-events" in
+        let other = if f.name = "events" then "sa-other" else "sa-events" in
         Some (Fmt.str "{\"jsonl\":%S,\"schema\":1}\n%s" other f.contents)),
-      [ None; None; None; None ] );
-    ("schema 99", (fun f -> Some (schema_99 f.name)), [ None; None; None; None ]);
+      [ None; None; None ] );
+    ("schema 99", (fun f -> Some (schema_99 f.name)), [ None; None; None ]);
     ( "torn final line",
       (fun f ->
         Some
           (if f.name = "document" then
              String.sub f.contents 0 (String.length f.contents / 2)
            else torn f.contents)),
-      [ Some 3; Some 3; Some 2; None ] );
+      [ Some 3; Some 2; None ] );
     ( "garbage line in the middle",
       (fun f ->
         match lines f.contents with
         | first :: rest -> Some (String.concat "\n" (first :: "garbage{" :: rest) ^ "\n")
         | [] -> assert false),
-      [ None; None; None; None ] );
+      [ None; None; None ] );
   ]
 
 let readers_on_damaged_input () =
@@ -695,20 +678,14 @@ let readers_byte_mutations =
     ~rand:(Random.State.make [| 0x5A5 |])
     (QCheck.Test.make ~name:"readers: truncated or flipped files never raise" ~count:400
        QCheck.(
-         quad (int_bound 3) bool (int_bound 10_000) (int_range 1 255))
+         quad (int_bound 2) bool (int_bound 10_000) (int_range 1 255))
        (fun (which, truncate, at, mask) ->
          let fmt = List.nth (Lazy.force formats) which in
          let c = fmt.contents in
          let at = at mod String.length c in
          if truncate then
            let result = load_bytes fmt (Some (String.sub c 0 at)) in
-           let header_len = String.index c '\n' in
-           let should_load =
-             match fmt.name with
-             | "trace" -> at >= header_len
-             | "document" -> at >= String.length c - 1
-             | _ -> true
-           in
+           let should_load = fmt.name <> "document" || at >= String.length c - 1 in
            Result.is_ok result = should_load
          else
            let b = Bytes.of_string c in
@@ -737,7 +714,7 @@ let history_torn_final_line () =
         Obs.Json.fold_lines ~warn:(fun w -> warnings := w :: !warnings) path ~init:0
           ~f:(fun n _ -> Ok (n + 1))
       in
-      Alcotest.(check bool) "two lines folded" true (Result.map snd folded = Ok 2);
+      Alcotest.(check bool) "two lines folded" true (folded = Ok 2);
       Alcotest.(check int) "one warning" 1 (List.length !warnings);
       Alcotest.(check bool) "warning names path:line" true
         (String.starts_with ~prefix:(path ^ ":3:") (List.hd !warnings));

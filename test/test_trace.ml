@@ -223,36 +223,6 @@ let populated_trace () =
   Obs.Trace.end_span tr root;
   tr
 
-(* The span JSONL round-trips, and the reader rejects a newer major. *)
-let trace_jsonl_roundtrip () =
-  let tr = populated_trace () in
-  let path = Filename.temp_file "sa_spans" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Obs.Trace.save_jsonl path tr;
-      match Obs.Trace.load_jsonl path with
-      | Error e -> Alcotest.failf "reload: %s" e
-      | Ok r ->
-        Alcotest.(check int) "trace id" (Obs.Trace.trace_id tr) r.Obs.Trace.r_trace_id;
-        Alcotest.(check bool) "spans back" true (r.Obs.Trace.r_spans = Obs.Trace.spans tr);
-        Alcotest.(check bool) "instants back" true
-          (r.Obs.Trace.r_instants = Obs.Trace.instants tr);
-        Alcotest.(check bool) "samples back" true
-          (r.Obs.Trace.r_samples = Obs.Trace.samples tr))
-
-let trace_jsonl_rejects_newer_major () =
-  let path = Filename.temp_file "sa_spans_v99" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      output_string oc "{\"jsonl\":\"sa-trace\",\"schema\":99,\"trace_id\":1,\"epoch_ns\":0}\n";
-      close_out oc;
-      match Obs.Trace.load_jsonl path with
-      | Ok _ -> Alcotest.fail "accepted schema 99"
-      | Error e -> Alcotest.(check bool) "rejected with a reason" true (e <> ""))
-
 (* The Chrome export is well-formed trace-event JSON: parses back, has
    per-domain thread metadata, complete events with durations, and the
    counter track. *)
@@ -356,8 +326,6 @@ let suite =
     test "ambient probe absent when detached" ambient_probe_detached;
     test "coverage probe tracks covered/written per step" coverage_probe_tracks_run;
     test "DPOR trace: span, tracks, profile" dpor_trace;
-    test "trace JSONL round-trips" trace_jsonl_roundtrip;
-    test "trace JSONL rejects newer major" trace_jsonl_rejects_newer_major;
     test "chrome trace-event export is well-formed" chrome_trace_valid;
     test "prof attribution" prof_attribution;
     test "series rows sorted and replayed with own timestamps" series_rows_sorted;
