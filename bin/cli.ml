@@ -40,12 +40,15 @@ let with_path flag f = try f () with Sys_error e -> usage_error "%s: %s" flag e
 
 let out_channel flag path = with_path flag (fun () -> open_out path)
 
-(* Fail before any work when an output file's directory is missing; a
-   write that still fails later goes through [with_path]. *)
+(* Fail before any work when an output file's directory is missing or
+   the path is itself a directory ("-", stdout, passes); a write that
+   still fails later goes through [with_path]. *)
 let check_output flag path =
   let dir = Filename.dirname path in
   if not (Sys.file_exists dir && Sys.is_directory dir) then
     usage_error "%s: %s: No such file or directory" flag path
+  else if path <> "-" && Sys.file_exists path && Sys.is_directory path then
+    usage_error "%s: %s: Is a directory" flag path
 
 let write_file flag path s =
   with_path flag (fun () -> Out_channel.with_open_text path (fun oc -> output_string oc s))

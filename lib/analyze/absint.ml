@@ -47,11 +47,24 @@ let exhaustive ~registers ~n =
     set_cap = 64;
   }
 
+(* One step of an explored path, kept structured: the path is consed on
+   every abstract step, but rendered to a [witness] only when a
+   diagnostic stores it, so the common case allocates one cell and
+   formats nothing.  A first-write path is stored as it is and rendered
+   by [write_witness] on demand. *)
+type event =
+  | Invoke of int * Shm.Value.t  (* instance, input *)
+  | Output of Shm.Value.t
+  | Step of Shm.Program.op
+
+(* reversed: newest step first *)
+type path = event list
+
 type process_summary = {
   pid : int;
   reads : IntSet.t;
   writes : IntSet.t;
-  write_witness : (int * witness) list;
+  write_witness : (int * path) list;
   oob : (string * witness) list;
   write_after_decide : witness option;
   yields : int;
@@ -81,7 +94,7 @@ type acc = {
   a_pid : int;
   mutable a_reads : IntSet.t;
   mutable a_writes : IntSet.t;
-  mutable a_wwit : (int * witness) list;
+  mutable a_wwit : (int * path) list;
   mutable a_oob : (string * witness) list;
   mutable a_wad : witness option;
   mutable a_yields : int;
@@ -103,15 +116,6 @@ let fresh_acc pid =
     a_truncated = false;
     a_aborted = [];
   }
-
-(* One step of an explored path, kept structured: the path is consed on
-   every abstract step, but rendered to a [witness] only when a
-   diagnostic stores it, so the common case allocates one cell and
-   formats nothing. *)
-type event =
-  | Invoke of int * Shm.Value.t  (* instance, input *)
-  | Output of Shm.Value.t
-  | Step of Shm.Program.op
 
 let descr_of pid what = Fmt.str "p%d: %s" pid what
 
@@ -208,7 +212,7 @@ let explore ~b ~mem ~registers ~inputs ~rounds acc prog0 =
           if r < 0 || r >= registers then record_oob acc (descr ()) path'
           else begin
             if not (IntSet.mem r acc.a_writes) then
-              acc.a_wwit <- acc.a_wwit @ [ (r, render acc.a_pid path') ];
+              acc.a_wwit <- (r, path') :: acc.a_wwit;
             acc.a_writes <- IntSet.add r acc.a_writes;
             Absdom.add mem r v;
             apply
@@ -332,7 +336,7 @@ let write_witness s r =
     (fun found p ->
       match found with
       | Some _ -> found
-      | None -> List.assoc_opt r p.write_witness)
+      | None -> Option.map (render p.pid) (List.assoc_opt r p.write_witness))
     None s.per_process
 
 let pp_witness ppf w =

@@ -24,6 +24,9 @@ module IntSet : Set.S with type elt = int and type t = Set.Make(Int).t
     e.g. ["p0: invoke 1"; "p0: write R0 := (1,0)"]. *)
 type witness = string list
 
+(** An explored path, kept unrendered; {!write_witness} renders it. *)
+type path
+
 type budgets = {
   max_depth : int;  (** ops along one explored path (the widening bound) *)
   max_forks : int;  (** choice points allowed to branch per path *)
@@ -51,8 +54,8 @@ type process_summary = {
   pid : int;
   reads : IntSet.t;  (** registers some explored path reads or scans *)
   writes : IntSet.t;  (** registers some explored path writes *)
-  write_witness : (int * witness) list;
-      (** first witness path per written register *)
+  write_witness : (int * path) list;
+      (** first path per written register, one entry each *)
   oob : (string * witness) list;
       (** accesses outside [0, registers): offending op and path *)
   write_after_decide : witness option;
@@ -91,7 +94,8 @@ val analyze :
   Shm.Config.t ->
   summary
 
-(** Witness path for a write to register [r], if any process has one. *)
+(** Witness path for a write to register [r], if any process has one:
+    the first such path of the lowest such pid, rendered on each call. *)
 val write_witness : summary -> int -> witness option
 
 val pp_witness : Format.formatter -> witness -> unit

@@ -29,14 +29,24 @@ let pp_diag ppf d =
     d.witness
 
 (* Long witness paths (solo runs are hundreds of steps) keep only both
-   ends. *)
-let clip_witness w =
+   ends; [clip f] renders just the kept elements with [f]. *)
+let clip f w =
   let n = List.length w in
-  if n <= 14 then w
+  if n <= 14 then List.map f w
   else
-    List.filteri (fun i _ -> i < 6) w
-    @ [ Fmt.str "... (%d steps elided)" (n - 12) ]
-    @ List.filteri (fun i _ -> i >= n - 6) w
+    let keep lo hi = List.map f (List.filteri (fun i _ -> lo <= i && i < hi) w) in
+    keep 0 6 @ (Fmt.str "... (%d steps elided)" (n - 12) :: keep (n - 6) n)
+
+let clip_witness = clip Fun.id
+
+(* One step of a concrete run, kept structured until a diagnostic
+   keeps it: [who] is ["p<pid>"] or ["both"], [note] tags invocations. *)
+type step = Invoke of int * Shm.Value.t | Output of Shm.Value.t | Op of Shm.Program.op
+
+let render_step ~who ~note = function
+  | Invoke (inst, v) -> Fmt.str "%s: invoke #%d %a (%s)" who inst Shm.Value.pp v note
+  | Output v -> Fmt.str "%s: output %a" who Shm.Value.pp v
+  | Op op -> Fmt.str "%s: %a" who Shm.Program.pp_op op
 
 (* ------------------------------------------------------------------ *)
 (* Rules over an existing abstract summary.                            *)
@@ -118,20 +128,17 @@ let default_fuel config =
   4 * (Absint.budgets_for ~registers ~n).max_depth
 
 (* Execute [prog] solo against concrete memory [mem]; returns
-   [`Output of rest * mem], [`Stop], or a failure.  The witness is
-   accumulated in reverse in [wit]. *)
-let rec solo_step ~registers ~pid ~fuel mem prog wit =
+   [`Output rest], [`Stop], or a failure with its chronological steps.
+   The steps are accumulated in reverse in [wit]. *)
+let rec solo_step ~registers ~fuel mem prog wit =
   if fuel <= 0 then `Fuel (List.rev wit)
   else
     match prog with
     | Shm.Program.Stop -> `Stop
     | Shm.Program.Await _ -> `Idle prog
-    | Shm.Program.Yield (v, rest) ->
-        let descr = Fmt.str "p%d: output %a" pid Shm.Value.pp v in
-        `Output (rest, descr :: wit)
+    | Shm.Program.Yield (_, rest) -> `Output rest
     | Shm.Program.Op (op, _) -> (
-        let descr = Fmt.str "p%d: %a" pid Shm.Program.pp_op op in
-        let wit = descr :: wit in
+        let wit = Op op :: wit in
         match
           match op with
           | Shm.Program.Read r ->
@@ -149,7 +156,7 @@ let rec solo_step ~registers ~pid ~fuel mem prog wit =
         with
         | `Oob -> `Oob (List.rev wit)
         | `Go None -> `Shape (List.rev wit)
-        | `Go (Some p') -> solo_step ~registers ~pid ~fuel:(fuel - 1) mem p' wit
+        | `Go (Some p') -> solo_step ~registers ~fuel:(fuel - 1) mem p' wit
         | exception e -> `Exn (e, List.rev wit))
 
 (* Concrete solo execution of every process ([default_fuel] ops per
@@ -177,14 +184,10 @@ let solo_termination ~rounds config =
           | None -> stop := true)
       | _ -> ());
       if not !stop then begin
-        let invoke_descr =
-          Fmt.str "p%d: invoke #%d %a (solo)" pid !inst Shm.Value.pp
-            (inputs ~pid ~instance:!inst)
-        in
-        match
-          solo_step ~registers ~pid ~fuel mem !prog [ invoke_descr ]
-        with
-        | `Output (rest, _wit) -> prog := rest
+        let invoke = Invoke (!inst, inputs ~pid ~instance:!inst) in
+        let witness = clip (render_step ~who:(Fmt.str "p%d" pid) ~note:"solo") in
+        match solo_step ~registers ~fuel mem !prog [ invoke ] with
+        | `Output rest -> prog := rest
         | `Stop | `Idle _ ->
             (* outputting is via Yield; Stop/idle without output is the
                oneshot tail after its final Yield — fine. *)
@@ -199,7 +202,7 @@ let solo_termination ~rounds config =
                     "process %d running solo performs %d steps in instance \
                      %d without outputting or halting"
                     pid fuel !inst;
-                witness = clip_witness wit;
+                witness = witness wit;
               };
             stop := true
         | `Oob wit ->
@@ -212,7 +215,7 @@ let solo_termination ~rounds config =
                     "process %d (solo run) accesses memory outside \
                      registers [0, %d)"
                     pid registers;
-                witness = clip_witness wit;
+                witness = witness wit;
               };
             stop := true
         | `Shape wit | `Exn (_, wit) ->
@@ -223,7 +226,7 @@ let solo_termination ~rounds config =
                 message =
                   Fmt.str "process %d: solo run aborted before outputting"
                     pid;
-                witness = clip_witness wit;
+                witness = witness wit;
               };
             stop := true
       end
@@ -261,9 +264,7 @@ let anonymity ?(rounds = 1) config =
           if !inst >= rounds then stop := true
           else begin
             incr inst;
-            push
-              (Fmt.str "both: invoke #%d %a (identical input)" !inst
-                 Shm.Value.pp input);
+            push (Invoke (!inst, input));
             match
               (Shm.Program.start !p0 input, Shm.Program.start !p1 input)
             with
@@ -273,7 +274,7 @@ let anonymity ?(rounds = 1) config =
             | _ -> stop := true
           end
       | Shm.Program.Yield (v0, r0), Shm.Program.Yield (v1, r1) ->
-          push (Fmt.str "both: output %a" Shm.Value.pp v0);
+          push (Output v0);
           if not (Shm.Value.equal v0 v1) then
             diverge
               (Fmt.str "outputs differ under identical inputs: %a vs %a"
@@ -283,7 +284,7 @@ let anonymity ?(rounds = 1) config =
             p1 := r1
           end
       | Shm.Program.Op (op0, _), Shm.Program.Op (op1, _) -> (
-          push (Fmt.str "both: %a" Shm.Program.pp_op op0);
+          push (Op op0);
           let feed_both f =
             match (f !p0, f !p1) with
             | Some a, Some b ->
@@ -337,7 +338,7 @@ let anonymity ?(rounds = 1) config =
             rule = "anon/pid-dependent-value";
             severity = Error;
             message = msg;
-            witness = clip_witness w;
+            witness = clip (render_step ~who:"both" ~note:"identical input") w;
           };
         ]
   end

@@ -75,13 +75,24 @@ let cardinal = IntSet.cardinal
 
 let equal = IntSet.equal
 
-type acc = IntSet.t ref
+(* The accumulator is a bitmap over the whole bucket space (tags 1–8
+   above 16 bucket bits, so every bit is below 9·2^16: 72 KiB) and a
+   running count, so [add] costs one test-and-set per bit of the
+   signature, however large the union has grown. *)
+type acc = { bits : Bytes.t; mutable count : int }
 
-let acc_create () = ref IntSet.empty
+let acc_create () = { bits = Bytes.make ((9 lsl 16) / 8) '\000'; count = 0 }
 
-let acc_cardinal acc = IntSet.cardinal !acc
+let acc_cardinal acc = acc.count
 
 let add acc t =
-  let fresh = IntSet.cardinal (IntSet.diff t !acc) in
-  acc := IntSet.union t !acc;
-  fresh
+  let before = acc.count in
+  IntSet.iter
+    (fun b ->
+      let byte = Char.code (Bytes.get acc.bits (b lsr 3)) and mask = 1 lsl (b land 7) in
+      if byte land mask = 0 then begin
+        Bytes.set acc.bits (b lsr 3) (Char.chr (byte lor mask));
+        acc.count <- acc.count + 1
+      end)
+    t;
+  acc.count - before

@@ -25,19 +25,19 @@ type t
     interpreter, and folds both into bits. *)
 val signature : Gen.program -> Gen.schedule -> t
 
-(** the bits, sorted ascending; equal signatures have equal bit lists *)
-
 val cardinal : t -> int
 val equal : t -> t -> bool
 
 (** {1 Accumulation} *)
 
 type acc
-(** a growing union of every signature seen — the fuzzer's map *)
+(** a growing union of every signature seen — the fuzzer's map: a
+    72 KiB bitmap over the bucket space and a running count *)
 
 val acc_create : unit -> acc
 val acc_cardinal : acc -> int
 
-(** [add acc t] unions [t] in; returns how many bits were new.  An
-    input is {e interesting} iff this is positive. *)
+(** [add acc t] unions [t] in; returns how many bits were new, in time
+    linear in [cardinal t].  An input is {e interesting} iff this is
+    positive. *)
 val add : acc -> t -> int

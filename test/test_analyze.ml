@@ -155,7 +155,16 @@ let lint_unbounded_solo () =
   Alcotest.(check bool) "unbounded solo loop fires" true
     (List.exists
        (fun (d : Analyze.Lint.diag) -> d.rule = "loop/unbounded-solo")
-       (Analyze.Lint.errors diags))
+       (Analyze.Lint.errors diags));
+  (* the invocation and 344 steps of fuel, clipped to both ends *)
+  let w0 = "p0: write R0 := 0" and w1 = "p0: write R0 := 1" in
+  Alcotest.(check (list (list string)))
+    "clipped witness text"
+    [
+      [ "p0: invoke #1 1 (solo)"; w0; w1; w0; w1; w0; "... (333 steps elided)";
+        w0; w1; w0; w1; w0; w1 ];
+    ]
+    (List.map (fun (d : Analyze.Lint.diag) -> d.witness) diags)
 
 let lint_clean_on_honest_program () =
   let p =
@@ -173,6 +182,28 @@ let anonymity_fig5_passes () =
   let config = Agreement.Instances.anonymous (params ~n:4 ~m:1 ~k:2) in
   Alcotest.(check int) "Fig 5 is anonymous" 0
     (List.length (Analyze.Lint.anonymity ~rounds:2 config))
+
+(* Two processes that read R0 twenty times in lockstep, then write a
+   value carrying their pid: the divergence is the 22nd step, so the
+   witness keeps both ends. *)
+let anonymity_clipped_witness () =
+  let proc pid =
+    let rec loop i =
+      if i = 0 then P.write 0 (V.tuple [ vi 1; vi pid ]) @@ fun () -> P.yield (vi 1) P.stop
+      else P.read 0 (fun _ -> loop (i - 1))
+    in
+    P.await (fun _ -> loop 20)
+  in
+  let r = "both: read R0" in
+  match Analyze.Lint.anonymity (config_of ~registers:1 [ proc 0; proc 1 ]) with
+  | [ d ] ->
+      Alcotest.(check string) "rule" "anon/pid-dependent-value" d.rule;
+      Alcotest.(check (list string))
+        "clipped witness text"
+        [ "both: invoke #1 1 (identical input)"; r; r; r; r; r; "... (10 steps elided)";
+          r; r; r; r; r; "both: write R0 := [1;0]" ]
+        d.witness
+  | ds -> Alcotest.failf "expected one diagnostic, got %d" (List.length ds)
 
 let anonymity_fig3_would_fail () =
   (* Figure 3 stores (pref, id) pairs — id-dependent by design, which
@@ -281,6 +312,55 @@ let absint_step_allocation_independent_of_value_size () =
     (Fmt.str "words per step: int %.1f, 1000-tuple %.1f" small big)
     true (big < 4. *. small)
 
+(* A register's first write keeps its path unrendered, so writing many
+   registers after a long prefix costs per step what writing one does;
+   rendering each first-write path would make 64 registers about 50
+   times dearer per step. *)
+let absint_write_witness_allocation_independent_of_registers () =
+  let words_per_step regs =
+    let rec write i =
+      if i = 64 then P.yield (vi 0) P.stop
+      else P.write (1 + (i mod regs)) (vi i) @@ fun () -> write (i + 1)
+    in
+    let rec read i = if i = 0 then write 0 else P.read 0 (fun _ -> read (i - 1)) in
+    let registers = 1 + regs in
+    let config = config_of ~registers [ P.await (fun _ -> read 2000) ] in
+    let budgets =
+      {
+        (Analyze.Absint.budgets_for ~registers ~n:1) with
+        Analyze.Absint.max_depth = 10_000;
+        max_steps_per_pass = 10_000;
+      }
+    in
+    let before = Gc.minor_words () in
+    let s = Analyze.Absint.analyze ~budgets config in
+    (Gc.minor_words () -. before) /. float_of_int s.Analyze.Absint.steps
+  in
+  let one = words_per_step 1 in
+  let many = words_per_step 64 in
+  Alcotest.(check bool)
+    (Fmt.str "words per step: 1 register %.1f, 64 registers %.1f" one many)
+    true (many < 2. *. one)
+
+(* Lint's solo run keeps its steps unrendered and formats only the 13
+   lines of a clipped witness, so a solo spinner's cost does not grow
+   with the value it writes.  200 unused registers raise the fuel to
+   6,712 steps; rendering every step would make the 1,000-component
+   tuple about 85 times dearer than the int. *)
+let lint_solo_allocation_independent_of_value_size () =
+  let words v =
+    let rec spin () = P.write 0 v @@ fun () -> spin () in
+    let config = config_of ~registers:200 [ P.await (fun _ -> spin ()) ] in
+    let before = Gc.minor_words () in
+    ignore (Analyze.Lint.check ~anonymous:false config);
+    Gc.minor_words () -. before
+  in
+  let small = words (vi 7) in
+  let big = words (V.tuple (List.init 1000 vi)) in
+  Alcotest.(check bool)
+    (Fmt.str "minor words: int %.0f, 1000-tuple %.0f" small big)
+    true (big < 4. *. small)
+
 let sweep_small_grid_green () =
   let rows = Analyze.Report.sweep ~max_n:4 () in
   Alcotest.(check bool) "grid non-trivial" true (List.length rows >= 20);
@@ -353,7 +433,17 @@ let mutant_pid_leak_rejected_with_witness () =
       (fun (d : Analyze.Lint.diag) -> d.rule = "anon/pid-dependent-value")
       (Analyze.Lint.errors diags)
   with
-  | Some d -> Alcotest.(check bool) "witness non-empty" true (d.witness <> [])
+  | Some d ->
+      Alcotest.(check (list string))
+        "witness text"
+        [
+          "both: invoke #1 1 (identical input)";
+          "both: scan [0..4]";
+          "both: write R0 := 1";
+          "both: scan [0..4]";
+          "both: write R1 := (1,0)";
+        ]
+        d.witness
   | None -> Alcotest.fail "anonymity rule did not fire"
 
 (* ---- soundness property ----
@@ -884,6 +974,7 @@ let suite =
     test "anonymity: Figure 5 passes" anonymity_fig5_passes;
     test "anonymity: Figure 3 is id-dependent (hence exempt)"
       anonymity_fig3_would_fail;
+    test "anonymity: clipped witness text" anonymity_clipped_witness;
     test "registry: four entries, bounds bound" registry_has_four_entries;
     test "registry: dynamic measure = written registers of the event stream"
       measure_dynamic_matches_event_stream;
@@ -891,6 +982,10 @@ let suite =
       measure_dynamic_allocation;
     test "absint: step allocation independent of written value size"
       absint_step_allocation_independent_of_value_size;
+    test "absint: first-write paths stay unrendered (Gc-pinned)"
+      absint_write_witness_allocation_independent_of_registers;
+    test "lint: solo allocation independent of written value size (Gc-pinned)"
+      lint_solo_allocation_independent_of_value_size;
     test "witness paths render in chronological order"
       absint_witness_rendering_order;
     test "sweep: small grid green" sweep_small_grid_green;

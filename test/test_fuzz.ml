@@ -217,7 +217,37 @@ let coverage_accumulation seed =
     (Fuzz.Coverage.add acc t);
   Alcotest.(check int) "accumulator holds the union"
     (Fuzz.Coverage.cardinal t)
-    (Fuzz.Coverage.acc_cardinal acc)
+    (Fuzz.Coverage.acc_cardinal acc);
+  (* over many overlapping signatures: the fresh counts add up to the
+     union, the union does not depend on the order, a repeat adds
+     nothing, and the union never outgrows the sum of its parts *)
+  let sigs = List.map (fun (p, sched) -> Fuzz.Coverage.signature p sched) (gen_pairs ~seed 50) in
+  let fill sigs =
+    let acc = Fuzz.Coverage.acc_create () in
+    let fresh, _ =
+      List.fold_left
+        (fun (fresh, total) t ->
+          let fresh = fresh + Fuzz.Coverage.add acc t
+          and total = total + Fuzz.Coverage.cardinal t in
+          Alcotest.(check bool) "union within the sum of cardinals" true
+            (Fuzz.Coverage.acc_cardinal acc <= total);
+          (fresh, total))
+        (0, 0) sigs
+    in
+    Alcotest.(check int) "fresh bits sum to the union" fresh (Fuzz.Coverage.acc_cardinal acc);
+    acc
+  in
+  let forward = fill sigs in
+  let backward = fill (List.rev sigs) in
+  Alcotest.(check int) "order-independent union"
+    (Fuzz.Coverage.acc_cardinal forward)
+    (Fuzz.Coverage.acc_cardinal backward);
+  List.iter
+    (fun acc ->
+      List.iter
+        (fun t -> Alcotest.(check int) "a repeat adds nothing" 0 (Fuzz.Coverage.add acc t))
+        sigs)
+    [ forward; backward ]
 
 (* ---- oracles ---- *)
 
