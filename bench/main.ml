@@ -897,54 +897,57 @@ let fuzz_table ~smoke =
   let seed = 0x5eed in
   section
     (Fmt.str
-       "E18 Coverage-guided fuzzing (lib/fuzz): %d execs per oracle, seed %d%s"
+       "E18 Coverage-guided fuzzing (lib/fuzz): one %d-exec campaign, every oracle, seed %d%s"
        budget seed
        (if smoke then ", smoke" else ""));
   Fmt.pr "%-14s %-8s %-10s %-12s %-10s %-10s %-12s %-10s@." "oracle" "execs"
     "interest" "corpus" "cov bits" "diverge" "execs/s" "wall ms";
+  (* one shared campaign judged by every oracle: wall_ms and
+     execs_per_s are the campaign's, the same on each row *)
+  let outcomes, wall_ms =
+    timed (fun () ->
+        Fuzz.Driver.campaign ~replay:[]
+          ~judges:(List.map (fun o -> (o, Fuzz.Oracle.check o)) Fuzz.Oracle.all)
+          ~budget ~seed ())
+  in
+  let execs = List.fold_left (fun m (o : Fuzz.Driver.outcome) -> max m o.stats.execs) 0 outcomes in
+  let execs_per_s = if wall_ms <= 0. then 0. else 1000. *. float_of_int execs /. wall_ms in
   let rows = ref [] in
   List.iter
-    (fun oracle ->
-      let outcome, wall_ms = timed (fun () -> Fuzz.Driver.run ~oracle ~budget ~seed ()) in
-      let s = outcome.Fuzz.Driver.stats in
-      let execs_per_s =
-        if wall_ms <= 0. then 0. else 1000. *. float_of_int s.Fuzz.Driver.execs /. wall_ms
-      in
+    (fun (outcome : Fuzz.Driver.outcome) ->
+      let s = outcome.stats in
       let curve =
         Obs.Json.Arr
           (List.map
              (fun (x, b) ->
                Obs.Json.Obj [ ("exec", Obs.Json.Int x); ("bits", Obs.Json.Int b) ])
-             s.Fuzz.Driver.curve)
+             s.curve)
       in
       rows :=
         Obs.Json.Obj
           [
             ("bench", Obs.Json.String "fuzz-oracle");
-            ("oracle", Obs.Json.String (Fuzz.Oracle.name oracle));
-            ("budget", Obs.Json.Int s.Fuzz.Driver.budget);
-            ("seed", Obs.Json.Int s.Fuzz.Driver.seed);
-            ("execs", Obs.Json.Int s.Fuzz.Driver.execs);
-            ("interesting", Obs.Json.Int s.Fuzz.Driver.interesting);
-            ("corpus_size", Obs.Json.Int s.Fuzz.Driver.corpus_size);
-            ("coverage_bits", Obs.Json.Int s.Fuzz.Driver.coverage_bits);
+            ("oracle", Obs.Json.String (Fuzz.Oracle.name s.oracle));
+            ("budget", Obs.Json.Int s.budget);
+            ("seed", Obs.Json.Int s.seed);
+            ("execs", Obs.Json.Int s.execs);
+            ("interesting", Obs.Json.Int s.interesting);
+            ("corpus_size", Obs.Json.Int s.corpus_size);
+            ("coverage_bits", Obs.Json.Int s.coverage_bits);
             ("coverage_curve", curve);
-            ("divergences", Obs.Json.Int s.Fuzz.Driver.divergences);
+            ("divergences", Obs.Json.Int s.divergences);
             ("execs_per_s", Obs.Json.Float execs_per_s);
             ("wall_ms", Obs.Json.Float wall_ms);
-            ( "ok",
-              Obs.Json.Float (if s.Fuzz.Driver.divergences = 0 then 1.0 else 0.0)
-            );
+            ("ok", Obs.Json.Float (if s.divergences = 0 then 1.0 else 0.0));
           ]
         :: !rows;
       Fmt.pr "%-14s %-8d %-10d %-12d %-10d %-10d %-12.0f %-10.1f@."
-        (Fuzz.Oracle.name oracle) s.Fuzz.Driver.execs s.Fuzz.Driver.interesting
-        s.Fuzz.Driver.corpus_size s.Fuzz.Driver.coverage_bits
-        s.Fuzz.Driver.divergences execs_per_s wall_ms;
-      match outcome.Fuzz.Driver.witness with
+        (Fuzz.Oracle.name s.oracle) s.execs s.interesting s.corpus_size s.coverage_bits
+        s.divergences execs_per_s wall_ms;
+      match outcome.witness with
       | None -> ()
       | Some w -> Fmt.pr "  !! %a@." Fuzz.Driver.pp_witness w)
-    Fuzz.Oracle.all;
+    outcomes;
   let results, wall_ms =
     timed (fun () -> Fuzz.Oracle.mutant_sweep ~budget:mutant_budget ~seed:42)
   in

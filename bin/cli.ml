@@ -14,6 +14,10 @@ let usage_error fmt =
       exit 2)
     fmt
 
+(* A count flag: zero or a negative count checks nothing, or crashes
+   deeper down, so it is a usage error. *)
+let positive flag v = if v < 1 then usage_error "%s must be positive" flag else v
+
 (* The exit statuses every command's --help lists.  Cmdliner's own
    parse errors are usage errors too: sa_run.ml maps its code to 2. *)
 let exits =

@@ -273,6 +273,7 @@ let analyze () algos all (nmk_given, p) max_n mutants json_path witness no_dynam
   let max_n =
     match (max_n, all) with
     | Some n, false -> Cli.usage_error "--max-n %d bounds the --all sweep; pass --all" n
+    | Some n, true when n < 2 -> Cli.usage_error "--max-n %d: the grid starts at n = 2" n
     | n, _ -> Option.value n ~default:6
   in
   if all && nmk_given && not mutants then
@@ -588,6 +589,10 @@ let conform_finish ~stats metrics code =
   exit code
 
 let conform_snapshot domains components ops mutant (chaos, seed, iters, stats) =
+  let domains = Cli.positive "--domains" domains in
+  let components = Cli.positive "--components" components in
+  let ops = Cli.positive "--ops" ops in
+  let iters = Cli.positive "--iters" iters in
   let profile = chaos_profile chaos in
   let sut =
     match mutant with
@@ -621,6 +626,7 @@ let conform_snapshot domains components ops mutant (chaos, seed, iters, stats) =
     conform_finish ~stats metrics 1
 
 let conform_agreement params (chaos, seed, iters, stats) =
+  let iters = Cli.positive "--iters" iters in
   let profile = chaos_profile chaos in
   let metrics = Obs.Metrics.create () in
   Fmt.pr "object: agreement (Fig. 3 native, %s), chaos %s, seed %d, %d instances@."
@@ -699,11 +705,11 @@ let serve () shards clients ops keys theta seed app_name batch window params (o 
     Cli.lookup "app" Service.App.by_name app_name
       ~valid:(List.map (fun a -> a.Service.App.name) Service.App.all)
   in
-  if shards <= 0 then Cli.usage_error "--shards must be positive";
-  if batch <= 0 then Cli.usage_error "--batch must be positive";
+  let shards = Cli.positive "--shards" shards in
+  let batch = Cli.positive "--batch" batch in
   if window < batch then
     Cli.usage_error "--window (%d) must be at least --batch (%d)" window batch;
-  if clients <= 0 then Cli.usage_error "--clients must be positive";
+  let clients = Cli.positive "--clients" clients in
   if ops < 0 then Cli.usage_error "--ops must be non-negative";
   let server = Service.Server.create ~batch_max:batch ~window ~app ~shards params in
   let cfg =
@@ -829,51 +835,43 @@ let fig1_cmd =
 
 let oracle_names = List.map Fuzz.Oracle.name Fuzz.Oracle.all @ [ "all" ]
 
-let fuzz_one ~budget ~seed ~replay ~corpus_out oracle =
-  Option.iter
-    (fun (path, seeds) ->
-      Fmt.pr "replaying %d corpus seed(s) from %s@." (List.length seeds) path)
-    replay;
-  let replay = match replay with Some (_, seeds) -> seeds | None -> [] in
-  let outcome = Fuzz.Driver.run ~replay ~oracle ~budget ~seed () in
-  Fmt.pr "%a@." Fuzz.Driver.pp_stats outcome.Fuzz.Driver.stats;
+let fuzz oracle_s budget seed corpus_in corpus_out =
+  let budget = Cli.positive "--budget" budget in
+  Option.iter (Cli.check_output "--corpus-out") corpus_out;
+  let judges =
+    (if String.lowercase_ascii oracle_s = "all" then Fuzz.Oracle.all
+     else [ Cli.lookup "oracle" Fuzz.Oracle.of_string oracle_s ~valid:oracle_names ])
+    |> List.map (fun o -> (o, Fuzz.Oracle.check o))
+  in
+  let replay =
+    match Option.map (fun path -> (path, Fuzz.Corpus.load path)) corpus_in with
+    | None -> []
+    | Some (_, Error e) -> Cli.usage_error "--corpus-in: %s" e
+    | Some (path, Ok seeds) ->
+      Fmt.pr "replaying %d corpus seed(s) from %s@." (List.length seeds) path;
+      seeds
+  in
+  let outcomes = Fuzz.Driver.campaign ~replay ~judges ~budget ~seed () in
+  List.iter
+    (fun (o : Fuzz.Driver.outcome) ->
+      Fmt.pr "%a@." Fuzz.Driver.pp_stats o.stats;
+      Option.iter (Fmt.pr "%a@." Fuzz.Driver.pp_witness) o.witness)
+    outcomes;
+  (* the campaign's final corpus is the largest: corpora only grow *)
+  let corpus =
+    List.fold_left
+      (fun c (o : Fuzz.Driver.outcome) -> if o.stats.corpus_size > List.length c then o.corpus else c)
+      [] outcomes
+  in
   Option.iter
     (fun path ->
-      (match Fuzz.Corpus.save path outcome.Fuzz.Driver.corpus with
-      | Ok () -> ()
-      | Error e -> Cli.usage_error "--corpus-out: %s" e);
-      Fmt.pr "corpus (%d entries) written to %s@."
-        (List.length outcome.Fuzz.Driver.corpus)
-        path)
+      Result.iter_error (Cli.usage_error "--corpus-out: %s") (Fuzz.Corpus.save path corpus);
+      Fmt.pr "corpus (%d entries) written to %s@." (List.length corpus) path)
     corpus_out;
-  match outcome.Fuzz.Driver.witness with
-  | None -> true
-  | Some w ->
-    Fmt.pr "%a@." Fuzz.Driver.pp_witness w;
-    false
-
-let fuzz oracle_s budget seed corpus_in corpus_out =
-  Option.iter (Cli.check_output "--corpus-out") corpus_out;
-  let replay =
-    Option.map
-      (fun path ->
-        match Fuzz.Corpus.load path with
-        | Ok seeds -> (path, seeds)
-        | Error e -> Cli.usage_error "--corpus-in: %s" e)
-      corpus_in
-  in
-  let oracles =
-    if String.lowercase_ascii oracle_s = "all" then Fuzz.Oracle.all
-    else [ Cli.lookup "oracle" Fuzz.Oracle.of_string oracle_s ~valid:oracle_names ]
-  in
-  let ok =
-    List.fold_left
-      (fun ok o -> fuzz_one ~budget ~seed ~replay ~corpus_out o && ok)
-      true oracles
-  in
-  exit (if ok then 0 else 1)
+  exit (if List.exists (fun (o : Fuzz.Driver.outcome) -> o.witness <> None) outcomes then 1 else 0)
 
 let fuzz_mutants budget seed =
+  let budget = Cli.positive "--budget" budget in
   let results = Fuzz.Oracle.mutant_sweep ~budget ~seed in
   let ok =
     List.fold_left

@@ -8,13 +8,11 @@ type entry = { program : Gen.program; schedule : Gen.schedule; credit : int }
 
 type t = {
   rng : Shm.Rng.t;
-  sizes : Gen.sizes;
   mutable items : entry list;  (* newest first *)
   mutable total_credit : int;
 }
 
-let create ?(sizes = Gen.default_sizes) ~seed () =
-  { rng = Shm.Rng.create seed; sizes; items = []; total_credit = 0 }
+let create ~seed () = { rng = Shm.Rng.create seed; items = []; total_credit = 0 }
 
 let size t = List.length t.items
 
@@ -53,12 +51,12 @@ let splice rng (a : Gen.program) (b : Gen.program) =
   let steps = if steps = [] then [ Shm.Vm.Decide Shm.Vm.Last ] else steps in
   { Gen.registers; n = (if Shm.Rng.bool rng then a.Gen.n else b.Gen.n); steps }
 
-let insert_step ?(sizes = Gen.default_sizes) rng (p : Gen.program) =
+let insert_step rng (p : Gen.program) =
   let s =
     (* draw through a 1-step generated program so loop nesting and
        range invariants come from the one generator *)
     match
-      (Gen.generate ~sizes:{ sizes with Gen.max_steps = 1 } rng).Gen.steps
+      (Gen.generate ~sizes:{ Gen.default_sizes with Gen.max_steps = 1 } rng).Gen.steps
     with
     | s :: _ -> refit ~registers:p.Gen.registers [ s ]
     | [] -> []
@@ -92,26 +90,24 @@ let renumber rng (p : Gen.program) =
   in
   { p with Gen.steps = go p.Gen.steps }
 
-let mutate_schedule ?(sizes = Gen.default_sizes) rng ~n sched =
+let mutate_schedule rng ~n sched =
   match Shm.Rng.int rng 3 with
   | 0 ->
     (* splice with a fresh tail *)
     let head = take (Shm.Rng.int rng (1 + List.length sched)) sched in
-    head @ Gen.gen_schedule ~sizes rng ~n
+    head @ Gen.gen_schedule rng ~n
   | 1 ->
     let at = Shm.Rng.int rng (1 + List.length sched) in
     take at sched @ (Shm.Rng.int rng n :: drop at sched)
   | _ -> (
     match sched with
-    | [] | [ _ ] -> Gen.gen_schedule ~sizes rng ~n
+    | [] | [ _ ] -> Gen.gen_schedule rng ~n
     | _ ->
       let at = Shm.Rng.int rng (List.length sched) in
       List.filteri (fun i _ -> i <> at) sched)
 
 (* ------------------------------------------------------------------ *)
 (* Selection and admission *)
-
-let fresh t = (Gen.generate ~sizes:t.sizes t.rng, Gen.gen_schedule ~sizes:t.sizes t.rng ~n:0)
 
 let pick_biased t =
   (* roulette over credit: entries that opened more coverage get
@@ -126,8 +122,8 @@ let pick_biased t =
 
 let next t =
   if t.items = [] || Shm.Rng.int t.rng 4 = 0 then begin
-    let p = Gen.generate ~sizes:t.sizes t.rng in
-    (p, Gen.gen_schedule ~sizes:t.sizes t.rng ~n:p.Gen.n)
+    let p = Gen.generate t.rng in
+    (p, Gen.gen_schedule t.rng ~n:p.Gen.n)
   end
   else begin
     let e = pick_biased t in
@@ -138,12 +134,12 @@ let next t =
           if t.items = [] then e.program else (pick_biased t).program
         in
         splice t.rng e.program other
-      | 1 -> insert_step ~sizes:t.sizes t.rng e.program
+      | 1 -> insert_step t.rng e.program
       | 2 -> delete_step t.rng e.program
       | 3 -> renumber t.rng e.program
       | _ -> e.program (* keep the program, mutate only the schedule *)
     in
-    let sched = mutate_schedule ~sizes:t.sizes t.rng ~n:p.Gen.n e.schedule in
+    let sched = mutate_schedule t.rng ~n:p.Gen.n e.schedule in
     (p, sched)
   end
 
@@ -152,8 +148,6 @@ let record t program schedule ~credit =
     t.items <- { program; schedule; credit } :: t.items;
     t.total_credit <- t.total_credit + credit
   end
-
-let _ = fresh (* selection goes through [next]; kept for symmetry *)
 
 (* ------------------------------------------------------------------ *)
 (* Corpus files: one `credit | program | schedule` line per entry. *)

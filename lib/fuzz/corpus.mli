@@ -21,8 +21,8 @@ type entry = {
 
 type t
 
-(** [create ?sizes ~seed ()] — an empty corpus with its own PRNG. *)
-val create : ?sizes:Gen.sizes -> seed:int -> unit -> t
+(** [create ~seed ()] — an empty corpus with its own PRNG. *)
+val create : seed:int -> unit -> t
 
 val size : t -> int
 val entries : t -> entry list
@@ -61,7 +61,7 @@ val load :
 val splice : Shm.Rng.t -> Gen.program -> Gen.program -> Gen.program
 
 (** Insert one freshly drawn step at a random position. *)
-val insert_step : ?sizes:Gen.sizes -> Shm.Rng.t -> Gen.program -> Gen.program
+val insert_step : Shm.Rng.t -> Gen.program -> Gen.program
 
 (** Delete one random top-level step (identity on 1-step programs). *)
 val delete_step : Shm.Rng.t -> Gen.program -> Gen.program
@@ -72,5 +72,4 @@ val renumber : Shm.Rng.t -> Gen.program -> Gen.program
 
 (** Mutate a schedule: splice/insert/delete pid entries over the
     program's own process count. *)
-val mutate_schedule :
-  ?sizes:Gen.sizes -> Shm.Rng.t -> n:int -> Gen.schedule -> Gen.schedule
+val mutate_schedule : Shm.Rng.t -> n:int -> Gen.schedule -> Gen.schedule

@@ -68,84 +68,73 @@ let shrink_with ~check ~kind ~seed ~found_at (p0 : Gen.program) s0 =
         shrink_removed = plen + slen - List.length sh.Spec.Shrink.schedule;
       }
 
-(* Joint 1-minimal shrink of a known-failing pair; [None] iff the pair
-   does not fail [oracle]. *)
-let shrink ~oracle ~seed ~found_at p0 s0 =
-  shrink_with ~check:(Oracle.check oracle) ~kind:oracle ~seed ~found_at p0 s0
-
 (* ------------------------------------------------------------------ *)
-(* The loop *)
+(* The loop: each input is drawn, signed and credited once, then judged
+   by every live judge.  A judge that diverges is shrunk on the spot,
+   its outcome snapshotted where its own campaign would have stopped,
+   and it leaves the live set. *)
 
-let run ?sizes ?(replay = []) ~oracle ~budget ~seed () =
-  let corpus = Corpus.create ?sizes ~seed () in
+let campaign ~replay ~judges ~budget ~seed () =
+  let corpus = Corpus.create ~seed () in
   let acc = Coverage.acc_create () in
   let curve = ref [] in
   let interesting = ref 0 in
-  let witness = ref None in
   let execs = ref 0 in
-  let judge p sched =
+  let outcome oracle witness =
+    {
+      stats =
+        { oracle; seed; budget; execs = !execs; interesting = !interesting;
+          corpus_size = Corpus.size corpus; coverage_bits = Coverage.acc_cardinal acc;
+          curve = List.rev !curve; divergences = (if witness = None then 0 else 1) };
+      corpus = Corpus.entries corpus;
+      witness;
+    }
+  in
+  let slots = List.map (fun (kind, check) -> (kind, check, ref None)) judges in
+  let live = ref slots in
+  let judge (p, sched) =
+    incr execs;
     let credit = Coverage.add acc (Coverage.signature p sched) in
     if credit > 0 then begin
       incr interesting;
       Corpus.record corpus p sched ~credit;
       curve := (!execs, Coverage.acc_cardinal acc) :: !curve
     end;
-    match Oracle.check oracle p sched with
-    | None -> ()
-    | Some msg ->
-      (* shrink reproduces the divergence by construction; keep the
-         unshrunk pair if the oracle flaked (it must not — the
-         determinism oracle exists to catch exactly that) *)
-      let w =
-        match shrink ~oracle ~seed ~found_at:!execs p sched with
-        | Some w -> w
-        | None ->
-          {
-            program = p;
-            schedule = sched;
-            oracle;
-            message = msg;
-            seed;
-            found_at = !execs;
-            shrink_replays = 0;
-            shrink_removed = 0;
-          }
-      in
-      witness := Some w;
-      raise Exit
+    live :=
+      List.filter
+        (fun (oracle, check, result) ->
+          match check p sched with
+          | None -> true
+          | Some message ->
+            (* shrink reproduces the divergence by construction; keep
+               the unshrunk pair if the judge flaked (it must not — the
+               determinism oracle exists to catch exactly that) *)
+            let found_at = !execs in
+            let w =
+              match shrink_with ~check ~kind:oracle ~seed ~found_at p sched with
+              | Some w -> w
+              | None ->
+                { program = p; schedule = sched; oracle; message; seed; found_at;
+                  shrink_replays = 0; shrink_removed = 0 }
+            in
+            result := Some (outcome oracle (Some w));
+            false)
+        !live
   in
-  (try
-     (* replayed seeds consume budget first, and coverage admits them
-        into the live corpus so generation mutates from them *)
-     List.iter
-       (fun (p, sched) ->
-         if !execs < budget then begin
-           incr execs;
-           judge p sched
-         end)
-       replay;
-     while !execs < budget do
-       incr execs;
-       let p, sched = Corpus.next corpus in
-       judge p sched
-     done
-   with Exit -> ());
-  {
-    stats =
-      {
-        oracle;
-        seed;
-        budget;
-        execs = !execs;
-        interesting = !interesting;
-        corpus_size = Corpus.size corpus;
-        coverage_bits = Coverage.acc_cardinal acc;
-        curve = List.rev !curve;
-        divergences = (if !witness = None then 0 else 1);
-      };
-    corpus = Corpus.entries corpus;
-    witness = !witness;
-  }
+  (* replayed seeds consume budget first, and coverage admits them into
+     the live corpus so generation mutates from them *)
+  let pending = ref replay in
+  while !execs < budget && !live <> [] do
+    match !pending with
+    | input :: rest ->
+      pending := rest;
+      judge input
+    | [] -> judge (Corpus.next corpus)
+  done;
+  List.map (fun (oracle, _, result) -> match !result with Some o -> o | None -> outcome oracle None) slots
+
+let run ?(replay = []) ~oracle ~budget ~seed () =
+  List.hd (campaign ~replay ~judges:[ (oracle, Oracle.check oracle) ] ~budget ~seed ())
 
 (* ------------------------------------------------------------------ *)
 (* Rendering *)

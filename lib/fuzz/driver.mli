@@ -1,18 +1,20 @@
 (** The budgeted fuzz loop.
 
-    [run ~oracle ~budget ~seed ()] draws [budget] inputs from a
-    seed-deterministic {!Corpus}, admits the interesting ones by
-    {!Coverage} feedback, and judges each with the chosen {!Oracle}.
-    On the first divergence the loop stops and shrinks the failing
-    (program, schedule) pair {e jointly} — top-level program steps and
+    [campaign] draws [budget] inputs from a seed-deterministic
+    {!Corpus}, admits the interesting ones by {!Coverage} feedback, and
+    hands each to every live judge: coverage never reads a verdict, so
+    each input is drawn, signed and credited once however many judges
+    there are.  On a judge's first divergence the failing (program,
+    schedule) pair is shrunk {e jointly} — top-level program steps and
     schedule entries share one index space fed to
     {!Spec.Shrink.minimize_generic} — to a 1-minimal witness: removing
     any single remaining program step or schedule entry makes the
-    divergence disappear.
+    divergence disappear.  That judge then leaves the campaign.
 
-    Everything is deterministic in (oracle, budget, seed, sizes):
-    re-running the same campaign reproduces the same witness, which is
-    what the printed replay line relies on. *)
+    Each judge's outcome is deterministic in (oracle, budget, seed) and
+    equals that of a campaign the judge runs alone: re-running
+    reproduces the same witness, which is what the printed replay line
+    relies on. *)
 
 type witness = {
   program : Gen.program;  (** shrunk *)
@@ -35,7 +37,7 @@ type stats = {
   coverage_bits : int;  (** accumulated distinct bits *)
   curve : (int * int) list;
       (** (exec index, cumulative bits) at each coverage increase *)
-  divergences : int;  (** 0 or 1 — the loop stops at the first *)
+  divergences : int;  (** 0 or 1 — a judge leaves at its first *)
 }
 
 type outcome = {
@@ -44,21 +46,29 @@ type outcome = {
   witness : witness option;
 }
 
-(** [?replay] — corpus seeds (from a previous campaign's
-    [--corpus-out] file) judged {e before} any generation.  They
-    consume budget, earn coverage, and the interesting ones enter the
-    live corpus so mutation builds on them — this is how
-    [sa_run fuzz --corpus-in] persists progress across CI runs.  A
-    witness found with a non-empty [replay] needs the same seed list
-    to reproduce. *)
+(** One campaign judged by every [(kind, check)] of [judges]: one
+    outcome per judge, in order, snapshotted at the exec where it
+    diverged or else at the end.  The loop ends when the budget is
+    spent or no judge is left.
+
+    [replay] — corpus seeds (from a previous campaign's [--corpus-out]
+    file) judged {e before} any generation.  They consume budget, earn
+    coverage, and the interesting ones enter the live corpus so
+    mutation builds on them; this is how [sa_run fuzz --corpus-in]
+    persists progress across CI runs.  A witness found with a non-empty
+    [replay] needs the same seed list to reproduce. *)
+val campaign :
+  replay:(Gen.program * Gen.schedule) list ->
+  judges:(Oracle.kind * (Gen.program -> Gen.schedule -> string option)) list ->
+  budget:int -> seed:int -> unit -> outcome list
+
+(** [campaign] with the one judge [(oracle, Oracle.check oracle)]. *)
 val run :
-  ?sizes:Gen.sizes ->
   ?replay:(Gen.program * Gen.schedule) list ->
   oracle:Oracle.kind -> budget:int -> seed:int -> unit -> outcome
 
-(** Same, against an arbitrary judgement — the tests inject synthetic
-    divergences to pin 1-minimality of the joint index space.  [kind]
-    only labels the witness. *)
+(** Joint 1-minimal shrink of a pair that fails [check]; [None] iff it
+    does not.  [kind] only labels the witness. *)
 val shrink_with :
   check:(Gen.program -> Gen.schedule -> string option) ->
   kind:Oracle.kind -> seed:int -> found_at:int ->

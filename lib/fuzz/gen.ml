@@ -76,8 +76,8 @@ let generate ?(sizes = default_sizes) rng =
   in
   { registers; n; steps }
 
-let gen_schedule ?(sizes = default_sizes) rng ~n =
-  let len = n + Shm.Rng.int rng (max 1 (sizes.max_sched - n + 1)) in
+let gen_schedule rng ~n =
+  let len = n + Shm.Rng.int rng (max 1 (default_sizes.max_sched - n + 1)) in
   List.init len (fun _ -> Shm.Rng.int rng n)
 
 (* ------------------------------------------------------------------ *)

@@ -47,8 +47,8 @@ val default_sizes : sizes
     randomness comes from [rng], so generation is replayable. *)
 val generate : ?sizes:sizes -> Shm.Rng.t -> program
 
-(** [gen_schedule ?sizes rng ~n] draws a pid schedule over [0 .. n-1]. *)
-val gen_schedule : ?sizes:sizes -> Shm.Rng.t -> n:int -> schedule
+(** [gen_schedule rng ~n] draws a pid schedule over [0 .. n-1]. *)
+val gen_schedule : Shm.Rng.t -> n:int -> schedule
 
 (** {1 Structure} *)
 

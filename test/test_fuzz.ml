@@ -386,6 +386,67 @@ let driver_clean_campaign seed =
      in
      mono o.Fuzz.Driver.stats.Fuzz.Driver.curve)
 
+(* ---- the shared campaign ---- *)
+
+let all_judges = List.map (fun o -> (o, Fuzz.Oracle.check o)) Fuzz.Oracle.all
+
+(* Every oracle's outcome in the shared campaign is the outcome of its
+   own campaign: same stats, same corpus, no witness. *)
+let campaign_matches_single_oracle_runs () =
+  List.iter
+    (fun seed ->
+      let shared =
+        Fuzz.Driver.campaign ~replay:[] ~judges:all_judges ~budget:40 ~seed ()
+      in
+      List.iter2
+        (fun oracle (o : Fuzz.Driver.outcome) ->
+          let alone = Fuzz.Driver.run ~oracle ~budget:40 ~seed () in
+          let what = Fmt.str "seed %d, oracle %s" seed (Fuzz.Oracle.name oracle) in
+          Alcotest.(check bool) (what ^ ": stats") true (o.stats = alone.stats);
+          Alcotest.(check bool) (what ^ ": corpus") true (o.corpus = alone.corpus);
+          Alcotest.(check bool) (what ^ ": no witness") true (o.witness = None))
+        Fuzz.Oracle.all shared)
+    [ 0; 1; 2; 3; 4 ]
+
+(* A judge that diverges from exec [at] on, and the count of its calls:
+   before [at], each exec calls it once; from then on (shrink replays
+   included) any input with a program step and a schedule entry fails,
+   so its 1-minimal witness is one step and one entry. *)
+let diverging_at at =
+  let calls = ref 0 in
+  ( calls,
+    ( Fuzz.Oracle.Indep,
+      fun (p : G.program) sched ->
+        incr calls;
+        if !calls >= at && p.G.steps <> [] && sched <> [] then Some "synthetic" else None ) )
+
+let never = (Fuzz.Oracle.Backend, fun _ _ -> None)
+
+let campaign_judge_leaves_at_divergence seed =
+  let budget = 30 and at = 12 in
+  let campaign judges = Fuzz.Driver.campaign ~replay:[] ~judges ~budget ~seed () in
+  let calls, judge = diverging_at at in
+  match (campaign [ judge; never ], campaign [ snd (diverging_at at) ], campaign [ never ]) with
+  | [ d; n ], [ d_alone ], [ n_alone ] ->
+    Alcotest.(check bool) "diverging judge: same witness" true (d.witness = d_alone.witness);
+    Alcotest.(check bool) "diverging judge: same stats" true (d.stats = d_alone.stats);
+    Alcotest.(check bool) "diverging judge: same corpus" true (d.corpus = d_alone.corpus);
+    Alcotest.(check int) "diverging judge stops at its exec" at d.stats.execs;
+    Alcotest.(check int) "one divergence" 1 d.stats.divergences;
+    (match d.witness with
+    | Some w ->
+      Alcotest.(check int) "found at its exec" at w.found_at;
+      Alcotest.(check int) "1-minimal: one step" 1 (List.length w.program.G.steps);
+      Alcotest.(check int) "1-minimal: one entry" 1 (List.length w.schedule);
+      Alcotest.(check int) "not asked again after its shrink" (at + w.shrink_replays) !calls
+    | None -> Alcotest.fail "no witness");
+    Alcotest.(check int) "other judge reads the full budget" budget n.stats.execs;
+    Alcotest.(check bool) "other judge: stats of a clean campaign" true (n.stats = n_alone.stats);
+    Alcotest.(check bool) "other judge: corpus of a clean campaign" true
+      (n.corpus = n_alone.corpus);
+    Alcotest.(check bool) "other judge: no witness" true (n.witness = None)
+  | _ -> Alcotest.fail "one outcome per judge"
+
 (* ---- seeded-mutant regression ---- *)
 
 let mutant_sweep_catches_all seed =
@@ -433,6 +494,10 @@ let suite =
     seeded_test "driver: deterministic campaign" driver_run_deterministic;
     seeded_test "driver: clean budgeted campaign, monotone coverage curve"
       driver_clean_campaign;
+    test "campaign: every oracle reads its own campaign's stats and corpus"
+      campaign_matches_single_oracle_runs;
+    seeded_test "campaign: a diverging judge leaves, the others run on"
+      campaign_judge_leaves_at_divergence;
     seeded_test "mutants: every seeded mutant caught within budget"
       mutant_sweep_catches_all;
   ]
