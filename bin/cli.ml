@@ -18,6 +18,10 @@ let usage_error fmt =
    deeper down, so it is a usage error. *)
 let positive flag v = if v < 1 then usage_error "%s must be positive" flag else v
 
+(* The largest n of a parameter-grid sweep ([analyze --all], [fig1]):
+   the grids start at n = 2, so a smaller bound sweeps nothing. *)
+let grid_max_n n = if n < 2 then usage_error "--max-n %d: the grid starts at n = 2" n else n
+
 (* The exit statuses every command's --help lists.  Cmdliner's own
    parse errors are usage errors too: sa_run.ml maps its code to 2. *)
 let exits =
@@ -270,7 +274,11 @@ let valid = function Ok v -> v | Error e -> usage_error "%s" e
 
 let run =
   let make inst spec max_steps =
-    { inst; sched = valid (parse_sched spec ~n:inst.params.Agreement.Params.n); max_steps }
+    {
+      inst;
+      sched = valid (parse_sched spec ~n:inst.params.Agreement.Params.n);
+      max_steps = positive "--max-steps" max_steps;
+    }
   in
   Term.(
     const make $ instance

@@ -273,8 +273,7 @@ let analyze () algos all (nmk_given, p) max_n mutants json_path witness no_dynam
   let max_n =
     match (max_n, all) with
     | Some n, false -> Cli.usage_error "--max-n %d bounds the --all sweep; pass --all" n
-    | Some n, true when n < 2 -> Cli.usage_error "--max-n %d: the grid starts at n = 2" n
-    | n, _ -> Option.value n ~default:6
+    | n, _ -> Cli.grid_max_n (Option.value n ~default:6)
   in
   if all && nmk_given && not mutants then
     Cli.usage_error "-n/-m/-k: --all sweeps its own grid; only --mutants reads the triple";
@@ -710,6 +709,7 @@ let serve () shards clients ops keys theta seed app_name batch window params (o 
   if window < batch then
     Cli.usage_error "--window (%d) must be at least --batch (%d)" window batch;
   let clients = Cli.positive "--clients" clients in
+  let keys = Cli.positive "--keys" keys in
   if ops < 0 then Cli.usage_error "--ops must be non-negative";
   let server = Service.Server.create ~batch_max:batch ~window ~app ~shards params in
   let cfg =
@@ -803,6 +803,7 @@ let serve_cmd =
    fails. *)
 
 let fig1 max_n =
+  let max_n = Cli.grid_max_n max_n in
   let rows = Lowerbound.Figure1.table ~max_n in
   let failed = List.filter (fun r -> Result.is_error r.Lowerbound.Figure1.verdict) rows in
   Fmt.pr "%a%d rows, %d failed@." Lowerbound.Figure1.pp rows (List.length rows)

@@ -9,71 +9,65 @@
    - process p's SW segment holds p's *row*: for every component j, the
      timestamped value (ts, p, v) of p's last update to j;
    - update(j, v): take an SW scan, compute ts = 1 + max timestamp seen
-     for j, install the new row with an SW update (which itself embeds a
-     scan for helping — we reuse one scan for both purposes is unsound,
-     Afek's update performs its own embedded scan);
+     for j, install the new row with an SW update (which takes its own
+     embedded scan for helping: one scan cannot serve both);
    - scan(): one SW scan; component j's value is the maximum-(ts, pid)
      entry among all rows.
 
    Writes are totally ordered by (ts, pid); a write beginning after
    another's end sees its timestamp in the SW scan and exceeds it, and
    scans are atomic SW scans, so the simulated object is linearizable
-   and wait-free.  Register footprint: exactly n. *)
+   and wait-free.  Register footprint: exactly n.
 
-type slot = { ts : int; owner : int; v : Shm.Value.t }
+   A row is a [List] of r slots [((ts, owner), v)] (⊥ before the first
+   write).  Rows stay encoded: a scan reads each slot's stamp in place,
+   and a process keeps its own row as written, so an update interns
+   only the slot it changes. *)
 
-let encode_slot { ts; owner; v } =
+let encode_slot ~ts ~owner v =
   Shm.Value.pair (Shm.Value.pair (Shm.Value.int ts) (Shm.Value.int owner)) v
 
-let decode_slot s =
-  match Shm.Value.view s with
-  | Shm.Value.Pair (stamp, v) -> (
-    match Shm.Value.view stamp with
-    | Shm.Value.Pair (ts, owner) ->
-      { ts = Shm.Value.to_int ts; owner = Shm.Value.to_int owner; v }
-    | _ -> invalid_arg (Fmt.str "Mw_from_sw.decode_slot: %a" Shm.Value.pp s))
-  | _ -> invalid_arg (Fmt.str "Mw_from_sw.decode_slot: %a" Shm.Value.pp s)
-
-let empty_slot = { ts = 0; owner = -1; v = Shm.Value.bot }
-
-let encode_row row = Shm.Value.list (Array.to_list (Array.map encode_slot row))
-
-let decode_row ~components v =
-  match Shm.Value.view v with
-  | Shm.Value.Bot -> Array.make components empty_slot
-  | Shm.Value.List slots -> Array.of_list (List.map decode_slot slots)
-  | _ -> invalid_arg (Fmt.str "Mw_from_sw.decode_row: %a" Shm.Value.pp v)
-
-let slot_newer a b = a.ts > b.ts || (a.ts = b.ts && a.owner > b.owner)
-
-(* The freshest entry for component [j] across all rows. *)
-let freshest rows j =
-  Array.fold_left
-    (fun best row -> if slot_newer row.(j) best then row.(j) else best)
-    empty_slot rows
+(* Per component, the timestamp and value of the maximum-(ts, owner)
+   slot across [rows]; 0 and ⊥ while every slot is empty (0, −1, ⊥). *)
+let latest ~components rows =
+  let ts = Array.make components 0 and owner = Array.make components (-1) in
+  let v = Array.make components Shm.Value.bot in
+  let slot j s =
+    match Shm.Value.view s with
+    | Shm.Value.Pair (stamp, sv)
+      when (match Shm.Value.view stamp with Shm.Value.Pair _ -> true | _ -> false) ->
+      let t = Shm.Value.to_int (Shm.Value.fst stamp) in
+      let o = Shm.Value.to_int (Shm.Value.snd stamp) in
+      if t > ts.(j) || (t = ts.(j) && o > owner.(j)) then (
+        ts.(j) <- t; owner.(j) <- o; v.(j) <- sv)
+    | _ -> invalid_arg (Fmt.str "Mw_from_sw.decode_slot: %a" Shm.Value.pp s)
+  in
+  Array.iter
+    (fun row ->
+      match Shm.Value.view row with
+      | Shm.Value.Bot -> ()
+      | Shm.Value.List l when List.compare_length_with l components = 0 -> List.iteri slot l
+      | _ -> invalid_arg (Fmt.str "Mw_from_sw.decode_row: %a" Shm.Value.pp row))
+    rows;
+  (ts, v)
 
 let make ~off ~n ~components ~pid : Snap_api.t =
-  let decode_all segments = Array.map (decode_row ~components) segments in
-  let rec api (seq, row) : Snap_api.t =
+  (* [row] is this process's row as it last wrote it. *)
+  let rec api seq row : Snap_api.t =
     let update j v k =
       if j < 0 || j >= components then invalid_arg "Mw_from_sw.update: component out of range";
-      Afek.scan ~off ~n (fun segments ->
-          let rows = decode_all segments in
-          let ts = 1 + (freshest rows j).ts in
-          let row' = Array.copy row in
-          row'.(j) <- { ts; owner = pid; v };
-          Afek.update ~off ~n ~pid ~seq (encode_row row') (fun seq' ->
-              k (api (seq', row'))))
+      Afek.scan ~off ~n (fun rows ->
+          let ts = 1 + (fst (latest ~components rows)).(j) in
+          let set i s = if i = j then encode_slot ~ts ~owner:pid v else s in
+          let row' = Shm.Value.list (List.mapi set (Shm.Value.to_list row)) in
+          Afek.update ~off ~n ~pid ~seq row' (fun seq' -> k (api seq' row')))
     in
-    let scan k =
-      Afek.scan ~off ~n (fun segments ->
-          let rows = decode_all segments in
-          let view = Array.init components (fun j -> (freshest rows j).v) in
-          k (api (seq, row)) view)
-    in
-    { Snap_api.components; update; scan }
+    let rec self = { Snap_api.components; update; scan }
+    and scan k = Afek.scan ~off ~n (fun rows -> k self (snd (latest ~components rows))) in
+    self
   in
-  api (0, Array.make components empty_slot)
+  let empty = encode_slot ~ts:0 ~owner:(-1) Shm.Value.bot in
+  api 0 (Shm.Value.list (List.init components (fun _ -> empty)))
 
 let footprint ~n =
   {

@@ -67,6 +67,124 @@ let afek_scan_never_tears () =
     | _ -> Alcotest.failf "seed %d: missing scanner output" seed
   done
 
+(* An Afek register value: sequence number, segment, embedded view. *)
+let afek_cell seq data view = Value.list [ vi seq; data; Value.list view ]
+
+(* Afek borrowing, on a scripted schedule: the scanner (p1) collects
+   around two whole updates of the writer (p0), so it sees register 0
+   at seqs 0, 1 and 2 and returns the view p0 embedded in its second
+   update — p0's first segment, with the other two still ⊥ — though
+   register 0 already holds 20. *)
+let afek_scan_borrows_embedded_view () =
+  let n = 3 in
+  let writer =
+    Program.await (fun _ ->
+        Snapshot.Afek.update ~off:0 ~n ~pid:0 ~seq:0 (vi 10) (fun seq ->
+            Snapshot.Afek.update ~off:0 ~n ~pid:0 ~seq (vi 20) (fun _ -> Program.stop)))
+  in
+  let scanner =
+    Program.await (fun _ ->
+        Snapshot.Afek.scan ~off:0 ~n (fun view ->
+            Program.yield (Value.list (Array.to_list view)) Program.stop))
+  in
+  let idle = Program.await (fun _ -> Program.stop) in
+  let config = Config.create ~registers:n ~procs:[| writer; scanner; idle |] () in
+  let inputs = Exec.oneshot_inputs [| vi 0; vi 0; vi 0 |] in
+  (* A solo update is two clean collects and a write, 7 steps; a
+     collect is 3.  Each process's first step is its invocation, and
+     the scanner's last its output. *)
+  let steps pid count = List.init count (fun _ -> pid) in
+  let sched =
+    Schedule.replay ~n
+      (List.concat [ steps 1 4; steps 0 8; steps 1 3; steps 0 7; steps 1 4 ])
+  in
+  let res = Exec.run ~sched ~inputs ~max_steps:1_000 config in
+  check_value "register 0 holds the second update"
+    (afek_cell 2 (vi 20) [ vi 10; Value.bot; Value.bot ])
+    (Memory.read (Config.mem res.Exec.config) 0);
+  match Config.outputs res.Exec.config with
+  | [ (1, _, out) ] ->
+    check_value "borrowed view" (Value.list [ vi 10; Value.bot; Value.bot ]) out
+  | _ -> Alcotest.fail "missing scanner output"
+
+(* Feed [prog] the scripted read results [vs] in order. *)
+let feed_reads prog vs =
+  List.fold_left
+    (fun p v ->
+      match Program.feed_read p v with
+      | Some p -> p
+      | None -> Alcotest.fail "program not poised at a read")
+    prog vs
+
+(* Register values scripted per collect: a register seen at three
+   distinct seqs lends the view its last cell embeds — the view the
+   writer embedded while every other segment was ⊥, and n × ⊥ for a
+   register last read unwritten. *)
+let afek_scan_borrows_scripted () =
+  let n = 2 in
+  let out vs =
+    match
+      Program.take_yield
+        (feed_reads (Snapshot.Afek.scan ~off:0 ~n (fun view ->
+             Program.yield (Value.list (Array.to_list view)) Program.stop)) vs)
+    with
+    | Some (v, _) -> v
+    | None -> Alcotest.fail "scan did not return"
+  in
+  let bot = Value.bot in
+  check_value "embedded all-⊥ view"
+    (Value.list [ bot; bot ])
+    (out [ bot; bot; afek_cell 1 (vi 5) [ bot; bot ]; bot; afek_cell 2 (vi 6) [ bot; bot ]; bot ]);
+  check_value "unwritten register lends n × ⊥"
+    (Value.list [ bot; bot ])
+    (out [ afek_cell 1 (vi 5) [ vi 5; bot ]; bot; afek_cell 2 (vi 6) [ vi 6; bot ]; bot; bot; bot ])
+
+(* Malformed register values raise at the read that delivers them
+   (Afek) or at the scan's last read (a Mw_from_sw row), with the
+   decoder's message. *)
+let malformed_values_raise () =
+  let bot = Value.bot in
+  let afek = Snapshot.Afek.scan ~off:0 ~n:2 (fun _ -> Program.stop) in
+  Alcotest.check_raises "non-cell register value" (Invalid_argument "Afek.decode: 7")
+    (fun () -> ignore (feed_reads afek [ bot; vi 7 ]));
+  Alcotest.check_raises "cell with a non-list view"
+    (Invalid_argument "Afek.decode: [1;5;5]")
+    (fun () -> ignore (feed_reads afek [ Value.list [ vi 1; vi 5; vi 5 ] ]));
+  let row_scan row =
+    let api = Snapshot.Mw_from_sw.make ~off:0 ~n:1 ~components:2 ~pid:0 in
+    let scan = api.Snapshot.Snap_api.scan (fun _ _ -> Program.stop) in
+    let cell = afek_cell 1 row [ bot ] in
+    fun () -> ignore (feed_reads scan [ cell; cell ])
+  in
+  let slot ts owner v = Value.pair (Value.pair (vi ts) (vi owner)) v in
+  Alcotest.check_raises "row not a list" (Invalid_argument "Mw_from_sw.decode_row: 3")
+    (row_scan (vi 3));
+  Alcotest.check_raises "row of the wrong length"
+    (Invalid_argument "Mw_from_sw.decode_row: [((1,0),4)]")
+    (row_scan (Value.list [ slot 1 0 (vi 4) ]));
+  Alcotest.check_raises "malformed slot" (Invalid_argument "Mw_from_sw.decode_slot: (1,4)")
+    (row_scan (Value.list [ slot 1 0 (vi 4); Value.pair (vi 1) (vi 4) ]))
+
+(* A collect's read checks the cell and keeps its embedded view
+   encoded, so one read allocates the same at n = 4 and n = 32 (26
+   words); decoding the view into an n-array made it 37 and 65 words. *)
+let afek_read_allocation_independent_of_n () =
+  let words_per_read n =
+    let cell = afek_cell 1 (vi 0) (List.init n vi) in
+    let scan = Snapshot.Afek.scan ~off:0 ~n (fun _ -> Program.stop) in
+    let reps = 1_000 in
+    let before = Gc.minor_words () in
+    for _ = 1 to reps do
+      ignore (Program.feed_read scan cell)
+    done;
+    (Gc.minor_words () -. before) /. float_of_int reps
+  in
+  let small = words_per_read 4 in
+  let big = words_per_read 32 in
+  Alcotest.(check bool)
+    (Fmt.str "words per read: n = 4 %.1f, n = 32 %.1f" small big)
+    true (big < 1.5 *. small)
+
 (* Double collect with max_retries: a perpetually-interfered scan fails
    loudly instead of spinning. *)
 let double_collect_retry_bound () =
@@ -158,6 +276,10 @@ let suite =
   [
     test "afek: update then scan" afek_update_then_scan;
     test "afek: scans never tear under interference" afek_scan_never_tears;
+    test "afek: a scan borrows the writer's embedded view" afek_scan_borrows_embedded_view;
+    test "afek: scripted collects borrow the last cell's view" afek_scan_borrows_scripted;
+    test "afek and mw-from-sw: malformed values raise" malformed_values_raise;
+    test "afek: a read allocates the same at any n" afek_read_allocation_independent_of_n;
     test "double collect: retry bound fails loudly" double_collect_retry_bound;
     test "footprints" footprints;
     test "mw-from-sw: timestamp order respects real time" mw_sw_timestamp_order;
