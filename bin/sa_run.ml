@@ -638,7 +638,7 @@ let conform_agreement params (chaos, seed, iters, stats) =
   | Conform.Harness.Agree_pass _ -> conform_finish ~stats metrics 0
   | Conform.Harness.Agree_fail _ -> conform_finish ~stats metrics 1
 
-let conform_cmd =
+let conform_cmd, conform_cmds =
   let domains =
     Arg.(value & opt int 4 & info [ "domains" ] ~doc:"OCaml domains (= processes).")
   in
@@ -687,13 +687,15 @@ let conform_cmd =
             instances, one process per domain.")
       Term.(const conform_agreement $ Cli.nmk_of domains ~m:1 ~k:2 $ common)
   in
-  Cmd.group
-    (Cmd.info "conform" ~exits:Cli.exits
-       ~doc:
-         "Audit the native multicore layer: capture real histories, check real-time \
-          linearizability (chaos injection, crash-pending completion), shrink failures \
-          to 1-minimal witnesses; $(b,--stats) prints the conform.* metrics registry")
-    [ snapshot; agreement ]
+  let cmds = [ snapshot; agreement ] in
+  ( Cmd.group
+      (Cmd.info "conform" ~exits:Cli.exits
+         ~doc:
+           "Audit the native multicore layer: capture real histories, check real-time \
+            linearizability (chaos injection, crash-pending completion), shrink failures \
+            to 1-minimal witnesses; $(b,--stats) prints the conform.* metrics registry")
+      cmds,
+    cmds )
 
 (* ------------------------------------------------------------------ *)
 (* The `serve` subcommand: sharded batched serving layer (lib/service). *)
@@ -885,7 +887,7 @@ let fuzz_mutants budget seed =
   in
   exit (if ok then 0 else 1)
 
-let fuzz_cmd =
+let fuzz_cmd, fuzz_cmds =
   let oracle =
     Arg.(
       value & opt string "all"
@@ -935,15 +937,20 @@ let fuzz_cmd =
             Exits 1 if one is missed.")
       Term.(const fuzz_mutants $ budget $ seed)
   in
-  Cmd.group
-    ~default:Term.(const fuzz $ oracle $ budget $ seed $ corpus_in $ corpus_out)
-    (Cmd.info "fuzz" ~exits:Cli.exits
-       ~doc:
-         "Coverage-guided differential fuzzing of the simulator stack: random \
-          protocols + schedules, coverage feedback from state keys and analyzer \
-          footprints, and joint 1-minimal shrinking of any divergence.  Exits 1 \
-          with a replayable witness on divergence.")
-    [ mutants ]
+  let cmds = [ mutants ] in
+  ( Cmd.group
+      ~default:Term.(const fuzz $ oracle $ budget $ seed $ corpus_in $ corpus_out)
+      (Cmd.info "fuzz" ~exits:Cli.exits
+         ~doc:
+           "Coverage-guided differential fuzzing of the simulator stack: random \
+            protocols + schedules, coverage feedback from state keys and analyzer \
+            footprints, and joint 1-minimal shrinking of any divergence.  Exits 1 \
+            with a replayable witness on divergence.")
+      cmds,
+    cmds )
+
+let subcommands =
+  [ explore_cmd; protocol_cmd; conform_cmd; analyze_cmd; serve_cmd; fuzz_cmd; fig1_cmd ]
 
 let cmd =
   let trace = Arg.(value & flag & info [ "trace"; "t" ] ~doc:"Print the full trace.") in
@@ -974,6 +981,23 @@ let cmd =
          "Run m-obstruction-free k-set agreement in the simulator, model-check it with \
           `explore', or audit the native layer with `conform'.  $(b,--stats) prints \
           the run's Shm.Analysis counts and propose latencies")
-    [ explore_cmd; protocol_cmd; conform_cmd; analyze_cmd; serve_cmd; fuzz_cmd; fig1_cmd ]
+    subcommands
 
-let () = exit (match Cmd.eval cmd with c when c = Cmd.Exit.cli_error -> 2 | c -> c)
+(* cmdliner answers [GROUP WORD --help] with GROUP's help and exit 0 even
+   when WORD names none of GROUP's commands (exactly or as a unique
+   prefix).  A line is cut after such a word, so it fails the same way
+   with or without --help: one unknown-command error, exit 2. *)
+let argv =
+  let groups = [ (conform_cmd, conform_cmds); (fuzz_cmd, fuzz_cmds) ] in
+  let rec cut i cmds =
+    let w = if i < Array.length Sys.argv then Sys.argv.(i) else "-" in
+    let named p = List.filter (fun c -> p (Cmd.name c)) cmds in
+    match (named (String.equal w), named (String.starts_with ~prefix:w)) with
+    | _ when String.starts_with ~prefix:"-" w -> Sys.argv
+    | [ c ], _ | [], [ c ] -> (
+      match List.assq_opt c groups with Some cmds -> cut (i + 1) cmds | None -> Sys.argv)
+    | _ -> Array.sub Sys.argv 0 (i + 1)
+  in
+  cut 1 subcommands
+
+let () = exit (match Cmd.eval ~argv cmd with c when c = Cmd.Exit.cli_error -> 2 | c -> c)

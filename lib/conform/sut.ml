@@ -51,10 +51,7 @@ let real =
                 update = (fun i v -> Native.Native_snapshot.update h i v);
                 scan =
                   (fun () ->
-                    Native.Native_snapshot.scan
-                      ~on_retry:(fun _ -> Domain.cpu_relax ())
-                      ~on_collect:(fun _ -> pause ())
-                      h);
+                    Native.Native_snapshot.scan ~on_collect:(fun _ -> pause ()) h);
               });
         });
   }

@@ -18,7 +18,6 @@ type t = {
   snap : Native_snapshot.t;
   n : int;
   m : int;
-  k : int;
 }
 
 (* [create ~params] allocates the shared object: r = n+2m−k atomics. *)
@@ -28,7 +27,6 @@ let create ~(params : Agreement.Params.t) =
     snap = Native_snapshot.create ~components:r;
     n = params.Agreement.Params.n;
     m = params.Agreement.Params.m;
-    k = params.Agreement.Params.k;
   }
 
 let registers t = Native_snapshot.components t.snap
@@ -38,7 +36,7 @@ let registers t = Native_snapshot.components t.snap
    per update-scan-check iteration: the conformance harness uses it to
    inject yield storms, stalls, and crash aborts (by raising) into the
    middle of a propose without touching the algorithm itself. *)
-let propose ?(chaos = fun () -> ()) ?span t ~pid ~seed v =
+let propose ?(chaos = fun () -> ()) t ~pid ~seed v =
   let r = Native_snapshot.components t.snap in
   let h = Native_snapshot.handle t.snap ~pid in
   let rng = Shm.Rng.create (seed + (31 * pid)) in
@@ -54,9 +52,9 @@ let propose ?(chaos = fun () -> ()) ?span t ~pid ~seed v =
   let rec loop pref i iters window =
     chaos ();
     Native_snapshot.update h i (Agreement.Oneshot.pair ~pref ~pid);
-    let view = Native_snapshot.scan ~on_retry:(fun _ -> Domain.cpu_relax ()) h in
+    let view = Native_snapshot.scan h in
     match Agreement.Oneshot.decide_check ~m:t.m view with
-    | Some w -> (w, iters)
+    | Some w -> w
     | None ->
       let pref, i =
         match Agreement.Oneshot.adopt_check ~pid ~pref ~i view with
@@ -66,45 +64,13 @@ let propose ?(chaos = fun () -> ()) ?span t ~pid ~seed v =
       let window = if iters mod r = r - 1 then backoff window else window in
       loop pref i (iters + 1) window
   in
-  (* the span brackets the whole propose — iterations, backoff, chaos
-     points — and is begun/ended on the proposing domain even when the
-     parent context was minted elsewhere (run_instance, the conformance
-     harness); detached, this is one atomic load *)
-  match Obs.Trace.attached () with
-  | None -> fst (loop v 0 0 1)
-  | Some tr ->
-    let c =
-      Obs.Trace.begin_span tr ?parent:span ~cat:"native"
-        ~args:[ ("pid", Obs.Json.Int pid) ]
-        "propose"
-    in
-    (match loop v 0 0 1 with
-    | w, iters ->
-      Obs.Trace.end_span tr ~args:[ ("iters", Obs.Json.Int iters) ] c;
-      w
-    | exception e ->
-      Obs.Trace.end_span tr ~args:[ ("aborted", Obs.Json.Bool true) ] c;
-      raise e)
+  loop v 0 0 1
 
 (* Run a full one-shot instance: spawn one domain per process, each
    proposing [inputs.(pid)]; returns the decisions in pid order. *)
 let run_instance ?(seed = 0) ~(params : Agreement.Params.t) inputs =
   let t = create ~params in
-  let tr = Obs.Trace.attached () in
-  let span =
-    Option.map
-      (fun trc ->
-        Obs.Trace.begin_span trc ~cat:"native"
-          ~args:[ ("n", Obs.Json.Int t.n); ("seed", Obs.Json.Int seed) ]
-          "instance")
-      tr
-  in
   let domains =
-    Array.init t.n (fun pid ->
-        Domain.spawn (fun () -> propose ?span t ~pid ~seed inputs.(pid)))
+    Array.init t.n (fun pid -> Domain.spawn (fun () -> propose t ~pid ~seed inputs.(pid)))
   in
-  let out = Array.map Domain.join domains in
-  (match (tr, span) with
-  | Some trc, Some c -> Obs.Trace.end_span trc c
-  | _ -> ());
-  (t, out)
+  (t, Array.map Domain.join domains)

@@ -14,19 +14,10 @@ val registers : t -> int
 (** One process's Propose(v); call from its own domain.  [seed] feeds
     only the backoff jitter.  [chaos] fires once per algorithm
     iteration; the conformance harness injects disturbances (or aborts,
-    by raising) through it.  When an {!Obs.Trace} collector is attached,
-    the whole call is bracketed in a ["propose"] span (category
-    ["native"], closed with the iteration count) parented to [span] if
-    given — the cross-domain link run_instance and the conformance
-    harness use; detached, tracing costs one atomic load. *)
+    by raising) through it, and brackets the call in its own
+    ["propose"] span. *)
 val propose :
-  ?chaos:(unit -> unit) ->
-  ?span:Obs.Trace.ctx ->
-  t ->
-  pid:int ->
-  seed:int ->
-  Shm.Value.t ->
-  Shm.Value.t
+  ?chaos:(unit -> unit) -> t -> pid:int -> seed:int -> Shm.Value.t -> Shm.Value.t
 
 (** Run a full one-shot instance: one domain per process, process [pid]
     proposing [inputs.(pid)].  Returns the object and the decisions in

@@ -41,26 +41,19 @@ let update h i v =
 
 let collect t = Array.map Atomic.get t.cells
 
-let same_collect a b =
-  Array.length a = Array.length b
-  &&
-  let rec go i =
-    i >= Array.length a
-    ||
-    (match (a.(i), b.(i)) with
-    | None, None -> true
-    | Some x, Some y -> x.tag_pid = y.tag_pid && x.tag_seq = y.tag_seq
-    | None, Some _ | Some _, None -> false)
-    && go (i + 1)
-  in
-  go 0
+let same_collect =
+  Array.for_all2 (fun a b ->
+      match (a, b) with
+      | None, None -> true
+      | Some x, Some y -> x.tag_pid = y.tag_pid && x.tag_seq = y.tag_seq
+      | None, Some _ | Some _, None -> false)
 
-(* Non-blocking scan: retry until a clean double collect.  [on_retry]
-   lets the caller back off between attempts; [on_collect] fires after
-   every collect — i.e. inside the window between the two collects of a
-   clean pair — which is where the conformance harness injects stalls
-   to probe the double-collect's atomicity on real hardware. *)
-let scan ?(on_retry = fun _attempt -> ()) ?(on_collect = fun _attempt -> ()) h =
+(* Non-blocking scan: retry until a clean double collect, relaxing the
+   CPU between attempts.  [on_collect] fires after every collect — i.e.
+   inside the window between the two collects of a clean pair — which is
+   where the conformance harness injects stalls to probe the
+   double-collect's atomicity on real hardware. *)
+let scan ?(on_collect = fun _attempt -> ()) h =
   let rec attempt n prev =
     let cur = collect h.snap in
     on_collect n;
@@ -68,7 +61,7 @@ let scan ?(on_retry = fun _attempt -> ()) ?(on_collect = fun _attempt -> ()) h =
     | Some p when same_collect p cur ->
       Array.map (function Some e -> e.v | None -> Shm.Value.bot) cur
     | Some _ | None ->
-      on_retry n;
+      Domain.cpu_relax ();
       attempt (n + 1) (Some cur)
   in
   attempt 0 None

@@ -20,9 +20,8 @@ val handle : t -> pid:int -> handle
 (** Atomic store of [v] into component [i]. *)
 val update : handle -> int -> Shm.Value.t -> unit
 
-(** Non-blocking scan: retries until a clean double collect;
-    [on_retry] is called between attempts (for backoff), [on_collect]
-    after every collect — inside the double-collect window, where the
+(** Non-blocking scan: retries until a clean double collect, with a
+    [Domain.cpu_relax] between attempts; [on_collect] is called after
+    every collect — inside the double-collect window, where the
     conformance harness injects chaos stalls. *)
-val scan :
-  ?on_retry:(int -> unit) -> ?on_collect:(int -> unit) -> handle -> Shm.Value.t array
+val scan : ?on_collect:(int -> unit) -> handle -> Shm.Value.t array

@@ -144,12 +144,21 @@ let delta_pct d =
   else 100. *. (d.cur -. d.base) /. Float.abs d.base
 
 (* Rows matched by key, metrics by name; rows or metrics present on
-   only one side are skipped (diff reports drift, not schema change). *)
+   only one side are skipped (diff reports drift, not schema change).
+   Rows sharing a key (a sweep over a numeric field) pair in order, the
+   i-th keyed "key #i" from the second on; numeric fields stay out of
+   the key so that a count which moved still pairs. *)
 let diff base cur =
   let index e =
+    let seen = Hashtbl.create 16 in
     List.filter_map
       (fun row ->
-        match row_key row with "" -> None | key -> Some (key, metrics_of_row row))
+        match row_key row with
+        | "" -> None
+        | key ->
+          let i = 1 + Option.value ~default:0 (Hashtbl.find_opt seen key) in
+          Hashtbl.replace seen key i;
+          Some ((if i = 1 then key else Fmt.str "%s #%d" key i), metrics_of_row row))
       e.rows
   in
   let base_rows = index base in

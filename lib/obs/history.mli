@@ -69,7 +69,9 @@ type delta = { d_key : string; d_metric : string; base : float; cur : float }
 
 val delta_pct : delta -> float
 
-(** Metrics that changed between rows present in both entries. *)
+(** Metrics that changed between rows present in both entries.  Rows
+    pair on their string fields; rows that share those pair in the
+    order they occur. *)
 val diff : entry -> entry -> delta list
 
 val pp_delta : Format.formatter -> delta -> unit

@@ -240,6 +240,35 @@ let agreement_under_crashes seed =
   | Conform.Harness.Agree_fail { error; _ } ->
     Alcotest.failf "native agreement violated safety under chaos: %s" error
 
+(* The harness owns the native spans: every propose, crashed or not, is
+   one conform "propose" span under its iteration's span, and none is
+   left open. *)
+let agreement_spans_under_crashes () =
+  let n = 3 and iters = 4 in
+  let params = Agreement.Params.make ~n ~m:1 ~k:1 in
+  let tr = Obs.Trace.create () in
+  (match
+     Obs.Trace.with_attached tr (fun () ->
+         Conform.Harness.run_agreement ~params ~profile:Conform.Chaos.Crashes ~seed:7
+           ~iters ())
+   with
+  | Conform.Harness.Agree_pass _ -> ()
+  | Conform.Harness.Agree_fail { error; _ } ->
+    Alcotest.failf "native agreement violated safety under chaos: %s" error);
+  let spans = Obs.Trace.spans tr in
+  let named name = List.filter (fun (s : Obs.Trace.span) -> s.name = name) spans in
+  let iterations = List.map (fun (s : Obs.Trace.span) -> s.id) (named "iteration") in
+  let proposes = named "propose" in
+  Alcotest.(check int) "one iteration span per instance" iters (List.length iterations);
+  Alcotest.(check int) "one propose span per process per instance" (n * iters)
+    (List.length proposes);
+  List.iter
+    (fun (s : Obs.Trace.span) ->
+      Alcotest.(check string) "propose cat" "conform" s.cat;
+      Alcotest.(check bool) "parented to an iteration span" true (List.mem s.parent iterations))
+    proposes;
+  Alcotest.(check int) "no span left open" 0 (Obs.Trace.open_count tr)
+
 let suite =
   [
     test "linearize witness: legal history, order respects real time" witness_mode_legal;
@@ -257,4 +286,5 @@ let suite =
     seeded_slow_test "real snapshot passes conformance (chaos profiles)" real_passes_chaos;
     seeded_slow_test "conform counters and latency histograms exported" metrics_exported;
     seeded_slow_test "native agreement safe under crash chaos" agreement_under_crashes;
+    test "native agreement: one conform propose span per call" agreement_spans_under_crashes;
   ]

@@ -100,99 +100,8 @@ let native_snapshot_concurrent () =
         view)
     views
 
-(* Repeated agreement on domains: every instance safe, histories make
-   laggards catch up, constant shared space. *)
-let repeated_on_domains () =
-  let params = Params.make ~n:3 ~m:1 ~k:1 in
-  for trial = 0 to 4 do
-    let rounds = 4 in
-    let input ~pid ~round = vi ((1000 * trial) + (10 * round) + pid) in
-    let obj, decisions =
-      Native.Native_repeated.run ~seed:trial ~params ~rounds input
-    in
-    Alcotest.(check int) "constant space" (Params.r_oneshot params)
-      (Native.Native_repeated.registers obj);
-    for round = 1 to rounds do
-      let per_round =
-        Array.to_list (Array.map (fun d -> d.(round - 1)) decisions)
-      in
-      let distinct = Spec.Properties.distinct_values per_round in
-      Alcotest.(check int)
-        (Printf.sprintf "trial %d round %d: consensus" trial round)
-        1 (List.length distinct);
-      (* validity: the decision is one of this round's proposals *)
-      let proposals = List.init 3 (fun pid -> input ~pid ~round) in
-      Alcotest.(check bool) "valid" true
-        (List.exists (Shm.Value.equal (List.hd distinct)) proposals)
-    done
-  done
-
-(* High-contention sweep: up to 8 domains hammering repeated instances
-   across several (n,m,k) shapes.  Every round must satisfy validity
-   and k-agreement, and the shared object must stay at n+2m−k atomics
-   no matter how many instances executed. *)
-let high_contention_sweep seed =
-  [ (5, 1, 2, 3); (6, 2, 3, 3); (8, 2, 2, 2); (8, 3, 4, 2) ]
-  |> List.iter (fun (n, m, k, rounds) ->
-         let params = Params.make ~n ~m ~k in
-         let input ~pid ~round = vi ((10_000 * round) + (10 * pid) + (seed land 7)) in
-         let obj, decisions = Native.Native_repeated.run ~seed ~params ~rounds input in
-         Alcotest.(check int)
-           (Printf.sprintf "n=%d m=%d k=%d: constant space" n m k)
-           (Params.r_oneshot params)
-           (Native.Native_repeated.registers obj);
-         for round = 1 to rounds do
-           let per_round =
-             Array.to_list (Array.map (fun d -> d.(round - 1)) decisions)
-           in
-           let distinct = Spec.Properties.distinct_values per_round in
-           Alcotest.(check bool)
-             (Printf.sprintf "n=%d k=%d round %d: <= k distinct (got %d)" n k round
-                (List.length distinct))
-             true
-             (List.length distinct <= k);
-           let proposals = List.init n (fun pid -> input ~pid ~round) in
-           List.iter
-             (fun d ->
-               Alcotest.(check bool)
-                 (Printf.sprintf "n=%d k=%d round %d: validity" n k round)
-                 true
-                 (List.exists (Shm.Value.equal d) proposals))
-             per_round
-         done)
-
-(* Sessions are reusable: successive proposes from the same session run
-   successive instances, and each decision is one of that instance's
-   proposals. *)
-let session_reuse () =
-  let n = 3 in
-  let params = Params.make ~n ~m:1 ~k:1 in
-  let t = Native.Native_repeated.create ~params in
-  let rounds = 3 in
-  let workers =
-    Array.init n (fun pid ->
-        Domain.spawn (fun () ->
-            let s = Native.Native_repeated.session t ~pid ~seed:pid in
-            Array.init rounds (fun round ->
-                Native.Native_repeated.propose s (vi ((100 * round) + pid)))))
-  in
-  let decisions = Array.map Domain.join workers in
-  for round = 0 to rounds - 1 do
-    let per_round = Array.to_list (Array.map (fun d -> d.(round)) decisions) in
-    Alcotest.(check int)
-      (Printf.sprintf "round %d: consensus across reused sessions" round)
-      1
-      (List.length (Spec.Properties.distinct_values per_round));
-    Alcotest.(check bool) "validity" true
-      (List.exists
-         (fun d -> List.exists (Shm.Value.equal d) (List.init n (fun pid -> vi ((100 * round) + pid))))
-         per_round)
-  done;
-  Alcotest.(check int) "space unchanged after 3 instances" (Params.r_oneshot params)
-    (Native.Native_repeated.registers t)
-
 (* The space claim, swept: every native object allocates exactly
-   n+2m−k atomics, for one-shot and repeated alike. *)
+   n+2m−k atomics. *)
 let register_count_sweep () =
   [ (2, 1, 1); (3, 1, 1); (4, 1, 2); (4, 2, 2); (6, 2, 3); (8, 3, 3); (8, 2, 4) ]
   |> List.iter (fun (n, m, k) ->
@@ -202,37 +111,15 @@ let register_count_sweep () =
            (Printf.sprintf "one-shot n=%d m=%d k=%d: %d = n+2m-k" n m k expected)
            expected
            (Native.Native_agreement.registers (Native.Native_agreement.create ~params));
-         Alcotest.(check int)
-           (Printf.sprintf "repeated n=%d m=%d k=%d: %d = n+2m-k" n m k expected)
-           expected
-           (Native.Native_repeated.registers (Native.Native_repeated.create ~params));
          Alcotest.(check int) "and that is n+2m-k" ((n + (2 * m)) - k) expected)
-
-let repeated_k2_on_domains () =
-  let params = Params.make ~n:4 ~m:2 ~k:2 in
-  let rounds = 3 in
-  let input ~pid ~round = vi ((100 * round) + pid) in
-  let _, decisions = Native.Native_repeated.run ~seed:5 ~params ~rounds input in
-  for round = 1 to rounds do
-    let per_round = Array.to_list (Array.map (fun d -> d.(round - 1)) decisions) in
-    Alcotest.(check bool)
-      (Printf.sprintf "round %d: <= 2 distinct" round)
-      true
-      (List.length (Spec.Properties.distinct_values per_round) <= 2)
-  done
 
 let suite =
   [
     slow_test "consensus across 3 domains, 10 trials" consensus_on_domains;
-    slow_test "repeated consensus across domains, 5 trials x 4 rounds" repeated_on_domains;
-    slow_test "repeated 2-set agreement across 4 domains" repeated_k2_on_domains;
-    slow_test "2-set agreement across 4 domains, 10 trials" set_agreement_on_domains;
     slow_test "identical inputs decide that value (native)" identical_inputs_native;
     test "native register count = n+2m-k" register_count_native;
-    test "native register count sweep (one-shot and repeated)" register_count_sweep;
-    seeded_slow_test "high-contention sweep: up to 8 domains, multi-round"
-      high_contention_sweep;
-    slow_test "session reuse across instances" session_reuse;
+    slow_test "2-set agreement across 4 domains, 10 trials" set_agreement_on_domains;
+    test "native register count sweep" register_count_sweep;
     test "native snapshot: sequential semantics" native_snapshot_sequential;
     slow_test "native snapshot: concurrent scans are clean" native_snapshot_concurrent;
   ]

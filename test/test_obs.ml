@@ -523,6 +523,33 @@ let history_roundtrip_and_diff () =
       | Ok _ -> Alcotest.fail "accepted schema 99"
       | Error e -> Alcotest.(check bool) "rejected with reason" true (e <> ""))
 
+(* Rows that differ only in a numeric field (the scaling sweep's shard
+   count) share a string key; diff pairs them in order, so each shard
+   count meets its own base row and the shard field itself never moves. *)
+let history_diff_pairs_repeated_keys () =
+  let row shards cmds =
+    Obs.Json.Obj
+      [
+        ("bench", Obs.Json.String "service-scaling");
+        ("shards", Obs.Json.Int shards);
+        ("cmds_per_s", Obs.Json.Float cmds);
+      ]
+  in
+  let base = history_entry ~rev:"base111" [ row 1 100.; row 2 200. ] in
+  let cur = history_entry ~rev:"cur2222" [ row 1 110.; row 2 220. ] in
+  let deltas =
+    Obs.History.diff base cur
+    |> List.map (fun (d : Obs.History.delta) ->
+           (d.Obs.History.d_key, d.Obs.History.d_metric, d.Obs.History.base, d.Obs.History.cur))
+  in
+  Alcotest.(check (list (pair (pair string string) (pair (float 1e-9) (float 1e-9)))))
+    "each shard count against its own base row"
+    [
+      (("bench=service-scaling", "cmds_per_s"), (100., 110.));
+      (("bench=service-scaling #2", "cmds_per_s"), (200., 220.));
+    ]
+    (List.map (fun (k, m, b, c) -> ((k, m), (b, c))) deltas)
+
 let history_floors_gate () =
   let floors =
     [
@@ -756,4 +783,5 @@ let suite =
     test "history: torn final line skipped, bad line fails" history_torn_final_line;
     test "readers: damaged-input table" readers_on_damaged_input;
     readers_byte_mutations;
+    test "history diff pairs rows that share a key in order" history_diff_pairs_repeated_keys;
   ]

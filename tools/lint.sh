@@ -53,6 +53,12 @@
 #      bench/main.ml (its `table "<id>"` rows) appears in
 #      .github/workflows/ci.yml as `bench/main.exe -- table <id>`, so no
 #      table is only ever printed.
+#  12. No dependency edge that nothing uses: every in-repo library in
+#      the `(libraries …)` of lib/*/dune, bin/dune, bench/dune,
+#      examples/dune and test/dune is named as a module (`M.…`, or
+#      after open/include/=) by some .ml/.mli in that directory, and
+#      every package dune-project depends on (apart from ocaml, dune and
+#      the :with-test/:with-doc ones) appears in some dune file.
 #
 # Exits non-zero listing every offender.
 
@@ -182,6 +188,33 @@ fi
 for id in $bench_ids; do
   if ! grep -Eq "bench/main\.exe -- table $id( |\$)" .github/workflows/ci.yml; then
     echo "lint: bench table $id has no CI step (bench/main.exe -- table $id)" >&2
+    fail=1
+  fi
+done
+
+# 12. no dead dependency edges --------------------------------------
+lib_names=" $(sed -n 's/^[[:space:]]*(name \([a-z_]*\))$/\1/p' lib/*/dune | tr '\n' ' ')"
+for f in lib/*/dune bin/dune bench/dune examples/dune test/dune; do
+  dir=${f%/dune}
+  for l in $(tr '\n' ' ' <"$f" | sed -n 's/.*(libraries \([^)]*\)).*/\1/p'); do
+    case "$lib_names" in *" $l "*) ;; *) continue ;; esac
+    m=$(echo "$l" | awk '{ print toupper(substr($0, 1, 1)) substr($0, 2) }')
+    if ! grep -Eqs "(^|[^A-Za-z0-9_'.])$m\.[^[:space:]]|(open!?|include|=)[[:space:]]+$m([^A-Za-z0-9_']|\$)" \
+      "$dir"/*.ml "$dir"/*.mli; then
+      echo "lint: $f links $l, but no .ml/.mli in $dir names $m (rule 12)" >&2
+      fail=1
+    fi
+  done
+done
+dune_files=$(find . -name dune -not -path './_build/*' -not -path './.git/*')
+pkgs=$(awk '/\(depends/ { on = 1; sub(/.*\(depends/, "(") }
+    on { print; d += gsub(/\(/, "("); d -= gsub(/\)/, ")"); if (d <= 0) on = 0 }' dune-project \
+  | grep -Ev ':with-(test|doc)' | sed -n 's/^[[:space:]]*(\{0,1\}\([a-z][a-z0-9_-]*\).*/\1/p')
+for p in $pkgs; do
+  case "$p" in ocaml | dune) continue ;; esac
+  # shellcheck disable=SC2086 # one path per word; no path has a space
+  if ! grep -Eq "(^|[[:space:](])$p([.[:space:])]|\$)" $dune_files; then
+    echo "lint: dune-project depends on $p, but no dune file uses it (rule 12)" >&2
     fail=1
   fi
 done
