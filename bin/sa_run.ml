@@ -985,19 +985,39 @@ let cmd =
 
 (* cmdliner answers [GROUP WORD --help] with GROUP's help and exit 0 even
    when WORD names none of GROUP's commands (exactly or as a unique
-   prefix).  A line is cut after such a word, so it fails the same way
-   with or without --help: one unknown-command error, exit 2. *)
+   prefix), or when WORD follows the options of GROUP's default run,
+   which takes no positional word.  A line is cut after such a word, so
+   it fails the same way with or without --help: one unknown-command or
+   too-many-arguments error, exit 2.  To find a stray word among a
+   default run's options, each group lists the options of its default
+   run that take no value ([None]: the group has no default run); every
+   other option takes the next word unless its value is glued to it. *)
 let argv =
-  let groups = [ (conform_cmd, conform_cmds); (fuzz_cmd, fuzz_cmds) ] in
-  let rec cut i cmds =
+  let groups = [ (conform_cmd, (conform_cmds, None)); (fuzz_cmd, (fuzz_cmds, Some [])) ] in
+  let flags = [ "--trace"; "-t"; "--diagram"; "-d"; "--stats"; "--cov-sets" ] in
+  let upto i = Array.sub Sys.argv 0 (i + 1) in
+  let rec stray flags i =
+    if i >= Array.length Sys.argv then Sys.argv
+    else
+      let w = Sys.argv.(i) in
+      if not (String.starts_with ~prefix:"-" w) then upto i
+      else if
+        List.mem w ("--help" :: flags)
+        || String.contains w '='
+        || (String.length w > 2 && w.[1] <> '-')
+      then stray flags (i + 1)
+      else stray flags (i + 2)
+  in
+  let rec cut i (cmds, flags) =
     let w = if i < Array.length Sys.argv then Sys.argv.(i) else "-" in
     let named p = List.filter (fun c -> p (Cmd.name c)) cmds in
     match (named (String.equal w), named (String.starts_with ~prefix:w)) with
-    | _ when String.starts_with ~prefix:"-" w -> Sys.argv
+    | _ when String.starts_with ~prefix:"-" w -> (
+      match flags with Some flags -> stray flags i | None -> Sys.argv)
     | [ c ], _ | [], [ c ] -> (
-      match List.assq_opt c groups with Some cmds -> cut (i + 1) cmds | None -> Sys.argv)
-    | _ -> Array.sub Sys.argv 0 (i + 1)
+      match List.assq_opt c groups with Some group -> cut (i + 1) group | None -> Sys.argv)
+    | _ -> upto i
   in
-  cut 1 subcommands
+  cut 1 (subcommands, Some flags)
 
 let () = exit (match Cmd.eval ~argv cmd with c when c = Cmd.Exit.cli_error -> 2 | c -> c)

@@ -14,9 +14,17 @@ val pair : pref:Shm.Value.t -> pid:int -> Shm.Value.t
 val decide_check : m:int -> Shm.Value.t array -> Shm.Value.t option
 
 (** Lines 11–13 (with the erratum repair): [Some w] iff the process
-    adopts [w ≠ pref]. *)
+    adopts [w ≠ pref].  [own] is the pair the process wrote to
+    component [i], as {!pair} built it, and [pref] the preference in
+    it. *)
 val adopt_check :
-  pid:int -> pref:Shm.Value.t -> i:int -> Shm.Value.t array -> Shm.Value.t option
+  pref:Shm.Value.t -> own:Shm.Value.t -> i:int -> Shm.Value.t array -> Shm.Value.t option
+
+(** Lines 11–13 exactly as printed: [Some w] for the value of the
+    minimum duplicated pair, even when [w = pref] (the erratum; see
+    {!program_paper_literal}).  Same arguments as {!adopt_check}. *)
+val adopt_check_paper_literal :
+  pref:Shm.Value.t -> own:Shm.Value.t -> i:int -> Shm.Value.t array -> Shm.Value.t option
 
 (** The full one-shot process program: await one invocation, run
     Propose, halt. *)

@@ -51,13 +51,14 @@ let propose ?(chaos = fun () -> ()) t ~pid ~seed v =
   in
   let rec loop pref i iters window =
     chaos ();
-    Native_snapshot.update h i (Agreement.Oneshot.pair ~pref ~pid);
+    let own = Agreement.Oneshot.pair ~pref ~pid in
+    Native_snapshot.update h i own;
     let view = Native_snapshot.scan h in
     match Agreement.Oneshot.decide_check ~m:t.m view with
     | Some w -> w
     | None ->
       let pref, i =
-        match Agreement.Oneshot.adopt_check ~pid ~pref ~i view with
+        match Agreement.Oneshot.adopt_check ~pref ~own ~i view with
         | Some w -> (w, i)
         | None -> (pref, (i + 1) mod r)
       in

@@ -136,15 +136,42 @@ let rec compare a b =
     | List xs, List ys -> List.compare compare xs ys
     | _, _ -> Stdlib.compare (tag a.node) (tag b.node)
 
-let rec pp ppf t =
+(* Printing renders the whole value into one buffer and gives Format a
+   single string: a Format token per part costs a token record and a
+   queue cell each, some 40 words per component of a long list.  No
+   break hint is printed, so the bytes are those of printing the parts
+   one by one, in any box; a string prints as OCaml's %S does. *)
+let rec add b t =
   match t.node with
-  | Bot -> Fmt.string ppf "⊥"
-  | Int i -> Fmt.int ppf i
-  | Str s -> Fmt.pf ppf "%S" s
-  | Pair (a, b) -> Fmt.pf ppf "(%a,%a)" pp a pp b
-  | List vs -> Fmt.pf ppf "[%a]" (Fmt.list ~sep:(Fmt.any ";") pp) vs
+  | Bot -> Buffer.add_string b "⊥"
+  | Int i -> Buffer.add_string b (Int.to_string i)
+  | Str s ->
+    Buffer.add_char b '"';
+    Buffer.add_string b (String.escaped s);
+    Buffer.add_char b '"'
+  | Pair (x, y) ->
+    Buffer.add_char b '(';
+    add b x;
+    Buffer.add_char b ',';
+    add b y;
+    Buffer.add_char b ')'
+  | List [] -> Buffer.add_string b "[]"
+  | List (v :: vs) ->
+    Buffer.add_char b '[';
+    add b v;
+    List.iter
+      (fun v ->
+        Buffer.add_char b ';';
+        add b v)
+      vs;
+    Buffer.add_char b ']'
 
-let to_string v = Fmt.str "%a" pp v
+let to_string t =
+  let b = Buffer.create 64 in
+  add b t;
+  Buffer.contents b
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let is_bot t = match t.node with
   | Bot -> true

@@ -85,15 +85,18 @@ val summary_hits : memo -> int
 (** [complete_check ?memo ~inputs ~max_steps ~check config] is
     [check (complete ~inputs ~max_steps config)].  With
     [memo = (m, hash)], where [hash] is [config]'s {!Statehash.t}, it
-    looks up [m] at the first step of every burst for as long as every
-    process that has stepped is inert (so the key is defined).  A hit
+    looks up [m] at the first step of every burst after the first, for
+    as long as every process that has stepped is inert (so the key is
+    defined); the first burst, at [config] itself, is neither looked up
+    nor stored, since a leaf's own key almost never recurs.  A hit
     whose stored length fits the remaining budget is [Ok] with no
     further stepping and no [check] call.  A run that ends [Ok] without
     running out of fuel stores every key it looked up; a violation or a
     run out of fuel stores nothing.
 
-    After a memo miss the burst is looked up among the summaries.  A
-    summary that fits the remaining budget stands in for the burst: its
+    At the first burst, and after a memo miss at a later one, the burst
+    is looked up among the summaries.  A summary that fits the
+    remaining budget stands in for the burst: its
     steps are counted, its pid is treated as inert, the inert key moves
     by the stored change, and its patch is applied only when the
     configuration is needed (before a real step, at quiescence for

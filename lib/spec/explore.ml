@@ -111,8 +111,12 @@ let sample_stride = 64
    per-probe allocation and no eviction.
 
    - [index]: open addressing with linear probing, a power of two of
-     one-word slots, at most half full.  A slot is 0 (empty) or a key
-     id + 1.
+     one-word slots, at most half full.  A slot is 0 (empty) or a key's
+     tag and id in one word: the low [id_bits] hold the id + 1, the
+     bits above them the tag, the low [tag_bits] of the key's hash.
+     The home slot is the tag's low bits, so a probe reads [keys] only
+     where the tag matches, and a doubling re-files every slot from the
+     old index alone.
    - [keys]: [kw] words per key id, dense in insertion order: the four
      key words, then the head of the key's entry list.
    - [pool]: [ew] words per entry: remaining depth, sleep mask, next
@@ -137,7 +141,14 @@ module Cache = struct
   let ew = 3
   let cap = 8
 
-  let hash k0 k1 k2 k3 = Shm.Value.mix (Shm.Value.mix (Shm.Value.mix k0 k1) k2) k3
+  (* 32 id bits and 31 tag bits fill the 63-bit word; an index of more
+     than 2^31 slots would only stop spreading keys past the tag. *)
+  let id_bits = 32
+  let id_mask = (1 lsl id_bits) - 1
+  let tag_bits = 31
+
+  let tag k0 k1 k2 k3 =
+    Shm.Value.mix (Shm.Value.mix (Shm.Value.mix k0 k1) k2) k3 land ((1 lsl tag_bits) - 1)
 
   (* [slots] keys and entries before the first doubling (a power of
      two) *)
@@ -153,11 +164,7 @@ module Cache = struct
   let rec free_slot index i =
     if index.(i) = 0 then i else free_slot index ((i + 1) land (Array.length index - 1))
 
-  (* File key [id] in the first empty slot of its probe chain. *)
-  let place index keys id =
-    let o = id * kw in
-    let h = hash keys.(o) keys.(o + 1) keys.(o + 2) keys.(o + 3) in
-    index.(free_slot index (h land (Array.length index - 1))) <- id + 1
+  let home index tag = tag land (Array.length index - 1)
 
   let entry t ~remaining ~sleep ~next =
     if t.nentries * ew = Array.length t.pool then t.pool <- grow t.pool;
@@ -169,9 +176,10 @@ module Cache = struct
     t.pool.(p + 2) <- next;
     e
 
-  (* A new key with one entry.  Doubling the index re-files every key
-     in id order, a sequential pass over [keys]. *)
-  let add t k0 k1 k2 k3 i ~remaining ~sleep =
+  (* A new key with one entry, filed at the empty slot [i] of its probe
+     chain.  Doubling the index re-files every slot from its tag, a
+     sequential pass over the old index. *)
+  let add t tag k0 k1 k2 k3 i ~remaining ~sleep =
     let id = t.nkeys in
     if (id + 1) * kw > Array.length t.keys then t.keys <- grow t.keys;
     let o = id * kw in
@@ -182,14 +190,16 @@ module Cache = struct
     keys.(o + 3) <- k3;
     keys.(o + 4) <- entry t ~remaining ~sleep ~next:(-1);
     t.nkeys <- id + 1;
-    if 2 * t.nkeys > Array.length t.index then begin
-      let index = Array.make (2 * Array.length t.index) 0 in
-      for id = 0 to t.nkeys - 1 do
-        place index keys id
+    let old = t.index in
+    old.(i) <- (tag lsl id_bits) lor (id + 1);
+    if 2 * t.nkeys > Array.length old then begin
+      let index = Array.make (2 * Array.length old) 0 in
+      for j = 0 to Array.length old - 1 do
+        let w = old.(j) in
+        if w <> 0 then index.(free_slot index (home index (w lsr id_bits))) <- w
       done;
       t.index <- index
     end
-    else t.index.(i) <- id + 1
 
   (* Walk a key's entries from [e] for one covering the visit; on a
      miss put the visit first (the list head is [keys.(head)]),
@@ -216,22 +226,25 @@ module Cache = struct
       false
     end
 
-  let rec probe t i k0 k1 k2 k3 ~remaining ~sleep =
-    let slot = t.index.(i) in
-    if slot = 0 then begin
-      add t k0 k1 k2 k3 i ~remaining ~sleep;
+  let rec probe t i tag k0 k1 k2 k3 ~remaining ~sleep =
+    let w = t.index.(i) in
+    if w = 0 then begin
+      add t tag k0 k1 k2 k3 i ~remaining ~sleep;
       false
     end
     else
-      let keys = t.keys and o = (slot - 1) * kw in
-      if keys.(o) = k0 && keys.(o + 1) = k1 && keys.(o + 2) = k2 && keys.(o + 3) = k3 then
-        walk t (o + 4) keys.(o + 4) 0 (-1) (-1) ~remaining ~sleep
-      else probe t ((i + 1) land (Array.length t.index - 1)) k0 k1 k2 k3 ~remaining ~sleep
+      let keys = t.keys and o = ((w land id_mask) - 1) * kw in
+      if
+        w lsr id_bits = tag && keys.(o) = k0 && keys.(o + 1) = k1 && keys.(o + 2) = k2
+        && keys.(o + 3) = k3
+      then walk t (o + 4) keys.(o + 4) 0 (-1) (-1) ~remaining ~sleep
+      else probe t ((i + 1) land (Array.length t.index - 1)) tag k0 k1 k2 k3 ~remaining ~sleep
 
   (* Lookup-or-insert of a visit with [remaining] depth and [sleep]
      under the key (k0, k1, k2, k3): [true] iff an entry covers it. *)
   let covered t k0 k1 k2 k3 ~remaining ~sleep =
-    probe t (hash k0 k1 k2 k3 land (Array.length t.index - 1)) k0 k1 k2 k3 ~remaining ~sleep
+    let tag = tag k0 k1 k2 k3 in
+    probe t (home t.index tag) tag k0 k1 k2 k3 ~remaining ~sleep
 end
 
 module Make (S : STATE) = struct

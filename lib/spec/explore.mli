@@ -78,7 +78,8 @@ module type STATE = sig
 end
 
 (** The state cache: one flat int-array table from four-word keys to
-    capped lists of (remaining depth, sleep set) entries.  It never
+    capped lists of (remaining depth, sleep set) entries, found through
+    an index of tagged key ids.  It never
     evicts a key, so its hit decisions are those of an unbounded map. *)
 module Cache : sig
   type t
@@ -93,8 +94,9 @@ module Cache : sig
       files the visit first in the key's list and keeps the newest 8. *)
   val covered : t -> int -> int -> int -> int -> remaining:int -> sleep:int -> bool
 
-  (** The key hash; a key's probe chain starts at its low bits. *)
-  val hash : int -> int -> int -> int -> int
+  (** The key's tag: 31 bits of its hash, kept in the index beside the
+      key id.  A key's probe chain starts at the tag's low bits. *)
+  val tag : int -> int -> int -> int -> int
 end
 
 type stats = {

@@ -119,6 +119,32 @@ let both_rules_equally_safe () =
            | Error e -> Alcotest.failf "seed %d: %s" seed e)
   done
 
+(* Both adoption rules on hand-built views, as the loop calls them:
+   [own] is the pair just written at component [i] (here 3, of r = 4),
+   [pref] the preference in it.  They differ only where the minimum
+   duplicated pair's value already equals [pref]: the repaired rule
+   falls through (None), the literal one "adopts" it again. *)
+let adopt_rules_on_views () =
+  let pair pref pid = Oneshot.pair ~pref:(vi pref) ~pid in
+  let bot = Shm.Value.bot in
+  let opt = Alcotest.(option value) in
+  let case name ~pref ~view ~repaired ~literal =
+    let pref = vi pref in
+    let own = Oneshot.pair ~pref ~pid:0 in
+    let view = Array.of_list (view @ [ own ]) in
+    Alcotest.check opt (name ^ ": repaired") repaired (Oneshot.adopt_check ~pref ~own ~i:3 view);
+    Alcotest.check opt (name ^ ": literal") literal
+      (Oneshot.adopt_check_paper_literal ~pref ~own ~i:3 view)
+  in
+  case "stale duplicates of pref" ~pref:7 ~view:[ pair 7 1; pair 7 1; pair 7 1 ] ~repaired:None
+    ~literal:(Some (vi 7));
+  case "a duplicate of another value" ~pref:5 ~view:[ pair 9 2; pair 7 1; pair 7 1 ]
+    ~repaired:(Some (vi 7)) ~literal:(Some (vi 7));
+  case "own pair visible elsewhere" ~pref:5 ~view:[ pair 5 0; pair 7 1; pair 7 1 ] ~repaired:None
+    ~literal:None;
+  case "a bot elsewhere" ~pref:5 ~view:[ bot; pair 7 1; pair 7 1 ] ~repaired:None ~literal:None;
+  case "no duplicate" ~pref:5 ~view:[ pair 7 1; pair 8 2; pair 9 3 ] ~repaired:None ~literal:None
+
 let suite =
   [
     test "literal adoption rule livelocks on stale pairs" literal_rule_livelocks;
@@ -126,4 +152,5 @@ let suite =
     test "literal rule diverges under m-bounded schedules" literal_rule_fails_m_bounded;
     test "repaired rule terminates under the same schedules" repaired_rule_passes_m_bounded;
     test "both rules are equally safe (erratum is liveness-only)" both_rules_equally_safe;
+    test "adopt_check ~own: repaired and literal rules on views" adopt_rules_on_views;
   ]

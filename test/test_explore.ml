@@ -531,6 +531,38 @@ let memo_stores_no_fuel_exhausted_run () =
   Alcotest.(check int) "no hits" 0 (Spec.Counterex.memo_hits memo);
   Alcotest.(check int) "no summary hits" 0 (Spec.Counterex.summary_hits memo)
 
+(* The leaf's own first burst is neither looked up nor filed.  On
+   Figure 3 (n = 3), a completion that is one solo burst of p0 leaves
+   the memo empty however often it runs; one of two bursts (p0, then
+   p1) files only p1's, which the next run of that leaf hits after
+   taking p0's burst from its summary.  Every verdict equals a plain
+   completion's. *)
+let memo_skips_the_leaf_key () =
+  let config = Instances.oneshot (Params.make ~n:3 ~m:1 ~k:2) in
+  let check = check_safety ~k:2 and max_steps = 50_000 in
+  let memo = Spec.Counterex.memo () in
+  let run name inputs =
+    let plain = check (fst (Spec.Counterex.complete ~inputs ~max_steps config)) in
+    Alcotest.(check (result unit string)) (name ^ ": verdict") plain
+      (Spec.Counterex.complete_check ~memo:(memo, Spec.Statehash.create config) ~inputs
+         ~max_steps ~check config)
+  in
+  let counts name entries hits =
+    Alcotest.(check (list int)) (name ^ ": memo entries, hits") [ entries; hits ]
+      [ Spec.Counterex.memo_entries memo; Spec.Counterex.memo_hits memo ]
+  in
+  let proposers k ~pid ~instance = if pid < k && instance = 1 then Some (vi (pid + 1)) else None in
+  run "solo" (proposers 1);
+  counts "solo" 0 0;
+  run "solo again" (proposers 1);
+  counts "solo again" 0 0;
+  Alcotest.(check int) "solo again: its burst from a summary" 1
+    (Spec.Counterex.summary_hits memo);
+  run "two bursts" (proposers 2);
+  counts "two bursts" 1 0;
+  run "two bursts again" (proposers 2);
+  counts "two bursts again" 1 1
+
 (* ---- pinned state counts ---- *)
 
 (* The 62-register collect protocol of the E20 vm benchmarks. *)
@@ -570,7 +602,7 @@ let pinned_state_counts () =
       (Instances.oneshot (Params.make ~n:4 ~m:1 ~k:2))
   in
   counts "fig3 n=4 k=2 depth 8" [ 273; 156; 8; 40; 24 ] fig3;
-  Alcotest.(check int) "fig3 n=4 k=2 depth 8: completion memo hits" 125
+  Alcotest.(check int) "fig3 n=4 k=2 depth 8: completion memo hits" 128
     (Spec.Modelcheck.stats_of fig3).memo_hits;
   let inputs ~pid ~instance = if instance = 1 then Some (vi (pid + 1)) else None in
   counts "collect62 interpreter depth 10" [ 2521; 1464; 10; 316; 432 ]
@@ -757,7 +789,7 @@ let summary_hits_are_pinned () =
       (Instances.oneshot (Params.make ~n:4 ~m:1 ~k:2))
   in
   let s = Spec.Modelcheck.stats_of fig3 in
-  Alcotest.(check (list int)) "fig3 n=4 k=2 depth 8: memo hits, summary hits" [ 125; 225 ]
+  Alcotest.(check (list int)) "fig3 n=4 k=2 depth 8: memo hits, summary hits" [ 128; 216 ]
     [ s.memo_hits; s.summary_hits ]
 
 (* ---- the state cache against a model of its rule ---- *)
@@ -786,7 +818,7 @@ let model_covered model key ~remaining ~sleep =
 let cache_matches_model seed =
   let rng = Random.State.make [| seed |] in
   let word () = Random.State.bits rng - (1 lsl 29) in
-  let hash (a, b, c, d) = Spec.Explore.Cache.hash a b c d in
+  let hash (a, b, c, d) = Spec.Explore.Cache.tag a b c d in
   let base = (word (), word (), word (), word ()) in
   let home = hash base land 0xffff in
   let with_word (a, b, c, d) w v =
@@ -818,6 +850,65 @@ let cache_matches_model seed =
     done
   done;
   Alcotest.(check bool) "hits and misses both occur" true (!hits > 1000 && !misses > 1000)
+
+(* The inverse of [Shm.Value.mix h] in its second argument: [mix h
+   (unmix h x) = x].  Each stage of the mix is a bijection on 63-bit
+   ints: an odd multiplier has an inverse mod 2^63 (Newton's iteration
+   doubles the correct low bits from 3), and x lxor (x lsr s) is undone
+   by xoring the shifts back in. *)
+let unmix h x =
+  let inverse c =
+    let rec go y i = if i = 0 then y else go (y * (2 - (c * y))) (i - 1) in
+    go c 6
+  in
+  let b = x lxor (x lsr 32) in
+  let a = b * inverse 0x1B03738712FAD5C9 in
+  let a = a lxor (a lsr 29) lxor (a lsr 58) in
+  (a * inverse 0x2545F4914F6CDD1D) lxor h
+
+(* Keys that share the whole tag with a base key, so they share its
+   home slot at every index size and differ only in [keys]: 12 such
+   twins are filed first, then 1,500 fresh keys push the table, which
+   starts with room for 256, through 3 doublings, each followed by a
+   probe of a twin; a random phase follows.  Every decision is compared
+   with the model. *)
+let cache_matches_model_on_shared_tags seed =
+  let rng = Random.State.make [| seed |] in
+  let word () = Random.State.bits rng - (1 lsl 29) in
+  let tag (a, b, c, d) = Spec.Explore.Cache.tag a b c d in
+  let base = (word (), word (), word (), word ()) in
+  let twin () =
+    let a = word () and b = word () and c = word () in
+    let x = (Random.State.bits rng lsl 31) lor tag base in
+    let k = (a, b, c, unmix Shm.Value.(mix (mix a b) c) x) in
+    if tag k <> tag base then Alcotest.fail "unmix does not invert the key hash";
+    k
+  in
+  let twins = Array.of_list (base :: List.init 11 (fun _ -> twin ())) in
+  let cold = Array.init 1500 (fun _ -> (word (), word (), word (), word ())) in
+  let t = Spec.Explore.Cache.create 256 and model = Hashtbl.create 2048 in
+  let hits = ref 0 in
+  let op ((a, b, c, d) as key) =
+    let remaining = Random.State.int rng 6 and sleep = Random.State.int rng 16 in
+    let expected = model_covered model key ~remaining ~sleep in
+    let got = Spec.Explore.Cache.covered t a b c d ~remaining ~sleep in
+    if got <> expected then
+      Alcotest.failf "key %d.%d.%d.%d remaining %d sleep %x: table %b, model %b" a b c d
+        remaining sleep got expected;
+    if got then incr hits
+  in
+  let twin_op () = op twins.(Random.State.int rng (Array.length twins)) in
+  Array.iter op twins;
+  Array.iter
+    (fun k ->
+      op k;
+      twin_op ())
+    cold;
+  for _ = 1 to 3000 do
+    if Random.State.bool rng then twin_op ()
+    else op cold.(Random.State.int rng (Array.length cold))
+  done;
+  Alcotest.(check bool) "twins hit" true (!hits > 500)
 
 (* The rule at its edges, by hand: equal depths with disjoint masks,
    a covering superset, and the ninth entry pushing out the first. *)
@@ -859,6 +950,7 @@ let suite =
       memo_agrees_leaf_by_leaf;
     test "completion memo stores no run that ran out of fuel"
       memo_stores_no_fuel_exhausted_run;
+    test "completion memo skips the leaf's own key" memo_skips_the_leaf_key;
     test "state counts are pinned" pinned_state_counts;
     slow_test "stress witness schedule replays and shrinks" stress_schedule_replays_and_shrinks;
     test "one completion rule across engines" one_completion_rule;
@@ -869,5 +961,7 @@ let suite =
     test "completion summaries key on the instance" summary_keys_on_the_instance;
     test "completion summary hits are pinned" summary_hits_are_pinned;
     seeded_test "state cache matches a model of its rule" cache_matches_model;
+    seeded_test "state cache matches the model on keys that share a tag"
+      cache_matches_model_on_shared_tags;
     test "state cache rule at its edges" cache_rule_edges;
   ]

@@ -240,11 +240,59 @@ let footprint_scan_independence () =
   Alcotest.(check bool) "empty scan commutes with writes" true
     (Program.independent fp_empty fp_w1)
 
+(* The printer [Value.pp] replaced: the parts through Fmt, one Format
+   token each, kept as the reference for the bytes. *)
+let rec fmt_pp ppf v =
+  match Value.view v with
+  | Value.Bot -> Fmt.string ppf "⊥"
+  | Value.Int i -> Fmt.int ppf i
+  | Value.Str s -> Fmt.pf ppf "%S" s
+  | Value.Pair (a, b) -> Fmt.pf ppf "(%a,%a)" fmt_pp a fmt_pp b
+  | Value.List vs -> Fmt.pf ppf "[%a]" (Fmt.list ~sep:(Fmt.any ";") fmt_pp) vs
+
+(* [Value.to_string] of a 1,000-int tuple allocates at most 8 words
+   per component, minor and direct major words together (through Fmt
+   it took about 40).  Nested tuples print the reference's bytes, alone
+   and between break hints in a box narrower than they are. *)
+let value_pp_allocation () =
+  let words f =
+    let m0 = Gc.minor_words () and _, p0, j0 = Gc.counters () in
+    ignore (Sys.opaque_identity (f ()));
+    let m1 = Gc.minor_words () and _, p1, j1 = Gc.counters () in
+    m1 -. m0 +. (j1 -. j0 -. (p1 -. p0))
+  in
+  let tuple = Value.list (List.init 1000 vi) in
+  Alcotest.(check string) "tuple bytes" (Fmt.str "%a" fmt_pp tuple) (Value.to_string tuple);
+  let w = words (fun () -> Value.to_string tuple) in
+  if w > 8. *. 1000. then Alcotest.failf "to_string of 1,000 ints: %.0f words" w;
+  let rng = Random.State.make [| 7 |] in
+  let rec gen depth =
+    match Random.State.int rng (if depth = 0 then 3 else 5) with
+    | 0 -> Value.bot
+    | 1 -> vi (Random.State.int rng 2001 - 1000)
+    | 2 -> Value.str (String.init (Random.State.int rng 4) (fun _ -> Char.chr (Random.State.int rng 256)))
+    | 3 -> Value.pair (gen (depth - 1)) (gen (depth - 1))
+    | _ -> Value.list (List.init (Random.State.int rng 4) (fun _ -> gen (depth - 1)))
+  in
+  for _ = 1 to 200 do
+    let a = gen 4 and b = gen 4 in
+    let boxed pp =
+      let buf = Buffer.create 64 in
+      let ppf = Format.formatter_of_buffer buf in
+      Format.pp_set_margin ppf 20;
+      Format.fprintf ppf "@[<hov 2>x@ %a@ %a@ y@]@?" pp a pp b;
+      Buffer.contents buf
+    in
+    Alcotest.(check string) "nested bytes" (Fmt.str "%a" fmt_pp a) (Value.to_string a);
+    Alcotest.(check string) "bytes in a box" (boxed fmt_pp) (boxed Value.pp)
+  done
+
 let suite =
   [
     test "value equality" value_equality;
     test "value compare is a total order" value_compare_total_order;
     test "value accessors" value_accessors;
+    test "value printing: bytes and allocation" value_pp_allocation;
     test "rng determinism" rng_deterministic;
     test "rng bounds" rng_bounds;
     test "rng rough uniformity" rng_distribution_rough;
