@@ -46,7 +46,12 @@ let lookup what ~valid find name =
 
 let with_path flag f = try f () with Sys_error e -> usage_error "%s: %s" flag e
 
-let out_channel flag path = with_path flag (fun () -> open_out path)
+(* "-" is stdout, as for [write_output]; [close_out_channel] flushes
+   it rather than closing it. *)
+let out_channel flag path =
+  if path = "-" then stdout else with_path flag (fun () -> open_out path)
+
+let close_out_channel oc = if oc == stdout then flush oc else close_out oc
 
 (* Fail before any work when an output file's directory is missing or
    the path is itself a directory ("-", stdout, passes); a write that
@@ -357,7 +362,8 @@ let obs =
             "Write the recorded spans, instants and counter tracks to $(docv) as a \
              Chrome trace-event file (load at ui.perfetto.dev): a run's $(b,run) span \
              and register-coverage tracks, $(b,explore)'s span and exploration \
-             tracks, $(b,serve)'s per-slot spans.")
+             tracks, $(b,serve)'s per-slot spans.  $(b,-) prints it on stdout \
+             instead.")
   in
   let make stats trace_out =
     Option.iter (check_output "--trace-out") trace_out;
@@ -376,8 +382,12 @@ let report o =
     (fun tr ->
       Option.iter
         (fun path ->
-          with_path "--trace-out" (fun () -> Obs.Chrome_trace.save path tr);
-          Fmt.pr "chrome trace written to %s (open in https://ui.perfetto.dev)@." path)
+          if path = "-" then
+            Fmt.pr "%s@." (Obs.Json.to_pretty_string (Obs.Chrome_trace.to_json tr))
+          else begin
+            with_path "--trace-out" (fun () -> Obs.Chrome_trace.save path tr);
+            Fmt.pr "chrome trace written to %s (open in https://ui.perfetto.dev)@." path
+          end)
         o.trace_out;
       if o.stats then Fmt.pr "%a@." Obs.Trace.pp tr)
     o.trace

@@ -154,7 +154,7 @@ let run (r : Cli.run) trace diagram (o : Cli.obs) sets events =
           Obs.Trace.end_span tr ~args:[ ("steps", Obs.Json.Int result.Shm.Exec.steps) ] root;
           result)
   in
-  Option.iter close_out events_chan;
+  Option.iter Cli.close_out_channel events_chan;
   if trace then
     Fmt.pr "@[<v>--- trace ---@,%a@,-------------@]@." Shm.Exec.pp_trace
       result.Shm.Exec.trace;
@@ -192,7 +192,9 @@ let run (r : Cli.run) trace diagram (o : Cli.obs) sets events =
       Shm.Analysis.pp a (List.length a.latencies) a.pending
       Obs.Metrics.Histogram.pp (Obs.Metrics.Histogram.of_list a.latencies)
   end;
-  Option.iter (fun path -> Fmt.pr "events written to %s (JSONL)@." path) events;
+  Option.iter
+    (fun path -> if path <> "-" then Fmt.pr "events written to %s (JSONL)@." path)
+    events;
   if Result.is_error safety then exit 1
 
 (* ------------------------------------------------------------------ *)
@@ -972,7 +974,8 @@ let cmd =
       & info [ "events" ] ~docv:"FILE"
           ~doc:
             "Stream the run's event log to $(docv) as JSONL, one event per line: the \
-             replayable record of the run.")
+             replayable record of the run.  $(b,-) streams it to stdout, before the \
+             run's report.")
   in
   Cmd.group
     ~default:Term.(const run $ Cli.run $ trace $ diagram $ Cli.obs $ sets $ events)

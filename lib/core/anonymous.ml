@@ -22,8 +22,14 @@ open Shm
 
 type tuple = { pref : Value.t; t : int; history : Value.t list }
 
-let encode { pref; t; history } =
-  Value.list [ pref; Value.int t; Value.list history ]
+(* Entries carry no id, so processes build equal entries apart and
+   every scan compares them: [Value.share] makes equal entries (and
+   equal histories, also published in H) one block, so [View]'s
+   comparisons are pointer tests.  [entry] takes the history already
+   shared, as the program carries it. *)
+let entry ~pref ~t hv = Value.share (Value.list [ pref; Value.int t; hv ])
+
+let encode { pref; t; history } = entry ~pref ~t (Value.share (Value.list history))
 
 let decode v =
   match Value.view v with
@@ -105,14 +111,17 @@ let program ~params ~api ~h_reg =
   let r = api.Snapshot.Snap_api.components in
   let rec next_propose (api : Snapshot.Snap_api.t) i t history =
     Program.await @@ fun v ->
-    (* Line 9: publish our history in H before starting instance t+1. *)
-    Program.write h_reg (Value.list history) @@ fun () ->
+    (* Line 9: publish our history in H before starting instance t+1.
+       [hv] is that history as one shared value, built once per Propose
+       rather than once per entry written. *)
+    let hv = Value.share (Value.list history) in
+    Program.write h_reg hv @@ fun () ->
     let t = t + 1 in
     if List.length history >= t then
       Program.yield (nth_output history t) (next_propose api i t history)
-    else par (thread1 api v i t history) (thread2 api i t history)
-  and thread1 (api : Snapshot.Snap_api.t) pref i t history =
-    api.update i (encode { pref; t; history }) @@ fun api ->
+    else par (thread1 api v i t history hv) (thread2 api i t history)
+  and thread1 (api : Snapshot.Snap_api.t) pref i t history hv =
+    api.update i (entry ~pref ~t hv) @@ fun api ->
     api.scan @@ fun api view ->
     match find_higher ~t view with
     | Some tu ->
@@ -125,7 +134,7 @@ let program ~params ~api ~h_reg =
           match adoption ~ell ~t ~pref view with Some w -> w | None -> pref
         in
         (* Line 29: i advances every iteration (unlike Figs. 3–4). *)
-        thread1 api pref ((i + 1) mod r) t history)
+        thread1 api pref ((i + 1) mod r) t history hv)
   and thread2 (api : Snapshot.Snap_api.t) i t history =
     Program.read h_reg @@ fun h ->
     let hs = decode_h h in

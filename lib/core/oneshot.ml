@@ -36,7 +36,7 @@ let decide_check ~m view =
 (* Lines 11–12: when no component but [i] holds ⊥ or a copy of [own],
    the paper's j1, the minimum duplicated index (over all duplicates).
    [own] is the pair the process just wrote to component [i], already
-   interned, so the scan compares by pointer. *)
+   built, so the scan compares its own copies by pointer. *)
 let adoptable ~own ~i view =
   let ok = ref true in
   Array.iteri
@@ -77,8 +77,8 @@ let adopt_check_paper_literal ~pref:_ ~own ~i view =
    outputting w (Stop for one-shot; the repeated algorithm of Figure 4
    has its own, richer loop and does not reuse this body).  [adopt]
    selects the adoption rule; the repaired one is the default.  The
-   loop carries the interned pair [own] beside [pref] and rebuilds it
-   only when [pref] changes, on adoption. *)
+   loop carries the pair [own] beside [pref] and rebuilds it only when
+   [pref] changes, on adoption. *)
 let propose ?(adopt = adopt_check) ~m ~pid ~(api : Snapshot.Snap_api.t) v ~finish () =
   let r = api.Snapshot.Snap_api.components in
   let rec loop (api : Snapshot.Snap_api.t) pref own i =

@@ -7,6 +7,16 @@
    Propose invocations ("the first location of a Propose is the last
    location of the previous Propose").
 
+   The history is a snoc chain: [Value.list []] for no outputs, and
+   [Value.pair prev w] for [prev] followed by [w].  Appending is O(1) to
+   build and to hash, and [encode]/[decode] never walk it.  The chain
+   holds the same sequence as a list would, and two chains are equal
+   exactly when their sequences are, so tuple equality and the encoded
+   sequence of outputs are those of the paper's tuple.  An instance-1
+   entry prints as before ([[pref;id;1;[]]]); a later one shows its
+   history as nested pairs, and so does an [--events] log, whose
+   {"pair":[…]} objects [Obs.Jsonl] reads back to the same value.
+
    Shortcuts relative to Figure 3:
    - line 15: a tuple with t' > t in the scan lets the process adopt
      that writer's history and output its t-th entry immediately;
@@ -18,24 +28,35 @@
 
 open Shm
 
-type tuple = { pref : Value.t; id : int; t : int; history : Value.t list }
+type tuple = { pref : Value.t; id : int; t : int; history : Value.t }
+
+let empty_history = Value.list []
+
+let history_of_list ws = List.fold_left Value.pair empty_history ws
+
+let malformed what v = invalid_arg (Fmt.str "Repeated.decode: %s %a" what Value.pp v)
+
+let history_to_list h =
+  let rec go acc h =
+    match Value.view h with
+    | Value.List [] -> acc
+    | Value.Pair (prev, w) -> go (w :: acc) prev
+    | _ -> malformed "history link" h
+  in
+  go [] h
 
 let encode { pref; id; t; history } =
-  Value.list [ pref; Value.int id; Value.int t; Value.list history ]
+  Value.list [ pref; Value.int id; Value.int t; history ]
+
+let is_int v = match Value.view v with Value.Int _ -> true | _ -> false
 
 let decode v =
   match Value.view v with
-  | Value.List [ pref; id; t; history ]
-    when (match Value.view id with Value.Int _ -> true | _ -> false)
-         && (match Value.view t with Value.Int _ -> true | _ -> false)
-         && (match Value.view history with Value.List _ -> true | _ -> false) ->
-    Some
-      {
-        pref;
-        id = Value.to_int id;
-        t = Value.to_int t;
-        history = Value.to_list history;
-      }
+  | Value.List [ pref; id; t; history ] when is_int id && is_int t -> (
+    match Value.view history with
+    | Value.List [] | Value.Pair _ ->
+      Some { pref; id = Value.to_int id; t = Value.to_int t; history }
+    | _ -> malformed "history" history)
   | Value.Bot -> None
   | _ -> invalid_arg (Fmt.str "Repeated.decode: %a" Value.pp v)
 
@@ -78,7 +99,7 @@ let decide_check ~m ~t view =
    that makes the Lemma 5 argument reused in Appendix A sound.  [own]
    is the entry the process just wrote, already encoded, and [pref] the
    preference in it, so the scan compares values without rebuilding the
-   t-long history. *)
+   entry. *)
 let adopt_check ~pref ~own ~i ~t view =
   let ok = ref true in
   Array.iteri
@@ -93,41 +114,41 @@ let adopt_check ~pref ~own ~i ~t view =
     | None -> None
   else None
 
-let nth_output history t =
-  match List.nth_opt history (t - 1) with
-  | Some w -> w
-  | None -> invalid_arg "Repeated: adopted history shorter than instance"
+(* The output of instance [t] from a chain holding the outputs of
+   instances 1..[upto]: [upto − t] links back from its end. *)
+let rec nth_output ~upto history t =
+  match Value.view history with
+  | Value.Pair (prev, w) -> if upto = t then w else nth_output ~upto:(upto - 1) prev t
+  | _ -> malformed "history shorter than its instance" history
 
 (* The process program.  Persistent locals (api, i, t, history) are
    threaded through the recursion; each [Await] is the next Propose.
-   The history is carried as its interned value [hv] = [Value.list
-   history], rebuilt only when the history changes (a decision or a
-   line-15 adoption), so writing the entry costs O(1) per step rather
-   than a hash of all t−1 earlier outputs. *)
+   [hv] is the history chain and [upto] the last instance it covers:
+   t − 1 while the process runs instance t, more after a line-15
+   adoption, whose chain covers the writer's t' − 1 instances.  No
+   step walks or copies the chain except [nth_output] after an
+   adoption. *)
 let program ~m ~pid ~api =
   let r = api.Snapshot.Snap_api.components in
-  let rec next_propose (api : Snapshot.Snap_api.t) i t hv =
+  let rec next_propose (api : Snapshot.Snap_api.t) i t hv upto =
     Program.await @@ fun v ->
     let t = t + 1 in
-    let history = Value.to_list hv in
-    if List.length history >= t then
-      Program.yield (nth_output history t) (next_propose api i t hv)
+    if upto >= t then Program.yield (nth_output ~upto hv t) (next_propose api i t hv upto)
     else loop api v i t hv
   and loop (api : Snapshot.Snap_api.t) pref i t hv =
-    let own = Value.list [ pref; Value.int pid; Value.int t; hv ] in
+    let own = encode { pref; id = pid; t; history = hv } in
     api.update i own @@ fun api ->
     api.scan @@ fun api view ->
     match find_higher ~t view with
     | Some tu ->
-      Program.yield (nth_output tu.history t)
-        (next_propose api i t (Value.list tu.history))
+      let upto = tu.t - 1 in
+      Program.yield (nth_output ~upto tu.history t) (next_propose api i t tu.history upto)
     | None -> (
       match decide_check ~m ~t view with
-      | Some w ->
-        Program.yield w (next_propose api i t (Value.list (Value.to_list hv @ [ w ])))
+      | Some w -> Program.yield w (next_propose api i t (Value.pair hv w) t)
       | None -> (
         match adopt_check ~pref ~own ~i ~t view with
         | Some w -> loop api w i t hv
         | None -> loop api pref ((i + 1) mod r) t hv))
   in
-  next_propose api 0 0 (Value.list [])
+  next_propose api 0 0 empty_history 0

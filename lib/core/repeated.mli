@@ -8,12 +8,24 @@
     history of a process seen in a higher instance (line 15's
     shortcut). *)
 
-type tuple = { pref : Shm.Value.t; id : int; t : int; history : Shm.Value.t list }
+(** [history] is a snoc chain of outputs: [Value.list []] when empty,
+    [Value.pair prev w] for [prev] followed by [w].  An instance-t
+    entry's chain holds t − 1 outputs. *)
+type tuple = { pref : Shm.Value.t; id : int; t : int; history : Shm.Value.t }
 
+(** O(1): the chain is stored as it is. *)
 val encode : tuple -> Shm.Value.t
 
-(** [None] on ⊥; raises on non-tuple junk. *)
+(** [None] on ⊥; O(1).  Raises [Invalid_argument "Repeated.decode: …"]
+    on non-tuple junk and on a fourth field that is not a chain. *)
 val decode : Shm.Value.t -> tuple option
+
+(** The chain of a list of outputs, oldest first. *)
+val history_of_list : Shm.Value.t list -> Shm.Value.t
+
+(** The outputs of a chain, oldest first.  Raises [Invalid_argument
+    "Repeated.decode: …"] on a link that is neither a pair nor [[]]. *)
+val history_to_list : Shm.Value.t -> Shm.Value.t list
 
 (** Line 15: the entry of the highest instance > t, if any. *)
 val find_higher : t:int -> Shm.Value.t array -> tuple option

@@ -158,7 +158,7 @@ let linearize p sched =
   match modes_agree ~components h with
   | Some d -> Some ("own history: " ^ d)
   | None -> (
-    (* corruption seed from the rendered input, not from hash-consing
+    (* corruption seed from the rendered input, not from value
        internals, so the judgement is replayable *)
     let rng =
       Shm.Rng.create

@@ -1,8 +1,8 @@
-(* Key → shard routing.  Value hashes are structural and precomputed
-   (hash-consing), so routing is O(1), deterministic across runs and
-   across domains, and independent of interning order.  One extra mix
-   round decorrelates the shard index from the raw hash, which callers
-   also use for other purposes (state keys, interning). *)
+(* Key → shard routing.  Value hashes are structural and precomputed,
+   so routing is O(1), deterministic across runs and across domains,
+   and independent of physical identity.  One extra mix round
+   decorrelates the shard index from the raw hash, which callers also
+   use for other purposes (state keys, [Value.share]). *)
 
 open Shm
 

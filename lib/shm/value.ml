@@ -1,4 +1,4 @@
-(* Universal register value type, hash-consed.
+(* Universal register value type.
 
    Registers in the simulated shared memory hold values of this single
    type so that configurations are first-class, comparable, printable
@@ -8,18 +8,22 @@
 
    Representation.  Every node carries its structural hash, computed
    once at construction from the children's stored hashes, so [hash] is
-   O(1) and [equal] can reject almost all unequal pairs with a single
-   int comparison.  On top of that, constructors intern nodes in a
-   per-domain weak set: within a domain, structurally equal values
-   built through this interface are physically equal, so [equal] is a
-   pointer test on the hot paths (state hashing, abstract value sets,
-   linearization matching).  Interning is per-domain on purpose — a
-   global table would put a lock on the simulator's hottest allocation
-   path, and the native layer and its conformance harness build values
-   on several domains at once.  Values that cross domains are still
-   compared correctly: [equal] falls back to a
-   hash-guarded structural walk whose recursive calls hit the pointer
-   fast path as soon as the two values share interned substructure.
+   O(1).  Constructors allocate the node and probe no table.  [equal]
+   is a pointer test first, then a stored-hash test that rejects almost
+   every unequal pair, and only then a structural walk whose recursive
+   calls stop at the first physically shared child.  Two equal values
+   cost a walk of their size only where they were built apart: values
+   built from the same parts (a process's entries over one history, a
+   history adopted from a register) stop the walk at those parts.
+
+   Sharing.  [share v] is the current domain's canonical copy of [v],
+   from a per-domain weak set (a global one would need a lock, and the
+   native layer builds values on several domains at once).  Only
+   Figure 5 calls it: its anonymous entries carry no id, so processes
+   build equal entries apart and every scan compares them.  Interning
+   every node would cost a table probe per constructor and keep every
+   live value in the table, so a long [sa_run serve] would slow down
+   per command as the table grew.
 
    The stored hash is a pure function of the structure (never of
    physical identity — the GC moves blocks), so hashes and the orders
@@ -60,8 +64,7 @@ let hash_of_node = function
   | Pair (a, b) -> mix (mix 0x3d a.h) b.h
   | List vs -> List.fold_left (fun h v -> mix h v.h) 0x51 vs
 
-(* ---- shallow equality for the intern table: children by pointer
-   first, then full recursive equality (cross-domain constituents) ---- *)
+(* ---- equality: pointer, then stored hash, then structure ---- *)
 
 let rec equal a b =
   a == b
@@ -76,7 +79,16 @@ let rec equal a b =
        try List.for_all2 equal xs ys with Invalid_argument _ -> false)
      | (Bot | Int _ | Str _ | Pair _ | List _), _ -> false
 
-(* ---- per-domain interning ---- *)
+(* ---- constructors ---- *)
+
+let make node = { node; h = hash_of_node node }
+let bot = make Bot
+let int i = make (Int i)
+let str s = make (Str s)
+let pair a b = make (Pair (a, b))
+let list vs = make (List vs)
+
+(* ---- per-domain sharing ---- *)
 
 module W = Weak.Make (struct
   type nonrec t = t
@@ -87,21 +99,7 @@ end)
 
 let table_key = Domain.DLS.new_key (fun () -> W.create 1024)
 
-let intern node =
-  let candidate = { node; h = hash_of_node node } in
-  W.merge (Domain.DLS.get table_key) candidate
-
-(* ---- constructors ---- *)
-
-let bot = intern Bot
-
-let int i = intern (Int i)
-
-let str s = intern (Str s)
-
-let pair a b = intern (Pair (a, b))
-
-let list vs = intern (List vs)
+let share v = W.merge (Domain.DLS.get table_key) v
 
 (* Encoding of small tuples, so that structural equality matches the
    paper's tuple equality. *)
@@ -114,8 +112,8 @@ let tuple = function
 
 (* Total order consistent with [equal]; purely structural (independent
    of the stored hash), so the order is stable and readable.  The
-   physical-equality shortcut makes comparisons of interned values that
-   share structure cheap. *)
+   physical-equality shortcut makes comparisons of values that share
+   structure cheap. *)
 let rec compare a b =
   if a == b then 0
   else

@@ -1,4 +1,4 @@
-(** Universal register value type, hash-consed.
+(** Universal register value type.
 
     Every simulated register holds a value of this single type, so
     configurations are first-class, comparable, printable data.  The
@@ -7,16 +7,16 @@
     {!list}.
 
     Values are immutable and carry a precomputed structural hash:
-    {!hash} is O(1), and {!equal} is a pointer test whenever both sides
-    were built in the same domain (constructors intern nodes in a
-    per-domain weak set), falling back to a hash-guarded structural
-    walk otherwise.  Construct values only through the functions below
-    and inspect them through {!view}. *)
+    {!hash} is O(1).  Constructors allocate one node and probe no
+    table, so equal values built apart are physically distinct;
+    {!share} is the one way to make them the same block.  Construct
+    values only through the functions below and inspect them through
+    {!view}. *)
 
 type t
 
-(** One level of structure.  Children are full hash-consed values;
-    recurse with {!view}. *)
+(** One level of structure.  Children are full values; recurse with
+    {!view}. *)
 type view =
   | Bot  (** the initial value ⊥ of every register *)
   | Int of int
@@ -36,15 +36,26 @@ val str : string -> t
 val pair : t -> t -> t
 val list : t list -> t
 
+(** [share v] is the current domain's canonical copy of [v]: every
+    value shared in one domain that is {!equal} to [v] is this same
+    block, kept in a per-domain weak set.  Only [v]'s own node is
+    looked up, so share a deep child first when it is compared too.
+    Call it only where processes build equal values apart and compare
+    them often (Figure 5's anonymous entries); it costs one table
+    probe. *)
+val share : t -> t
+
 (** [tuple vs] encodes a small tuple; a singleton list is the value
     itself, anything else a {!List}. *)
 val tuple : t list -> t
 
 (** {1 Comparison and printing} *)
 
-(** Structural equality; matches the paper's tuple equality.  O(1) on
-    same-domain values (pointer test after interning); a stored-hash
-    mismatch rejects unequal values without any traversal. *)
+(** Structural equality; matches the paper's tuple equality.  A
+    pointer test first (O(1) on one block, e.g. two {!share}d copies),
+    then a stored-hash test that rejects unequal values without any
+    traversal; equal values built apart are walked down to their
+    physically shared children. *)
 val equal : t -> t -> bool
 
 (** The precomputed structural hash.  O(1); agrees with {!equal}

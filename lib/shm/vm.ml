@@ -24,7 +24,7 @@
 
    Three representation choices carry the speed:
 
-   - Values are int codes.  [Value.t] is already hash-consed, but a
+   - Values are int codes.  [Value.t] already carries its hash, but a
      code is better than a pointer: even codes are immediate ints
      (code asr 1), code 1 is ⊥, and remaining odd codes index a small
      side table of interned [Value.t] (non-int inputs; constants are

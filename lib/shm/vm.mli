@@ -147,7 +147,7 @@ val step : env -> int array -> int -> int -> unit
 
 (** {1 Driving whole executions} *)
 
-(** Decoded terminal state: hash-consed memory contents, the written
+(** Decoded terminal state: memory contents as [Value.t]s, the written
     set and counters (the paper's space/step measures), and the i/o
     records.  [inputs]/[outputs] are in (instance, pid) order — the
     chronological interleaving is not retained; compare them as

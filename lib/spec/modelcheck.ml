@@ -109,8 +109,8 @@ let counterexample ~inputs ~completion_steps config schedule error =
 
 (* Two poised ops whose footprints collide may still commute to the
    identical configuration in the current memory: same-register writes
-   of equal values ([Value.equal] is a pointer test on hash-consed
-   values), and a write re-storing the value the register already holds
+   of equal values ([Value.equal] is a pointer test on one block and a
+   stored-hash test on most unequal ones), and a write re-storing the value the register already holds
    against a read of it or a scan covering it.  Peeking at [mem] counts
    no access.  [false] means "not proved", never "dependent". *)
 let cond_independent mem a b =

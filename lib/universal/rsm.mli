@@ -44,13 +44,11 @@ val replicate :
     register footprint stays min(n+2m−k, n) — {!Stepper.registers_used}
     is constant across slots.
 
-    Time per slot is flat too, apart from one O(t) term per decision:
-    a slot costs its simulator steps, each independent of the slot
-    number t, plus, for every process that decides, the append of its
-    t-th output to the history that Figure 4 stores in its entries
-    (and the interning of that longer history).  The slot's decisions
-    are collected from the run's events, not from the outputs of all
-    earlier slots. *)
+    Time per slot is flat too: a slot costs its simulator steps, each
+    independent of the slot number t.  A process that decides appends
+    its t-th output to the history Figure 4 stores in its entries, a
+    snoc chain, in O(1).  The slot's decisions are collected from the
+    run's events, not from the outputs of all earlier slots. *)
 module Stepper : sig
   type t
 

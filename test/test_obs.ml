@@ -231,6 +231,10 @@ let sample_values =
     Value.list [];
     Value.list [ vi 1; vi 2 ];
     Value.list [ Value.pair (vi 1) (Value.list [ Value.bot ]); Value.str "" ];
+    (* a Figure 4 entry: its history chain is nested pairs *)
+    Agreement.Repeated.encode
+      { Agreement.Repeated.pref = vi 3; id = 0; t = 3;
+        history = Agreement.Repeated.history_of_list [ vi 1; Value.pair (vi 2) (vi 5) ] };
   ]
 
 let value_json_roundtrip () =

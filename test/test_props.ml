@@ -194,7 +194,8 @@ let repeated_tuple_arb =
     QCheck.Gen.(
       map2
         (fun (pref, id) (t, history) ->
-          { Agreement.Repeated.pref = Value.int pref; id; t = t + 1; history })
+          { Agreement.Repeated.pref = Value.int pref; id; t = t + 1;
+            history = Agreement.Repeated.history_of_list history })
         (pair small_int (int_bound 15))
         (pair (int_bound 9) history_gen))
 
@@ -206,8 +207,9 @@ let prop_repeated_codec =
         Value.equal tu.Agreement.Repeated.pref tu'.Agreement.Repeated.pref
         && tu.Agreement.Repeated.id = tu'.Agreement.Repeated.id
         && tu.Agreement.Repeated.t = tu'.Agreement.Repeated.t
-        && List.for_all2 Value.equal tu.Agreement.Repeated.history
-             tu'.Agreement.Repeated.history
+        && List.equal Value.equal
+             (Agreement.Repeated.history_to_list tu.Agreement.Repeated.history)
+             (Agreement.Repeated.history_to_list tu'.Agreement.Repeated.history)
       | None -> false)
 
 let anonymous_tuple_arb =

@@ -131,6 +131,31 @@ let registers_within_bound () =
     done
   done
 
+(* A fourth field that is not a history chain, or a chain whose oldest
+   link is not [[]], is an encoding bug: it raises
+   [Invalid_argument "Repeated.decode: …"], never an assertion. *)
+let malformed_history_rejected () =
+  let entry history = Shm.Value.list [ vi 7; vi 0; vi 3; history ] in
+  let decoded_history v =
+    Option.map (fun tu -> Repeated.history_to_list tu.Repeated.history) (Repeated.decode v)
+  in
+  let rejects name v =
+    match decoded_history v with
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S names Repeated.decode" name msg)
+        true
+        (String.starts_with ~prefix:"Repeated.decode: " msg)
+    | _ -> Alcotest.failf "%s: decoded" name
+  in
+  rejects "int history" (entry (vi 5));
+  rejects "list history" (entry (Shm.Value.list [ vi 1; vi 2 ]));
+  rejects "chain ending in an int" (entry (Shm.Value.pair (Shm.Value.pair (vi 9) (vi 1)) (vi 2)));
+  rejects "chain ending in a list" (entry (Shm.Value.pair (Shm.Value.list [ vi 1 ]) (vi 2)));
+  Alcotest.(check (option (list value)))
+    "a well-formed chain decodes" (Some [ vi 1; vi 2 ])
+    (decoded_history (entry (Repeated.history_of_list [ vi 1; vi 2 ])))
+
 let suite =
   [
     test "three rounds, n=4 m=1 k=2" basic_three_rounds;
@@ -141,4 +166,5 @@ let suite =
     test "laggard adopts history of fast process" laggard_catches_up;
     test "repeated consensus m=k=1" repeated_consensus;
     test "stays within n+2m-k registers" registers_within_bound;
+    test "malformed history rejected by decode" malformed_history_rejected;
   ]

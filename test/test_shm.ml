@@ -20,6 +20,19 @@ let value_equality () =
     (Value.equal (Value.list [ vi 1 ]) (Value.list [ vi 1; vi 1 ]));
   Alcotest.(check bool) "cross-kind" false (Value.equal (vi 0) Value.bot)
 
+(* Constructors build a fresh block each time; [share] maps equal
+   values to one block per domain, and Figure 5's entries are shared. *)
+let value_share () =
+  let build () = Value.list [ vi 1; Value.pair (Value.str "x") (vi 2) ] in
+  let a = build () and b = build () in
+  Alcotest.(check bool) "built apart: two blocks" false (a == b);
+  Alcotest.(check bool) "shared: one block" true (Value.share a == Value.share b);
+  Alcotest.(check bool) "share keeps the value" true (Value.equal (Value.share b) b);
+  let entry () =
+    Agreement.Anonymous.encode { Agreement.Anonymous.pref = vi 4; t = 2; history = [ vi 3 ] }
+  in
+  Alcotest.(check bool) "equal anonymous entries: one block" true (entry () == entry ())
+
 let value_compare_total_order () =
   let vs =
     [ Value.bot; vi (-1); vi 5; Value.str "a"; Value.pair (vi 1) (vi 2);
@@ -309,4 +322,5 @@ let suite =
     test "config branches are independent" config_persistence_branches;
     test "config block write" config_block_write;
     test "block write requires poised writers" config_block_write_requires_poised;
+    test "value share returns one block" value_share;
   ]

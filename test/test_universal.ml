@@ -269,6 +269,32 @@ let stepper_slot_at_a_time () =
   Alcotest.(check bool) "registers within min(n+2m-k, n)" true
     (Rsm.Stepper.registers_used !stepper <= bound)
 
+(* Flat cost per slot: a slot allocates as much at instance 1,000 as at
+   instance 1, so nothing in the stepper, the configuration or Figure
+   4's entries grows with the number of slots decided.  Allocation is
+   counted rather than timed, so the bound holds on any host. *)
+let stepper_flat_slot_cost () =
+  let p = Agreement.Params.make ~n:4 ~m:1 ~k:1 in
+  let slots = 1000 in
+  let words = Array.make (slots + 1) 0. in
+  let stepper = ref (Rsm.Stepper.create p) in
+  for slot = 1 to slots do
+    let before = Gc.minor_words () in
+    let outcome =
+      Rsm.Stepper.step_slot !stepper ~proposals:(fun pid -> Some (add pid slot))
+    in
+    words.(slot) <- Gc.minor_words () -. before;
+    if not outcome.Rsm.Stepper.quiescent then Alcotest.failf "slot %d stuck" slot;
+    stepper := outcome.Rsm.Stepper.stepper
+  done;
+  let mean lo hi =
+    Array.fold_left ( +. ) 0. (Array.sub words lo (hi - lo + 1)) /. float_of_int (hi - lo + 1)
+  in
+  let first = mean 1 100 and last = mean 901 1000 in
+  if last > 1.02 *. first then
+    Alcotest.failf "minor words per slot grew %.0f -> %.0f (ratio %.3f > 1.02)" first last
+      (last /. first)
+
 (* A replica that proposes nothing sits the slot out; the rest decide
    under a schedule restricted to the proposers. *)
 let stepper_sitting_out () =
@@ -348,16 +374,16 @@ let fig4_entries_carry_history () =
     | Shm.Event.Did_write { pid; reg; value } ->
       incr writes;
       mem.(reg) <- value;
-      let pref =
+      let tu =
         match Agreement.Repeated.decode value with
-        | Some tu -> tu.Agreement.Repeated.pref
+        | Some tu -> tu
         | None -> Alcotest.fail "wrote ⊥"
       in
-      check_value
-        (Printf.sprintf "p%d entry at instance %d" pid instance.(pid))
-        (Agreement.Repeated.encode
-           { Agreement.Repeated.pref; id = pid; t = instance.(pid);
-             history = List.rev outputs.(pid) })
+      let name = Printf.sprintf "p%d entry at instance %d" pid instance.(pid) in
+      Alcotest.(check (list Helpers.value)) name (List.rev outputs.(pid))
+        (Agreement.Repeated.history_to_list tu.Agreement.Repeated.history);
+      check_value name
+        (Agreement.Repeated.encode { tu with Agreement.Repeated.id = pid; t = instance.(pid) })
         value
     | Shm.Event.Did_scan { pid; off; len } ->
       scanned.(pid) <- (instance.(pid), Array.sub mem off len)
@@ -394,4 +420,5 @@ let suite =
     test "stepper decisions equal the instance's outputs" stepper_decisions_match_outputs;
     test "Figure 4 entries carry the writer's decided history" fig4_entries_carry_history;
     test "ledger slot prints on one line" ledger_slot_one_line;
+    test "stepper allocates the same per slot at slot 1000" stepper_flat_slot_cost;
   ]
