@@ -638,7 +638,7 @@ let perf_table ~smoke =
     ignore (Sys.opaque_identity !sink);
     !steps
   in
-  let vm_compare ~bench ~count ~rate size ~interp ~vm =
+  let vm_rows =
     let arm name engine work =
       {
         name;
@@ -646,45 +646,19 @@ let perf_table ~smoke =
           [
             ("engine", Obs.Json.String engine);
             ("workload", Obs.Json.String (Analyze.Ir.to_string proto));
-            size;
+            ("iters", Obs.Json.Int vm_iters);
           ];
         work;
       }
     in
-    compare_arms ~bench ~count ~rate (arm "reference" "interp" interp) (arm "vm" "vm" vm)
+    compare_arms ~bench:"vm-sim-steps" ~count:"steps" ~rate:"steps_per_s"
+      (arm "reference" "interp"
+         (interp_arm
+            ~config:(fun () -> Shm.Vm.config ~backend:Shm.Memory.Journaled proto)
+            ~inputs:Runner.proto_inputs ~full:false ~iters:vm_iters))
+      (arm "vm" "vm" proto_vm_arm)
   in
-  let vm_rows =
-    vm_compare ~bench:"vm-sim-steps" ~count:"steps" ~rate:"steps_per_s"
-      ("iters", Obs.Json.Int vm_iters)
-      ~interp:
-        (interp_arm
-           ~config:(fun () -> Shm.Vm.config ~backend:Shm.Memory.Journaled proto)
-           ~inputs:Runner.proto_inputs ~full:false ~iters:vm_iters)
-      ~vm:proto_vm_arm
-  in
-  (* -- vm DPOR: reduced exploration of the same protocol, interpreter
-     state (heap configurations on the journaled backend + incremental
-     keys) vs the vm state (arena slots, batched expansion, keys read
-     off the slice), both through the one exploration core.  The check always passes so both arms
-     sweep the full reduced space; completion is excluded as above. *)
-  let vm_dpor_depth = if smoke then 10 else 13 in
-  let vm_dpor_rows =
-    vm_compare ~bench:"vm-dpor-states" ~count:"explored" ~rate:"states_per_s"
-      ("depth", Obs.Json.Int vm_dpor_depth)
-      ~interp:(fun () ->
-        explored
-          (Spec.Modelcheck.run ~engine:dpor ~depth:vm_dpor_depth ~key:`Incremental
-             ~completion_steps:0 ~inputs:Runner.proto_inputs
-             ~check:(fun _ -> Ok ())
-             (Shm.Vm.config ~backend:Shm.Memory.Journaled proto)))
-      ~vm:(fun () ->
-        explored
-          (Spec.Modelcheck.run_vm ~engine:dpor ~depth:vm_dpor_depth ~completion_steps:0
-             ~inputs:Runner.proto_inputs
-             ~check:(fun ~inputs:_ ~outputs:_ -> Ok ())
-             proto))
-  in
-  sim_rows @ dpor_rows @ vm_rows @ vm_dpor_rows
+  sim_rows @ dpor_rows @ vm_rows
 
 (* ------------------------------------------------------------------ *)
 (* E15: static analyzer — abstract footprints vs paper bounds vs       *)
@@ -1033,20 +1007,12 @@ let perf_floors =
     };
     (* E20: the bytecode engine must stay >=5x the PR-5 journal +
        incremental-key arm on the shared collect workload (measured
-       7-8x; the floor is the acceptance bar), and the vm DPOR driver
-       must keep a real margin over interpreted DPOR (measured
-       1.9-2.6x; floored conservatively against scheduler noise). *)
+       7-8x; the floor is the acceptance bar). *)
     {
       Obs.History.selector =
         [ ("bench", "vm-sim-steps"); ("arm", "vm") ];
       metric = "ratio_vs_reference";
       min = 5.0;
-    };
-    {
-      Obs.History.selector =
-        [ ("bench", "vm-dpor-states"); ("arm", "vm") ];
-      metric = "ratio_vs_reference";
-      min = 1.3;
     };
   ]
 

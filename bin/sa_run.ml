@@ -405,11 +405,10 @@ let analyze_cmd =
    the free-monad registry) on one first-order protocol string, and
    optionally one run or a model check of it. *)
 
-(* Run or model-check the protocol under the selected engine
-   (free-monad interpreter or bytecode vm); both see the fuzzer's input
-   space, so the two engines' verdicts are directly comparable (the vm
-   oracle enforces run equivalence; this surface makes it inspectable
-   by hand). *)
+(* Run the protocol under the selected engine (free-monad interpreter
+   or bytecode vm); both see the fuzzer's input space, so the two
+   engines' runs are directly comparable (the vm oracle enforces run
+   equivalence; this surface makes it inspectable by hand). *)
 let run_protocol ~engine prog =
   let r = Agreement.Runner.run_proto ~engine prog in
   let written = r.Shm.Vm.final.Shm.Vm.written in
@@ -423,23 +422,16 @@ let run_protocol ~engine prog =
       Fmt.pr "  p%d decides %a (instance %d)@." pid Shm.Value.pp v inst)
     r.Shm.Vm.final.Shm.Vm.outputs
 
-let explore_protocol ~engine ~depth prog =
-  let mc_engine = Spec.Modelcheck.Dpor { cache = true; jobs = 1 } in
-  let inputs = Agreement.Runner.proto_inputs in
+(* Model-check the protocol with DPOR over its interpreted form, under
+   the same input space. *)
+let explore_protocol ~depth prog =
   let outcome =
-    match (engine : Agreement.Runner.engine) with
-    | Agreement.Runner.Interp ->
-      Spec.Modelcheck.run ~engine:mc_engine ~depth ~inputs
-        ~check:(Spec.Properties.check_safety ~k:1)
-        (Shm.Vm.config prog)
-    | Agreement.Runner.Vm ->
-      Spec.Modelcheck.run_vm ~engine:mc_engine ~depth ~inputs
-        ~check:(Spec.Properties.check_safety_io ~k:1)
-        prog
+    Spec.Modelcheck.run ~engine:(Spec.Modelcheck.Dpor { cache = true; jobs = 1 }) ~depth
+      ~inputs:Agreement.Runner.proto_inputs ~check:(Spec.Properties.check_safety ~k:1)
+      (Shm.Vm.config prog)
   in
-  Fmt.pr "@.explore (%s engine, depth %d): %a@."
-    (Agreement.Runner.engine_name engine)
-    depth Spec.Modelcheck.pp_outcome outcome;
+  Fmt.pr "@.explore (interp engine, depth %d): %a@." depth Spec.Modelcheck.pp_outcome
+    outcome;
   match outcome with Spec.Modelcheck.Ok_bounded _ -> () | _ -> exit 1
 
 let protocol () s ir indep optimize witness sarif_path json_path engine_s run explore_depth =
@@ -447,8 +439,7 @@ let protocol () s ir indep optimize witness sarif_path json_path engine_s run ex
   Option.iter (Cli.check_output "--sarif") sarif_path;
   let engine =
     match engine_s with
-    | Some e when not (run || explore_depth <> None) ->
-      Cli.usage_error "--engine %s: runs nothing without --run or --explore-depth" e
+    | Some e when not run -> Cli.usage_error "--engine %s: runs nothing without --run" e
     | e ->
       Cli.lookup "engine" Agreement.Runner.engine_of_string
         (Option.value e ~default:"interp")
@@ -503,7 +494,7 @@ let protocol () s ir indep optimize witness sarif_path json_path engine_s run ex
            [ Analyze.Report.protocol_row prog d ~flow_diags:(List.length flow_diags) opt ]))
     json_path;
   if run then run_protocol ~engine prog;
-  Option.iter (fun depth -> explore_protocol ~engine ~depth prog) explore_depth
+  Option.iter (fun depth -> explore_protocol ~depth prog) explore_depth
 
 let protocol_cmd =
   let prog =
@@ -545,9 +536,9 @@ let protocol_cmd =
       & opt (some ~none:"interp" string) None
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
-            "Execution engine for --run/--explore-depth: $(b,interp) (the \
-             free-monad reference interpreter) or $(b,vm) (the bytecode \
-             engine, see docs/PERFORMANCE.md).")
+            "Execution engine for --run: $(b,interp) (the free-monad \
+             reference interpreter) or $(b,vm) (the bytecode engine, see \
+             docs/PERFORMANCE.md).")
   in
   let run =
     Arg.(
@@ -564,8 +555,9 @@ let protocol_cmd =
       & opt (some int) None
       & info [ "explore-depth" ] ~docv:"DEPTH"
           ~doc:
-            "Also model-check the protocol (DPOR, 1-agreement safety) to \
-             DEPTH scheduler steps under --engine; exits 1 on a violation.")
+            "Also model-check the protocol (DPOR over the interpreted form, \
+             1-agreement safety) to DEPTH scheduler steps; exits 1 on a \
+             violation.")
   in
   Cmd.v
     (Cmd.info "protocol" ~exits:Cli.exits

@@ -19,10 +19,8 @@ type phase =
   | Cache
   | Replay
   | Check
-  | Vm_step
-  | Vm_batch
 
-let n_phases = 8
+let n_phases = 6
 
 let index = function
   | Interp -> 0
@@ -31,10 +29,8 @@ let index = function
   | Cache -> 3
   | Replay -> 4
   | Check -> 5
-  | Vm_step -> 6
-  | Vm_batch -> 7
 
-let phases = [ Interp; Footprint; Hash; Cache; Replay; Check; Vm_step; Vm_batch ]
+let phases = [ Interp; Footprint; Hash; Cache; Replay; Check ]
 
 let name = function
   | Interp -> "interp"
@@ -43,8 +39,6 @@ let name = function
   | Cache -> "cache"
   | Replay -> "replay"
   | Check -> "check"
-  | Vm_step -> "vm.step"
-  | Vm_batch -> "vm.batch"
 
 type t = { ns : int array; count : int array }
 

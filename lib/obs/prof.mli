@@ -21,8 +21,6 @@ type phase =
       (** charged by nothing; kept because [bench/e2e] reads it as
           [spec.prof.replay_s] *)
   | Check  (** leaf completion + property checking *)
-  | Vm_step  (** bytecode stepping ([Vm.step], key maintenance included) *)
-  | Vm_batch  (** vm frontier batching (arena snapshots, stack ops) *)
 
 type t
 

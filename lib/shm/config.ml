@@ -54,12 +54,6 @@ let runnable t ~has_input pid =
   | Program.Await _ -> has_input pid (t.instance.(pid) + 1)
   | Program.Op _ | Program.Yield _ -> true
 
-(* Footprint of the step process [pid] would take next.  For an idle
-   process the next step is the invocation itself, which touches no
-   shared memory; same for halted processes (which take no step at
-   all).  Everything else is the poised head's footprint. *)
-let footprint t pid = Program.footprint t.procs.(pid)
-
 (* Invoke the next operation of an idle process with input [v]. *)
 let invoke t pid v =
   match t.procs.(pid) with

@@ -42,11 +42,6 @@ val outputs : t -> (int * int * Value.t) list
     invocation available according to [has_input pid next_instance]. *)
 val runnable : t -> has_input:(int -> int -> bool) -> int -> bool
 
-(** Memory footprint of the step process [pid] would take next (empty
-    for idle and halted processes — invoking is a local step).  Lets
-    the exploration engine decide step independence without executing. *)
-val footprint : t -> int -> Program.footprint
-
 (** Invoke the next operation of an idle process with the given input.
     Raises [Invalid_argument] if the process is not idle. *)
 val invoke : t -> int -> Value.t -> t * Event.t

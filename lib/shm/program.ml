@@ -58,33 +58,37 @@ let pp_op ppf = function
 
 let poised_op = function Op (o, _) -> Some o | Stop | Yield _ | Await _ -> None
 
-(* The memory footprint of the poised step — which registers executing
-   it would read and write.  Yield and Await steps (and halted
-   processes) touch no shared memory: their footprint is empty, which
-   makes them independent of every other process's steps.  The
-   exploration core (Spec.Explore) uses footprints to decide, without
-   executing anything, whether two enabled steps commute. *)
+(* Step independence, decided on the poised heads without executing
+   anything and without allocating.  A step's footprint is the
+   registers it reads and writes: a read or a write touches one
+   register, a scan the registers of its range.  Yield and Await steps
+   (and halted processes) touch no shared memory, so they commute with
+   every other process's steps; so does a zero-length scan.  The
+   exploration core (Spec.Explore) builds its ample and sleep sets on
+   these two tests. *)
 
-type footprint = { reads : int list; writes : int list }
+let is_local = function
+  | Op (Scan (_, len), _) -> len <= 0
+  | Op ((Read _ | Write _), _) -> false
+  | Stop | Yield _ | Await _ -> true
 
-let empty_footprint = { reads = []; writes = [] }
+let touches o r =
+  match o with
+  | Read r' | Write (r', _) -> r = r'
+  | Scan (off, len) -> r >= off && r < off + len
 
-let footprint = function
-  | Op (Read r, _) -> { reads = [ r ]; writes = [] }
-  | Op (Write (r, _), _) -> { reads = []; writes = [ r ] }
-  | Op (Scan (off, len), _) -> { reads = List.init len (fun i -> off + i); writes = [] }
-  | Stop | Yield _ | Await _ -> empty_footprint
+(* [p] writes a register that [q]'s poised step touches *)
+let writes_into p q =
+  match (p, q) with
+  | Op (Write (r, _), _), Op (o, _) -> touches o r
+  | _ -> false
 
-let footprint_is_local { reads; writes } = reads = [] && writes = []
-
-(* Two steps of *different* processes are independent iff neither
-   writes a register the other touches: performing them in either order
-   yields the same memory and the same results (read/read pairs and
-   accesses to distinct registers commute; write/write to the same
-   register, and read/write of the same register, do not). *)
-let independent a b =
-  let disjoint xs ys = not (List.exists (fun x -> List.mem x ys) xs) in
-  disjoint a.writes (b.reads @ b.writes) && disjoint b.writes (a.reads @ a.writes)
+(* Two steps of *different* processes commute iff neither writes a
+   register the other touches: performing them in either order yields
+   the same memory and the same results (read/read pairs and accesses
+   to distinct registers commute; write/write to the same register,
+   and a write against a read or scan of it, do not). *)
+let commute p q = not (writes_into p q || writes_into q p)
 
 let poised_write = function
   | Op (Write (r, _), _) -> Some r

@@ -45,27 +45,23 @@ val pp_op : Format.formatter -> op -> unit
 
 val poised_op : t -> op option
 
-(** {1 Step footprints}
+(** {1 Step independence}
 
-    The registers the poised step would read and write, decidable
-    without executing it.  {!Spec.Explore} builds its independence
-    relation on footprints: two steps of different processes commute
-    iff neither writes a register the other touches. *)
+    Decided on the poised heads, without executing them and without
+    allocating.  A step's footprint is the registers it reads and
+    writes: one for a read or a write, the range of a scan.
+    {!Spec.Explore} builds its independence relation on these tests. *)
 
-type footprint = { reads : int list; writes : int list }
-
-(** Footprint of the poised step.  [Yield], [Await] and [Stop] heads
-    have the empty footprint — they touch no shared memory. *)
-val footprint : t -> footprint
-
-(** No shared-memory access at all: such a step is independent of
+(** The poised step touches no shared memory: a [Yield], [Await] or
+    [Stop] head, or a zero-length scan.  Such a step commutes with
     every step of every other process. *)
-val footprint_is_local : footprint -> bool
+val is_local : t -> bool
 
-(** [independent a b]: steps with footprints [a] and [b], taken by
-    {e different} processes, commute — performing them in either order
+(** [commute p q]: the poised steps of [p] and [q], taken by
+    {e different} processes, commute — neither writes a register the
+    other reads, writes or scans, so performing them in either order
     reaches the same memory state and observes the same values. *)
-val independent : footprint -> footprint -> bool
+val commute : t -> t -> bool
 
 (** [poised_write p] is [Some r] iff the head step is a write to [r]. *)
 val poised_write : t -> int option

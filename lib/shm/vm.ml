@@ -32,26 +32,24 @@
      values always carry equal codes — which lets the state key hash
      codes directly, never touching the heap.
 
-   - A configuration is a slice of one flat int array.  [state_words]
-     gives the slice size; [init]/[step] address fields at fixed
-     offsets.  Exploration engines keep thousands of configurations in
-     one arena array and snapshot with [Array.blit] ([Spec.Modelcheck]).
+   - A configuration is a slice of one flat int array, its size fixed
+     by the env; [init]/[step] address fields at fixed offsets, and a
+     snapshot is one [Array.blit].
 
-   - The state key (the DPOR cache key) is maintained incrementally
-     inside [step], so [key] is four loads.  The step language has no
-     data-dependent control flow, so a configuration's future depends
-     only on the machine state itself: register codes, each process's
-     (ip, last, input, instance, pc, loop counters), and the i/o
-     records.  The key hashes exactly that — commutative sums of
-     salted mixes, one summand per register, per process, and per i/o
-     record — so states reached by any two equivalent interleavings
-     collide by construction, and each [step] refreshes only the
-     summands it touched.  This is deliberately coarser than
-     [Spec.Statehash], which hashes observation *histories* (all the
-     interpreter can see incrementally): histories that converge to
-     the same machine state share one key here, which is strictly
-     more cache hits under the same soundness argument (the checked
-     predicates are functions of the state).
+   - The state key is maintained incrementally inside [step], so
+     [key] is four loads.  The step language has no data-dependent
+     control flow, so a configuration's future depends only on the
+     machine state itself: register codes, each process's (ip, last,
+     input, instance, pc, loop counters), and the i/o records.  The
+     key hashes exactly that — commutative sums of salted mixes, one
+     summand per register, per process, and per i/o record — so states
+     reached by any two equivalent interleavings collide by
+     construction, and each [step] refreshes only the summands it
+     touched.  This is deliberately coarser than [Spec.Statehash],
+     which hashes observation *histories* (all the interpreter can see
+     incrementally): histories that converge to the same machine state
+     share one key here.  E20's vm-sim-steps arm pays for this upkeep
+     on every step, as the interpreter arm pays for Statehash's.
 
    Control instructions (loop set/jump) execute transparently inside
    [step]: the interpreter unrolls loops at compile time, so loop
@@ -119,7 +117,6 @@ let config ?backend p =
 let code_bot = 1
 
 type code = {
-  proto : proto;
   ops : int array;  (* stride 3: opcode, operand a, operand b *)
   n : int;
   registers : int;
@@ -130,8 +127,8 @@ type code = {
 
 (* Interning only happens at compile time (large constants) and at
    [env] construction (non-int inputs) — never inside [step] — so the
-   table is frozen before any parallel exploration starts and reads
-   need no synchronization. *)
+   table is frozen before any run starts and reads need no
+   synchronization. *)
 let intern c v =
   let rec find j =
     if j >= c.table_len then -1
@@ -207,7 +204,6 @@ let compile (p : proto) =
   let len = ref 0 in
   let c =
     {
-      proto = p;
       ops = [||];
       n = p.n;
       registers = p.registers;
@@ -334,9 +330,6 @@ let env c ~inputs =
     o_wmask; o_ip; o_last; o_input; o_inst; o_pc; o_ctr; o_lsl;
     o_inlog; o_outlog; o_scal; words = o_scal + n_scal }
 
-let state_words e = e.words
-let proto_env e = e.c.proto
-
 (* Key summands.  Each is one salted mix over machine-state fields —
    see the header comment for why state, not history, is the right
    thing to hash.  [poly] folds multi-field words positionally before
@@ -421,9 +414,6 @@ let key e st base =
     k_out = st.(base + e.o_scal + s_kout);
   }
 
-let key_words e st base k =
-  Array.blit st (base + e.o_scal + s_kmem) k 0 4
-
 (* The four components folded down to one non-negative hash, read
    straight off the slice — no record allocation, one mix, for
    per-step use (cache probes, the bench loops). *)
@@ -475,31 +465,6 @@ let rec advance e st base pid i =
 let[@inline] advance_fast e st base pid i =
   let op = e.c.ops.!(i) in
   if op >= op_read && op <= op_decide_last then i else advance e st base pid i
-
-(* The footprint of the step [pid] would take next, as (reads_off,
-   reads_len, write_reg): (-1,0,-1) for local steps (invoke, decide).
-   Mirrors [Config.footprint] for compiled protocols; the vm DPOR
-   independence test works on these triples without allocating. *)
-let poised_footprint e st base pid =
-  let ip = st.!(base + e.o_ip + pid) in
-  if ip < 0 then (-1, 0, -1)
-  else
-    let ops = e.c.ops in
-    let op = ops.!(ip) in
-    if op = op_read then (ops.!(ip + 1), 1, -1)
-    else if op = op_write_c || op = op_write_in || op = op_write_last then
-      (-1, 0, ops.!(ip + 1))
-    else if op = op_scan then (ops.!(ip + 1), ops.!(ip + 2), -1)
-    else (-1, 0, -1)
-
-(* True iff [pid]'s next step touches no shared memory (invoke or
-   decide) — the ample-set test. *)
-let poised_local e st base pid =
-  let ip = st.!(base + e.o_ip + pid) in
-  ip < 0
-  ||
-  let op = e.c.ops.!(ip) in
-  op = op_decide_c || op = op_decide_in || op = op_decide_last
 
 (* One step of [pid], in place.  This is the engine's inner loop: int
    loads and stores only — no allocation, no Value.t construction —
@@ -638,7 +603,7 @@ type final = {
   outputs : (int * int * Value.t) list;
 }
 
-let io e st base =
+let snapshot e st base =
   let c = e.c in
   let log o =
     let acc = ref [] in
@@ -648,11 +613,6 @@ let io e st base =
     done;
     !acc
   in
-  (log e.o_inlog, log e.o_outlog)
-
-let snapshot e st base =
-  let c = e.c in
-  let inputs, outputs = io e st base in
   {
     memory = Array.init c.registers (fun r -> decode c st.(base + r));
     written =
@@ -662,8 +622,8 @@ let snapshot e st base =
     num_written = st.(base + e.o_scal + s_nwritten);
     write_count = st.(base + e.o_scal + s_wcount);
     read_count = st.(base + e.o_scal + s_rcount);
-    inputs;
-    outputs;
+    inputs = log e.o_inlog;
+    outputs = log e.o_outlog;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -17,17 +17,13 @@
     equivalence suite enforce it on random protocols; [docs/PERFORMANCE.md] documents the
     bytecode format and the arena layout.
 
-    The engine maintains the exploration state key incrementally
-    inside {!step}, derived from the machine state itself (registers,
-    per-process control state, i/o records) rather than from the
-    observation history [Spec.Statehash] folds.  Because the step
-    language has no data-dependent control flow, the future of a
-    configuration is a function of its state alone — so hashing state
-    is sound for the DPOR cache and strictly coarser than the
-    interpreter's key: states reached by equivalent interleavings
-    collide by construction, which is exactly the pruning the cache
-    wants.  {!key} is four loads and DPOR over vm states
-    ([Spec.Modelcheck.run_vm]) never hashes a full configuration. *)
+    The engine maintains a state key incrementally inside {!step},
+    derived from the machine state itself (registers, per-process
+    control state, i/o records) rather than from the observation
+    history [Spec.Statehash] folds.  Because the step language has no
+    data-dependent control flow, the future of a configuration is a
+    function of its state alone, so states reached by equivalent
+    interleavings collide by construction.  {!key} is four loads. *)
 
 (** {1 The first-order protocol language} *)
 
@@ -77,8 +73,9 @@ val compile : proto -> code
 
 (** {1 Execution environment and state}
 
-    An {!env} fixes code and the pre-encoded invocation inputs; a state is a slice of {!state_words} ints inside any
-    [int array] the caller owns (an arena).  All engine entry points
+    An {!env} fixes code and the pre-encoded invocation inputs; a state
+    is a fixed-size slice of ints inside any [int array] the caller owns
+    ({!make_state} allocates one).  All engine entry points
     address the slice as [(st, base)]; snapshotting a configuration is
     one [Array.blit]. *)
 
@@ -89,12 +86,7 @@ type env
     requested. *)
 val env : code -> inputs:(pid:int -> instance:int -> Value.t option) -> env
 
-val proto_env : env -> proto
-
-(** Size of one state slice, in ints. *)
-val state_words : env -> int
-
-(** [init e st base] formats [st.(base .. base+state_words-1)] as the
+(** [init e st base] formats the state slice at [base] as the
     initial configuration (all registers ⊥, all processes idle). *)
 val init : env -> int array -> int -> unit
 
@@ -107,15 +99,6 @@ val make_state : env -> int array
 val runnable : env -> int array -> int -> int -> bool
 val quiescent : env -> int array -> int -> bool
 
-(** Footprint of the step [pid] would take next, allocation-free:
-    [(reads_off, reads_len, write_reg)], with [-1] for "none".
-    Invoke and decide steps are local: [(-1, 0, -1)]. *)
-val poised_footprint : env -> int array -> int -> int -> int * int * int
-
-(** True iff [pid]'s next step touches no shared memory (invoke or
-    decide) — the DPOR ample-set test. *)
-val poised_local : env -> int array -> int -> int -> bool
-
 (** The incrementally-maintained state key: commutative salted sums
     over the register file ([k_mem]), the per-process control state
     ([k_locals]), and the invocation/output records ([k_in]/[k_out]).
@@ -126,13 +109,8 @@ type key = { k_mem : int; k_locals : int; k_in : int; k_out : int }
 
 val key : env -> int array -> int -> key
 
-(** [key_words e st base k] writes {!key}'s four components, in field
-    order, to [k.(0..3)] — allocation-free, for the DPOR state cache. *)
-val key_words : env -> int array -> int -> int array -> unit
-
 (** One final mix over the four components, computed straight off the
-    slice — allocation-free, for per-step use (the bench loops, cache
-    probes). *)
+    slice — allocation-free, for per-step use (the E20 bench loop). *)
 val key_hash : env -> int array -> int -> int
 
 (** {1 Stepping} *)
@@ -163,11 +141,6 @@ type final = {
 }
 
 val snapshot : env -> int array -> int -> final
-
-(** [(inputs, outputs)] of {!snapshot}, without decoding the rest of
-    the slice — all a property check reads. *)
-val io :
-  env -> int array -> int -> (int * int * Value.t) list * (int * int * Value.t) list
 
 (** Event-free in-place driver mirroring [Exec.run]'s loop (fuel check
     before each scheduler probe): returns steps taken and why it

@@ -191,23 +191,6 @@ let complete ~inputs ~max_steps config =
   in
   go config 0 0 quantum
 
-(* The same rule over a compiled vm state, in place at [base]: the vm
-   engine's leaf completion.  Returns the steps taken. *)
-let complete_vm e st base ~max_steps =
-  let n = (Vm.proto_env e).Vm.n in
-  let runnable e st pid = Vm.runnable e st base pid in
-  let rec go step cursor left =
-    if step >= max_steps then step
-    else
-      let pid = Schedule.quantum_pick ~runnable e st n ~cursor ~left in
-      if pid < 0 then step
-      else begin
-        Vm.step e st base pid;
-        go (step + 1) pid ((if pid = cursor && left > 0 then left else quantum) - 1)
-      end
-  in
-  go 0 0 quantum
-
 (* ---- the memoized completion ---- *)
 
 (* How a memoized run ended: out of fuel, quiescent, or at a memo hit

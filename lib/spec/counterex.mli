@@ -7,8 +7,8 @@
     Processes are deterministic, so the pid schedule alone pins down
     the whole execution.  The frontier-completion rule every engine and
     [replay] share is here too, with its constants ({!quantum},
-    {!completion_steps}), its vm form ({!complete_vm}) and its memoized
-    form for the DPOR engine ({!complete_check}). *)
+    {!completion_steps}) and its memoized form for the DPOR engine
+    ({!complete_check}). *)
 
 type t = {
   schedule : int list;  (** pids, in step order *)
@@ -53,10 +53,6 @@ val complete :
   max_steps:int ->
   Shm.Config.t ->
   Shm.Config.t * int
-
-(** {!complete} in place over the vm state at [base]: the vm engine's
-    leaf completion.  Returns the steps taken. *)
-val complete_vm : Shm.Vm.env -> int array -> int -> max_steps:int -> int
 
 (** {1 Memoized completion} *)
 

@@ -1,8 +1,5 @@
 (* The exploration core: bounded partial-order-reduced search of the
-   schedule tree, written once over an abstract state representation
-   (STATE).  Modelcheck instantiates it twice: heap configurations
-   keyed by Statehash, and bytecode-vm arena slots keyed by their
-   in-slice key words.
+   schedule tree of heap configurations, each keyed by its Statehash.
 
    The naive checker (Modelcheck.exhaustive) enumerates every schedule
    of length ≤ depth — n^depth nodes.  This core explores one
@@ -22,19 +19,19 @@
      subtrees and stays there while the steps taken commute with p's.
 
    - State caching.  A canonical key of the reached state, four int
-     words, memoizes explored states: Statehash's four sums, the
-     audited MD5 digest's 128 bits as four 32-bit words, or the vm
-     slice's four key words.  An entry may only short-circuit a new
-     visit if it had at least as much remaining depth budget and was
-     explored with a sleep set no larger than the current one — both
-     guards are required for soundness (docs/EXPLORATION.md).  At most
-     8 entries are kept per key.  The table ([Cache]) is three flat int
-     arrays and never evicts a key: see below.
+     words, memoizes explored states: Statehash's four sums, or the
+     audited MD5 digest's 128 bits as four 32-bit words.  An entry may
+     only short-circuit a new visit if it had at least as much
+     remaining depth budget and was explored with a sleep set no
+     larger than the current one — both guards are required for
+     soundness (docs/EXPLORATION.md).  At most 8 entries are kept per
+     key.  The table ([Cache]) is three flat int arrays and never
+     evicts a key: see below.
 
-   - One frontier stack.  The search pops a batch of its freshest
-     nodes at a time ([STATE.batch]) and processes them freshest first,
-     so siblings pushed together run back to back; the first violation
-     ends the search.
+   - One frontier stack, popped freshest first, so siblings pushed
+     together run back to back; the first violation ends the search.
+     With the cache, leaves are answered from a completion memo
+     (Counterex.complete_check) where it can.
 
    Caveat, stated once and repeated in the docs: under a finite depth
    bound, reduction changes which length-≤-depth prefixes exist, so
@@ -43,31 +40,9 @@
    re-checkable); a violation reachable only at the very edge of the
    bound can need a slightly larger depth under reduction. *)
 
-type commute = Conflict | Independent | Refined
+open Shm
 
 let max_procs = 62
-
-module type STATE = sig
-  type env
-  type dom
-  type t
-
-  val batch : int
-  val n : env -> int
-  val dom : env -> dom
-  val root : dom -> t
-  val runnable : dom -> t -> int -> bool
-  val poised_local : dom -> t -> int -> bool
-  val commutes : dom -> t -> int -> int -> commute
-  val child : dom -> prof:Obs.Prof.t option -> t -> int -> t
-  val key : dom -> t -> int array -> unit
-  val release : dom -> t -> unit
-  val leaf : dom -> t -> (unit, string) result
-  val memo_hits : dom -> int
-  val summary_hits : dom -> int
-  val counterexample : env -> int list -> string -> Counterex.t
-  val sample : Obs.Trace.t -> dom -> t -> unit
-end
 
 type stats = {
   explored : int;
@@ -247,205 +222,272 @@ module Cache = struct
     probe t (home t.index tag) tag k0 k1 k2 k3 ~remaining ~sleep
 end
 
-module Make (S : STATE) = struct
-  type node = {
-    st : S.t;
-    depth : int;
-    sched : int list;  (* pids stepped so far, reversed *)
-    sleep : int;       (* pids whose branches are covered elsewhere *)
-  }
+(* ---- conditional independence ---- *)
 
-  (* One search: its bound, state context, cache, profile, frontier and
-     counters. *)
-  type search = {
-    bound : int;
-    n : int;
-    use_cache : bool;
-    d : S.dom;
-    cache : Cache.t;
-    key : int array;  (* the current node's key words *)
-    prof : Obs.Prof.t option;
-    trace : Obs.Trace.t option;
-    mutable frontier : node list;  (* head = freshest *)
-    mutable explored : int;
-    mutable leaves : int;
-    mutable max_depth : int;
-    mutable cache_hits : int;
-    mutable pruned : int;
-    mutable refined : int;
-    mutable until_sample : int;
-  }
+(* Two poised ops whose footprints collide may still commute to the
+   identical configuration in the current memory: same-register writes
+   of equal values ([Value.equal] is a pointer test on one block and a
+   stored-hash test on most unequal ones), and a write re-storing the value the register already holds
+   against a read of it or a scan covering it.  Peeking at [mem] counts
+   no access.  [false] means "not proved", never "dependent". *)
+let cond_independent mem a b =
+  let noop r v = Value.equal (Memory.read mem r) v in
+  match (a, b) with
+  | Program.Write (r1, v1), Program.Write (r2, v2) -> r1 = r2 && Value.equal v1 v2
+  | Program.Write (r, v), Program.Read r' | Program.Read r', Program.Write (r, v) ->
+    r = r' && noop r v
+  | Program.Write (r, v), Program.Scan (off, len)
+  | Program.Scan (off, len), Program.Write (r, v) ->
+    r >= off && r < off + len && noop r v
+  | _ -> false (* read/read pairs are footprint-independent already *)
 
-  exception Violation of int list * string
+(* ---- the search ---- *)
 
-  (* One sample of the exploration series: the counts and the
-     frontier, under one timestamp. *)
-  let sample tr s node =
-    S.sample tr s.d node.st;
-    let ts_ns = Obs.Trace.now_ns () in
-    let counter track v = Obs.Trace.counter tr ~ts_ns ~track (float_of_int v) in
-    counter "nodes" s.explored;
-    counter "frontier" (List.length s.frontier);
-    counter "cache hits" s.cache_hits;
-    counter "sleep hits" s.pruned
+(* A node: its configuration and Statehash (immutable, shared freely
+   between parent and child), depth, schedule and sleep set. *)
+type node = {
+  config : Config.t;
+  hash : Statehash.t;
+  depth : int;
+  sched : int list;  (* pids stepped so far, reversed *)
+  sleep : int;       (* pids whose branches are covered elsewhere *)
+}
 
-  let leaf s node =
-    s.leaves <- s.leaves + 1;
-    let t0 = start s.prof in
-    let verdict = S.leaf s.d node.st in
-    ignore (lap s.prof Obs.Prof.Check t0);
-    match verdict with
-    | Ok () -> ()
-    | Error error ->
-      Option.iter
-        (fun tr ->
-          Obs.Trace.instant tr ~cat:"dpor" ~args:[ ("error", Obs.Json.String error) ]
-            "violation")
-        s.trace;
-      raise (Violation (List.rev node.sched, error))
+(* One search: its bound and run context, cache, completion memo,
+   profile, frontier and counters. *)
+type search = {
+  bound : int;
+  n : int;
+  inputs : pid:int -> instance:int -> Value.t option;
+  has_input : int -> int -> bool;
+  completion_steps : int;
+  check : Config.t -> (unit, string) result;
+  full_key : bool;
+  refine : bool;  (* add [cond_independent] pairs to sleep sets *)
+  cache : Cache.t option;
+  memo : Counterex.memo option;
+  prof : Obs.Prof.t option;
+  trace : Obs.Trace.t option;
+  mutable frontier : node list;  (* head = freshest *)
+  mutable explored : int;
+  mutable leaves : int;
+  mutable max_depth : int;
+  mutable cache_hits : int;
+  mutable pruned : int;
+  mutable refined : int;
+  mutable until_sample : int;
+}
 
-  (* Branch on the ample set minus the sleep set.  Each child sleeps on
-     the inherited sleepers and earlier siblings whose steps commute with
-     its own; children are pushed highest pid first, so the lowest pid
-     ends on top and depth-first order visits pids ascending. *)
-  let expand s rmask node =
-    let d = s.d and st = node.st and prof = s.prof in
-    let t0 = start prof in
-    let rec first_local pid =
-      if pid >= s.n then -1
-      else if rmask land (1 lsl pid) <> 0 && S.poised_local d st pid then pid
-      else first_local (pid + 1)
-    in
-    let local = first_local 0 in
-    let ample = if local >= 0 then 1 lsl local else rmask in
-    let branches = ample land lnot node.sleep in
-    s.pruned <- s.pruned + popcount (ample land node.sleep);
-    let t0 = ref (lap prof Obs.Prof.Footprint t0) in
-    let children = ref [] and siblings = ref 0 in
-    for pid = 0 to s.n - 1 do
-      if branches land (1 lsl pid) <> 0 then begin
-        let cand = node.sleep lor !siblings and sleep = ref 0 in
-        for q = 0 to s.n - 1 do
-          if cand land (1 lsl q) <> 0 then
-            match S.commutes d st q pid with
-            | Conflict -> ()
-            | Independent -> sleep := !sleep lor (1 lsl q)
-            | Refined ->
-              s.refined <- s.refined + 1;
-              sleep := !sleep lor (1 lsl q)
-        done;
-        ignore (lap prof Obs.Prof.Footprint !t0);
-        let child = S.child d ~prof st pid in
-        t0 := start prof;
-        children :=
-          { st = child; depth = node.depth + 1; sched = pid :: node.sched; sleep = !sleep }
-          :: !children;
-        siblings := !siblings lor (1 lsl pid)
-      end
-    done;
-    s.frontier <- List.rev_append !children s.frontier
+exception Violation of int list * string
 
-  let process s node =
-    s.explored <- s.explored + 1;
-    if node.depth > s.max_depth then s.max_depth <- node.depth;
-    (match s.trace with
-    | Some tr ->
-      s.until_sample <- s.until_sample - 1;
-      if s.until_sample <= 0 then begin
-        s.until_sample <- sample_stride;
-        sample tr s node
-      end
-    | None -> ());
-    let hit =
-      s.use_cache
-      &&
+(* One sample of the exploration series: register coverage, the counts
+   and the frontier, the last four under one timestamp. *)
+let sample tr s node =
+  Obs.Trace.counter tr ~track:Obs.Coverage.track_covered
+    (float_of_int (Obs.Coverage.num_covered node.config));
+  Obs.Trace.counter tr ~track:Obs.Coverage.track_written
+    (float_of_int (Obs.Coverage.num_written node.config));
+  let ts_ns = Obs.Trace.now_ns () in
+  let counter track v = Obs.Trace.counter tr ~ts_ns ~track (float_of_int v) in
+  counter "nodes" s.explored;
+  counter "frontier" (List.length s.frontier);
+  counter "cache hits" s.cache_hits;
+  counter "sleep hits" s.pruned
+
+(* Word [w] of an MD5 digest, as a 32-bit int. *)
+let digest_word dg w = Int32.to_int (String.get_int32_le dg (4 * w))
+
+(* Look the node up in the state cache, filing it on a miss.  The key
+   is the incremental one, or the full MD5 digest (the audited
+   reference path, also the perf benchmark's old-cost arm) as four
+   32-bit words. *)
+let covered s cache node =
+  let remaining = s.bound - node.depth and sleep = node.sleep in
+  if s.full_key then
+    let dg = Statehash.full_key node.hash node.config in
+    Cache.covered cache (digest_word dg 0) (digest_word dg 1) (digest_word dg 2)
+      (digest_word dg 3) ~remaining ~sleep
+  else
+    let { Statehash.k_mem; k_locals; k_in; k_out } = Statehash.key node.hash in
+    Cache.covered cache k_mem k_locals k_in k_out ~remaining ~sleep
+
+(* The verdict on a frontier node: complete it, then check it, or
+   answer from the completion memo. *)
+let leaf s node =
+  s.leaves <- s.leaves + 1;
+  let t0 = start s.prof in
+  let memo = Option.map (fun m -> (m, node.hash)) s.memo in
+  let verdict =
+    Counterex.complete_check ?memo ~inputs:s.inputs ~max_steps:s.completion_steps
+      ~check:s.check node.config
+  in
+  ignore (lap s.prof Obs.Prof.Check t0);
+  match verdict with
+  | Ok () -> ()
+  | Error error ->
+    Option.iter
+      (fun tr ->
+        Obs.Trace.instant tr ~cat:"dpor" ~args:[ ("error", Obs.Json.String error) ]
+          "violation")
+      s.trace;
+    raise (Violation (List.rev node.sched, error))
+
+(* May [q]'s and [p]'s poised steps be swapped in [c]?  By footprints,
+   or, when those collide, by the refinement: the two ops may still
+   commute to the identical state in the current memory (equal-value
+   writes, a no-op write against a read) — sound for sleep sets, which
+   need commutation only at this node, never for ample sets. *)
+let commutes s c q p =
+  let pq = Config.proc c q and pp = Config.proc c p in
+  Program.commute pq pp
+  || s.refine
+     &&
+     match (Program.poised_op pq, Program.poised_op pp) with
+     | Some oq, Some op when cond_independent (Config.mem c) oq op ->
+       s.refined <- s.refined + 1;
+       true
+     | _ -> false
+
+(* Branch on the ample set minus the sleep set.  Each child sleeps on
+   the inherited sleepers and earlier siblings whose steps commute with
+   its own; children are pushed highest pid first, so the lowest pid
+   ends on top and depth-first order visits pids ascending. *)
+let expand s rmask node =
+  let c = node.config and prof = s.prof in
+  let t0 = start prof in
+  let rec first_local pid =
+    if pid >= s.n then -1
+    else if rmask land (1 lsl pid) <> 0 && Program.is_local (Config.proc c pid) then pid
+    else first_local (pid + 1)
+  in
+  let local = first_local 0 in
+  let ample = if local >= 0 then 1 lsl local else rmask in
+  let branches = ample land lnot node.sleep in
+  s.pruned <- s.pruned + popcount (ample land node.sleep);
+  let t0 = ref (lap prof Obs.Prof.Footprint t0) in
+  let children = ref [] and siblings = ref 0 in
+  for pid = 0 to s.n - 1 do
+    if branches land (1 lsl pid) <> 0 then begin
+      let cand = node.sleep lor !siblings and sleep = ref 0 in
+      for q = 0 to s.n - 1 do
+        if cand land (1 lsl q) <> 0 && commutes s c q pid then sleep := !sleep lor (1 lsl q)
+      done;
+      let t1 = lap prof Obs.Prof.Footprint !t0 in
+      let config, ev = Config.advance ~inputs:s.inputs c pid in
+      let t1 = lap prof Obs.Prof.Interp t1 in
+      let hash = Statehash.record node.hash ~before:c config ev in
+      ignore (lap prof Obs.Prof.Hash t1);
+      t0 := start prof;
+      children :=
+        { config; hash; depth = node.depth + 1; sched = pid :: node.sched; sleep = !sleep }
+        :: !children;
+      siblings := !siblings lor (1 lsl pid)
+    end
+  done;
+  s.frontier <- List.rev_append !children s.frontier
+
+let process s node =
+  s.explored <- s.explored + 1;
+  if node.depth > s.max_depth then s.max_depth <- node.depth;
+  (match s.trace with
+  | Some tr ->
+    s.until_sample <- s.until_sample - 1;
+    if s.until_sample <= 0 then begin
+      s.until_sample <- sample_stride;
+      sample tr s node
+    end
+  | None -> ());
+  let hit =
+    match s.cache with
+    | None -> false
+    | Some cache ->
       let t0 = start s.prof in
-      let k = s.key in
-      S.key s.d node.st k;
-      let hit =
-        Cache.covered s.cache k.(0) k.(1) k.(2) k.(3) ~remaining:(s.bound - node.depth)
-          ~sleep:node.sleep
-      in
+      let hit = covered s cache node in
       ignore (lap s.prof Obs.Prof.Cache t0);
       hit
-    in
-    if hit then s.cache_hits <- s.cache_hits + 1
-    else begin
-      let t0 = start s.prof in
-      let rmask = ref 0 in
-      for pid = s.n - 1 downto 0 do
-        rmask := (!rmask lsl 1) lor Bool.to_int (S.runnable s.d node.st pid)
-      done;
-      ignore (lap s.prof Obs.Prof.Footprint t0);
-      if !rmask = 0 || node.depth >= s.bound then leaf s node
-      else expand s !rmask node
-    end;
-    S.release s.d node.st
+  in
+  if hit then s.cache_hits <- s.cache_hits + 1
+  else begin
+    let t0 = start s.prof in
+    let rmask = ref 0 in
+    for pid = s.n - 1 downto 0 do
+      rmask := (!rmask lsl 1) lor Bool.to_int (Config.runnable node.config ~has_input:s.has_input pid)
+    done;
+    ignore (lap s.prof Obs.Prof.Footprint t0);
+    if !rmask = 0 || node.depth >= s.bound then leaf s node else expand s !rmask node
+  end
 
-  (* Pop up to [S.batch] of the freshest nodes and process them,
-     freshest first, until the frontier is empty. *)
-  let rec run s =
-    let rec take k items acc =
-      match items with
-      | n :: rest when k > 0 -> take (k - 1) rest (n :: acc)
-      | _ -> (List.rev acc, items)
-    in
-    match take S.batch s.frontier [] with
-    | [], _ -> ()
-    | batch, rest ->
-      s.frontier <- rest;
-      List.iter (process s) batch;
-      run s
+(* Pop the freshest node and process it, until the frontier is empty. *)
+let rec run s =
+  match s.frontier with
+  | [] -> ()
+  | node :: rest ->
+    s.frontier <- rest;
+    process s node;
+    run s
 
-  let stats_of s =
-    { explored = s.explored; leaves = s.leaves; max_depth = s.max_depth;
-      cache_hits = s.cache_hits; pruned = s.pruned; refined = s.refined;
-      memo_hits = S.memo_hits s.d; summary_hits = S.summary_hits s.d }
+let stats_of s =
+  let memo f = Option.fold ~none:0 ~some:f s.memo in
+  { explored = s.explored; leaves = s.leaves; max_depth = s.max_depth;
+    cache_hits = s.cache_hits; pruned = s.pruned; refined = s.refined;
+    memo_hits = memo Counterex.memo_hits; summary_hits = memo Counterex.summary_hits }
 
-  let explore ~depth ~cache ?metrics ?prof env =
-    if depth < 0 then invalid_arg "Explore.explore: negative depth";
-    if S.n env > max_procs then
-      invalid_arg
-        (Fmt.str "Explore.explore: %d processes exceed the limit of %d (sleep sets are int masks)"
-           (S.n env) max_procs);
-    let d = S.dom env in
-    let trace = Obs.Trace.attached () in
-    let span =
-      Option.map
-        (fun tr ->
-          ( tr,
-            Obs.Trace.begin_span tr ~cat:"dpor"
-              ~args:[ ("depth", Obs.Json.Int depth); ("cache", Obs.Json.Bool cache) ]
-              "explore" ))
-        trace
-    in
-    let s =
-      { bound = depth; n = S.n env; use_cache = cache; d;
-        cache = Cache.create (if cache then 256 else 1); key = Array.make 4 0; prof; trace;
-        frontier = [ { st = S.root d; depth = 0; sched = []; sleep = 0 } ];
-        explored = 0; leaves = 0; max_depth = 0; cache_hits = 0; pruned = 0; refined = 0;
-        until_sample = sample_stride }
-    in
-    let end_span () =
-      Option.iter
-        (fun (tr, c) ->
-          Obs.Trace.end_span tr
-            ~args:
-              [ ("explored", Obs.Json.Int s.explored); ("leaves", Obs.Json.Int s.leaves) ]
-            c)
-        span
-    in
-    let found =
-      match run s with
-      | () -> None
-      | exception Violation (schedule, error) -> Some (schedule, error)
-      | exception e ->
-        let bt = Printexc.get_raw_backtrace () in
-        end_span ();
-        Printexc.raise_with_backtrace e bt
-    in
-    end_span ();
-    let stats = stats_of s in
-    Option.iter (fun m -> export_metrics m stats) metrics;
-    (stats, Option.map (fun (schedule, error) -> S.counterexample env schedule error) found)
-end
+let explore ~depth ~cache ~key ~refine ~inputs ~completion_steps ~prof ~check config =
+  let n = Config.n config in
+  if depth < 0 then invalid_arg "Explore.explore: negative depth";
+  if n > max_procs then
+    invalid_arg
+      (Fmt.str "Explore.explore: %d processes exceed the limit of %d (sleep sets are int masks)"
+         n max_procs);
+  let trace = Obs.Trace.attached () in
+  let span =
+    Option.map
+      (fun tr ->
+        ( tr,
+          Obs.Trace.begin_span tr ~cat:"dpor"
+            ~args:[ ("depth", Obs.Json.Int depth); ("cache", Obs.Json.Bool cache) ]
+            "explore" ))
+      trace
+  in
+  let full_key = key = `Full in
+  let s =
+    { bound = depth; n; inputs;
+      has_input = (fun pid inst -> Option.is_some (inputs ~pid ~instance:inst));
+      completion_steps; check; full_key; refine;
+      cache = (if cache then Some (Cache.create 256) else None);
+      (* with no completion budget there is nothing to memoize *)
+      memo = (if cache && completion_steps > 0 then Some (Counterex.memo ()) else None);
+      prof; trace;
+      frontier =
+        [ { config; hash = Statehash.create ~audit:full_key config; depth = 0; sched = [];
+            sleep = 0 } ];
+      explored = 0; leaves = 0; max_depth = 0; cache_hits = 0; pruned = 0; refined = 0;
+      until_sample = sample_stride }
+  in
+  let end_span () =
+    Option.iter
+      (fun (tr, c) ->
+        Obs.Trace.end_span tr
+          ~args:[ ("explored", Obs.Json.Int s.explored); ("leaves", Obs.Json.Int s.leaves) ]
+          c)
+      span
+  in
+  let found =
+    match run s with
+    | () -> None
+    | exception Violation (schedule, error) -> Some (schedule, error)
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      end_span ();
+      Printexc.raise_with_backtrace e bt
+  in
+  end_span ();
+  (* a violating schedule, re-executed from the root and completed:
+     the reported artifact is the interpreter's own *)
+  ( stats_of s,
+    Option.map
+      (fun (schedule, error) ->
+        let stepped = Counterex.run_schedule ~inputs config schedule in
+        { Counterex.schedule; error;
+          config = fst (Counterex.complete ~inputs ~max_steps:completion_steps stepped) })
+      found )

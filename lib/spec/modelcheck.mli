@@ -9,9 +9,8 @@
     than a sample, with minimal counterexample schedules.
 
     {!exhaustive} is the reference engine (literal enumeration); {!run}
-    and {!run_vm} additionally dispatch to {!Explore} (partial-order
-    reduction + state caching), instantiated over heap configurations
-    and over bytecode-vm arena slots. *)
+    additionally dispatches to {!Explore} (partial-order reduction +
+    state caching). *)
 
 type stats = Explore.stats = {
   explored : int;    (** nodes visited (interior + frontier) *)
@@ -22,11 +21,11 @@ type stats = Explore.stats = {
   refined : int;     (** sleep retentions owed to [~refine:true] alone *)
   memo_hits : int;
       (** leaves answered by the completion memo, with no completion
-          run to the end and no [check] call; heap [Dpor] with the
-          cache only *)
+          run to the end and no [check] call; [Dpor] with the cache
+          only *)
   summary_hits : int;
       (** completion bursts answered by a solo-burst summary instead
-          of stepped; heap [Dpor] with the cache only *)
+          of stepped; [Dpor] with the cache only *)
 }
 
 type outcome =
@@ -102,7 +101,7 @@ val stats_of : outcome -> stats
     never answers a violation, and a violation after a summary is
     re-run without it, so counterexamples and their errors are those
     of a real completion;
-    [Naive], [cache = false] and {!run_vm} run every completion.
+    [Naive] and [cache = false] run every completion.
 
     Raises [Invalid_argument] for [Dpor] on more than
     {!Explore.max_procs} processes or [jobs <> 1]. *)
@@ -117,26 +116,4 @@ val run :
   ?prof:Obs.Prof.t ->
   check:(Shm.Config.t -> (unit, string) result) ->
   Shm.Config.t ->
-  outcome
-
-(** [run_vm ~engine …] is {!run} for first-order protocols: [Naive] is
-    {!exhaustive} on [Shm.Vm.config p]; [Dpor] runs the exploration
-    core over compiled {!Shm.Vm} states — a child is one arena blit plus
-    one in-place step, the key is read off the slice, and frontier
-    batches of 8 keep successor slices contiguous.  [check] sees the
-    decoded i/o records ({!Properties.check_safety_io} fits directly).
-    Violations are re-executed by the interpreter before being
-    reported.  It records no metrics or profile.  Raises
-    [Invalid_argument] if [p] fails to compile, or for [Dpor] with
-    [jobs <> 1]. *)
-val run_vm :
-  engine:engine ->
-  depth:int ->
-  ?completion_steps:int ->
-  inputs:(pid:int -> instance:int -> Shm.Value.t option) ->
-  check:
-    (inputs:(int * int * Shm.Value.t) list ->
-     outputs:(int * int * Shm.Value.t) list ->
-     (unit, string) result) ->
-  Shm.Vm.proto ->
   outcome

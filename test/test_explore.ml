@@ -565,7 +565,7 @@ let memo_skips_the_leaf_key () =
 
 (* ---- pinned state counts ---- *)
 
-(* The 62-register collect protocol of the E20 vm benchmarks. *)
+(* The 62-register collect protocol of the E20 vm benchmark. *)
 let collect62 : Shm.Vm.proto =
   let open Shm.Vm in
   {
@@ -579,11 +579,11 @@ let collect62 : Shm.Vm.proto =
       ];
   }
 
-(* (explored, leaves, max_depth, cache_hits, pruned) of three
+(* (explored, leaves, max_depth, cache_hits, pruned) of two
    single-domain runs.  Exploration order decides every cache hit, so
    any change to the order shows up here.  The completion memo leaves
    them alone; its hit count on Figure 3 is pinned beside them (the
-   collect62 runs have no completion budget, so no memo). *)
+   collect62 run has no completion budget, so no memo). *)
 let pinned_state_counts () =
   let counts name expected outcome =
     Alcotest.(check bool) (name ^ ": ok") true (is_ok outcome);
@@ -608,11 +608,7 @@ let pinned_state_counts () =
   counts "collect62 interpreter depth 10" [ 2521; 1464; 10; 316; 432 ]
     (Spec.Modelcheck.run ~engine ~depth:10 ~completion_steps:0 ~inputs
        ~check:(fun _ -> Ok ())
-       (Shm.Vm.config ~backend:Shm.Memory.Journaled collect62));
-  counts "collect62 vm depth 10" [ 2119; 910; 10; 588; 354 ]
-    (Spec.Modelcheck.run_vm ~engine ~depth:10 ~completion_steps:0 ~inputs
-       ~check:(fun ~inputs:_ ~outputs:_ -> Ok ())
-       collect62)
+       (Shm.Vm.config ~backend:Shm.Memory.Journaled collect62))
 
 (* ---- stress: replayable witness schedules ---- *)
 
@@ -651,13 +647,12 @@ let stress_schedule_replays_and_shrinks () =
 
 (* ---- one completion rule across engines ---- *)
 
-(* The vm leaf completion ([Counterex.complete_vm]), the interpreter's
-   ([Counterex.complete]) and [Exec.run] under quantum round-robin with
-   q = 2000 are one rule: the same step count, stop reason, final
-   memory and i/o records, on collect62, on a variant whose solo runs
-   outlast the quantum (so bursts end on it) and on 50 generated
-   protocols, at the default budget and at half the steps a run takes
-   (so the fuel-exhausted ending is compared too). *)
+(* The leaf completion ([Counterex.complete]) and [Exec.run] under
+   quantum round-robin with q = 2000 are one rule: the same step count,
+   stop reason, final memory and i/o records, on collect62, on a variant
+   whose solo runs outlast the quantum (so bursts end on it) and on 50
+   generated protocols, at the default budget and at half the steps a
+   run takes (so the fuel-exhausted ending is compared too). *)
 let one_completion_rule () =
   let inputs = Agreement.Runner.proto_inputs in
   let rng = Shm.Rng.create 23 in
@@ -676,19 +671,10 @@ let one_completion_rule () =
         ~max_steps (Shm.Vm.config p)
     in
     let config, steps = Spec.Counterex.complete ~inputs ~max_steps (Shm.Vm.config p) in
-    let interp = { Shm.Exec.config; steps; stopped = stopped steps; trace = [] } in
-    let e = Shm.Vm.env (Shm.Vm.compile p) ~inputs in
-    let st = Shm.Vm.make_state e in
-    let steps = Spec.Counterex.complete_vm e st 0 ~max_steps in
-    let vm =
-      { Shm.Vm.steps; stopped = stopped steps; trace = []; final = Shm.Vm.snapshot e st 0 }
-    in
-    List.iter
-      (fun (name, r) ->
-        Option.iter
-          (Alcotest.failf "protocol %d, budget %d: vm completion vs %s: %s" i max_steps name)
-          (Shm.Vm.diff vm (Shm.Vm.of_exec r)))
-      [ ("Counterex.complete", interp); ("Exec.run", exec) ];
+    let complete = { Shm.Exec.config; steps; stopped = stopped steps; trace = [] } in
+    Option.iter
+      (Alcotest.failf "protocol %d, budget %d: Counterex.complete vs Exec.run: %s" i max_steps)
+      (Shm.Vm.diff (Shm.Vm.of_exec complete) (Shm.Vm.of_exec exec));
     steps
   in
   List.iteri

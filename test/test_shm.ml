@@ -225,33 +225,58 @@ let config_block_write_requires_poised () =
 
 let footprint_scan_heads () =
   let scan ~off ~len = Program.scan ~off ~len (fun _ -> Program.stop) in
-  let fp = Program.footprint (scan ~off:0 ~len:3) in
-  Alcotest.(check (list int)) "full-range scan reads" [ 0; 1; 2 ] fp.Program.reads;
-  Alcotest.(check (list int)) "scan writes nothing" [] fp.Program.writes;
-  let fp = Program.footprint (scan ~off:2 ~len:2) in
-  Alcotest.(check (list int)) "offset scan reads" [ 2; 3 ] fp.Program.reads;
-  let fp = Program.footprint (scan ~off:1 ~len:1) in
-  Alcotest.(check (list int)) "singleton scan" [ 1 ] fp.Program.reads;
-  let fp = Program.footprint (scan ~off:5 ~len:0) in
-  Alcotest.(check (list int)) "zero-length scan reads nothing" [] fp.Program.reads;
+  let rd r = Program.read r (fun _ -> Program.stop) in
+  let wr r = Program.write r (vi 1) (fun () -> Program.stop) in
+  let covers p r = not (Program.commute p (wr r)) in
+  (* a scan reads exactly its range: a write conflicts inside it only *)
+  Alcotest.(check (list bool)) "full-range scan reads R0-R2" [ true; true; true; false ]
+    (List.map (covers (scan ~off:0 ~len:3)) [ 0; 1; 2; 3 ]);
+  Alcotest.(check (list bool)) "offset scan reads R2-R3" [ false; true; true; false ]
+    (List.map (covers (scan ~off:2 ~len:2)) [ 1; 2; 3; 4 ]);
+  Alcotest.(check (list bool)) "singleton scan reads R1" [ false; true; false ]
+    (List.map (covers (scan ~off:1 ~len:1)) [ 0; 1; 2 ]);
+  Alcotest.(check bool) "scan writes nothing" true
+    (Program.commute (scan ~off:0 ~len:3) (rd 1));
+  Alcotest.(check bool) "scan touches shared memory" false
+    (Program.is_local (scan ~off:0 ~len:3));
+  Alcotest.(check bool) "zero-length scan reads nothing" false (covers (scan ~off:5 ~len:0) 5);
   Alcotest.(check bool) "zero-length scan is local" true
-    (Program.footprint_is_local fp)
+    (Program.is_local (scan ~off:5 ~len:0))
 
 let footprint_scan_independence () =
   (* a zero-length scan commutes with everything; an overlapping write
      does not commute with a scan covering it *)
   let scan ~off ~len = Program.scan ~off ~len (fun _ -> Program.stop) in
   let wr r = Program.write r (vi 1) (fun () -> Program.stop) in
-  let fp_scan = Program.footprint (scan ~off:0 ~len:3) in
-  let fp_empty = Program.footprint (scan ~off:0 ~len:0) in
-  let fp_w1 = Program.footprint (wr 1) in
-  let fp_w9 = Program.footprint (wr 9) in
   Alcotest.(check bool) "covered write conflicts" false
-    (Program.independent fp_scan fp_w1);
+    (Program.commute (scan ~off:0 ~len:3) (wr 1));
   Alcotest.(check bool) "disjoint write commutes" true
-    (Program.independent fp_scan fp_w9);
+    (Program.commute (scan ~off:0 ~len:3) (wr 9));
   Alcotest.(check bool) "empty scan commutes with writes" true
-    (Program.independent fp_empty fp_w1)
+    (Program.commute (scan ~off:0 ~len:0) (wr 1))
+
+(* The independence tests allocate nothing: 10,000 calls each of
+   [commute] (a 62-wide scan against a write inside its range and one
+   outside it) and [is_local] leave the minor heap untouched. *)
+let independence_allocates_nothing () =
+  let scan = Program.scan ~off:0 ~len:62 (fun _ -> Program.stop) in
+  let inside = Program.write 30 (vi 1) (fun () -> Program.stop) in
+  let outside = Program.write 62 (vi 1) (fun () -> Program.stop) in
+  let words f =
+    let before = Gc.minor_words () in
+    let hits = ref 0 in
+    for _ = 1 to 10_000 do
+      if f () then incr hits
+    done;
+    (Gc.minor_words () -. before, !hits)
+  in
+  ignore (words (fun () -> Program.commute scan inside));
+  let w, hits = words (fun () -> Program.commute scan inside || Program.commute outside scan) in
+  Alcotest.(check int) "the outside write commutes every time" 10_000 hits;
+  Alcotest.(check (float 0.)) "commute: minor words" 0. w;
+  let w, hits = words (fun () -> Program.is_local scan || Program.is_local inside) in
+  Alcotest.(check int) "neither is local" 0 hits;
+  Alcotest.(check (float 0.)) "is_local: minor words" 0. w
 
 (* The printer [Value.pp] replaced: the parts through Fmt, one Format
    token each, kept as the reference for the bytes. *)
@@ -318,6 +343,7 @@ let suite =
     test "program poised inspection" program_poised_inspection;
     test "footprint of scan heads" footprint_scan_heads;
     test "scan footprint independence" footprint_scan_independence;
+    test "independence tests allocate nothing (Gc-pinned)" independence_allocates_nothing;
     test "config step semantics" config_step_semantics;
     test "config branches are independent" config_persistence_branches;
     test "config block write" config_block_write;

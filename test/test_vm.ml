@@ -2,8 +2,8 @@
    protocols, the run comparison [Vm.diff] itself, lowering edge cases
    pinned against the interpreter, the QCheck vm-vs-interpreter
    equivalence property on both memory backends, the state-derived
-   exploration key, and front-door verdict agreement between
-   [Modelcheck.run] and [Modelcheck.run_vm].
+   exploration key, and verdict agreement between DPOR and the naive
+   engine on generated protocols.
 
    The equivalence contract is [Vm.diff], the one the fuzzer's vm
    oracle uses; this suite additionally pins the interpreter side to
@@ -237,41 +237,37 @@ let test_key_converges seed =
     Alcotest.fail "initial and final states share a key"
 
 (* ------------------------------------------------------------------ *)
-(* (f) Front-door verdict agreement: Modelcheck.run vs run_vm *)
+(* (f) Front-door verdict agreement: DPOR vs the naive engine *)
 
-(* Counterexample schedules may legitimately differ (the engines cache
-   and reduce differently), but the verdict — safe up to the bound, or
-   some violation exists — is a property of the protocol and must
-   match.  Small sizes keep the exhaustive cost of 40 protocols low. *)
+(* Counterexample schedules may legitimately differ (DPOR caches and
+   reduces), but the verdict — safe up to the bound, or some violation
+   exists — is a property of the protocol and must match.  Small sizes
+   keep the exhaustive cost of 40 protocols low. *)
 let small_sizes =
   { G.max_registers = 3; max_procs = 3; max_steps = 3; max_loop = 2; max_sched = 8 }
 
 let verdict_property =
-  QCheck.Test.make ~count:40 ~name:"Modelcheck.run and run_vm agree on the verdict"
+  QCheck.Test.make ~count:40 ~name:"DPOR and the naive engine agree on the verdict"
     QCheck.(make Gen.int)
     (fun seed ->
       let rng = Rng.create seed in
       let p = G.generate ~sizes:small_sizes rng in
-      let engine = Spec.Modelcheck.Dpor { cache = true; jobs = 1 } in
-      let interp =
+      let run engine =
         Spec.Modelcheck.run ~engine ~depth:5 ~inputs:Runner.proto_inputs
           ~check:(Spec.Properties.check_safety ~k:1)
           (Shm.Vm.config p)
       in
-      let vm =
-        Spec.Modelcheck.run_vm ~engine ~depth:5 ~inputs:Runner.proto_inputs
-          ~check:(Spec.Properties.check_safety_io ~k:1)
-          p
-      in
+      let dpor = run (Spec.Modelcheck.Dpor { cache = true; jobs = 1 })
+      and naive = run Spec.Modelcheck.Naive in
       let violated = function
         | Spec.Modelcheck.Ok_bounded _ -> false
         | Spec.Modelcheck.Counterexample _ -> true
       in
       let show o = if violated o then "violation" else "safe" in
-      if violated interp = violated vm then true
+      if violated dpor = violated naive then true
       else
-        QCheck.Test.fail_reportf "verdicts differ on %s: interpreter %s, vm %s"
-          (Analyze.Ir.to_string p) (show interp) (show vm))
+        QCheck.Test.fail_reportf "verdicts differ on %s: DPOR %s, naive %s"
+          (Analyze.Ir.to_string p) (show dpor) (show naive))
 
 (* ------------------------------------------------------------------ *)
 
